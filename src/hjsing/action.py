@@ -25,8 +25,6 @@ from scipy.integrate import solve_ivp
 from .errors import BlowUp, DegenerateSample, NoConvergence
 from .model import HamiltonianModel, LagrangianModel, hamiltonian_from_lagrangian
 
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-
 
 # ---------------------------------------------------------------------------
 # trajectories

@@ -102,7 +102,6 @@ class RunConfig:
 
     out: str = "out"
     seed: int = 0
-    jobs: int = 1
     raw_text: str = ""
 
     def config_hash(self) -> str:
@@ -195,7 +194,6 @@ def load_config(path: str, overrides: dict | None = None) -> RunConfig:
 
         cfg.out = get("run", "out", "out")
         cfg.seed = int(get("run", "seed", "0"))
-        cfg.jobs = int(get("run", "jobs", "1"))
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"bad config value: {exc}") from exc
 
@@ -388,7 +386,7 @@ def cmd_cutlocus(cfg: RunConfig) -> int:
     field = DiscountedField(problem, v)
 
     ctf = cut_time_field(problem, v, cfg.tau_horizon, calib_tol=cfg.calib_tol,
-                         singular_tol=cfg.singular_tol, jobs=cfg.jobs)
+                         singular_tol=cfg.singular_tol)
     ctf.write(out / "tau.grid", out / "alpha.grid", comments=cfg.header())
 
     pts, _ = aubry_candidates(field, cfg.tau_horizon, calib_tol=cfg.calib_tol,
@@ -547,8 +545,6 @@ def main(argv=None) -> int:
         p.add_argument("--out", help="output directory (overrides config)")
         p.add_argument("--seed", type=int, help="seed override")
         p.add_argument("--tol", type=float, help="solver tolerance override")
-        p.add_argument("--jobs", type=int, help="worker processes for "
-                       "per-node computations")
         if name == "trace":
             p.add_argument("--t0", type=float, help="trace start time")
             p.add_argument("--x0", type=float, nargs="+", help="trace start point")
@@ -556,7 +552,7 @@ def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO if args.verbose else logging.WARNING,
                         format="%(levelname)s %(name)s: %(message)s")
 
-    overrides = {k: getattr(args, k) for k in ("out", "seed", "tol", "jobs")
+    overrides = {k: getattr(args, k) for k in ("out", "seed", "tol")
                  if getattr(args, k, None) is not None}
     try:
         cfg = load_config(args.config, overrides)

@@ -116,12 +116,8 @@ def scalar_field(text: str, dimension: int):
         x = np.asarray(x, dtype=float)
         v = np.asarray(v, dtype=float)
         env = {"s": np.asarray(s, dtype=float)}
-        if dimension == 1:
-            env["x"] = x[..., 0]
-            env["v"] = v[..., 0]
-        else:
-            env["x"] = x[..., 0]
-            env["v"] = v[..., 0]
+        env["x"] = x[..., 0]
+        env["v"] = v[..., 0]
         for i in range(dimension):
             env[f"x{i + 1}"] = x[..., i]
             env[f"v{i + 1}"] = v[..., i]

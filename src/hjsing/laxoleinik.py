@@ -33,10 +33,9 @@ from .model import (
     GrowthData,
     LagrangianModel,
     convex_conjugate,
+    golden_polish,
     to_evolutionary,
 )
-
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 # optional hook fed with one record per operator call (used by verification)
 _LOCALIZATION_COLLECTOR: Optional[Callable] = None
@@ -196,18 +195,6 @@ class GridFunction:
         out = out.reshape(pts.shape[:-1])
         return float(out[0]) if squeeze else out
 
-    def node_gradient(self):
-        """Central-difference gradient at every node, shape resolution + (n,)."""
-        grads = []
-        for ax in range(self.dimension):
-            if self.periodic[ax]:
-                up = np.roll(self.values, -1, axis=ax)
-                dn = np.roll(self.values, 1, axis=ax)
-                grads.append((up - dn) / (2 * self.spacing[ax]))
-            else:
-                grads.append(np.gradient(self.values, self.spacing[ax], axis=ax))
-        return np.stack(grads, axis=-1)
-
     # -- persistence ---------------------------------------------------------
 
     def write(self, path, lam: Optional[float] = None, comments=()):
@@ -344,44 +331,6 @@ def _ball_candidates(grid: GridFunction, center, radius: float, strict: bool):
 # ---------------------------------------------------------------------------
 # the localized search
 
-def _golden_polish_1d(cost_fn, seeds, half_width, iters=24):
-    """Vectorized golden-section minimize around each 1D seed.
-
-    ``cost_fn(positions (P,1)) -> (P,)`` is evaluated on the full batch each
-    iteration; returns (positions (P,1), costs (P,)).
-    """
-    seeds = np.asarray(seeds, dtype=float).reshape(-1)
-    lo = seeds - half_width
-    hi = seeds + half_width
-    for _ in range(iters):
-        a = hi - _INV_PHI * (hi - lo)
-        b = lo + _INV_PHI * (hi - lo)
-        fa = cost_fn(a[:, None])
-        fb = cost_fn(b[:, None])
-        left = fa <= fb
-        hi = np.where(left, b, hi)
-        lo = np.where(left, lo, a)
-    best_pos = 0.5 * (lo + hi)
-    best_val = cost_fn(best_pos[:, None])
-    return best_pos[:, None], best_val
-
-
-def _polish_nd(cost_fn, seed, half_width, iters=3):
-    """Cyclic per-axis golden search around one nD seed."""
-    z = np.array(seed, dtype=float)
-    n = z.size
-    for _ in range(iters):
-        for ax in range(n):
-            def axis_cost(t):
-                trial = np.repeat(z[None, :], len(t), axis=0)
-                trial[:, ax] = t[:, 0]
-                return cost_fn(trial)
-            pos, _ = _golden_polish_1d(axis_cost, np.array([z[ax]]), half_width, iters=18)
-            z[ax] = pos[0, 0]
-        half_width *= 0.4
-    return z, float(cost_fn(z[None, :])[0])
-
-
 @dataclass
 class SearchResult:
     value: float
@@ -483,25 +432,16 @@ def localized_convolution(model: LagrangianModel, f: GridFunction, t1: float,
     polished_pos = np.asarray(polished_pos, dtype=float)
     polished_owner = np.asarray(polished_owner, dtype=int)
 
-    def polish_cost(points, owner_idx):
+    def polish_cost(points):
         points = clamp(points)
+        owner_idx = np.tile(polished_owner, len(points) // len(polished_owner))
         sol_p = action_batch(points, owner_idx, segments)
         return (sign * f_scale * np.asarray(f(points), dtype=float).reshape(-1)
                 + sol_p["action"])
 
-    if n == 1:
-        pos, val = _golden_polish_1d(
-            lambda pts: polish_cost(pts, polished_owner),
-            polished_pos[:, 0], half_width=h_ref, iters=24)
-        pos = clamp(pos)
-    else:
-        pos = np.empty_like(polished_pos)
-        val = np.empty(len(polished_pos))
-        for k in range(len(polished_pos)):
-            owner_idx = polished_owner[k: k + 1]
-            zk, vk = _polish_nd(lambda pts: polish_cost(pts, np.repeat(owner_idx, len(pts))),
-                                polished_pos[k], half_width=h_ref)
-            pos[k], val[k] = clamp(zk[None, :])[0], vk
+    sweeps, iters = (1, 24) if n == 1 else (3, 18)
+    pos, val = golden_polish(polish_cost, polished_pos, h_ref, sweeps, iters)
+    pos = clamp(pos)
 
     # final assembly: Richardson-refined values for every near-tied winner,
     # batched across owners

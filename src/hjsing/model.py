@@ -31,13 +31,52 @@ _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 # ---------------------------------------------------------------------------
+# batched golden-section search
+
+def golden_polish(cost: Callable, seeds, half_width: float, sweeps: int,
+                  iters: int, shrink: float = 0.4):
+    """Cyclic per-axis golden-section minimization around a batch of seeds.
+
+    ``seeds`` is (P, n).  A sweep visits the axes in order; on each axis the
+    bracket [z - w, z + w] of every seed shrinks ``iters`` times and the
+    coordinate moves to the bracket midpoint.  ``w`` starts at
+    ``half_width`` and is multiplied by ``shrink`` after each sweep.  Each
+    iteration makes one call ``cost(points (2P, n)) -> (2P,)``: rows
+    ``:P`` are the left interior points, rows ``P:`` the right ones, and
+    ties keep the left bracket.  Returns (points (P, n), costs (P,)), the
+    costs from one last call on the returned points.
+    """
+    z = np.array(seeds, dtype=float)
+    P, n = z.shape
+    width = half_width
+    for _ in range(sweeps):
+        for ax in range(n):
+            lo = z[:, ax] - width
+            hi = z[:, ax] + width
+            for _ in range(iters):
+                a = hi - _INV_PHI * (hi - lo)
+                b = lo + _INV_PHI * (hi - lo)
+                trial = np.concatenate([z, z])
+                trial[:P, ax] = a
+                trial[P:, ax] = b
+                c = cost(trial)
+                left = c[:P] <= c[P:]
+                hi = np.where(left, b, hi)
+                lo = np.where(left, lo, a)
+            z[:, ax] = 0.5 * (lo + hi)
+        width *= shrink
+    return z, np.asarray(cost(z), dtype=float)
+
+
+# ---------------------------------------------------------------------------
 # convex conjugates of growth functions
 
 def convex_conjugate(theta: Callable, s: float, r_max: Optional[float] = None) -> float:
     """sup_{r >= 0} (r*s - theta(r)), located by a doubling ladder + golden search.
 
-    ``theta`` must be superlinear so the supremum is attained; ``r_max``
-    overrides the automatic bracket.
+    ``theta`` must be superlinear so the supremum is attained, and accept
+    arrays of radii.  ``r_max`` overrides the automatic bracket [0, r_max],
+    which :func:`golden_polish` then shrinks.
     """
     s = float(s)
     if r_max is None:
@@ -53,24 +92,10 @@ def convex_conjugate(theta: Callable, s: float, r_max: Optional[float] = None) -
                 best, worse = val, 0
             r_hi *= 2.0
         r_max = r_hi
-    lo, hi = 0.0, float(r_max)
-    a = hi - _INV_PHI * (hi - lo)
-    b = lo + _INV_PHI * (hi - lo)
-    fa = s * a - float(theta(a))
-    fb = s * b - float(theta(b))
-    for _ in range(120):
-        if fa >= fb:
-            hi, b, fb = b, a, fa
-            a = hi - _INV_PHI * (hi - lo)
-            fa = s * a - float(theta(a))
-        else:
-            lo, a, fa = a, b, fb
-            b = lo + _INV_PHI * (hi - lo)
-            fb = s * b - float(theta(b))
-        if hi - lo < 1e-12 * (1.0 + hi):
-            break
-    r = 0.5 * (lo + hi)
-    return float(max(s * r - float(theta(r)), -float(theta(0.0))))
+    half = 0.5 * float(r_max)
+    _, cost = golden_polish(lambda r: theta(r[:, 0]) - s * r[:, 0],
+                            [[half]], half, sweeps=1, iters=120)
+    return float(max(-cost[0], -float(theta(0.0))))
 
 
 @dataclass
@@ -201,8 +226,8 @@ def legendre(model: LagrangianModel, s: float, x, p, tol: float = 1e-10,
     """Invert L_v(s,x,.) = p; returns (v_star, h_value).
 
     ``h_value = <p, v_star> - L(s, x, v_star)`` is the Hamiltonian.  Damped
-    Newton on the strictly convex dual objective; a golden-section line
-    search takes over when plain backtracking stalls.
+    Newton on the strictly convex dual objective; when plain backtracking
+    stalls, :func:`golden_polish` searches the step length on [0, 1].
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     p = np.atleast_1d(np.asarray(p, dtype=float))
@@ -227,16 +252,12 @@ def legendre(model: LagrangianModel, s: float, x, p, tol: float = 1e-10,
                 break
             alpha *= 0.5
         if not improved:
-            lo, hi = 0.0, 1.0
-            for _ in range(60):
-                a = hi - _INV_PHI * (hi - lo)
-                b = lo + _INV_PHI * (hi - lo)
-                if objective(v + a * step) <= objective(v + b * step):
-                    hi = b
-                else:
-                    lo = a
-            alpha = 0.5 * (lo + hi)
-            trial = objective(v + alpha * step)
+            def line_cost(a):
+                vv = v + a * step
+                return model.L(s, np.broadcast_to(x, vv.shape), vv) - vv @ p
+
+            pos, cost = golden_polish(line_cost, [[0.5]], 0.5, sweeps=1, iters=60)
+            alpha, trial = float(pos[0, 0]), float(cost[0])
             if trial >= f_cur:
                 raise NoConvergence("Legendre line search stalled")
             v, f_cur = v + alpha * step, trial
@@ -316,7 +337,7 @@ def to_evolutionary(problem: DiscountedProblem, horizon: float = 1.0):
         growth=GrowthData(
             c_T=scale_T * problem.c1,
             theta_lower=problem.theta1,
-            theta_upper=lambda r: scale_T * (float(problem.theta2(r)) + problem.c2),
+            theta_upper=lambda r: scale_T * (problem.theta2(r) + problem.c2),
             ct1=lambda T: 2.0 * lam * math.exp(lam * T) * problem.c1,
             ct2=lambda T: lam,
             horizon=horizon,

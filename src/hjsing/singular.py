@@ -40,12 +40,10 @@ from .errors import (
     ScheduleStall,
 )
 from .laxoleinik import GridFunction
-from .model import DiscountedProblem
+from .model import DiscountedProblem, golden_polish
 from .solver import DiscountedField, EvolutionaryField
 
 logger = logging.getLogger(__name__)
-
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -73,6 +71,23 @@ def _endpoint_velocity(nodes, dt, where: str):
     if where == "end":
         return (3.0 * nodes[-1] - 4.0 * nodes[-2] + nodes[-3]) / (2.0 * dt)
     return (-3.0 * nodes[0] + 4.0 * nodes[1] - nodes[2]) / (2.0 * dt)
+
+
+def _merge_momenta(elems, merge_tol: float):
+    """Drop elements whose momentum lies within merge_tol of an earlier one.
+
+    Elements are momenta p or (q, p) pairs.  Returns (kept elements, the
+    largest pairwise momentum distance among them).
+    """
+    merged, momenta = [], []
+    for e in elems:
+        p = e[1] if isinstance(e, tuple) else e
+        if not any(np.linalg.norm(p - q) <= merge_tol for q in momenta):
+            merged.append(e)
+            momenta.append(p)
+    diam = max((float(np.linalg.norm(a - b))
+                for i, a in enumerate(momenta) for b in momenta[i + 1:]), default=0.0)
+    return merged, diam
 
 
 def reachable_gradients(field, model, t: float, x, restarts: int = 5,
@@ -115,23 +130,7 @@ def reachable_gradients(field, model, t: float, x, restarts: int = 5,
             q = float(-hmodel.H(t_end, x, p)) if hmodel is not None else float("nan")
             elems.append((q, p))
 
-    merged = []
-    for e in elems:
-        p = e[1] if isinstance(e, tuple) else e
-        dup = False
-        for m in merged:
-            pm = m[1] if isinstance(m, tuple) else m
-            if np.linalg.norm(p - pm) <= merge_tol:
-                dup = True
-                break
-        if not dup:
-            merged.append(e)
-    momenta = np.array([m[1] if isinstance(m, tuple) else m for m in merged])
-    if len(momenta) > 1:
-        diam = float(max(np.linalg.norm(a - b)
-                         for i, a in enumerate(momenta) for b in momenta[i + 1:]))
-    else:
-        diam = 0.0
+    merged, diam = _merge_momenta(elems, merge_tol)
     return ReachableGradientSet(point=x.copy(),
                                 time=None if field.kind == "discounted" else t,
                                 elements=merged, diameter=diam)
@@ -207,7 +206,11 @@ def _argmax_objective(field, action_model, t1: float, x1, t: float, ys,
 
 def _argmax_point(field, action_model, t1, x1, t, radius, per_axis=49,
                   tie_tol=1e-6):
-    """Maximize phi over the ball; returns (y*, phi*, scan_pts, scan_vals)."""
+    """Maximize phi over the ball; returns (y*, phi*, scan_pts, scan_vals).
+
+    A lattice scan picks the seeds, then :func:`hjsing.model.golden_polish`
+    minimizes -phi around all of them at once; the first seed wins ties.
+    """
     lo, hi = _field_domain(field, t, t)
     cand = _lattice(x1, radius, lo, hi, per_axis=per_axis)
     vals = _argmax_objective(field, action_model, t1, x1, t, cand)
@@ -215,7 +218,6 @@ def _argmax_point(field, action_model, t1, x1, t, radius, per_axis=49,
     n = cand.shape[1]
     h_polish = max(radius / (per_axis - 1), 1e-4)
 
-    best_pos, best_val = None, -np.inf
     # polish the leading basin (and a runner-up if clearly separated)
     seeds = [cand[order[0]]]
     for idx in order[1:]:
@@ -224,28 +226,11 @@ def _argmax_point(field, action_model, t1, x1, t, radius, per_axis=49,
         if np.linalg.norm(cand[idx] - seeds[0]) > 3 * h_polish:
             seeds.append(cand[idx])
             break
-    for seed in seeds:
-        z = np.array(seed, dtype=float)
-        width = h_polish
-        for _ in range(2 if n > 1 else 1):
-            for ax in range(n):
-                lo_b, hi_b = z[ax] - width, z[ax] + width
-                for _ in range(28):
-                    a = hi_b - _INV_PHI * (hi_b - lo_b)
-                    b = lo_b + _INV_PHI * (hi_b - lo_b)
-                    za, zb = z.copy(), z.copy()
-                    za[ax], zb[ax] = a, b
-                    fa = _argmax_objective(field, action_model, t1, x1, t,
-                                           np.stack([za, zb]))
-                    if fa[0] >= fa[1]:
-                        hi_b = b
-                    else:
-                        lo_b = a
-                z[ax] = 0.5 * (lo_b + hi_b)
-            width *= 0.4
-        v = float(_argmax_objective(field, action_model, t1, x1, t, z[None, :])[0])
-        if v > best_val:
-            best_val, best_pos = v, z
+    pos, cost = golden_polish(
+        lambda ys: -_argmax_objective(field, action_model, t1, x1, t, ys),
+        seeds, h_polish, sweeps=2 if n > 1 else 1, iters=28)
+    best = int(np.argmin(cost))
+    best_pos, best_val = pos[best], float(-cost[best])
     return best_pos, best_val, cand, vals
 
 
@@ -639,47 +624,24 @@ def _mollified_majorant(tau_values: np.ndarray, bump: float = 0.1) -> np.ndarray
 
 def cut_times(problem: DiscountedProblem, v: GridFunction, nodes,
               horizon: float, calib_tol: float = 1e-3,
-              singular_tol: float = 1e-2, jobs: int = 1) -> np.ndarray:
-    """Cut times at the queried points, optionally across worker processes."""
+              singular_tol: float = 1e-2) -> np.ndarray:
+    """Cut times at the queried points."""
     pts = np.atleast_2d(np.asarray(nodes, dtype=float))
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            taus = list(pool.map(_CutTimeWorker(problem, v, horizon, calib_tol,
-                                                singular_tol, pts),
-                                 range(len(pts))))
-    else:
-        taus = [cut_time(problem, v, pts[i], horizon, calib_tol,
-                         singular_tol)[0] for i in range(len(pts))]
-    return np.asarray(taus)
+    return np.asarray([cut_time(problem, v, x, horizon, calib_tol, singular_tol)[0]
+                       for x in pts])
 
 
 def cut_time_field(problem: DiscountedProblem, v: GridFunction, horizon: float,
-                   calib_tol: float = 1e-3, singular_tol: float = 1e-2,
-                   jobs: int = 1) -> CutTimeField:
+                   calib_tol: float = 1e-3,
+                   singular_tol: float = 1e-2) -> CutTimeField:
     """Cut times on the whole grid plus the mollified strict majorant."""
-    taus = cut_times(problem, v, v.nodes(), horizon, calib_tol, singular_tol,
-                     jobs=jobs)
+    taus = cut_times(problem, v, v.nodes(), horizon, calib_tol, singular_tol)
     tau_vals = taus.reshape(v.resolution)
     alpha_vals = _mollified_majorant(tau_vals)
     tau_grid = GridFunction(v.box, tau_vals, v.periodic)
     alpha_grid = GridFunction(v.box, alpha_vals, v.periodic)
     return CutTimeField(tau=tau_grid, alpha=alpha_grid, horizon=horizon,
                         calib_tol=calib_tol)
-
-
-class _CutTimeWorker:
-    """Picklable per-node cut-time evaluator for process pools."""
-
-    def __init__(self, problem, v, horizon, calib_tol, singular_tol, pts):
-        self.args = (problem, v, horizon, calib_tol, singular_tol)
-        self.pts = pts
-
-    def __call__(self, i):
-        problem, v, horizon, calib_tol, singular_tol = self.args
-        tau, _ = cut_time(problem, v, self.pts[i], horizon, calib_tol,
-                          singular_tol)
-        return tau
 
 
 def aubry_candidates(field, horizon: float, calib_tol: float = 1e-3,
@@ -786,16 +748,9 @@ def gradient_limits(v: GridFunction, x, merge_tol: float = 1e-4) -> ReachableGra
         minus = (float(v(x)) - float(v(x - e))) / v.spacing[ax]
         plus = (float(v(x + e)) - float(v(x))) / v.spacing[ax]
         sides.append((minus, plus))
-    elems = []
-    for corner in range(1 << v.dimension):
-        p = np.array([sides[ax][(corner >> ax) & 1] for ax in range(v.dimension)])
-        if all(np.linalg.norm(p - q) > merge_tol for q in elems):
-            elems.append(p)
-    momenta = np.array(elems)
-    diam = 0.0
-    if len(momenta) > 1:
-        diam = float(max(np.linalg.norm(a - b)
-                         for i, a in enumerate(momenta) for b in momenta[i + 1:]))
+    corners = [np.array([sides[ax][(corner >> ax) & 1] for ax in range(v.dimension)])
+               for corner in range(1 << v.dimension)]
+    elems, diam = _merge_momenta(corners, merge_tol)
     return ReachableGradientSet(point=x.copy(), time=None, elements=elems,
                                 diameter=diam, source="limit-of-gradients")
 

@@ -88,6 +88,35 @@ class TestEvolutionaryTransform:
             assert h_val == pytest.approx(float(hhat.H(t, x, p)), abs=1e-8)
 
 
+class TestGoldenPolish:
+    def test_shifted_quadratics(self):
+        rng = np.random.default_rng(5)
+        for n, sweeps, iters in ((1, 1, 24), (2, 3, 18)):
+            seeds = rng.uniform(-1.0, 1.0, size=(4, n))
+            centers = seeds + rng.uniform(-0.4, 0.4, size=(4, n))
+            shapes = []
+
+            def cost(z):
+                shapes.append(z.shape)
+                owner = np.tile(np.arange(len(seeds)), len(z) // len(seeds))
+                return np.sum((z - centers[owner]) ** 2, axis=1)
+
+            pts, vals = model.golden_polish(cost, seeds, 0.5, sweeps, iters)
+            # every minimizer lies inside its last bracket
+            half = 0.5 * 0.4 ** (sweeps - 1) * model._INV_PHI ** iters
+            assert np.all(np.abs(pts - centers) <= half)
+            np.testing.assert_array_equal(vals, cost(pts))
+            assert set(shapes) == {(8, n), (4, n)}
+
+    def test_tie_keeps_left_bracket(self):
+        seeds = np.array([[0.0], [3.0]])
+        pts, _ = model.golden_polish(lambda z: np.zeros(len(z)), seeds, 1.0,
+                                     sweeps=1, iters=10)
+        # a flat cost keeps [lo, b] every time: lo stays at seed - 1
+        expected = seeds - 1.0 + model._INV_PHI ** 10
+        np.testing.assert_allclose(pts, expected, rtol=0, atol=1e-12)
+
+
 class TestGrowthData:
     def test_default_quadratic_conjugate(self):
         g = model.quadratic_growth()
