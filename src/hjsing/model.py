@@ -28,20 +28,21 @@ from .errors import ExponentOverflow, NoConvergence, NotConvex
 EXPONENT_CAP = 40.0
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+_SWEEP_SHRINK = 0.4  # golden_polish half-width factor from one sweep to the next
 
 
 # ---------------------------------------------------------------------------
 # batched golden-section search
 
 def golden_polish(cost: Callable, seeds, half_width: float, sweeps: int,
-                  iters: int, shrink: float = 0.4):
+                  iters: int):
     """Cyclic per-axis golden-section minimization around a batch of seeds.
 
     ``seeds`` is (P, n).  A sweep visits the axes in order; on each axis the
     bracket [z - w, z + w] of every seed shrinks ``iters`` times and the
     coordinate moves to the bracket midpoint.  ``w`` starts at
-    ``half_width`` and is multiplied by ``shrink`` after each sweep.  Each
-    iteration makes one call ``cost(points (2P, n)) -> (2P,)``: rows
+    ``half_width`` and is multiplied by ``_SWEEP_SHRINK`` after each sweep.
+    Each iteration makes one call ``cost(points (2P, n)) -> (2P,)``: rows
     ``:P`` are the left interior points, rows ``P:`` the right ones, and
     ties keep the left bracket.  Returns (points (P, n), costs (P,)), the
     costs from one last call on the returned points.
@@ -64,7 +65,7 @@ def golden_polish(cost: Callable, seeds, half_width: float, sweeps: int,
                 hi = np.where(left, b, hi)
                 lo = np.where(left, lo, a)
             z[:, ax] = 0.5 * (lo + hi)
-        width *= shrink
+        width *= _SWEEP_SHRINK
     return z, np.asarray(cost(z), dtype=float)
 
 
@@ -92,9 +93,10 @@ def convex_conjugate(theta: Callable, s: float, r_max: Optional[float] = None) -
                 best, worse = val, 0
             r_hi *= 2.0
         r_max = r_hi
+    # 60 shrinks leave a bracket of r_max * 3e-13
     half = 0.5 * float(r_max)
     _, cost = golden_polish(lambda r: theta(r[:, 0]) - s * r[:, 0],
-                            [[half]], half, sweeps=1, iters=120)
+                            [[half]], half, sweeps=1, iters=60)
     return float(max(-cost[0], -float(theta(0.0))))
 
 

@@ -103,7 +103,7 @@ class TestGoldenPolish:
 
             pts, vals = model.golden_polish(cost, seeds, 0.5, sweeps, iters)
             # every minimizer lies inside its last bracket
-            half = 0.5 * 0.4 ** (sweeps - 1) * model._INV_PHI ** iters
+            half = 0.5 * model._SWEEP_SHRINK ** (sweeps - 1) * model._INV_PHI ** iters
             assert np.all(np.abs(pts - centers) <= half)
             np.testing.assert_array_equal(vals, cost(pts))
             assert set(shapes) == {(8, n), (4, n)}
