@@ -69,6 +69,7 @@ from .singular import (
     lipschitz_certificate,
     propagation_step,
     reachable_gradients,
+    reachable_gradients_batch,
     retraction,
     strong_critical_test,
     trace_singular_curve,

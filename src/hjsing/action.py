@@ -142,7 +142,7 @@ def straight_line_actions(model: LagrangianModel, s: float, t: float,
     vel = ((ends - starts) / (t - s))[:, None, :]
     vel = np.broadcast_to(vel, pts.shape)
     lvals = L(mid[None, :], pts, vel)
-    return lvals @ w
+    return np.einsum("pn,n->p", lvals, w)
 
 
 def minimize_paths(model: LagrangianModel, s: float, t: float, starts, ends,
@@ -177,9 +177,11 @@ def minimize_paths(model: LagrangianModel, s: float, t: float, starts, ends,
     W[:, -1] = ends
 
     def action_of(nodes):
+        # a per-row sum: a matrix-vector product would round a row
+        # differently depending on how many rows share the batch
         m = 0.5 * (nodes[:, 1:] + nodes[:, :-1])
         vel = (nodes[:, 1:] - nodes[:, :-1]) / dt
-        return L(mid[None, :], m, vel) @ w
+        return np.einsum("pn,n->p", L(mid[None, :], m, vel), w)
 
     act = action_of(W)
     if N == 1:
@@ -475,7 +477,7 @@ class ConvexityConstants:
             raise ValueError("spatial convexity modulus exceeded the concavity bound")
 
 
-def estimate_constants(model: LagrangianModel, s: float, x, T: float, R: float,
+def estimate_constants(model: LagrangianModel, s: float, x, T: float,
                        lam_slope: float, levels: int = 3,
                        directions: int = 2, segments: int = 16) -> ConvexityConstants:
     """Probe second differences of A on the cone of apex (s, x) and slope lam_slope.
@@ -484,6 +486,11 @@ def estimate_constants(model: LagrangianModel, s: float, x, T: float, R: float,
     negative one (floored at 1e-8), ``c2`` the smallest spatial ratio, and
     ``c3`` the largest time increment of the endpoint gradient, all scaled
     by (t - s) as in the cone estimates they feed.
+
+    The probes are grouped by end time: each of the ``levels`` cone heights
+    t makes three :func:`refined_action` batches, at t, t + h and t - h,
+    over every direction and offset.  The actions at (t, y) and (t + h, y)
+    serve both the temporal second difference and ``c3``.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     n = x.size
@@ -495,6 +502,15 @@ def estimate_constants(model: LagrangianModel, s: float, x, T: float, R: float,
     if n > 1 and directions > n:
         dirs.append(np.ones(n) / math.sqrt(n))
 
+    def A_batch(ends, t_at):
+        return refined_action(model, s, t_at, np.broadcast_to(x, ends.shape),
+                              ends, segments=segments)
+
+    def end_duals(sol, rows):
+        return np.array([_trajectory_from_nodes(model, sol["times"], sol["nodes"][r],
+                                                sol["action"][r], 0.0).duals[-1]
+                         for r in rows])
+
     ratios_c0, ratios_c1, ratios_c2, ratios_c3 = [], [], [], []
     seen_signal = False
     for frac in np.linspace(0.45, 0.95, levels):
@@ -502,43 +518,28 @@ def estimate_constants(model: LagrangianModel, s: float, x, T: float, R: float,
         dt_cone = t - s
         h = 0.2 * dt_cone
         radius = lam_slope * dt_cone
-
-        def A_batch(ends, t_at):
-            val, _ = refined_action(model, s, t_at, np.broadcast_to(x, ends.shape),
-                                    ends, segments=segments)
-            return val
-
-        for d in dirs:
-            for rho in (0.15, 0.45):
-                y = x + rho * radius * d
-                z = 0.25 * radius * d
-                ends = np.stack([y + z, y - z, y, y + z, y - z])
-                base = A_batch(ends[:3], t)
-                plus = A_batch(ends[3:4], t + h)[0]
-                minus = A_batch(ends[4:5], t - h)[0]
-                a_pz, a_mz, a_c = base
-                zz = float(z @ z)
-                spatial = (a_pz + a_mz - 2 * a_c) * dt_cone / zz
-                mixed = (plus + minus - 2 * a_c) * dt_cone / (h * h + zz)
-                pure_plus = A_batch(ends[2:3], t + h)[0]
-                pure_minus = A_batch(ends[2:3], t - h)[0]
-                temporal = (pure_plus + pure_minus - 2 * a_c) * dt_cone / (h * h)
-                if max(abs(spatial), abs(mixed), abs(temporal)) > 1e-12:
-                    seen_signal = True
-                ratios_c2.append(spatial)
-                for r in (spatial, mixed, temporal):
-                    ratios_c0.append(r)
-                    ratios_c1.append(-r)
-                # endpoint-gradient increment in time
-                _, tr_t = refined_action(model, s, t, x[None, :], y[None, :],
-                                         segments=segments)
-                _, tr_h = refined_action(model, s, t + h, x[None, :], y[None, :],
-                                         segments=segments)
-                g_t = _trajectory_from_nodes(model, tr_t["times"], tr_t["nodes"][0],
-                                             tr_t["action"][0], 0.0).duals[-1]
-                g_h = _trajectory_from_nodes(model, tr_h["times"], tr_h["nodes"][0],
-                                             tr_h["action"][0], 0.0).duals[-1]
-                ratios_c3.append(float(np.linalg.norm(g_h - g_t)) * dt_cone / h)
+        offsets = [(d, rho) for d in dirs for rho in (0.15, 0.45)]
+        ys = np.array([x + rho * radius * d for d, rho in offsets])
+        zs = np.array([0.25 * radius * d for d, _ in offsets])
+        m = len(offsets)
+        at_t, sol_t = A_batch(np.concatenate([ys + zs, ys - zs, ys]), t)
+        at_plus, sol_plus = A_batch(np.concatenate([ys + zs, ys]), t + h)
+        at_minus, _ = A_batch(np.concatenate([ys - zs, ys]), t - h)
+        a_c = at_t[2 * m:]
+        zz = np.sum(zs * zs, axis=1)
+        spatial = (at_t[:m] + at_t[m:2 * m] - 2 * a_c) * dt_cone / zz
+        mixed = (at_plus[:m] + at_minus[:m] - 2 * a_c) * dt_cone / (h * h + zz)
+        temporal = (at_plus[m:] + at_minus[m:] - 2 * a_c) * dt_cone / (h * h)
+        rs = np.concatenate([spatial, mixed, temporal])
+        if np.max(np.abs(rs)) > 1e-12:
+            seen_signal = True
+        ratios_c2.extend(spatial)
+        ratios_c0.extend(rs)
+        ratios_c1.extend(-rs)
+        # endpoint-gradient increment in time
+        g_t = end_duals(sol_t, range(2 * m, 3 * m))
+        g_h = end_duals(sol_plus, range(m, 2 * m))
+        ratios_c3.extend(np.linalg.norm(g_h - g_t, axis=1) * dt_cone / h)
 
     if not seen_signal:
         raise DegenerateSample("all second-difference probes vanished")

@@ -484,7 +484,7 @@ def cmd_verify(cfg: RunConfig) -> int:
 
     try:
         constants = estimate_constants(model, 0.0, np.zeros(cfg.dimension),
-                                       1.0, 2.0, 2.0)
+                                       1.0, 2.0)
         checks.append(("convexity_constants", constants.c2 > 0, {
             "c0": constants.c0, "c1": constants.c1,
             "c2": constants.c2, "c3": constants.c3}))
@@ -505,7 +505,7 @@ def cmd_constants(cfg: RunConfig) -> int:
     f0 = solution_lipschitz_bound(lhat.growth, 1.0, 1.0)
     lam2 = localization_radius(lhat.growth, 1.0, f0)
     constants = estimate_constants(lhat, 0.0, np.zeros(cfg.dimension), 1.0,
-                                   min(lam2, 4.0), min(lam2, 4.0))
+                                   min(lam2, 4.0))
     payload = {
         "K1": k1, "K2": k2,
         "lambda1_unit_lip1": lam1,

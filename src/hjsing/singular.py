@@ -90,50 +90,63 @@ def _merge_momenta(elems, merge_tol: float):
     return merged, diam
 
 
-def reachable_gradients(field, model, t: float, x, restarts: int = 5,
-                        merge_tol: float = 1e-4,
-                        polish_window: float = 2e-2) -> ReachableGradientSet:
-    """Enumerate reachable gradients at (t, x) (or at x for discounted fields).
+def reachable_gradients_batch(field, model, t: float, xs, merge_tol: float = 1e-4,
+                              polish_window: float = 2e-2) -> list:
+    """Reachable-gradient sets at the rows of xs, from one operator call.
 
     Distinct minimizers of the backward representation are collected from a
-    full scan of the localization ball plus polish of the near-tied basins
-    (at least ``restarts`` seeds).  Evolutionary elements are (q, p) with
-    q = -H(t, x, p); discounted elements are gradients of v itself.
+    full scan of the localization ball plus polish of the near-tied basins;
+    every query shares one horizon, so a single batched search serves them
+    all and gives the same sets as one search per point.  Discounted fields
+    search at the probe horizon min(0.5, 10/lam) and their elements are
+    gradients p of v itself; evolutionary fields search at t with the
+    field's radius and their elements are (q, p) with q = -H(t, x, p).
     """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+    xs = np.atleast_2d(np.asarray(xs, dtype=float))
     if field.kind == "discounted":
         probe = min(0.5, 10.0 / field.problem.lam)
-        res = field.result(probe, x, polish_window=polish_window)
+        results = field.results(probe, xs, polish_window=polish_window)
         lag = field.problem.lagrangian
         t_end = probe
     else:
         if t <= 0:
             raise ValueError("evolutionary reachable gradients need t > 0")
-        res = field.result(t, x, polish_window=polish_window)
+        results = field.results(t, xs, polish_window=polish_window)
         lag = field.model
         t_end = t
-    if not res.minimizer_nodes:
-        raise NoMinimizer(f"no minimizing trajectory found at {x}")
 
-    # keep only true ties of the minimum value
-    values = []
-    dt = res.times[1] - res.times[0]
-    elems = []
-    for nodes in res.minimizer_nodes:
-        vel = _endpoint_velocity(nodes, dt, "end")
-        if field.kind == "discounted":
-            p = np.atleast_1d(np.asarray(lag.L_v(0.0, x, vel), dtype=float))
-            elems.append(p)
-        else:
-            p = np.atleast_1d(np.asarray(lag.L_v(t_end, x, vel), dtype=float))
-            hmodel = lag.hamiltonian
-            q = float(-hmodel.H(t_end, x, p)) if hmodel is not None else float("nan")
-            elems.append((q, p))
+    sets = []
+    for x, res in zip(xs, results):
+        if not res.minimizer_nodes:
+            raise NoMinimizer(f"no minimizing trajectory found at {x}")
+        dt = res.times[1] - res.times[0]
+        elems = []
+        for nodes in res.minimizer_nodes:
+            vel = _endpoint_velocity(nodes, dt, "end")
+            if field.kind == "discounted":
+                p = np.atleast_1d(np.asarray(lag.L_v(0.0, x, vel), dtype=float))
+                elems.append(p)
+            else:
+                p = np.atleast_1d(np.asarray(lag.L_v(t_end, x, vel), dtype=float))
+                hmodel = lag.hamiltonian
+                q = float(-hmodel.H(t_end, x, p)) if hmodel is not None else float("nan")
+                elems.append((q, p))
+        merged, diam = _merge_momenta(elems, merge_tol)
+        sets.append(ReachableGradientSet(
+            point=x.copy(), time=None if field.kind == "discounted" else t,
+            elements=merged, diameter=diam))
+    return sets
 
-    merged, diam = _merge_momenta(elems, merge_tol)
-    return ReachableGradientSet(point=x.copy(),
-                                time=None if field.kind == "discounted" else t,
-                                elements=merged, diameter=diam)
+
+def reachable_gradients(field, model, t: float, x, merge_tol: float = 1e-4,
+                        polish_window: float = 2e-2) -> ReachableGradientSet:
+    """Reachable gradients at (t, x) (or at x for discounted fields).
+
+    The one-point case of :func:`reachable_gradients_batch`.
+    """
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    return reachable_gradients_batch(field, model, t, x[None, :], merge_tol,
+                                     polish_window)[0]
 
 
 def is_singular(field, model, t: float, x, singular_tol: float = 1e-2):
@@ -275,8 +288,11 @@ def propagation_step(field, model, t1: float, x1, T: float,
     if constants is None:
         span = min(T - t1, step_cap or (T - t1))
         slope = min(lam2, radius_cap / span)
-        constants = estimate_constants(action_model, t1, x1, t1 + span,
-                                       slope * span, slope)
+        constants = estimate_constants(action_model, t1, x1, t1 + span, slope)
+    if constants.c2 <= 0:
+        raise ConcavityFailure(
+            f"action not uniformly convex on the cone: c2 = {constants.c2:.3g} "
+            f"<= 0 at t1 = {t1:.4g}, cone slope {constants.slope:.3g}")
     scales = [2 * h_grid, 4 * h_grid, 8 * h_grid]
     c_loc = max(estimate_semiconcavity(field, t1, x1, scales), 1e-8)
     t_step = constants.c2 / (2.0 * c_loc) / 1.5
@@ -497,12 +513,13 @@ def lipschitz_certificate(curve: SingularCurve, constants: ConvexityConstants,
 # calibrated flow, cut time, Aubry candidates
 
 def _interp_gradient(v: GridFunction, x):
+    """Centred-difference gradient of the interpolant at x, (n,) or (P, n)."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    g = np.zeros(v.dimension)
+    g = np.empty_like(x)
     for ax in range(v.dimension):
         e = np.zeros(v.dimension)
         e[ax] = v.spacing[ax]
-        g[ax] = (float(v(x + e)) - float(v(x - e))) / (2 * v.spacing[ax])
+        g[..., ax] = (v(x + e) - v(x - e)) / (2 * v.spacing[ax])
     return g
 
 
@@ -565,6 +582,24 @@ def _calibrated_flow(problem: DiscountedProblem, v: GridFunction, x, p0,
     return abs(horizon), sol
 
 
+def _forward_spans(problem: DiscountedProblem, v: GridFunction, pts,
+                   horizon: float, calib_tol: float, singular_tol: float):
+    """Yield (tau, flow, certificate) for each row of pts.
+
+    One batched operator call gives the certificates of all rows; a row
+    whose reachable set is wider than ``singular_tol`` is cut (tau = 0,
+    flow None), the others run the forward calibrated flow.
+    """
+    field = DiscountedField(problem, v)
+    certs = reachable_gradients_batch(field, problem.lagrangian, 0.0, pts)
+    for x, p0, cert in zip(pts, _interp_gradient(v, pts), certs):
+        if cert.diameter > singular_tol:
+            yield 0.0, None, cert
+        else:
+            tau, sol = _calibrated_flow(problem, v, x, p0, horizon, calib_tol, +1)
+            yield tau, sol, cert
+
+
 def cut_time(problem: DiscountedProblem, v: GridFunction, x, horizon: float,
              calib_tol: float = 1e-3, singular_tol: float = 1e-2):
     """Forward calibration span tau(x); horizon stands in for +infinity.
@@ -573,12 +608,10 @@ def cut_time(problem: DiscountedProblem, v: GridFunction, x, horizon: float,
     solution when one was run.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    field = DiscountedField(problem, v)
-    cert = reachable_gradients(field, problem.lagrangian, 0.0, x)
-    if cert.diameter > singular_tol:
+    tau, sol, cert = next(_forward_spans(problem, v, x[None, :], horizon,
+                                         calib_tol, singular_tol))
+    if sol is None:
         return 0.0, {"clamped": False, "cut": True, "certificate": cert}
-    p0 = _interp_gradient(v, x)
-    tau, sol = _calibrated_flow(problem, v, x, p0, horizon, calib_tol, +1)
     return tau, {"clamped": tau >= horizon, "cut": False, "flow": sol,
                  "certificate": cert}
 
@@ -625,10 +658,15 @@ def _mollified_majorant(tau_values: np.ndarray, bump: float = 0.1) -> np.ndarray
 def cut_times(problem: DiscountedProblem, v: GridFunction, nodes,
               horizon: float, calib_tol: float = 1e-3,
               singular_tol: float = 1e-2) -> np.ndarray:
-    """Cut times at the queried points."""
+    """Cut times at the queried points, equal to :func:`cut_time` at each.
+
+    The singularity certificates of all points come from one batched
+    operator call; the forward calibrated flow runs only for the points
+    that are not cut.
+    """
     pts = np.atleast_2d(np.asarray(nodes, dtype=float))
-    return np.asarray([cut_time(problem, v, x, horizon, calib_tol, singular_tol)[0]
-                       for x in pts])
+    return np.array([tau for tau, _, _ in
+                     _forward_spans(problem, v, pts, horizon, calib_tol, singular_tol)])
 
 
 def cut_time_field(problem: DiscountedProblem, v: GridFunction, horizon: float,
@@ -649,33 +687,25 @@ def aubry_candidates(field, horizon: float, calib_tol: float = 1e-3,
     """Grid nodes that stay calibrated to the horizon in both time directions.
 
     Only defined for discounted fields; evolutionary fields raise
-    :class:`InvalidProblem`.  ``forward_tau`` (per queried node) skips the
-    forward flow when a cut-time field has already been computed.  Returns
+    :class:`InvalidProblem`.  ``forward_tau`` (per queried node) is the
+    forward span, from :func:`cut_times` when not given; a cut node has
+    tau = 0 and is never a candidate.  The backward flow runs only for
+    the nodes whose forward span reaches the horizon.  Returns
     (points, mask-over-queried-nodes).
     """
     if getattr(field, "kind", None) != "discounted":
         raise InvalidProblem("the Aubry set is defined for discounted problems only")
     problem, v = field.problem, field.v
     pts = v.nodes() if nodes is None else np.atleast_2d(nodes)
-    if forward_tau is not None:
-        forward_tau = np.asarray(forward_tau, dtype=float).reshape(-1)
-        if forward_tau.shape[0] != len(pts):
-            raise ValueError("forward_tau must align with the queried nodes")
+    if forward_tau is None:
+        forward_tau = cut_times(problem, v, pts, horizon, calib_tol, singular_tol)
+    forward_tau = np.asarray(forward_tau, dtype=float).reshape(-1)
+    if forward_tau.shape[0] != len(pts):
+        raise ValueError("forward_tau must align with the queried nodes")
     mask = np.zeros(len(pts), dtype=bool)
-    for i, x in enumerate(pts):
-        if forward_tau is not None:
-            if forward_tau[i] < horizon:
-                continue
-        else:
-            cert = reachable_gradients(field, problem.lagrangian, 0.0, x)
-            if cert.diameter > singular_tol:
-                continue
-            p0 = _interp_gradient(v, x)
-            tau_f, _ = _calibrated_flow(problem, v, x, p0, horizon, calib_tol, +1)
-            if tau_f < horizon:
-                continue
-        p0 = _interp_gradient(v, x)
-        tau_b, _ = _calibrated_flow(problem, v, x, p0, horizon, calib_tol, -1)
+    p0 = _interp_gradient(v, pts)
+    for i in np.flatnonzero(forward_tau >= horizon):
+        tau_b, _ = _calibrated_flow(problem, v, pts[i], p0[i], horizon, calib_tol, -1)
         mask[i] = tau_b >= horizon
     return pts[mask], mask
 
@@ -696,13 +726,12 @@ def homotopy(field, model, x, s: float, calib_tol: float = 1e-3,
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if s <= 0.0:
         return x.copy()
-    problem, v = field.problem, field.v
-    cert = reachable_gradients(field, problem.lagrangian, 0.0, x)
-    if cert.diameter > singular_tol:
-        tau_hit, y_hit = 0.0, x
+    problem = field.problem
+    tau_hit, info = cut_time(problem, field.v, x, s, calib_tol, singular_tol)
+    if info["cut"]:
+        y_hit = x
     else:
-        p0 = _interp_gradient(v, x)
-        tau_hit, sol = _calibrated_flow(problem, v, x, p0, s, calib_tol, +1)
+        sol = info["flow"]
         n = x.size
         if tau_hit >= s:
             return np.atleast_1d(sol.sol(s)[:n]).copy()

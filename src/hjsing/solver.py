@@ -20,7 +20,6 @@ import numpy as np
 from .errors import InvalidProblem, NoConvergence
 from .laxoleinik import (
     GridFunction,
-    SearchResult,
     discounted_lax_oleinik_batch,
     localization_radius,
     localized_convolution,
@@ -34,6 +33,10 @@ from .model import DiscountedProblem, LagrangianModel, to_evolutionary
 
 @dataclass
 class SolveReport:
+    """``converged`` is the tail-bound stopping rule of the iteration;
+    ``residual_ok`` says whether the equation residual of the result met
+    ``residual_gate``."""
+
     iterations: int
     sup_changes: list
     K1: float
@@ -41,6 +44,11 @@ class SolveReport:
     final_residual: float
     converged: bool
     tol: float
+    residual_gate: float
+    residual_ok: bool = dataclass_field(init=False)
+
+    def __post_init__(self):
+        self.residual_ok = bool(self.final_residual <= self.residual_gate)
 
     def as_json(self) -> str:
         return json.dumps({
@@ -51,6 +59,8 @@ class SolveReport:
             "final_residual": self.final_residual,
             "converged": self.converged,
             "tol": self.tol,
+            "residual_gate": self.residual_gate,
+            "residual_ok": self.residual_ok,
         }, indent=2)
 
 
@@ -137,10 +147,13 @@ def solve_discounted(problem: DiscountedProblem, box, resolution, tol: float = 1
             f"discounted iteration: sup-change {sup_changes[-1]:.3g} > {stop:.3g} "
             f"after {cap} sweeps")
 
-    residual = residual_check(problem, v, samples=33, tol=10 * tol).sup_residual
+    # the residual of a sampled field carries interpolation error, so its
+    # gate is looser than the iteration tolerance
+    gate = 10 * tol
+    residual = residual_check(problem, v, samples=33, tol=gate).sup_residual
     report = SolveReport(iterations=len(sup_changes), sup_changes=sup_changes,
                          K1=k1, K2=k2, final_residual=residual,
-                         converged=converged, tol=tol)
+                         converged=converged, tol=tol, residual_gate=gate)
     return v, report
 
 
@@ -206,12 +219,12 @@ class EvolutionaryField:
                 self._cache[keys[i]] = r.value
         return np.array([self._cache[k] for k in keys])
 
-    def result(self, t: float, x, **kwargs) -> SearchResult:
-        """Full search result (tied minimizers and their paths) at one point."""
-        xs = np.asarray(x, dtype=float).reshape(1, -1)
+    def results(self, t: float, xs, **kwargs) -> list:
+        """Full search results (tied minimizers and their paths), one per row of xs."""
+        xs = np.atleast_2d(np.asarray(xs, dtype=float))
         radius = self.lambda1(max(t, 1.0)) * t
         return localized_convolution(self.model, self.u0, 0.0, t, xs, radius,
-                                     mode="inf", **kwargs)[0]
+                                     mode="inf", **kwargs)
 
 
 def solve_evolutionary(model: LagrangianModel, u0: GridFunction, times, box,
@@ -285,10 +298,11 @@ class DiscountedField:
         xs = np.atleast_2d(np.asarray(xs, dtype=float))
         return math.exp(self.problem.lam * t) * np.asarray(self.v(xs), dtype=float).reshape(-1)
 
-    def result(self, t: float, x, **kwargs) -> SearchResult:
-        """Minimizer enumeration of the backward representation at horizon t."""
-        xs = np.asarray(x, dtype=float).reshape(1, -1)
-        return discounted_lax_oleinik_batch(self.problem, self.v, t, xs, **kwargs)[0]
+    def results(self, t: float, xs, **kwargs) -> list:
+        """Minimizer enumeration of the backward representation at horizon t,
+        one search result per row of xs."""
+        xs = np.atleast_2d(np.asarray(xs, dtype=float))
+        return discounted_lax_oleinik_batch(self.problem, self.v, t, xs, **kwargs)
 
 
 # ---------------------------------------------------------------------------

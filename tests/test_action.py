@@ -5,6 +5,7 @@ import pytest
 
 from hjsing import (
     HamiltonianModel,
+    action,
     action_gradients,
     catalog,
     errors,
@@ -182,8 +183,7 @@ class TestBatchedPaths:
 
 class TestConstants:
     def test_free_particle_spatial_modulus(self, free_particle_1d):
-        constants = estimate_constants(free_particle_1d, 0.0, [0.0], 1.0,
-                                       2.0, 2.0)
+        constants = estimate_constants(free_particle_1d, 0.0, [0.0], 1.0, 2.0)
         # second spatial difference of |x-y|^2/(2 dt) is exactly |z|^2/dt
         assert constants.c2 == pytest.approx(1.0, abs=5e-2)
         assert constants.c0 >= constants.c2
@@ -191,7 +191,20 @@ class TestConstants:
 
     def test_degenerate_cone_rejected(self, free_particle_1d):
         with pytest.raises(ValueError):
-            estimate_constants(free_particle_1d, 1.0, [0.0], 1.0, 1.0, 1.0)
+            estimate_constants(free_particle_1d, 1.0, [0.0], 1.0, 1.0)
+
+    def test_one_probe_batch_per_end_time(self, free_particle_1d, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[2])
+            return minimize_paths(*args, **kwargs)
+
+        monkeypatch.setattr(action, "minimize_paths", counting)
+        estimate_constants(free_particle_1d, 0.0, [0.0], 1.0, 2.0, levels=3)
+        # per level: refined_action at t, t + h and t - h, two solves each
+        assert len(calls) == 18
+        assert len(set(calls)) == 9
 
 
 class TestSpeedEnvelope:

@@ -9,6 +9,7 @@ from hjsing import (
     catalog,
     cut_time,
     cut_time_field,
+    cut_times,
     errors,
     estimate_constants,
     homotopy,
@@ -16,6 +17,7 @@ from hjsing import (
     lipschitz_certificate,
     propagation_step,
     reachable_gradients,
+    reachable_gradients_batch,
     retraction,
     solver,
     strong_critical_test,
@@ -75,6 +77,59 @@ class TestReachableGradients:
         assert flag and cert.diameter > 1.9
         flag, cert = is_singular(hopf_kink_field, free_particle_1d, 1.0, [2.0])
         assert not flag
+
+
+@pytest.fixture(scope="module")
+def period_field(sine_problem):
+    """-|sin x| on one period, 32 nodes: the setting of ``hjsing cutlocus``."""
+    v = GridFunction.from_callable(lambda p: -np.abs(np.sin(p[..., 0])),
+                                   [(0.0, np.pi)], 32, periodic=True)
+    return solver.DiscountedField(sine_problem, v)
+
+
+@pytest.fixture(scope="module")
+def period_cut_field(period_field, sine_problem):
+    return cut_time_field(sine_problem, period_field.v, horizon=6.0)
+
+
+class TestBatchedCertificates:
+    def test_discounted_batch_matches_points(self, period_field, sine_problem):
+        xs = np.vstack([period_field.v.nodes(), [[0.3], [np.pi / 2]]])
+        batch = reachable_gradients_batch(period_field, sine_problem.lagrangian,
+                                          0.0, xs)
+        assert len(batch) == len(xs)
+        for x, cert in zip(xs, batch):
+            one = reachable_gradients(period_field, sine_problem.lagrangian, 0.0, x)
+            np.testing.assert_array_equal(cert.momenta(), one.momenta())
+            assert cert.diameter == one.diameter
+
+    def test_evolutionary_batch_matches_points(self, hopf_kink_field,
+                                               free_particle_1d):
+        xs = np.array([[0.0], [2.0], [-0.7]])
+        batch = reachable_gradients_batch(hopf_kink_field, free_particle_1d,
+                                          1.0, xs)
+        for x, cert in zip(xs, batch):
+            one = reachable_gradients(hopf_kink_field, free_particle_1d, 1.0, x)
+            np.testing.assert_array_equal(cert.momenta(), one.momenta())
+            assert [q for q, _ in cert.elements] == [q for q, _ in one.elements]
+            assert cert.diameter == one.diameter
+
+    def test_cut_times_match_cut_time(self, period_field, sine_problem):
+        nodes = period_field.v.nodes()
+        taus = cut_times(sine_problem, period_field.v, nodes, horizon=6.0)
+        singles = [cut_time(sine_problem, period_field.v, x, horizon=6.0)[0]
+                   for x in nodes]
+        np.testing.assert_array_equal(taus, singles)
+
+    def test_aubry_candidates_default_forward_span(self, period_field,
+                                                   period_cut_field):
+        pts, mask = aubry_candidates(period_field, horizon=6.0)
+        tau = period_cut_field.tau.values.reshape(-1)
+        pts_tau, mask_tau = aubry_candidates(period_field, horizon=6.0,
+                                             forward_tau=tau)
+        np.testing.assert_array_equal(mask, mask_tau)
+        np.testing.assert_array_equal(pts, pts_tau)
+        assert mask.any()
 
 
 class TestPropagationStep:
@@ -173,7 +228,7 @@ class TestStepMapRegularity:
         # |y(x1) - y(x2)| <= (2 C0 / C2) |x1 - x2| for nearby starts
         lam2 = shock_field.lambda2(1.5)
         constants = estimate_constants(free_particle_1d, 0.5, [0.25], 1.5,
-                                       min(lam2, 4.0), min(lam2, 4.0))
+                                       min(lam2, 4.0))
         t1, t = 0.5, 0.75
         radius = min(lam2, 4.0) * (t - t1)
         ys = []
@@ -189,8 +244,7 @@ class TestLipschitzCertificate:
     def test_stationary_curve(self, hopf_kink_field, free_particle_1d):
         curve = trace_singular_curve(hopf_kink_field, free_particle_1d, 0.5,
                                      [0.0], 1.5)
-        constants = estimate_constants(free_particle_1d, 0.5, [0.0], 1.5,
-                                       2.0, 2.0)
+        constants = estimate_constants(free_particle_1d, 0.5, [0.0], 1.5, 2.0)
         growth = hopf_kink_field.growth_for(1.5)
         K_T = solution_lipschitz_bound(growth, 1.5,
                                        hopf_kink_field.u0.lipschitz_estimate)
@@ -201,8 +255,7 @@ class TestLipschitzCertificate:
     def test_shock_curve_quotients(self, shock_field, free_particle_1d):
         curve = trace_singular_curve(shock_field, free_particle_1d, 0.5,
                                      [0.25], 1.5)
-        constants = estimate_constants(free_particle_1d, 0.5, [0.25], 1.5,
-                                       3.0, 3.0)
+        constants = estimate_constants(free_particle_1d, 0.5, [0.25], 1.5, 3.0)
         growth = shock_field.growth_for(1.5)
         K_T = solution_lipschitz_bound(growth, 1.5,
                                        shock_field.u0.lipschitz_estimate)
@@ -307,6 +360,14 @@ class TestHomotopyRetraction:
     def test_evolutionary_rejected(self, hopf_kink_field, free_particle_1d):
         with pytest.raises(errors.InvalidProblem):
             homotopy(hopf_kink_field, free_particle_1d, [0.0], 0.5)
+
+    def test_nonconvex_cone_is_a_concavity_failure(self, period_field,
+                                                  period_cut_field, sine_problem):
+        # near the Aubry point pi/2 the probed action is not convex on the
+        # cone of the singular continuation (c2 < 0), so no step budget exists
+        with pytest.raises(errors.ConcavityFailure, match="c2"):
+            retraction(period_field, sine_problem.lagrangian, period_cut_field,
+                       [1.44], 1.0)
 
 
 class TestStrongCritical:

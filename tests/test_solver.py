@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -111,6 +112,19 @@ class TestSolveDiscounted:
         bound = (float(sine_problem.theta2(1.0)) + sine_problem.c2
                  + sine_problem.lam * float(np.max(np.abs(v.values))))
         assert v.lipschitz_estimate <= bound + 1e-6
+
+    def test_report_flags_residual_above_gate(self, sine_problem):
+        # 32 nodes on two periods: the iteration converges, but the sampled
+        # field misses the equation by far more than the residual gate
+        _, report = solve_discounted(sine_problem, [(-2 * np.pi, 2 * np.pi)],
+                                     32, tol=1e-3)
+        assert report.converged
+        assert report.residual_gate == pytest.approx(1e-2)
+        assert report.residual_ok == (report.final_residual <= report.residual_gate)
+        assert not report.residual_ok
+        payload = json.loads(report.as_json())
+        assert payload["residual_gate"] == report.residual_gate
+        assert payload["residual_ok"] is False
 
     def test_report_serializes(self, counterexample_problem):
         _, report = solve_discounted(counterexample_problem, [(-2.0, 2.0)], 65,
