@@ -40,7 +40,6 @@ from .laxoleinik import (
     lax_oleinik_minus,
     lax_oleinik_plus,
     localization_radius,
-    set_localization_collector,
     solution_lipschitz_bound,
 )
 from .model import (

@@ -27,7 +27,6 @@ from .action import estimate_constants, fundamental_solution, action_gradients
 from .catalog import (
     discounted_from_model,
     discounted_problem,
-    lagrangian_by_key,
     lagrangian_from_expression,
     lagrangian_from_potential,
 )
@@ -44,7 +43,6 @@ from .singular import (
     aubry_candidates,
     cut_time_field,
     is_singular,
-    lipschitz_certificate,
     retraction,
     trace_singular_curve,
 )
@@ -52,7 +50,6 @@ from .solver import (
     DiscountedField,
     EvolutionaryField,
     bounds_K,
-    residual_check,
     solve_discounted,
     solve_evolutionary,
 )
@@ -329,9 +326,7 @@ def cmd_trace(cfg: RunConfig, t0=None, x0=None) -> int:
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    model = (field.model if cfg.trace_field == "evolutionary"
-             else problem.lagrangian)
-    flag, cert = is_singular(field, model, t_start, x_start, cfg.singular_tol)
+    flag, cert = is_singular(field, None, t_start, x_start, cfg.singular_tol)
     if cfg.trace_horizon <= t_start:
         curve_rows = [[t_start, *x_start, 0.0, cert.diameter]]
         _write_rows(out / "curve.csv", ["s"] + [f"x{i+1}" for i in range(len(x_start))]
@@ -347,7 +342,7 @@ def cmd_trace(cfg: RunConfig, t0=None, x0=None) -> int:
                     + ["step_size", "certificate_diameter"], [], cfg.header())
         (out / "certificates.json").write_text("[]\n")
         return 0
-    curve = trace_singular_curve(field, model, t_start, x_start,
+    curve = trace_singular_curve(field, t_start, x_start,
                                  cfg.trace_horizon, block=cfg.trace_block,
                                  singular_tol=cfg.singular_tol)
     curve.write_csv(out / "curve.csv", comments=cfg.header())
@@ -409,12 +404,11 @@ def cmd_cutlocus(cfg: RunConfig) -> int:
         tau_x = float(ctf.tau(x))
         if tau_x >= cfg.tau_horizon:
             continue
-        g0 = retraction(field, problem.lagrangian, ctf, x, 0.0,
+        g0 = retraction(field, None, ctf, x, 0.0,
                         calib_tol=cfg.calib_tol, singular_tol=cfg.singular_tol)
-        g1 = retraction(field, problem.lagrangian, ctf, x, 1.0,
+        g1 = retraction(field, None, ctf, x, 1.0,
                         calib_tol=cfg.calib_tol, singular_tol=cfg.singular_tol)
-        _, cert = is_singular(field, problem.lagrangian, 0.0, g1,
-                              cfg.singular_tol)
+        _, cert = is_singular(field, None, 0.0, g1, cfg.singular_tol)
         rows.append([*x, tau_x, float(ctf.alpha(x)), *g0, *g1, cert.diameter])
     n = v.dimension
     cols = ([f"x{i+1}" for i in range(n)] + ["tau", "alpha"]

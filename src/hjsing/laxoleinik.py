@@ -3,7 +3,8 @@
 The operators search the infimum of ``f(z) + A(z, x)`` (or the supremum of
 ``f(y) - A(x, y)``) only inside the a-priori ball whose radius is the
 localization constant times the time gap; that bound is what keeps the
-scan finite and is itself asserted by the diagnostics hook.  The search is
+scan finite, and every :class:`ArgBall` a search returns asserts that its
+argument points lie inside it.  The search is
 a three-stage pipeline: a straight-segment quadrature ranks every node in
 the ball, the optimizing direct method re-scores a window around the
 leaders, and a golden-section polish with Richardson-refined actions
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dataclass_field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -36,16 +37,6 @@ from .model import (
     golden_polish,
     to_evolutionary,
 )
-
-# optional hook fed with one record per operator call (used by verification)
-_LOCALIZATION_COLLECTOR: Optional[Callable] = None
-
-
-def set_localization_collector(fn: Optional[Callable]):
-    """Install fn(record: dict) to observe every localized search; None clears."""
-    global _LOCALIZATION_COLLECTOR
-    _LOCALIZATION_COLLECTOR = fn
-
 
 # ---------------------------------------------------------------------------
 # grid functions
@@ -346,8 +337,7 @@ def localized_convolution(model: LagrangianModel, f: GridFunction, t1: float,
                           f_scale: float = 1.0, scan_segments: int = 8,
                           segments: int = 16, window: float = 1.0,
                           polish_window: Optional[float] = None,
-                          tie_tol: float = 1e-6, strict: bool = True,
-                          collect: bool = True):
+                          tie_tol: float = 1e-6, strict: bool = True):
     """Batched localized inf (or sup) convolution of f with the action kernel.
 
     mode="inf": value(x) = min_z f_scale*f(z) + A_{t1,t2}(z, x)
@@ -481,12 +471,6 @@ def localized_convolution(model: LagrangianModel, f: GridFunction, t1: float,
             minimizer_nodes=[sol2["nodes"][r] for r in keep],
             times=times, best_point=pts[best].copy(),
             f_part=float(f_pts[best]))
-        if collect and _LOCALIZATION_COLLECTOR is not None:
-            _LOCALIZATION_COLLECTOR({
-                "center": xs[i].copy(), "radius": radius, "dt": dt,
-                "argpoints": [p.copy() for p in arg_pts],
-                "spacing": h_ref, "mode": mode,
-            })
     return results
 
 

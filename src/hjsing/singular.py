@@ -20,14 +20,13 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field as dataclass_field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
 from .action import (
     ConvexityConstants,
-    _refine_nodes,
     estimate_constants,
     minimize_paths,
 )
@@ -41,7 +40,7 @@ from .errors import (
 )
 from .laxoleinik import GridFunction
 from .model import DiscountedProblem, golden_polish
-from .solver import DiscountedField, EvolutionaryField
+from .solver import DiscountedField
 
 logger = logging.getLogger(__name__)
 
@@ -51,107 +50,85 @@ logger = logging.getLogger(__name__)
 
 @dataclass
 class ReachableGradientSet:
-    """Limiting gradients at a point, one element per distinct minimizer."""
+    """Limiting gradients at a point, one per distinct minimizer.
+
+    ``momenta`` holds the gradients p, one row each; for evolutionary
+    fields ``q`` holds the matching time derivatives -H(t, x, p), for
+    discounted fields it is None.
+    """
 
     point: np.ndarray
     time: Optional[float]
-    elements: list                  # [(q, p)] evolutionary, [p] discounted
+    momenta: np.ndarray             # (k, n)
+    q: Optional[np.ndarray]         # (k,) or None
     diameter: float
     source: str = "minimizer-enumeration"
 
-    def momenta(self):
-        if not self.elements:
-            return np.zeros((0, len(self.point)))
-        if isinstance(self.elements[0], tuple):
-            return np.array([p for _, p in self.elements])
-        return np.array(self.elements)
+
+def _end_velocity(nodes, dt):
+    return (3.0 * nodes[-1] - 4.0 * nodes[-2] + nodes[-3]) / (2.0 * dt)
 
 
-def _endpoint_velocity(nodes, dt, where: str):
-    if where == "end":
-        return (3.0 * nodes[-1] - 4.0 * nodes[-2] + nodes[-3]) / (2.0 * dt)
-    return (-3.0 * nodes[0] + 4.0 * nodes[1] - nodes[2]) / (2.0 * dt)
+def _merge_momenta(momenta, merge_tol: float):
+    """Drop momenta within merge_tol of an earlier one.
 
-
-def _merge_momenta(elems, merge_tol: float):
-    """Drop elements whose momentum lies within merge_tol of an earlier one.
-
-    Elements are momenta p or (q, p) pairs.  Returns (kept elements, the
-    largest pairwise momentum distance among them).
+    Returns (indices of the kept rows, the largest pairwise distance among
+    them).
     """
-    merged, momenta = [], []
-    for e in elems:
-        p = e[1] if isinstance(e, tuple) else e
-        if not any(np.linalg.norm(p - q) <= merge_tol for q in momenta):
-            merged.append(e)
-            momenta.append(p)
+    keep = []
+    for i, p in enumerate(momenta):
+        if not any(np.linalg.norm(p - momenta[j]) <= merge_tol for j in keep):
+            keep.append(i)
+    kept = momenta[keep]
     diam = max((float(np.linalg.norm(a - b))
-                for i, a in enumerate(momenta) for b in momenta[i + 1:]), default=0.0)
-    return merged, diam
+                for i, a in enumerate(kept) for b in kept[i + 1:]), default=0.0)
+    return keep, diam
 
 
-def reachable_gradients_batch(field, model, t: float, xs, merge_tol: float = 1e-4,
+def reachable_gradients_batch(field, t: float, xs, merge_tol: float = 1e-4,
                               polish_window: float = 2e-2) -> list:
     """Reachable-gradient sets at the rows of xs, from one operator call.
 
     Distinct minimizers of the backward representation are collected from a
-    full scan of the localization ball plus polish of the near-tied basins;
-    every query shares one horizon, so a single batched search serves them
-    all and gives the same sets as one search per point.  Discounted fields
-    search at the probe horizon min(0.5, 10/lam) and their elements are
-    gradients p of v itself; evolutionary fields search at t with the
-    field's radius and their elements are (q, p) with q = -H(t, x, p).
+    full scan of the localization ball plus polish of the near-tied basins
+    (``field.certificate_search``); every query shares one horizon, so a
+    single batched search serves them all and gives the same sets as one
+    search per point.  The end velocity of each minimizer becomes a
+    limiting gradient through ``field.limiting_gradients``.
     """
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
-    if field.kind == "discounted":
-        probe = min(0.5, 10.0 / field.problem.lam)
-        results = field.results(probe, xs, polish_window=polish_window)
-        lag = field.problem.lagrangian
-        t_end = probe
-    else:
-        if t <= 0:
-            raise ValueError("evolutionary reachable gradients need t > 0")
-        results = field.results(t, xs, polish_window=polish_window)
-        lag = field.model
-        t_end = t
-
     sets = []
-    for x, res in zip(xs, results):
+    for x, res in zip(xs, field.certificate_search(t, xs, polish_window)):
         if not res.minimizer_nodes:
             raise NoMinimizer(f"no minimizing trajectory found at {x}")
         dt = res.times[1] - res.times[0]
-        elems = []
-        for nodes in res.minimizer_nodes:
-            vel = _endpoint_velocity(nodes, dt, "end")
-            if field.kind == "discounted":
-                p = np.atleast_1d(np.asarray(lag.L_v(0.0, x, vel), dtype=float))
-                elems.append(p)
-            else:
-                p = np.atleast_1d(np.asarray(lag.L_v(t_end, x, vel), dtype=float))
-                hmodel = lag.hamiltonian
-                q = float(-hmodel.H(t_end, x, p)) if hmodel is not None else float("nan")
-                elems.append((q, p))
-        merged, diam = _merge_momenta(elems, merge_tol)
+        momenta, q = field.limiting_gradients(
+            t, x, [_end_velocity(nodes, dt) for nodes in res.minimizer_nodes])
+        keep, diam = _merge_momenta(momenta, merge_tol)
         sets.append(ReachableGradientSet(
-            point=x.copy(), time=None if field.kind == "discounted" else t,
-            elements=merged, diameter=diam))
+            point=x.copy(), time=None if q is None else t, momenta=momenta[keep],
+            q=None if q is None else q[keep], diameter=diam))
     return sets
 
 
-def reachable_gradients(field, model, t: float, x, merge_tol: float = 1e-4,
+def reachable_gradients(field, t: float, x, merge_tol: float = 1e-4,
                         polish_window: float = 2e-2) -> ReachableGradientSet:
     """Reachable gradients at (t, x) (or at x for discounted fields).
 
     The one-point case of :func:`reachable_gradients_batch`.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    return reachable_gradients_batch(field, model, t, x[None, :], merge_tol,
+    return reachable_gradients_batch(field, t, x[None, :], merge_tol,
                                      polish_window)[0]
 
 
 def is_singular(field, model, t: float, x, singular_tol: float = 1e-2):
-    """(flag, certificate): singular iff the reachable set has diameter > tol."""
-    cert = reachable_gradients(field, model, t, x)
+    """(flag, certificate): singular iff the reachable set has diameter > tol.
+
+    ``model`` is not used; it stays in the signature for existing callers,
+    which may pass None.
+    """
+    cert = reachable_gradients(field, t, x)
     return cert.diameter > singular_tol, cert
 
 
@@ -181,24 +158,6 @@ def _lattice(center, radius, lo, hi, per_axis=49):
     return np.vstack([center[None, :], pts[keep]])
 
 
-def _field_domain(field, t: float, T: float):
-    """Evaluable y-range for u(t, .), shrunk for evolutionary fields."""
-    grid = field.u0 if field.kind == "evolutionary" else field.v
-    lo = grid.box[:, 0].copy()
-    hi = grid.box[:, 1].copy()
-    if field.kind == "evolutionary":
-        pad = field.lambda1(max(t, 1.0)) * t + np.max(grid.spacing)
-        for ax in range(grid.dimension):
-            if not grid.periodic[ax]:
-                lo[ax] += pad
-                hi[ax] -= pad
-    else:
-        for ax in range(grid.dimension):
-            if grid.periodic[ax]:
-                lo[ax], hi[ax] = -np.inf, np.inf
-    return lo, hi
-
-
 def _periodic_radius_cap(grid: GridFunction) -> float:
     """Half a period suffices on periodic axes: every node value has a
     representative there, and farther wraps only pay more transport."""
@@ -224,7 +183,7 @@ def _argmax_point(field, action_model, t1, x1, t, radius, per_axis=49,
     A lattice scan picks the seeds, then :func:`hjsing.model.golden_polish`
     minimizes -phi around all of them at once; the first seed wins ties.
     """
-    lo, hi = _field_domain(field, t, t)
+    lo, hi = field.domain(t)
     cand = _lattice(x1, radius, lo, hi, per_axis=per_axis)
     vals = _argmax_objective(field, action_model, t1, x1, t, cand)
     order = np.argsort(-vals)
@@ -263,11 +222,10 @@ def estimate_semiconcavity(field, t: float, x, scales) -> float:
     return worst
 
 
-def propagation_step(field, model, t1: float, x1, T: float,
+def propagation_step(field, t1: float, x1, T: float,
                      constants: Optional[ConvexityConstants] = None,
                      step_cap: Optional[float] = None, ladder: int = 4,
-                     certify: bool = True, singular_tol: float = 1e-2,
-                     max_halvings: int = 6) -> StepResult:
+                     certify: bool = True, max_halvings: int = 6) -> StepResult:
     """One ball-constrained argmax step of the singular continuation.
 
     The step budget is the ratio of the action's spatial convexity modulus
@@ -281,9 +239,8 @@ def propagation_step(field, model, t1: float, x1, T: float,
     x1 = np.atleast_1d(np.asarray(x1, dtype=float))
     action_model = field.action_lagrangian(T)
     lam2 = field.lambda2(T)
-    grid = field.u0 if field.kind == "evolutionary" else field.v
-    h_grid = float(np.max(grid.spacing))
-    radius_cap = _periodic_radius_cap(grid)
+    h_grid = float(np.max(field.u0.spacing))
+    radius_cap = _periodic_radius_cap(field.u0)
 
     if constants is None:
         span = min(T - t1, step_cap or (T - t1))
@@ -333,7 +290,7 @@ def propagation_step(field, model, t1: float, x1, T: float,
                             f"objective second difference {second:.3g} above "
                             f"{allowed:.3g} at t = {t:.4g}")
                 points[j] = y
-                certs.append(reachable_gradients(field, model, t, y)
+                certs.append(reachable_gradients(field, t, y)
                              if certify else None)
                 prev = y
             return StepResult(t_step=t_step, times=times, points=points,
@@ -348,7 +305,7 @@ def propagation_step(field, model, t1: float, x1, T: float,
                     order = np.argsort(np.linalg.norm(cand - prev, axis=1))
                     tied = [k for k in order if vals[k] >= phi - 1e-9]
                     points[j] = cand[tied[0]]
-                    certs.append(reachable_gradients(field, model, t, points[j])
+                    certs.append(reachable_gradients(field, t, points[j])
                                  if certify else None)
                     return StepResult(t_step=t_step, times=times[: j + 1],
                                       points=points[: j + 1], certificates=certs,
@@ -405,7 +362,7 @@ class SingularCurve:
             fh.write("\n".join(lines) + "\n")
 
 
-def trace_singular_curve(field, model, t0: float, x, T_total: float,
+def trace_singular_curve(field, t0: float, x, T_total: float,
                          block: float = 1.0, ladder: int = 4,
                          certify: bool = True, singular_tol: float = 1e-2,
                          require_singular: bool = True) -> SingularCurve:
@@ -413,12 +370,12 @@ def trace_singular_curve(field, model, t0: float, x, T_total: float,
 
     On the i-th annulus the step size is recomputed from constants probed
     on the cone of horizon t0 + i*block (never larger than the previous
-    annulus's) and repeated floor((budget)/t_i) times per the schedule; the
-    ball-radius localization |x(s) - x| <= lambda_2 * (s - t0) is checked
-    for every recorded point.
+    annulus's) and repeated floor((budget)/t_i) times per the schedule; no
+    step runs past T_total.  The ball-radius localization
+    |x(s) - x| <= lambda_2 * (s - t0) is checked for every recorded point.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    flag, cert0 = is_singular(field, model, t0, x, singular_tol)
+    flag, cert0 = is_singular(field, None, t0, x, singular_tol)
     if require_singular and not flag:
         raise InvalidProblem(
             f"start point {x} has reachable diameter {cert0.diameter:.3g} "
@@ -431,8 +388,7 @@ def trace_singular_curve(field, model, t0: float, x, T_total: float,
     schedule = []
     loc_ok = True
 
-    grid = field.u0 if field.kind == "evolutionary" else field.v
-    h_grid = float(np.max(grid.spacing))
+    h_grid = float(np.max(field.u0.spacing))
     t_cur = t0
     x_cur = x.copy()
     t_prev_annulus = np.inf
@@ -461,10 +417,9 @@ def trace_singular_curve(field, model, t0: float, x, T_total: float,
             spent = t_cur - t0
 
         # first step of the annulus also fixes its step size t_i
-        step = propagation_step(field, model, t_cur, x_cur, T_i,
-                                step_cap=min(block, t_prev_annulus),
-                                ladder=ladder, certify=certify,
-                                singular_tol=singular_tol)
+        step = propagation_step(field, t_cur, x_cur, T_i,
+                                step_cap=min(block, t_prev_annulus, T_total - t_cur),
+                                ladder=ladder, certify=certify)
         t_i = min(step.t_step, t_prev_annulus)
         t_prev_annulus = t_i
         k_i = max(int(math.floor(budget / t_i)), 1)
@@ -473,10 +428,10 @@ def trace_singular_curve(field, model, t0: float, x, T_total: float,
         for _ in range(k_i - 1):
             if t_cur >= T_total - 1e-12:
                 break
-            step = propagation_step(field, model, t_cur, x_cur, T_i,
-                                    constants=step.constants, step_cap=t_i,
-                                    ladder=ladder, certify=certify,
-                                    singular_tol=singular_tol)
+            step = propagation_step(field, t_cur, x_cur, T_i,
+                                    constants=step.constants,
+                                    step_cap=min(t_i, T_total - t_cur),
+                                    ladder=ladder, certify=certify)
             record(step)
         if t_cur >= T_total - 1e-12:
             break
@@ -591,7 +546,7 @@ def _forward_spans(problem: DiscountedProblem, v: GridFunction, pts,
     flow None), the others run the forward calibrated flow.
     """
     field = DiscountedField(problem, v)
-    certs = reachable_gradients_batch(field, problem.lagrangian, 0.0, pts)
+    certs = reachable_gradients_batch(field, 0.0, pts)
     for x, p0, cert in zip(pts, _interp_gradient(v, pts), certs):
         if cert.diameter > singular_tol:
             yield 0.0, None, cert
@@ -693,7 +648,7 @@ def aubry_candidates(field, horizon: float, calib_tol: float = 1e-3,
     the nodes whose forward span reaches the horizon.  Returns
     (points, mask-over-queried-nodes).
     """
-    if getattr(field, "kind", None) != "discounted":
+    if not isinstance(field, DiscountedField):
         raise InvalidProblem("the Aubry set is defined for discounted problems only")
     problem, v = field.problem, field.v
     pts = v.nodes() if nodes is None else np.atleast_2d(nodes)
@@ -713,7 +668,7 @@ def aubry_candidates(field, horizon: float, calib_tol: float = 1e-3,
 # ---------------------------------------------------------------------------
 # homotopy / retraction
 
-def homotopy(field, model, x, s: float, calib_tol: float = 1e-3,
+def homotopy(field, x, s: float, calib_tol: float = 1e-3,
              singular_tol: float = 1e-2, trace_block: float = 1.0):
     """F(x, s): calibrated flow while it lasts, singular continuation after.
 
@@ -721,13 +676,12 @@ def homotopy(field, model, x, s: float, calib_tol: float = 1e-3,
     (at the cut time), the point continues along the traced singular curve.
     Only defined for discounted fields.
     """
-    if getattr(field, "kind", None) != "discounted":
+    if not isinstance(field, DiscountedField):
         raise InvalidProblem("the retraction homotopy runs on discounted fields")
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if s <= 0.0:
         return x.copy()
-    problem = field.problem
-    tau_hit, info = cut_time(problem, field.v, x, s, calib_tol, singular_tol)
+    tau_hit, info = cut_time(field.problem, field.v, x, s, calib_tol, singular_tol)
     if info["cut"]:
         y_hit = x
     else:
@@ -741,8 +695,8 @@ def homotopy(field, model, x, s: float, calib_tol: float = 1e-3,
     if span <= 1e-6:
         return y_hit
     # cap the annulus block by the span so the ladder reaches exactly s
-    curve = trace_singular_curve(field, problem.lagrangian, t_start, y_hit,
-                                 t_start + span, block=min(trace_block, span),
+    curve = trace_singular_curve(field, t_start, y_hit, t_start + span,
+                                 block=min(trace_block, span),
                                  certify=False, singular_tol=singular_tol,
                                  require_singular=False)
     idx = int(np.searchsorted(curve.times, t_start + span + 1e-12, side="right") - 1)
@@ -750,12 +704,16 @@ def homotopy(field, model, x, s: float, calib_tol: float = 1e-3,
 
 
 def retraction(field, model, cut_field: CutTimeField, x, s: float, **kwargs):
-    """G(x, s) = F(x, s * alpha(x)) with the continuous majorant alpha."""
+    """G(x, s) = F(x, s * alpha(x)) with the continuous majorant alpha.
+
+    ``model`` is not used; it stays in the signature for existing callers,
+    which may pass None.
+    """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if s <= 0.0:
         return x.copy()
     alpha = float(cut_field.alpha(x))
-    return homotopy(field, model, x, s * alpha, **kwargs)
+    return homotopy(field, x, s * alpha, **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -779,9 +737,10 @@ def gradient_limits(v: GridFunction, x, merge_tol: float = 1e-4) -> ReachableGra
         sides.append((minus, plus))
     corners = [np.array([sides[ax][(corner >> ax) & 1] for ax in range(v.dimension)])
                for corner in range(1 << v.dimension)]
-    elems, diam = _merge_momenta(corners, merge_tol)
-    return ReachableGradientSet(point=x.copy(), time=None, elements=elems,
-                                diameter=diam, source="limit-of-gradients")
+    corners = np.array(corners)
+    keep, diam = _merge_momenta(corners, merge_tol)
+    return ReachableGradientSet(point=x.copy(), time=None, momenta=corners[keep],
+                                q=None, diameter=diam, source="limit-of-gradients")
 
 
 def strong_critical_test(problem: DiscountedProblem, v: GridFunction, x,
@@ -796,7 +755,7 @@ def strong_critical_test(problem: DiscountedProblem, v: GridFunction, x,
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     cert = gradient_limits(v, x)
-    momenta = cert.momenta()
+    momenta = cert.momenta
     if momenta.shape[0] == 0:
         raise NoMinimizer("empty gradient set")
     lam_v = problem.lam * float(v(x))

@@ -158,29 +158,23 @@ def solve_discounted(problem: DiscountedProblem, box, resolution, tol: float = 1
 
 
 # ---------------------------------------------------------------------------
-# evolutionary fields
+# value fields
 
-class EvolutionaryField:
-    """Value field u(t, x) of an initial-value problem, evaluated on demand.
+class ValueField:
+    """Value field u(t, x) whose data at t = 0 is the grid ``u0``.
 
-    Every evaluation with t > 0 is a localized inf-convolution of the
-    initial data; values are cached per (t, point).
+    The localization constants of horizon T come from ``growth_for(T)`` and
+    the Lipschitz estimate of ``u0``.  Each subclass supplies ``values``,
+    the action model of horizon T (``growth_for``, ``action_lagrangian``)
+    and what the singular layer asks of a field: ``certificate_search``
+    (the minimizer search behind a singularity certificate),
+    ``limiting_gradients`` (the gradients read off the minimizers' end
+    velocities) and ``domain`` (the box where u(t, .) can be evaluated).
     """
 
-    kind = "evolutionary"
-
-    def __init__(self, model: LagrangianModel, u0: GridFunction,
-                 growth_factory: Optional[Callable] = None):
-        self.model = model
+    def __init__(self, u0: GridFunction):
         self.u0 = u0
         self.dimension = u0.dimension
-        self._growth_factory = growth_factory or (lambda T: model.growth)
-        self._cache: dict = {}
-
-    # -- localization constants -------------------------------------------
-
-    def growth_for(self, T: float):
-        return self._growth_factory(T)
 
     def lambda1(self, T: float) -> float:
         return localization_radius(self.growth_for(T), T, self.u0.lipschitz_estimate)
@@ -192,18 +186,33 @@ class EvolutionaryField:
     def lambda2(self, T: float) -> float:
         return localization_radius(self.growth_for(T), T, self.lipschitz_bound(T))
 
+    def value(self, t: float, x) -> float:
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        return float(self.values(t, x[None, :])[0])
+
+
+class EvolutionaryField(ValueField):
+    """Value field u(t, x) of an initial-value problem, evaluated on demand.
+
+    Every evaluation with t > 0 is a localized inf-convolution of the
+    initial data; values are cached per (t, point).
+    """
+
+    def __init__(self, model: LagrangianModel, u0: GridFunction):
+        super().__init__(u0)
+        self.model = model
+        self._cache: dict = {}
+
+    def growth_for(self, T: float):
+        return self.model.growth
+
     def action_lagrangian(self, T: float) -> LagrangianModel:
         return self.model
 
-    # -- evaluation ---------------------------------------------------------
-
-    def value(self, t: float, x) -> float:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        key = (round(float(t), 12), tuple(np.round(x, 12)))
-        if key in self._cache:
-            return self._cache[key]
-        out = self.values(t, x[None, :])[0]
-        return out
+    def _search(self, t: float, xs, **kwargs) -> list:
+        radius = self.lambda1(max(t, 1.0)) * t
+        return localized_convolution(self.model, self.u0, 0.0, t, xs, radius,
+                                     mode="inf", **kwargs)
 
     def values(self, t: float, xs) -> np.ndarray:
         xs = np.atleast_2d(np.asarray(xs, dtype=float))
@@ -212,19 +221,34 @@ class EvolutionaryField:
         keys = [(round(float(t), 12), tuple(np.round(x, 12))) for x in xs]
         missing = [i for i, k in enumerate(keys) if k not in self._cache]
         if missing:
-            radius = self.lambda1(max(t, 1.0)) * t
-            res = localized_convolution(self.model, self.u0, 0.0, t, xs[missing],
-                                        radius, mode="inf")
-            for i, r in zip(missing, res):
+            for i, r in zip(missing, self._search(t, xs[missing])):
                 self._cache[keys[i]] = r.value
         return np.array([self._cache[k] for k in keys])
 
-    def results(self, t: float, xs, **kwargs) -> list:
-        """Full search results (tied minimizers and their paths), one per row of xs."""
-        xs = np.atleast_2d(np.asarray(xs, dtype=float))
-        radius = self.lambda1(max(t, 1.0)) * t
-        return localized_convolution(self.model, self.u0, 0.0, t, xs, radius,
-                                     mode="inf", **kwargs)
+    def certificate_search(self, t: float, xs, polish_window: float) -> list:
+        """Tied minimizers of u(t, .) at the rows of xs; needs t > 0."""
+        if t <= 0:
+            raise ValueError("evolutionary reachable gradients need t > 0")
+        return self._search(t, xs, polish_window=polish_window)
+
+    def limiting_gradients(self, t: float, x, velocities):
+        """(momenta, q): p = L_v(t, x, vel) per end velocity, q = -H(t, x, p)."""
+        momenta = np.array([np.atleast_1d(np.asarray(self.model.L_v(t, x, vel),
+                                                     dtype=float))
+                            for vel in velocities])
+        hmodel = self.model.hamiltonian
+        q = np.array([float(-hmodel.H(t, x, p)) if hmodel is not None
+                      else float("nan") for p in momenta])
+        return momenta, q
+
+    def domain(self, t: float):
+        """Box of u(t, .): non-periodic axes lose the localization pad."""
+        lo, hi = self.u0.box[:, 0].copy(), self.u0.box[:, 1].copy()
+        pad = self.lambda1(max(t, 1.0)) * t + np.max(self.u0.spacing)
+        open_axes = ~np.asarray(self.u0.periodic)
+        lo[open_axes] += pad
+        hi[open_axes] -= pad
+        return lo, hi
 
 
 def solve_evolutionary(model: LagrangianModel, u0: GridFunction, times, box,
@@ -254,20 +278,20 @@ def solve_evolutionary(model: LagrangianModel, u0: GridFunction, times, box,
     return slices
 
 
-class DiscountedField:
-    """Solved discounted field v with its evolutionary lift u(t,x) = e^{lam t} v(x)."""
+class DiscountedField(ValueField):
+    """Solved discounted field v with its evolutionary lift u(t,x) = e^{lam t} v(x).
 
-    kind = "discounted"
+    The lift's data at t = 0 is v, so ``u0`` is v.
+    """
 
     def __init__(self, problem: DiscountedProblem, v: GridFunction):
+        super().__init__(v)
         self.problem = problem
-        self.v = v
-        self.dimension = v.dimension
         self._transforms: dict = {}
 
     @property
-    def u0(self):
-        return self.v
+    def v(self) -> GridFunction:
+        return self.u0
 
     def transform(self, T: float):
         key = round(float(T), 9)
@@ -281,28 +305,30 @@ class DiscountedField:
     def action_lagrangian(self, T: float) -> LagrangianModel:
         return self.transform(T)[0]
 
-    def lambda1(self, T: float) -> float:
-        return localization_radius(self.growth_for(T), T, self.v.lipschitz_estimate)
-
-    def lipschitz_bound(self, T: float) -> float:
-        return solution_lipschitz_bound(self.growth_for(T), T,
-                                        self.v.lipschitz_estimate)
-
-    def lambda2(self, T: float) -> float:
-        return localization_radius(self.growth_for(T), T, self.lipschitz_bound(T))
-
-    def value(self, t: float, x) -> float:
-        return math.exp(self.problem.lam * t) * float(self.v(np.atleast_1d(x)))
-
     def values(self, t: float, xs) -> np.ndarray:
         xs = np.atleast_2d(np.asarray(xs, dtype=float))
         return math.exp(self.problem.lam * t) * np.asarray(self.v(xs), dtype=float).reshape(-1)
 
-    def results(self, t: float, xs, **kwargs) -> list:
-        """Minimizer enumeration of the backward representation at horizon t,
-        one search result per row of xs."""
-        xs = np.atleast_2d(np.asarray(xs, dtype=float))
-        return discounted_lax_oleinik_batch(self.problem, self.v, t, xs, **kwargs)
+    def certificate_search(self, t: float, xs, polish_window: float) -> list:
+        """Tied minimizers of the backward representation of v at the rows of
+        xs, searched at the probe horizon min(0.5, 10/lam) whatever t is."""
+        probe = min(0.5, 10.0 / self.problem.lam)
+        return discounted_lax_oleinik_batch(self.problem, self.v, probe, xs,
+                                            polish_window=polish_window)
+
+    def limiting_gradients(self, t: float, x, velocities):
+        """(momenta, None): gradients p = L_v(0, x, vel) of v itself."""
+        lag = self.problem.lagrangian
+        return np.array([np.atleast_1d(np.asarray(lag.L_v(0.0, x, vel), dtype=float))
+                         for vel in velocities]), None
+
+    def domain(self, t: float):
+        """Box of v, unbounded along periodic axes."""
+        lo, hi = self.v.box[:, 0].copy(), self.v.box[:, 1].copy()
+        periodic = np.asarray(self.v.periodic)
+        lo[periodic] = -np.inf
+        hi[periodic] = np.inf
+        return lo, hi
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ from hjsing import (
     lax_oleinik_plus,
     localization_radius,
     model,
-    set_localization_collector,
     solution_lipschitz_bound,
 )
 from hjsing.laxoleinik import discounted_lax_oleinik_batch, localized_convolution
@@ -240,17 +239,11 @@ class TestDiscountedOperator:
 
 class TestOperatorInvariants:
     def test_localization_records(self, free_particle_1d, neg_abs_grid):
-        records = []
-        set_localization_collector(records.append)
-        try:
-            lax_oleinik_minus(free_particle_1d, neg_abs_grid, 0.0, 1.0, [0.0])
-        finally:
-            set_localization_collector(None)
-        assert records
-        for rec in records:
-            for z in rec["argpoints"]:
-                dist = float(np.linalg.norm(z - rec["center"]))
-                assert dist <= rec["radius"] + rec["spacing"] + 1e-9
+        _, arg = lax_oleinik_minus(free_particle_1d, neg_abs_grid, 0.0, 1.0, [0.0])
+        assert arg.argpoints
+        for z in arg.argpoints:
+            dist = float(np.linalg.norm(z - arg.center))
+            assert dist <= arg.radius + arg.spacing + 1e-9
 
     def test_monotonicity(self, sine_problem):
         box = [(-2 * np.pi, 2 * np.pi)]

@@ -37,18 +37,18 @@ def sine_field(sine_problem, sine_exact_grid):
 
 class TestReachableGradients:
     def test_kink_pair(self, hopf_kink_field, free_particle_1d):
-        rg = reachable_gradients(hopf_kink_field, free_particle_1d, 1.0, [0.0])
-        momenta = sorted(float(p[0]) for _, p in rg.elements)
+        rg = reachable_gradients(hopf_kink_field, 1.0, [0.0])
+        momenta = sorted(float(p[0]) for p in rg.momenta)
         np.testing.assert_allclose(momenta, [-1.0, 1.0], atol=1e-6)
         # energies satisfy q = -H(t, x, p)
-        for q, p in rg.elements:
+        for q, p in zip(rg.q, rg.momenta):
             assert q == pytest.approx(-0.5 * float(p[0]) ** 2, abs=1e-8)
         assert rg.diameter == pytest.approx(2.0, abs=1e-6)
 
     def test_one_sided_point(self, hopf_kink_field, free_particle_1d):
-        rg = reachable_gradients(hopf_kink_field, free_particle_1d, 1.0, [2.0])
-        assert len(rg.elements) == 1
-        assert rg.elements[0][1][0] == pytest.approx(-1.0, abs=1e-6)
+        rg = reachable_gradients(hopf_kink_field, 1.0, [2.0])
+        assert len(rg.momenta) == 1
+        assert rg.momenta[0][0] == pytest.approx(-1.0, abs=1e-6)
         assert rg.diameter == 0.0
 
     def test_smooth_field_matches_scan_gradient(self, free_particle_1d):
@@ -60,16 +60,16 @@ class TestReachableGradients:
         t, x = 0.5, 0.3
         z = np.linspace(-np.pi, np.pi, 400001)
         z_star = z[np.argmin(-np.cos(z) + (x - z) ** 2 / (2 * t))]
-        rg = reachable_gradients(field, free_particle_1d, t, [x])
-        assert len(rg.elements) == 1
+        rg = reachable_gradients(field, t, [x])
+        assert len(rg.momenta) == 1
         # the argmin of the interpolated objective sits within one cell of
         # the true one, so the momentum is accurate to the grid-spacing scale
-        assert rg.elements[0][1][0] == pytest.approx((x - z_star) / t,
-                                                     abs=float(u0.spacing[0]))
+        assert rg.momenta[0][0] == pytest.approx((x - z_star) / t,
+                                                 abs=float(u0.spacing[0]))
 
     def test_discounted_kink(self, sine_field, sine_problem):
-        rg = reachable_gradients(sine_field, sine_problem.lagrangian, 0.0, [0.0])
-        momenta = sorted(float(p[0]) for p in rg.elements)
+        rg = reachable_gradients(sine_field, 0.0, [0.0])
+        momenta = sorted(float(p[0]) for p in rg.momenta)
         np.testing.assert_allclose(momenta, [-1.0, 1.0], atol=5e-3)
 
     def test_is_singular_flags(self, hopf_kink_field, free_particle_1d):
@@ -95,23 +95,21 @@ def period_cut_field(period_field, sine_problem):
 class TestBatchedCertificates:
     def test_discounted_batch_matches_points(self, period_field, sine_problem):
         xs = np.vstack([period_field.v.nodes(), [[0.3], [np.pi / 2]]])
-        batch = reachable_gradients_batch(period_field, sine_problem.lagrangian,
-                                          0.0, xs)
+        batch = reachable_gradients_batch(period_field, 0.0, xs)
         assert len(batch) == len(xs)
         for x, cert in zip(xs, batch):
-            one = reachable_gradients(period_field, sine_problem.lagrangian, 0.0, x)
-            np.testing.assert_array_equal(cert.momenta(), one.momenta())
+            one = reachable_gradients(period_field, 0.0, x)
+            np.testing.assert_array_equal(cert.momenta, one.momenta)
             assert cert.diameter == one.diameter
 
     def test_evolutionary_batch_matches_points(self, hopf_kink_field,
                                                free_particle_1d):
         xs = np.array([[0.0], [2.0], [-0.7]])
-        batch = reachable_gradients_batch(hopf_kink_field, free_particle_1d,
-                                          1.0, xs)
+        batch = reachable_gradients_batch(hopf_kink_field, 1.0, xs)
         for x, cert in zip(xs, batch):
-            one = reachable_gradients(hopf_kink_field, free_particle_1d, 1.0, x)
-            np.testing.assert_array_equal(cert.momenta(), one.momenta())
-            assert [q for q, _ in cert.elements] == [q for q, _ in one.elements]
+            one = reachable_gradients(hopf_kink_field, 1.0, x)
+            np.testing.assert_array_equal(cert.momenta, one.momenta)
+            assert list(cert.q) == list(one.q)
             assert cert.diameter == one.diameter
 
     def test_cut_times_match_cut_time(self, period_field, sine_problem):
@@ -134,32 +132,32 @@ class TestBatchedCertificates:
 
 class TestPropagationStep:
     def test_stationary_kink(self, hopf_kink_field, free_particle_1d):
-        step = propagation_step(hopf_kink_field, free_particle_1d, 0.5, [0.0],
+        step = propagation_step(hopf_kink_field, 0.5, [0.0],
                                 1.5)
         assert np.max(np.abs(step.points)) <= 1e-6   # symmetry holds it at 0
         assert all(c.diameter > 1.9 for c in step.certificates)
 
     def test_shock_speed(self, shock_field, free_particle_1d):
-        step = propagation_step(shock_field, free_particle_1d, 0.5, [0.25], 1.5)
+        step = propagation_step(shock_field, 0.5, [0.25], 1.5)
         speeds = np.diff(np.concatenate([[0.25], step.points[:, 0]])) \
             / np.diff(np.concatenate([[0.5], step.times]))
         target = shock_speed(2.0, -1.0)
         assert np.max(np.abs(speeds - target)) <= 5e-2
 
     def test_discounted_symmetric_kink(self, sine_field, sine_problem):
-        step = propagation_step(sine_field, sine_problem.lagrangian, 1.0,
+        step = propagation_step(sine_field, 1.0,
                                 [0.0], 2.0)
         assert np.max(np.abs(step.points)) <= 1e-2   # even symmetry about 0
 
     def test_schedule_stall_guard(self, hopf_kink_field, free_particle_1d):
         with pytest.raises(errors.ScheduleStall):
-            propagation_step(hopf_kink_field, free_particle_1d, 0.5, [0.0],
+            propagation_step(hopf_kink_field, 0.5, [0.0],
                              1.5, step_cap=1e-8)
 
 
 class TestTrace:
     def test_stationary_kink_curve(self, hopf_kink_field, free_particle_1d):
-        curve = trace_singular_curve(hopf_kink_field, free_particle_1d, 0.5,
+        curve = trace_singular_curve(hopf_kink_field, 0.5,
                                      [0.0], 3.0)
         assert float(np.max(np.abs(curve.points))) <= 1e-2
         assert np.all(curve.certificate_diameters[1:] >= 1.9)
@@ -167,23 +165,29 @@ class TestTrace:
         assert curve.times[-1] >= 3.0 - 1e-9
 
     def test_shock_curve(self, shock_field, free_particle_1d):
-        curve = trace_singular_curve(shock_field, free_particle_1d, 0.5,
+        curve = trace_singular_curve(shock_field, 0.5,
                                      [0.25], 2.0)
         err = np.max(np.abs(curve.points[:, 0] - curve.times / 2))
         assert err <= 5e-2
 
     def test_discounted_trace_stays_at_kink(self, sine_field, sine_problem):
-        curve = trace_singular_curve(sine_field, sine_problem.lagrangian, 1.0,
+        curve = trace_singular_curve(sine_field, 1.0,
                                      [np.pi], 2.5)
         assert float(np.max(np.abs(curve.points - np.pi))) <= 1e-2
 
     def test_rejects_smooth_start(self, hopf_kink_field, free_particle_1d):
         with pytest.raises(errors.InvalidProblem):
-            trace_singular_curve(hopf_kink_field, free_particle_1d, 0.5, [2.0],
+            trace_singular_curve(hopf_kink_field, 0.5, [2.0],
                                  1.5)
 
+    @pytest.mark.parametrize("T_total", [2.0, 2.3])
+    def test_ends_on_horizon(self, hopf_kink_field, T_total):
+        # the last step of a block is clipped to the horizon, not run past it
+        curve = trace_singular_curve(hopf_kink_field, 0.5, [0.0], T_total)
+        assert curve.times[-1] == T_total
+
     def test_csv_export(self, tmp_path, hopf_kink_field, free_particle_1d):
-        curve = trace_singular_curve(hopf_kink_field, free_particle_1d, 0.5,
+        curve = trace_singular_curve(hopf_kink_field, 0.5,
                                      [0.0], 1.5)
         path = tmp_path / "curve.csv"
         curve.write_csv(path, comments=["demo"])
@@ -194,9 +198,9 @@ class TestTrace:
 
     def test_continuity_in_start_point(self, shock_field, free_particle_1d):
         delta = 1e-3
-        c1 = trace_singular_curve(shock_field, free_particle_1d, 0.5,
+        c1 = trace_singular_curve(shock_field, 0.5,
                                   [0.25], 1.2)
-        c2 = trace_singular_curve(shock_field, free_particle_1d, 0.5,
+        c2 = trace_singular_curve(shock_field, 0.5,
                                   [0.25 + delta], 1.2, require_singular=False)
         # compare at the common ladder times of the first block
         n = min(len(c1.times), len(c2.times))
@@ -206,7 +210,7 @@ class TestTrace:
     def test_exclusion_certificate(self, hopf_kink_field, free_particle_1d):
         # the step's dual momentum lies in the superdifferential but away
         # from every reachable gradient at the new point
-        step = propagation_step(hopf_kink_field, free_particle_1d, 0.5, [0.0],
+        step = propagation_step(hopf_kink_field, 0.5, [0.0],
                                 1.5)
         t = float(step.times[-1])
         y = step.points[-1]
@@ -217,7 +221,7 @@ class TestTrace:
         vel_end = (3 * nodes[-1] - 4 * nodes[-2] + nodes[-3]) / (2 * dt)
         p_step = float(free_particle_1d.L_v(t, y, vel_end)[0])
         cert = step.certificates[-1]
-        momenta = cert.momenta()[:, 0]
+        momenta = cert.momenta[:, 0]
         lo, hi = momenta.min(), momenta.max()
         assert lo - 1e-6 <= p_step <= hi + 1e-6       # inside the hull
         assert np.min(np.abs(momenta - p_step)) > 1e-4  # not a reachable one
@@ -242,7 +246,7 @@ class TestStepMapRegularity:
 
 class TestLipschitzCertificate:
     def test_stationary_curve(self, hopf_kink_field, free_particle_1d):
-        curve = trace_singular_curve(hopf_kink_field, free_particle_1d, 0.5,
+        curve = trace_singular_curve(hopf_kink_field, 0.5,
                                      [0.0], 1.5)
         constants = estimate_constants(free_particle_1d, 0.5, [0.0], 1.5, 2.0)
         growth = hopf_kink_field.growth_for(1.5)
@@ -253,7 +257,7 @@ class TestLipschitzCertificate:
         assert report["max_quotient"] <= 1e-6
 
     def test_shock_curve_quotients(self, shock_field, free_particle_1d):
-        curve = trace_singular_curve(shock_field, free_particle_1d, 0.5,
+        curve = trace_singular_curve(shock_field, 0.5,
                                      [0.25], 1.5)
         constants = estimate_constants(free_particle_1d, 0.5, [0.25], 1.5, 3.0)
         growth = shock_field.growth_for(1.5)
@@ -332,15 +336,15 @@ class TestCutTimeField:
 class TestHomotopyRetraction:
     def test_identity_at_zero(self, sine_field, sine_problem):
         x = np.array([0.9])
-        out = homotopy(sine_field, sine_problem.lagrangian, x, 0.0)
+        out = homotopy(sine_field, x, 0.0)
         np.testing.assert_array_equal(out, x)
 
     def test_reaches_kink(self, sine_field, sine_problem):
-        out = homotopy(sine_field, sine_problem.lagrangian, [np.pi / 4], 1.2)
+        out = homotopy(sine_field, [np.pi / 4], 1.2)
         assert abs(out[0]) <= 1e-2
 
     def test_singular_start_stays(self, sine_field, sine_problem):
-        out = homotopy(sine_field, sine_problem.lagrangian, [0.0], 0.5)
+        out = homotopy(sine_field, [0.0], 0.5)
         assert abs(out[0]) <= 1e-2
 
     def test_retraction_uses_majorant(self, sine_field, sine_problem):
@@ -359,7 +363,7 @@ class TestHomotopyRetraction:
 
     def test_evolutionary_rejected(self, hopf_kink_field, free_particle_1d):
         with pytest.raises(errors.InvalidProblem):
-            homotopy(hopf_kink_field, free_particle_1d, [0.0], 0.5)
+            homotopy(hopf_kink_field, [0.0], 0.5)
 
     def test_nonconvex_cone_is_a_concavity_failure(self, period_field,
                                                   period_cut_field, sine_problem):
