@@ -24,6 +24,8 @@ from scipy.integrate import solve_ivp
 from .errors import BlowUp, DegenerateSample, NoConvergence
 from .model import HamiltonianModel, LagrangianModel, hamiltonian_from_lagrangian
 
+PATH_SEGMENTS = 16  # segments of a discretized path unless a caller refines it
+
 
 # ---------------------------------------------------------------------------
 # trajectories
@@ -129,7 +131,7 @@ def straight_line_actions(model: LagrangianModel, s: float, t: float,
     """Discrete action of the straight segment between endpoint batches.
 
     Upper-bound flavored estimate used to rank candidates before the
-    optimizing pass; exact for kinetic-only models.
+    optimizing pass (8 segments); exact for kinetic-only models.
     """
     starts = np.asarray(starts, dtype=float)
     ends = np.asarray(ends, dtype=float)
@@ -145,8 +147,7 @@ def straight_line_actions(model: LagrangianModel, s: float, t: float,
 
 
 def minimize_paths(model: LagrangianModel, s: float, t: float, starts, ends,
-                   segments: int = 16, grad_tol: float = 1e-9,
-                   max_iter: int = 60, init_nodes=None):
+                   segments: int = PATH_SEGMENTS, init_nodes=None):
     """Batched direct method for least action between endpoint pairs.
 
     All pairs share the interval [s, t].  Returns a dict with stacked node
@@ -155,6 +156,7 @@ def minimize_paths(model: LagrangianModel, s: float, t: float, starts, ends,
     (tridiagonal per axis), which is the full Hessian for mechanical
     models.
     """
+    grad_tol, max_iter = 1e-9, 60
     starts = np.atleast_2d(np.asarray(starts, dtype=float))
     ends = np.atleast_2d(np.asarray(ends, dtype=float))
     if ends.shape[0] == 1 and starts.shape[0] > 1:
@@ -249,15 +251,14 @@ def _refine_nodes(W):
     return out
 
 
-def refined_action(model: LagrangianModel, s: float, t: float, starts, ends,
-                   segments: int = 16):
+def refined_action(model: LagrangianModel, s: float, t: float, starts, ends):
     """Richardson-extrapolated least action for endpoint batches.
 
-    Solves at ``segments`` and ``2*segments`` and removes the leading
+    Solves at ``PATH_SEGMENTS`` and twice that and removes the leading
     quadratic discretization error.
     """
-    first = minimize_paths(model, s, t, starts, ends, segments=segments)
-    second = minimize_paths(model, s, t, starts, ends, segments=2 * segments,
+    first = minimize_paths(model, s, t, starts, ends)
+    second = minimize_paths(model, s, t, starts, ends, segments=2 * PATH_SEGMENTS,
                             init_nodes=_refine_nodes(first["nodes"]))
     value = second["action"] + (second["action"] - first["action"]) / 3.0
     return value, second
@@ -267,8 +268,7 @@ def refined_action(model: LagrangianModel, s: float, t: float, starts, ends,
 # Hamiltonian flow
 
 def hamiltonian_flow(model: HamiltonianModel, s: float, x, p0, t: float,
-                     nodes: int = 129, rtol: float = 1e-11, atol: float = 1e-12,
-                     bound: float = 1e6) -> Trajectory:
+                     nodes: int = 129, bound: float = 1e6) -> Trajectory:
     """Integrate dx = H_p, dp = -H_x from (x, p0) on [s, t].
 
     The running action integral rides along as an extra state, using
@@ -295,7 +295,7 @@ def hamiltonian_flow(model: HamiltonianModel, s: float, x, p0, t: float,
     y0 = np.concatenate([x, p0, [0.0]])
     t_eval = np.linspace(s, t, nodes)
     sol = solve_ivp(rhs, (s, t), y0, method="DOP853", t_eval=t_eval,
-                    rtol=rtol, atol=atol, events=escape, dense_output=True)
+                    rtol=1e-11, atol=1e-12, events=escape, dense_output=True)
     if sol.status == 1:
         raise BlowUp(f"flow left |state| <= {bound:g} at t = {sol.t_events[0][0]:.6g}")
     if not sol.success:
@@ -326,7 +326,7 @@ def _hamiltonian_for(model: LagrangianModel) -> HamiltonianModel:
     return model.hamiltonian
 
 
-def _shoot(model: LagrangianModel, s, t, x, y, p0, max_iter: int = 12):
+def _shoot(model: LagrangianModel, s, t, x, y, p0):
     """Newton on p0 -> flow endpoint; returns a flow Trajectory or None."""
     hmodel = _hamiltonian_for(model)
     x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -335,7 +335,7 @@ def _shoot(model: LagrangianModel, s, t, x, y, p0, max_iter: int = 12):
     target_tol = 1e-9 * (1.0 + float(np.linalg.norm(y)))
 
     def endpoint(p):
-        traj = hamiltonian_flow(hmodel, s, x, p, t, nodes=2, rtol=1e-11, atol=1e-12)
+        traj = hamiltonian_flow(hmodel, s, x, p, t, nodes=2)
         return traj.end
 
     p = np.atleast_1d(np.asarray(p0, dtype=float)).copy()
@@ -343,7 +343,7 @@ def _shoot(model: LagrangianModel, s, t, x, y, p0, max_iter: int = 12):
         res = endpoint(p) - y
     except (BlowUp, NoConvergence):
         return None
-    for _ in range(max_iter):
+    for _ in range(12):
         nrm = float(np.linalg.norm(res))
         if nrm <= target_tol:
             traj = hamiltonian_flow(hmodel, s, x, p, t, nodes=max(65, 2 * n + 1))
@@ -376,12 +376,11 @@ def _shoot(model: LagrangianModel, s, t, x, y, p0, max_iter: int = 12):
 
 
 def fundamental_solution(model: LagrangianModel, s: float, t: float, x, y,
-                         segments: int = 64, value_tol: float = 1e-8,
                          refine: bool = True, restarts: int = 0, seed: int = 0):
     """Least action between (s, x) and (t, y) with its minimizing trajectory.
 
-    Direct method with segment doubling until the action settles below
-    ``value_tol``, then (``refine=True``) a shooting pass on the Hamiltonian
+    Direct method from 64 segments, doubled until the action settles below
+    1e-8, then (``refine=True``) a shooting pass on the Hamiltonian
     system; if shooting diverges the extrapolated direct answer stands.
     ``restarts > 0`` reruns the direct method from perturbed initial curves
     and flags ``multiple_minimizers`` when distinct local optima appear.
@@ -391,7 +390,7 @@ def fundamental_solution(model: LagrangianModel, s: float, t: float, x, y,
     x = np.atleast_1d(np.asarray(x, dtype=float))
     y = np.atleast_1d(np.asarray(y, dtype=float))
 
-    N = int(segments)
+    N, value_tol = 64, 1e-8
     sol = minimize_paths(model, s, t, x[None, :], y[None, :], segments=N)
     coarse = float(sol["action"][0])
     for _ in range(5):
@@ -436,9 +435,7 @@ def fundamental_solution(model: LagrangianModel, s: float, t: float, x, y,
                                           value, ref["grad_inf"][0])
 
     if refine:
-        dt = times[1] - times[0]
-        v0 = (-3.0 * traj.states[0] + 4.0 * traj.states[1] - traj.states[2]) / (2 * dt)
-        p0 = np.atleast_1d(np.asarray(model.L_v(s, x, v0), dtype=float))
+        p0 = np.atleast_1d(np.asarray(model.L_v(s, x, traj.velocities[0]), dtype=float))
         flow = _shoot(model, s, t, x, y, p0)
         if flow is not None and flow.action <= value + 1e-6 * (1 + abs(value)):
             flow.multiple_minimizers = multiple
@@ -477,8 +474,7 @@ class ConvexityConstants:
 
 
 def estimate_constants(model: LagrangianModel, s: float, x, T: float,
-                       lam_slope: float, levels: int = 3,
-                       directions: int = 2, segments: int = 16) -> ConvexityConstants:
+                       lam_slope: float) -> ConvexityConstants:
     """Probe second differences of A on the cone of apex (s, x) and slope lam_slope.
 
     ``c0`` is the largest (t, y)-second-difference ratio, ``c1`` the largest
@@ -486,9 +482,10 @@ def estimate_constants(model: LagrangianModel, s: float, x, T: float,
     ``c3`` the largest time increment of the endpoint gradient, all scaled
     by (t - s) as in the cone estimates they feed.
 
-    The probes are grouped by end time: each of the ``levels`` cone heights
-    t makes three :func:`refined_action` batches, at t, t + h and t - h,
-    over every direction and offset.  The actions at (t, y) and (t + h, y)
+    The probes run along the first two coordinate axes and are grouped by
+    end time: each of the three cone heights t makes three
+    :func:`refined_action` batches, at t, t + h and t - h, over every
+    direction and offset.  The actions at (t, y) and (t + h, y)
     serve both the temporal second difference and ``c3``.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -497,13 +494,10 @@ def estimate_constants(model: LagrangianModel, s: float, x, T: float,
     if height <= 0 or lam_slope <= 0:
         raise ValueError("degenerate cone")
 
-    dirs = [np.eye(n)[k] for k in range(min(n, directions))]
-    if n > 1 and directions > n:
-        dirs.append(np.ones(n) / math.sqrt(n))
+    dirs = np.eye(n)[:2]
 
     def A_batch(ends, t_at):
-        return refined_action(model, s, t_at, np.broadcast_to(x, ends.shape),
-                              ends, segments=segments)
+        return refined_action(model, s, t_at, np.broadcast_to(x, ends.shape), ends)
 
     def end_duals(sol, rows):
         return np.array([_trajectory_from_nodes(model, sol["times"], sol["nodes"][r],
@@ -512,7 +506,7 @@ def estimate_constants(model: LagrangianModel, s: float, x, T: float,
 
     ratios_c0, ratios_c1, ratios_c2, ratios_c3 = [], [], [], []
     seen_signal = False
-    for frac in np.linspace(0.45, 0.95, levels):
+    for frac in np.linspace(0.45, 0.95, 3):
         t = s + frac * height
         dt_cone = t - s
         h = 0.2 * dt_cone
@@ -550,11 +544,11 @@ def estimate_constants(model: LagrangianModel, s: float, x, T: float,
                               apex=x.copy(), slope=lam_slope, height=height)
 
 
-def speed_envelope(model: LagrangianModel, T: float, ratios=None, margin: float = 0.2):
+def speed_envelope(model: LagrangianModel, T: float, ratios=None):
     """Empirical bound kappa(T, |x-y|/(t-s)) on minimizer speeds.
 
     Measures sup-speeds over an endpoint-separation ladder and returns a
-    nondecreasing interpolant inflated by ``margin``.
+    nondecreasing interpolant inflated by 20 %.
     """
     if ratios is None:
         ratios = np.array([0.25, 0.5, 1.0, 2.0, 4.0, 8.0])
@@ -569,7 +563,7 @@ def speed_envelope(model: LagrangianModel, T: float, ratios=None, margin: float 
                                       sol["action"][0], sol["grad_inf"][0])
         sups.append(float(np.max(np.linalg.norm(traj.velocities, axis=-1))))
     sups = np.maximum.accumulate(np.asarray(sups))
-    bound = (1.0 + margin) * sups
+    bound = 1.2 * sups
 
     def kappa(ratio):
         return float(np.interp(ratio, ratios, bound,

@@ -12,7 +12,7 @@ Keys
     sqrt(.^2+eps^2)-eps.
 ``double_well``
     L = v^2/2 + (x^2-1)^2/4 (1D).  The upper growth bound is only valid on
-    a bounded box (|x| <= 2 by default), which is all the grid solvers use.
+    the bounded box |x| <= 2, which is all the grid solvers use.
 
 User models come in as expression strings: either a full Lagrangian in
 ``(s, x, v)`` or a mechanical potential ``V(x)`` meaning L = |v|^2/2 - V.
@@ -142,9 +142,9 @@ def sine_kink(eps: float = 0.0) -> LagrangianModel:
     return mechanical(f, f_grad, name, f_min=-1.0, f_max=0.5)
 
 
-def double_well(box_halfwidth: float = 2.0) -> LagrangianModel:
-    """L = v^2/2 + (x^2-1)^2/4 (1D); upper growth bound valid on |x| <= box_halfwidth."""
-    cap = (box_halfwidth ** 2 - 1.0) ** 2 / 4.0
+def double_well() -> LagrangianModel:
+    """L = v^2/2 + (x^2-1)^2/4 (1D); upper growth bound valid on |x| <= 2."""
+    cap = (2.0 ** 2 - 1.0) ** 2 / 4.0
 
     def f(x):
         return (x * x - 1.0) ** 2 / 4.0
@@ -156,9 +156,9 @@ def double_well(box_halfwidth: float = 2.0) -> LagrangianModel:
 
 
 def lagrangian_from_expression(expr: str, dimension: int = 1,
-                               growth: GrowthData | None = None,
-                               name: str = "", time_dependent: bool = False) -> LagrangianModel:
-    """Model whose L is an expression of (s, x, v); partials by central differences."""
+                               name: str = "") -> LagrangianModel:
+    """Model whose L is an expression of (s, x, v), with quadratic growth data;
+    partials by central differences."""
     L = scalar_field(expr, dimension)
     h = FD_STEP
 
@@ -206,21 +206,17 @@ def lagrangian_from_expression(expr: str, dimension: int = 1,
     model = LagrangianModel(
         dimension=dimension,
         L=L, L_v=L_v, L_x=L_x, L_t=L_t, L_vv=L_vv,
-        growth=growth if growth is not None else quadratic_growth(),
-        time_dependent=time_dependent,
+        growth=quadratic_growth(),
         name=name or f"expr({expr})",
     )
     model.hamiltonian = hamiltonian_from_lagrangian(model)
     return model
 
 
-def lagrangian_from_potential(expr: str, name: str = "",
-                              sample_box=(-10.0, 10.0)) -> LagrangianModel:
+def lagrangian_from_potential(expr: str) -> LagrangianModel:
     """Mechanical model L = v^2/2 - V(x) from a 1D potential expression.
 
-    The growth offsets come from sampling V over ``sample_box``; pass custom
-    GrowthData through :func:`lagrangian_from_expression` when sampling is
-    not good enough.
+    The growth offsets come from sampling V on 4097 points of [-10, 10].
     """
     V = scalar_field(expr, 1)
     h = FD_STEP
@@ -232,9 +228,9 @@ def lagrangian_from_potential(expr: str, name: str = "",
         x = np.asarray(x, dtype=float)
         return (f(x + h) - f(x - h)) / (2 * h)
 
-    probe = np.linspace(sample_box[0], sample_box[1], 4097)
+    probe = np.linspace(-10.0, 10.0, 4097)
     fvals = f(probe)
-    return mechanical(f, f_grad, name or f"potential({expr})",
+    return mechanical(f, f_grad, f"potential({expr})",
                       f_min=float(fvals.min()), f_max=float(fvals.max()))
 
 
@@ -282,8 +278,8 @@ def discounted_problem(key: str, lam: float, dimension: int = 1,
     )
 
 
-def discounted_from_model(model: LagrangianModel, lam: float, c1: float, c2: float,
-                          name: str = "") -> DiscountedProblem:
+def discounted_from_model(model: LagrangianModel, lam: float, c1: float,
+                          c2: float) -> DiscountedProblem:
     """Wrap a time-independent model as a discounted problem with given offsets."""
     return DiscountedProblem(
         lam=lam,
@@ -293,5 +289,5 @@ def discounted_from_model(model: LagrangianModel, lam: float, c1: float, c2: flo
         c2=c2,
         theta1=lambda r: 0.5 * r * r,
         theta2=lambda r: 0.5 * r * r,
-        name=name or model.name,
+        name=model.name,
     )

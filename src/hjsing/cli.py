@@ -1,9 +1,28 @@
 """Command-line drivers: solve | evolve | trace | cutlocus | verify | constants.
 
-Configuration is flat ``key = value`` text with bracketed section headers
-(INI style).  Outputs land in the configured directory and carry a
-metadata comment header (version, config hash, tolerances); with a fixed
-seed, repeated runs produce byte-identical files.
+Configuration is INI text, ``key = value`` lines under ``[section]``
+headers with ``#`` comments.  The keys and their defaults:
+
+[problem]   key (free_particle, pendulum, sine_kink, double_well), or
+            lagrangian (an expression of s, x, v), or potential (V(x), for
+            L = v^2/2 - V); lambda = 1.0 (> 0); dimension = 1; eps = 0
+            (sine_kink smoothing, >= 0); c1, c2 (growth offsets of an
+            expression model; unset: from the potential's samples, or 0)
+[grid]      box = -pi pi (2 numbers, or 2 per axis); resolution = 128
+            (1 count, or 1 per axis; >= 16); periodic = true
+[solve]     tol = 1e-3 (> 0)
+[singular]  singular_tol = 1e-2, calib_tol = 1e-3, tau_horizon = 20/lambda
+[evolve]    u0 (an expression of x or x1, x2, ...) or u0_file (a .grid);
+            times (> 0, increasing); box, resolution (unset: from [grid])
+[trace]     t0 = 0.5; x0 = 0.0 (1 number per axis); horizon = 2.0;
+            block = 1.0; field = discounted (or evolutionary)
+[cutlocus]  demo_points = 20; demo_range = lo hi (unset: the first axis)
+[run]       out = out; seed = 0
+
+``--out``, ``--seed``, ``--tol`` and, for trace, ``--t0`` and ``--x0``
+override the config.  Outputs land in the configured directory and carry
+a metadata comment header (version, config hash, tolerances); with a
+fixed seed, repeated runs produce byte-identical files.
 
 Exit codes: 0 success, 2 numerical failure, 3 usage or config error.
 """
@@ -62,7 +81,7 @@ logger = logging.getLogger("hjsing")
 
 @dataclass
 class RunConfig:
-    """Validated run settings; see the README for the config file format."""
+    """Validated run settings; the module docstring lists the config keys."""
 
     problem_key: str = ""
     lagrangian_expr: str = ""
@@ -120,7 +139,7 @@ def _parse_floats(text: str):
 def _parse_box(text: str, dimension: int) -> np.ndarray:
     vals = _parse_floats(text)
     if len(vals) == 2 and dimension >= 1:
-        return np.array([vals] * dimension, dtype=float)
+        vals = vals * dimension
     if len(vals) != 2 * dimension:
         raise ConfigError(f"box needs 2 or {2 * dimension} numbers, got {len(vals)}")
     box = np.array(vals, dtype=float).reshape(dimension, 2)
@@ -198,8 +217,31 @@ def load_config(path: str, overrides: dict | None = None) -> RunConfig:
         if val is not None:
             setattr(cfg, key, val)
 
-    if min(cfg.resolution) < 16:
-        raise ConfigError("resolution must be at least 16 nodes per axis")
+    times = np.asarray(cfg.evolve_times)
+    for ok, message in [
+        (cfg.lam > 0, "problem.lambda must be > 0"),
+        (not cfg.model_kwargs or (cfg.problem_key == "sine_kink" and cfg.model_kwargs["eps"] >= 0),
+         "problem.eps must be >= 0 and needs key = sine_kink"),
+        (len(cfg.resolution) == cfg.dimension,
+         f"grid.resolution needs 1 or {cfg.dimension} counts"),
+        (min(cfg.resolution) >= 16, "resolution must be at least 16 nodes per axis"),
+        (cfg.tol > 0, "solve.tol must be > 0"),
+        (cfg.singular_tol > 0 and cfg.calib_tol > 0
+         and (cfg.tau_horizon is None or cfg.tau_horizon > 0),
+         "singular.singular_tol, calib_tol and tau_horizon must be > 0"),
+        (np.all(times > 0) and np.all(np.diff(times) > 0),
+         "evolve.times must be positive and increasing"),
+        (len(cfg.trace_x0) == cfg.dimension,
+         f"trace.x0 needs {cfg.dimension} number(s), got {len(cfg.trace_x0)}"),
+        (cfg.trace_field in ("discounted", "evolutionary"),
+         f"trace.field must be discounted or evolutionary, not {cfg.trace_field!r}"),
+        (cfg.trace_block > 0, "trace.block must be > 0"),
+        (not cfg.demo_range
+         or (len(cfg.demo_range) == 2 and cfg.demo_range[0] < cfg.demo_range[1]),
+         "cutlocus.demo_range needs two numbers lo < hi"),
+    ]:
+        if not ok:
+            raise ConfigError(message)
     if cfg.tau_horizon is None:
         cfg.tau_horizon = 20.0 / cfg.lam
     return cfg
@@ -275,9 +317,7 @@ def cmd_evolve(cfg: RunConfig) -> int:
     target_box = cfg.evolve_box if cfg.evolve_box is not None else cfg.box
     target_res = cfg.evolve_resolution or cfg.resolution
     # the u0 grid must cover the target box plus the localization pad
-    horizon = max(cfg.evolve_times)
-    pad = localization_radius(model.growth, max(horizon, 1.0),
-                              u0.lipschitz_estimate) * horizon
+    pad = EvolutionaryField(model, u0).search_radius(max(cfg.evolve_times))
     needed_lo = np.asarray(target_box)[:, 0] - pad
     needed_hi = np.asarray(target_box)[:, 1] + pad
     if (not all(u0.periodic)
@@ -318,28 +358,27 @@ def _trace_field(cfg: RunConfig, problem):
     return DiscountedField(problem, v)
 
 
-def cmd_trace(cfg: RunConfig, t0=None, x0=None) -> int:
+def cmd_trace(cfg: RunConfig) -> int:
     problem = build_problem(cfg)
     field = _trace_field(cfg, problem)
-    t_start = cfg.trace_t0 if t0 is None else float(t0)
-    x_start = np.asarray(cfg.trace_x0 if x0 is None else x0, dtype=float)
+    t_start = cfg.trace_t0
+    x_start = np.asarray(cfg.trace_x0, dtype=float)
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
+    columns = (["s"] + [f"x{i+1}" for i in range(len(x_start))]
+               + ["step_size", "certificate_diameter"])
 
     flag, cert = is_singular(field, None, t_start, x_start, cfg.singular_tol)
     if cfg.trace_horizon <= t_start:
-        curve_rows = [[t_start, *x_start, 0.0, cert.diameter]]
-        _write_rows(out / "curve.csv", ["s"] + [f"x{i+1}" for i in range(len(x_start))]
-                    + ["step_size", "certificate_diameter"], curve_rows,
-                    cfg.header())
+        _write_rows(out / "curve.csv", columns,
+                    [[t_start, *x_start, 0.0, cert.diameter]], cfg.header())
         (out / "certificates.json").write_text(json.dumps(
             [{"s": t_start, "diameter": cert.diameter}], indent=2) + "\n")
         return 0
     if not flag:
         logger.warning("start point is not singular (diameter %.3g <= %.3g); "
                        "writing an empty curve", cert.diameter, cfg.singular_tol)
-        _write_rows(out / "curve.csv", ["s"] + [f"x{i+1}" for i in range(len(x_start))]
-                    + ["step_size", "certificate_diameter"], [], cfg.header())
+        _write_rows(out / "curve.csv", columns, [], cfg.header())
         (out / "certificates.json").write_text("[]\n")
         return 0
     curve = trace_singular_curve(field, t_start, x_start,
@@ -495,9 +534,9 @@ def cmd_constants(cfg: RunConfig) -> int:
     problem = build_problem(cfg)
     k1, k2 = bounds_K(problem)
     lhat, _ = to_evolutionary(problem, horizon=1.0)
-    lam1 = localization_radius(lhat.growth, 1.0, 1.0)
+    lam1 = localization_radius(lhat.growth, 1.0)
     f0 = solution_lipschitz_bound(lhat.growth, 1.0, 1.0)
-    lam2 = localization_radius(lhat.growth, 1.0, f0)
+    lam2 = localization_radius(lhat.growth, f0)
     constants = estimate_constants(lhat, 0.0, np.zeros(cfg.dimension), 1.0,
                                    min(lam2, 4.0))
     payload = {
@@ -546,8 +585,10 @@ def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO if args.verbose else logging.WARNING,
                         format="%(levelname)s %(name)s: %(message)s")
 
-    overrides = {k: getattr(args, k) for k in ("out", "seed", "tol")
-                 if getattr(args, k, None) is not None}
+    flags = {"out": "out", "seed": "seed", "tol": "tol", "t0": "trace_t0",
+             "x0": "trace_x0"}
+    overrides = {key: getattr(args, flag) for flag, key in flags.items()
+                 if getattr(args, flag, None) is not None}
     try:
         cfg = load_config(args.config, overrides)
         if args.command == "solve":
@@ -555,7 +596,7 @@ def main(argv=None) -> int:
         if args.command == "evolve":
             return cmd_evolve(cfg)
         if args.command == "trace":
-            return cmd_trace(cfg, t0=args.t0, x0=args.x0)
+            return cmd_trace(cfg)
         if args.command == "cutlocus":
             return cmd_cutlocus(cfg)
         if args.command == "verify":

@@ -26,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from .action import minimize_paths, straight_line_actions, _refine_nodes
+from .action import PATH_SEGMENTS, minimize_paths, straight_line_actions, _refine_nodes
 from .errors import BoundaryClipped, ExponentOverflow
 from .model import (
     EXPONENT_CAP,
@@ -37,6 +37,8 @@ from .model import (
     golden_polish,
     to_evolutionary,
 )
+
+TIE_TOL = 1e-6  # values this close to the optimum count as tied optima
 
 # ---------------------------------------------------------------------------
 # grid functions
@@ -230,10 +232,10 @@ class GridFunction:
 # ---------------------------------------------------------------------------
 # a-priori constants
 
-def localization_radius(growth: GrowthData, T: float, K: float) -> float:
+def localization_radius(growth: GrowthData, K: float) -> float:
     """Per-unit-time bound on |argmin - x| for Lipschitz-constant-K inputs."""
-    if K < 0 or T <= 0:
-        raise ValueError("need K >= 0 and T > 0")
+    if K < 0:
+        raise ValueError("need K >= 0")
     return float(growth.theta_lower_conjugate(K + 1.0) + growth.c_T
                  + growth.theta_upper(0.0))
 
@@ -245,7 +247,7 @@ def solution_lipschitz_bound(growth: GrowthData, T: float, lip_u0: float) -> flo
     at the endpoint, a time-derivative bound F2 through the equation, and
     returns sqrt(F1^2 + F2^2).
     """
-    lam1 = localization_radius(growth, T, lip_u0)
+    lam1 = localization_radius(growth, lip_u0)
     f1 = (growth.theta_lower_conjugate(lip_u0) + growth.c_T
           + growth.ct1(T) * T + growth.ct2(T) * T * growth.theta_upper(lam1)
           + growth.theta_upper(1.0))
@@ -278,8 +280,7 @@ class ArgBall:
 # ---------------------------------------------------------------------------
 # candidate enumeration
 
-def _axis_candidates(grid: GridFunction, ax: int, center: float, radius: float,
-                     strict: bool):
+def _axis_candidates(grid: GridFunction, ax: int, center: float, radius: float):
     a, b = grid.box[ax]
     nodes = np.linspace(a, b, grid.resolution[ax], endpoint=not grid.periodic[ax])
     if grid.periodic[ax]:
@@ -297,7 +298,7 @@ def _axis_candidates(grid: GridFunction, ax: int, center: float, radius: float,
             pos = np.array([center])
         return pos
     lo, hi = center - radius, center + radius
-    if strict and (lo < a - 1e-9 * (b - a) or hi > b + 1e-9 * (b - a)):
+    if lo < a - 1e-9 * (b - a) or hi > b + 1e-9 * (b - a):
         raise BoundaryClipped(
             f"localization ball [{lo:.4g}, {hi:.4g}] exits box [{a:.4g}, {b:.4g}] on axis {ax}")
     mask = (nodes >= max(lo, a)) & (nodes <= min(hi, b))
@@ -307,10 +308,10 @@ def _axis_candidates(grid: GridFunction, ax: int, center: float, radius: float,
     return pos
 
 
-def _ball_candidates(grid: GridFunction, center, radius: float, strict: bool):
+def _ball_candidates(grid: GridFunction, center, radius: float):
     """Real-line candidate positions in the ball around center, center included."""
     center = np.atleast_1d(np.asarray(center, dtype=float))
-    per_axis = [_axis_candidates(grid, ax, center[ax], radius, strict)
+    per_axis = [_axis_candidates(grid, ax, center[ax], radius)
                 for ax in range(grid.dimension)]
     mesh = np.meshgrid(*per_axis, indexing="ij")
     pts = np.stack(mesh, axis=-1).reshape(-1, grid.dimension)
@@ -334,15 +335,14 @@ class SearchResult:
 
 def localized_convolution(model: LagrangianModel, f: GridFunction, t1: float,
                           t2: float, xs, radius: float, mode: str = "inf",
-                          f_scale: float = 1.0, scan_segments: int = 8,
-                          segments: int = 16, window: float = 1.0,
-                          polish_window: Optional[float] = None,
-                          tie_tol: float = 1e-6, strict: bool = True):
+                          polish_window: Optional[float] = None):
     """Batched localized inf (or sup) convolution of f with the action kernel.
 
-    mode="inf": value(x) = min_z f_scale*f(z) + A_{t1,t2}(z, x)
-    mode="sup": value(x) = max_y f_scale*f(y) - A_{t1,t2}(x, y)
+    mode="inf": value(x) = min_z f(z) + A_{t1,t2}(z, x)
+    mode="sup": value(x) = max_y f(y) - A_{t1,t2}(x, y)
 
+    The polish starts from the candidates within ``polish_window``
+    (default max(5e-3, h^2 / (t2 - t1))) of the best re-scored cost.
     Returns a list of :class:`SearchResult`, one per row of ``xs``.
     """
     if not t2 > t1:
@@ -355,7 +355,7 @@ def localized_convolution(model: LagrangianModel, f: GridFunction, t1: float,
     if polish_window is None:
         polish_window = max(5e-3, h_ref ** 2 / dt)
 
-    cand_list = [_ball_candidates(f, xs[i], radius, strict) for i in range(P)]
+    cand_list = [_ball_candidates(f, xs[i], radius) for i in range(P)]
     owners = np.concatenate([np.full(len(c), i) for i, c in enumerate(cand_list)])
     cand = np.vstack(cand_list)
 
@@ -366,31 +366,27 @@ def localized_convolution(model: LagrangianModel, f: GridFunction, t1: float,
                 out[:, ax] = np.clip(out[:, ax], f.box[ax, 0], f.box[ax, 1])
         return out
 
+    def endpoints(points, owner_idx):
+        # paths run from the data point to the query (inf) or back (sup)
+        if mode == "inf":
+            return points, xs[owner_idx]
+        return xs[owner_idx], points
+
     def action_batch(points, owner_idx, nseg, init=None):
-        if mode == "inf":
-            starts, ends = points, xs[owner_idx]
-        else:
-            starts, ends = xs[owner_idx], points
-        return minimize_paths(model, t1, t2, starts, ends, segments=nseg,
-                              init_nodes=init)
+        return minimize_paths(model, t1, t2, *endpoints(points, owner_idx),
+                              segments=nseg, init_nodes=init)
 
-    def straight_batch(points, owner_idx, nseg):
-        if mode == "inf":
-            return straight_line_actions(model, t1, t2, points, xs[owner_idx], nseg)
-        return straight_line_actions(model, t1, t2, xs[owner_idx], points, nseg)
+    f_vals = np.asarray(f(cand), dtype=float).reshape(-1)
+    cost = sign * f_vals + straight_line_actions(model, t1, t2, *endpoints(cand, owners))
 
-    f_vals = f_scale * np.asarray(f(cand), dtype=float).reshape(-1)
-    cheap = straight_batch(cand, owners, scan_segments)
-    cost = sign * f_vals + cheap
-
-    # window around each owner's leader
+    # re-score the scan costs within 1 of each owner's leader
     best_per = np.full(P, np.inf)
     np.minimum.at(best_per, owners, cost)
-    keep = cost <= best_per[owners] + window
-    cand_k, owners_k, cost_k = cand[keep], owners[keep], cost[keep]
+    keep = cost <= best_per[owners] + 1.0
+    cand_k, owners_k = cand[keep], owners[keep]
 
-    sol = action_batch(cand_k, owners_k, segments)
-    cost_acc = sign * f_scale * np.asarray(f(cand_k), dtype=float).reshape(-1) + sol["action"]
+    sol = action_batch(cand_k, owners_k, PATH_SEGMENTS)
+    cost_acc = sign * np.asarray(f(cand_k), dtype=float).reshape(-1) + sol["action"]
 
     best_acc = np.full(P, np.inf)
     np.minimum.at(best_acc, owners_k, cost_acc)
@@ -425,9 +421,8 @@ def localized_convolution(model: LagrangianModel, f: GridFunction, t1: float,
     def polish_cost(points):
         points = clamp(points)
         owner_idx = np.tile(polished_owner, len(points) // len(polished_owner))
-        sol_p = action_batch(points, owner_idx, segments)
-        return (sign * f_scale * np.asarray(f(points), dtype=float).reshape(-1)
-                + sol_p["action"])
+        sol_p = action_batch(points, owner_idx, PATH_SEGMENTS)
+        return sign * np.asarray(f(points), dtype=float).reshape(-1) + sol_p["action"]
 
     sweeps, iters = (1, 24) if n == 1 else (3, 18)
     pos, val = golden_polish(polish_cost, polished_pos, h_ref, sweeps, iters)
@@ -442,17 +437,17 @@ def localized_convolution(model: LagrangianModel, f: GridFunction, t1: float,
         order = np.argsort(vals)
         rows, vals = rows[order], vals[order]
         for r, vv in zip(rows, vals):
-            if vv <= vals[0] + max(tie_tol, 1e-8):
+            if vv <= vals[0] + TIE_TOL:
                 tied_rows.append(int(r))
                 tied_owner.append(i)
     tied_rows = np.asarray(tied_rows, dtype=int)
     tied_owner = np.asarray(tied_owner, dtype=int)
     pts = pos[tied_rows]
-    sol1 = action_batch(pts, tied_owner, segments)
-    sol2 = action_batch(pts, tied_owner, 2 * segments,
+    sol1 = action_batch(pts, tied_owner, PATH_SEGMENTS)
+    sol2 = action_batch(pts, tied_owner, 2 * PATH_SEGMENTS,
                         init=_refine_nodes(sol1["nodes"]))
     a_ref = sol2["action"] + (sol2["action"] - sol1["action"]) / 3.0
-    f_pts = f_scale * np.asarray(f(pts), dtype=float).reshape(-1)
+    f_pts = np.asarray(f(pts), dtype=float).reshape(-1)
     cost_final = sign * f_pts + a_ref
     times = sol2["times"]
 
@@ -461,7 +456,7 @@ def localized_convolution(model: LagrangianModel, f: GridFunction, t1: float,
         vals = cost_final[rows]
         order = np.argsort(vals)
         rows, vals = rows[order], vals[order]
-        keep = [r for r, v in zip(rows, vals) if v <= vals[0] + tie_tol]
+        keep = [r for r, v in zip(rows, vals) if v <= vals[0] + TIE_TOL]
         arg_pts = [pts[r].copy() for r in keep]
         arg = ArgBall(center=xs[i], radius=radius, argpoints=arg_pts,
                       spacing=h_ref)
@@ -478,16 +473,16 @@ def localized_convolution(model: LagrangianModel, f: GridFunction, t1: float,
 # public operators
 
 def lax_oleinik_minus(model: LagrangianModel, f: GridFunction, t1: float,
-                      t2: float, x, **kwargs):
+                      t2: float, x):
     """(T^- f)(x) = inf_z f(z) + A_{t1,t2}(z, x), searched in the a-priori ball."""
     xs = np.asarray(x, dtype=float).reshape(1, -1)
-    radius = localization_radius(model.growth, t2, f.lipschitz_estimate) * (t2 - t1)
-    res = localized_convolution(model, f, t1, t2, xs, radius, mode="inf", **kwargs)[0]
+    radius = localization_radius(model.growth, f.lipschitz_estimate) * (t2 - t1)
+    res = localized_convolution(model, f, t1, t2, xs, radius, mode="inf")[0]
     return res.value, res.arg
 
 
 def lax_oleinik_plus(model: LagrangianModel, f: GridFunction, t1: float, x,
-                     t2: float, radius: Optional[float] = None, **kwargs):
+                     t2: float, radius: Optional[float] = None):
     """(T^+ f)(x) = sup_y f(y) - A_{t1,t2}(x, y), searched in the a-priori ball.
 
     Pass ``radius`` to use the solution-field bound (lambda_2 times the
@@ -495,27 +490,25 @@ def lax_oleinik_plus(model: LagrangianModel, f: GridFunction, t1: float, x,
     """
     xs = np.asarray(x, dtype=float).reshape(1, -1)
     if radius is None:
-        radius = localization_radius(model.growth, t2, f.lipschitz_estimate) * (t2 - t1)
-    res = localized_convolution(model, f, t1, t2, xs, radius, mode="sup", **kwargs)[0]
+        radius = localization_radius(model.growth, f.lipschitz_estimate) * (t2 - t1)
+    res = localized_convolution(model, f, t1, t2, xs, radius, mode="sup")[0]
     return res.value, res.arg
 
 
 def discounted_lax_oleinik(problem: DiscountedProblem, v: GridFunction, t: float,
-                           x, **kwargs):
+                           x):
     """Value of the discounted backward operator at one point.
 
     Computed through the evolutionary transform: exp(-lam t) times the
     inf-convolution of v with the rescaled-action kernel.
     """
-    results = discounted_lax_oleinik_batch(problem, v, t,
-                                           np.atleast_2d(np.asarray(x, dtype=float)),
-                                           **kwargs)
-    return results[0].value
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    return discounted_lax_oleinik_batch(problem, v, t, x)[0].value
 
 
 def discounted_lax_oleinik_batch(problem: DiscountedProblem, v: GridFunction,
                                  t: float, xs, lip_bound: Optional[float] = None,
-                                 **kwargs):
+                                 polish_window: Optional[float] = None):
     """Batched discounted operator; returns SearchResults with discounted values."""
     if t <= 0:
         raise ValueError("need t > 0")
@@ -525,8 +518,9 @@ def discounted_lax_oleinik_batch(problem: DiscountedProblem, v: GridFunction,
             "compose shorter steps instead")
     lhat, _ = to_evolutionary(problem, horizon=t)
     K = v.lipschitz_estimate if lip_bound is None else max(lip_bound, v.lipschitz_estimate)
-    radius = localization_radius(lhat.growth, t, K) * t
-    results = localized_convolution(lhat, v, 0.0, t, xs, radius, mode="inf", **kwargs)
+    radius = localization_radius(lhat.growth, K) * t
+    results = localized_convolution(lhat, v, 0.0, t, xs, radius, mode="inf",
+                                    polish_window=polish_window)
     scale = math.exp(-problem.lam * t)
     for r in results:
         r.value = scale * r.value

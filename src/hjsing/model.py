@@ -72,29 +72,27 @@ def golden_polish(cost: Callable, seeds, half_width: float, sweeps: int,
 # ---------------------------------------------------------------------------
 # convex conjugates of growth functions
 
-def convex_conjugate(theta: Callable, s: float, r_max: Optional[float] = None) -> float:
+def convex_conjugate(theta: Callable, s: float) -> float:
     """sup_{r >= 0} (r*s - theta(r)), located by a doubling ladder + golden search.
 
     ``theta`` must be superlinear so the supremum is attained, and accept
-    arrays of radii.  ``r_max`` overrides the automatic bracket [0, r_max],
-    which :func:`golden_polish` then shrinks.
+    arrays of radii.  The ladder fixes the bracket [0, r_max] that
+    :func:`golden_polish` then shrinks.
     """
     s = float(s)
-    if r_max is None:
-        # double r until the objective has clearly passed its peak
-        r_hi, best, worse = 1.0, -float(theta(0.0)), 0
-        for _ in range(80):
-            val = s * r_hi - float(theta(r_hi))
-            if val <= best:
-                worse += 1
-                if worse >= 3:
-                    break
-            else:
-                best, worse = val, 0
-            r_hi *= 2.0
-        r_max = r_hi
+    # double r until the objective has clearly passed its peak
+    r_max, best, worse = 1.0, -float(theta(0.0)), 0
+    for _ in range(80):
+        val = s * r_max - float(theta(r_max))
+        if val <= best:
+            worse += 1
+            if worse >= 3:
+                break
+        else:
+            best, worse = val, 0
+        r_max *= 2.0
     # 60 shrinks leave a bracket of r_max * 3e-13
-    half = 0.5 * float(r_max)
+    half = 0.5 * r_max
     _, cost = golden_polish(lambda r: theta(r[:, 0]) - s * r[:, 0],
                             [[half]], half, sweeps=1, iters=60)
     return float(max(-cost[0], -float(theta(0.0))))
@@ -119,8 +117,10 @@ class GrowthData:
             theta = self.theta_lower
             self.theta_lower_conjugate = lambda s: convex_conjugate(theta, s)
 
-    def validate(self, r_max: float = 64.0, samples: int = 65) -> dict:
-        """Spot-check ordering, superlinearity, and the Fenchel inequality."""
+    def validate(self) -> dict:
+        """Spot-check ordering, superlinearity, and the Fenchel inequality
+        on 65 radii in [0, 64]."""
+        r_max, samples = 64.0, 65
         r = np.linspace(0.0, r_max, samples)
         lower = np.array([float(self.theta_lower(t)) for t in r])
         upper = np.array([float(self.theta_upper(t)) for t in r])
@@ -142,15 +142,13 @@ class GrowthData:
         }
 
 
-def quadratic_growth(c: float = 0.0, scale: float = 1.0, offset: float = 0.0,
-                     horizon: float = 1.0) -> GrowthData:
-    """Default bounds theta(r) = r^2/2, theta_upper = scale*r^2/2 + offset."""
+def quadratic_growth() -> GrowthData:
+    """Default bounds theta_lower = theta_upper = r^2/2, c_T = 0."""
     return GrowthData(
-        c_T=c,
+        c_T=0.0,
         theta_lower=lambda r: 0.5 * r * r,
-        theta_upper=lambda r: scale * 0.5 * r * r + offset,
+        theta_upper=lambda r: 0.5 * r * r,
         theta_lower_conjugate=lambda s: 0.5 * s * s,
-        horizon=horizon,
     )
 
 
@@ -223,14 +221,14 @@ def _assert_convex(mat):
         raise NotConvex("velocity Hessian is not positive definite") from None
 
 
-def legendre(model: LagrangianModel, s: float, x, p, tol: float = 1e-10,
-             max_iter: int = 100):
+def legendre(model: LagrangianModel, s: float, x, p, max_iter: int = 100):
     """Invert L_v(s,x,.) = p; returns (v_star, h_value).
 
     ``h_value = <p, v_star> - L(s, x, v_star)`` is the Hamiltonian.  Damped
     Newton on the strictly convex dual objective; when plain backtracking
     stalls, :func:`golden_polish` searches the step length on [0, 1].
     """
+    tol = 1e-10
     x = np.atleast_1d(np.asarray(x, dtype=float))
     p = np.atleast_1d(np.asarray(p, dtype=float))
     v = p.copy()  # exact for unit-mass kinetic energy, decent start generally

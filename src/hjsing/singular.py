@@ -27,6 +27,7 @@ from scipy.integrate import solve_ivp
 
 from .action import (
     ConvexityConstants,
+    _node_velocities,
     estimate_constants,
     minimize_paths,
 )
@@ -38,11 +39,14 @@ from .errors import (
     NonUniqueArgmax,
     ScheduleStall,
 )
-from .laxoleinik import GridFunction
+from .laxoleinik import TIE_TOL, GridFunction
 from .model import DiscountedProblem, golden_polish
 from .solver import DiscountedField
 
 logger = logging.getLogger(__name__)
+
+_MERGE_TOL = 1e-4       # momenta this close are one limiting gradient
+_LATTICE_NODES = 49     # argmax scan nodes per axis of the ball
 
 
 # ---------------------------------------------------------------------------
@@ -65,19 +69,15 @@ class ReachableGradientSet:
     source: str = "minimizer-enumeration"
 
 
-def _end_velocity(nodes, dt):
-    return (3.0 * nodes[-1] - 4.0 * nodes[-2] + nodes[-3]) / (2.0 * dt)
-
-
-def _merge_momenta(momenta, merge_tol: float):
-    """Drop momenta within merge_tol of an earlier one.
+def _merge_momenta(momenta):
+    """Drop momenta within _MERGE_TOL of an earlier one.
 
     Returns (indices of the kept rows, the largest pairwise distance among
     them).
     """
     keep = []
     for i, p in enumerate(momenta):
-        if not any(np.linalg.norm(p - momenta[j]) <= merge_tol for j in keep):
+        if not any(np.linalg.norm(p - momenta[j]) <= _MERGE_TOL for j in keep):
             keep.append(i)
     kept = momenta[keep]
     diam = max((float(np.linalg.norm(a - b))
@@ -85,8 +85,7 @@ def _merge_momenta(momenta, merge_tol: float):
     return keep, diam
 
 
-def reachable_gradients_batch(field, t: float, xs, merge_tol: float = 1e-4,
-                              polish_window: float = 2e-2) -> list:
+def reachable_gradients_batch(field, t: float, xs) -> list:
     """Reachable-gradient sets at the rows of xs, from one operator call.
 
     Distinct minimizers of the backward representation are collected from a
@@ -98,28 +97,26 @@ def reachable_gradients_batch(field, t: float, xs, merge_tol: float = 1e-4,
     """
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     sets = []
-    for x, res in zip(xs, field.certificate_search(t, xs, polish_window)):
+    for x, res in zip(xs, field.certificate_search(t, xs)):
         if not res.minimizer_nodes:
             raise NoMinimizer(f"no minimizing trajectory found at {x}")
         dt = res.times[1] - res.times[0]
         momenta, q = field.limiting_gradients(
-            t, x, [_end_velocity(nodes, dt) for nodes in res.minimizer_nodes])
-        keep, diam = _merge_momenta(momenta, merge_tol)
+            t, x, [_node_velocities(nodes, dt)[-1] for nodes in res.minimizer_nodes])
+        keep, diam = _merge_momenta(momenta)
         sets.append(ReachableGradientSet(
             point=x.copy(), time=None if q is None else t, momenta=momenta[keep],
             q=None if q is None else q[keep], diameter=diam))
     return sets
 
 
-def reachable_gradients(field, t: float, x, merge_tol: float = 1e-4,
-                        polish_window: float = 2e-2) -> ReachableGradientSet:
+def reachable_gradients(field, t: float, x) -> ReachableGradientSet:
     """Reachable gradients at (t, x) (or at x for discounted fields).
 
     The one-point case of :func:`reachable_gradients_batch`.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    return reachable_gradients_batch(field, t, x[None, :], merge_tol,
-                                     polish_window)[0]
+    return reachable_gradients_batch(field, t, x[None, :])[0]
 
 
 def is_singular(field, model, t: float, x, singular_tol: float = 1e-2):
@@ -145,13 +142,13 @@ class StepResult:
     concavity_margin: float
 
 
-def _lattice(center, radius, lo, hi, per_axis=49):
+def _lattice(center, radius, lo, hi):
     center = np.atleast_1d(np.asarray(center, dtype=float))
     axes = []
     for ax in range(center.size):
         a = max(center[ax] - radius, lo[ax])
         b = min(center[ax] + radius, hi[ax])
-        axes.append(np.linspace(a, b, per_axis))
+        axes.append(np.linspace(a, b, _LATTICE_NODES))
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack(mesh, axis=-1).reshape(-1, center.size)
     keep = np.linalg.norm(pts - center, axis=1) <= radius + 1e-12
@@ -166,34 +163,31 @@ def _periodic_radius_cap(grid: GridFunction) -> float:
     return min(caps) if caps else np.inf
 
 
-def _argmax_objective(field, action_model, t1: float, x1, t: float, ys,
-                      segments: int = 16):
+def _argmax_objective(field, action_model, t1: float, x1, t: float, ys):
     """phi(y) = u(t, y) - A_{t1,t}(x1, y) on a batch of y."""
     ys = np.atleast_2d(np.asarray(ys, dtype=float))
-    sol = minimize_paths(action_model, t1, t, np.broadcast_to(x1, ys.shape), ys,
-                         segments=segments)
+    sol = minimize_paths(action_model, t1, t, np.broadcast_to(x1, ys.shape), ys)
     u_vals = field.values(t, ys)
     return u_vals - sol["action"]
 
 
-def _argmax_point(field, action_model, t1, x1, t, radius, per_axis=49,
-                  tie_tol=1e-6):
+def _argmax_point(field, action_model, t1, x1, t, radius):
     """Maximize phi over the ball; returns (y*, phi*, scan_pts, scan_vals).
 
     A lattice scan picks the seeds, then :func:`hjsing.model.golden_polish`
     minimizes -phi around all of them at once; the first seed wins ties.
     """
     lo, hi = field.domain(t)
-    cand = _lattice(x1, radius, lo, hi, per_axis=per_axis)
+    cand = _lattice(x1, radius, lo, hi)
     vals = _argmax_objective(field, action_model, t1, x1, t, cand)
     order = np.argsort(-vals)
     n = cand.shape[1]
-    h_polish = max(radius / (per_axis - 1), 1e-4)
+    h_polish = max(radius / (_LATTICE_NODES - 1), 1e-4)
 
     # polish the leading basin (and a runner-up if clearly separated)
     seeds = [cand[order[0]]]
     for idx in order[1:]:
-        if vals[idx] < vals[order[0]] - 10 * tie_tol:
+        if vals[idx] < vals[order[0]] - 10 * TIE_TOL:
             break
         if np.linalg.norm(cand[idx] - seeds[0]) > 3 * h_polish:
             seeds.append(cand[idx])
@@ -224,18 +218,18 @@ def estimate_semiconcavity(field, t: float, x, scales) -> float:
 
 def propagation_step(field, t1: float, x1, T: float,
                      constants: Optional[ConvexityConstants] = None,
-                     step_cap: Optional[float] = None, ladder: int = 4,
-                     certify: bool = True, max_halvings: int = 6) -> StepResult:
+                     step_cap: Optional[float] = None, certify: bool = True) -> StepResult:
     """One ball-constrained argmax step of the singular continuation.
 
     The step budget is the ratio of the action's spatial convexity modulus
     to twice the local semiconcavity of u (with a 1.5 safety divisor),
-    clamped to ``step_cap``.  For each ladder time the maximizer of
+    clamped to ``step_cap``.  For each of 4 ladder times the maximizer of
     u(t, .) - A_{t1,t}(x1, .) over the ball of radius lambda_2(T)(t - t1)
     is located, its strict-concavity margin checked, and (optionally) its
     singularity certificate computed.  Concavity or uniqueness failures
-    halve the step, up to ``max_halvings``.
+    halve the step, up to 6 times.
     """
+    ladder, max_halvings = 4, 6
     x1 = np.atleast_1d(np.asarray(x1, dtype=float))
     action_model = field.action_lagrangian(T)
     lam2 = field.lambda2(T)
@@ -362,16 +356,16 @@ class SingularCurve:
             fh.write("\n".join(lines) + "\n")
 
 
-def trace_singular_curve(field, t0: float, x, T_total: float,
-                         block: float = 1.0, ladder: int = 4,
+def trace_singular_curve(field, t0: float, x, T_total: float, block: float = 1.0,
                          certify: bool = True, singular_tol: float = 1e-2,
                          require_singular: bool = True) -> SingularCurve:
     """Concatenate propagation steps until the curve covers [t0, T_total].
 
     On the i-th annulus the step size is recomputed from constants probed
     on the cone of horizon t0 + i*block (never larger than the previous
-    annulus's) and repeated floor((budget)/t_i) times per the schedule; no
-    step runs past T_total.  The ball-radius localization
+    annulus's) and repeated up to floor(budget / t_i) times; no step runs
+    past T_total.  The schedule records (i, t_i, k_i), k_i the steps that
+    ran on the annulus.  The ball-radius localization
     |x(s) - x| <= lambda_2 * (s - t0) is checked for every recorded point.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -398,8 +392,6 @@ def trace_singular_curve(field, t0: float, x, T_total: float,
         i += 1
         T_i = t0 + i * block
         budget = (T_i - t0) - spent
-        if budget <= 0:
-            continue
         lam2_i = field.lambda2(T_i)
 
         def record(step):
@@ -419,20 +411,21 @@ def trace_singular_curve(field, t0: float, x, T_total: float,
         # first step of the annulus also fixes its step size t_i
         step = propagation_step(field, t_cur, x_cur, T_i,
                                 step_cap=min(block, t_prev_annulus, T_total - t_cur),
-                                ladder=ladder, certify=certify)
+                                certify=certify)
         t_i = min(step.t_step, t_prev_annulus)
         t_prev_annulus = t_i
-        k_i = max(int(math.floor(budget / t_i)), 1)
-        schedule.append((i, t_i, k_i))
         record(step)
-        for _ in range(k_i - 1):
+        k_i = 1
+        for _ in range(int(math.floor(budget / t_i)) - 1):
             if t_cur >= T_total - 1e-12:
                 break
             step = propagation_step(field, t_cur, x_cur, T_i,
                                     constants=step.constants,
                                     step_cap=min(t_i, T_total - t_cur),
-                                    ladder=ladder, certify=certify)
+                                    certify=certify)
             record(step)
+            k_i += 1
+        schedule.append((i, t_i, k_i))
         if t_cur >= T_total - 1e-12:
             break
     if t_cur < T_total - 1e-6:
@@ -445,12 +438,13 @@ def trace_singular_curve(field, t0: float, x, T_total: float,
 
 
 def lipschitz_certificate(curve: SingularCurve, constants: ConvexityConstants,
-                          K_T: float, margin: float = 0.1) -> dict:
+                          K_T: float) -> dict:
     """Check every difference quotient of the curve against the C-bound.
 
     The bound combines the constants of the action kernel with the uniform
     time-derivative modulus K_T of the field.
     """
+    margin = 0.1  # relative slack of the bound
     c1, c2, c3 = constants.c1, constants.c2, constants.c3
     c4 = c3 / c2 + (K_T + math.sqrt(c1 + K_T)) / (2.0 * c1)
     quotients = curve.speeds()
@@ -479,8 +473,7 @@ def _interp_gradient(v: GridFunction, x):
 
 
 def _calibrated_flow(problem: DiscountedProblem, v: GridFunction, x, p0,
-                     horizon: float, calib_tol: float, direction: int = +1,
-                     bound: float = 1e6):
+                     horizon: float, calib_tol: float, direction: int = +1):
     """Integrate the discounted characteristic and watch the calibration defect.
 
     The defect of the calibration identity on [0, t] is monitored in its
@@ -495,7 +488,7 @@ def _calibrated_flow(problem: DiscountedProblem, v: GridFunction, x, p0,
     dense solution; direction=-1 runs the backward test, where the raw
     form is already stable and is used as is.
     """
-    lam = problem.lam
+    lam, bound = problem.lam, 1e6
     H = problem.hamiltonian
     L = problem.lagrangian
     x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -593,8 +586,8 @@ class CutTimeField:
         self.alpha.write(alpha_path, comments=comments)
 
 
-def _mollified_majorant(tau_values: np.ndarray, bump: float = 0.1) -> np.ndarray:
-    """Per-axis 3-node max then 3-node average, plus a constant bump."""
+def _mollified_majorant(tau_values: np.ndarray) -> np.ndarray:
+    """Per-axis 3-node max then 3-node average, plus 0.1."""
     padded = tau_values
     for ax in range(tau_values.ndim):
         up = np.roll(padded, -1, axis=ax)
@@ -607,7 +600,7 @@ def _mollified_majorant(tau_values: np.ndarray, bump: float = 0.1) -> np.ndarray
         dn = np.roll(padded, 1, axis=ax)
         out = (up + dn + padded) / 3.0
         padded = out
-    return np.maximum(out, tau_values) + bump
+    return np.maximum(out, tau_values) + 0.1
 
 
 def cut_times(problem: DiscountedProblem, v: GridFunction, nodes,
@@ -669,7 +662,7 @@ def aubry_candidates(field, horizon: float, calib_tol: float = 1e-3,
 # homotopy / retraction
 
 def homotopy(field, x, s: float, calib_tol: float = 1e-3,
-             singular_tol: float = 1e-2, trace_block: float = 1.0):
+             singular_tol: float = 1e-2):
     """F(x, s): calibrated flow while it lasts, singular continuation after.
 
     For s = 0 this is x exactly; once the flow's calibration defect breaks
@@ -694,16 +687,17 @@ def homotopy(field, x, s: float, calib_tol: float = 1e-3,
     span = s - tau_hit
     if span <= 1e-6:
         return y_hit
-    # cap the annulus block by the span so the ladder reaches exactly s
+    # unit annulus blocks, capped by the span so the ladder reaches exactly s
     curve = trace_singular_curve(field, t_start, y_hit, t_start + span,
-                                 block=min(trace_block, span),
+                                 block=min(1.0, span),
                                  certify=False, singular_tol=singular_tol,
                                  require_singular=False)
     idx = int(np.searchsorted(curve.times, t_start + span + 1e-12, side="right") - 1)
     return curve.points[max(idx, 1 if len(curve.times) > 1 else 0)].copy()
 
 
-def retraction(field, model, cut_field: CutTimeField, x, s: float, **kwargs):
+def retraction(field, model, cut_field: CutTimeField, x, s: float,
+               calib_tol: float = 1e-3, singular_tol: float = 1e-2):
     """G(x, s) = F(x, s * alpha(x)) with the continuous majorant alpha.
 
     ``model`` is not used; it stays in the signature for existing callers,
@@ -713,13 +707,13 @@ def retraction(field, model, cut_field: CutTimeField, x, s: float, **kwargs):
     if s <= 0.0:
         return x.copy()
     alpha = float(cut_field.alpha(x))
-    return homotopy(field, x, s * alpha, **kwargs)
+    return homotopy(field, x, s * alpha, calib_tol, singular_tol)
 
 
 # ---------------------------------------------------------------------------
 # strong critical points
 
-def gradient_limits(v: GridFunction, x, merge_tol: float = 1e-4) -> ReachableGradientSet:
+def gradient_limits(v: GridFunction, x) -> ReachableGradientSet:
     """Reachable gradients of a grid field as limits of one-sided slopes.
 
     This source works on arbitrary sampled fields (no backward
@@ -738,13 +732,12 @@ def gradient_limits(v: GridFunction, x, merge_tol: float = 1e-4) -> ReachableGra
     corners = [np.array([sides[ax][(corner >> ax) & 1] for ax in range(v.dimension)])
                for corner in range(1 << v.dimension)]
     corners = np.array(corners)
-    keep, diam = _merge_momenta(corners, merge_tol)
+    keep, diam = _merge_momenta(corners)
     return ReachableGradientSet(point=x.copy(), time=None, momenta=corners[keep],
                                 q=None, diameter=diam, source="limit-of-gradients")
 
 
-def strong_critical_test(problem: DiscountedProblem, v: GridFunction, x,
-                         samples: int = 33, tol: float = 1e-9):
+def strong_critical_test(problem: DiscountedProblem, v: GridFunction, x):
     """Whether the drift set lam*v(x) + H_p(x, D+v(x)) contains zero.
 
     One-dimensional form: the superdifferential is the hull of the
@@ -753,6 +746,7 @@ def strong_critical_test(problem: DiscountedProblem, v: GridFunction, x,
     test then checks 0 against the hull of H_p over the momentum hull and
     reports the scalar separately.
     """
+    samples, tol = 33, 1e-9
     x = np.atleast_1d(np.asarray(x, dtype=float))
     cert = gradient_limits(v, x)
     momenta = cert.momenta

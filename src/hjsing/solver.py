@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field as dataclass_field
-from typing import Callable, Optional
+from dataclasses import asdict, dataclass, field as dataclass_field
+from typing import Optional
 
 import numpy as np
 
@@ -26,6 +26,8 @@ from .laxoleinik import (
     solution_lipschitz_bound,
 )
 from .model import DiscountedProblem, LagrangianModel, to_evolutionary
+
+_CERTIFICATE_POLISH_WINDOW = 2e-2  # polish seeds of a singularity certificate
 
 
 # ---------------------------------------------------------------------------
@@ -51,17 +53,7 @@ class SolveReport:
         self.residual_ok = bool(self.final_residual <= self.residual_gate)
 
     def as_json(self) -> str:
-        return json.dumps({
-            "iterations": self.iterations,
-            "sup_changes": [float(c) for c in self.sup_changes],
-            "K1": self.K1,
-            "K2": self.K2,
-            "final_residual": self.final_residual,
-            "converged": self.converged,
-            "tol": self.tol,
-            "residual_gate": self.residual_gate,
-            "residual_ok": self.residual_ok,
-        }, indent=2)
+        return json.dumps(asdict(self), indent=2)
 
 
 @dataclass
@@ -77,16 +69,6 @@ class ResidualReport:
         self.passed = (self.sup_residual <= self.tol
                        and self.subsolution_margin <= self.tol)
 
-    def as_dict(self):
-        return {
-            "sup_residual": self.sup_residual,
-            "stable_points": self.stable_points,
-            "unstable_points": self.unstable_points,
-            "subsolution_margin": self.subsolution_margin,
-            "tol": self.tol,
-            "passed": self.passed,
-        }
-
 
 # ---------------------------------------------------------------------------
 # discounted fixed point
@@ -99,8 +81,7 @@ def bounds_K(problem: DiscountedProblem):
 
 
 def solve_discounted(problem: DiscountedProblem, box, resolution, tol: float = 1e-3,
-                     periodic: bool = True, step: float = 1.0,
-                     progress: Optional[Callable] = None):
+                     periodic: bool = True):
     """Iterate the unit-time backward operator from -K1 until the tail bound.
 
     The grid is treated as one period per axis by default; discounted
@@ -127,18 +108,16 @@ def solve_discounted(problem: DiscountedProblem, box, resolution, tol: float = 1
 
     spread = k1 + k2
     cap = 10 if spread <= tol else math.ceil(math.log(spread / tol) / lam) + 10
-    stop = tol * (1.0 - math.exp(-lam * step))
+    stop = tol * (1.0 - math.exp(-lam))
     sup_changes = []
     converged = False
-    for it in range(cap):
-        results = discounted_lax_oleinik_batch(problem, v, step, nodes,
+    for _ in range(cap):
+        results = discounted_lax_oleinik_batch(problem, v, 1.0, nodes,
                                                lip_bound=lip_cap)
         new_vals = np.array([r.value for r in results]).reshape(v.resolution)
         change = float(np.max(np.abs(new_vals - v.values)))
         sup_changes.append(change)
         v = v.with_values(new_vals)
-        if progress is not None:
-            progress(it, change)
         if change <= stop:
             converged = True
             break
@@ -177,14 +156,14 @@ class ValueField:
         self.dimension = u0.dimension
 
     def lambda1(self, T: float) -> float:
-        return localization_radius(self.growth_for(T), T, self.u0.lipschitz_estimate)
+        return localization_radius(self.growth_for(T), self.u0.lipschitz_estimate)
 
     def lipschitz_bound(self, T: float) -> float:
         return solution_lipschitz_bound(self.growth_for(T), T,
                                         self.u0.lipschitz_estimate)
 
     def lambda2(self, T: float) -> float:
-        return localization_radius(self.growth_for(T), T, self.lipschitz_bound(T))
+        return localization_radius(self.growth_for(T), self.lipschitz_bound(T))
 
     def value(self, t: float, x) -> float:
         x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -209,10 +188,14 @@ class EvolutionaryField(ValueField):
     def action_lagrangian(self, T: float) -> LagrangianModel:
         return self.model
 
-    def _search(self, t: float, xs, **kwargs) -> list:
-        radius = self.lambda1(max(t, 1.0)) * t
-        return localized_convolution(self.model, self.u0, 0.0, t, xs, radius,
-                                     mode="inf", **kwargs)
+    def search_radius(self, t: float) -> float:
+        """Radius of the a-priori ball of u(t, x) around x: lambda_1 times t."""
+        return self.lambda1(t) * t
+
+    def _search(self, t: float, xs, polish_window: Optional[float] = None) -> list:
+        return localized_convolution(self.model, self.u0, 0.0, t, xs,
+                                     self.search_radius(t), mode="inf",
+                                     polish_window=polish_window)
 
     def values(self, t: float, xs) -> np.ndarray:
         xs = np.atleast_2d(np.asarray(xs, dtype=float))
@@ -225,11 +208,11 @@ class EvolutionaryField(ValueField):
                 self._cache[keys[i]] = r.value
         return np.array([self._cache[k] for k in keys])
 
-    def certificate_search(self, t: float, xs, polish_window: float) -> list:
+    def certificate_search(self, t: float, xs) -> list:
         """Tied minimizers of u(t, .) at the rows of xs; needs t > 0."""
         if t <= 0:
             raise ValueError("evolutionary reachable gradients need t > 0")
-        return self._search(t, xs, polish_window=polish_window)
+        return self._search(t, xs, _CERTIFICATE_POLISH_WINDOW)
 
     def limiting_gradients(self, t: float, x, velocities):
         """(momenta, q): p = L_v(t, x, vel) per end velocity, q = -H(t, x, p)."""
@@ -244,7 +227,7 @@ class EvolutionaryField(ValueField):
     def domain(self, t: float):
         """Box of u(t, .): non-periodic axes lose the localization pad."""
         lo, hi = self.u0.box[:, 0].copy(), self.u0.box[:, 1].copy()
-        pad = self.lambda1(max(t, 1.0)) * t + np.max(self.u0.spacing)
+        pad = self.search_radius(t) + np.max(self.u0.spacing)
         open_axes = ~np.asarray(self.u0.periodic)
         lo[open_axes] += pad
         hi[open_axes] -= pad
@@ -309,12 +292,12 @@ class DiscountedField(ValueField):
         xs = np.atleast_2d(np.asarray(xs, dtype=float))
         return math.exp(self.problem.lam * t) * np.asarray(self.v(xs), dtype=float).reshape(-1)
 
-    def certificate_search(self, t: float, xs, polish_window: float) -> list:
+    def certificate_search(self, t: float, xs) -> list:
         """Tied minimizers of the backward representation of v at the rows of
         xs, searched at the probe horizon min(0.5, 10/lam) whatever t is."""
         probe = min(0.5, 10.0 / self.problem.lam)
         return discounted_lax_oleinik_batch(self.problem, self.v, probe, xs,
-                                            polish_window=polish_window)
+                                            polish_window=_CERTIFICATE_POLISH_WINDOW)
 
     def limiting_gradients(self, t: float, x, velocities):
         """(momenta, None): gradients p = L_v(0, x, vel) of v itself."""
@@ -350,7 +333,7 @@ def _axis_gradient(values_line, h, tol):
 
 
 def residual_check(problem_or_model, fields, samples: int = 65, tol: float = 1e-3,
-                   times=None, dt_probe: float = 0.02):
+                   times=None):
     """Pointwise equation residuals on a sample of grid nodes.
 
     Discounted usage: ``residual_check(problem, v)`` checks
@@ -360,15 +343,14 @@ def residual_check(problem_or_model, fields, samples: int = 65, tol: float = 1e-
 
     Evolutionary usage: ``residual_check(model, field, times=[...])`` with an
     :class:`EvolutionaryField` checks D_t u + H(t, x, D_x u) at interior
-    sample nodes of the initial grid, using small time probes for D_t.
+    sample nodes of the initial grid, using time probes of +-0.02 for D_t.
     """
     if isinstance(problem_or_model, DiscountedProblem):
         return _residual_discounted(problem_or_model, fields, samples, tol)
     if isinstance(fields, EvolutionaryField):
         if times is None:
             raise ValueError("evolutionary residual check needs times")
-        return _residual_evolutionary(problem_or_model, fields, times, samples,
-                                      tol, dt_probe)
+        return _residual_evolutionary(problem_or_model, fields, times, samples, tol)
     raise InvalidProblem("residual_check expects (problem, grid) or (model, field)")
 
 
@@ -441,16 +423,15 @@ def _residual_discounted(problem: DiscountedProblem, v: GridFunction,
 
 
 def _residual_evolutionary(model: LagrangianModel, field: EvolutionaryField,
-                           times, samples: int, tol: float,
-                           dt_probe: float) -> ResidualReport:
-    hmodel = model.hamiltonian
+                           times, samples: int, tol: float) -> ResidualReport:
+    hmodel, dt_probe = model.hamiltonian, 0.02
     if hmodel is None:
         raise InvalidProblem("evolutionary residual check needs a Hamiltonian")
     grid = field.u0
     nodes = grid.nodes()
     # restrict samples to where the localization ball stays inside the grid
     t_max = float(np.max(times)) + dt_probe
-    pad = field.lambda1(max(t_max, 1.0)) * t_max + 3 * float(np.max(grid.spacing))
+    pad = field.search_radius(t_max) + 3 * float(np.max(grid.spacing))
     inner = np.ones(len(nodes), dtype=bool)
     for ax in range(grid.dimension):
         if not grid.periodic[ax]:

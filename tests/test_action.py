@@ -201,7 +201,7 @@ class TestConstants:
             return minimize_paths(*args, **kwargs)
 
         monkeypatch.setattr(action, "minimize_paths", counting)
-        estimate_constants(free_particle_1d, 0.0, [0.0], 1.0, 2.0, levels=3)
+        estimate_constants(free_particle_1d, 0.0, [0.0], 1.0, 2.0)
         # per level: refined_action at t, t + h and t - h, two solves each
         assert len(calls) == 18
         assert len(set(calls)) == 9

@@ -15,6 +15,10 @@ lambda = 1.0
 box = -3.141592653589793 3.141592653589793
 resolution = 32
 
+[evolve]
+u0 = -abs(sin(x))
+times = 0.5
+
 [trace]
 t0 = 0.5
 x0 = 0.0
@@ -45,11 +49,11 @@ horizon = 1.5
 """
 
 
-def run(tmp_path, command, config_text):
+def run(tmp_path, command, config_text, *flags):
     config = tmp_path / "run.ini"
     config.write_text(config_text)
     out = tmp_path / "out"
-    return main([command, "--config", str(config), "--out", str(out)]), out
+    return main([command, "--config", str(config), "--out", str(out), *flags]), out
 
 
 def data_rows(path):
@@ -79,3 +83,47 @@ def test_cutlocus(tmp_path):
     for name in ("v.grid", "tau.grid", "alpha.grid", "aubry.csv"):
         assert (out / name).is_file()
     assert len(data_rows(out / "retraction_demo.csv")) == 2
+
+
+@pytest.mark.parametrize("command, output", [("solve", "v.grid"),
+                                             ("evolve", "u_t0.500000.grid")])
+def test_writes_the_same_grid_twice(tmp_path, command, output):
+    code, out = run(tmp_path, command, SINE_KINK)
+    assert code == 0
+    grid = (out / output).read_bytes()
+    if command == "solve":
+        assert "residual_ok" in json.loads((out / "report.json").read_text())
+    code, out = run(tmp_path, command, SINE_KINK)
+    assert code == 0
+    assert (out / output).read_bytes() == grid
+
+
+def test_verify(tmp_path, capsys):
+    code, _ = run(tmp_path, "verify", SINE_KINK)
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 0
+    assert [line.split()[0] for line in lines] == ["PASS"] * 5
+
+
+def test_constants(tmp_path, capsys):
+    code, _ = run(tmp_path, "constants", SINE_KINK)
+    assert code == 0
+    assert set(json.loads(capsys.readouterr().out)) == {
+        "K1", "K2", "lambda1_unit_lip1", "F0_unit_lip1", "lambda2_unit",
+        "c0", "c1", "c2", "c3"}
+
+
+@pytest.mark.parametrize("line, replacement, flags", [
+    ("lambda = 1.0", "lambda = -1", ()),
+    ("lambda = 1.0", "lambda = 1.0", ("--tol", "0")),
+    ("lambda = 1.0", "lambda = 1.0\neps = -1", ()),
+    ("times = 0.5", "times = -0.5", ()),
+    ("demo_range = 0.3 1.0", "demo_range = 0.3", ()),
+    ("x0 = 0.0", "x0 = 0.0 1.0", ()),
+    ("[trace]", "[trace]\nfield = evolutinary", ()),
+], ids=["lambda", "tol", "eps", "times", "demo_range", "x0", "field"])
+def test_malformed_config_is_a_config_error(tmp_path, capsys, line, replacement, flags):
+    code, _ = run(tmp_path, "constants", SINE_KINK.replace(line, replacement), *flags)
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("hjsing: config error:") and err.count("\n") == 1

@@ -90,19 +90,19 @@ class TestArgBall:
 class TestLocalizationRadius:
     def test_formula_quadratic(self):
         g = model.quadratic_growth()
-        assert localization_radius(g, 1.0, 1.0) == pytest.approx(2.0)
-        assert localization_radius(g, 1.0, 0.0) == pytest.approx(0.5)
+        assert localization_radius(g, 1.0) == pytest.approx(2.0)
+        assert localization_radius(g, 0.0) == pytest.approx(0.5)
 
     def test_formula_with_offsets(self):
         g = model.GrowthData(c_T=3.0, theta_lower=lambda r: 0.5 * r * r,
                              theta_upper=lambda r: 0.5 * r * r + 1.0,
                              theta_lower_conjugate=lambda s: 0.5 * s * s)
-        assert localization_radius(g, 1.0, 0.0) == pytest.approx(4.5)
+        assert localization_radius(g, 0.0) == pytest.approx(4.5)
 
     def test_rejects_bad_arguments(self):
         g = model.quadratic_growth()
         with pytest.raises(ValueError):
-            localization_radius(g, 1.0, -0.5)
+            localization_radius(g, -0.5)
 
 
 class TestSolutionLipschitzBound:
@@ -171,7 +171,7 @@ class TestMinusOperator:
         # each query's search is independent of the others in its batch, and
         # the actions are summed row by row, so batching changes no bit
         xs = np.array([[0.0, 2.0], [0.03, -1.0], [1.1, 0.0]])
-        radius = localization_radius(fp2.growth, 0.5, grid.lipschitz_estimate) * 0.5
+        radius = localization_radius(fp2.growth, grid.lipschitz_estimate) * 0.5
         batch = localized_convolution(fp2, grid, 0.0, 0.5, xs, radius)
         for x, res in zip(xs, batch):
             (one,) = localized_convolution(fp2, grid, 0.0, 0.5, x[None, :], radius)
@@ -199,7 +199,7 @@ class TestPlusOperator:
         # f = u(t2, .) of the kink field; from x = 0 the maximizer is unique
         u_t2 = GridFunction.from_callable(lambda p: -np.abs(p[..., 0]) - 0.5,
                                           [(-8.0, 8.0)], 1025)
-        lam2 = localization_radius(model.quadratic_growth(), 1.0,
+        lam2 = localization_radius(model.quadratic_growth(),
                                    solution_lipschitz_bound(
                                        model.quadratic_growth(), 1.0, 1.0))
         val, arg = lax_oleinik_plus(free_particle_1d, u_t2, 0.0, [0.0], 1.0,

@@ -180,11 +180,13 @@ class TestTrace:
             trace_singular_curve(hopf_kink_field, 0.5, [2.0],
                                  1.5)
 
-    @pytest.mark.parametrize("T_total", [2.0, 2.3])
+    @pytest.mark.parametrize("T_total", [1.7, 2.0, 2.3])
     def test_ends_on_horizon(self, hopf_kink_field, T_total):
-        # the last step of a block is clipped to the horizon, not run past it
+        # the last step of a block is clipped to the horizon, not run past it,
+        # and the schedule counts the steps that ran, 4 ladder points each
         curve = trace_singular_curve(hopf_kink_field, 0.5, [0.0], T_total)
         assert curve.times[-1] == T_total
+        assert 4 * sum(k for _, _, k in curve.schedule) == len(curve.times) - 1
 
     def test_csv_export(self, tmp_path, hopf_kink_field, free_particle_1d):
         curve = trace_singular_curve(hopf_kink_field, 0.5,
