@@ -463,10 +463,7 @@ class ConvexityConstants:
     c1: float                      # lower bound: semiconvexity in (t, y)
     c2: float                      # spatial uniform-convexity modulus
     c3: float                      # time modulus of the endpoint gradient
-    apex_time: float
-    apex: np.ndarray
-    slope: float
-    height: float
+    slope: float                   # cone slope the constants were sampled on
 
     def __post_init__(self):
         if not (self.c2 <= self.c0 + 1e-12):
@@ -540,8 +537,7 @@ def estimate_constants(model: LagrangianModel, s: float, x, T: float,
     c0 = float(max(max(ratios_c0), c2))
     c1 = float(max(max(ratios_c1), 1e-8))
     c3 = float(max(max(ratios_c3), 1e-12))
-    return ConvexityConstants(c0=c0, c1=c1, c2=c2, c3=c3, apex_time=s,
-                              apex=x.copy(), slope=lam_slope, height=height)
+    return ConvexityConstants(c0=c0, c1=c1, c2=c2, c3=c3, slope=lam_slope)
 
 
 def speed_envelope(model: LagrangianModel, T: float, ratios=None):

@@ -14,8 +14,8 @@ headers with ``#`` comments.  The keys and their defaults:
 [singular]  singular_tol = 1e-2, calib_tol = 1e-3, tau_horizon = 20/lambda
 [evolve]    u0 (an expression of x or x1, x2, ...) or u0_file (a .grid);
             times (> 0, increasing); box, resolution (unset: from [grid])
-[trace]     t0 = 0.5; x0 = 0.0 (1 number per axis); horizon = 2.0;
-            block = 1.0; field = discounted (or evolutionary)
+[trace]     t0 = 0.5; x0 = 0 on every axis (1 number per axis);
+            horizon = 2.0; block = 1.0; field = discounted (or evolutionary)
 [cutlocus]  demo_points = 20; demo_range = lo hi (unset: the first axis)
 [run]       out = out; seed = 0
 
@@ -199,7 +199,7 @@ def load_config(path: str, overrides: dict | None = None) -> RunConfig:
             cfg.evolve_resolution = tuple(vals) if len(vals) > 1 else (vals[0],) * cfg.dimension
 
         cfg.trace_t0 = float(get("trace", "t0", "0.5"))
-        cfg.trace_x0 = tuple(_parse_floats(get("trace", "x0", "0.0")))
+        cfg.trace_x0 = tuple(_parse_floats(get("trace", "x0", "0 " * cfg.dimension)))
         cfg.trace_horizon = float(get("trace", "horizon", "2.0"))
         cfg.trace_block = float(get("trace", "block", "1.0"))
         cfg.trace_field = get("trace", "field", "discounted")
@@ -220,8 +220,7 @@ def load_config(path: str, overrides: dict | None = None) -> RunConfig:
     times = np.asarray(cfg.evolve_times)
     for ok, message in [
         (cfg.lam > 0, "problem.lambda must be > 0"),
-        (not cfg.model_kwargs or (cfg.problem_key == "sine_kink" and cfg.model_kwargs["eps"] >= 0),
-         "problem.eps must be >= 0 and needs key = sine_kink"),
+        (cfg.model_kwargs.get("eps", 0.0) >= 0, "problem.eps must be >= 0"),
         (len(cfg.resolution) == cfg.dimension,
          f"grid.resolution needs 1 or {cfg.dimension} counts"),
         (min(cfg.resolution) >= 16, "resolution must be at least 16 nodes per axis"),
@@ -250,8 +249,11 @@ def load_config(path: str, overrides: dict | None = None) -> RunConfig:
 def build_problem(cfg: RunConfig):
     """Discounted problem from the config's model section."""
     if cfg.problem_key:
-        return discounted_problem(cfg.problem_key, cfg.lam,
-                                  dimension=cfg.dimension, **cfg.model_kwargs)
+        try:
+            return discounted_problem(cfg.problem_key, cfg.lam,
+                                      dimension=cfg.dimension, **cfg.model_kwargs)
+        except TypeError as exc:
+            raise ConfigError(f"problem.key = {cfg.problem_key}: {exc}") from exc
     if cfg.potential_expr:
         model = lagrangian_from_potential(cfg.potential_expr)
         c1 = cfg.c1 if cfg.c1 is not None else model.growth.c_T
@@ -361,27 +363,27 @@ def _trace_field(cfg: RunConfig, problem):
 def cmd_trace(cfg: RunConfig) -> int:
     problem = build_problem(cfg)
     field = _trace_field(cfg, problem)
-    t_start = cfg.trace_t0
     x_start = np.asarray(cfg.trace_x0, dtype=float)
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
-    columns = (["s"] + [f"x{i+1}" for i in range(len(x_start))]
-               + ["step_size", "certificate_diameter"])
 
-    flag, cert = is_singular(field, None, t_start, x_start, cfg.singular_tol)
-    if cfg.trace_horizon <= t_start:
-        _write_rows(out / "curve.csv", columns,
-                    [[t_start, *x_start, 0.0, cert.diameter]], cfg.header())
+    flag, cert = is_singular(field, None, cfg.trace_t0, x_start, cfg.singular_tol)
+    if cfg.trace_horizon <= cfg.trace_t0:
+        curve_rows = [[cfg.trace_t0, *x_start, 0.0, cert.diameter]]
+        _write_rows(out / "curve.csv", ["s"] + [f"x{i+1}" for i in range(len(x_start))]
+                    + ["step_size", "certificate_diameter"], curve_rows,
+                    cfg.header())
         (out / "certificates.json").write_text(json.dumps(
-            [{"s": t_start, "diameter": cert.diameter}], indent=2) + "\n")
+            [{"s": cfg.trace_t0, "diameter": cert.diameter}], indent=2) + "\n")
         return 0
     if not flag:
         logger.warning("start point is not singular (diameter %.3g <= %.3g); "
                        "writing an empty curve", cert.diameter, cfg.singular_tol)
-        _write_rows(out / "curve.csv", columns, [], cfg.header())
+        _write_rows(out / "curve.csv", ["s"] + [f"x{i+1}" for i in range(len(x_start))]
+                    + ["step_size", "certificate_diameter"], [], cfg.header())
         (out / "certificates.json").write_text("[]\n")
         return 0
-    curve = trace_singular_curve(field, t_start, x_start,
+    curve = trace_singular_curve(field, cfg.trace_t0, x_start,
                                  cfg.trace_horizon, block=cfg.trace_block,
                                  singular_tol=cfg.singular_tol)
     curve.write_csv(out / "curve.csv", comments=cfg.header())

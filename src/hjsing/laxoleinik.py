@@ -366,18 +366,22 @@ def localized_convolution(model: LagrangianModel, f: GridFunction, t1: float,
                 out[:, ax] = np.clip(out[:, ax], f.box[ax, 0], f.box[ax, 1])
         return out
 
-    def endpoints(points, owner_idx):
-        # paths run from the data point to the query (inf) or back (sup)
-        if mode == "inf":
-            return points, xs[owner_idx]
-        return xs[owner_idx], points
-
     def action_batch(points, owner_idx, nseg, init=None):
-        return minimize_paths(model, t1, t2, *endpoints(points, owner_idx),
-                              segments=nseg, init_nodes=init)
+        if mode == "inf":
+            starts, ends = points, xs[owner_idx]
+        else:
+            starts, ends = xs[owner_idx], points
+        return minimize_paths(model, t1, t2, starts, ends, segments=nseg,
+                              init_nodes=init)
+
+    def straight_batch(points, owner_idx):
+        if mode == "inf":
+            return straight_line_actions(model, t1, t2, points, xs[owner_idx])
+        return straight_line_actions(model, t1, t2, xs[owner_idx], points)
 
     f_vals = np.asarray(f(cand), dtype=float).reshape(-1)
-    cost = sign * f_vals + straight_line_actions(model, t1, t2, *endpoints(cand, owners))
+    cheap = straight_batch(cand, owners)
+    cost = sign * f_vals + cheap
 
     # re-score the scan costs within 1 of each owner's leader
     best_per = np.full(P, np.inf)
@@ -502,8 +506,9 @@ def discounted_lax_oleinik(problem: DiscountedProblem, v: GridFunction, t: float
     Computed through the evolutionary transform: exp(-lam t) times the
     inf-convolution of v with the rescaled-action kernel.
     """
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    return discounted_lax_oleinik_batch(problem, v, t, x)[0].value
+    results = discounted_lax_oleinik_batch(problem, v, t,
+                                           np.atleast_2d(np.asarray(x, dtype=float)))
+    return results[0].value
 
 
 def discounted_lax_oleinik_batch(problem: DiscountedProblem, v: GridFunction,

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field as dataclass_field
+from dataclasses import dataclass, field as dataclass_field
 from typing import Optional
 
 import numpy as np
@@ -53,7 +53,17 @@ class SolveReport:
         self.residual_ok = bool(self.final_residual <= self.residual_gate)
 
     def as_json(self) -> str:
-        return json.dumps(asdict(self), indent=2)
+        return json.dumps({
+            "iterations": self.iterations,
+            "sup_changes": [float(c) for c in self.sup_changes],
+            "K1": self.K1,
+            "K2": self.K2,
+            "final_residual": self.final_residual,
+            "converged": self.converged,
+            "tol": self.tol,
+            "residual_gate": self.residual_gate,
+            "residual_ok": self.residual_ok,
+        }, indent=2)
 
 
 @dataclass
@@ -94,12 +104,6 @@ def solve_discounted(problem: DiscountedProblem, box, resolution, tol: float = 1
         raise ValueError("tol must be positive")
     k1, k2 = bounds_K(problem)
     lam = problem.lam
-    box = np.asarray(box, dtype=float)
-    if box.ndim == 1:
-        box = box[None, :]
-    if np.isscalar(resolution):
-        resolution = (int(resolution),) * box.shape[0]
-
     v = GridFunction.from_callable(lambda p: np.full(p.shape[:-1], -k1), box,
                                    resolution, periodic=periodic)
     nodes = v.nodes()
@@ -245,19 +249,14 @@ def solve_evolutionary(model: LagrangianModel, u0: GridFunction, times, box,
     times = np.atleast_1d(np.asarray(times, dtype=float))
     if np.any(np.diff(times) <= 0) or times[0] <= 0:
         raise ValueError("times must be increasing and positive")
-    box = np.asarray(box, dtype=float)
-    if box.ndim == 1:
-        box = box[None, :]
-    if np.isscalar(resolution):
-        resolution = (int(resolution),) * box.shape[0]
     target = GridFunction.from_callable(lambda p: np.zeros(p.shape[:-1]), box,
                                         resolution)
     nodes = target.nodes()
     field = EvolutionaryField(model, u0)
     slices = []
     for t in times:
-        vals = field.values(float(t), nodes).reshape(resolution)
-        slices.append(GridFunction(box, vals))
+        vals = field.values(float(t), nodes).reshape(target.resolution)
+        slices.append(GridFunction(target.box, vals))
     return slices
 
 

@@ -48,6 +48,15 @@ x0 = 0.0
 horizon = 1.5
 """
 
+FREE_PARTICLE_2D = """
+[problem]
+key = free_particle
+dimension = 2
+
+[grid]
+resolution = 16
+"""
+
 
 def run(tmp_path, command, config_text, *flags):
     config = tmp_path / "run.ini"
@@ -113,15 +122,22 @@ def test_constants(tmp_path, capsys):
         "c0", "c1", "c2", "c3"}
 
 
+def test_constants_2d_without_trace_section(tmp_path, capsys):
+    code, _ = run(tmp_path, "constants", FREE_PARTICLE_2D)
+    assert code == 0
+    assert "c3" in json.loads(capsys.readouterr().out)
+
+
 @pytest.mark.parametrize("line, replacement, flags", [
     ("lambda = 1.0", "lambda = -1", ()),
     ("lambda = 1.0", "lambda = 1.0", ("--tol", "0")),
     ("lambda = 1.0", "lambda = 1.0\neps = -1", ()),
+    ("key = sine_kink", "key = pendulum\neps = 0.1", ()),
     ("times = 0.5", "times = -0.5", ()),
     ("demo_range = 0.3 1.0", "demo_range = 0.3", ()),
     ("x0 = 0.0", "x0 = 0.0 1.0", ()),
     ("[trace]", "[trace]\nfield = evolutinary", ()),
-], ids=["lambda", "tol", "eps", "times", "demo_range", "x0", "field"])
+], ids=["lambda", "tol", "eps", "eps_key", "times", "demo_range", "x0", "field"])
 def test_malformed_config_is_a_config_error(tmp_path, capsys, line, replacement, flags):
     code, _ = run(tmp_path, "constants", SINE_KINK.replace(line, replacement), *flags)
     err = capsys.readouterr().err
