@@ -16,7 +16,7 @@ integrate exactly under discounting.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -43,7 +43,6 @@ class Trajectory:
     grad_residual: float = 0.0     # sup-norm of the discrete stationarity residual
     source: str = "direct"         # "direct" | "flow"
     multiple_minimizers: bool = False
-    diagnostics: dict = field(default_factory=dict)
 
     @property
     def start(self):
@@ -151,10 +150,15 @@ def minimize_paths(model: LagrangianModel, s: float, t: float, starts, ends,
     """Batched direct method for least action between endpoint pairs.
 
     All pairs share the interval [s, t].  Returns a dict with stacked node
-    arrays, actions, stationarity residuals and a convergence mask.  The
-    quasi-Newton step uses the exact kinetic block of the Hessian
-    (tridiagonal per axis), which is the full Hessian for mechanical
-    models.
+    arrays, actions, stationarity residuals, a convergence mask and the
+    derivatives ``d_start``, ``d_end`` (P, n) of the discrete action with
+    respect to the two endpoints.  By the envelope theorem these are the
+    partial derivatives at the minimizing nodes:
+    ``w[0]·(½L_x − L_v/dt)`` on the first segment and
+    ``w[-1]·(½L_x + L_v/dt)`` on the last.  ``init_nodes`` is a warm start;
+    it is moved affinely onto the given endpoints.  The quasi-Newton step
+    uses the exact kinetic block of the Hessian (tridiagonal per axis),
+    which is the full Hessian for mechanical models.
     """
     grad_tol, max_iter = 1e-9, 60
     starts = np.atleast_2d(np.asarray(starts, dtype=float))
@@ -169,10 +173,12 @@ def minimize_paths(model: LagrangianModel, s: float, t: float, starts, ends,
     dt = (t - s) / N
     w, mid, L, L_v, L_x, L_vv = _quadrature(model, times)
 
+    frac = np.linspace(0.0, 1.0, N + 1)[None, :, None]
     if init_nodes is not None:
         W = np.array(init_nodes, dtype=float)
+        W += ((1 - frac) * (starts - W[:, 0])[:, None, :]
+              + frac * (ends - W[:, -1])[:, None, :])
     else:
-        frac = np.linspace(0.0, 1.0, N + 1)[None, :, None]
         W = starts[:, None, :] * (1 - frac) + ends[:, None, :] * frac
     W[:, 0] = starts
     W[:, -1] = ends
@@ -184,12 +190,9 @@ def minimize_paths(model: LagrangianModel, s: float, t: float, starts, ends,
         vel = (nodes[:, 1:] - nodes[:, :-1]) / dt
         return np.einsum("pn,n->p", L(mid[None, :], m, vel), w)
 
-    act = action_of(W)
-    if N == 1:
-        return {"nodes": W, "action": act, "grad_inf": np.zeros(P),
-                "converged": np.ones(P, dtype=bool), "times": times}
-
-    def gradient(nodes):
+    def derivatives(nodes):
+        """(g, d_start, d_end, L_vv): the action's gradient in the interior
+        nodes, its derivatives in the two end nodes, L_vv on the segments."""
         m = 0.5 * (nodes[:, 1:] + nodes[:, :-1])
         vel = (nodes[:, 1:] - nodes[:, :-1]) / dt
         smid = mid[None, :]
@@ -197,14 +200,21 @@ def minimize_paths(model: LagrangianModel, s: float, t: float, starts, ends,
         lv = np.asarray(L_v(smid, m, vel), dtype=float)
         lvv = np.asarray(L_vv(smid, m, vel), dtype=float)
         wc = w[None, :, None]
-        g = (wc[:, :-1] * (0.5 * lx[:, :-1] + lv[:, :-1] / dt)
-             + wc[:, 1:] * (0.5 * lx[:, 1:] - lv[:, 1:] / dt))
-        return g, lvv
+        left = wc * (0.5 * lx - lv / dt)     # a segment's derivative in its left node
+        right = wc * (0.5 * lx + lv / dt)    # and in its right node
+        return right[:, :-1] + left[:, 1:], left[:, 0], right[:, -1], lvv
+
+    act = action_of(W)
+    if N == 1:
+        _, d_start, d_end, _ = derivatives(W)
+        return {"nodes": W, "action": act, "grad_inf": np.zeros(P),
+                "converged": np.ones(P, dtype=bool), "times": times,
+                "d_start": d_start, "d_end": d_end}
 
     frozen = np.zeros(P, dtype=bool)   # stalled at a numerical stationary point
     grad_inf = np.full(P, np.inf)
     for _ in range(max_iter):
-        g, lvv = gradient(W)
+        g, _, _, lvv = derivatives(W)
         grad_inf = np.max(np.abs(g), axis=(1, 2))
         scale = 1.0 + np.abs(act)
         active = (grad_inf > grad_tol * scale) & ~frozen
@@ -235,11 +245,11 @@ def minimize_paths(model: LagrangianModel, s: float, t: float, starts, ends,
         frozen[pending] = True
 
     act = action_of(W)
-    g, _ = gradient(W)
+    g, d_start, d_end, _ = derivatives(W)
     grad_inf = np.max(np.abs(g), axis=(1, 2))
     return {"nodes": W, "action": act, "grad_inf": grad_inf,
             "converged": grad_inf <= 100 * grad_tol * (1.0 + np.abs(act)),
-            "times": times}
+            "times": times, "d_start": d_start, "d_end": d_end}
 
 
 def _refine_nodes(W):
@@ -295,7 +305,7 @@ def hamiltonian_flow(model: HamiltonianModel, s: float, x, p0, t: float,
     y0 = np.concatenate([x, p0, [0.0]])
     t_eval = np.linspace(s, t, nodes)
     sol = solve_ivp(rhs, (s, t), y0, method="DOP853", t_eval=t_eval,
-                    rtol=1e-11, atol=1e-12, events=escape, dense_output=True)
+                    rtol=1e-11, atol=1e-12, events=escape)
     if sol.status == 1:
         raise BlowUp(f"flow left |state| <= {bound:g} at t = {sol.t_events[0][0]:.6g}")
     if not sol.success:
@@ -309,11 +319,9 @@ def hamiltonian_flow(model: HamiltonianModel, s: float, x, p0, t: float,
     for k, tau in enumerate(sol.t):
         vel[k] = np.atleast_1d(np.asarray(model.H_p(tau, states[k], duals[k]), dtype=float))
         energies[k] = float(model.H(tau, states[k], duals[k]))
-    traj = Trajectory(times=sol.t.copy(), states=states, velocities=vel,
+    return Trajectory(times=sol.t.copy(), states=states, velocities=vel,
                       duals=duals, action=float(actions[-1]), energies=energies,
                       source="flow")
-    traj.diagnostics["dense"] = sol.sol
-    return traj
 
 
 # ---------------------------------------------------------------------------

@@ -492,7 +492,7 @@ def cmd_verify(cfg: RunConfig) -> int:
         e[0] = h
         fd = (fundamental_solution(model, 0.0, 1.0, x, y + e)[0]
               - fundamental_solution(model, 0.0, 1.0, x, y - e)[0]) / (2 * h)
-        worst = max(worst, abs(fd - dya[0]) / (1.0 + abs(fd)))
+        worst = max(worst, float(abs(fd - dya[0]) / (1.0 + abs(fd))))
     checks.append(("action_gradients", worst < 1e-4, {"worst_rel": worst}))
 
     # contraction of the unit-time discounted operator

@@ -7,8 +7,11 @@ scan finite, and every :class:`ArgBall` a search returns asserts that its
 argument points lie inside it.  The search is
 a three-stage pipeline: a straight-segment quadrature ranks every node in
 the ball, the optimizing direct method re-scores a window around the
-leaders, and a golden-section polish with Richardson-refined actions
-produces the final value and the (possibly tied) argument set.
+leaders, and a cell-by-cell polish produces the final value and the
+(possibly tied) argument set.  The polish uses that f is linear between
+grid nodes along each axis: it locates the minimizer in each cell from the
+endpoint derivatives of the action, which the direct method returns, and
+Richardson-refined actions give the final values.
 
 Grids are axis-aligned boxes with multilinear interpolation.  An axis may
 be periodic, in which case node values wrap and the candidate enumeration
@@ -29,12 +32,12 @@ import numpy as np
 from .action import PATH_SEGMENTS, minimize_paths, straight_line_actions, _refine_nodes
 from .errors import BoundaryClipped, ExponentOverflow
 from .model import (
+    _SWEEP_SHRINK,
     EXPONENT_CAP,
     DiscountedProblem,
     GrowthData,
     LagrangianModel,
     convex_conjugate,
-    golden_polish,
     to_evolutionary,
 )
 
@@ -321,6 +324,152 @@ def _ball_candidates(grid: GridFunction, center, radius: float):
 
 
 # ---------------------------------------------------------------------------
+# the cell-wise polish
+
+_SECANT_STEPS = 8   # Illinois steps per cell; the last iterate then stands
+_EXCESS_TOL = 1e-13  # a secant iterate stands once |slope| times its bracket,
+                     # which bounds its cost excess in a convex cell, is below
+                     # this times (1 + |A|)
+
+
+def _axis_breakpoints(f: GridFunction, ax: int, center, width: float):
+    """Window [c - w, c + w] around each center on axis ``ax``, clipped to
+    the box if the axis is not periodic, cut at the grid nodes inside it.
+
+    Returns (owner, x): the breakpoints in increasing order per center,
+    window ends included, and the index of the center each belongs to.
+    """
+    h, a = f.spacing[ax], f.box[ax, 0]
+    lo, hi = center - width, center + width
+    if not f.periodic[ax]:
+        lo = np.maximum(lo, a)
+        hi = np.minimum(hi, f.box[ax, 1])
+    nodes = a + (np.floor((lo - a) / h)[:, None]
+                 + np.arange(1, int(2 * width / h) + 3)) * h
+    gap = 1e-9 * h
+    inside = (nodes > lo[:, None] + gap) & (nodes < hi[:, None] - gap)
+    ends = np.ones((len(center), 1), dtype=bool)
+    owner, col = np.nonzero(np.hstack([ends, inside, ends]))
+    return owner, np.hstack([lo[:, None], nodes, hi[:, None]])[owner, col]
+
+
+def _illinois(evaluate, x_lo, x_hi, d_lo, d_hi, n_lo, n_hi):
+    """Root of the cost slope in each cell [x_lo, x_hi], d_lo < 0 < d_hi.
+
+    ``evaluate(rows, x, warm)`` returns (cost, action, slope, nodes) at x in
+    the cells ``rows``.  Each step is the regula falsi point of the
+    bracket, warm-started from the path of the nearer bracket end; an end
+    kept twice in a row has its slope halved (the Illinois rule).  A cell
+    stops once |slope| times its bracket, which bounds the cost excess of
+    a convex cell, is below ``_EXCESS_TOL`` (1 + |A|), or after
+    ``_SECANT_STEPS`` steps.  The bracket arrays are updated in place.
+    Returns (x, cost, action, nodes) of each cell's last step.
+    """
+    C = len(x_lo)
+    last = np.zeros(C, dtype=int)            # end replaced last: -1 lo, +1 hi
+    xc, cc, ac = np.empty(C), np.full(C, np.inf), np.full(C, np.nan)
+    nc = np.empty_like(n_lo)
+    active = np.arange(C)
+    for _ in range(_SECANT_STEPS):
+        if active.size == 0:
+            break
+        i = active
+        x = x_lo[i] - d_lo[i] * (x_hi[i] - x_lo[i]) / (d_hi[i] - d_lo[i])
+        x = np.clip(x, x_lo[i], x_hi[i])
+        near_lo = (x - x_lo[i]) <= (x_hi[i] - x)
+        warm = np.where(near_lo[:, None, None], n_lo[i], n_hi[i])
+        cc[i], ac[i], d, nc[i] = evaluate(i, x, warm)
+        xc[i] = x
+        up = d > 0                                   # x becomes the upper end
+        bracket = np.where(up, x - x_lo[i], x_hi[i] - x)
+        done = np.abs(d) * bracket <= _EXCESS_TOL * (1.0 + np.abs(ac[i]))
+        lo_i, hi_i = i[~up & ~done], i[up & ~done]
+        d_hi[lo_i[last[lo_i] == -1]] *= 0.5
+        d_lo[hi_i[last[hi_i] == 1]] *= 0.5
+        x_lo[lo_i], d_lo[lo_i], n_lo[lo_i] = xc[lo_i], d[~up & ~done], nc[lo_i]
+        x_hi[hi_i], d_hi[hi_i], n_hi[hi_i] = xc[hi_i], d[up & ~done], nc[hi_i]
+        last[lo_i], last[hi_i] = -1, 1
+        active = i[~done]
+    return xc, cc, ac, nc
+
+
+def _cell_polish(f: GridFunction, sign: float, solve, z, paths):
+    """Cyclic per-axis minimization of ``sign * f(z) + A(z)`` around each row of z.
+
+    ``solve(points, rows, warm)`` returns ``(A, dA, nodes)`` at ``points``
+    (P, n) for the seeds ``rows``: the actions (P,), their derivatives in
+    the point (P, n) and the paths, warm-started at ``warm``, paths of
+    earlier points of the same seeds; ``paths`` holds one per row of z.
+
+    Along an axis f is linear between grid nodes.  So on each axis the
+    window [z - w, z + w] is cut at the nodes (:func:`_axis_breakpoints`)
+    and one batch evaluates the cost and its slope at every breakpoint.  A
+    cell whose end slopes bracket 0 holds an interior minimizer, found by
+    :func:`_illinois`.  The winner is the least cost among the current
+    point, the breakpoints and the cell minimizers, so a convex kink is
+    returned as its node.  w is the largest grid spacing, shrunk by 0.4
+    per sweep; nD runs up to three sweeps, and a seed stops after a sweep
+    that moved it less than 1e-6 of that spacing.  Every seed's steps and
+    stops depend on that seed alone, so a batch gives the answers of
+    one-seed calls bit for bit.  Returns (points, costs, actions, path
+    nodes).
+    """
+    z = np.array(z, dtype=float)
+    paths = np.array(paths, dtype=float)
+    S, n = z.shape
+    cost, act = np.full(S, np.inf), np.full(S, np.nan)
+    h_ref = float(np.max(f.spacing))
+    width = h_ref
+    live = np.arange(S)
+    for _ in range(1 if n == 1 else 3):
+        before = z[live].copy()
+        for ax in range(n):
+
+            def evaluate(seeds, x, warm):
+                pts = z[seeds].copy()
+                pts[:, ax] = x
+                a, da, nodes = solve(pts, seeds, warm)
+                fv = np.asarray(f(pts), dtype=float).reshape(-1)
+                return sign * fv + a, a, da[:, ax], nodes, fv
+
+            owner, xb = _axis_breakpoints(f, ax, z[live, ax], width)
+            seeds = live[owner]
+            cb, ab, db, nb, fb = evaluate(seeds, xb, paths[seeds])
+            # cells between consecutive breakpoints of one seed
+            left = np.nonzero(owner[:-1] == owner[1:])[0]
+            right = left + 1
+            slope = sign * (fb[right] - fb[left]) / (xb[right] - xb[left])
+            d_lo, d_hi = slope + db[left], slope + db[right]
+            cells = np.nonzero((d_lo < 0) & (d_hi > 0))[0]
+            c_seed, slope = seeds[left[cells]], slope[cells]
+
+            def cell_evaluate(rows, x, warm):
+                c, a, da, nodes, _ = evaluate(c_seed[rows], x, warm)
+                return c, a, slope[rows] + da, nodes
+
+            xc, cc, ac, nc = _illinois(
+                cell_evaluate, xb[left[cells]], xb[right[cells]], d_lo[cells],
+                d_hi[cells], nb[left[cells]], nb[right[cells]])
+
+            # the least cost per seed: current point, breakpoints, cell minimizers
+            cand_seed = np.concatenate([live, seeds, c_seed])
+            cand_cost = np.concatenate([cost[live], cb, cc])
+            order = np.lexsort((np.arange(len(cand_seed)), cand_cost, cand_seed))
+            best = order[np.r_[True, np.diff(cand_seed[order]) != 0]]
+            win = cand_seed[best]
+            z[win, ax] = np.concatenate([z[live, ax], xb, xc])[best]
+            cost[win] = cand_cost[best]
+            act[win] = np.concatenate([act[live], ab, ac])[best]
+            paths[win] = np.concatenate([paths[live], nb, nc])[best]
+        moved = np.max(np.abs(z[live] - before), axis=1)
+        live = live[moved > 1e-6 * h_ref]
+        width *= _SWEEP_SHRINK
+        if live.size == 0:
+            break
+    return z, cost, act, paths
+
+
+# ---------------------------------------------------------------------------
 # the localized search
 
 @dataclass
@@ -342,8 +491,14 @@ def localized_convolution(model: LagrangianModel, f: GridFunction, t1: float,
     mode="sup": value(x) = max_y f(y) - A_{t1,t2}(x, y)
 
     The polish starts from the candidates within ``polish_window``
-    (default max(5e-3, h^2 / (t2 - t1))) of the best re-scored cost.
-    Returns a list of :class:`SearchResult`, one per row of ``xs``.
+    (default max(5e-3, h^2 / (t2 - t1))) of the best re-scored cost, at
+    most six per query and more than two cells apart.  It is
+    :func:`_cell_polish`: cell-wise line minimization along each axis,
+    driven by the derivative of the action in the moving endpoint, each
+    path warm-started from the seed's previous one.  Winners within
+    ``TIE_TOL`` of the best are refined by Richardson extrapolation from
+    ``PATH_SEGMENTS`` to twice that.  Returns a list of
+    :class:`SearchResult`, one per row of ``xs``.
     """
     if not t2 > t1:
         raise ValueError("need t2 > t1")
@@ -358,13 +513,6 @@ def localized_convolution(model: LagrangianModel, f: GridFunction, t1: float,
     cand_list = [_ball_candidates(f, xs[i], radius) for i in range(P)]
     owners = np.concatenate([np.full(len(c), i) for i, c in enumerate(cand_list)])
     cand = np.vstack(cand_list)
-
-    def clamp(points):
-        out = np.array(points, dtype=float)
-        for ax in range(f.dimension):
-            if not f.periodic[ax]:
-                out[:, ax] = np.clip(out[:, ax], f.box[ax, 0], f.box[ax, 1])
-        return out
 
     def action_batch(points, owner_idx, nseg, init=None):
         if mode == "inf":
@@ -402,35 +550,34 @@ def localized_convolution(model: LagrangianModel, f: GridFunction, t1: float,
     for row in seed_rows:
         seeds_by_owner.setdefault(int(owners_k[row]), []).append(int(row))
 
-    polished_pos = []
-    polished_owner = []
+    seed_pos, seed_owner, seed_paths = [], [], []
     for i in range(P):
         rows = seeds_by_owner.get(i, [])
         rows.sort(key=lambda r: cost_acc[r])
-        chosen: list[np.ndarray] = []
+        chosen: list[int] = []
         for r in rows:
-            z = cand_k[r]
-            if all(np.linalg.norm(z - c) > 2.0 * h_ref for c in chosen):
-                chosen.append(z)
+            if all(np.linalg.norm(cand_k[r] - cand_k[c]) > 2.0 * h_ref for c in chosen):
+                chosen.append(r)
             if len(chosen) >= 6:
                 break
+        for r in chosen:
+            seed_pos.append(cand_k[r])
+            seed_paths.append(sol["nodes"][r])
+            seed_owner.append(i)
         if not chosen:
-            chosen = [xs[i]]
-        for z in chosen:
-            polished_pos.append(z)
-            polished_owner.append(i)
-    polished_pos = np.asarray(polished_pos, dtype=float)
-    polished_owner = np.asarray(polished_owner, dtype=int)
+            # a constant path, moved onto the endpoints, is the straight line
+            seed_pos.append(xs[i])
+            seed_paths.append(np.broadcast_to(xs[i], sol["nodes"].shape[1:]))
+            seed_owner.append(i)
+    polished_owner = np.asarray(seed_owner, dtype=int)
 
-    def polish_cost(points):
-        points = clamp(points)
-        owner_idx = np.tile(polished_owner, len(points) // len(polished_owner))
-        sol_p = action_batch(points, owner_idx, PATH_SEGMENTS)
-        return sign * np.asarray(f(points), dtype=float).reshape(-1) + sol_p["action"]
+    def solve(points, seeds, warm):
+        sol_p = action_batch(points, polished_owner[seeds], PATH_SEGMENTS, init=warm)
+        return (sol_p["action"], sol_p["d_start" if mode == "inf" else "d_end"],
+                sol_p["nodes"])
 
-    sweeps, iters = (1, 24) if n == 1 else (3, 18)
-    pos, val = golden_polish(polish_cost, polished_pos, h_ref, sweeps, iters)
-    pos = clamp(pos)
+    pos, val, act1, nodes1 = _cell_polish(f, sign, solve, np.asarray(seed_pos),
+                                          np.asarray(seed_paths))
 
     # final assembly: Richardson-refined values for every near-tied winner,
     # batched across owners
@@ -447,10 +594,9 @@ def localized_convolution(model: LagrangianModel, f: GridFunction, t1: float,
     tied_rows = np.asarray(tied_rows, dtype=int)
     tied_owner = np.asarray(tied_owner, dtype=int)
     pts = pos[tied_rows]
-    sol1 = action_batch(pts, tied_owner, PATH_SEGMENTS)
     sol2 = action_batch(pts, tied_owner, 2 * PATH_SEGMENTS,
-                        init=_refine_nodes(sol1["nodes"]))
-    a_ref = sol2["action"] + (sol2["action"] - sol1["action"]) / 3.0
+                        init=_refine_nodes(nodes1[tied_rows]))
+    a_ref = sol2["action"] + (sol2["action"] - act1[tied_rows]) / 3.0
     f_pts = np.asarray(f(pts), dtype=float).reshape(-1)
     cost_final = sign * f_pts + a_ref
     times = sol2["times"]

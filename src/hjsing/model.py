@@ -46,6 +46,11 @@ def golden_polish(cost: Callable, seeds, half_width: float, sweeps: int,
     ``:P`` are the left interior points, rows ``P:`` the right ones, and
     ties keep the left bracket.  Returns (points (P, n), costs (P,)), the
     costs from one last call on the returned points.
+
+    It needs no derivatives; its callers are :func:`convex_conjugate`, the
+    step-length fallback of :func:`legendre` and the argmax polish of
+    ``singular._argmax_point``.  ``laxoleinik.localized_convolution``
+    polishes cell by cell with endpoint derivatives instead.
     """
     z = np.array(seeds, dtype=float)
     P, n = z.shape

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -139,7 +139,6 @@ class StepResult:
     points: np.ndarray              # maximizer positions at the ladder times
     certificates: list              # ReachableGradientSet or None per point
     constants: ConvexityConstants
-    concavity_margin: float
 
 
 def _lattice(center, radius, lo, hi):
@@ -257,7 +256,6 @@ def propagation_step(field, t1: float, x1, T: float,
             times = t1 + t_step * np.arange(1, ladder + 1) / ladder
             points = np.empty((ladder, x1.size))
             certs: list = []
-            margin_worst = np.inf
             prev = x1
             for j, t in enumerate(times):
                 radius = min(lam2 * (t - t1), radius_cap)
@@ -278,7 +276,6 @@ def propagation_step(field, t1: float, x1, T: float,
                                           np.stack([y + z, y - z])).sum()
                         - 2 * phi)
                     allowed = -0.25 * margin_req * scale * scale
-                    margin_worst = min(margin_worst, allowed - second)
                     if second > allowed:
                         raise ConcavityFailure(
                             f"objective second difference {second:.3g} above "
@@ -288,8 +285,7 @@ def propagation_step(field, t1: float, x1, T: float,
                              if certify else None)
                 prev = y
             return StepResult(t_step=t_step, times=times, points=points,
-                              certificates=certs, constants=constants,
-                              concavity_margin=float(margin_worst))
+                              certificates=certs, constants=constants)
         except (ConcavityFailure, NonUniqueArgmax) as exc:
             if attempt == max_halvings:
                 if isinstance(exc, NonUniqueArgmax):
@@ -303,8 +299,7 @@ def propagation_step(field, t1: float, x1, T: float,
                                  if certify else None)
                     return StepResult(t_step=t_step, times=times[: j + 1],
                                       points=points[: j + 1], certificates=certs,
-                                      constants=constants,
-                                      concavity_margin=float(margin_worst))
+                                      constants=constants)
                 raise
             t_step *= 0.5
             if t_step < 1e-6:
@@ -317,7 +312,7 @@ def propagation_step(field, t1: float, x1, T: float,
 
 @dataclass
 class SingularCurve:
-    """Time-stamped singular curve with per-step diagnostics."""
+    """Time-stamped singular curve with its step sizes and schedule."""
 
     times: np.ndarray
     points: np.ndarray
@@ -327,7 +322,6 @@ class SingularCurve:
     origin: np.ndarray
     t0: float
     localization_ok: bool = True
-    diagnostics: dict = dataclass_field(default_factory=dict)
 
     @property
     def certificate_diameters(self):

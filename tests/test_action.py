@@ -181,6 +181,58 @@ class TestBatchedPaths:
         assert cheap[0] >= tight - 1e-6
 
 
+def _sine_kink_2d():
+    """L = |v|^2/2 + f(x1) + f(x2), f the kinked potential of ``sine_kink``."""
+    sk = catalog.sine_kink()
+
+    def L(s, x, v):
+        zero = np.zeros(np.shape(x)[:-1] + (1,))
+        return (0.5 * np.sum(np.asarray(v) ** 2, axis=-1)
+                + sk.L(s, x[..., :1], zero) + sk.L(s, x[..., 1:], zero))
+
+    def L_x(s, x, v):
+        return np.concatenate([sk.L_x(s, x[..., :1], v[..., :1]),
+                               sk.L_x(s, x[..., 1:], v[..., 1:])], axis=-1)
+
+    return model.LagrangianModel(
+        dimension=2, L=L, L_v=lambda s, x, v: np.asarray(v, dtype=float).copy(),
+        L_x=L_x, L_t=lambda s, x, v: np.zeros(np.shape(v)[:-1]),
+        L_vv=lambda s, x, v: np.broadcast_to(np.eye(2), np.shape(v) + (2,)),
+        growth=model.quadratic_growth(), name="sine_kink_2d")
+
+
+class TestEndpointDerivatives:
+    @pytest.mark.parametrize("segments", [16, 32])
+    @pytest.mark.parametrize("dimension", [1, 2])
+    @pytest.mark.parametrize("key", ["free_particle", "sine_kink", "sine_kink_lift"])
+    def test_match_central_differences(self, key, dimension, segments):
+        if key == "free_particle":
+            m = catalog.free_particle(dimension)
+        else:
+            m = catalog.sine_kink() if dimension == 1 else _sine_kink_2d()
+            if key == "sine_kink_lift":
+                # exponential quadrature weights
+                problem = catalog.discounted_from_model(m, lam=1.0, c1=1.0, c2=0.5)
+                m, _ = model.to_evolutionary(problem, horizon=1.0)
+        rng = np.random.default_rng(10 * dimension + segments)
+        # endpoints and paths stay inside (0, pi), clear of the kinks
+        starts = rng.uniform(0.3, 1.2, size=(3, dimension))
+        ends = starts + rng.uniform(0.2, 0.8, size=(3, dimension))
+        sol = minimize_paths(m, 0.0, 1.0, starts, ends, segments=segments)
+        h = 1e-6
+        for moved, key_d in ((0, "d_start"), (1, "d_end")):
+            for ax in range(dimension):
+                shifted = []
+                for step in (h, -h):
+                    pair = [starts.copy(), ends.copy()]
+                    pair[moved][:, ax] += step
+                    shifted.append(minimize_paths(m, 0.0, 1.0, *pair,
+                                                  segments=segments)["action"])
+                fd = (shifted[0] - shifted[1]) / (2 * h)
+                # relative as in verify's action-gradient check: to 1 + |fd|
+                assert np.all(np.abs(sol[key_d][:, ax] - fd) <= 1e-6 * (1 + np.abs(fd)))
+
+
 class TestConstants:
     def test_free_particle_spatial_modulus(self, free_particle_1d):
         constants = estimate_constants(free_particle_1d, 0.0, [0.0], 1.0, 2.0)

@@ -109,9 +109,10 @@ def test_writes_the_same_grid_twice(tmp_path, command, output):
 
 def test_verify(tmp_path, capsys):
     code, _ = run(tmp_path, "verify", SINE_KINK)
-    lines = capsys.readouterr().out.splitlines()
+    out = capsys.readouterr().out
     assert code == 0
-    assert [line.split()[0] for line in lines] == ["PASS"] * 5
+    assert [line.split()[0] for line in out.splitlines()] == ["PASS"] * 5
+    assert "np.float64" not in out
 
 
 def test_constants(tmp_path, capsys):

@@ -11,11 +11,16 @@ from hjsing import (
     errors,
     lax_oleinik_minus,
     lax_oleinik_plus,
+    laxoleinik,
     localization_radius,
     model,
     solution_lipschitz_bound,
 )
-from hjsing.laxoleinik import discounted_lax_oleinik_batch, localized_convolution
+from hjsing.laxoleinik import (
+    _cell_polish,
+    discounted_lax_oleinik_batch,
+    localized_convolution,
+)
 
 from .oracles import hopf_lax_brute
 
@@ -125,6 +130,70 @@ class TestSolutionLipschitzBound:
         assert all(b >= a for a, b in zip(values, values[1:]))
 
 
+def _quadratic_action(xs, metric):
+    """``solve`` for _cell_polish: A = (z - x)^T M (z - x) / 2 around each
+    seed's own x, computed entry by entry so each row is exact whatever
+    the batch."""
+    (m00, m01), (_, m11) = metric
+
+    def solve(points, rows, warm):
+        d = points - xs[rows]
+        if d.shape[1] == 1:
+            return 0.5 * m00 * d[:, 0] ** 2, m00 * d, points[:, None, :]
+        a = 0.5 * (m00 * d[:, 0] ** 2 + 2 * m01 * d[:, 0] * d[:, 1]
+                   + m11 * d[:, 1] ** 2)
+        da = np.stack([m00 * d[:, 0] + m01 * d[:, 1],
+                       m01 * d[:, 0] + m11 * d[:, 1]], axis=1)
+        return a, da, points[:, None, :]
+
+    return solve
+
+
+class TestCellPolish:
+    def polish(self, f, xs, seeds, metric=((1.0, 0.0), (0.0, 1.0))):
+        xs = np.asarray(xs, dtype=float)
+        seeds = np.asarray(seeds, dtype=float)
+        return _cell_polish(f, 1.0, _quadratic_action(xs, metric), seeds,
+                            seeds[:, None, :])
+
+    def test_interior_minimizer(self):
+        # f(z) = 0.3 z: min of 0.3 z + (z - x)^2 / 2 at z = x - 0.3, inside a cell
+        f = GridFunction.from_callable(lambda p: 0.3 * p[..., 0], [(-2.0, 2.0)], 41)
+        z, cost, act, _ = self.polish(f, [[0.837]], [[0.5]])
+        assert abs(z[0, 0] - 0.537) <= 1e-10
+        assert cost[0] == pytest.approx(0.3 * 0.537 + 0.045, abs=1e-12)
+        assert act[0] == pytest.approx(0.045, abs=1e-12)
+
+    def test_convex_kink_is_its_node(self):
+        # f = |z - 1/2| (spacing 1/8); the slopes of f + (z - 0.6)^2 / 2 are
+        # -1.1 left of the kink and 0.9 right of it
+        f = GridFunction.from_callable(lambda p: np.abs(p[..., 0] - 0.5),
+                                       [(-2.0, 2.0)], 33)
+        z, _, _, _ = self.polish(f, [[0.6]], [[0.55]])
+        assert z[0, 0] == 0.5
+
+    def test_non_periodic_box_clamps_window(self):
+        # unconstrained min of z + (z - 0.05)^2 / 2 at -0.95, outside [0, 2]
+        f = GridFunction.from_callable(lambda p: p[..., 0], [(0.0, 2.0)], 17)
+        z, cost, _, _ = self.polish(f, [[0.05]], [[0.0625]])
+        assert z[0, 0] == 0.0
+        assert cost[0] == pytest.approx(0.5 * 0.05 ** 2, abs=1e-15)
+
+    def test_batch_matches_single_seeds(self):
+        # bilinear random data and a coupled metric: the seeds need different
+        # numbers of sweeps, and each stops on its own
+        rng = np.random.default_rng(3)
+        f = GridFunction([(-2.0, 2.0), (-2.0, 2.0)], rng.uniform(-0.5, 0.5, (17, 17)))
+        xs = rng.uniform(-1.0, 1.0, size=(6, 2))
+        seeds = xs + rng.uniform(-0.3, 0.3, size=(6, 2))
+        metric = ((1.0, 0.6), (0.6, 1.0))
+        batch = self.polish(f, xs, seeds, metric)
+        for k in range(len(xs)):
+            one = self.polish(f, xs[k:k + 1], seeds[k:k + 1], metric)
+            for got, want in zip(one, batch):
+                assert np.array_equal(got[0], want[k])
+
+
 class TestMinusOperator:
     def test_zero_data_stationary(self, free_particle_1d):
         grid = GridFunction.from_callable(lambda p: 0.0 * p[..., 0],
@@ -229,6 +298,23 @@ class TestDiscountedOperator:
         v1 = GridFunction.from_callable(lambda p: 1.0 + 0.0 * p[..., 0],
                                         [(-4.0, 4.0)], 129, periodic=True)
         assert discounted_lax_oleinik(prob, v1, 1.0, [0.5]) == pytest.approx(1.0)
+
+    def test_few_direct_method_batches(self, sine_problem, monkeypatch):
+        # one batch re-scores the scan, the polish makes one batch per axis
+        # sweep plus its secant steps, one more refines the winners; a polish
+        # of fixed-count iterations would need more
+        calls = []
+        original = laxoleinik.minimize_paths
+
+        def counting(*args, **kwargs):
+            calls.append(args[2])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(laxoleinik, "minimize_paths", counting)
+        v = GridFunction.from_callable(lambda p: -np.abs(np.sin(p[..., 0])),
+                                       [(-2 * np.pi, 2 * np.pi)], 128, periodic=True)
+        discounted_lax_oleinik_batch(sine_problem, v, 1.0, v.nodes())
+        assert len(calls) <= 12
 
     def test_exponent_cap(self, counterexample_problem):
         v = GridFunction.from_callable(lambda p: 0.0 * p[..., 0],
