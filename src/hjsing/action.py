@@ -4,9 +4,13 @@ The least-action value between endpoints is computed by a direct method
 (midpoint discretization of the curve, damped Newton on the stacked
 interior nodes) and then refined, either by Richardson extrapolation in
 the segment count or by shooting on the Hamiltonian two-point boundary
-problem.  The direct method is batched: many endpoint pairs sharing one
-time interval are solved simultaneously as independent tridiagonal
-systems, which is what makes grid-wide inf-convolutions affordable.
+problem.  The direct method is batched: many endpoint pairs are solved
+simultaneously as independent tridiagonal systems, which is what makes
+grid-wide inf-convolutions affordable.  The pairs may share one time
+interval or each have its own: time nodes, quadrature weights and
+midpoints are kept one row per path (a single row that broadcasts when
+the interval is shared), and every sum runs along a row, so a path's
+answer does not depend on the batch it was solved in.
 
 Time quadrature uses exact per-segment weights when the Lagrangian is an
 exponential-in-time rescaling of an autonomous one, so constant curves
@@ -81,23 +85,39 @@ def _trajectory_from_nodes(model: LagrangianModel, times, states, action,
 # ---------------------------------------------------------------------------
 # quadrature
 
+def _time_rows(s, t, segments: int):
+    """The uniform time nodes of [s, t], one row per horizon.
+
+    ``s`` and ``t`` are scalars or (P,) arrays.  The result is (1, N+1) for
+    scalar horizons, a row that broadcasts over any batch, else (P, N+1).
+    Each row starts at exactly s and ends at exactly t.  The rows are
+    C-contiguous: ``einsum`` sums a transposed view in another order than
+    a one-row call.
+    """
+    times = np.linspace(s, t, segments + 1, axis=-1)
+    return np.ascontiguousarray(times).reshape(-1, segments + 1)
+
+
 def _quadrature(model: LagrangianModel, times):
     """Per-segment weights and the evaluation callables for the discrete action.
 
-    Returns (weights, mid_times, L, L_v, L_x, L_vv_diag); for exponential
-    rescalings of autonomous models the weights integrate the time factor
-    exactly and the callables are the autonomous ones.
+    ``times`` holds one row of nodes per path (R, N+1).  Returns (weights,
+    mid_times, L, L_v, L_x, L_vv_diag), weights and mid_times (R, N); for
+    exponential rescalings of autonomous models the weights integrate the
+    time factor exactly and the callables are the autonomous ones.
     """
-    times = np.asarray(times, dtype=float)
+    mid = 0.5 * (times[:, 1:] + times[:, :-1])
     if model.exp_rate is not None and model.base is not None:
         lam = model.exp_rate
-        weights = (np.exp(lam * times[1:]) - np.exp(lam * times[:-1])) / lam
+        weights = (np.exp(lam * times[:, 1:]) - np.exp(lam * times[:, :-1])) / lam
         base = model.base
-        mid = 0.5 * (times[1:] + times[:-1])
         return weights, mid, base.L, base.L_v, base.L_x, base.L_vv
-    dt = np.diff(times)
-    mid = 0.5 * (times[1:] + times[:-1])
-    return dt, mid, model.L, model.L_v, model.L_x, model.L_vv
+    return np.diff(times, axis=-1), mid, model.L, model.L_v, model.L_x, model.L_vv
+
+
+def _rows(a, idx):
+    """The rows idx of a per-path array; a one-row array broadcasts as is."""
+    return a if len(a) == 1 else a[idx]
 
 
 def _solve_tridiagonal(lower, diag, upper, rhs):
@@ -125,34 +145,39 @@ def _solve_tridiagonal(lower, diag, upper, rhs):
     return out
 
 
-def straight_line_actions(model: LagrangianModel, s: float, t: float,
-                          starts, ends, segments: int = 8):
+def straight_line_actions(model: LagrangianModel, s, t, starts, ends,
+                          segments: int = 8):
     """Discrete action of the straight segment between endpoint batches.
 
     Upper-bound flavored estimate used to rank candidates before the
-    optimizing pass (8 segments); exact for kinetic-only models.
+    optimizing pass (8 segments); exact for kinetic-only models.  ``s``
+    and ``t`` are scalars or (P,) arrays, as in :func:`minimize_paths`.
     """
     starts = np.asarray(starts, dtype=float)
     ends = np.asarray(ends, dtype=float)
-    times = np.linspace(s, t, segments + 1)
+    times = _time_rows(s, t, segments)
     w, mid, L, _, _, _ = _quadrature(model, times)
-    frac = ((mid - s) / (t - s))[:, None]
+    s0, span = times[:, :1], times[:, -1:] - times[:, :1]
+    frac = ((mid - s0) / span)[:, :, None]
     # (P, N, n) points along each straight segment
-    pts = starts[:, None, :] + frac[None, :, :] * (ends - starts)[:, None, :]
-    vel = ((ends - starts) / (t - s))[:, None, :]
+    pts = starts[:, None, :] + frac * (ends - starts)[:, None, :]
+    vel = ((ends - starts) / span)[:, None, :]
     vel = np.broadcast_to(vel, pts.shape)
-    lvals = L(mid[None, :], pts, vel)
-    return np.einsum("pn,n->p", lvals, w)
+    lvals = L(mid, pts, vel)
+    return np.einsum("pn,pn->p", lvals, w)
 
 
-def minimize_paths(model: LagrangianModel, s: float, t: float, starts, ends,
+def minimize_paths(model: LagrangianModel, s, t, starts, ends,
                    segments: int = PATH_SEGMENTS, init_nodes=None):
     """Batched direct method for least action between endpoint pairs.
 
-    All pairs share the interval [s, t].  Returns a dict with stacked node
-    arrays, actions, stationarity residuals, a convergence mask and the
-    derivatives ``d_start``, ``d_end`` (P, n) of the discrete action with
-    respect to the two endpoints.  By the envelope theorem these are the
+    ``s`` and ``t`` are scalars, the interval [s, t] of every pair, or (P,)
+    arrays, one interval per pair; a pair's answer is the same either way.
+    Returns a dict with stacked node arrays, actions, stationarity
+    residuals, a convergence mask, the time nodes (``"times"``: (N+1,) for
+    a shared interval, else (P, N+1)) and the derivatives ``d_start``,
+    ``d_end`` (P, n) of the discrete action with respect to the two
+    endpoints.  By the envelope theorem these are the
     partial derivatives at the minimizing nodes:
     ``w[0]·(½L_x − L_v/dt)`` on the first segment and
     ``w[-1]·(½L_x + L_v/dt)`` on the last.  ``init_nodes`` is a warm start;
@@ -169,8 +194,8 @@ def minimize_paths(model: LagrangianModel, s: float, t: float, starts, ends,
         starts = np.broadcast_to(starts, ends.shape).copy()
     P, n = starts.shape
     N = int(segments)
-    times = np.linspace(s, t, N + 1)
-    dt = (t - s) / N
+    times = _time_rows(s, t, N)
+    dt = (times[:, -1:] - times[:, :1]) / N     # (R, 1)
     w, mid, L, L_v, L_x, L_vv = _quadrature(model, times)
 
     frac = np.linspace(0.0, 1.0, N + 1)[None, :, None]
@@ -183,32 +208,34 @@ def minimize_paths(model: LagrangianModel, s: float, t: float, starts, ends,
     W[:, 0] = starts
     W[:, -1] = ends
 
-    def action_of(nodes):
+    def action_of(nodes, rows):
         # a per-row sum: a matrix-vector product would round a row
         # differently depending on how many rows share the batch
         m = 0.5 * (nodes[:, 1:] + nodes[:, :-1])
-        vel = (nodes[:, 1:] - nodes[:, :-1]) / dt
-        return np.einsum("pn,n->p", L(mid[None, :], m, vel), w)
+        vel = (nodes[:, 1:] - nodes[:, :-1]) / _rows(dt, rows)[:, :, None]
+        return np.einsum("pn,pn->p", L(_rows(mid, rows), m, vel), _rows(w, rows))
 
     def derivatives(nodes):
         """(g, d_start, d_end, L_vv): the action's gradient in the interior
         nodes, its derivatives in the two end nodes, L_vv on the segments."""
         m = 0.5 * (nodes[:, 1:] + nodes[:, :-1])
-        vel = (nodes[:, 1:] - nodes[:, :-1]) / dt
-        smid = mid[None, :]
-        lx = np.asarray(L_x(smid, m, vel), dtype=float)
-        lv = np.asarray(L_v(smid, m, vel), dtype=float)
-        lvv = np.asarray(L_vv(smid, m, vel), dtype=float)
-        wc = w[None, :, None]
-        left = wc * (0.5 * lx - lv / dt)     # a segment's derivative in its left node
-        right = wc * (0.5 * lx + lv / dt)    # and in its right node
+        dtc = dt[:, :, None]
+        vel = (nodes[:, 1:] - nodes[:, :-1]) / dtc
+        lx = np.asarray(L_x(mid, m, vel), dtype=float)
+        lv = np.asarray(L_v(mid, m, vel), dtype=float)
+        lvv = np.asarray(L_vv(mid, m, vel), dtype=float)
+        wc = w[:, :, None]
+        left = wc * (0.5 * lx - lv / dtc)     # a segment's derivative in its left node
+        right = wc * (0.5 * lx + lv / dtc)    # and in its right node
         return right[:, :-1] + left[:, 1:], left[:, 0], right[:, -1], lvv
 
-    act = action_of(W)
+    every = slice(None)
+    times_out = times[0] if np.ndim(s) == np.ndim(t) == 0 else times
+    act = action_of(W, every)
     if N == 1:
         _, d_start, d_end, _ = derivatives(W)
         return {"nodes": W, "action": act, "grad_inf": np.zeros(P),
-                "converged": np.ones(P, dtype=bool), "times": times,
+                "converged": np.ones(P, dtype=bool), "times": times_out,
                 "d_start": d_start, "d_end": d_end}
 
     frozen = np.zeros(P, dtype=bool)   # stalled at a numerical stationary point
@@ -223,7 +250,7 @@ def minimize_paths(model: LagrangianModel, s: float, t: float, starts, ends,
         # kinetic tridiagonal blocks, one per axis
         step = np.zeros_like(g)
         for ax in range(n):
-            a = w[None, :] * lvv[:, :, ax, ax] / dt ** 2     # (P, N)
+            a = w * lvv[:, :, ax, ax] / dt ** 2     # (P, N)
             diag = a[:, :-1] + a[:, 1:]
             off = -a[:, 1:-1]
             step[:, :, ax] = -_solve_tridiagonal(off, diag, off, g[:, :, ax])
@@ -233,7 +260,7 @@ def minimize_paths(model: LagrangianModel, s: float, t: float, starts, ends,
         for _ in range(12):
             trial = W[pending].copy()
             trial[:, 1:-1] += alpha[pending, None, None] * step[pending]
-            act_trial = action_of(trial)
+            act_trial = action_of(trial, pending)
             better = act_trial <= act[pending] - 1e-14 * scale[pending]
             idx_ok = pending[better]
             W[idx_ok, 1:-1] += alpha[idx_ok, None, None] * step[idx_ok]
@@ -244,12 +271,12 @@ def minimize_paths(model: LagrangianModel, s: float, t: float, starts, ends,
             alpha[pending] *= 0.5
         frozen[pending] = True
 
-    act = action_of(W)
+    act = action_of(W, every)
     g, d_start, d_end, _ = derivatives(W)
     grad_inf = np.max(np.abs(g), axis=(1, 2))
     return {"nodes": W, "action": act, "grad_inf": grad_inf,
             "converged": grad_inf <= 100 * grad_tol * (1.0 + np.abs(act)),
-            "times": times, "d_start": d_start, "d_end": d_end}
+            "times": times_out, "d_start": d_start, "d_end": d_end}
 
 
 def _refine_nodes(W):
@@ -261,11 +288,12 @@ def _refine_nodes(W):
     return out
 
 
-def refined_action(model: LagrangianModel, s: float, t: float, starts, ends):
+def refined_action(model: LagrangianModel, s, t, starts, ends):
     """Richardson-extrapolated least action for endpoint batches.
 
     Solves at ``PATH_SEGMENTS`` and twice that and removes the leading
-    quadratic discretization error.
+    quadratic discretization error.  ``s`` and ``t`` are scalars or (P,)
+    arrays, as in :func:`minimize_paths`.
     """
     first = minimize_paths(model, s, t, starts, ends)
     second = minimize_paths(model, s, t, starts, ends, segments=2 * PATH_SEGMENTS,
@@ -487,11 +515,11 @@ def estimate_constants(model: LagrangianModel, s: float, x, T: float,
     ``c3`` the largest time increment of the endpoint gradient, all scaled
     by (t - s) as in the cone estimates they feed.
 
-    The probes run along the first two coordinate axes and are grouped by
-    end time: each of the three cone heights t makes three
-    :func:`refined_action` batches, at t, t + h and t - h, over every
-    direction and offset.  The actions at (t, y) and (t + h, y)
-    serve both the temporal second difference and ``c3``.
+    The probes run along the first two coordinate axes.  Each of the three
+    cone heights t probes at t, t + h and t - h, over every direction and
+    offset, and all of them share one :func:`refined_action` batch with one
+    end time per row.  The actions at (t, y) and (t + h, y) serve both the
+    temporal second difference and ``c3``.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     n = x.size
@@ -500,44 +528,50 @@ def estimate_constants(model: LagrangianModel, s: float, x, T: float,
         raise ValueError("degenerate cone")
 
     dirs = np.eye(n)[:2]
-
-    def A_batch(ends, t_at):
-        return refined_action(model, s, t_at, np.broadcast_to(x, ends.shape), ends)
-
-    def end_duals(sol, rows):
-        return np.array([_trajectory_from_nodes(model, sol["times"], sol["nodes"][r],
-                                                sol["action"][r], 0.0).duals[-1]
-                         for r in rows])
-
-    ratios_c0, ratios_c1, ratios_c2, ratios_c3 = [], [], [], []
-    seen_signal = False
+    offsets = [(d, rho) for d in dirs for rho in (0.15, 0.45)]
+    m = len(offsets)
+    levels, ends, end_times = [], [], []
     for frac in np.linspace(0.45, 0.95, 3):
         t = s + frac * height
         dt_cone = t - s
         h = 0.2 * dt_cone
         radius = lam_slope * dt_cone
-        offsets = [(d, rho) for d in dirs for rho in (0.15, 0.45)]
         ys = np.array([x + rho * radius * d for d, rho in offsets])
         zs = np.array([0.25 * radius * d for d, _ in offsets])
-        m = len(offsets)
-        at_t, sol_t = A_batch(np.concatenate([ys + zs, ys - zs, ys]), t)
-        at_plus, sol_plus = A_batch(np.concatenate([ys + zs, ys]), t + h)
-        at_minus, _ = A_batch(np.concatenate([ys - zs, ys]), t - h)
-        a_c = at_t[2 * m:]
+        levels.append((dt_cone, h, zs))
+        # seven blocks of m rows per level, in the order the ratios read them
+        for block, t_at in ((ys + zs, t), (ys - zs, t), (ys, t), (ys + zs, t + h),
+                            (ys, t + h), (ys - zs, t - h), (ys, t - h)):
+            ends.append(block)
+            end_times.append(np.full(m, t_at))
+    ends = np.concatenate(ends)
+    actions, sol = refined_action(model, s, np.concatenate(end_times),
+                                  np.broadcast_to(x, ends.shape), ends)
+    blocks = actions.reshape(len(levels), 7, m)
+
+    def end_duals(level, block):
+        first = (7 * level + block) * m
+        return np.array([_trajectory_from_nodes(model, sol["times"][r], sol["nodes"][r],
+                                                sol["action"][r], 0.0).duals[-1]
+                         for r in range(first, first + m)])
+
+    ratios_c0, ratios_c1, ratios_c2, ratios_c3 = [], [], [], []
+    seen_signal = False
+    for k, (dt_cone, h, zs) in enumerate(levels):
+        plus_t, minus_t, a_c, plus_th, a_th, minus_tmh, a_tmh = blocks[k]
         zz = np.sum(zs * zs, axis=1)
-        spatial = (at_t[:m] + at_t[m:2 * m] - 2 * a_c) * dt_cone / zz
-        mixed = (at_plus[:m] + at_minus[:m] - 2 * a_c) * dt_cone / (h * h + zz)
-        temporal = (at_plus[m:] + at_minus[m:] - 2 * a_c) * dt_cone / (h * h)
+        spatial = (plus_t + minus_t - 2 * a_c) * dt_cone / zz
+        mixed = (plus_th + minus_tmh - 2 * a_c) * dt_cone / (h * h + zz)
+        temporal = (a_th + a_tmh - 2 * a_c) * dt_cone / (h * h)
         rs = np.concatenate([spatial, mixed, temporal])
         if np.max(np.abs(rs)) > 1e-12:
             seen_signal = True
         ratios_c2.extend(spatial)
         ratios_c0.extend(rs)
         ratios_c1.extend(-rs)
-        # endpoint-gradient increment in time
-        g_t = end_duals(sol_t, range(2 * m, 3 * m))
-        g_h = end_duals(sol_plus, range(m, 2 * m))
-        ratios_c3.extend(np.linalg.norm(g_h - g_t, axis=1) * dt_cone / h)
+        # endpoint-gradient increment in time: blocks (ys, t + h) and (ys, t)
+        ratios_c3.extend(np.linalg.norm(end_duals(k, 4) - end_duals(k, 2), axis=1)
+                         * dt_cone / h)
 
     if not seen_signal:
         raise DegenerateSample("all second-difference probes vanished")

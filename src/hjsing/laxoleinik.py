@@ -217,7 +217,7 @@ class GridFunction:
                 if not line or line.startswith("#"):
                     continue
                 parts = line.split()
-                if parts[0] in ("dim", "box", "resolution", "lambda", "periodic", "clamped"):
+                if parts[0] in ("dim", "box", "resolution", "lambda", "periodic"):
                     header[parts[0]] = parts[1:]
                 else:
                     values.append(float(parts[0]))
@@ -226,10 +226,7 @@ class GridFunction:
         resolution = tuple(int(m) for m in header["resolution"])
         periodic = tuple(bool(int(p)) for p in header.get("periodic", ["0"] * n))
         lam = float(header["lambda"][0]) if "lambda" in header else None
-        grid = cls(box, np.array(values).reshape(resolution), periodic)
-        if "clamped" in header:
-            grid.clamp_value = float(header["clamped"][0])
-        return grid, lam
+        return cls(box, np.array(values).reshape(resolution), periodic), lam
 
 
 # ---------------------------------------------------------------------------

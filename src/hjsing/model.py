@@ -34,14 +34,15 @@ _SWEEP_SHRINK = 0.4  # golden_polish half-width factor from one sweep to the nex
 # ---------------------------------------------------------------------------
 # batched golden-section search
 
-def golden_polish(cost: Callable, seeds, half_width: float, sweeps: int,
+def golden_polish(cost: Callable, seeds, half_width, sweeps: int,
                   iters: int):
     """Cyclic per-axis golden-section minimization around a batch of seeds.
 
     ``seeds`` is (P, n).  A sweep visits the axes in order; on each axis the
     bracket [z - w, z + w] of every seed shrinks ``iters`` times and the
     coordinate moves to the bracket midpoint.  ``w`` starts at
-    ``half_width`` and is multiplied by ``_SWEEP_SHRINK`` after each sweep.
+    ``half_width``, a scalar or one width per seed (P,), and is multiplied
+    by ``_SWEEP_SHRINK`` after each sweep.
     Each iteration makes one call ``cost(points (2P, n)) -> (2P,)``: rows
     ``:P`` are the left interior points, rows ``P:`` the right ones, and
     ties keep the left bracket.  Returns (points (P, n), costs (P,)), the
@@ -49,7 +50,7 @@ def golden_polish(cost: Callable, seeds, half_width: float, sweeps: int,
 
     It needs no derivatives; its callers are :func:`convex_conjugate`, the
     step-length fallback of :func:`legendre` and the argmax polish of
-    ``singular._argmax_point``.  ``laxoleinik.localized_convolution``
+    ``singular._argmax_points``.  ``laxoleinik.localized_convolution``
     polishes cell by cell with endpoint derivatives instead.
     """
     z = np.array(seeds, dtype=float)
@@ -70,7 +71,7 @@ def golden_polish(cost: Callable, seeds, half_width: float, sweeps: int,
                 hi = np.where(left, b, hi)
                 lo = np.where(left, lo, a)
             z[:, ax] = 0.5 * (lo + hi)
-        width *= _SWEEP_SHRINK
+        width = width * _SWEEP_SHRINK
     return z, np.asarray(cost(z), dtype=float)
 
 

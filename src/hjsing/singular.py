@@ -85,27 +85,29 @@ def _merge_momenta(momenta):
     return keep, diam
 
 
-def reachable_gradients_batch(field, t: float, xs) -> list:
-    """Reachable-gradient sets at the rows of xs, from one operator call.
+def reachable_gradients_batch(field, t, xs) -> list:
+    """Reachable-gradient sets at the rows of xs, from one batched search.
 
     Distinct minimizers of the backward representation are collected from a
     full scan of the localization ball plus polish of the near-tied basins
-    (``field.certificate_search``); every query shares one horizon, so a
-    single batched search serves them all and gives the same sets as one
-    search per point.  The end velocity of each minimizer becomes a
-    limiting gradient through ``field.limiting_gradients``.
+    (``field.certificate_search``).  ``t`` is one time for every row or a
+    (P,) array of per-row times (an evolutionary field searches once per
+    distinct time); the batch gives the same sets as one search per point.
+    The end velocity of each minimizer becomes a limiting gradient through
+    ``field.limiting_gradients``.
     """
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
+    ts = np.broadcast_to(np.asarray(t, dtype=float), (len(xs),))
     sets = []
-    for x, res in zip(xs, field.certificate_search(t, xs)):
+    for x, ti, res in zip(xs, ts, field.certificate_search(ts, xs)):
         if not res.minimizer_nodes:
             raise NoMinimizer(f"no minimizing trajectory found at {x}")
         dt = res.times[1] - res.times[0]
         momenta, q = field.limiting_gradients(
-            t, x, [_node_velocities(nodes, dt)[-1] for nodes in res.minimizer_nodes])
+            ti, x, [_node_velocities(nodes, dt)[-1] for nodes in res.minimizer_nodes])
         keep, diam = _merge_momenta(momenta)
         sets.append(ReachableGradientSet(
-            point=x.copy(), time=None if q is None else t, momenta=momenta[keep],
+            point=x.copy(), time=None if q is None else float(ti), momenta=momenta[keep],
             q=None if q is None else q[keep], diameter=diam))
     return sets
 
@@ -162,57 +164,81 @@ def _periodic_radius_cap(grid: GridFunction) -> float:
     return min(caps) if caps else np.inf
 
 
-def _argmax_objective(field, action_model, t1: float, x1, t: float, ys):
-    """phi(y) = u(t, y) - A_{t1,t}(x1, y) on a batch of y."""
+def _argmax_objective(field, action_model, t1: float, x1, ts, ys):
+    """phi(y) = u(t, y) - A_{t1,t}(x1, y) on a batch of y, t one per row."""
     ys = np.atleast_2d(np.asarray(ys, dtype=float))
-    sol = minimize_paths(action_model, t1, t, np.broadcast_to(x1, ys.shape), ys)
-    u_vals = field.values(t, ys)
+    sol = minimize_paths(action_model, t1, ts, np.broadcast_to(x1, ys.shape), ys)
+    u_vals = field.values(ts, ys)
     return u_vals - sol["action"]
 
 
-def _argmax_point(field, action_model, t1, x1, t, radius):
-    """Maximize phi over the ball; returns (y*, phi*, scan_pts, scan_vals).
+def _argmax_points(field, action_model, t1, x1, times, radii):
+    """Maximize phi over the ball of each time; returns (ys, phis, scans, scan_vals).
 
-    A lattice scan picks the seeds, then :func:`hjsing.model.golden_polish`
-    minimizes -phi around all of them at once; the first seed wins ties.
+    ``times`` and ``radii`` are (k,); ``ys`` is (k, n), ``phis`` (k,), and
+    ``scans``/``scan_vals`` hold each time's lattice and its objective.  One
+    objective batch scans the lattices of every time, which pick the seeds;
+    then one :func:`hjsing.model.golden_polish` minimizes -phi around the
+    seeds of every time at once.  Within a time the first seed wins ties.
     """
-    lo, hi = field.domain(t)
-    cand = _lattice(x1, radius, lo, hi)
-    vals = _argmax_objective(field, action_model, t1, x1, t, cand)
-    order = np.argsort(-vals)
-    n = cand.shape[1]
-    h_polish = max(radius / (_LATTICE_NODES - 1), 1e-4)
+    n = x1.size
+    scans = [_lattice(x1, r, *field.domain(t)) for t, r in zip(times, radii)]
+    sizes = [len(c) for c in scans]
+    vals_all = _argmax_objective(field, action_model, t1, x1,
+                                 np.repeat(times, sizes), np.concatenate(scans))
+    scan_vals = np.split(vals_all, np.cumsum(sizes)[:-1])
 
-    # polish the leading basin (and a runner-up if clearly separated)
-    seeds = [cand[order[0]]]
-    for idx in order[1:]:
-        if vals[idx] < vals[order[0]] - 10 * TIE_TOL:
-            break
-        if np.linalg.norm(cand[idx] - seeds[0]) > 3 * h_polish:
-            seeds.append(cand[idx])
-            break
-    pos, cost = golden_polish(
-        lambda ys: -_argmax_objective(field, action_model, t1, x1, t, ys),
-        seeds, h_polish, sweeps=2 if n > 1 else 1, iters=28)
-    best = int(np.argmin(cost))
-    best_pos, best_val = pos[best], float(-cost[best])
-    return best_pos, best_val, cand, vals
+    # polish the leading basin of each time (and a runner-up if clearly separated)
+    h_polish = np.maximum(radii / (_LATTICE_NODES - 1), 1e-4)
+    seeds, seed_time = [], []
+    for j, (cand, vals) in enumerate(zip(scans, scan_vals)):
+        order = np.argsort(-vals)
+        chosen = [cand[order[0]]]
+        for idx in order[1:]:
+            if vals[idx] < vals[order[0]] - 10 * TIE_TOL:
+                break
+            if np.linalg.norm(cand[idx] - chosen[0]) > 3 * h_polish[j]:
+                chosen.append(cand[idx])
+                break
+        seeds += chosen
+        seed_time += [j] * len(chosen)
+    seed_time = np.asarray(seed_time)
+    seed_t = times[seed_time]
+
+    def cost(ys):
+        # golden_polish stacks the left and right trial points of every seed
+        # (2P rows) and ends with one call on the P seeds
+        return -_argmax_objective(field, action_model, t1, x1,
+                                  np.tile(seed_t, len(ys) // len(seed_t)), ys)
+
+    pos, cost_vals = golden_polish(cost, seeds, h_polish[seed_time],
+                                   sweeps=2 if n > 1 else 1, iters=28)
+    ys = np.empty((len(times), n))
+    phis = np.empty(len(times))
+    for j in range(len(times)):
+        rows = np.flatnonzero(seed_time == j)
+        best = rows[int(np.argmin(cost_vals[rows]))]
+        ys[j], phis[j] = pos[best], -cost_vals[best]
+    return ys, phis, scans, scan_vals
 
 
 def estimate_semiconcavity(field, t: float, x, scales) -> float:
-    """Largest positive second-difference ratio of u(t, .) near x."""
+    """Largest positive second-difference ratio of u(t, .) near x.
+
+    Every scale and axis is probed in one ``field.values`` batch.
+    """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     n = x.size
-    worst = 0.0
+    probes, steps = [], []
     for scale in scales:
         for ax in range(n):
             z = np.zeros(n)
             z[ax] = scale
-            pts = np.stack([x + z, x - z, x])
-            vals = field.values(t, pts)
-            ratio = (vals[0] + vals[1] - 2 * vals[2]) / (scale * scale)
-            worst = max(worst, float(ratio))
-    return worst
+            probes += [x + z, x - z, x]
+            steps.append(scale)
+    vals = field.values(t, np.array(probes)).reshape(-1, 3)
+    ratios = (vals[:, 0] + vals[:, 1] - 2 * vals[:, 2]) / np.square(steps)
+    return max(0.0, float(np.max(ratios)))
 
 
 def propagation_step(field, t1: float, x1, T: float,
@@ -225,8 +251,11 @@ def propagation_step(field, t1: float, x1, T: float,
     clamped to ``step_cap``.  For each of 4 ladder times the maximizer of
     u(t, .) - A_{t1,t}(x1, .) over the ball of radius lambda_2(T)(t - t1)
     is located, its strict-concavity margin checked, and (optionally) its
-    singularity certificate computed.  Concavity or uniqueness failures
-    halve the step, up to 6 times.
+    singularity certificate computed.  An attempt shares its batches among
+    the ladder times: one lattice scan, one polish, one batch of concavity
+    probes and, once every check has passed, one certificate batch.  The
+    checks run in ladder order; a concavity or uniqueness failure halves
+    the step, up to 6 times.
     """
     ladder, max_halvings = 4, 6
     x1 = np.atleast_1d(np.asarray(x1, dtype=float))
@@ -251,59 +280,55 @@ def propagation_step(field, t1: float, x1, T: float,
     if t_step < 1e-6:
         raise ScheduleStall(f"step budget {t_step:.3g} underflowed at t = {t1:.4g}")
 
+    probe_scales = (2 * h_grid, 8 * h_grid)
     for attempt in range(max_halvings + 1):
+        times = t1 + t_step * np.arange(1, ladder + 1) / ladder
+        radii = np.minimum(lam2 * (times - t1), radius_cap)
+        points, phis, scans, scan_vals = _argmax_points(field, action_model, t1, x1,
+                                                        times, radii)
+        # concavity probes y + z and y - z of every ladder time and scale, one batch
+        z = np.zeros((len(probe_scales), x1.size))
+        z[:, 0] = probe_scales
+        probes = points[:, None, None, :] + np.stack([z, -z], axis=1)
+        probe_vals = _argmax_objective(
+            field, action_model, t1, x1, np.repeat(times, 2 * len(probe_scales)),
+            probes.reshape(-1, x1.size)).reshape(ladder, len(probe_scales), 2)
         try:
-            times = t1 + t_step * np.arange(1, ladder + 1) / ladder
-            points = np.empty((ladder, x1.size))
-            certs: list = []
-            prev = x1
             for j, t in enumerate(times):
-                radius = min(lam2 * (t - t1), radius_cap)
-                y, phi, cand, vals = _argmax_point(field, action_model, t1, x1,
-                                                   t, radius)
+                y, phi, cand, vals = points[j], phis[j], scans[j], scan_vals[j]
                 # near-tied distant maxima mean the argmax is not unique
-                far = np.linalg.norm(cand - y, axis=1) > max(4 * h_grid, 0.05 * radius)
+                far = np.linalg.norm(cand - y, axis=1) > max(4 * h_grid, 0.05 * radii[j])
                 if np.any(vals[far] >= phi - 1e-9):
                     raise NonUniqueArgmax(f"tied maximizers at t = {t:.4g}")
                 margin_req = constants.c2 / (t - t1) - c_loc
                 if margin_req <= 0:
                     raise ConcavityFailure("no concavity margin at this step size")
-                for scale in (2 * h_grid, 8 * h_grid):
-                    z = np.zeros(x1.size)
-                    z[0] = scale
-                    second = float(
-                        _argmax_objective(field, action_model, t1, x1, t,
-                                          np.stack([y + z, y - z])).sum()
-                        - 2 * phi)
+                for scale, pair in zip(probe_scales, probe_vals[j]):
+                    second = float(pair.sum() - 2 * phi)
                     allowed = -0.25 * margin_req * scale * scale
                     if second > allowed:
                         raise ConcavityFailure(
                             f"objective second difference {second:.3g} above "
                             f"{allowed:.3g} at t = {t:.4g}")
-                points[j] = y
-                certs.append(reachable_gradients(field, t, y)
-                             if certify else None)
-                prev = y
-            return StepResult(t_step=t_step, times=times, points=points,
-                              certificates=certs, constants=constants)
         except (ConcavityFailure, NonUniqueArgmax) as exc:
-            if attempt == max_halvings:
-                if isinstance(exc, NonUniqueArgmax):
-                    logger.warning("argmax stayed tied after %d halvings; "
-                                   "taking the maximizer closest to the previous "
-                                   "point", max_halvings)
-                    order = np.argsort(np.linalg.norm(cand - prev, axis=1))
-                    tied = [k for k in order if vals[k] >= phi - 1e-9]
-                    points[j] = cand[tied[0]]
-                    certs.append(reachable_gradients(field, t, points[j])
-                                 if certify else None)
-                    return StepResult(t_step=t_step, times=times[: j + 1],
-                                      points=points[: j + 1], certificates=certs,
-                                      constants=constants)
+            if attempt < max_halvings:
+                t_step *= 0.5
+                if t_step < 1e-6:
+                    raise ScheduleStall("step halved below 1e-6") from exc
+                continue
+            if not isinstance(exc, NonUniqueArgmax):
                 raise
-            t_step *= 0.5
-            if t_step < 1e-6:
-                raise ScheduleStall("step halved below 1e-6") from exc
+            logger.warning("argmax stayed tied after %d halvings; taking the "
+                           "maximizer closest to the previous point", max_halvings)
+            prev = points[j - 1] if j > 0 else x1
+            order = np.argsort(np.linalg.norm(cand - prev, axis=1))
+            tied = [k for k in order if vals[k] >= phi - 1e-9]
+            points[j] = cand[tied[0]]
+            times, points = times[: j + 1], points[: j + 1]
+        certs = (reachable_gradients_batch(field, times, points) if certify
+                 else [None] * len(times))
+        return StepResult(t_step=t_step, times=times, points=points,
+                          certificates=certs, constants=constants)
     raise ScheduleStall("unreachable")
 
 
@@ -575,8 +600,6 @@ class CutTimeField:
 
     def write(self, tau_path, alpha_path, comments=()):
         self.tau.write(tau_path, comments=comments)
-        with open(tau_path, "a") as fh:
-            fh.write(f"clamped {repr(float(self.horizon))}\n")
         self.alpha.write(alpha_path, comments=comments)
 
 
@@ -734,29 +757,22 @@ def gradient_limits(v: GridFunction, x) -> ReachableGradientSet:
 def strong_critical_test(problem: DiscountedProblem, v: GridFunction, x):
     """Whether the drift set lam*v(x) + H_p(x, D+v(x)) contains zero.
 
-    One-dimensional form: the superdifferential is the hull of the
-    limiting gradients and the test is an interval membership.  In higher
-    dimension the scalar lam*v(x) cannot be added to the vector field; the
-    test then checks 0 against the hull of H_p over the momentum hull and
-    reports the scalar separately.
+    One-dimensional only: the superdifferential is the interval spanned by
+    the limiting gradients and the test is an interval membership.  In
+    higher dimension the scalar lam*v(x) cannot be added to the vector
+    field H_p, so :class:`InvalidProblem` is raised.
     """
     samples, tol = 33, 1e-9
+    if v.dimension != 1:
+        raise InvalidProblem("the strong-critical test is one-dimensional; "
+                             f"got dimension {v.dimension}")
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    cert = gradient_limits(v, x)
-    momenta = cert.momenta
+    momenta = gradient_limits(v, x).momenta
     if momenta.shape[0] == 0:
         raise NoMinimizer("empty gradient set")
     lam_v = problem.lam * float(v(x))
     H_p = problem.hamiltonian.H_p
-    if v.dimension == 1:
-        lo, hi = float(momenta.min()), float(momenta.max())
-        vals = [lam_v + float(np.atleast_1d(H_p(0.0, x, np.array([p])))[0])
-                for p in np.linspace(lo, hi, samples)]
-        return min(vals) <= tol and max(vals) >= -tol
-    # interpretation-dependent beyond 1D: test the drift hull componentwise
-    weights = np.random.default_rng(0).dirichlet(np.ones(len(momenta)), size=samples)
-    drifts = np.array([np.atleast_1d(H_p(0.0, x, w @ momenta)) for w in weights])
-    inside = np.all(drifts.min(axis=0) <= tol) and np.all(drifts.max(axis=0) >= -tol)
-    logger.info("strong-critical test in dimension %d: drift hull test %s, "
-                "lam*v = %.3g reported separately", v.dimension, inside, lam_v)
-    return bool(inside)
+    lo, hi = float(momenta.min()), float(momenta.max())
+    vals = [lam_v + float(np.atleast_1d(H_p(0.0, x, np.array([p])))[0])
+            for p in np.linspace(lo, hi, samples)]
+    return min(vals) <= tol and max(vals) >= -tol

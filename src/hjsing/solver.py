@@ -153,6 +153,10 @@ class ValueField:
     (the minimizer search behind a singularity certificate),
     ``limiting_gradients`` (the gradients read off the minimizers' end
     velocities) and ``domain`` (the box where u(t, .) can be evaluated).
+
+    ``values(t, xs)`` and ``certificate_search(t, xs)`` take one time for
+    every row of ``xs`` or a (P,) array of per-row times; a row's answer
+    does not depend on the other rows of its batch.
     """
 
     def __init__(self, u0: GridFunction):
@@ -174,11 +178,17 @@ class ValueField:
         return float(self.values(t, x[None, :])[0])
 
 
+def _row_times(t, xs) -> np.ndarray:
+    """The time of each row of xs: t broadcast to (P,)."""
+    return np.broadcast_to(np.asarray(t, dtype=float), (len(xs),))
+
+
 class EvolutionaryField(ValueField):
     """Value field u(t, x) of an initial-value problem, evaluated on demand.
 
     Every evaluation with t > 0 is a localized inf-convolution of the
-    initial data; values are cached per (t, point).
+    initial data, one search per distinct time of a batch; values are
+    cached per (t, point).
     """
 
     def __init__(self, model: LagrangianModel, u0: GridFunction):
@@ -196,27 +206,41 @@ class EvolutionaryField(ValueField):
         """Radius of the a-priori ball of u(t, x) around x: lambda_1 times t."""
         return self.lambda1(t) * t
 
-    def _search(self, t: float, xs, polish_window: Optional[float] = None) -> list:
-        return localized_convolution(self.model, self.u0, 0.0, t, xs,
-                                     self.search_radius(t), mode="inf",
-                                     polish_window=polish_window)
+    def _search(self, ts, xs, polish_window: Optional[float] = None) -> list:
+        """Search results in row order, one convolution per distinct time."""
+        out = [None] * len(xs)
+        for t in np.unique(ts):
+            rows = np.flatnonzero(ts == t)
+            found = localized_convolution(self.model, self.u0, 0.0, float(t), xs[rows],
+                                          self.search_radius(t), mode="inf",
+                                          polish_window=polish_window)
+            for i, r in zip(rows, found):
+                out[i] = r
+        return out
 
-    def values(self, t: float, xs) -> np.ndarray:
+    def values(self, t, xs) -> np.ndarray:
         xs = np.atleast_2d(np.asarray(xs, dtype=float))
-        if t <= 0.0:
-            return np.asarray(self.u0(xs), dtype=float).reshape(-1)
-        keys = [(round(float(t), 12), tuple(np.round(x, 12))) for x in xs]
-        missing = [i for i, k in enumerate(keys) if k not in self._cache]
-        if missing:
-            for i, r in zip(missing, self._search(t, xs[missing])):
-                self._cache[keys[i]] = r.value
-        return np.array([self._cache[k] for k in keys])
+        ts = _row_times(t, xs)
+        out = np.empty(len(xs))
+        now = ts <= 0.0
+        if now.any():
+            out[now] = np.asarray(self.u0(xs[now]), dtype=float).reshape(-1)
+        keys = {i: (round(float(ts[i]), 12), tuple(np.round(xs[i], 12)))
+                for i in np.flatnonzero(~now)}
+        missing = [i for i, k in keys.items() if k not in self._cache]
+        for i, r in zip(missing, self._search(ts[missing], xs[missing])):
+            self._cache[keys[i]] = r.value
+        for i, k in keys.items():
+            out[i] = self._cache[k]
+        return out
 
-    def certificate_search(self, t: float, xs) -> list:
+    def certificate_search(self, t, xs) -> list:
         """Tied minimizers of u(t, .) at the rows of xs; needs t > 0."""
-        if t <= 0:
+        xs = np.atleast_2d(np.asarray(xs, dtype=float))
+        ts = _row_times(t, xs)
+        if np.any(ts <= 0):
             raise ValueError("evolutionary reachable gradients need t > 0")
-        return self._search(t, xs, _CERTIFICATE_POLISH_WINDOW)
+        return self._search(ts, xs, _CERTIFICATE_POLISH_WINDOW)
 
     def limiting_gradients(self, t: float, x, velocities):
         """(momenta, q): p = L_v(t, x, vel) per end velocity, q = -H(t, x, p)."""
@@ -287,11 +311,13 @@ class DiscountedField(ValueField):
     def action_lagrangian(self, T: float) -> LagrangianModel:
         return self.transform(T)[0]
 
-    def values(self, t: float, xs) -> np.ndarray:
+    def values(self, t, xs) -> np.ndarray:
         xs = np.atleast_2d(np.asarray(xs, dtype=float))
-        return math.exp(self.problem.lam * t) * np.asarray(self.v(xs), dtype=float).reshape(-1)
+        # math.exp, row by row: numpy's vectorized exp may round differently
+        scale = [math.exp(self.problem.lam * ti) for ti in _row_times(t, xs)]
+        return np.asarray(scale) * np.asarray(self.v(xs), dtype=float).reshape(-1)
 
-    def certificate_search(self, t: float, xs) -> list:
+    def certificate_search(self, t, xs) -> list:
         """Tied minimizers of the backward representation of v at the rows of
         xs, searched at the probe horizon min(0.5, 10/lam) whatever t is."""
         probe = min(0.5, 10.0 / self.problem.lam)

