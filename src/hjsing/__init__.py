@@ -16,7 +16,6 @@ from .action import (
     estimate_constants,
     fundamental_solution,
     hamiltonian_flow,
-    speed_envelope,
 )
 from .errors import (
     BlowUp,
@@ -49,7 +48,6 @@ from .model import (
     LagrangianModel,
     TonelliReport,
     check_tonelli,
-    convex_conjugate,
     hamiltonian_from_lagrangian,
     legendre,
     to_evolutionary,

@@ -19,7 +19,6 @@ integrate exactly under discounting.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,8 +44,6 @@ class Trajectory:
     action: float
     energies: np.ndarray           # (N+1,), E = <p, v> - L
     grad_residual: float = 0.0     # sup-norm of the discrete stationarity residual
-    source: str = "direct"         # "direct" | "flow"
-    multiple_minimizers: bool = False
 
     @property
     def start(self):
@@ -348,8 +345,7 @@ def hamiltonian_flow(model: HamiltonianModel, s: float, x, p0, t: float,
         vel[k] = np.atleast_1d(np.asarray(model.H_p(tau, states[k], duals[k]), dtype=float))
         energies[k] = float(model.H(tau, states[k], duals[k]))
     return Trajectory(times=sol.t.copy(), states=states, velocities=vel,
-                      duals=duals, action=float(actions[-1]), energies=energies,
-                      source="flow")
+                      duals=duals, action=float(actions[-1]), energies=energies)
 
 
 # ---------------------------------------------------------------------------
@@ -412,14 +408,12 @@ def _shoot(model: LagrangianModel, s, t, x, y, p0):
 
 
 def fundamental_solution(model: LagrangianModel, s: float, t: float, x, y,
-                         refine: bool = True, restarts: int = 0, seed: int = 0):
+                         refine: bool = True):
     """Least action between (s, x) and (t, y) with its minimizing trajectory.
 
     Direct method from 64 segments, doubled until the action settles below
     1e-8, then (``refine=True``) a shooting pass on the Hamiltonian
     system; if shooting diverges the extrapolated direct answer stands.
-    ``restarts > 0`` reruns the direct method from perturbed initial curves
-    and flags ``multiple_minimizers`` when distinct local optima appear.
     """
     if not t > s:
         raise ValueError("need t > s")
@@ -439,44 +433,14 @@ def fundamental_solution(model: LagrangianModel, s: float, t: float, x, y,
         coarse = cur
     fine = float(sol["action"][0])
     value = fine + (fine - coarse) / 3.0
-    times = sol["times"]
-    traj = _trajectory_from_nodes(model, times, sol["nodes"][0], value,
+    traj = _trajectory_from_nodes(model, sol["times"], sol["nodes"][0], value,
                                   sol["grad_inf"][0])
-
-    multiple = False
-    if restarts > 0:
-        rng = np.random.default_rng(seed)
-        span = float(np.linalg.norm(y - x)) + (t - s)
-        best_alt = None
-        for _ in range(restarts):
-            wiggle = rng.normal(scale=0.25 * span, size=(1, len(times) // 2 + 1, x.size))
-            frac = np.linspace(0, 1, len(times) // 2 + 1)[None, :, None]
-            bump = wiggle * np.sin(np.pi * frac)
-            init = x[None, None, :] * (1 - frac) + y[None, None, :] * frac + bump
-            alt = minimize_paths(model, s, t, x[None, :], y[None, :],
-                                 segments=len(times) // 2,
-                                 init_nodes=init)
-            a = float(alt["action"][0])
-            if a < value - 1e-6:
-                best_alt = alt
-                multiple = True
-            elif abs(a - value) > 1e-6 and alt["converged"][0]:
-                multiple = True
-        if best_alt is not None:
-            ref = minimize_paths(model, s, t, x[None, :], y[None, :],
-                                 segments=2 * (len(best_alt["times"]) - 1),
-                                 init_nodes=_refine_nodes(best_alt["nodes"]))
-            value = float(ref["action"][0])
-            traj = _trajectory_from_nodes(model, ref["times"], ref["nodes"][0],
-                                          value, ref["grad_inf"][0])
 
     if refine:
         p0 = np.atleast_1d(np.asarray(model.L_v(s, x, traj.velocities[0]), dtype=float))
         flow = _shoot(model, s, t, x, y, p0)
         if flow is not None and flow.action <= value + 1e-6 * (1 + abs(value)):
-            flow.multiple_minimizers = multiple
             return flow.action, flow
-    traj.multiple_minimizers = multiple
     return value, traj
 
 
@@ -580,31 +544,3 @@ def estimate_constants(model: LagrangianModel, s: float, x, T: float,
     c1 = float(max(max(ratios_c1), 1e-8))
     c3 = float(max(max(ratios_c3), 1e-12))
     return ConvexityConstants(c0=c0, c1=c1, c2=c2, c3=c3, slope=lam_slope)
-
-
-def speed_envelope(model: LagrangianModel, T: float, ratios=None):
-    """Empirical bound kappa(T, |x-y|/(t-s)) on minimizer speeds.
-
-    Measures sup-speeds over an endpoint-separation ladder and returns a
-    nondecreasing interpolant inflated by 20 %.
-    """
-    if ratios is None:
-        ratios = np.array([0.25, 0.5, 1.0, 2.0, 4.0, 8.0])
-    ratios = np.asarray(ratios, dtype=float)
-    n = model.dimension
-    sups = []
-    for r in ratios:
-        x = np.zeros(n)
-        y = np.full(n, r * T / math.sqrt(n))
-        sol = minimize_paths(model, 0.0, T, x[None, :], y[None, :], segments=32)
-        traj = _trajectory_from_nodes(model, sol["times"], sol["nodes"][0],
-                                      sol["action"][0], sol["grad_inf"][0])
-        sups.append(float(np.max(np.linalg.norm(traj.velocities, axis=-1))))
-    sups = np.maximum.accumulate(np.asarray(sups))
-    bound = 1.2 * sups
-
-    def kappa(ratio):
-        return float(np.interp(ratio, ratios, bound,
-                               left=bound[0], right=bound[-1] * (1 + ratio / ratios[-1])))
-
-    return kappa

@@ -16,7 +16,11 @@ Keys
 
 User models come in as expression strings: either a full Lagrangian in
 ``(s, x, v)`` or a mechanical potential ``V(x)`` meaning L = |v|^2/2 - V.
-Expression partials are central finite differences with step 1e-6.
+Expression partials are central finite differences with step 1e-6.  A
+Lagrangian expression starts with the growth offsets c_T = offset = 0 and
+a potential with offsets sampled from V; the command line replaces either
+with the config's ``c1``/``c2``.  Every problem reads its growth constants
+from its Lagrangian's ``GrowthData``.
 """
 
 from __future__ import annotations
@@ -31,7 +35,6 @@ from .model import (
     HamiltonianModel,
     LagrangianModel,
     hamiltonian_from_lagrangian,
-    quadratic_growth,
 )
 
 FD_STEP = 1e-6
@@ -55,7 +58,7 @@ def free_particle(dimension: int = 1) -> LagrangianModel:
         L_x=lambda s, x, v: np.zeros_like(np.asarray(x, dtype=float)),
         L_t=lambda s, x, v: np.zeros(np.asarray(v, dtype=float).shape[:-1]),
         L_vv=lambda s, x, v: _eye_like(v, n),
-        growth=quadratic_growth(),
+        growth=GrowthData(),
         name=f"free_particle_{n}d",
     )
     model.hamiltonian = HamiltonianModel(
@@ -81,12 +84,6 @@ def mechanical(f, f_grad, name: str, f_min: float, f_max: float) -> LagrangianMo
         x = np.asarray(x, dtype=float)
         return f_grad(x[..., 0])[..., None]
 
-    growth = GrowthData(
-        c_T=max(0.0, -f_min),
-        theta_lower=lambda r: 0.5 * r * r,
-        theta_upper=lambda r: 0.5 * r * r + max(0.0, f_max),
-        theta_lower_conjugate=lambda s: 0.5 * s * s,
-    )
     model = LagrangianModel(
         dimension=1,
         L=L,
@@ -94,7 +91,7 @@ def mechanical(f, f_grad, name: str, f_min: float, f_max: float) -> LagrangianMo
         L_x=L_x,
         L_t=lambda s, x, v: np.zeros(np.asarray(v, dtype=float).shape[:-1]),
         L_vv=lambda s, x, v: _eye_like(v, 1),
-        growth=growth,
+        growth=GrowthData(c_T=max(0.0, -f_min), offset=max(0.0, f_max)),
         name=name,
     )
     model.hamiltonian = HamiltonianModel(
@@ -157,7 +154,7 @@ def double_well() -> LagrangianModel:
 
 def lagrangian_from_expression(expr: str, dimension: int = 1,
                                name: str = "") -> LagrangianModel:
-    """Model whose L is an expression of (s, x, v), with quadratic growth data;
+    """Model whose L is an expression of (s, x, v), with growth offsets 0;
     partials by central differences."""
     L = scalar_field(expr, dimension)
     h = FD_STEP
@@ -206,7 +203,7 @@ def lagrangian_from_expression(expr: str, dimension: int = 1,
     model = LagrangianModel(
         dimension=dimension,
         L=L, L_v=L_v, L_x=L_x, L_t=L_t, L_vv=L_vv,
-        growth=quadratic_growth(),
+        growth=GrowthData(),
         name=name or f"expr({expr})",
     )
     model.hamiltonian = hamiltonian_from_lagrangian(model)
@@ -252,42 +249,20 @@ def lagrangian_by_key(key: str, dimension: int = 1, **kwargs) -> LagrangianModel
     return _LAGRANGIANS[key](**kwargs)
 
 
-# growth constants (c1, c2) paired with theta12(r) = r^2/2 for each key
-_DISCOUNT_CONSTANTS = {
-    "free_particle": (0.0, 0.0),
-    "pendulum": (1.0, 1.0),
-    "sine_kink": (1.0, 0.5),
-    "double_well": (0.0, 2.25),
-}
-
-
 def discounted_problem(key: str, lam: float, dimension: int = 1,
                        **kwargs) -> DiscountedProblem:
-    """Discounted problem for a catalog key, with its growth constants."""
+    """Discounted problem for a catalog key."""
     model = lagrangian_by_key(key, dimension=dimension, **kwargs)
-    c1, c2 = _DISCOUNT_CONSTANTS[key]
-    return DiscountedProblem(
-        lam=lam,
-        lagrangian=model,
-        hamiltonian=model.hamiltonian,
-        c1=c1,
-        c2=c2,
-        theta1=lambda r: 0.5 * r * r,
-        theta2=lambda r: 0.5 * r * r,
-        name=key,
-    )
+    return DiscountedProblem(lam=lam, lagrangian=model,
+                             hamiltonian=model.hamiltonian, name=key)
 
 
-def discounted_from_model(model: LagrangianModel, lam: float, c1: float,
-                          c2: float) -> DiscountedProblem:
-    """Wrap a time-independent model as a discounted problem with given offsets."""
+def discounted_from_model(model: LagrangianModel, lam: float) -> DiscountedProblem:
+    """Wrap a time-independent model as a discounted problem; its growth
+    offsets are the model's."""
     return DiscountedProblem(
         lam=lam,
         lagrangian=model,
         hamiltonian=model.hamiltonian or hamiltonian_from_lagrangian(model),
-        c1=c1,
-        c2=c2,
-        theta1=lambda r: 0.5 * r * r,
-        theta2=lambda r: 0.5 * r * r,
         name=model.name,
     )

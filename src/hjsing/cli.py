@@ -6,8 +6,10 @@ headers with ``#`` comments.  The keys and their defaults:
 [problem]   key (free_particle, pendulum, sine_kink, double_well), or
             lagrangian (an expression of s, x, v), or potential (V(x), for
             L = v^2/2 - V); lambda = 1.0 (> 0); dimension = 1; eps = 0
-            (sine_kink smoothing, >= 0); c1, c2 (growth offsets of an
-            expression model; unset: from the potential's samples, or 0)
+            (sine_kink smoothing, >= 0); c1 (>= 0), c2: the growth
+            offsets v^2/2 - c1 <= L <= v^2/2 + c2 of an expression model,
+            which every subcommand uses (unset: from the potential's
+            samples, or 0)
 [grid]      box = -pi pi (2 numbers, or 2 per axis); resolution = 128
             (1 count, or 1 per axis; >= 16); periodic = true
 [solve]     tol = 1e-3 (> 0)
@@ -57,7 +59,7 @@ from .laxoleinik import (
     localization_radius,
     solution_lipschitz_bound,
 )
-from .model import check_tonelli, legendre, to_evolutionary
+from .model import GrowthData, check_tonelli, legendre, to_evolutionary
 from .singular import (
     aubry_candidates,
     cut_time_field,
@@ -221,6 +223,7 @@ def load_config(path: str, overrides: dict | None = None) -> RunConfig:
     for ok, message in [
         (cfg.lam > 0, "problem.lambda must be > 0"),
         (cfg.model_kwargs.get("eps", 0.0) >= 0, "problem.eps must be >= 0"),
+        (cfg.c1 is None or cfg.c1 >= 0, "problem.c1 must be >= 0"),
         (len(cfg.resolution) == cfg.dimension,
          f"grid.resolution needs 1 or {cfg.dimension} counts"),
         (min(cfg.resolution) >= 16, "resolution must be at least 16 nodes per axis"),
@@ -256,16 +259,15 @@ def build_problem(cfg: RunConfig):
             raise ConfigError(f"problem.key = {cfg.problem_key}: {exc}") from exc
     if cfg.potential_expr:
         model = lagrangian_from_potential(cfg.potential_expr)
-        c1 = cfg.c1 if cfg.c1 is not None else model.growth.c_T
-        c2 = cfg.c2 if cfg.c2 is not None else float(model.growth.theta_upper(0.0))
-        return discounted_from_model(model, cfg.lam, c1=c1, c2=c2)
-    if cfg.lagrangian_expr:
+    elif cfg.lagrangian_expr:
         model = lagrangian_from_expression(cfg.lagrangian_expr, cfg.dimension)
-        c1 = cfg.c1 if cfg.c1 is not None else 0.0
-        c2 = cfg.c2 if cfg.c2 is not None else 0.0
-        return discounted_from_model(model, cfg.lam, c1=c1, c2=c2)
-    raise ConfigError("config needs one of problem.key / problem.lagrangian / "
-                      "problem.potential")
+    else:
+        raise ConfigError("config needs one of problem.key / problem.lagrangian / "
+                          "problem.potential")
+    g = model.growth
+    model.growth = GrowthData(c_T=g.c_T if cfg.c1 is None else cfg.c1,
+                              offset=g.offset if cfg.c2 is None else cfg.c2)
+    return discounted_from_model(model, cfg.lam)
 
 
 def _field_from_expression(expr: str, dimension: int):

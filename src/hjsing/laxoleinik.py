@@ -32,16 +32,15 @@ import numpy as np
 from .action import PATH_SEGMENTS, minimize_paths, straight_line_actions, _refine_nodes
 from .errors import BoundaryClipped, ExponentOverflow
 from .model import (
-    _SWEEP_SHRINK,
     EXPONENT_CAP,
     DiscountedProblem,
     GrowthData,
     LagrangianModel,
-    convex_conjugate,
     to_evolutionary,
 )
 
 TIE_TOL = 1e-6  # values this close to the optimum count as tied optima
+_SWEEP_SHRINK = 0.4  # polish half-width factor from one sweep to the next
 
 # ---------------------------------------------------------------------------
 # grid functions
@@ -236,8 +235,8 @@ def localization_radius(growth: GrowthData, K: float) -> float:
     """Per-unit-time bound on |argmin - x| for Lipschitz-constant-K inputs."""
     if K < 0:
         raise ValueError("need K >= 0")
-    return float(growth.theta_lower_conjugate(K + 1.0) + growth.c_T
-                 + growth.theta_upper(0.0))
+    s = K + 1.0
+    return float(0.5 * s * s + growth.c_T + growth.offset)
 
 
 def solution_lipschitz_bound(growth: GrowthData, T: float, lip_u0: float) -> float:
@@ -248,11 +247,11 @@ def solution_lipschitz_bound(growth: GrowthData, T: float, lip_u0: float) -> flo
     returns sqrt(F1^2 + F2^2).
     """
     lam1 = localization_radius(growth, lip_u0)
-    f1 = (growth.theta_lower_conjugate(lip_u0) + growth.c_T
-          + growth.ct1(T) * T + growth.ct2(T) * T * growth.theta_upper(lam1)
-          + growth.theta_upper(1.0))
-    upper_conj = convex_conjugate(growth.theta_upper, f1)
-    f2 = growth.theta_lower_conjugate(f1) + growth.c_T + abs(upper_conj)
+    f1 = (0.5 * lip_u0 * lip_u0 + growth.c_T + 2.0 * growth.rate * growth.c_T * T
+          + growth.rate * T * growth.upper(lam1) + growth.upper(1.0))
+    # theta_lower^*(F1) + c_T + |theta_upper^*(F1)|
+    f2 = (0.5 * f1 * f1 + growth.c_T
+          + abs(0.5 * f1 * f1 / growth.scale - growth.offset))
     return float(math.hypot(f1, f2))
 
 
@@ -476,7 +475,6 @@ class SearchResult:
     minimizer_nodes: list          # path node arrays, one per tied argpoint
     times: np.ndarray
     best_point: np.ndarray
-    f_part: float
 
 
 def localized_convolution(model: LagrangianModel, f: GridFunction, t1: float,
@@ -607,12 +605,10 @@ def localized_convolution(model: LagrangianModel, f: GridFunction, t1: float,
         arg_pts = [pts[r].copy() for r in keep]
         arg = ArgBall(center=xs[i], radius=radius, argpoints=arg_pts,
                       spacing=h_ref)
-        best = int(rows[0])
         results[i] = SearchResult(
             value=float(sign * vals[0]), arg=arg,
             minimizer_nodes=[sol2["nodes"][r] for r in keep],
-            times=times, best_point=pts[best].copy(),
-            f_part=float(f_pts[best]))
+            times=times, best_point=pts[rows[0]].copy())
     return results
 
 

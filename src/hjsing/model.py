@@ -10,9 +10,13 @@ All model callables are vectorized over leading axes:
   ``L_t`` returns ``(...)``.  The Hamiltonian side mirrors this with
   ``H, H_p, H_x, H_t``.
 
-Growth bounds (``GrowthData``) store the sandwich
-``theta_upper(|v|) >= L >= theta_lower(|v|) - c_T`` for one horizon,
-together with the time-derivative envelope ``|L_t| <= ct1(T) + ct2(T) L``.
+Growth bounds (``GrowthData``) are four numbers: the sandwich
+``|v|^2/2 - c_T <= L <= scale |v|^2/2 + offset`` and the time-derivative
+envelope ``|L_t| <= 2 rate c_T + rate L``.
+Time-independent models have scale 1 and rate 0; the exponential lift of a
+discounted problem over a horizon T multiplies c_T, offset and scale by
+exp(lam T) and sets rate = lam.  The conjugates are closed forms:
+``theta_lower^*(s) = s^2/2`` and ``theta_upper^*(s) = s^2/(2 scale) - offset``.
 """
 
 from __future__ import annotations
@@ -27,135 +31,26 @@ from .errors import ExponentOverflow, NoConvergence, NotConvex
 
 EXPONENT_CAP = 40.0
 
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-_SWEEP_SHRINK = 0.4  # golden_polish half-width factor from one sweep to the next
-
 
 # ---------------------------------------------------------------------------
-# batched golden-section search
-
-def golden_polish(cost: Callable, seeds, half_width, sweeps: int,
-                  iters: int):
-    """Cyclic per-axis golden-section minimization around a batch of seeds.
-
-    ``seeds`` is (P, n).  A sweep visits the axes in order; on each axis the
-    bracket [z - w, z + w] of every seed shrinks ``iters`` times and the
-    coordinate moves to the bracket midpoint.  ``w`` starts at
-    ``half_width``, a scalar or one width per seed (P,), and is multiplied
-    by ``_SWEEP_SHRINK`` after each sweep.
-    Each iteration makes one call ``cost(points (2P, n)) -> (2P,)``: rows
-    ``:P`` are the left interior points, rows ``P:`` the right ones, and
-    ties keep the left bracket.  Returns (points (P, n), costs (P,)), the
-    costs from one last call on the returned points.
-
-    It needs no derivatives; its callers are :func:`convex_conjugate`, the
-    step-length fallback of :func:`legendre` and the argmax polish of
-    ``singular._argmax_points``.  ``laxoleinik.localized_convolution``
-    polishes cell by cell with endpoint derivatives instead.
-    """
-    z = np.array(seeds, dtype=float)
-    P, n = z.shape
-    width = half_width
-    for _ in range(sweeps):
-        for ax in range(n):
-            lo = z[:, ax] - width
-            hi = z[:, ax] + width
-            for _ in range(iters):
-                a = hi - _INV_PHI * (hi - lo)
-                b = lo + _INV_PHI * (hi - lo)
-                trial = np.concatenate([z, z])
-                trial[:P, ax] = a
-                trial[P:, ax] = b
-                c = cost(trial)
-                left = c[:P] <= c[P:]
-                hi = np.where(left, b, hi)
-                lo = np.where(left, lo, a)
-            z[:, ax] = 0.5 * (lo + hi)
-        width = width * _SWEEP_SHRINK
-    return z, np.asarray(cost(z), dtype=float)
-
-
-# ---------------------------------------------------------------------------
-# convex conjugates of growth functions
-
-def convex_conjugate(theta: Callable, s: float) -> float:
-    """sup_{r >= 0} (r*s - theta(r)), located by a doubling ladder + golden search.
-
-    ``theta`` must be superlinear so the supremum is attained, and accept
-    arrays of radii.  The ladder fixes the bracket [0, r_max] that
-    :func:`golden_polish` then shrinks.
-    """
-    s = float(s)
-    # double r until the objective has clearly passed its peak
-    r_max, best, worse = 1.0, -float(theta(0.0)), 0
-    for _ in range(80):
-        val = s * r_max - float(theta(r_max))
-        if val <= best:
-            worse += 1
-            if worse >= 3:
-                break
-        else:
-            best, worse = val, 0
-        r_max *= 2.0
-    # 60 shrinks leave a bracket of r_max * 3e-13
-    half = 0.5 * r_max
-    _, cost = golden_polish(lambda r: theta(r[:, 0]) - s * r[:, 0],
-                            [[half]], half, sweeps=1, iters=60)
-    return float(max(-cost[0], -float(theta(0.0))))
-
+# growth bounds
 
 @dataclass
 class GrowthData:
-    """Growth sandwich and time-derivative envelope for one horizon."""
+    """|v|^2/2 - c_T <= L <= scale |v|^2/2 + offset and |L_t| <= rate (2 c_T + L)."""
 
-    c_T: float
-    theta_lower: Callable
-    theta_upper: Callable
-    ct1: Callable = lambda T: 0.0
-    ct2: Callable = lambda T: 0.0
-    theta_lower_conjugate: Optional[Callable] = None
-    horizon: float = 1.0
+    c_T: float = 0.0
+    offset: float = 0.0
+    scale: float = 1.0
+    rate: float = 0.0
 
     def __post_init__(self):
         if self.c_T < 0:
             raise ValueError("c_T must be >= 0")
-        if self.theta_lower_conjugate is None:
-            theta = self.theta_lower
-            self.theta_lower_conjugate = lambda s: convex_conjugate(theta, s)
 
-    def validate(self) -> dict:
-        """Spot-check ordering, superlinearity, and the Fenchel inequality
-        on 65 radii in [0, 64]."""
-        r_max, samples = 64.0, 65
-        r = np.linspace(0.0, r_max, samples)
-        lower = np.array([float(self.theta_lower(t)) for t in r])
-        upper = np.array([float(self.theta_upper(t)) for t in r])
-        order_margin = float(np.min(upper - lower))
-        ladder = np.geomspace(1.0, r_max, 12)
-        ratios = np.array([float(self.theta_lower(t)) / t for t in ladder])
-        superlinear = bool(np.all(np.diff(ratios[len(ratios) // 2:]) > -1e-12))
-        s_grid = np.linspace(0.0, r_max / 4.0, 17)
-        fenchel = min(
-            float(self.theta_lower(rr)) + float(self.theta_lower_conjugate(ss)) - rr * ss
-            for rr in r[:: max(1, samples // 16)]
-            for ss in s_grid
-        )
-        return {
-            "order_margin": order_margin,
-            "superlinear": superlinear,
-            "fenchel_margin": fenchel,
-            "ok": order_margin >= -1e-9 and superlinear and fenchel >= -1e-7,
-        }
-
-
-def quadratic_growth() -> GrowthData:
-    """Default bounds theta_lower = theta_upper = r^2/2, c_T = 0."""
-    return GrowthData(
-        c_T=0.0,
-        theta_lower=lambda r: 0.5 * r * r,
-        theta_upper=lambda r: 0.5 * r * r,
-        theta_lower_conjugate=lambda s: 0.5 * s * s,
-    )
+    def upper(self, r):
+        """theta_upper(r) = scale r^2/2 + offset."""
+        return 0.5 * self.scale * r * r + self.offset
 
 
 # ---------------------------------------------------------------------------
@@ -191,30 +86,28 @@ class LagrangianModel:
 
 @dataclass
 class DiscountedProblem:
-    """lambda v + H(x, Dv) = 0 with its Lagrangian side and growth constants."""
+    """lambda v + H(x, Dv) = 0 with its Lagrangian side.
+
+    The growth offsets |v|^2/2 - c1 <= L <= |v|^2/2 + c2 are read from the
+    Lagrangian's growth data.
+    """
 
     lam: float
     lagrangian: LagrangianModel
     hamiltonian: HamiltonianModel
-    c1: float
-    c2: float
-    theta1: Callable
-    theta2: Callable
     name: str = ""
 
     def __post_init__(self):
         if self.lam <= 0:
             raise ValueError("discount rate must be positive")
 
-    def validate_growth(self, x_samples, v_samples) -> float:
-        """Worst margin of theta2(|v|)+c2 >= L >= theta1(|v|)-c1 over samples."""
-        x = np.asarray(x_samples, dtype=float)
-        v = np.asarray(v_samples, dtype=float)
-        speed = np.linalg.norm(v, axis=-1)
-        lval = self.lagrangian.L(0.0, x, v)
-        upper = np.array([float(self.theta2(s)) for s in speed]) + self.c2 - lval
-        lower = lval - np.array([float(self.theta1(s)) for s in speed]) + self.c1
-        return float(min(upper.min(), lower.min()))
+    @property
+    def c1(self) -> float:
+        return self.lagrangian.growth.c_T
+
+    @property
+    def c2(self) -> float:
+        return self.lagrangian.growth.offset
 
 
 # ---------------------------------------------------------------------------
@@ -231,8 +124,10 @@ def legendre(model: LagrangianModel, s: float, x, p, max_iter: int = 100):
     """Invert L_v(s,x,.) = p; returns (v_star, h_value).
 
     ``h_value = <p, v_star> - L(s, x, v_star)`` is the Hamiltonian.  Damped
-    Newton on the strictly convex dual objective; when plain backtracking
-    stalls, :func:`golden_polish` searches the step length on [0, 1].
+    Newton on the strictly convex dual objective.  When no backtracking step
+    lowers the objective, the objective is at its rounding floor (finite-
+    difference models reach it before the gradient tolerance): v counts as
+    converged if the Newton step is below 1e-8 (1 + |v|), else it raises.
     """
     tol = 1e-10
     x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -258,15 +153,9 @@ def legendre(model: LagrangianModel, s: float, x, p, max_iter: int = 100):
                 break
             alpha *= 0.5
         if not improved:
-            def line_cost(a):
-                vv = v + a * step
-                return model.L(s, np.broadcast_to(x, vv.shape), vv) - vv @ p
-
-            pos, cost = golden_polish(line_cost, [[0.5]], 0.5, sweeps=1, iters=60)
-            alpha, trial = float(pos[0, 0]), float(cost[0])
-            if trial >= f_cur:
+            if np.linalg.norm(step) > 1e-8 * (1.0 + np.linalg.norm(v)):
                 raise NoConvergence("Legendre line search stalled")
-            v, f_cur = v + alpha * step, trial
+            return v, float(p @ v - model.L(s, x, v))
     raise NoConvergence(f"Legendre root-find did not reach {tol:g} in {max_iter} iterations")
 
 
@@ -322,8 +211,8 @@ def to_evolutionary(problem: DiscountedProblem, horizon: float = 1.0):
     """Time-dependent models (L_hat, H_hat) equivalent to the discounted problem.
 
     ``L_hat(t,x,v) = exp(lam*t) L(x,v)`` and
-    ``H_hat(t,x,p) = exp(lam*t) H(x, exp(-lam*t) p)``; growth data is
-    rescaled for the requested horizon.  Raises :class:`ExponentOverflow`
+    ``H_hat(t,x,p) = exp(lam*t) H(x, exp(-lam*t) p)``; the growth offsets
+    and the upper quadratic are rescaled by exp(lam*horizon), and rate = lam.  Raises :class:`ExponentOverflow`
     when ``lam*horizon`` exceeds the exponent cap.
     """
     lam = problem.lam
@@ -340,14 +229,8 @@ def to_evolutionary(problem: DiscountedProblem, horizon: float = 1.0):
         L_x=lambda s, x, v: _time_weight(lam, s, 1) * L0.L_x(s, x, v),
         L_t=lambda s, x, v: lam * _time_weight(lam, s, 0) * L0.L(s, x, v),
         L_vv=lambda s, x, v: _time_weight(lam, s, 2) * L0.L_vv(s, x, v),
-        growth=GrowthData(
-            c_T=scale_T * problem.c1,
-            theta_lower=problem.theta1,
-            theta_upper=lambda r: scale_T * (problem.theta2(r) + problem.c2),
-            ct1=lambda T: 2.0 * lam * math.exp(lam * T) * problem.c1,
-            ct2=lambda T: lam,
-            horizon=horizon,
-        ),
+        growth=GrowthData(c_T=scale_T * problem.c1, offset=scale_T * problem.c2,
+                          scale=scale_T, rate=lam),
         time_dependent=True,
         name=f"discount-transform({problem.name})",
         exp_rate=lam,
@@ -434,13 +317,12 @@ def check_tonelli(model: LagrangianModel, box, horizon: float, samples: int = 20
     speed = np.linalg.norm(v, axis=-1)
 
     g = model.growth
-    lower = np.array([float(g.theta_lower(r)) for r in speed])
-    upper = np.array([float(g.theta_upper(r)) for r in speed])
-    lower_margin = float(np.min(lval - (lower - g.c_T)))
-    upper_margin = float(np.min(upper - lval))
+    lower_margin = float(np.min(lval - (0.5 * speed * speed - g.c_T)))
+    upper_margin = float(np.min(g.upper(speed) - lval))
 
+    # for a lift, 2 rate c_T holds up to the lift's own horizon
     lt = np.abs(np.asarray(model.L_t(times, x, v), dtype=float))
-    envelope = g.ct1(horizon) + g.ct2(horizon) * lval
+    envelope = 2.0 * g.rate * g.c_T + g.rate * lval
     time_margin = float(np.min(envelope - lt))
 
     return TonelliReport(

@@ -39,14 +39,15 @@ from .errors import (
     NonUniqueArgmax,
     ScheduleStall,
 )
-from .laxoleinik import TIE_TOL, GridFunction
-from .model import DiscountedProblem, golden_polish
+from .laxoleinik import _SWEEP_SHRINK, TIE_TOL, GridFunction
+from .model import DiscountedProblem
 from .solver import DiscountedField
 
 logger = logging.getLogger(__name__)
 
 _MERGE_TOL = 1e-4       # momenta this close are one limiting gradient
 _LATTICE_NODES = 49     # argmax scan nodes per axis of the ball
+_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -66,7 +67,6 @@ class ReachableGradientSet:
     momenta: np.ndarray             # (k, n)
     q: Optional[np.ndarray]         # (k,) or None
     diameter: float
-    source: str = "minimizer-enumeration"
 
 
 def _merge_momenta(momenta):
@@ -172,13 +172,52 @@ def _argmax_objective(field, action_model, t1: float, x1, ts, ys):
     return u_vals - sol["action"]
 
 
+def golden_polish(cost, seeds, half_width, sweeps: int, iters: int):
+    """Cyclic per-axis golden-section minimization around a batch of seeds.
+
+    ``seeds`` is (P, n).  A sweep visits the axes in order; on each axis the
+    bracket [z - w, z + w] of every seed shrinks ``iters`` times and the
+    coordinate moves to the bracket midpoint.  ``w`` starts at
+    ``half_width``, a scalar or one width per seed (P,), and is multiplied
+    by ``_SWEEP_SHRINK`` after each sweep.
+    Each iteration makes one call ``cost(points (2P, n)) -> (2P,)``: rows
+    ``:P`` are the left interior points, rows ``P:`` the right ones, and
+    ties keep the left bracket.  Returns (points (P, n), costs (P,)), the
+    costs from one last call on the returned points.
+
+    It needs no derivatives; its one caller is the argmax polish of
+    :func:`_argmax_points`.  ``laxoleinik.localized_convolution`` polishes
+    cell by cell with endpoint derivatives instead.
+    """
+    z = np.array(seeds, dtype=float)
+    P, n = z.shape
+    width = half_width
+    for _ in range(sweeps):
+        for ax in range(n):
+            lo = z[:, ax] - width
+            hi = z[:, ax] + width
+            for _ in range(iters):
+                a = hi - _INV_PHI * (hi - lo)
+                b = lo + _INV_PHI * (hi - lo)
+                trial = np.concatenate([z, z])
+                trial[:P, ax] = a
+                trial[P:, ax] = b
+                c = cost(trial)
+                left = c[:P] <= c[P:]
+                hi = np.where(left, b, hi)
+                lo = np.where(left, lo, a)
+            z[:, ax] = 0.5 * (lo + hi)
+        width = width * _SWEEP_SHRINK
+    return z, np.asarray(cost(z), dtype=float)
+
+
 def _argmax_points(field, action_model, t1, x1, times, radii):
     """Maximize phi over the ball of each time; returns (ys, phis, scans, scan_vals).
 
     ``times`` and ``radii`` are (k,); ``ys`` is (k, n), ``phis`` (k,), and
     ``scans``/``scan_vals`` hold each time's lattice and its objective.  One
     objective batch scans the lattices of every time, which pick the seeds;
-    then one :func:`hjsing.model.golden_polish` minimizes -phi around the
+    then one :func:`golden_polish` minimizes -phi around the
     seeds of every time at once.  Within a time the first seed wins ties.
     """
     n = x1.size
@@ -751,7 +790,7 @@ def gradient_limits(v: GridFunction, x) -> ReachableGradientSet:
     corners = np.array(corners)
     keep, diam = _merge_momenta(corners)
     return ReachableGradientSet(point=x.copy(), time=None, momenta=corners[keep],
-                                q=None, diameter=diam, source="limit-of-gradients")
+                                q=None, diameter=diam)
 
 
 def strong_critical_test(problem: DiscountedProblem, v: GridFunction, x):

@@ -86,7 +86,7 @@ class ResidualReport:
 def bounds_K(problem: DiscountedProblem):
     """Constant bracket (K1, K2) for the backward fixed-point iteration."""
     k1 = problem.c1 / problem.lam
-    k2 = (float(problem.theta2(0.0)) + problem.c2) / problem.lam
+    k2 = problem.c2 / problem.lam
     return k1, k2
 
 
@@ -108,7 +108,7 @@ def solve_discounted(problem: DiscountedProblem, box, resolution, tol: float = 1
                                    resolution, periodic=periodic)
     nodes = v.nodes()
     # fixed search Lipschitz bound: the a-priori constant of the fixed point
-    lip_cap = float(problem.theta2(1.0)) + problem.c2 + lam * max(k1, k2)
+    lip_cap = 0.5 + problem.c2 + lam * max(k1, k2)
 
     spread = k1 + k2
     cap = 10 if spread <= tol else math.ceil(math.log(spread / tol) / lam) + 10

@@ -13,7 +13,6 @@ from hjsing import (
     fundamental_solution,
     hamiltonian_flow,
     model,
-    speed_envelope,
 )
 from hjsing.action import minimize_paths, straight_line_actions
 
@@ -100,13 +99,6 @@ class TestFundamentalSolution:
         assert abs(traj.states[-1][0] - 1.0) <= 1e-12
         assert traj.grad_residual <= 1e-7
 
-    def test_restarts_flag_double_well(self):
-        # two symmetric wells: paths through either side tie, flag raised
-        dw = catalog.double_well()
-        _, traj = fundamental_solution(dw, 0.0, 4.0, [0.0], [0.0], restarts=5,
-                                       seed=2)
-        assert isinstance(traj.multiple_minimizers, bool)
-
     def test_requires_increasing_times(self, free_particle_1d):
         with pytest.raises(ValueError):
             fundamental_solution(free_particle_1d, 1.0, 1.0, [0.0], [1.0])
@@ -190,7 +182,7 @@ class TestBatchedPaths:
         else:
             m = catalog.sine_kink()
             if key == "sine_kink_lift":
-                problem = catalog.discounted_from_model(m, lam=1.0, c1=1.0, c2=0.5)
+                problem = catalog.discounted_from_model(m, lam=1.0)
                 m, _ = model.to_evolutionary(problem, horizon=2.0)
         rng = np.random.default_rng(rows)
         s = rng.uniform(0.0, 0.5, size=rows)
@@ -227,7 +219,7 @@ def _sine_kink_2d():
         dimension=2, L=L, L_v=lambda s, x, v: np.asarray(v, dtype=float).copy(),
         L_x=L_x, L_t=lambda s, x, v: np.zeros(np.shape(v)[:-1]),
         L_vv=lambda s, x, v: np.broadcast_to(np.eye(2), np.shape(v) + (2,)),
-        growth=model.quadratic_growth(), name="sine_kink_2d")
+        growth=model.GrowthData(c_T=2.0, offset=1.0), name="sine_kink_2d")
 
 
 class TestEndpointDerivatives:
@@ -241,7 +233,7 @@ class TestEndpointDerivatives:
             m = catalog.sine_kink() if dimension == 1 else _sine_kink_2d()
             if key == "sine_kink_lift":
                 # exponential quadrature weights
-                problem = catalog.discounted_from_model(m, lam=1.0, c1=1.0, c2=0.5)
+                problem = catalog.discounted_from_model(m, lam=1.0)
                 m, _ = model.to_evolutionary(problem, horizon=1.0)
         rng = np.random.default_rng(10 * dimension + segments)
         # endpoints and paths stay inside (0, pi), clear of the kinks
@@ -285,18 +277,3 @@ class TestConstants:
         estimate_constants(free_particle_1d, 0.0, [0.0], 1.0, 2.0)
         # one refined_action over every level and end time: two solves
         assert len(calls) == 2
-
-
-class TestSpeedEnvelope:
-    def test_monotone_in_separation(self, sine_problem):
-        kappa = speed_envelope(sine_problem.lagrangian, 1.0,
-                               ratios=np.array([0.5, 1.0, 2.0, 4.0]))
-        values = [kappa(r) for r in (0.5, 1.0, 2.0, 4.0, 8.0)]
-        assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
-
-    def test_bounds_minimizer_speed(self, sine_problem):
-        kappa = speed_envelope(sine_problem.lagrangian, 1.0)
-        _, traj = fundamental_solution(sine_problem.lagrangian, 0.0, 1.0,
-                                       [0.0], [2.0])
-        sup_speed = float(np.max(np.abs(traj.velocities)))
-        assert sup_speed <= kappa(2.0)

@@ -50,6 +50,17 @@ x0 = 0.0
 horizon = 1.5
 """
 
+COS_EXPRESSION = """
+[problem]
+lagrangian = v^2/2 + cos(x)
+c1 = 1
+c2 = 1
+
+[grid]
+box = -3.141592653589793 3.141592653589793
+resolution = 32
+"""
+
 FREE_PARTICLE_2D = """
 [problem]
 key = free_particle
@@ -111,8 +122,13 @@ def test_writes_the_same_grid_twice(tmp_path, command, output):
     assert (out / output).read_bytes() == grid
 
 
-def test_verify(tmp_path, capsys):
-    code, _ = run(tmp_path, "verify", SINE_KINK)
+@pytest.mark.parametrize("config_text, flags", [
+    (SINE_KINK, ()),
+    # finite-difference partials; c1, c2 set the model's growth offsets
+    (COS_EXPRESSION, ("--seed", "2")),
+], ids=["catalog", "expression"])
+def test_verify(tmp_path, capsys, config_text, flags):
+    code, _ = run(tmp_path, "verify", config_text, *flags)
     out = capsys.readouterr().out
     assert code == 0
     assert [line.split()[0] for line in out.splitlines()] == ["PASS"] * 5
@@ -137,12 +153,13 @@ def test_constants_2d_without_trace_section(tmp_path, capsys):
     ("lambda = 1.0", "lambda = -1", ()),
     ("lambda = 1.0", "lambda = 1.0", ("--tol", "0")),
     ("lambda = 1.0", "lambda = 1.0\neps = -1", ()),
+    ("lambda = 1.0", "lambda = 1.0\nc1 = -1", ()),
     ("key = sine_kink", "key = pendulum\neps = 0.1", ()),
     ("times = 0.5", "times = -0.5", ()),
     ("demo_range = 0.3 1.0", "demo_range = 0.3", ()),
     ("x0 = 0.0", "x0 = 0.0 1.0", ()),
     ("[trace]", "[trace]\nfield = evolutinary", ()),
-], ids=["lambda", "tol", "eps", "eps_key", "times", "demo_range", "x0", "field"])
+], ids=["lambda", "tol", "eps", "c1", "eps_key", "times", "demo_range", "x0", "field"])
 def test_malformed_config_is_a_config_error(tmp_path, capsys, line, replacement, flags):
     code, _ = run(tmp_path, "constants", SINE_KINK.replace(line, replacement), *flags)
     err = capsys.readouterr().err

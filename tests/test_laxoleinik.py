@@ -94,38 +94,36 @@ class TestArgBall:
 
 class TestLocalizationRadius:
     def test_formula_quadratic(self):
-        g = model.quadratic_growth()
+        g = model.GrowthData()
         assert localization_radius(g, 1.0) == pytest.approx(2.0)
         assert localization_radius(g, 0.0) == pytest.approx(0.5)
 
     def test_formula_with_offsets(self):
-        g = model.GrowthData(c_T=3.0, theta_lower=lambda r: 0.5 * r * r,
-                             theta_upper=lambda r: 0.5 * r * r + 1.0,
-                             theta_lower_conjugate=lambda s: 0.5 * s * s)
+        g = model.GrowthData(c_T=3.0, offset=1.0)
         assert localization_radius(g, 0.0) == pytest.approx(4.5)
 
     def test_rejects_bad_arguments(self):
-        g = model.quadratic_growth()
+        g = model.GrowthData()
         with pytest.raises(ValueError):
             localization_radius(g, -0.5)
 
 
 class TestSolutionLipschitzBound:
     def test_free_particle_chain(self):
-        g = model.quadratic_growth()
+        g = model.GrowthData()
         # F1 = theta*(1) + theta_upper(1) = 1; F2 = theta*(F1) + |conj(F1)| = 1
         assert solution_lipschitz_bound(g, 1.0, 1.0) == pytest.approx(
             math.hypot(1.0, 1.0), abs=1e-6)
 
     def test_zero_lip_chain(self):
-        g = model.quadratic_growth()
+        g = model.GrowthData()
         f1 = 0.5
         f2 = 0.5 * f1 ** 2 + 0.5 * f1 ** 2
         assert solution_lipschitz_bound(g, 1.0, 0.0) == pytest.approx(
             math.hypot(f1, f2), abs=1e-6)
 
     def test_monotone_in_lip(self):
-        g = model.quadratic_growth()
+        g = model.GrowthData()
         values = [solution_lipschitz_bound(g, 1.0, k) for k in (0.0, 0.5, 1.0, 2.0)]
         assert all(b >= a for a, b in zip(values, values[1:]))
 
@@ -268,9 +266,9 @@ class TestPlusOperator:
         # f = u(t2, .) of the kink field; from x = 0 the maximizer is unique
         u_t2 = GridFunction.from_callable(lambda p: -np.abs(p[..., 0]) - 0.5,
                                           [(-8.0, 8.0)], 1025)
-        lam2 = localization_radius(model.quadratic_growth(),
+        lam2 = localization_radius(model.GrowthData(),
                                    solution_lipschitz_bound(
-                                       model.quadratic_growth(), 1.0, 1.0))
+                                       model.GrowthData(), 1.0, 1.0))
         val, arg = lax_oleinik_plus(free_particle_1d, u_t2, 0.0, [0.0], 1.0,
                                     radius=lam2)
         assert len(arg.argpoints) == 1
@@ -289,7 +287,7 @@ class TestDiscountedOperator:
         m = catalog.mechanical(lambda x: np.ones_like(x),
                                lambda x: np.zeros_like(x),
                                "kinetic_plus_one", 1.0, 1.0)
-        prob = catalog.discounted_from_model(m, lam=1.0, c1=0.0, c2=1.0)
+        prob = catalog.discounted_from_model(m, lam=1.0)
         v0 = GridFunction.from_callable(lambda p: 0.0 * p[..., 0],
                                         [(-4.0, 4.0)], 129, periodic=True)
         for t in (0.5, 1.0, 2.0):

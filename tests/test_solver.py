@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -25,14 +26,15 @@ class TestBoundsK:
     def test_offset_kinetic(self):
         m = catalog.mechanical(lambda x: np.ones_like(x),
                                lambda x: np.zeros_like(x), "k+1", 1.0, 1.0)
-        prob = catalog.discounted_from_model(m, lam=1.0, c1=0.0, c2=1.0)
+        prob = catalog.discounted_from_model(m, lam=1.0)
         assert bounds_K(prob) == (0.0, 1.0)
 
     def test_formula(self, free_particle_1d):
+        lagrangian = dataclasses.replace(
+            free_particle_1d, growth=model.GrowthData(c_T=4.0, offset=6.0))
         prob = model.DiscountedProblem(
-            lam=2.0, lagrangian=free_particle_1d,
-            hamiltonian=free_particle_1d.hamiltonian, c1=4.0, c2=6.0,
-            theta1=lambda r: 0.5 * r * r, theta2=lambda r: 0.0 * r)
+            lam=2.0, lagrangian=lagrangian,
+            hamiltonian=free_particle_1d.hamiltonian)
         assert bounds_K(prob) == (2.0, 3.0)
 
 
@@ -53,7 +55,7 @@ class TestSolveDiscounted:
     def test_constant_fixed_point(self):
         m = catalog.mechanical(lambda x: np.ones_like(x),
                                lambda x: np.zeros_like(x), "k+1", 1.0, 1.0)
-        prob = catalog.discounted_from_model(m, lam=1.0, c1=0.0, c2=1.0)
+        prob = catalog.discounted_from_model(m, lam=1.0)
         v, report = solve_discounted(prob, [(-2.0, 2.0)], 65, tol=1e-4)
         np.testing.assert_allclose(v.values, 1.0, atol=2e-4)
 
@@ -70,7 +72,7 @@ class TestSolveDiscounted:
                                        [(-2 * np.pi, 2 * np.pi)], 96,
                                        periodic=True)
         nodes = v.nodes()
-        lip_cap = (float(sine_problem.theta2(1.0)) + sine_problem.c2
+        lip_cap = (0.5 + sine_problem.c2
                    + sine_problem.lam * max(k1, k2))
         prev = v.values.reshape(-1)
         changes = []
@@ -109,7 +111,7 @@ class TestSolveDiscounted:
     def test_fixed_point_lipschitz_bound(self, sine_problem):
         v, _ = solve_discounted(sine_problem, [(-2 * np.pi, 2 * np.pi)], 128,
                                 tol=1e-3)
-        bound = (float(sine_problem.theta2(1.0)) + sine_problem.c2
+        bound = (0.5 + sine_problem.c2
                  + sine_problem.lam * float(np.max(np.abs(v.values))))
         assert v.lipschitz_estimate <= bound + 1e-6
 
