@@ -37,7 +37,6 @@ from .laxoleinik import (
     GridFunction,
     discounted_lax_oleinik,
     lax_oleinik_minus,
-    lax_oleinik_plus,
     localization_radius,
     solution_lipschitz_bound,
 )

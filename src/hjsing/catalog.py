@@ -249,10 +249,9 @@ def lagrangian_by_key(key: str, dimension: int = 1, **kwargs) -> LagrangianModel
     return _LAGRANGIANS[key](**kwargs)
 
 
-def discounted_problem(key: str, lam: float, dimension: int = 1,
-                       **kwargs) -> DiscountedProblem:
+def discounted_problem(key: str, lam: float) -> DiscountedProblem:
     """Discounted problem for a catalog key."""
-    model = lagrangian_by_key(key, dimension=dimension, **kwargs)
+    model = lagrangian_by_key(key)
     return DiscountedProblem(lam=lam, lagrangian=model,
                              hamiltonian=model.hamiltonian, name=key)
 

@@ -7,9 +7,9 @@ headers with ``#`` comments.  The keys and their defaults:
             lagrangian (an expression of s, x, v), or potential (V(x), for
             L = v^2/2 - V); lambda = 1.0 (> 0); dimension = 1; eps = 0
             (sine_kink smoothing, >= 0); c1 (>= 0), c2: the growth
-            offsets v^2/2 - c1 <= L <= v^2/2 + c2 of an expression model,
-            which every subcommand uses (unset: from the potential's
-            samples, or 0)
+            offsets v^2/2 - c1 <= L <= v^2/2 + c2 of the model, which
+            every subcommand uses (unset: the catalog model's own, from
+            the potential's samples, or 0)
 [grid]      box = -pi pi (2 numbers, or 2 per axis); resolution = 128
             (1 count, or 1 per axis; >= 16); periodic = true
 [solve]     tol = 1e-3 (> 0)
@@ -47,7 +47,7 @@ from . import __version__
 from .action import estimate_constants, fundamental_solution, action_gradients
 from .catalog import (
     discounted_from_model,
-    discounted_problem,
+    lagrangian_by_key,
     lagrangian_from_expression,
     lagrangian_from_potential,
 )
@@ -250,14 +250,14 @@ def load_config(path: str, overrides: dict | None = None) -> RunConfig:
 
 
 def build_problem(cfg: RunConfig):
-    """Discounted problem from the config's model section."""
+    """Discounted problem from the config's model section; ``c1``/``c2``, when
+    set, replace the model's growth offsets whatever the model's source."""
     if cfg.problem_key:
         try:
-            return discounted_problem(cfg.problem_key, cfg.lam,
-                                      dimension=cfg.dimension, **cfg.model_kwargs)
+            model = lagrangian_by_key(cfg.problem_key, cfg.dimension, **cfg.model_kwargs)
         except TypeError as exc:
             raise ConfigError(f"problem.key = {cfg.problem_key}: {exc}") from exc
-    if cfg.potential_expr:
+    elif cfg.potential_expr:
         model = lagrangian_from_potential(cfg.potential_expr)
     elif cfg.lagrangian_expr:
         model = lagrangian_from_expression(cfg.lagrangian_expr, cfg.dimension)

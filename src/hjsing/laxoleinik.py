@@ -1,10 +1,11 @@
-"""Grid-sampled scalar fields and the inf/sup-convolution operators.
+"""Grid-sampled scalar fields and the localized inf-convolution operator.
 
-The operators search the infimum of ``f(z) + A(z, x)`` (or the supremum of
-``f(y) - A(x, y)``) only inside the a-priori ball whose radius is the
-localization constant times the time gap; that bound is what keeps the
-scan finite, and every :class:`ArgBall` a search returns asserts that its
-argument points lie inside it.  The search is
+The operator searches the infimum of ``f(z) + A(z, x)`` only inside the
+a-priori ball whose radius is the localization constant times the time
+gap; that bound is what keeps the scan finite, and every :class:`ArgBall`
+a search returns asserts that its argument points lie inside it.  (The
+sup-convolution that moves a singularity forward is the argmax of
+``singular._argmax_points``.)  The search is
 a three-stage pipeline: a straight-segment quadrature ranks every node in
 the ball, the optimizing direct method re-scores a window around the
 leaders, and a cell-by-cell polish produces the final value and the
@@ -389,8 +390,8 @@ def _illinois(evaluate, x_lo, x_hi, d_lo, d_hi, n_lo, n_hi):
     return xc, cc, ac, nc
 
 
-def _cell_polish(f: GridFunction, sign: float, solve, z, paths):
-    """Cyclic per-axis minimization of ``sign * f(z) + A(z)`` around each row of z.
+def _cell_polish(f: GridFunction, solve, z, paths):
+    """Cyclic per-axis minimization of ``f(z) + A(z)`` around each row of z.
 
     ``solve(points, rows, warm)`` returns ``(A, dA, nodes)`` at ``points``
     (P, n) for the seeds ``rows``: the actions (P,), their derivatives in
@@ -426,7 +427,7 @@ def _cell_polish(f: GridFunction, sign: float, solve, z, paths):
                 pts[:, ax] = x
                 a, da, nodes = solve(pts, seeds, warm)
                 fv = np.asarray(f(pts), dtype=float).reshape(-1)
-                return sign * fv + a, a, da[:, ax], nodes, fv
+                return fv + a, a, da[:, ax], nodes, fv
 
             owner, xb = _axis_breakpoints(f, ax, z[live, ax], width)
             seeds = live[owner]
@@ -434,7 +435,7 @@ def _cell_polish(f: GridFunction, sign: float, solve, z, paths):
             # cells between consecutive breakpoints of one seed
             left = np.nonzero(owner[:-1] == owner[1:])[0]
             right = left + 1
-            slope = sign * (fb[right] - fb[left]) / (xb[right] - xb[left])
+            slope = (fb[right] - fb[left]) / (xb[right] - xb[left])
             d_lo, d_hi = slope + db[left], slope + db[right]
             cells = np.nonzero((d_lo < 0) & (d_hi > 0))[0]
             c_seed, slope = seeds[left[cells]], slope[cells]
@@ -478,53 +479,47 @@ class SearchResult:
 
 
 def localized_convolution(model: LagrangianModel, f: GridFunction, t1: float,
-                          t2: float, xs, radius: float, mode: str = "inf",
-                          polish_window: Optional[float] = None):
-    """Batched localized inf (or sup) convolution of f with the action kernel.
+                          t2, xs, radius, polish_window: Optional[float] = None):
+    """Batched localized inf-convolution of f with the action kernel:
+    value(x) = min_z f(z) + A_{t1,t2}(z, x), searched in the ball of ``radius``.
 
-    mode="inf": value(x) = min_z f(z) + A_{t1,t2}(z, x)
-    mode="sup": value(x) = max_y f(y) - A_{t1,t2}(x, y)
-
-    The polish starts from the candidates within ``polish_window``
-    (default max(5e-3, h^2 / (t2 - t1))) of the best re-scored cost, at
-    most six per query and more than two cells apart.  It is
-    :func:`_cell_polish`: cell-wise line minimization along each axis,
-    driven by the derivative of the action in the moving endpoint, each
-    path warm-started from the seed's previous one.  Winners within
-    ``TIE_TOL`` of the best are refined by Richardson extrapolation from
-    ``PATH_SEGMENTS`` to twice that.  Returns a list of
-    :class:`SearchResult`, one per row of ``xs``.
+    ``t2`` and ``radius`` are scalars or (P,) arrays, one per row of ``xs``;
+    a row's answer is the same either way.  The polish starts from the
+    candidates within ``polish_window`` (default max(5e-3, h^2 / (t2 - t1)),
+    per row) of the best re-scored cost, at most six per query and more
+    than two cells apart.  It is :func:`_cell_polish`: cell-wise line
+    minimization along each axis, driven by the derivative of the action in
+    the moving endpoint, each path warm-started from the seed's previous
+    one.  Winners within ``TIE_TOL`` of the best are refined by Richardson
+    extrapolation from ``PATH_SEGMENTS`` to twice that.  Returns a list of
+    :class:`SearchResult`, one per row of ``xs``, whose ``times`` are the
+    time nodes of that row's horizon.
     """
-    if not t2 > t1:
-        raise ValueError("need t2 > t1")
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     P, n = xs.shape
-    dt = t2 - t1
-    sign = 1.0 if mode == "inf" else -1.0
+    t2_rows = np.broadcast_to(np.asarray(t2, dtype=float), (P,))
+    if not np.all(t2_rows > t1):
+        raise ValueError("need t2 > t1")
+    radii = np.broadcast_to(np.asarray(radius, dtype=float), (P,))
     h_ref = float(np.max(f.spacing))
     if polish_window is None:
-        polish_window = max(5e-3, h_ref ** 2 / dt)
+        polish_window = np.maximum(5e-3, h_ref ** 2 / (t2_rows - t1))
+    window = np.broadcast_to(polish_window, (P,))
 
-    cand_list = [_ball_candidates(f, xs[i], radius) for i in range(P)]
+    def horizon(owner_idx):
+        # a shared horizon stays a scalar: the paths then share one time row
+        return t2 if np.ndim(t2) == 0 else t2_rows[owner_idx]
+
+    cand_list = [_ball_candidates(f, xs[i], radii[i]) for i in range(P)]
     owners = np.concatenate([np.full(len(c), i) for i, c in enumerate(cand_list)])
     cand = np.vstack(cand_list)
 
     def action_batch(points, owner_idx, nseg, init=None):
-        if mode == "inf":
-            starts, ends = points, xs[owner_idx]
-        else:
-            starts, ends = xs[owner_idx], points
-        return minimize_paths(model, t1, t2, starts, ends, segments=nseg,
-                              init_nodes=init)
-
-    def straight_batch(points, owner_idx):
-        if mode == "inf":
-            return straight_line_actions(model, t1, t2, points, xs[owner_idx])
-        return straight_line_actions(model, t1, t2, xs[owner_idx], points)
+        return minimize_paths(model, t1, horizon(owner_idx), points, xs[owner_idx],
+                              segments=nseg, init_nodes=init)
 
     f_vals = np.asarray(f(cand), dtype=float).reshape(-1)
-    cheap = straight_batch(cand, owners)
-    cost = sign * f_vals + cheap
+    cost = f_vals + straight_line_actions(model, t1, horizon(owners), cand, xs[owners])
 
     # re-score the scan costs within 1 of each owner's leader
     best_per = np.full(P, np.inf)
@@ -533,14 +528,14 @@ def localized_convolution(model: LagrangianModel, f: GridFunction, t1: float,
     cand_k, owners_k = cand[keep], owners[keep]
 
     sol = action_batch(cand_k, owners_k, PATH_SEGMENTS)
-    cost_acc = sign * np.asarray(f(cand_k), dtype=float).reshape(-1) + sol["action"]
+    cost_acc = np.asarray(f(cand_k), dtype=float).reshape(-1) + sol["action"]
 
     best_acc = np.full(P, np.inf)
     np.minimum.at(best_acc, owners_k, cost_acc)
 
     results: list[Optional[SearchResult]] = [None] * P
     # polish seeds: near-optimal candidates thinned to distinct basins
-    seed_rows = np.where(cost_acc <= best_acc[owners_k] + polish_window)[0]
+    seed_rows = np.where(cost_acc <= best_acc[owners_k] + window[owners_k])[0]
     seeds_by_owner: dict[int, list[int]] = {}
     for row in seed_rows:
         seeds_by_owner.setdefault(int(owners_k[row]), []).append(int(row))
@@ -568,10 +563,9 @@ def localized_convolution(model: LagrangianModel, f: GridFunction, t1: float,
 
     def solve(points, seeds, warm):
         sol_p = action_batch(points, polished_owner[seeds], PATH_SEGMENTS, init=warm)
-        return (sol_p["action"], sol_p["d_start" if mode == "inf" else "d_end"],
-                sol_p["nodes"])
+        return sol_p["action"], sol_p["d_start"], sol_p["nodes"]
 
-    pos, val, act1, nodes1 = _cell_polish(f, sign, solve, np.asarray(seed_pos),
+    pos, val, act1, nodes1 = _cell_polish(f, solve, np.asarray(seed_pos),
                                           np.asarray(seed_paths))
 
     # final assembly: Richardson-refined values for every near-tied winner,
@@ -592,9 +586,8 @@ def localized_convolution(model: LagrangianModel, f: GridFunction, t1: float,
     sol2 = action_batch(pts, tied_owner, 2 * PATH_SEGMENTS,
                         init=_refine_nodes(nodes1[tied_rows]))
     a_ref = sol2["action"] + (sol2["action"] - act1[tied_rows]) / 3.0
-    f_pts = np.asarray(f(pts), dtype=float).reshape(-1)
-    cost_final = sign * f_pts + a_ref
-    times = sol2["times"]
+    cost_final = np.asarray(f(pts), dtype=float).reshape(-1) + a_ref
+    times = np.broadcast_to(sol2["times"], (len(pts), 2 * PATH_SEGMENTS + 1))
 
     for i in range(P):
         rows = np.where(tied_owner == i)[0]
@@ -603,12 +596,12 @@ def localized_convolution(model: LagrangianModel, f: GridFunction, t1: float,
         rows, vals = rows[order], vals[order]
         keep = [r for r, v in zip(rows, vals) if v <= vals[0] + TIE_TOL]
         arg_pts = [pts[r].copy() for r in keep]
-        arg = ArgBall(center=xs[i], radius=radius, argpoints=arg_pts,
+        arg = ArgBall(center=xs[i], radius=float(radii[i]), argpoints=arg_pts,
                       spacing=h_ref)
         results[i] = SearchResult(
-            value=float(sign * vals[0]), arg=arg,
+            value=float(vals[0]), arg=arg,
             minimizer_nodes=[sol2["nodes"][r] for r in keep],
-            times=times, best_point=pts[rows[0]].copy())
+            times=times[rows[0]], best_point=pts[rows[0]].copy())
     return results
 
 
@@ -620,21 +613,7 @@ def lax_oleinik_minus(model: LagrangianModel, f: GridFunction, t1: float,
     """(T^- f)(x) = inf_z f(z) + A_{t1,t2}(z, x), searched in the a-priori ball."""
     xs = np.asarray(x, dtype=float).reshape(1, -1)
     radius = localization_radius(model.growth, f.lipschitz_estimate) * (t2 - t1)
-    res = localized_convolution(model, f, t1, t2, xs, radius, mode="inf")[0]
-    return res.value, res.arg
-
-
-def lax_oleinik_plus(model: LagrangianModel, f: GridFunction, t1: float, x,
-                     t2: float, radius: Optional[float] = None):
-    """(T^+ f)(x) = sup_y f(y) - A_{t1,t2}(x, y), searched in the a-priori ball.
-
-    Pass ``radius`` to use the solution-field bound (lambda_2 times the
-    time gap) instead of the generic Lipschitz-based one.
-    """
-    xs = np.asarray(x, dtype=float).reshape(1, -1)
-    if radius is None:
-        radius = localization_radius(model.growth, f.lipschitz_estimate) * (t2 - t1)
-    res = localized_convolution(model, f, t1, t2, xs, radius, mode="sup")[0]
+    res = localized_convolution(model, f, t1, t2, xs, radius)[0]
     return res.value, res.arg
 
 
@@ -663,7 +642,7 @@ def discounted_lax_oleinik_batch(problem: DiscountedProblem, v: GridFunction,
     lhat, _ = to_evolutionary(problem, horizon=t)
     K = v.lipschitz_estimate if lip_bound is None else max(lip_bound, v.lipschitz_estimate)
     radius = localization_radius(lhat.growth, K) * t
-    results = localized_convolution(lhat, v, 0.0, t, xs, radius, mode="inf",
+    results = localized_convolution(lhat, v, 0.0, t, xs, radius,
                                     polish_window=polish_window)
     scale = math.exp(-problem.lam * t)
     for r in results:

@@ -62,8 +62,6 @@ class ReachableGradientSet:
     discounted fields it is None.
     """
 
-    point: np.ndarray
-    time: Optional[float]
     momenta: np.ndarray             # (k, n)
     q: Optional[np.ndarray]         # (k,) or None
     diameter: float
@@ -91,15 +89,15 @@ def reachable_gradients_batch(field, t, xs) -> list:
     Distinct minimizers of the backward representation are collected from a
     full scan of the localization ball plus polish of the near-tied basins
     (``field.certificate_search``).  ``t`` is one time for every row or a
-    (P,) array of per-row times (an evolutionary field searches once per
-    distinct time); the batch gives the same sets as one search per point.
+    (P,) array of per-row times; the batch gives the same sets as one
+    search per point.
     The end velocity of each minimizer becomes a limiting gradient through
     ``field.limiting_gradients``.
     """
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     ts = np.broadcast_to(np.asarray(t, dtype=float), (len(xs),))
     sets = []
-    for x, ti, res in zip(xs, ts, field.certificate_search(ts, xs)):
+    for x, ti, res in zip(xs, ts, field.certificate_search(t, xs)):
         if not res.minimizer_nodes:
             raise NoMinimizer(f"no minimizing trajectory found at {x}")
         dt = res.times[1] - res.times[0]
@@ -107,8 +105,7 @@ def reachable_gradients_batch(field, t, xs) -> list:
             ti, x, [_node_velocities(nodes, dt)[-1] for nodes in res.minimizer_nodes])
         keep, diam = _merge_momenta(momenta)
         sets.append(ReachableGradientSet(
-            point=x.copy(), time=None if q is None else float(ti), momenta=momenta[keep],
-            q=None if q is None else q[keep], diameter=diam))
+            momenta=momenta[keep], q=None if q is None else q[keep], diameter=diam))
     return sets
 
 
@@ -383,8 +380,6 @@ class SingularCurve:
     step_sizes: np.ndarray
     schedule: list                  # (annulus_index, t_i, k_i)
     certificates: list              # ReachableGradientSet or None, per point
-    origin: np.ndarray
-    t0: float
     localization_ok: bool = True
 
     @property
@@ -491,8 +486,7 @@ def trace_singular_curve(field, t0: float, x, T_total: float, block: float = 1.0
             f"trace stalled at t = {t_cur:.4g} before T_total = {T_total:.4g}")
     return SingularCurve(times=np.array(times), points=np.array(points),
                          step_sizes=np.array(steps), schedule=schedule,
-                         certificates=certs, origin=x.copy(), t0=t0,
-                         localization_ok=loc_ok)
+                         certificates=certs, localization_ok=loc_ok)
 
 
 def lipschitz_certificate(curve: SingularCurve, constants: ConvexityConstants,
@@ -789,8 +783,7 @@ def gradient_limits(v: GridFunction, x) -> ReachableGradientSet:
                for corner in range(1 << v.dimension)]
     corners = np.array(corners)
     keep, diam = _merge_momenta(corners)
-    return ReachableGradientSet(point=x.copy(), time=None, momenta=corners[keep],
-                                q=None, diameter=diam)
+    return ReachableGradientSet(momenta=corners[keep], q=None, diameter=diam)
 
 
 def strong_critical_test(problem: DiscountedProblem, v: GridFunction, x):

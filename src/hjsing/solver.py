@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field as dataclass_field
-from typing import Optional
 
 import numpy as np
 
@@ -155,8 +154,9 @@ class ValueField:
     velocities) and ``domain`` (the box where u(t, .) can be evaluated).
 
     ``values(t, xs)`` and ``certificate_search(t, xs)`` take one time for
-    every row of ``xs`` or a (P,) array of per-row times; a row's answer
-    does not depend on the other rows of its batch.
+    every row of ``xs`` or a (P,) array of per-row times, and search a
+    batch at once whatever times it mixes; a row's answer does not depend
+    on the other rows of its batch.
     """
 
     def __init__(self, u0: GridFunction):
@@ -187,8 +187,8 @@ class EvolutionaryField(ValueField):
     """Value field u(t, x) of an initial-value problem, evaluated on demand.
 
     Every evaluation with t > 0 is a localized inf-convolution of the
-    initial data, one search per distinct time of a batch; values are
-    cached per (t, point).
+    initial data; a batch is one search over its rows and their times.
+    Values are cached per (t, point).
     """
 
     def __init__(self, model: LagrangianModel, u0: GridFunction):
@@ -202,21 +202,10 @@ class EvolutionaryField(ValueField):
     def action_lagrangian(self, T: float) -> LagrangianModel:
         return self.model
 
-    def search_radius(self, t: float) -> float:
-        """Radius of the a-priori ball of u(t, x) around x: lambda_1 times t."""
+    def search_radius(self, t):
+        """Radius of the a-priori ball of u(t, x) around x: lambda_1 times t
+        (t a scalar or one time per row)."""
         return self.lambda1(t) * t
-
-    def _search(self, ts, xs, polish_window: Optional[float] = None) -> list:
-        """Search results in row order, one convolution per distinct time."""
-        out = [None] * len(xs)
-        for t in np.unique(ts):
-            rows = np.flatnonzero(ts == t)
-            found = localized_convolution(self.model, self.u0, 0.0, float(t), xs[rows],
-                                          self.search_radius(t), mode="inf",
-                                          polish_window=polish_window)
-            for i, r in zip(rows, found):
-                out[i] = r
-        return out
 
     def values(self, t, xs) -> np.ndarray:
         xs = np.atleast_2d(np.asarray(xs, dtype=float))
@@ -227,9 +216,15 @@ class EvolutionaryField(ValueField):
             out[now] = np.asarray(self.u0(xs[now]), dtype=float).reshape(-1)
         keys = {i: (round(float(ts[i]), 12), tuple(np.round(xs[i], 12)))
                 for i in np.flatnonzero(~now)}
-        missing = [i for i, k in keys.items() if k not in self._cache]
-        for i, r in zip(missing, self._search(ts[missing], xs[missing])):
-            self._cache[keys[i]] = r.value
+        # one search per missing key, over every time of the batch
+        missing = sorted({k: i for i, k in reversed(keys.items())
+                          if k not in self._cache}.values())
+        if missing:
+            t_miss = float(t) if np.ndim(t) == 0 else ts[missing]
+            found = localized_convolution(self.model, self.u0, 0.0, t_miss, xs[missing],
+                                          self.search_radius(t_miss))
+            for i, r in zip(missing, found):
+                self._cache[keys[i]] = r.value
         for i, k in keys.items():
             out[i] = self._cache[k]
         return out
@@ -237,10 +232,11 @@ class EvolutionaryField(ValueField):
     def certificate_search(self, t, xs) -> list:
         """Tied minimizers of u(t, .) at the rows of xs; needs t > 0."""
         xs = np.atleast_2d(np.asarray(xs, dtype=float))
-        ts = _row_times(t, xs)
-        if np.any(ts <= 0):
+        if np.any(_row_times(t, xs) <= 0):
             raise ValueError("evolutionary reachable gradients need t > 0")
-        return self._search(ts, xs, _CERTIFICATE_POLISH_WINDOW)
+        return localized_convolution(self.model, self.u0, 0.0, t, xs,
+                                     self.search_radius(t),
+                                     polish_window=_CERTIFICATE_POLISH_WINDOW)
 
     def limiting_gradients(self, t: float, x, velocities):
         """(momenta, q): p = L_v(t, x, vel) per end velocity, q = -H(t, x, p)."""
@@ -471,26 +467,23 @@ def _residual_evolutionary(model: LagrangianModel, field: EvolutionaryField,
 
     sup_res = 0.0
     n_stable = n_unstable = 0
-    hx = float(np.max(grid.spacing))
-    for t in np.atleast_1d(times):
-        t = float(t)
-        vals_c = field.values(t, nodes)
-        shifts = []
-        for ax in range(grid.dimension):
-            e = np.zeros(grid.dimension)
-            e[ax] = hx
-            shifts.append((field.values(t, nodes + e), field.values(t, nodes - e),
-                           field.values(t, nodes + 2 * e), field.values(t, nodes - 2 * e)))
-        up = field.values(t + dt_probe, nodes)
-        dn = field.values(t - dt_probe, nodes)
-        dtu = (up - dn) / (2 * dt_probe)
+    n, hx = grid.dimension, float(np.max(grid.spacing))
+    times = np.atleast_1d(np.asarray(times, dtype=float))
+    # one batch: the 5-point stencil of every node along every axis at each
+    # time (the repeated centre is searched once) and each node at t +- dt_probe
+    offsets = np.arange(-2, 3)[:, None, None] * hx * np.eye(n)      # (5, n, n)
+    pts = np.concatenate([nodes + offsets.reshape(-1, 1, n), [nodes, nodes]])
+    dts = np.r_[np.zeros(5 * n), dt_probe, -dt_probe]
+    vals = field.values(np.repeat(times[:, None] + dts, len(nodes), axis=1).reshape(-1),
+                        np.tile(pts.reshape(-1, n), (len(times), 1)))
+    for t, v in zip(times, vals.reshape(len(times), 5 * n + 2, len(nodes))):
+        lines = v[:5 * n].reshape(5, n, -1)       # (stencil offset, axis, node)
+        dtu = (v[-2] - v[-1]) / (2 * dt_probe)
         for i in range(len(nodes)):
-            grad = np.zeros(grid.dimension)
+            grad = np.zeros(n)
             stable = True
-            for ax in range(grid.dimension):
-                p1, m1, p2, m2 = (shifts[ax][k][i] for k in range(4))
-                line = np.array([m2, m1, vals_c[i], p1, p2])
-                g1, _, ax_stable = _axis_gradient(line, hx, tol)
+            for ax in range(n):
+                g1, _, ax_stable = _axis_gradient(lines[:, ax, i], hx, tol)
                 grad[ax] = g1
                 stable = stable and ax_stable
             if not stable:

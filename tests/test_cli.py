@@ -143,6 +143,14 @@ def test_constants(tmp_path, capsys):
         "c0", "c1", "c2", "c3"}
 
 
+def test_constants_catalog_key_takes_c1_c2(tmp_path, capsys):
+    config = SINE_KINK.replace("lambda = 1.0", "lambda = 1.0\nc1 = 5\nc2 = 7")
+    code, _ = run(tmp_path, "constants", config)
+    assert code == 0
+    constants = json.loads(capsys.readouterr().out)
+    assert (constants["K1"], constants["K2"]) == (5.0, 7.0)
+
+
 def test_constants_2d_without_trace_section(tmp_path, capsys):
     code, _ = run(tmp_path, "constants", FREE_PARTICLE_2D)
     assert code == 0

@@ -10,7 +10,6 @@ from hjsing import (
     discounted_lax_oleinik,
     errors,
     lax_oleinik_minus,
-    lax_oleinik_plus,
     laxoleinik,
     localization_radius,
     model,
@@ -151,7 +150,7 @@ class TestCellPolish:
     def polish(self, f, xs, seeds, metric=((1.0, 0.0), (0.0, 1.0))):
         xs = np.asarray(xs, dtype=float)
         seeds = np.asarray(seeds, dtype=float)
-        return _cell_polish(f, 1.0, _quadratic_action(xs, metric), seeds,
+        return _cell_polish(f, _quadratic_action(xs, metric), seeds,
                             seeds[:, None, :])
 
     def test_interior_minimizer(self):
@@ -236,43 +235,36 @@ class TestMinusOperator:
         vy, _ = hopf_lax_brute(lambda z: 0.5 * -np.abs(z), 0.5, 2.0, -6, 6)
         assert val == pytest.approx(vx + vy, abs=1e-4)
         # each query's search is independent of the others in its batch, and
-        # the actions are summed row by row, so batching changes no bit
+        # the actions are summed row by row, so batching changes no bit,
+        # with one horizon for the batch or one per row
         xs = np.array([[0.0, 2.0], [0.03, -1.0], [1.1, 0.0]])
-        radius = localization_radius(fp2.growth, grid.lipschitz_estimate) * 0.5
-        batch = localized_convolution(fp2, grid, 0.0, 0.5, xs, radius)
-        for x, res in zip(xs, batch):
-            (one,) = localized_convolution(fp2, grid, 0.0, 0.5, x[None, :], radius)
-            assert res.value == one.value
-            np.testing.assert_array_equal(res.arg.argpoints, one.arg.argpoints)
+        lam1 = localization_radius(fp2.growth, grid.lipschitz_estimate)
+        for t2 in (0.5, np.array([0.5, 0.3, 0.7])):
+            assert_rows_match_single_calls(fp2, grid, t2, xs, lam1 * t2)
+
+    def test_per_row_horizons_exponential_quadrature(self, sine_problem,
+                                                     sine_exact_grid):
+        # the lift of sine_kink weights its segments by e^{lam t}
+        lhat, _ = model.to_evolutionary(sine_problem, horizon=1.0)
+        lam1 = localization_radius(lhat.growth, sine_exact_grid.lipschitz_estimate)
+        t2 = np.array([0.5, 1.0, 0.75, 1.0])
+        xs = np.array([[0.3], [1.0], [-2.0], [0.0]])
+        assert_rows_match_single_calls(lhat, sine_exact_grid, t2, xs, lam1 * t2)
 
 
-class TestPlusOperator:
-    def test_zero_data(self, free_particle_1d):
-        grid = GridFunction.from_callable(lambda p: 0.0 * p[..., 0],
-                                          [(-8.0, 8.0)], 513)
-        val, arg = lax_oleinik_plus(free_particle_1d, grid, 0.0, [0.4], 1.0)
-        assert abs(val) <= 1e-12
-        assert arg.argpoints[0][0] == pytest.approx(0.4, abs=1e-9)
-
-    def test_concave_quadratic(self, free_particle_1d):
-        grid = GridFunction.from_callable(lambda p: -0.5 * p[..., 0] ** 2,
-                                          [(-8.0, 8.0)], 1025)
-        val, arg = lax_oleinik_plus(free_particle_1d, grid, 0.0, [0.0], 1.0,
-                                    radius=3.0)
-        assert val == pytest.approx(0.0, abs=1e-8)
-        assert arg.argpoints[0][0] == pytest.approx(0.0, abs=1e-4)
-
-    def test_unique_max_on_solution_field(self, free_particle_1d, neg_abs_grid):
-        # f = u(t2, .) of the kink field; from x = 0 the maximizer is unique
-        u_t2 = GridFunction.from_callable(lambda p: -np.abs(p[..., 0]) - 0.5,
-                                          [(-8.0, 8.0)], 1025)
-        lam2 = localization_radius(model.GrowthData(),
-                                   solution_lipschitz_bound(
-                                       model.GrowthData(), 1.0, 1.0))
-        val, arg = lax_oleinik_plus(free_particle_1d, u_t2, 0.0, [0.0], 1.0,
-                                    radius=lam2)
-        assert len(arg.argpoints) == 1
-        assert arg.argpoints[0][0] == pytest.approx(0.0, abs=1e-6)
+def assert_rows_match_single_calls(lagrangian, grid, t2, xs, radius):
+    """A batch with per-row (or shared) horizons and radii gives each row's
+    one-query answer bit for bit."""
+    batch = localized_convolution(lagrangian, grid, 0.0, t2, xs, radius)
+    rows = np.broadcast_to(t2, len(xs)), np.broadcast_to(radius, len(xs))
+    for x, t, r, res in zip(xs, *rows, batch):
+        (one,) = localized_convolution(lagrangian, grid, 0.0, float(t), x[None, :],
+                                       float(r))
+        assert res.value == one.value
+        np.testing.assert_array_equal(res.arg.argpoints, one.arg.argpoints)
+        np.testing.assert_array_equal(res.minimizer_nodes, one.minimizer_nodes)
+        np.testing.assert_array_equal(res.times, one.times)
+        assert res.times[-1] == t
 
 
 class TestDiscountedOperator:
