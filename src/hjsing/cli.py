@@ -13,7 +13,7 @@ headers with ``#`` comments.  The keys and their defaults:
 [grid]      box = -pi pi (2 numbers, or 2 per axis); resolution = 128
             (1 count, or 1 per axis; >= 16); periodic = true
 [solve]     tol = 1e-3 (> 0)
-[singular]  singular_tol = 1e-2, calib_tol = 1e-3, tau_horizon = 20/lambda
+[singular]  tau_horizon = 20/lambda
 [evolve]    u0 (an expression of x or x1, x2, ...) or u0_file (a .grid);
             times (> 0, increasing); box, resolution (unset: from [grid])
 [trace]     t0 = 0.5; x0 = 0 on every axis (1 number per axis);
@@ -21,10 +21,11 @@ headers with ``#`` comments.  The keys and their defaults:
 [cutlocus]  demo_points = 20; demo_range = lo hi (unset: the first axis)
 [run]       out = out; seed = 0
 
-``--out``, ``--seed``, ``--tol`` and, for trace, ``--t0`` and ``--x0``
-override the config.  Outputs land in the configured directory and carry
-a metadata comment header (version, config hash, tolerances); with a
-fixed seed, repeated runs produce byte-identical files.
+An unknown section or key is a config error.  ``--out``, ``--seed``,
+``--tol`` and, for trace, ``--t0`` and ``--x0`` override the config.
+Outputs land in the configured directory and carry a metadata comment
+header (version, config hash, seed, solver tolerance); with a fixed
+seed, repeated runs produce byte-identical files.
 
 Exit codes: 0 success, 2 numerical failure, 3 usage or config error.
 """
@@ -61,6 +62,7 @@ from .laxoleinik import (
 )
 from .model import GrowthData, check_tonelli, legendre, to_evolutionary
 from .singular import (
+    SINGULAR_TOL,
     aubry_candidates,
     cut_time_field,
     is_singular,
@@ -99,8 +101,6 @@ class RunConfig:
     periodic: bool = True
 
     tol: float = 1e-3
-    singular_tol: float = 1e-2
-    calib_tol: float = 1e-3
     tau_horizon: float | None = None
 
     u0_expr: str = ""
@@ -128,9 +128,7 @@ class RunConfig:
 
     def header(self, extra=()):
         base = [f"hjsing {__version__}", f"config {self.config_hash()}",
-                f"seed {self.seed}", f"tol {repr(self.tol)}",
-                f"singular_tol {repr(self.singular_tol)}",
-                f"calib_tol {repr(self.calib_tol)}"]
+                f"seed {self.seed}", f"tol {repr(self.tol)}"]
         return base + list(extra)
 
 
@@ -158,7 +156,10 @@ def load_config(path: str, overrides: dict | None = None) -> RunConfig:
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse config {path}: {exc}") from exc
 
+    read = set()     # (section, key) pairs the parsing below asks for
+
     def get(section, key, default=None):
+        read.add((section, key))
         if parser.has_option(section, key):
             return parser.get(section, key)
         return default
@@ -185,8 +186,6 @@ def load_config(path: str, overrides: dict | None = None) -> RunConfig:
         cfg.periodic = get("grid", "periodic", "true").strip().lower() in ("1", "true", "yes")
 
         cfg.tol = float(get("solve", "tol", "1e-3"))
-        cfg.singular_tol = float(get("singular", "singular_tol", "1e-2"))
-        cfg.calib_tol = float(get("singular", "calib_tol", "1e-3"))
         th = get("singular", "tau_horizon")
         cfg.tau_horizon = float(th) if th is not None else None
 
@@ -214,6 +213,12 @@ def load_config(path: str, overrides: dict | None = None) -> RunConfig:
         cfg.seed = int(get("run", "seed", "0"))
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"bad config value: {exc}") from exc
+    sections = {section for section, _ in read}
+    unknown = [f"[{s}]" for s in parser.sections() if s not in sections]
+    unknown += [f"{s}.{key}" for s in parser.sections() if s in sections
+                for key in parser.options(s) if (s, key) not in read]
+    if unknown:
+        raise ConfigError("unknown config section or key: " + ", ".join(unknown))
 
     for key, val in (overrides or {}).items():
         if val is not None:
@@ -228,9 +233,8 @@ def load_config(path: str, overrides: dict | None = None) -> RunConfig:
          f"grid.resolution needs 1 or {cfg.dimension} counts"),
         (min(cfg.resolution) >= 16, "resolution must be at least 16 nodes per axis"),
         (cfg.tol > 0, "solve.tol must be > 0"),
-        (cfg.singular_tol > 0 and cfg.calib_tol > 0
-         and (cfg.tau_horizon is None or cfg.tau_horizon > 0),
-         "singular.singular_tol, calib_tol and tau_horizon must be > 0"),
+        (cfg.tau_horizon is None or cfg.tau_horizon > 0,
+         "singular.tau_horizon must be > 0"),
         (np.all(times > 0) and np.all(np.diff(times) > 0),
          "evolve.times must be positive and increasing"),
         (len(cfg.trace_x0) == cfg.dimension,
@@ -369,7 +373,7 @@ def cmd_trace(cfg: RunConfig) -> int:
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    flag, cert = is_singular(field, None, cfg.trace_t0, x_start, cfg.singular_tol)
+    flag, cert = is_singular(field, None, cfg.trace_t0, x_start)
     if cfg.trace_horizon <= cfg.trace_t0:
         curve_rows = [[cfg.trace_t0, *x_start, 0.0, cert.diameter]]
         _write_rows(out / "curve.csv", ["s"] + [f"x{i+1}" for i in range(len(x_start))]
@@ -380,14 +384,13 @@ def cmd_trace(cfg: RunConfig) -> int:
         return 0
     if not flag:
         logger.warning("start point is not singular (diameter %.3g <= %.3g); "
-                       "writing an empty curve", cert.diameter, cfg.singular_tol)
+                       "writing an empty curve", cert.diameter, SINGULAR_TOL)
         _write_rows(out / "curve.csv", ["s"] + [f"x{i+1}" for i in range(len(x_start))]
                     + ["step_size", "certificate_diameter"], [], cfg.header())
         (out / "certificates.json").write_text("[]\n")
         return 0
     curve = trace_singular_curve(field, cfg.trace_t0, x_start,
-                                 cfg.trace_horizon, block=cfg.trace_block,
-                                 singular_tol=cfg.singular_tol)
+                                 cfg.trace_horizon, block=cfg.trace_block)
     curve.write_csv(out / "curve.csv", comments=cfg.header())
     certs = [{"s": float(s), "point": [float(c) for c in p],
               "diameter": (float(d) if np.isfinite(d) else None)}
@@ -423,12 +426,10 @@ def cmd_cutlocus(cfg: RunConfig) -> int:
         v.write(v_path, lam=cfg.lam, comments=cfg.header())
     field = DiscountedField(problem, v)
 
-    ctf = cut_time_field(problem, v, cfg.tau_horizon, calib_tol=cfg.calib_tol,
-                         singular_tol=cfg.singular_tol)
+    ctf = cut_time_field(problem, v, cfg.tau_horizon)
     ctf.write(out / "tau.grid", out / "alpha.grid", comments=cfg.header())
 
-    pts, _ = aubry_candidates(field, cfg.tau_horizon, calib_tol=cfg.calib_tol,
-                              singular_tol=cfg.singular_tol,
+    pts, _ = aubry_candidates(field, cfg.tau_horizon,
                               forward_tau=ctf.tau.values.reshape(-1))
     _write_rows(out / "aubry.csv", [f"x{i+1}" for i in range(v.dimension)],
                 [list(p) for p in pts], cfg.header())
@@ -447,11 +448,9 @@ def cmd_cutlocus(cfg: RunConfig) -> int:
         tau_x = float(ctf.tau(x))
         if tau_x >= cfg.tau_horizon:
             continue
-        g0 = retraction(field, None, ctf, x, 0.0,
-                        calib_tol=cfg.calib_tol, singular_tol=cfg.singular_tol)
-        g1 = retraction(field, None, ctf, x, 1.0,
-                        calib_tol=cfg.calib_tol, singular_tol=cfg.singular_tol)
-        _, cert = is_singular(field, None, 0.0, g1, cfg.singular_tol)
+        g0 = retraction(field, None, ctf, x, 0.0)
+        g1 = retraction(field, None, ctf, x, 1.0)
+        _, cert = is_singular(field, None, 0.0, g1)
         rows.append([*x, tau_x, float(ctf.alpha(x)), *g0, *g1, cert.diameter])
     n = v.dimension
     cols = ([f"x{i+1}" for i in range(n)] + ["tau", "alpha"]

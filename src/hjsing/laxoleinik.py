@@ -280,12 +280,22 @@ class ArgBall:
 # ---------------------------------------------------------------------------
 # candidate enumeration
 
+def periodic_radius_cap(grid: GridFunction, ax: int) -> float:
+    """Search radius cap on axis ``ax``: inf unless the axis is periodic, where
+    half a period plus 2 cells suffices (every node value has a representative
+    there, and farther wraps only pay more transport)."""
+    if not grid.periodic[ax]:
+        return np.inf
+    a, b = grid.box[ax]
+    return 0.5 * (b - a) + 2 * grid.spacing[ax]
+
+
 def _axis_candidates(grid: GridFunction, ax: int, center: float, radius: float):
     a, b = grid.box[ax]
     nodes = np.linspace(a, b, grid.resolution[ax], endpoint=not grid.periodic[ax])
     if grid.periodic[ax]:
         span = b - a
-        r_eff = min(radius, 0.5 * span + grid.spacing[ax])
+        r_eff = min(radius, periodic_radius_cap(grid, ax))
         k_lo = math.floor((center - r_eff - a) / span)
         k_hi = math.ceil((center + r_eff - a) / span)
         out = []

@@ -39,13 +39,15 @@ from .errors import (
     NonUniqueArgmax,
     ScheduleStall,
 )
-from .laxoleinik import _SWEEP_SHRINK, TIE_TOL, GridFunction
+from .laxoleinik import _SWEEP_SHRINK, TIE_TOL, GridFunction, periodic_radius_cap
 from .model import DiscountedProblem
 from .solver import DiscountedField
 
 logger = logging.getLogger(__name__)
 
 _MERGE_TOL = 1e-4       # momenta this close are one limiting gradient
+SINGULAR_TOL = 1e-2     # a reachable-gradient set wider than this is singular
+CALIB_TOL = 1e-3        # calibration defect (per unit of 1 + t) that cuts a flow
 _LATTICE_NODES = 49     # argmax scan nodes per axis of the ball
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -118,14 +120,14 @@ def reachable_gradients(field, t: float, x) -> ReachableGradientSet:
     return reachable_gradients_batch(field, t, x[None, :])[0]
 
 
-def is_singular(field, model, t: float, x, singular_tol: float = 1e-2):
-    """(flag, certificate): singular iff the reachable set has diameter > tol.
+def is_singular(field, model, t: float, x):
+    """(flag, certificate): singular iff the reachable set is wider than SINGULAR_TOL.
 
     ``model`` is not used; it stays in the signature for existing callers,
     which may pass None.
     """
     cert = reachable_gradients(field, t, x)
-    return cert.diameter > singular_tol, cert
+    return cert.diameter > SINGULAR_TOL, cert
 
 
 # ---------------------------------------------------------------------------
@@ -151,14 +153,6 @@ def _lattice(center, radius, lo, hi):
     pts = np.stack(mesh, axis=-1).reshape(-1, center.size)
     keep = np.linalg.norm(pts - center, axis=1) <= radius + 1e-12
     return np.vstack([center[None, :], pts[keep]])
-
-
-def _periodic_radius_cap(grid: GridFunction) -> float:
-    """Half a period suffices on periodic axes: every node value has a
-    representative there, and farther wraps only pay more transport."""
-    caps = [0.5 * (b - a) + 2 * grid.spacing[ax]
-            for ax, (a, b) in enumerate(grid.box) if grid.periodic[ax]]
-    return min(caps) if caps else np.inf
 
 
 def _argmax_objective(field, action_model, t1: float, x1, ts, ys):
@@ -298,7 +292,8 @@ def propagation_step(field, t1: float, x1, T: float,
     action_model = field.action_lagrangian(T)
     lam2 = field.lambda2(T)
     h_grid = float(np.max(field.u0.spacing))
-    radius_cap = _periodic_radius_cap(field.u0)
+    radius_cap = min(periodic_radius_cap(field.u0, ax)
+                     for ax in range(field.u0.dimension))
 
     if constants is None:
         span = min(T - t1, step_cap or (T - t1))
@@ -410,7 +405,7 @@ class SingularCurve:
 
 
 def trace_singular_curve(field, t0: float, x, T_total: float, block: float = 1.0,
-                         certify: bool = True, singular_tol: float = 1e-2,
+                         certify: bool = True,
                          require_singular: bool = True) -> SingularCurve:
     """Concatenate propagation steps until the curve covers [t0, T_total].
 
@@ -420,13 +415,17 @@ def trace_singular_curve(field, t0: float, x, T_total: float, block: float = 1.0
     past T_total.  The schedule records (i, t_i, k_i), k_i the steps that
     ran on the annulus.  The ball-radius localization
     |x(s) - x| <= lambda_2 * (s - t0) is checked for every recorded point.
+    The start point's certificate is computed only when ``certify`` or
+    ``require_singular`` reads it; otherwise it is None like the others.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    flag, cert0 = is_singular(field, None, t0, x, singular_tol)
-    if require_singular and not flag:
-        raise InvalidProblem(
-            f"start point {x} has reachable diameter {cert0.diameter:.3g} "
-            f"<= {singular_tol:g}; pass require_singular=False to override")
+    cert0 = None
+    if certify or require_singular:
+        flag, cert0 = is_singular(field, None, t0, x)
+        if require_singular and not flag:
+            raise InvalidProblem(
+                f"start point {x} has reachable diameter {cert0.diameter:.3g} "
+                f"<= {SINGULAR_TOL:g}; pass require_singular=False to override")
 
     times = [t0]
     points = [x.copy()]
@@ -525,7 +524,7 @@ def _interp_gradient(v: GridFunction, x):
 
 
 def _calibrated_flow(problem: DiscountedProblem, v: GridFunction, x, p0,
-                     horizon: float, calib_tol: float, direction: int = +1):
+                     horizon: float, direction: int = +1):
     """Integrate the discounted characteristic and watch the calibration defect.
 
     The defect of the calibration identity on [0, t] is monitored in its
@@ -559,7 +558,7 @@ def _calibrated_flow(problem: DiscountedProblem, v: GridFunction, x, p0,
         return raw * math.exp(-lam * max(t, 0.0))
 
     def break_event(t, y):
-        return calib_tol * (1.0 + abs(t)) - abs(defect(t, y))
+        return CALIB_TOL * (1.0 + abs(t)) - abs(defect(t, y))
 
     break_event.terminal = True
     break_event.direction = -1
@@ -582,38 +581,30 @@ def _calibrated_flow(problem: DiscountedProblem, v: GridFunction, x, p0,
     return abs(horizon), sol
 
 
-def _forward_spans(problem: DiscountedProblem, v: GridFunction, pts,
-                   horizon: float, calib_tol: float, singular_tol: float):
-    """Yield (tau, flow, certificate) for each row of pts.
+def _forward_spans(problem: DiscountedProblem, v: GridFunction, pts, horizon: float):
+    """Yield (tau, flow) for each row of pts.
 
     One batched operator call gives the certificates of all rows; a row
-    whose reachable set is wider than ``singular_tol`` is cut (tau = 0,
+    whose reachable set is wider than ``SINGULAR_TOL`` is cut (tau = 0,
     flow None), the others run the forward calibrated flow.
     """
     field = DiscountedField(problem, v)
     certs = reachable_gradients_batch(field, 0.0, pts)
     for x, p0, cert in zip(pts, _interp_gradient(v, pts), certs):
-        if cert.diameter > singular_tol:
-            yield 0.0, None, cert
+        if cert.diameter > SINGULAR_TOL:
+            yield 0.0, None
         else:
-            tau, sol = _calibrated_flow(problem, v, x, p0, horizon, calib_tol, +1)
-            yield tau, sol, cert
+            yield _calibrated_flow(problem, v, x, p0, horizon, +1)
 
 
-def cut_time(problem: DiscountedProblem, v: GridFunction, x, horizon: float,
-             calib_tol: float = 1e-3, singular_tol: float = 1e-2):
+def cut_time(problem: DiscountedProblem, v: GridFunction, x, horizon: float):
     """Forward calibration span tau(x); horizon stands in for +infinity.
 
-    Returns (tau, info) with info containing the clamped flag and the flow
-    solution when one was run.
+    Returns (tau, flow): tau is clamped at horizon, and flow is the dense
+    solution of the calibrated flow, or None at a cut point (tau = 0).
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    tau, sol, cert = next(_forward_spans(problem, v, x[None, :], horizon,
-                                         calib_tol, singular_tol))
-    if sol is None:
-        return 0.0, {"clamped": False, "cut": True, "certificate": cert}
-    return tau, {"clamped": tau >= horizon, "cut": False, "flow": sol,
-                 "certificate": cert}
+    return next(_forward_spans(problem, v, x[None, :], horizon))
 
 
 @dataclass
@@ -622,8 +613,6 @@ class CutTimeField:
 
     tau: GridFunction
     alpha: GridFunction
-    horizon: float
-    calib_tol: float
 
     def __post_init__(self):
         if not np.all(self.alpha.values > self.tau.values):
@@ -654,8 +643,7 @@ def _mollified_majorant(tau_values: np.ndarray) -> np.ndarray:
 
 
 def cut_times(problem: DiscountedProblem, v: GridFunction, nodes,
-              horizon: float, calib_tol: float = 1e-3,
-              singular_tol: float = 1e-2) -> np.ndarray:
+              horizon: float) -> np.ndarray:
     """Cut times at the queried points, equal to :func:`cut_time` at each.
 
     The singularity certificates of all points come from one batched
@@ -663,25 +651,21 @@ def cut_times(problem: DiscountedProblem, v: GridFunction, nodes,
     that are not cut.
     """
     pts = np.atleast_2d(np.asarray(nodes, dtype=float))
-    return np.array([tau for tau, _, _ in
-                     _forward_spans(problem, v, pts, horizon, calib_tol, singular_tol)])
+    return np.array([tau for tau, _ in _forward_spans(problem, v, pts, horizon)])
 
 
-def cut_time_field(problem: DiscountedProblem, v: GridFunction, horizon: float,
-                   calib_tol: float = 1e-3,
-                   singular_tol: float = 1e-2) -> CutTimeField:
+def cut_time_field(problem: DiscountedProblem, v: GridFunction,
+                   horizon: float) -> CutTimeField:
     """Cut times on the whole grid plus the mollified strict majorant."""
-    taus = cut_times(problem, v, v.nodes(), horizon, calib_tol, singular_tol)
+    taus = cut_times(problem, v, v.nodes(), horizon)
     tau_vals = taus.reshape(v.resolution)
     alpha_vals = _mollified_majorant(tau_vals)
     tau_grid = GridFunction(v.box, tau_vals, v.periodic)
     alpha_grid = GridFunction(v.box, alpha_vals, v.periodic)
-    return CutTimeField(tau=tau_grid, alpha=alpha_grid, horizon=horizon,
-                        calib_tol=calib_tol)
+    return CutTimeField(tau=tau_grid, alpha=alpha_grid)
 
 
-def aubry_candidates(field, horizon: float, calib_tol: float = 1e-3,
-                     singular_tol: float = 1e-2, nodes=None, forward_tau=None):
+def aubry_candidates(field, horizon: float, nodes=None, forward_tau=None):
     """Grid nodes that stay calibrated to the horizon in both time directions.
 
     Only defined for discounted fields; evolutionary fields raise
@@ -696,14 +680,14 @@ def aubry_candidates(field, horizon: float, calib_tol: float = 1e-3,
     problem, v = field.problem, field.v
     pts = v.nodes() if nodes is None else np.atleast_2d(nodes)
     if forward_tau is None:
-        forward_tau = cut_times(problem, v, pts, horizon, calib_tol, singular_tol)
+        forward_tau = cut_times(problem, v, pts, horizon)
     forward_tau = np.asarray(forward_tau, dtype=float).reshape(-1)
     if forward_tau.shape[0] != len(pts):
         raise ValueError("forward_tau must align with the queried nodes")
     mask = np.zeros(len(pts), dtype=bool)
     p0 = _interp_gradient(v, pts)
     for i in np.flatnonzero(forward_tau >= horizon):
-        tau_b, _ = _calibrated_flow(problem, v, pts[i], p0[i], horizon, calib_tol, -1)
+        tau_b, _ = _calibrated_flow(problem, v, pts[i], p0[i], horizon, -1)
         mask[i] = tau_b >= horizon
     return pts[mask], mask
 
@@ -711,8 +695,7 @@ def aubry_candidates(field, horizon: float, calib_tol: float = 1e-3,
 # ---------------------------------------------------------------------------
 # homotopy / retraction
 
-def homotopy(field, x, s: float, calib_tol: float = 1e-3,
-             singular_tol: float = 1e-2):
+def homotopy(field, x, s: float):
     """F(x, s): calibrated flow while it lasts, singular continuation after.
 
     For s = 0 this is x exactly; once the flow's calibration defect breaks
@@ -724,15 +707,14 @@ def homotopy(field, x, s: float, calib_tol: float = 1e-3,
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if s <= 0.0:
         return x.copy()
-    tau_hit, info = cut_time(field.problem, field.v, x, s, calib_tol, singular_tol)
-    if info["cut"]:
+    tau_hit, flow = cut_time(field.problem, field.v, x, s)
+    if flow is None:
         y_hit = x
     else:
-        sol = info["flow"]
         n = x.size
         if tau_hit >= s:
-            return np.atleast_1d(sol.sol(s)[:n]).copy()
-        y_hit = np.atleast_1d(sol.sol(tau_hit)[:n]).copy()
+            return np.atleast_1d(flow.sol(s)[:n]).copy()
+        y_hit = np.atleast_1d(flow.sol(tau_hit)[:n]).copy()
     t_start = 1.0 + tau_hit
     span = s - tau_hit
     if span <= 1e-6:
@@ -740,14 +722,12 @@ def homotopy(field, x, s: float, calib_tol: float = 1e-3,
     # unit annulus blocks, capped by the span so the ladder reaches exactly s
     curve = trace_singular_curve(field, t_start, y_hit, t_start + span,
                                  block=min(1.0, span),
-                                 certify=False, singular_tol=singular_tol,
-                                 require_singular=False)
+                                 certify=False, require_singular=False)
     idx = int(np.searchsorted(curve.times, t_start + span + 1e-12, side="right") - 1)
     return curve.points[max(idx, 1 if len(curve.times) > 1 else 0)].copy()
 
 
-def retraction(field, model, cut_field: CutTimeField, x, s: float,
-               calib_tol: float = 1e-3, singular_tol: float = 1e-2):
+def retraction(field, model, cut_field: CutTimeField, x, s: float):
     """G(x, s) = F(x, s * alpha(x)) with the continuous majorant alpha.
 
     ``model`` is not used; it stays in the signature for existing callers,
@@ -757,7 +737,7 @@ def retraction(field, model, cut_field: CutTimeField, x, s: float,
     if s <= 0.0:
         return x.copy()
     alpha = float(cut_field.alpha(x))
-    return homotopy(field, x, s * alpha, calib_tol, singular_tol)
+    return homotopy(field, x, s * alpha)
 
 
 # ---------------------------------------------------------------------------

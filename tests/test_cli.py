@@ -167,7 +167,11 @@ def test_constants_2d_without_trace_section(tmp_path, capsys):
     ("demo_range = 0.3 1.0", "demo_range = 0.3", ()),
     ("x0 = 0.0", "x0 = 0.0 1.0", ()),
     ("[trace]", "[trace]\nfield = evolutinary", ()),
-], ids=["lambda", "tol", "eps", "c1", "eps_key", "times", "demo_range", "x0", "field"])
+    ("[trace]", "[singular]\ncalib_tol = 1e-3\n\n[trace]", ()),
+    ("horizon = 1.5", "horizion = 1.5", ()),
+    ("[trace]", "[tarce]", ()),
+], ids=["lambda", "tol", "eps", "c1", "eps_key", "times", "demo_range", "x0", "field",
+        "calib_tol", "misspelled_key", "misspelled_section"])
 def test_malformed_config_is_a_config_error(tmp_path, capsys, line, replacement, flags):
     code, _ = run(tmp_path, "constants", SINE_KINK.replace(line, replacement), *flags)
     err = capsys.readouterr().err

@@ -315,27 +315,27 @@ class TestLipschitzCertificate:
 
 class TestCutTime:
     def test_characteristic_travel_time(self, sine_problem, sine_exact_grid):
-        tau, info = cut_time(sine_problem, sine_exact_grid, [np.pi / 4],
+        tau, flow = cut_time(sine_problem, sine_exact_grid, [np.pi / 4],
                              horizon=6.0)
         assert tau == pytest.approx(sine_kink_cut_time(np.pi / 4), abs=5e-2)
         assert tau == pytest.approx(math.log(1 + math.sqrt(2)), abs=5e-2)
-        assert not info["clamped"]
+        assert flow is not None and tau < 6.0
 
     def test_stationary_point_clamps(self, sine_problem, sine_exact_grid):
-        tau, info = cut_time(sine_problem, sine_exact_grid, [np.pi / 2],
+        tau, flow = cut_time(sine_problem, sine_exact_grid, [np.pi / 2],
                              horizon=6.0)
-        assert tau == 6.0 and info["clamped"]
+        assert tau == 6.0 and flow is not None
 
     def test_kink_is_cut_point(self, sine_problem, sine_exact_grid):
-        tau, info = cut_time(sine_problem, sine_exact_grid, [0.0], horizon=6.0)
-        assert tau == 0.0 and info["cut"]
+        tau, flow = cut_time(sine_problem, sine_exact_grid, [0.0], horizon=6.0)
+        assert tau == 0.0 and flow is None
 
     def test_zero_solution_clamps_everywhere(self, counterexample_problem):
         v = GridFunction.from_callable(lambda p: 0.0 * p[..., 0],
                                        [(-2.0, 2.0)], 33, periodic=True)
         for x in (-1.0, 0.0, 0.7):
-            tau, info = cut_time(counterexample_problem, v, [x], horizon=5.0)
-            assert tau == 5.0 and info["clamped"]
+            tau, flow = cut_time(counterexample_problem, v, [x], horizon=5.0)
+            assert tau == 5.0 and flow is not None
 
 
 @pytest.fixture(scope="module")
@@ -354,8 +354,7 @@ class TestCutTimeField:
 
     def test_invariant_enforced(self, coarse_field):
         with pytest.raises(ValueError):
-            CutTimeField(tau=coarse_field.tau, alpha=coarse_field.tau,
-                         horizon=6.0, calib_tol=1e-3)
+            CutTimeField(tau=coarse_field.tau, alpha=coarse_field.tau)
 
     def test_export(self, tmp_path, coarse_field):
         coarse_field.write(tmp_path / "tau.grid", tmp_path / "alpha.grid")
@@ -386,6 +385,21 @@ class TestHomotopyRetraction:
     def test_reaches_kink(self, sine_field, sine_problem):
         out = homotopy(sine_field, [np.pi / 4], 1.2)
         assert abs(out[0]) <= 1e-2
+
+    def test_continuation_certifies_nothing(self, sine_field, monkeypatch):
+        # s runs past the cut time, so the uncertified singular continuation
+        # runs: the one certificate search is the cut test of the start point
+        calls = []
+        search = solver.DiscountedField.certificate_search
+
+        def counted(self, t, xs):
+            calls.append(len(xs))
+            return search(self, t, xs)
+
+        monkeypatch.setattr(solver.DiscountedField, "certificate_search", counted)
+        out = homotopy(sine_field, [np.pi / 4], 1.2)
+        assert abs(out[0]) <= 1e-2
+        assert calls == [1]
 
     def test_singular_start_stays(self, sine_field, sine_problem):
         out = homotopy(sine_field, [0.0], 0.5)
