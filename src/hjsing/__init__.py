@@ -59,7 +59,6 @@ from .singular import (
     cut_time,
     cut_time_field,
     cut_times,
-    gradient_limits,
     homotopy,
     is_singular,
     lipschitz_certificate,
@@ -67,7 +66,6 @@ from .singular import (
     reachable_gradients,
     reachable_gradients_batch,
     retraction,
-    strong_critical_test,
     trace_singular_curve,
 )
 from .solver import (

@@ -52,7 +52,7 @@ from .catalog import (
     lagrangian_from_expression,
     lagrangian_from_potential,
 )
-from .errors import ConfigError, NumericsError
+from .errors import ConfigError, InvalidProblem, NumericsError
 from .expressions import compile_expression
 from .laxoleinik import (
     GridFunction,
@@ -62,7 +62,7 @@ from .laxoleinik import (
 )
 from .model import GrowthData, check_tonelli, legendre, to_evolutionary
 from .singular import (
-    SINGULAR_TOL,
+    SingularCurve,
     aubry_candidates,
     cut_time_field,
     is_singular,
@@ -373,24 +373,13 @@ def cmd_trace(cfg: RunConfig) -> int:
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    flag, cert = is_singular(field, None, cfg.trace_t0, x_start)
-    if cfg.trace_horizon <= cfg.trace_t0:
-        curve_rows = [[cfg.trace_t0, *x_start, 0.0, cert.diameter]]
-        _write_rows(out / "curve.csv", ["s"] + [f"x{i+1}" for i in range(len(x_start))]
-                    + ["step_size", "certificate_diameter"], curve_rows,
-                    cfg.header())
-        (out / "certificates.json").write_text(json.dumps(
-            [{"s": cfg.trace_t0, "diameter": cert.diameter}], indent=2) + "\n")
-        return 0
-    if not flag:
-        logger.warning("start point is not singular (diameter %.3g <= %.3g); "
-                       "writing an empty curve", cert.diameter, SINGULAR_TOL)
-        _write_rows(out / "curve.csv", ["s"] + [f"x{i+1}" for i in range(len(x_start))]
-                    + ["step_size", "certificate_diameter"], [], cfg.header())
-        (out / "certificates.json").write_text("[]\n")
-        return 0
-    curve = trace_singular_curve(field, cfg.trace_t0, x_start,
-                                 cfg.trace_horizon, block=cfg.trace_block)
+    try:
+        curve = trace_singular_curve(field, cfg.trace_t0, x_start,
+                                     cfg.trace_horizon, block=cfg.trace_block)
+    except InvalidProblem as exc:
+        logger.warning("%s; writing an empty curve", exc)
+        curve = SingularCurve(times=np.empty(0), points=np.empty((0, x_start.size)),
+                              step_sizes=np.empty(0), schedule=[], certificates=[])
     curve.write_csv(out / "curve.csv", comments=cfg.header())
     certs = [{"s": float(s), "point": [float(c) for c in p],
               "diameter": (float(d) if np.isfinite(d) else None)}

@@ -137,7 +137,9 @@ class GridFunction:
         for ax in range(self.dimension):
             vals = self.values
             if self.periodic[ax]:
-                vals = np.concatenate([vals, np.take(vals, [0], axis=ax)], axis=ax)
+                # wrap both ends: the stencils centred on the first and last nodes
+                vals = np.concatenate([np.take(vals, [-1], axis=ax), vals,
+                                       np.take(vals, [0], axis=ax)], axis=ax)
             d2 = np.diff(vals, n=2, axis=ax)
             if d2.size:
                 total += float(np.max(np.abs(d2))) / 8.0

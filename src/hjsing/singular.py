@@ -5,7 +5,9 @@ more than one element; the set is enumerated from the distinct minimizers
 of the backward representation.  Singularities are continued forward by
 the ball-constrained argmax of u(t, .) - A_{t1,t}(x1, .): on a short
 enough step the objective is strictly concave on the localization ball,
-so the maximizer is unique and moves the singularity.  Chaining steps
+so the maximizer is unique and moves the singularity.  It is located by
+a lattice scan of the ball, then the same scan zoomed onto the best node
+one axis at a time; the search needs no derivatives.  Chaining steps
 across growing annuli, with the step budget recomputed on each annulus,
 yields a curve of any requested length.
 
@@ -49,7 +51,6 @@ _MERGE_TOL = 1e-4       # momenta this close are one limiting gradient
 SINGULAR_TOL = 1e-2     # a reachable-gradient set wider than this is singular
 CALIB_TOL = 1e-3        # calibration defect (per unit of 1 + t) that cuts a flow
 _LATTICE_NODES = 49     # argmax scan nodes per axis of the ball
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -142,10 +143,18 @@ class StepResult:
     constants: ConvexityConstants
 
 
-def _lattice(center, radius, lo, hi):
+def _lattice(center, radius, lo, hi, axis=None):
+    """The center, then _LATTICE_NODES per axis over the ball clipped to [lo, hi].
+
+    With ``axis`` given only that coordinate moves: the nodes spread over
+    the segment [c - radius, c + radius] of that axis, clipped.
+    """
     center = np.atleast_1d(np.asarray(center, dtype=float))
     axes = []
     for ax in range(center.size):
+        if axis is not None and ax != axis:
+            axes.append(center[ax:ax + 1])
+            continue
         a = max(center[ax] - radius, lo[ax])
         b = min(center[ax] + radius, hi[ax])
         axes.append(np.linspace(a, b, _LATTICE_NODES))
@@ -163,43 +172,12 @@ def _argmax_objective(field, action_model, t1: float, x1, ts, ys):
     return u_vals - sol["action"]
 
 
-def golden_polish(cost, seeds, half_width, sweeps: int, iters: int):
-    """Cyclic per-axis golden-section minimization around a batch of seeds.
-
-    ``seeds`` is (P, n).  A sweep visits the axes in order; on each axis the
-    bracket [z - w, z + w] of every seed shrinks ``iters`` times and the
-    coordinate moves to the bracket midpoint.  ``w`` starts at
-    ``half_width``, a scalar or one width per seed (P,), and is multiplied
-    by ``_SWEEP_SHRINK`` after each sweep.
-    Each iteration makes one call ``cost(points (2P, n)) -> (2P,)``: rows
-    ``:P`` are the left interior points, rows ``P:`` the right ones, and
-    ties keep the left bracket.  Returns (points (P, n), costs (P,)), the
-    costs from one last call on the returned points.
-
-    It needs no derivatives; its one caller is the argmax polish of
-    :func:`_argmax_points`.  ``laxoleinik.localized_convolution`` polishes
-    cell by cell with endpoint derivatives instead.
-    """
-    z = np.array(seeds, dtype=float)
-    P, n = z.shape
-    width = half_width
-    for _ in range(sweeps):
-        for ax in range(n):
-            lo = z[:, ax] - width
-            hi = z[:, ax] + width
-            for _ in range(iters):
-                a = hi - _INV_PHI * (hi - lo)
-                b = lo + _INV_PHI * (hi - lo)
-                trial = np.concatenate([z, z])
-                trial[:P, ax] = a
-                trial[P:, ax] = b
-                c = cost(trial)
-                left = c[:P] <= c[P:]
-                hi = np.where(left, b, hi)
-                lo = np.where(left, lo, a)
-            z[:, ax] = 0.5 * (lo + hi)
-        width = width * _SWEEP_SHRINK
-    return z, np.asarray(cost(z), dtype=float)
+def _scan(field, action_model, t1, x1, ts, lattices):
+    """phi on every lattice, lattice j at time ts[j]: one objective batch."""
+    sizes = [len(c) for c in lattices]
+    vals = _argmax_objective(field, action_model, t1, x1,
+                             np.repeat(ts, sizes), np.concatenate(lattices))
+    return np.split(vals, np.cumsum(sizes)[:-1])
 
 
 def _argmax_points(field, action_model, t1, x1, times, radii):
@@ -207,18 +185,20 @@ def _argmax_points(field, action_model, t1, x1, times, radii):
 
     ``times`` and ``radii`` are (k,); ``ys`` is (k, n), ``phis`` (k,), and
     ``scans``/``scan_vals`` hold each time's lattice and its objective.  One
-    objective batch scans the lattices of every time, which pick the seeds;
-    then one :func:`golden_polish` minimizes -phi around the
-    seeds of every time at once.  Within a time the first seed wins ties.
+    objective batch scans the lattices of every time, which pick the seeds
+    (the leading basin, and a runner-up if clearly separated).  The zoom
+    then rescans each axis in turn around every seed: 5 rounds, one batch
+    each, on a segment whose half-width starts at one scan spacing and
+    shrinks to one zoom spacing per round; the current point stays a
+    candidate and the first maximum wins ties.  That is one sweep of 5
+    batches in 1D and two sweeps of 5n in nD, the width times
+    ``_SWEEP_SHRINK`` from one sweep to the next.  Within a time the first
+    seed wins ties.
     """
     n = x1.size
     scans = [_lattice(x1, r, *field.domain(t)) for t, r in zip(times, radii)]
-    sizes = [len(c) for c in scans]
-    vals_all = _argmax_objective(field, action_model, t1, x1,
-                                 np.repeat(times, sizes), np.concatenate(scans))
-    scan_vals = np.split(vals_all, np.cumsum(sizes)[:-1])
+    scan_vals = _scan(field, action_model, t1, x1, times, scans)
 
-    # polish the leading basin of each time (and a runner-up if clearly separated)
     h_polish = np.maximum(radii / (_LATTICE_NODES - 1), 1e-4)
     seeds, seed_time = [], []
     for j, (cand, vals) in enumerate(zip(scans, scan_vals)):
@@ -234,21 +214,30 @@ def _argmax_points(field, action_model, t1, x1, times, radii):
         seed_time += [j] * len(chosen)
     seed_time = np.asarray(seed_time)
     seed_t = times[seed_time]
+    domains = [field.domain(t) for t in seed_t]
 
-    def cost(ys):
-        # golden_polish stacks the left and right trial points of every seed
-        # (2P rows) and ends with one call on the P seeds
-        return -_argmax_objective(field, action_model, t1, x1,
-                                  np.tile(seed_t, len(ys) // len(seed_t)), ys)
+    z = np.array(seeds, dtype=float)
+    phi = np.empty(len(z))
+    width = 2 * h_polish[seed_time]
+    for _ in range(2 if n > 1 else 1):
+        for ax in range(n):
+            w = width
+            for _ in range(5):      # the last spacing is 24^-5 of the scan's
+                cands = [_lattice(y, wi, *dom, axis=ax)
+                         for y, wi, dom in zip(z, w, domains)]
+                for i, (cand, vals) in enumerate(zip(
+                        cands, _scan(field, action_model, t1, x1, seed_t, cands))):
+                    best = int(np.argmax(vals))
+                    z[i], phi[i] = cand[best], vals[best]
+                w = w * (2.0 / (_LATTICE_NODES - 1))
+        width = width * _SWEEP_SHRINK
 
-    pos, cost_vals = golden_polish(cost, seeds, h_polish[seed_time],
-                                   sweeps=2 if n > 1 else 1, iters=28)
     ys = np.empty((len(times), n))
     phis = np.empty(len(times))
     for j in range(len(times)):
         rows = np.flatnonzero(seed_time == j)
-        best = rows[int(np.argmin(cost_vals[rows]))]
-        ys[j], phis[j] = pos[best], -cost_vals[best]
+        best = rows[int(np.argmax(phi[rows]))]
+        ys[j], phis[j] = z[best], phi[best]
     return ys, phis, scans, scan_vals
 
 
@@ -281,11 +270,12 @@ def propagation_step(field, t1: float, x1, T: float,
     clamped to ``step_cap``.  For each of 4 ladder times the maximizer of
     u(t, .) - A_{t1,t}(x1, .) over the ball of radius lambda_2(T)(t - t1)
     is located, its strict-concavity margin checked, and (optionally) its
-    singularity certificate computed.  An attempt shares its batches among
-    the ladder times: one lattice scan, one polish, one batch of concavity
-    probes and, once every check has passed, one certificate batch.  The
-    checks run in ladder order; a concavity or uniqueness failure halves
-    the step, up to 6 times.
+    singularity certificate computed.  An attempt shares its objective
+    batches among the ladder times: one lattice scan, the zoom's 5 per axis
+    and sweep (5 in 1D, 20 in 2D), one batch of concavity probes and, once
+    every check has passed, one certificate batch.  The checks run in
+    ladder order; a concavity or uniqueness failure halves the step, up to
+    6 times.
     """
     ladder, max_halvings = 4, 6
     x1 = np.atleast_1d(np.asarray(x1, dtype=float))
@@ -738,53 +728,3 @@ def retraction(field, model, cut_field: CutTimeField, x, s: float):
         return x.copy()
     alpha = float(cut_field.alpha(x))
     return homotopy(field, x, s * alpha)
-
-
-# ---------------------------------------------------------------------------
-# strong critical points
-
-def gradient_limits(v: GridFunction, x) -> ReachableGradientSet:
-    """Reachable gradients of a grid field as limits of one-sided slopes.
-
-    This source works on arbitrary sampled fields (no backward
-    representation needed): along each axis the two one-sided interpolant
-    slopes at x are limiting gradients; in one dimension that recovers the
-    kink slopes exactly.
-    """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    sides = []
-    for ax in range(v.dimension):
-        e = np.zeros(v.dimension)
-        e[ax] = v.spacing[ax]
-        minus = (float(v(x)) - float(v(x - e))) / v.spacing[ax]
-        plus = (float(v(x + e)) - float(v(x))) / v.spacing[ax]
-        sides.append((minus, plus))
-    corners = [np.array([sides[ax][(corner >> ax) & 1] for ax in range(v.dimension)])
-               for corner in range(1 << v.dimension)]
-    corners = np.array(corners)
-    keep, diam = _merge_momenta(corners)
-    return ReachableGradientSet(momenta=corners[keep], q=None, diameter=diam)
-
-
-def strong_critical_test(problem: DiscountedProblem, v: GridFunction, x):
-    """Whether the drift set lam*v(x) + H_p(x, D+v(x)) contains zero.
-
-    One-dimensional only: the superdifferential is the interval spanned by
-    the limiting gradients and the test is an interval membership.  In
-    higher dimension the scalar lam*v(x) cannot be added to the vector
-    field H_p, so :class:`InvalidProblem` is raised.
-    """
-    samples, tol = 33, 1e-9
-    if v.dimension != 1:
-        raise InvalidProblem("the strong-critical test is one-dimensional; "
-                             f"got dimension {v.dimension}")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    momenta = gradient_limits(v, x).momenta
-    if momenta.shape[0] == 0:
-        raise NoMinimizer("empty gradient set")
-    lam_v = problem.lam * float(v(x))
-    H_p = problem.hamiltonian.H_p
-    lo, hi = float(momenta.min()), float(momenta.max())
-    vals = [lam_v + float(np.atleast_1d(H_p(0.0, x, np.array([p])))[0])
-            for p in np.linspace(lo, hi, samples)]
-    return min(vals) <= tol and max(vals) >= -tol

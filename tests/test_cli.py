@@ -99,6 +99,18 @@ def test_trace(tmp_path, config_text):
     assert (out / "curve.csv").read_bytes() == curve
 
 
+@pytest.mark.parametrize("line, replacement, rows", [
+    ("horizon = 1.5", "horizon = 0.5", 1),      # ends where it starts
+    ("x0 = 0.0", "x0 = 1.0", 0),                # not a singular start
+], ids=["horizon-at-t0", "smooth-start"])
+def test_trace_certificates_shape(tmp_path, line, replacement, rows):
+    code, out = run(tmp_path, "trace", SINE_KINK.replace(line, replacement))
+    assert code == 0
+    payload = json.loads((out / "certificates.json").read_text())
+    assert set(payload) == {"schedule", "localization_ok", "certificates"}
+    assert len(payload["certificates"]) == len(data_rows(out / "curve.csv")) == rows
+
+
 def test_cutlocus(tmp_path):
     code, out = run(tmp_path, "cutlocus", SINE_KINK)
     assert code == 0

@@ -1,4 +1,5 @@
-"""Every name a library module imports is used in that module."""
+"""Every name a library module imports is used in that module, and every
+private module-level name is referenced somewhere in the library."""
 
 import ast
 from pathlib import Path
@@ -7,8 +8,8 @@ import pytest
 
 import hjsing
 
-MODULES = sorted(p for p in Path(hjsing.__file__).parent.glob("*.py")
-                 if p.name != "__init__.py")     # __init__ imports to re-export
+SOURCES = sorted(Path(hjsing.__file__).parent.glob("*.py"))
+MODULES = [p for p in SOURCES if p.name != "__init__.py"]   # __init__ imports to re-export
 
 
 def unused_imports(source: str) -> list:
@@ -25,11 +26,59 @@ def unused_imports(source: str) -> list:
     return sorted((line, name) for name, line in imported.items() if name not in used)
 
 
+def _defined_names(stmt) -> list:
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    targets = stmt.targets if isinstance(stmt, ast.Assign) else [
+        getattr(stmt, "target", None)]
+    return [t.id for t in targets if isinstance(t, ast.Name)]
+
+
+def _referenced_names(stmt) -> set:
+    names = set()
+    for node in ast.walk(stmt):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def unreferenced_private_names(sources: dict) -> list:
+    """(module, name) of the module-level names with one leading underscore
+    that no other top-level statement of any module references."""
+    defined, referenced = [], []
+    for module, source in sources.items():
+        for stmt in ast.parse(source).body:
+            referenced.append((stmt, _referenced_names(stmt)))
+            defined += [(module, name, stmt) for name in _defined_names(stmt)
+                        if name.startswith("_") and not name.startswith("__")]
+    return sorted((module, name) for module, name, stmt in defined
+                  if not any(name in names for other, names in referenced
+                             if other is not stmt))
+
+
 def test_scan_finds_unused_names():
     source = "from typing import Callable, Optional\nimport os.path\nx: Optional[int] = 0\n"
     assert unused_imports(source) == [(1, "Callable"), (2, "os")]
 
 
+def test_scan_finds_unreferenced_private_names():
+    sources = {
+        "a": "_K = 2\n_SELF = 1\n\ndef _rec(n):\n    return _rec(n - 1)\n\n"
+             "def _helper():\n    return _K\n",
+        "b": "from .a import _helper\n\ndef public():\n    return _helper()\n"
+             "\n__version__ = '1'\n",
+    }
+    assert unreferenced_private_names(sources) == [("a", "_SELF"), ("a", "_rec")]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_private_names_referenced():
+    assert unreferenced_private_names({p.name: p.read_text() for p in SOURCES}) == []

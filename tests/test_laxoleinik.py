@@ -51,6 +51,14 @@ class TestGridFunction:
     def test_lipschitz_estimate(self, neg_abs_grid):
         assert neg_abs_grid.lipschitz_estimate == pytest.approx(1.0)
 
+    def test_interpolation_bound_wraps_periodic_axis(self):
+        # the kink of -|sin x| sits on node 0 of [0, pi): its second
+        # difference wraps around to the last node
+        g = GridFunction.from_callable(lambda p: -np.abs(np.sin(p[..., 0])),
+                                       [(0.0, np.pi)], 32, periodic=True)
+        kink = 2 * math.sin(np.pi / 32) / 8
+        assert g.interpolation_error_bound() == pytest.approx(kink, rel=1e-12)
+
     def test_values_read_only(self, neg_abs_grid):
         with pytest.raises(ValueError):
             neg_abs_grid.values[0] = 3.0

@@ -7,7 +7,6 @@ from hjsing import (
     GridFunction,
     action,
     aubry_candidates,
-    catalog,
     cut_time,
     cut_time_field,
     cut_times,
@@ -23,7 +22,6 @@ from hjsing import (
     retraction,
     singular,
     solver,
-    strong_critical_test,
     trace_singular_curve,
 )
 from hjsing.action import minimize_paths
@@ -158,12 +156,12 @@ class TestPropagationStep:
                              1.5, step_cap=1e-8)
 
     @pytest.mark.parametrize("kind, start, bound", [
-        ("discounted", (1.0, [0.0], 2.0), 48),
-        ("evolutionary", (0.5, [0.25], 1.5), 200),
+        ("discounted", (1.0, [0.0], 2.0), 18),
+        ("evolutionary", (0.5, [0.25], 1.5), 55),
     ], ids=["discounted", "evolutionary"])
     def test_few_direct_method_batches(self, sine_field, shock_field, monkeypatch,
                                        kind, start, bound):
-        # the ladder times share the lattice scan, the polish, the probes
+        # the ladder times share the lattice scan, the zoom, the probes
         # and the certificates, and an evolutionary field searches all the
         # times of a batch at once; one batch per ladder time would need more
         # a fresh shock field, whose value cache earlier tests have not filled
@@ -287,6 +285,15 @@ class TestArgmax:
         assert phi == pytest.approx(-0.5, abs=1e-6)
         far = np.abs(cand[:, 0] - y[0]) > 4 * h
         assert not np.any(vals[far] >= phi - 1e-9)
+
+    def test_off_lattice_maximizer(self, shock_field, free_particle_1d):
+        # from the shock at (0.5, 0.25) the maximizer is the shock at t/2,
+        # which no lattice node hits: the zoom has to reach it
+        ts = np.array([0.6, 0.8, 1.0, 1.3])
+        ys, _, _, _ = _argmax_points(shock_field, free_particle_1d, 0.5,
+                                     np.array([0.25]), ts,
+                                     shock_field.lambda2(1.5) * (ts - 0.5))
+        assert np.max(np.abs(ys[:, 0] - ts / 2)) <= 1e-6
 
 
 class TestLipschitzCertificate:
@@ -430,28 +437,6 @@ class TestHomotopyRetraction:
         with pytest.raises(errors.ConcavityFailure, match="c2"):
             retraction(period_field, sine_problem.lagrangian, period_cut_field,
                        [1.44], 1.0)
-
-
-class TestStrongCritical:
-    def test_smooth_noncritical(self, sine_problem, sine_exact_grid):
-        assert not strong_critical_test(sine_problem, sine_exact_grid, [0.3])
-
-    def test_kink_critical(self, sine_problem, sine_exact_grid):
-        assert strong_critical_test(sine_problem, sine_exact_grid, [0.0])
-
-    def test_asymmetric_kink_interval(self, free_particle_1d):
-        # slopes -1 and 2 at the kink: the drift hull [-1, 2] contains 0
-        prob = catalog.discounted_problem("free_particle", lam=1.0)
-        v = GridFunction.from_callable(
-            lambda p: np.minimum(-np.sin(p[..., 0]), 2 * np.sin(p[..., 0])),
-            [(-np.pi, np.pi)], 256, periodic=True)
-        assert strong_critical_test(prob, v, [0.0])
-
-    def test_rejects_higher_dimension(self, sine_problem):
-        v = GridFunction.from_callable(lambda p: -np.abs(np.sin(p[..., 0])),
-                                       [(-np.pi, np.pi)] * 2, 16, periodic=True)
-        with pytest.raises(errors.InvalidProblem):
-            strong_critical_test(sine_problem, v, [0.0, 0.0])
 
 
 class TestAubryCandidates:
