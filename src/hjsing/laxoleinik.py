@@ -490,6 +490,19 @@ class SearchResult:
     best_point: np.ndarray
 
 
+def _distinct_basins(rows, points, gap: float) -> list:
+    """Up to 6 of rows, in order, each farther than gap from those before.
+
+    Greedy: the first remaining row is taken and drops every row within
+    gap of its point, so each pass is one vectorised distance.
+    """
+    chosen = []
+    while rows.size and len(chosen) < 6:
+        chosen.append(rows[0])
+        rows = rows[np.linalg.norm(points[rows] - points[rows[0]], axis=1) > gap]
+    return chosen
+
+
 def localized_convolution(model: LagrangianModel, f: GridFunction, t1: float,
                           t2, xs, radius, polish_window: Optional[float] = None):
     """Batched localized inf-convolution of f with the action kernel:
@@ -546,22 +559,16 @@ def localized_convolution(model: LagrangianModel, f: GridFunction, t1: float,
     np.minimum.at(best_acc, owners_k, cost_acc)
 
     results: list[Optional[SearchResult]] = [None] * P
-    # polish seeds: near-optimal candidates thinned to distinct basins
-    seed_rows = np.where(cost_acc <= best_acc[owners_k] + window[owners_k])[0]
-    seeds_by_owner: dict[int, list[int]] = {}
-    for row in seed_rows:
-        seeds_by_owner.setdefault(int(owners_k[row]), []).append(int(row))
+    # polish seeds: near-optimal candidates, cheapest first per owner,
+    # thinned to distinct basins
+    seed_rows = np.flatnonzero(cost_acc <= best_acc[owners_k] + window[owners_k])
+    seed_rows = seed_rows[np.lexsort((cost_acc[seed_rows], owners_k[seed_rows]))]
+    owner_ends = np.searchsorted(owners_k[seed_rows], np.arange(P + 1))
 
     seed_pos, seed_owner, seed_paths = [], [], []
     for i in range(P):
-        rows = seeds_by_owner.get(i, [])
-        rows.sort(key=lambda r: cost_acc[r])
-        chosen: list[int] = []
-        for r in rows:
-            if all(np.linalg.norm(cand_k[r] - cand_k[c]) > 2.0 * h_ref for c in chosen):
-                chosen.append(r)
-            if len(chosen) >= 6:
-                break
+        chosen = _distinct_basins(seed_rows[owner_ends[i]:owner_ends[i + 1]], cand_k,
+                                  2.0 * h_ref)
         for r in chosen:
             seed_pos.append(cand_k[r])
             seed_paths.append(sol["nodes"][r])

@@ -14,7 +14,11 @@ yields a curve of any requested length.
 For discounted problems the same machinery runs on the exponential lift
 u(t, x) = e^{lam t} v(x); forward calibrated flow plus the singular
 continuation give the homotopy that retracts the complement of the
-numerical Aubry set onto the singular set.
+numerical Aubry set onto the singular set.  Cut times and the Aubry test
+integrate the calibrated characteristics of all their points in one
+stacked run per call, restarted at each break time with the broken rows
+frozen; the rows share step sizes, so each span agrees with a one-point
+run (:func:`cut_time`, as the homotopy uses) to 1e-8.
 """
 
 from __future__ import annotations
@@ -25,7 +29,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import OdeSolution, solve_ivp
+from scipy.optimize import brentq
 
 from .action import (
     ConvexityConstants,
@@ -51,6 +56,7 @@ _MERGE_TOL = 1e-4       # momenta this close are one limiting gradient
 SINGULAR_TOL = 1e-2     # a reachable-gradient set wider than this is singular
 CALIB_TOL = 1e-3        # calibration defect (per unit of 1 + t) that cuts a flow
 _LATTICE_NODES = 49     # argmax scan nodes per axis of the ball
+_ROOT_TOL = 4 * np.finfo(float).eps   # break-time roots, as solve_ivp's events
 
 
 # ---------------------------------------------------------------------------
@@ -513,9 +519,10 @@ def _interp_gradient(v: GridFunction, x):
     return g
 
 
-def _calibrated_flow(problem: DiscountedProblem, v: GridFunction, x, p0,
+def _calibrated_flow(problem: DiscountedProblem, v: GridFunction, xs, p0,
                      horizon: float, direction: int = +1):
-    """Integrate the discounted characteristic and watch the calibration defect.
+    """Integrate the discounted characteristics of the rows of xs, watching
+    each row's calibration defect; one stacked run per call.
 
     The defect of the calibration identity on [0, t] is monitored in its
     discounted normalization,
@@ -524,77 +531,125 @@ def _calibrated_flow(problem: DiscountedProblem, v: GridFunction, x, p0,
 
     which keeps grid interpolation error from being amplified by
     e^{lam t}; the raw identity detects the same break points but can
-    never hold to horizon on sampled data.  Returns (tau, sol) where tau
-    is the first defect violation time (clamped at horizon) and sol the
-    dense solution; direction=-1 runs the backward test, where the raw
-    form is already stable and is used as is.
+    never hold to horizon on sampled data.  direction=-1 runs the backward
+    test, where the raw form is already stable and is used as is.
+
+    The R rows share one (R, 2n+1) state (x, p, running integral) and one
+    ``solve_ivp`` run; the model callables see (R, n) batches.  The terminal
+    break event is the smallest margin CALIB_TOL (1 + |t|) - |defect| over
+    the live rows.  When it fires at t, the smallest-margin row and every
+    live row whose margin is <= 0 get tau = |t|.  So does, at its own root
+    on the step's dense output, every live row whose margin turns <= 0
+    before the end of the step that holds t: mirror-image nodes break a
+    rounding error apart, and a restart per row would cost a call each.
+    These rows are frozen (zero right-hand side) and the run restarts from
+    the state at t.  Rows share step sizes, so a row's tau depends on its
+    batch within the integrator's tolerance: it agrees with a one-row run
+    to 1e-8.  Only live rows can escape (:class:`BlowUp`).
+
+    Returns (tau, flow): tau (R,) the first violation times, clamped at
+    horizon; flow the dense solution over all restarts, an ``OdeSolution``
+    of the flattened state (row r holds entries r (2n+1) .. r (2n+1) + 2n;
+    a frozen row keeps its state at the restart that froze it).
     """
     lam, bound = problem.lam, 1e6
     H = problem.hamiltonian
     L = problem.lagrangian
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    n = x.size
-    v_at_x = float(v(x))
+    xs = np.atleast_2d(np.asarray(xs, dtype=float))
+    R, n = xs.shape
+    m = 2 * n + 1
+    v_at_x = v(xs)
+    rows = np.arange(R)             # the live rows; the events read it too
+
+    def margins(t, y, idx):
+        Y = y.reshape(R, m)[idx]
+        raw = math.exp(lam * t) * v(Y[:, :n]) - v_at_x[idx] - Y[:, 2 * n]
+        return CALIB_TOL * (1.0 + abs(t)) - np.abs(raw * math.exp(-lam * max(t, 0.0)))
 
     def rhs(t, y):
-        xx, pp = y[:n], y[n:2 * n]
-        hp = np.atleast_1d(np.asarray(H.H_p(0.0, xx, pp), dtype=float))
-        hx = np.atleast_1d(np.asarray(H.H_x(0.0, xx, pp), dtype=float))
-        lrun = math.exp(lam * t) * float(L.L(0.0, xx, hp))
-        return np.concatenate([hp, -hx - lam * pp, [lrun]])
-
-    def defect(t, y):
-        raw = math.exp(lam * t) * float(v(y[:n])) - v_at_x - y[2 * n]
-        return raw * math.exp(-lam * max(t, 0.0))
+        Y = y.reshape(R, m)[rows]
+        X, P = Y[:, :n], Y[:, n:2 * n]
+        hp = np.asarray(H.H_p(0.0, X, P), dtype=float).reshape(X.shape)
+        hx = np.asarray(H.H_x(0.0, X, P), dtype=float).reshape(X.shape)
+        lrun = np.asarray(L.L(0.0, X, hp), dtype=float).reshape(-1)
+        dy = np.zeros((R, m))
+        dy[rows, :n] = hp
+        dy[rows, n:2 * n] = -hx - lam * P
+        dy[rows, 2 * n] = math.exp(lam * t) * lrun
+        return dy.reshape(-1)
 
     def break_event(t, y):
-        return CALIB_TOL * (1.0 + abs(t)) - abs(defect(t, y))
+        return float(np.min(margins(t, y, rows)))
 
     break_event.terminal = True
     break_event.direction = -1
 
     def escape(t, y):
-        return bound - float(np.max(np.abs(y[:2 * n])))
+        return bound - float(np.max(np.abs(y.reshape(R, m)[rows, :2 * n])))
 
     escape.terminal = True
     escape.direction = -1
 
-    y0 = np.concatenate([x, np.atleast_1d(p0), [0.0]])
-    t_end = direction * horizon
-    sol = solve_ivp(rhs, (0.0, t_end), y0, method="RK45", rtol=1e-9, atol=1e-11,
-                    events=[break_event, escape], dense_output=True,
-                    max_step=min(abs(horizon) / 20, 0.25))
-    if sol.t_events[1].size:
-        raise BlowUp(f"characteristic escaped at t = {sol.t_events[1][0]:.4g}")
-    if sol.t_events[0].size:
-        return abs(float(sol.t_events[0][0])), sol
-    return abs(horizon), sol
+    t, t_end = 0.0, direction * horizon
+    y = np.column_stack([xs, np.reshape(p0, (R, n)), np.zeros(R)]).reshape(-1)
+    tau = np.full(R, abs(horizon))
+    ts, pieces = [t], []
+    while True:
+        sol = solve_ivp(rhs, (t, t_end), y, method="RK45", rtol=1e-9, atol=1e-11,
+                        events=[break_event, escape], dense_output=True,
+                        max_step=min(abs(horizon) / 20, 0.25))
+        if sol.t[-1] != t:
+            ts.extend(sol.sol.ts[1:])
+            pieces.extend(sol.sol.interpolants)
+        if sol.t_events[1].size:
+            raise BlowUp(f"characteristic escaped at t = {sol.t_events[1][0]:.4g}")
+        if not sol.t_events[0].size:
+            break
+        t, y = float(sol.t_events[0][0]), sol.y_events[0][0]
+        step = sol.sol.interpolants[-1]
+        margin = margins(t, y, rows)
+        broke = margin <= 0.0
+        broke[np.argmin(margin)] = True
+        tau[rows[broke]] = abs(t)
+        later = ~broke & (margins(step.t, step(step.t), rows) <= 0.0)
+        for r in rows[later]:
+            tau[r] = abs(brentq(lambda s: margins(s, step(s), [r])[0], t, step.t,
+                                xtol=_ROOT_TOL, rtol=_ROOT_TOL))
+        rows = rows[~(broke | later)]
+        if rows.size == 0 or t == t_end:
+            break
+    return tau, OdeSolution(ts, pieces)
 
 
 def _forward_spans(problem: DiscountedProblem, v: GridFunction, pts, horizon: float):
-    """Yield (tau, flow) for each row of pts.
+    """(tau, flow) for the rows of pts.
 
     One batched operator call gives the certificates of all rows; a row
-    whose reachable set is wider than ``SINGULAR_TOL`` is cut (tau = 0,
-    flow None), the others run the forward calibrated flow.
+    whose reachable set is wider than ``SINGULAR_TOL`` is cut (tau = 0).
+    The others run the forward calibrated flow, one stacked run; flow is
+    its dense solution over those rows, None when every row is cut.
     """
     field = DiscountedField(problem, v)
     certs = reachable_gradients_batch(field, 0.0, pts)
-    for x, p0, cert in zip(pts, _interp_gradient(v, pts), certs):
-        if cert.diameter > SINGULAR_TOL:
-            yield 0.0, None
-        else:
-            yield _calibrated_flow(problem, v, x, p0, horizon, +1)
+    cut = np.array([cert.diameter > SINGULAR_TOL for cert in certs])
+    tau, flow = np.zeros(len(pts)), None
+    if not cut.all():
+        uncut = pts[~cut]
+        tau[~cut], flow = _calibrated_flow(problem, v, uncut, _interp_gradient(v, uncut),
+                                           horizon, +1)
+    return tau, flow
 
 
 def cut_time(problem: DiscountedProblem, v: GridFunction, x, horizon: float):
     """Forward calibration span tau(x); horizon stands in for +infinity.
 
     Returns (tau, flow): tau is clamped at horizon, and flow is the dense
-    solution of the calibrated flow, or None at a cut point (tau = 0).
+    solution of the calibrated flow (t -> (x, p, running integral)), or
+    None at a cut point (tau = 0).
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    return next(_forward_spans(problem, v, x[None, :], horizon))
+    tau, flow = _forward_spans(problem, v, x[None, :], horizon)
+    return float(tau[0]), flow
 
 
 @dataclass
@@ -634,14 +689,16 @@ def _mollified_majorant(tau_values: np.ndarray) -> np.ndarray:
 
 def cut_times(problem: DiscountedProblem, v: GridFunction, nodes,
               horizon: float) -> np.ndarray:
-    """Cut times at the queried points, equal to :func:`cut_time` at each.
+    """Cut times at the queried points.
 
     The singularity certificates of all points come from one batched
-    operator call; the forward calibrated flow runs only for the points
-    that are not cut.
+    operator call; the forward calibrated flows of the points that are not
+    cut run as one stacked integration, restarted at each break time (see
+    :func:`_calibrated_flow`).  The rows share step sizes, so each tau
+    agrees with the single-point :func:`cut_time` to 1e-8, not bit for bit.
     """
     pts = np.atleast_2d(np.asarray(nodes, dtype=float))
-    return np.array([tau for tau, _ in _forward_spans(problem, v, pts, horizon)])
+    return _forward_spans(problem, v, pts, horizon)[0]
 
 
 def cut_time_field(problem: DiscountedProblem, v: GridFunction,
@@ -661,9 +718,10 @@ def aubry_candidates(field, horizon: float, nodes=None, forward_tau=None):
     Only defined for discounted fields; evolutionary fields raise
     :class:`InvalidProblem`.  ``forward_tau`` (per queried node) is the
     forward span, from :func:`cut_times` when not given; a cut node has
-    tau = 0 and is never a candidate.  The backward flow runs only for
-    the nodes whose forward span reaches the horizon.  Returns
-    (points, mask-over-queried-nodes).
+    tau = 0 and is never a candidate.  The backward flows of the nodes
+    whose forward span reaches the horizon run as one stacked integration,
+    restarted at each break time; each backward span agrees with a one-node
+    run to 1e-8.  Returns (points, mask-over-queried-nodes).
     """
     if not isinstance(field, DiscountedField):
         raise InvalidProblem("the Aubry set is defined for discounted problems only")
@@ -675,10 +733,11 @@ def aubry_candidates(field, horizon: float, nodes=None, forward_tau=None):
     if forward_tau.shape[0] != len(pts):
         raise ValueError("forward_tau must align with the queried nodes")
     mask = np.zeros(len(pts), dtype=bool)
-    p0 = _interp_gradient(v, pts)
-    for i in np.flatnonzero(forward_tau >= horizon):
-        tau_b, _ = _calibrated_flow(problem, v, pts[i], p0[i], horizon, -1)
-        mask[i] = tau_b >= horizon
+    reach = np.flatnonzero(forward_tau >= horizon)
+    if reach.size:
+        tau_b, _ = _calibrated_flow(problem, v, pts[reach], _interp_gradient(v, pts[reach]),
+                                    horizon, -1)
+        mask[reach] = tau_b >= horizon
     return pts[mask], mask
 
 
@@ -703,8 +762,8 @@ def homotopy(field, x, s: float):
     else:
         n = x.size
         if tau_hit >= s:
-            return np.atleast_1d(flow.sol(s)[:n]).copy()
-        y_hit = np.atleast_1d(flow.sol(tau_hit)[:n]).copy()
+            return flow(s)[:n].copy()
+        y_hit = flow(tau_hit)[:n].copy()
     t_start = 1.0 + tau_hit
     span = s - tau_hit
     if span <= 1e-6:

@@ -17,6 +17,7 @@ from hjsing import (
 )
 from hjsing.laxoleinik import (
     _cell_polish,
+    _distinct_basins,
     discounted_lax_oleinik_batch,
     localized_convolution,
 )
@@ -197,6 +198,28 @@ class TestCellPolish:
             one = self.polish(f, xs[k:k + 1], seeds[k:k + 1], metric)
             for got, want in zip(one, batch):
                 assert np.array_equal(got[0], want[k])
+
+
+class TestDistinctBasins:
+    @staticmethod
+    def loop_reference(rows, points, gap):
+        chosen = []
+        for r in rows:
+            if all(np.linalg.norm(points[r] - points[c]) > gap for c in chosen):
+                chosen.append(r)
+            if len(chosen) >= 6:
+                break
+        return chosen
+
+    def test_matches_loop(self):
+        # coarse coordinates make exact distance ties with the gap
+        rng = np.random.default_rng(0)
+        for _ in range(300):
+            k, n = int(rng.integers(0, 40)), int(rng.integers(1, 3))
+            points = np.round(rng.normal(size=(k + 5, n)) * 2.0, 1)
+            rows = rng.permutation(k + 5)[:k]
+            got = _distinct_basins(rows, points, 0.5)
+            assert [int(r) for r in got] == self.loop_reference(rows, points, 0.5)
 
 
 class TestMinusOperator:

@@ -26,6 +26,7 @@ from hjsing import (
 )
 from hjsing.action import minimize_paths
 from hjsing.laxoleinik import solution_lipschitz_bound
+from hjsing.model import DiscountedProblem, GrowthData, HamiltonianModel, LagrangianModel
 from hjsing.singular import CutTimeField, _argmax_points
 
 from .oracles import sine_kink_cut_time, shock_speed
@@ -114,11 +115,15 @@ class TestBatchedCertificates:
             assert cert.diameter == one.diameter
 
     def test_cut_times_match_cut_time(self, period_field, sine_problem):
+        # the batched rows share step sizes, so a row's tau depends on its
+        # batch within the integrator's tolerance, not bit for bit
         nodes = period_field.v.nodes()
         taus = cut_times(sine_problem, period_field.v, nodes, horizon=6.0)
-        singles = [cut_time(sine_problem, period_field.v, x, horizon=6.0)[0]
-                   for x in nodes]
-        np.testing.assert_array_equal(taus, singles)
+        singles = np.array([cut_time(sine_problem, period_field.v, x, horizon=6.0)[0]
+                            for x in nodes])
+        np.testing.assert_array_equal(taus == 0.0, singles == 0.0)
+        np.testing.assert_array_equal(taus == 6.0, singles == 6.0)
+        assert np.max(np.abs(taus - singles)) <= 1e-8
 
     def test_aubry_candidates_default_forward_span(self, period_field,
                                                    period_cut_field):
@@ -459,3 +464,95 @@ class TestAubryCandidates:
     def test_evolutionary_rejected(self, hopf_kink_field):
         with pytest.raises(errors.InvalidProblem):
             aubry_candidates(hopf_kink_field, horizon=5.0)
+
+
+def _escape_problem():
+    """H = p^2/2 + p g(x) with g(x) = x^3 - x and lam = 1.
+
+    v = 0 solves lam v + H(x, v') = 0; its characteristics keep p = 0 and
+    follow x' = g(x), along which L = (x' - g(x))^2 / 2 = 0, so they stay
+    calibrated with defect 0.  From x in (-1, 1) they settle at 0; from
+    x = 2 they blow up at t = log(4/3) / 2 = 0.1438.
+    """
+    def g(x):
+        return x ** 3 - x
+
+    def dg(x):
+        return 3.0 * x ** 2 - 1.0
+
+    ham = HamiltonianModel(
+        dimension=1,
+        H=lambda s, x, p: 0.5 * p[..., 0] ** 2 + p[..., 0] * g(x[..., 0]),
+        H_p=lambda s, x, p: p + g(x),
+        H_x=lambda s, x, p: p * dg(x),
+        H_t=lambda s, x, p: np.zeros(np.shape(p)[:-1]),
+    )
+    lag = LagrangianModel(
+        dimension=1,
+        L=lambda s, x, v: 0.5 * (v[..., 0] - g(x[..., 0])) ** 2,
+        L_v=lambda s, x, v: v - g(x),
+        L_x=lambda s, x, v: -(v - g(x)) * dg(x),
+        L_t=lambda s, x, v: np.zeros(np.shape(v)[:-1]),
+        L_vv=lambda s, x, v: np.ones(np.shape(v) + (1,)),
+        growth=GrowthData(),
+        hamiltonian=ham,
+    )
+    return DiscountedProblem(1.0, lag, ham)
+
+
+class TestStackedFlow:
+    """All rows of a cut-time or Aubry query share one stacked flow."""
+
+    @staticmethod
+    def count_solve_ivp(monkeypatch):
+        spans = []
+        original = singular.solve_ivp
+
+        def counting(fun, t_span, *args, **kwargs):
+            spans.append(t_span)
+            return original(fun, t_span, *args, **kwargs)
+
+        monkeypatch.setattr(singular, "solve_ivp", counting)
+        return spans
+
+    def test_cut_time_field_calls(self, period_field, sine_problem, monkeypatch):
+        # 31 uncut nodes break in 15 mirror-image pairs and one clamps: one
+        # run per break time, not one per node
+        spans = self.count_solve_ivp(monkeypatch)
+        cut_time_field(sine_problem, period_field.v, horizon=6.0)
+        assert 1 <= len(spans) <= 20
+
+    def test_aubry_one_backward_call(self, counterexample_problem, monkeypatch):
+        v = GridFunction.from_callable(lambda p: 0.0 * p[..., 0],
+                                       [(-2.0, 2.0)], 17, periodic=True)
+        field = solver.DiscountedField(counterexample_problem, v)
+        spans = self.count_solve_ivp(monkeypatch)
+        _, mask = aubry_candidates(field, horizon=5.0)
+        assert mask.all()
+        assert [span for span in spans if span[1] < span[0]] == [(0.0, -5.0)]
+
+    def test_escaping_row_blows_up(self):
+        problem = _escape_problem()
+        v = GridFunction.from_callable(lambda p: 0.0 * p[..., 0],
+                                       [(-4.0, 4.0)], 16, periodic=True)
+        bounded = np.array([[0.0], [0.5], [-0.5]])
+        np.testing.assert_array_equal(cut_times(problem, v, bounded, horizon=1.0), 1.0)
+        with pytest.raises(errors.BlowUp):
+            cut_times(problem, v, np.vstack([bounded, [[2.0]]]), horizon=1.0)
+
+    def test_frozen_row_cannot_escape(self):
+        # a dip of v at 3.5 breaks the row from 2 on its way out (t = 0.085),
+        # before it would escape; frozen, it holds its state to the horizon
+        problem = _escape_problem()
+        v = GridFunction.from_callable(lambda p: -0.1 * (np.abs(p[..., 0] - 3.5) < 0.1),
+                                       [(-4.0, 4.0)], 16, periodic=True)
+        pts = np.array([[0.0], [0.5], [-0.5], [2.0]])
+        tau, flow = singular._forward_spans(problem, v, pts, horizon=1.0)
+        alone, _ = cut_time(problem, v, pts[3], horizon=1.0)
+        assert 0.0 < alone < 0.14
+        assert abs(tau[3] - alone) <= 1e-8
+        np.testing.assert_array_equal(tau[:3], 1.0)
+        assert flow.t_max == 1.0
+        x_end = flow(1.0).reshape(4, 3)[:, 0]
+        assert 3.0 <= x_end[3] <= 3.5
+        assert np.max(np.abs(x_end[:3])) <= 0.5
