@@ -1,22 +1,15 @@
 """Hamilton-Jacobi solvers with singularity propagation and retraction.
 
 Modules: ``model`` (problem data, Legendre transform), ``catalog``
-(built-in problems), ``action`` (flows and fundamental solutions),
+(built-in problems), ``action`` (direct method, regularity constants),
 ``laxoleinik`` (grids and inf/sup-convolution operators), ``solver``
-(discounted and evolutionary solutions), ``singular`` (singularity
-machinery), ``cli`` (command line).
+(discounted and evolutionary solutions), ``singular`` (characteristics,
+fundamental solutions, singularity machinery), ``cli`` (command line).
 """
 
 __version__ = "0.1.0"
 
-from .action import (
-    ConvexityConstants,
-    Trajectory,
-    action_gradients,
-    estimate_constants,
-    fundamental_solution,
-    hamiltonian_flow,
-)
+from .action import ConvexityConstants, estimate_constants
 from .errors import (
     BlowUp,
     BoundaryClipped,
@@ -55,10 +48,13 @@ from .singular import (
     CutTimeField,
     ReachableGradientSet,
     SingularCurve,
+    Trajectory,
+    action_gradients,
     aubry_candidates,
     cut_time,
     cut_time_field,
     cut_times,
+    fundamental_solution,
     homotopy,
     is_singular,
     lipschitz_certificate,

@@ -1,10 +1,9 @@
-"""Minimal-action computations: flows, fundamental solutions, regularity probes.
+"""Minimal-action computations: the batched direct method and regularity probes.
 
 The least-action value between endpoints is computed by a direct method
 (midpoint discretization of the curve, damped Newton on the stacked
-interior nodes) and then refined, either by Richardson extrapolation in
-the segment count or by shooting on the Hamiltonian two-point boundary
-problem.  The direct method is batched: many endpoint pairs are solved
+interior nodes), refined by Richardson extrapolation in the segment
+count.  The direct method is batched: many endpoint pairs are solved
 simultaneously as independent tridiagonal systems, which is what makes
 grid-wide inf-convolutions affordable.  The pairs may share one time
 interval or each have its own: time nodes, quadrature weights and
@@ -14,7 +13,9 @@ answer does not depend on the batch it was solved in.
 
 Time quadrature uses exact per-segment weights when the Lagrangian is an
 exponential-in-time rescaling of an autonomous one, so constant curves
-integrate exactly under discounting.
+integrate exactly under discounting.  Fundamental solutions with their
+shooting refine live next to the characteristic integrator, in
+``singular``.
 """
 
 from __future__ import annotations
@@ -22,61 +23,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
-from .errors import BlowUp, DegenerateSample, NoConvergence
-from .model import HamiltonianModel, LagrangianModel, hamiltonian_from_lagrangian
+from .errors import DegenerateSample
+from .model import LagrangianModel
 
 PATH_SEGMENTS = 16  # segments of a discretized path unless a caller refines it
-
-
-# ---------------------------------------------------------------------------
-# trajectories
-
-@dataclass
-class Trajectory:
-    """A discretized extremal curve with dual arc and energy."""
-
-    times: np.ndarray              # (N+1,)
-    states: np.ndarray             # (N+1, n)
-    velocities: np.ndarray         # (N+1, n)
-    duals: np.ndarray              # (N+1, n), p = L_v(t, state, velocity)
-    action: float
-    energies: np.ndarray           # (N+1,), E = <p, v> - L
-    grad_residual: float = 0.0     # sup-norm of the discrete stationarity residual
-
-    @property
-    def start(self):
-        return self.states[0]
-
-    @property
-    def end(self):
-        return self.states[-1]
-
-
-def _node_velocities(states, dt):
-    """Second-order velocity estimates at the nodes of a uniform-step path."""
-    v = np.empty_like(states)
-    v[1:-1] = (states[2:] - states[:-2]) / (2.0 * dt)
-    v[0] = (-3.0 * states[0] + 4.0 * states[1] - states[2]) / (2.0 * dt)
-    v[-1] = (3.0 * states[-1] - 4.0 * states[-2] + states[-3]) / (2.0 * dt)
-    return v
-
-
-def _trajectory_from_nodes(model: LagrangianModel, times, states, action,
-                           grad_residual) -> Trajectory:
-    dt = times[1] - times[0]
-    if len(times) >= 3:
-        vel = _node_velocities(states, dt)
-    else:
-        vel = np.broadcast_to((states[-1] - states[0]) / (times[-1] - times[0]),
-                              states.shape).copy()
-    duals = np.asarray(model.L_v(times, states, vel), dtype=float)
-    lvals = np.asarray(model.L(times, states, vel), dtype=float)
-    energies = np.sum(duals * vel, axis=-1) - lvals
-    return Trajectory(times=np.asarray(times, dtype=float), states=states,
-                      velocities=vel, duals=duals, action=float(action),
-                      energies=energies, grad_residual=float(grad_residual))
 
 
 # ---------------------------------------------------------------------------
@@ -300,159 +251,6 @@ def refined_action(model: LagrangianModel, s, t, starts, ends):
 
 
 # ---------------------------------------------------------------------------
-# Hamiltonian flow
-
-def hamiltonian_flow(model: HamiltonianModel, s: float, x, p0, t: float,
-                     nodes: int = 129, bound: float = 1e6) -> Trajectory:
-    """Integrate dx = H_p, dp = -H_x from (x, p0) on [s, t].
-
-    The running action integral rides along as an extra state, using
-    L = <p, H_p> - H on the flow.  Raises :class:`BlowUp` when the state
-    leaves the configured bound before ``t``.
-    """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    p0 = np.atleast_1d(np.asarray(p0, dtype=float))
-    n = x.size
-
-    def rhs(tau, y):
-        xx, pp = y[:n], y[n:2 * n]
-        hp = np.atleast_1d(np.asarray(model.H_p(tau, xx, pp), dtype=float))
-        hx = np.atleast_1d(np.asarray(model.H_x(tau, xx, pp), dtype=float))
-        lrun = float(pp @ hp - model.H(tau, xx, pp))
-        return np.concatenate([hp, -hx, [lrun]])
-
-    def escape(tau, y):
-        return bound - max(np.max(np.abs(y[:n])), np.max(np.abs(y[n:2 * n])))
-
-    escape.terminal = True
-    escape.direction = -1
-
-    y0 = np.concatenate([x, p0, [0.0]])
-    t_eval = np.linspace(s, t, nodes)
-    sol = solve_ivp(rhs, (s, t), y0, method="DOP853", t_eval=t_eval,
-                    rtol=1e-11, atol=1e-12, events=escape)
-    if sol.status == 1:
-        raise BlowUp(f"flow left |state| <= {bound:g} at t = {sol.t_events[0][0]:.6g}")
-    if not sol.success:
-        raise NoConvergence(f"flow integration failed: {sol.message}")
-
-    states = sol.y[:n].T.copy()
-    duals = sol.y[n:2 * n].T.copy()
-    actions = sol.y[2 * n]
-    vel = np.empty_like(states)
-    energies = np.empty(len(sol.t))
-    for k, tau in enumerate(sol.t):
-        vel[k] = np.atleast_1d(np.asarray(model.H_p(tau, states[k], duals[k]), dtype=float))
-        energies[k] = float(model.H(tau, states[k], duals[k]))
-    return Trajectory(times=sol.t.copy(), states=states, velocities=vel,
-                      duals=duals, action=float(actions[-1]), energies=energies)
-
-
-# ---------------------------------------------------------------------------
-# fundamental solution
-
-def _hamiltonian_for(model: LagrangianModel) -> HamiltonianModel:
-    if model.hamiltonian is not None:
-        return model.hamiltonian
-    model.hamiltonian = hamiltonian_from_lagrangian(model)
-    return model.hamiltonian
-
-
-def _shoot(model: LagrangianModel, s, t, x, y, p0):
-    """Newton on p0 -> flow endpoint; returns a flow Trajectory or None."""
-    hmodel = _hamiltonian_for(model)
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    n = x.size
-    target_tol = 1e-9 * (1.0 + float(np.linalg.norm(y)))
-
-    def endpoint(p):
-        traj = hamiltonian_flow(hmodel, s, x, p, t, nodes=2)
-        return traj.end
-
-    p = np.atleast_1d(np.asarray(p0, dtype=float)).copy()
-    try:
-        res = endpoint(p) - y
-    except (BlowUp, NoConvergence):
-        return None
-    for _ in range(12):
-        nrm = float(np.linalg.norm(res))
-        if nrm <= target_tol:
-            traj = hamiltonian_flow(hmodel, s, x, p, t, nodes=max(65, 2 * n + 1))
-            return traj
-        jac = np.empty((n, n))
-        h = 1e-7 * (1.0 + np.abs(p))
-        try:
-            for j in range(n):
-                dp = np.zeros(n)
-                dp[j] = h[j]
-                jac[:, j] = (endpoint(p + dp) - endpoint(p - dp)) / (2 * h[j])
-            step = np.linalg.solve(jac, -res)
-        except (BlowUp, NoConvergence, np.linalg.LinAlgError):
-            return None
-        alpha = 1.0
-        for _ in range(10):
-            try:
-                trial_res = endpoint(p + alpha * step) - y
-            except (BlowUp, NoConvergence):
-                alpha *= 0.5
-                continue
-            if np.linalg.norm(trial_res) < nrm:
-                p = p + alpha * step
-                res = trial_res
-                break
-            alpha *= 0.5
-        else:
-            return None
-    return None
-
-
-def fundamental_solution(model: LagrangianModel, s: float, t: float, x, y,
-                         refine: bool = True):
-    """Least action between (s, x) and (t, y) with its minimizing trajectory.
-
-    Direct method from 64 segments, doubled until the action settles below
-    1e-8, then (``refine=True``) a shooting pass on the Hamiltonian
-    system; if shooting diverges the extrapolated direct answer stands.
-    """
-    if not t > s:
-        raise ValueError("need t > s")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-
-    N, value_tol = 64, 1e-8
-    sol = minimize_paths(model, s, t, x[None, :], y[None, :], segments=N)
-    coarse = float(sol["action"][0])
-    for _ in range(5):
-        N *= 2
-        sol = minimize_paths(model, s, t, x[None, :], y[None, :], segments=N,
-                             init_nodes=_refine_nodes(sol["nodes"]))
-        cur = float(sol["action"][0])
-        if abs(cur - coarse) < value_tol:
-            break
-        coarse = cur
-    fine = float(sol["action"][0])
-    value = fine + (fine - coarse) / 3.0
-    traj = _trajectory_from_nodes(model, sol["times"], sol["nodes"][0], value,
-                                  sol["grad_inf"][0])
-
-    if refine:
-        p0 = np.atleast_1d(np.asarray(model.L_v(s, x, traj.velocities[0]), dtype=float))
-        flow = _shoot(model, s, t, x, y, p0)
-        if flow is not None and flow.action <= value + 1e-6 * (1 + abs(value)):
-            return flow.action, flow
-    return value, traj
-
-
-def action_gradients(minimizer: Trajectory):
-    """(D_x A, D_y A, D_t A) read off the minimizer's dual arc and energy."""
-    dxa = -minimizer.duals[0]
-    dya = minimizer.duals[-1]
-    dta = -float(minimizer.energies[-1])
-    return dxa, dya, dta
-
-
-# ---------------------------------------------------------------------------
 # regularity constants
 
 @dataclass
@@ -482,8 +280,9 @@ def estimate_constants(model: LagrangianModel, s: float, x, T: float,
     The probes run along the first two coordinate axes.  Each of the three
     cone heights t probes at t, t + h and t - h, over every direction and
     offset, and all of them share one :func:`refined_action` batch with one
-    end time per row.  The actions at (t, y) and (t + h, y) serve both the
-    temporal second difference and ``c3``.
+    end time per row.  The paths to (t, y) and (t + h, y) serve both the
+    temporal second difference and ``c3``, whose endpoint gradient is the
+    batch's ``d_end``.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     n = x.size
@@ -512,12 +311,7 @@ def estimate_constants(model: LagrangianModel, s: float, x, T: float,
     actions, sol = refined_action(model, s, np.concatenate(end_times),
                                   np.broadcast_to(x, ends.shape), ends)
     blocks = actions.reshape(len(levels), 7, m)
-
-    def end_duals(level, block):
-        first = (7 * level + block) * m
-        return np.array([_trajectory_from_nodes(model, sol["times"][r], sol["nodes"][r],
-                                                sol["action"][r], 0.0).duals[-1]
-                         for r in range(first, first + m)])
+    end_duals = sol["d_end"].reshape(len(levels), 7, m, n)
 
     ratios_c0, ratios_c1, ratios_c2, ratios_c3 = [], [], [], []
     seen_signal = False
@@ -534,7 +328,7 @@ def estimate_constants(model: LagrangianModel, s: float, x, T: float,
         ratios_c0.extend(rs)
         ratios_c1.extend(-rs)
         # endpoint-gradient increment in time: blocks (ys, t + h) and (ys, t)
-        ratios_c3.extend(np.linalg.norm(end_duals(k, 4) - end_duals(k, 2), axis=1)
+        ratios_c3.extend(np.linalg.norm(end_duals[k, 4] - end_duals[k, 2], axis=1)
                          * dt_cone / h)
 
     if not seen_signal:

@@ -45,7 +45,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .action import estimate_constants, fundamental_solution, action_gradients
+from .action import estimate_constants
 from .catalog import (
     discounted_from_model,
     lagrangian_by_key,
@@ -63,8 +63,10 @@ from .laxoleinik import (
 from .model import GrowthData, check_tonelli, legendre, to_evolutionary
 from .singular import (
     SingularCurve,
+    action_gradients,
     aubry_candidates,
     cut_time_field,
+    fundamental_solution,
     is_singular,
     retraction,
     trace_singular_curve,

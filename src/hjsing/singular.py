@@ -1,4 +1,10 @@
-"""Singularity machinery: reachable gradients, propagation, cut times, retraction.
+"""Characteristics and singularity machinery: fundamental solutions,
+reachable gradients, propagation, cut times, retraction.
+
+One stacked routine integrates every characteristic: the discounted
+flows at the problem's lam (the lam = 0 flows of its lift
+``to_evolutionary``, with p scaled by e^{lam t}) and, at lam = 0, the
+shooting refine of :func:`fundamental_solution`.
 
 A point of the value field is singular when its reachable-gradient set has
 more than one element; the set is enumerated from the distinct minimizers
@@ -34,7 +40,7 @@ from scipy.optimize import brentq
 
 from .action import (
     ConvexityConstants,
-    _node_velocities,
+    _refine_nodes,
     estimate_constants,
     minimize_paths,
 )
@@ -42,12 +48,18 @@ from .errors import (
     BlowUp,
     ConcavityFailure,
     InvalidProblem,
+    NoConvergence,
     NoMinimizer,
     NonUniqueArgmax,
     ScheduleStall,
 )
 from .laxoleinik import _SWEEP_SHRINK, TIE_TOL, GridFunction, periodic_radius_cap
-from .model import DiscountedProblem
+from .model import (
+    DiscountedProblem,
+    HamiltonianModel,
+    LagrangianModel,
+    hamiltonian_from_lagrangian,
+)
 from .solver import DiscountedField
 
 logger = logging.getLogger(__name__)
@@ -57,6 +69,7 @@ SINGULAR_TOL = 1e-2     # a reachable-gradient set wider than this is singular
 CALIB_TOL = 1e-3        # calibration defect (per unit of 1 + t) that cuts a flow
 _LATTICE_NODES = 49     # argmax scan nodes per axis of the ball
 _ROOT_TOL = 4 * np.finfo(float).eps   # break-time roots, as solve_ivp's events
+_ESCAPE = 1e6           # a characteristic with |x| or |p| beyond this escaped
 
 
 # ---------------------------------------------------------------------------
@@ -506,6 +519,204 @@ def lipschitz_certificate(curve: SingularCurve, constants: ConvexityConstants,
 
 
 # ---------------------------------------------------------------------------
+# characteristics, fundamental solution
+
+def _characteristics(H: HamiltonianModel, lam: float, y0, span, rows=None,
+                     start=None, events=()):
+    """One stacked run of x' = H_p, p' = -H_x - lam p, a' = e^{lam t} (<p, H_p> - H).
+
+    ``y0`` holds one state (x, p, a) per row, (R, 2n+1), at time ``start``
+    (default span[0]); the run goes to span[1], with steps of at most
+    min(|span| / 20, 0.25) on every restart.  Only the live ``rows``
+    (default all) move.  ``events`` go ahead of the escape event: a live
+    row with |x| or |p| above _ESCAPE raises :class:`BlowUp`, a failed run
+    :class:`NoConvergence`.  Returns the ``solve_ivp`` result with dense
+    output of the flattened state.
+    """
+    R, m = y0.shape
+    n = (m - 1) // 2
+    rows = np.arange(R) if rows is None else rows
+
+    def rhs(t, y):
+        Y = y.reshape(R, m)[rows]
+        X, P = Y[:, :n], Y[:, n:2 * n]
+        hp = np.asarray(H.H_p(t, X, P), dtype=float).reshape(X.shape)
+        hx = np.asarray(H.H_x(t, X, P), dtype=float).reshape(X.shape)
+        h = np.asarray(H.H(t, X, P), dtype=float).reshape(-1)
+        dy = np.zeros((R, m))
+        dy[rows, :n] = hp
+        dy[rows, n:2 * n] = -hx - lam * P
+        dy[rows, 2 * n] = math.exp(lam * t) * (np.sum(P * hp, axis=1) - h)
+        return dy.reshape(-1)
+
+    def escape(t, y):
+        return _ESCAPE - float(np.max(np.abs(y.reshape(R, m)[rows, :2 * n])))
+
+    escape.terminal = True
+    escape.direction = -1
+
+    t0 = span[0] if start is None else start
+    sol = solve_ivp(rhs, (t0, span[1]), y0.reshape(-1), method="RK45", rtol=1e-9,
+                    atol=1e-11, events=[*events, escape], dense_output=True,
+                    max_step=min(abs(span[1] - span[0]) / 20, 0.25))
+    if sol.t_events[-1].size:
+        raise BlowUp(f"characteristic escaped at t = {sol.t_events[-1][0]:.4g}")
+    if sol.status == -1:
+        raise NoConvergence(f"characteristic integration failed: {sol.message}")
+    return sol
+
+
+@dataclass
+class Trajectory:
+    """A discretized extremal curve with dual arc and energy."""
+
+    times: np.ndarray              # (N+1,)
+    states: np.ndarray             # (N+1, n)
+    velocities: np.ndarray         # (N+1, n)
+    duals: np.ndarray              # (N+1, n), p = L_v(t, state, velocity)
+    action: float
+    energies: np.ndarray           # (N+1,), E = <p, v> - L
+    grad_residual: float = 0.0     # sup-norm of the discrete stationarity residual
+
+    @property
+    def start(self):
+        return self.states[0]
+
+    @property
+    def end(self):
+        return self.states[-1]
+
+
+def _sampled_trajectory(H: HamiltonianModel, sol, row: int, times) -> Trajectory:
+    """Row ``row`` of a :func:`_characteristics` run sampled at ``times``."""
+    n = H.dimension
+    Y = sol.sol(times)[row * (2 * n + 1):(row + 1) * (2 * n + 1)].T
+    states, duals = Y[:, :n].copy(), Y[:, n:2 * n].copy()
+    vel = np.asarray(H.H_p(times, states, duals), dtype=float).reshape(states.shape)
+    energies = np.asarray(H.H(times, states, duals), dtype=float).reshape(-1)
+    return Trajectory(times=times, states=states, velocities=vel, duals=duals,
+                      action=float(Y[-1, 2 * n]), energies=energies)
+
+
+def _node_velocities(states, dt):
+    """Second-order velocity estimates at the nodes of a uniform-step path."""
+    v = np.empty_like(states)
+    v[1:-1] = (states[2:] - states[:-2]) / (2.0 * dt)
+    v[0] = (-3.0 * states[0] + 4.0 * states[1] - states[2]) / (2.0 * dt)
+    v[-1] = (3.0 * states[-1] - 4.0 * states[-2] + states[-3]) / (2.0 * dt)
+    return v
+
+
+def _trajectory_from_nodes(model: LagrangianModel, times, states, action,
+                           grad_residual) -> Trajectory:
+    vel = _node_velocities(states, times[1] - times[0])
+    duals = np.asarray(model.L_v(times, states, vel), dtype=float)
+    lvals = np.asarray(model.L(times, states, vel), dtype=float)
+    energies = np.sum(duals * vel, axis=-1) - lvals
+    return Trajectory(times=np.asarray(times, dtype=float), states=states,
+                      velocities=vel, duals=duals, action=float(action),
+                      energies=energies, grad_residual=float(grad_residual))
+
+
+def _shoot(model: LagrangianModel, s, t, x, y, p0):
+    """Newton on p0 -> flow endpoint; returns a flow Trajectory or None.
+
+    A Newton iteration is one stacked run of the rows p and p +- h_j e_j,
+    which give the residual and its central-difference Jacobian.
+    """
+    if model.hamiltonian is None:
+        model.hamiltonian = hamiltonian_from_lagrangian(model)
+    hmodel = model.hamiltonian
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    y = np.atleast_1d(np.asarray(y, dtype=float))
+    n = x.size
+    target_tol = 1e-9 * (1.0 + float(np.linalg.norm(y)))
+
+    def flow(ps):
+        """(run, end states) of the characteristics from x with momenta ps."""
+        y0 = np.column_stack([np.broadcast_to(x, ps.shape), ps, np.zeros(len(ps))])
+        sol = _characteristics(hmodel, 0.0, y0, (s, t))
+        return sol, sol.y[:, -1].reshape(len(ps), 2 * n + 1)[:, :n]
+
+    p = np.atleast_1d(np.asarray(p0, dtype=float)).copy()
+    for _ in range(12):
+        h = 1e-7 * (1.0 + np.abs(p))
+        try:
+            sol, ends = flow(np.vstack([p, p + np.diag(h), p - np.diag(h)]))
+        except (BlowUp, NoConvergence):
+            return None
+        res = ends[0] - y
+        nrm = float(np.linalg.norm(res))
+        if nrm <= target_tol:
+            return _sampled_trajectory(hmodel, sol, 0, np.linspace(s, t, max(65, 2 * n + 1)))
+        jac = ((ends[1:n + 1] - ends[n + 1:]) / (2 * h)[:, None]).T
+        try:
+            step = np.linalg.solve(jac, -res)
+        except np.linalg.LinAlgError:
+            return None
+        alpha = 1.0
+        for _ in range(10):
+            try:
+                trial_res = flow((p + alpha * step)[None, :])[1][0] - y
+            except (BlowUp, NoConvergence):
+                alpha *= 0.5
+                continue
+            if np.linalg.norm(trial_res) < nrm:
+                p = p + alpha * step
+                break
+            alpha *= 0.5
+        else:
+            return None
+    return None
+
+
+def fundamental_solution(model: LagrangianModel, s: float, t: float, x, y,
+                         refine: bool = True):
+    """Least action between (s, x) and (t, y) with its minimizing trajectory.
+
+    Direct method from 64 segments, doubled until the action settles below
+    1e-8, then (``refine=True``) a shooting pass on the Hamiltonian
+    system, whose flows are :func:`_characteristics` runs at lam = 0; if
+    shooting diverges the extrapolated direct answer stands.
+    """
+    if not t > s:
+        raise ValueError("need t > s")
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    y = np.atleast_1d(np.asarray(y, dtype=float))
+
+    N, value_tol = 64, 1e-8
+    sol = minimize_paths(model, s, t, x[None, :], y[None, :], segments=N)
+    coarse = float(sol["action"][0])
+    for _ in range(5):
+        N *= 2
+        sol = minimize_paths(model, s, t, x[None, :], y[None, :], segments=N,
+                             init_nodes=_refine_nodes(sol["nodes"]))
+        cur = float(sol["action"][0])
+        if abs(cur - coarse) < value_tol:
+            break
+        coarse = cur
+    fine = float(sol["action"][0])
+    value = fine + (fine - coarse) / 3.0
+    traj = _trajectory_from_nodes(model, sol["times"], sol["nodes"][0], value,
+                                  sol["grad_inf"][0])
+
+    if refine:
+        p0 = np.atleast_1d(np.asarray(model.L_v(s, x, traj.velocities[0]), dtype=float))
+        flow = _shoot(model, s, t, x, y, p0)
+        if flow is not None and flow.action <= value + 1e-6 * (1 + abs(value)):
+            return flow.action, flow
+    return value, traj
+
+
+def action_gradients(minimizer: Trajectory):
+    """(D_x A, D_y A, D_t A) read off the minimizer's dual arc and energy."""
+    dxa = -minimizer.duals[0]
+    dya = minimizer.duals[-1]
+    dta = -float(minimizer.energies[-1])
+    return dxa, dya, dta
+
+
+# ---------------------------------------------------------------------------
 # calibrated flow, cut time, Aubry candidates
 
 def _interp_gradient(v: GridFunction, x):
@@ -535,48 +746,34 @@ def _calibrated_flow(problem: DiscountedProblem, v: GridFunction, xs, p0,
     test, where the raw form is already stable and is used as is.
 
     The R rows share one (R, 2n+1) state (x, p, running integral) and one
-    ``solve_ivp`` run; the model callables see (R, n) batches.  The terminal
-    break event is the smallest margin CALIB_TOL (1 + |t|) - |defect| over
-    the live rows.  When it fires at t, the smallest-margin row and every
-    live row whose margin is <= 0 get tau = |t|.  So does, at its own root
-    on the step's dense output, every live row whose margin turns <= 0
-    before the end of the step that holds t: mirror-image nodes break a
-    rounding error apart, and a restart per row would cost a call each.
-    These rows are frozen (zero right-hand side) and the run restarts from
-    the state at t.  Rows share step sizes, so a row's tau depends on its
-    batch within the integrator's tolerance: it agrees with a one-row run
-    to 1e-8.  Only live rows can escape (:class:`BlowUp`).
+    :func:`_characteristics` run at the problem's lam.  The terminal break
+    event is the smallest margin CALIB_TOL (1 + |t|) - |defect| over the
+    live rows.  When it fires at t, the smallest-margin row and every live
+    row whose margin is <= 0 get tau = |t|.  So does, at its own root on
+    the step's dense output, every live row whose margin turns <= 0 before
+    the end of the step that holds t: mirror-image nodes break a rounding
+    error apart, and a restart per row would cost a call each.  These rows
+    are frozen and the run restarts from the state at t.  Rows share step
+    sizes, so a row's tau depends on its batch within the integrator's
+    tolerance: it agrees with a one-row run to 1e-8.  Only live rows can
+    escape (:class:`BlowUp`); a failed run raises :class:`NoConvergence`.
 
     Returns (tau, flow): tau (R,) the first violation times, clamped at
     horizon; flow the dense solution over all restarts, an ``OdeSolution``
     of the flattened state (row r holds entries r (2n+1) .. r (2n+1) + 2n;
     a frozen row keeps its state at the restart that froze it).
     """
-    lam, bound = problem.lam, 1e6
-    H = problem.hamiltonian
-    L = problem.lagrangian
+    lam = problem.lam
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     R, n = xs.shape
     m = 2 * n + 1
     v_at_x = v(xs)
-    rows = np.arange(R)             # the live rows; the events read it too
+    rows = np.arange(R)             # the live rows; the break event reads it too
 
     def margins(t, y, idx):
         Y = y.reshape(R, m)[idx]
         raw = math.exp(lam * t) * v(Y[:, :n]) - v_at_x[idx] - Y[:, 2 * n]
         return CALIB_TOL * (1.0 + abs(t)) - np.abs(raw * math.exp(-lam * max(t, 0.0)))
-
-    def rhs(t, y):
-        Y = y.reshape(R, m)[rows]
-        X, P = Y[:, :n], Y[:, n:2 * n]
-        hp = np.asarray(H.H_p(0.0, X, P), dtype=float).reshape(X.shape)
-        hx = np.asarray(H.H_x(0.0, X, P), dtype=float).reshape(X.shape)
-        lrun = np.asarray(L.L(0.0, X, hp), dtype=float).reshape(-1)
-        dy = np.zeros((R, m))
-        dy[rows, :n] = hp
-        dy[rows, n:2 * n] = -hx - lam * P
-        dy[rows, 2 * n] = math.exp(lam * t) * lrun
-        return dy.reshape(-1)
 
     def break_event(t, y):
         return float(np.min(margins(t, y, rows)))
@@ -584,28 +781,18 @@ def _calibrated_flow(problem: DiscountedProblem, v: GridFunction, xs, p0,
     break_event.terminal = True
     break_event.direction = -1
 
-    def escape(t, y):
-        return bound - float(np.max(np.abs(y.reshape(R, m)[rows, :2 * n])))
-
-    escape.terminal = True
-    escape.direction = -1
-
-    t, t_end = 0.0, direction * horizon
-    y = np.column_stack([xs, np.reshape(p0, (R, n)), np.zeros(R)]).reshape(-1)
+    span = (0.0, direction * horizon)
+    t, y = 0.0, np.column_stack([xs, np.reshape(p0, (R, n)), np.zeros(R)])
     tau = np.full(R, abs(horizon))
     ts, pieces = [t], []
     while True:
-        sol = solve_ivp(rhs, (t, t_end), y, method="RK45", rtol=1e-9, atol=1e-11,
-                        events=[break_event, escape], dense_output=True,
-                        max_step=min(abs(horizon) / 20, 0.25))
+        sol = _characteristics(problem.hamiltonian, lam, y, span, rows, t, [break_event])
         if sol.t[-1] != t:
             ts.extend(sol.sol.ts[1:])
             pieces.extend(sol.sol.interpolants)
-        if sol.t_events[1].size:
-            raise BlowUp(f"characteristic escaped at t = {sol.t_events[1][0]:.4g}")
         if not sol.t_events[0].size:
             break
-        t, y = float(sol.t_events[0][0]), sol.y_events[0][0]
+        t, y = float(sol.t_events[0][0]), sol.y_events[0][0].reshape(R, m)
         step = sol.sol.interpolants[-1]
         margin = margins(t, y, rows)
         broke = margin <= 0.0
@@ -616,7 +803,7 @@ def _calibrated_flow(problem: DiscountedProblem, v: GridFunction, xs, p0,
             tau[r] = abs(brentq(lambda s: margins(s, step(s), [r])[0], t, step.t,
                                 xtol=_ROOT_TOL, rtol=_ROOT_TOL))
         rows = rows[~(broke | later)]
-        if rows.size == 0 or t == t_end:
+        if rows.size == 0 or t == span[1]:
             break
     return tau, OdeSolution(ts, pieces)
 

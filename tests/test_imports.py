@@ -1,5 +1,6 @@
-"""Every name a library module imports is used in that module, and every
-private module-level name is referenced somewhere in the library."""
+"""Every name a library module imports is used in that module, every
+private module-level name is referenced somewhere in the library, and one
+routine holds the library's only ODE integration."""
 
 import ast
 from pathlib import Path
@@ -82,3 +83,15 @@ def test_no_unused_imports(path):
 
 def test_private_names_referenced():
     assert unreferenced_private_names({p.name: p.read_text() for p in SOURCES}) == []
+
+
+def solve_ivp_calls(source: str) -> int:
+    """The calls of ``solve_ivp`` (by name or as an attribute) in a module."""
+    return sum(1 for node in ast.walk(ast.parse(source))
+               if isinstance(node, ast.Call)
+               and getattr(node.func, "id", getattr(node.func, "attr", None)) == "solve_ivp")
+
+
+def test_one_characteristic_integrator():
+    # every characteristic of the package runs through singular._characteristics
+    assert sum(solve_ivp_calls(p.read_text()) for p in SOURCES) == 1

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from hjsing import (
     GridFunction,
     action,
     aubry_candidates,
+    catalog,
     cut_time,
     cut_time_field,
     cut_times,
@@ -16,6 +18,7 @@ from hjsing import (
     is_singular,
     laxoleinik,
     lipschitz_certificate,
+    model,
     propagation_step,
     reachable_gradients,
     reachable_gradients_batch,
@@ -556,3 +559,59 @@ class TestStackedFlow:
         x_end = flow(1.0).reshape(4, 3)[:, 0]
         assert 3.0 <= x_end[3] <= 3.5
         assert np.max(np.abs(x_end[:3])) <= 0.5
+
+    def test_failed_run_raises(self):
+        # H_p turns NaN past |x| = 3, on the way of the row from 2 to its
+        # blow-up: the step size underflows before the state reaches the
+        # escape bound, and the run must fail instead of reaching the horizon
+        problem = _escape_problem()
+        ham = problem.hamiltonian
+
+        def nan_past_3(s, x, p):
+            return np.where(np.abs(x) >= 3.0, np.nan, ham.H_p(s, x, p))
+
+        problem = DiscountedProblem(problem.lam, problem.lagrangian,
+                                    dataclasses.replace(ham, H_p=nan_past_3))
+        v = GridFunction.from_callable(lambda p: 0.0 * p[..., 0],
+                                       [(-4.0, 4.0)], 16, periodic=True)
+        with pytest.raises(errors.NoConvergence):
+            cut_times(problem, v, [[0.0], [0.5], [2.0]], horizon=1.0)
+
+
+class TestCharacteristics:
+    """The one integrator of x' = H_p, p' = -H_x - lam p and the running action."""
+
+    TIMES = np.linspace(0.0, 2.0, 41)
+
+    @staticmethod
+    def states(x0, p0):
+        return np.column_stack([x0, p0, np.zeros(len(x0))])
+
+    def sampled(self, sol, rows):
+        """(x, p, running integral) per row and sample time, (rows, times)."""
+        Y = sol.sol(self.TIMES).reshape(rows, 3, -1)
+        return Y[:, 0], Y[:, 1], Y[:, 2]
+
+    def test_discounted_flow_is_the_lifted_flow(self):
+        # the paper's reduction: the lam-form characteristic of a discounted
+        # H is the lam = 0 characteristic of its lift, with p_hat = e^{lam t} p
+        problem = catalog.discounted_problem("pendulum", lam=1.0)
+        _, hhat = model.to_evolutionary(problem, horizon=2.0)
+        y0 = self.states([0.3, -1.0, 2.0], [0.5, 1.0, -0.2])
+        x, p, a = self.sampled(
+            singular._characteristics(problem.hamiltonian, 1.0, y0, (0.0, 2.0)), 3)
+        x_l, p_hat, a_l = self.sampled(
+            singular._characteristics(hhat, 0.0, y0, (0.0, 2.0)), 3)
+        np.testing.assert_allclose(x, x_l, rtol=0, atol=1e-8)
+        assert np.all(np.abs(np.exp(self.TIMES) * p - p_hat) <= 1e-8 * (1 + np.abs(p_hat)))
+        np.testing.assert_allclose(a, a_l, rtol=0, atol=1e-8)
+
+    def test_stacked_rows_match_single_rows(self):
+        problem = catalog.discounted_problem("pendulum", lam=1.0)
+        y0 = self.states([0.3, -1.0, 2.0], [0.5, 1.0, -0.2])
+        stacked = np.stack(self.sampled(
+            singular._characteristics(problem.hamiltonian, 1.0, y0, (0.0, 2.0)), 3))
+        for r in range(3):
+            alone = np.stack(self.sampled(singular._characteristics(
+                problem.hamiltonian, 1.0, y0[r:r + 1], (0.0, 2.0)), 1))
+            np.testing.assert_allclose(stacked[:, r], alone[:, 0], rtol=0, atol=1e-8)
