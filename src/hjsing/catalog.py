@@ -34,7 +34,6 @@ from .model import (
     GrowthData,
     HamiltonianModel,
     LagrangianModel,
-    hamiltonian_from_lagrangian,
 )
 
 FD_STEP = 1e-6
@@ -49,9 +48,8 @@ def _eye_like(x, dimension):
 
 def free_particle(dimension: int = 1) -> LagrangianModel:
     """L = |v|^2/2 with H = |p|^2/2."""
-    n = dimension
-
-    model = LagrangianModel(
+    n, name = dimension, f"free_particle_{dimension}d"
+    return LagrangianModel(
         dimension=n,
         L=lambda s, x, v: 0.5 * np.sum(np.asarray(v, dtype=float) ** 2, axis=-1),
         L_v=lambda s, x, v: np.asarray(v, dtype=float).copy(),
@@ -59,17 +57,16 @@ def free_particle(dimension: int = 1) -> LagrangianModel:
         L_t=lambda s, x, v: np.zeros(np.asarray(v, dtype=float).shape[:-1]),
         L_vv=lambda s, x, v: _eye_like(v, n),
         growth=GrowthData(),
-        name=f"free_particle_{n}d",
+        name=name,
+        hamiltonian=HamiltonianModel(
+            dimension=n,
+            H=lambda s, x, p: 0.5 * np.sum(np.asarray(p, dtype=float) ** 2, axis=-1),
+            H_p=lambda s, x, p: np.asarray(p, dtype=float).copy(),
+            H_x=lambda s, x, p: np.zeros_like(np.asarray(x, dtype=float)),
+            H_t=lambda s, x, p: np.zeros(np.asarray(p, dtype=float).shape[:-1]),
+            name=name,
+        ),
     )
-    model.hamiltonian = HamiltonianModel(
-        dimension=n,
-        H=lambda s, x, p: 0.5 * np.sum(np.asarray(p, dtype=float) ** 2, axis=-1),
-        H_p=lambda s, x, p: np.asarray(p, dtype=float).copy(),
-        H_x=lambda s, x, p: np.zeros_like(np.asarray(x, dtype=float)),
-        H_t=lambda s, x, p: np.zeros(np.asarray(p, dtype=float).shape[:-1]),
-        name=model.name,
-    )
-    return model
 
 
 def mechanical(f, f_grad, name: str, f_min: float, f_max: float) -> LagrangianModel:
@@ -84,7 +81,7 @@ def mechanical(f, f_grad, name: str, f_min: float, f_max: float) -> LagrangianMo
         x = np.asarray(x, dtype=float)
         return f_grad(x[..., 0])[..., None]
 
-    model = LagrangianModel(
+    return LagrangianModel(
         dimension=1,
         L=L,
         L_v=lambda s, x, v: np.asarray(v, dtype=float).copy(),
@@ -93,17 +90,16 @@ def mechanical(f, f_grad, name: str, f_min: float, f_max: float) -> LagrangianMo
         L_vv=lambda s, x, v: _eye_like(v, 1),
         growth=GrowthData(c_T=max(0.0, -f_min), offset=max(0.0, f_max)),
         name=name,
+        hamiltonian=HamiltonianModel(
+            dimension=1,
+            H=lambda s, x, p: 0.5 * np.asarray(p, dtype=float)[..., 0] ** 2
+            - f(np.asarray(x, dtype=float)[..., 0]),
+            H_p=lambda s, x, p: np.asarray(p, dtype=float).copy(),
+            H_x=lambda s, x, p: -f_grad(np.asarray(x, dtype=float)[..., 0])[..., None],
+            H_t=lambda s, x, p: np.zeros(np.asarray(p, dtype=float).shape[:-1]),
+            name=name,
+        ),
     )
-    model.hamiltonian = HamiltonianModel(
-        dimension=1,
-        H=lambda s, x, p: 0.5 * np.asarray(p, dtype=float)[..., 0] ** 2
-        - f(np.asarray(x, dtype=float)[..., 0]),
-        H_p=lambda s, x, p: np.asarray(p, dtype=float).copy(),
-        H_x=lambda s, x, p: -f_grad(np.asarray(x, dtype=float)[..., 0])[..., None],
-        H_t=lambda s, x, p: np.zeros(np.asarray(p, dtype=float).shape[:-1]),
-        name=name,
-    )
-    return model
 
 
 def pendulum() -> LagrangianModel:
@@ -200,14 +196,12 @@ def lagrangian_from_expression(expr: str, dimension: int = 1,
                 out[..., j, i] = cross
         return out
 
-    model = LagrangianModel(
+    return LagrangianModel(
         dimension=dimension,
         L=L, L_v=L_v, L_x=L_x, L_t=L_t, L_vv=L_vv,
         growth=GrowthData(),
         name=name or f"expr({expr})",
     )
-    model.hamiltonian = hamiltonian_from_lagrangian(model)
-    return model
 
 
 def lagrangian_from_potential(expr: str) -> LagrangianModel:
@@ -262,6 +256,6 @@ def discounted_from_model(model: LagrangianModel, lam: float) -> DiscountedProbl
     return DiscountedProblem(
         lam=lam,
         lagrangian=model,
-        hamiltonian=model.hamiltonian or hamiltonian_from_lagrangian(model),
+        hamiltonian=model.hamiltonian,
         name=model.name,
     )

@@ -463,13 +463,11 @@ def cmd_verify(cfg: RunConfig) -> int:
     checks.append(("tonelli", report.passed, report.as_dict()))
 
     # Legendre round trip through the dual pairing
-    worst = 0.0
-    for _ in range(20):
-        x = rng.uniform(cfg.box[:, 0], cfg.box[:, 1])
-        v = rng.normal(size=cfg.dimension)
-        p = np.atleast_1d(model.L_v(0.0, x, v))
-        v_back, _ = legendre(model, 0.0, x, p)
-        worst = max(worst, float(np.linalg.norm(v_back - v)))
+    draws = [(rng.uniform(cfg.box[:, 0], cfg.box[:, 1]), rng.normal(size=cfg.dimension))
+             for _ in range(20)]
+    x, v = (np.array(a) for a in zip(*draws))
+    v_back, _ = legendre(model, 0.0, x, model.L_v(0.0, x, v))
+    worst = float(np.max(np.linalg.norm(v_back - v, axis=-1)))
     checks.append(("legendre_round_trip", worst < 1e-8, {"worst": worst}))
 
     # action gradient identities against finite differences

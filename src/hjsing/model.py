@@ -9,6 +9,10 @@ All model callables are vectorized over leading axes:
 * ``L_v``/``L_x`` return ``(..., n)``, ``L_vv`` returns ``(..., n, n)``,
   ``L_t`` returns ``(...)``.  The Hamiltonian side mirrors this with
   ``H, H_p, H_x, H_t``.
+* Every ``LagrangianModel`` carries a Hamiltonian: a closed form when the
+  constructor gets one, else the Legendre transform, whose ``legendre``
+  inverts ``L_v = p`` for a whole (..., n) batch in one damped Newton run.
+  Callers pass batches; no caller loops over points.
 
 Growth bounds (``GrowthData``) are four numbers: the sandwich
 ``|v|^2/2 - c_T <= L <= scale |v|^2/2 + offset`` and the time-derivative
@@ -77,11 +81,15 @@ class LagrangianModel:
     growth: GrowthData
     time_dependent: bool = False
     name: str = ""
-    # companion Hamiltonian (same dynamics), if known in closed form
+    # companion Hamiltonian (same dynamics); unset, the Legendre transform
     hamiltonian: Optional[HamiltonianModel] = None
     # set when L(s,x,v) = exp(exp_rate*s) * base.L(x,v); quadrature exploits it
     exp_rate: Optional[float] = None
     base: Optional["LagrangianModel"] = None
+
+    def __post_init__(self):
+        if self.hamiltonian is None:
+            self.hamiltonian = hamiltonian_from_lagrangian(self)
 
 
 @dataclass
@@ -120,80 +128,84 @@ def _assert_convex(mat):
         raise NotConvex("velocity Hessian is not positive definite") from None
 
 
-def legendre(model: LagrangianModel, s: float, x, p, max_iter: int = 100):
-    """Invert L_v(s,x,.) = p; returns (v_star, h_value).
+def legendre(model: LagrangianModel, s, x, p, max_iter: int = 100):
+    """Invert L_v(s,x,.) = p for every row of a batch; returns (v_star, h_value).
 
-    ``h_value = <p, v_star> - L(s, x, v_star)`` is the Hamiltonian.  Damped
-    Newton on the strictly convex dual objective.  When no backtracking step
-    lowers the objective, the objective is at its rounding floor (finite-
-    difference models reach it before the gradient tolerance): v counts as
-    converged if the Newton step is below 1e-8 (1 + |v|), else it raises.
+    ``x`` and ``p`` broadcast to a batch (..., n) and ``s`` to (...).
+    ``v_star`` has the batch's shape and ``h_value = <p, v_star> - L(s, x,
+    v_star)``, the Hamiltonian, its leading shape; an (n,) call returns an
+    (n,) array and a float.  Damped Newton on the strictly convex dual
+    objective, all rows at once, each row stopping on its own.  When no
+    backtracking step lowers a row's objective, the row is at its rounding
+    floor (finite-difference models reach it before the gradient
+    tolerance): it counts as converged if its Newton step is below
+    1e-8 (1 + |v|), else it raises.  A row whose velocity Hessian is not
+    positive definite raises :class:`NotConvex`; a row still open after
+    ``max_iter`` iterations raises :class:`NoConvergence`.
     """
     tol = 1e-10
     x = np.atleast_1d(np.asarray(x, dtype=float))
     p = np.atleast_1d(np.asarray(p, dtype=float))
-    v = p.copy()  # exact for unit-mass kinetic energy, decent start generally
+    shape = np.broadcast_shapes(x.shape, p.shape)
+    n = shape[-1]
+    P = np.broadcast_to(p, shape).reshape(-1, n)
+    X = np.broadcast_to(x, shape).reshape(-1, n)
+    S = np.broadcast_to(np.asarray(s, dtype=float), shape[:-1]).reshape(-1)
+    V = P.copy()  # exact for unit-mass kinetic energy, decent start generally
 
-    def objective(vv):
-        return float(model.L(s, x, vv) - vv @ p)
+    def objective(rows, vv):
+        return model.L(S[rows], X[rows], vv) - np.sum(vv * P[rows], axis=-1)
 
-    f_cur = objective(v)
+    live = np.arange(len(P))
+    f_cur = objective(live, V)
     for _ in range(max_iter):
-        grad = np.atleast_1d(np.asarray(model.L_v(s, x, v), dtype=float)) - p
-        if float(np.linalg.norm(grad)) <= tol * (1.0 + float(np.linalg.norm(p))):
-            return v, float(p @ v - model.L(s, x, v))
-        hess = np.atleast_2d(np.asarray(model.L_vv(s, x, v), dtype=float))
+        grad = np.asarray(model.L_v(S[live], X[live], V[live]), dtype=float) - P[live]
+        open_ = (np.linalg.norm(grad, axis=-1)
+                 > tol * (1.0 + np.linalg.norm(P[live], axis=-1)))
+        live, grad = live[open_], grad[open_]
+        if not live.size:
+            break
+        hess = np.asarray(model.L_vv(S[live], X[live], V[live]), dtype=float)
         _assert_convex(hess)
-        step = -np.linalg.solve(hess, grad)
-        alpha, improved = 1.0, False
+        step = -np.linalg.solve(hess, grad[..., None])[..., 0]
+        alpha = np.ones(len(live))
+        search = np.arange(len(live))
         for _ in range(30):
-            trial = objective(v + alpha * step)
-            if trial < f_cur:
-                v, f_cur, improved = v + alpha * step, trial, True
+            rows = live[search]
+            trial_v = V[rows] + alpha[search, None] * step[search]
+            trial = objective(rows, trial_v)
+            better = trial < f_cur[rows]
+            V[rows[better]], f_cur[rows[better]] = trial_v[better], trial[better]
+            search = search[~better]
+            alpha[search] *= 0.5
+            if not search.size:
                 break
-            alpha *= 0.5
-        if not improved:
-            if np.linalg.norm(step) > 1e-8 * (1.0 + np.linalg.norm(v)):
-                raise NoConvergence("Legendre line search stalled")
-            return v, float(p @ v - model.L(s, x, v))
-    raise NoConvergence(f"Legendre root-find did not reach {tol:g} in {max_iter} iterations")
+        stalled = V[live[search]]
+        if np.any(np.linalg.norm(step[search], axis=-1)
+                  > 1e-8 * (1.0 + np.linalg.norm(stalled, axis=-1))):
+            raise NoConvergence("Legendre line search stalled")
+        live = np.delete(live, search)
+    if live.size:
+        raise NoConvergence(
+            f"Legendre root-find did not reach {tol:g} in {max_iter} iterations")
+    h = np.sum(P * V, axis=-1) - model.L(S, X, V)
+    if len(shape) == 1:
+        return V[0], float(h[0])
+    return V.reshape(shape), h.reshape(shape[:-1])
 
 
 def hamiltonian_from_lagrangian(model: LagrangianModel) -> HamiltonianModel:
-    """Hamiltonian callables obtained pointwise through the Legendre transform.
+    """Hamiltonian callables through the batched Legendre transform.
 
-    Slow path (one root-find per evaluation); catalog models carry closed
-    forms instead.
+    Catalog models carry closed forms instead.
     """
-
-    def _each(s, x, p, pick):
-        x = np.asarray(x, dtype=float)
-        p = np.asarray(p, dtype=float)
-        if x.ndim == 1:
-            v, h = legendre(model, float(np.asarray(s).reshape(())), x, p)
-            return v if pick == "v" else h
-        flat_x = x.reshape(-1, x.shape[-1])
-        flat_p = p.reshape(-1, p.shape[-1])
-        ss = np.broadcast_to(np.asarray(s, dtype=float), x.shape[:-1]).reshape(-1)
-        vals = [legendre(model, float(ss[i]), flat_x[i], flat_p[i]) for i in range(len(flat_x))]
-        if pick == "v":
-            return np.array([v for v, _ in vals]).reshape(x.shape)
-        return np.array([h for _, h in vals]).reshape(x.shape[:-1])
-
-    def H(s, x, p):
-        return _each(s, x, p, "h")
-
-    def H_p(s, x, p):
-        return _each(s, x, p, "v")
-
-    def H_x(s, x, p):
-        return -np.asarray(model.L_x(s, np.asarray(x, dtype=float), _each(s, x, p, "v")))
-
-    def H_t(s, x, p):
-        return -np.asarray(model.L_t(s, np.asarray(x, dtype=float), _each(s, x, p, "v")))
-
-    return HamiltonianModel(model.dimension, H, H_p, H_x, H_t,
-                            name=f"legendre({model.name})")
+    return HamiltonianModel(
+        model.dimension,
+        H=lambda s, x, p: legendre(model, s, x, p)[1],
+        H_p=lambda s, x, p: legendre(model, s, x, p)[0],
+        H_x=lambda s, x, p: -np.asarray(model.L_x(s, x, legendre(model, s, x, p)[0])),
+        H_t=lambda s, x, p: -np.asarray(model.L_t(s, x, legendre(model, s, x, p)[0])),
+        name=f"legendre({model.name})")
 
 
 # ---------------------------------------------------------------------------
@@ -222,21 +234,6 @@ def to_evolutionary(problem: DiscountedProblem, horizon: float = 1.0):
     L0, H0 = problem.lagrangian, problem.hamiltonian
     scale_T = math.exp(lam * horizon)
 
-    lhat = LagrangianModel(
-        dimension=L0.dimension,
-        L=lambda s, x, v: _time_weight(lam, s, 0) * L0.L(s, x, v),
-        L_v=lambda s, x, v: _time_weight(lam, s, 1) * L0.L_v(s, x, v),
-        L_x=lambda s, x, v: _time_weight(lam, s, 1) * L0.L_x(s, x, v),
-        L_t=lambda s, x, v: lam * _time_weight(lam, s, 0) * L0.L(s, x, v),
-        L_vv=lambda s, x, v: _time_weight(lam, s, 2) * L0.L_vv(s, x, v),
-        growth=GrowthData(c_T=scale_T * problem.c1, offset=scale_T * problem.c2,
-                          scale=scale_T, rate=lam),
-        time_dependent=True,
-        name=f"discount-transform({problem.name})",
-        exp_rate=lam,
-        base=L0,
-    )
-
     def hhat(s, x, p):
         w = _time_weight(lam, s, 0)
         wp = _time_weight(lam, s, 1)
@@ -259,7 +256,21 @@ def to_evolutionary(problem: DiscountedProblem, horizon: float = 1.0):
 
     hmodel = HamiltonianModel(H0.dimension, hhat, hhat_p, hhat_x, hhat_t,
                               name=f"discount-transform({problem.name})")
-    lhat.hamiltonian = hmodel
+    lhat = LagrangianModel(
+        dimension=L0.dimension,
+        L=lambda s, x, v: _time_weight(lam, s, 0) * L0.L(s, x, v),
+        L_v=lambda s, x, v: _time_weight(lam, s, 1) * L0.L_v(s, x, v),
+        L_x=lambda s, x, v: _time_weight(lam, s, 1) * L0.L_x(s, x, v),
+        L_t=lambda s, x, v: lam * _time_weight(lam, s, 0) * L0.L(s, x, v),
+        L_vv=lambda s, x, v: _time_weight(lam, s, 2) * L0.L_vv(s, x, v),
+        growth=GrowthData(c_T=scale_T * problem.c1, offset=scale_T * problem.c2,
+                          scale=scale_T, rate=lam),
+        time_dependent=True,
+        name=f"discount-transform({problem.name})",
+        exp_rate=lam,
+        base=L0,
+        hamiltonian=hmodel,
+    )
     return lhat, hmodel
 
 

@@ -53,13 +53,14 @@ from .errors import (
     NonUniqueArgmax,
     ScheduleStall,
 )
-from .laxoleinik import _SWEEP_SHRINK, TIE_TOL, GridFunction, periodic_radius_cap
-from .model import (
-    DiscountedProblem,
-    HamiltonianModel,
-    LagrangianModel,
-    hamiltonian_from_lagrangian,
+from .laxoleinik import (
+    _SWEEP_SHRINK,
+    TIE_TOL,
+    GridFunction,
+    _distinct_basins,
+    periodic_radius_cap,
 )
+from .model import DiscountedProblem, HamiltonianModel, LagrangianModel
 from .solver import DiscountedField
 
 logger = logging.getLogger(__name__)
@@ -80,8 +81,9 @@ class ReachableGradientSet:
     """Limiting gradients at a point, one per distinct minimizer.
 
     ``momenta`` holds the gradients p, one row each; for evolutionary
-    fields ``q`` holds the matching time derivatives -H(t, x, p), for
-    discounted fields it is None.
+    fields ``q`` holds the matching time derivatives -H(t, x, p), never
+    NaN since every model carries a Hamiltonian; for discounted fields it
+    is None.
     """
 
     momenta: np.ndarray             # (k, n)
@@ -95,14 +97,9 @@ def _merge_momenta(momenta):
     Returns (indices of the kept rows, the largest pairwise distance among
     them).
     """
-    keep = []
-    for i, p in enumerate(momenta):
-        if not any(np.linalg.norm(p - momenta[j]) <= _MERGE_TOL for j in keep):
-            keep.append(i)
+    keep = _distinct_basins(np.arange(len(momenta)), momenta, _MERGE_TOL)
     kept = momenta[keep]
-    diam = max((float(np.linalg.norm(a - b))
-                for i, a in enumerate(kept) for b in kept[i + 1:]), default=0.0)
-    return keep, diam
+    return keep, float(np.max(np.linalg.norm(kept[:, None] - kept[None], axis=-1)))
 
 
 def reachable_gradients_batch(field, t, xs) -> list:
@@ -624,8 +621,6 @@ def _shoot(model: LagrangianModel, s, t, x, y, p0):
     A Newton iteration is one stacked run of the rows p and p +- h_j e_j,
     which give the residual and its central-difference Jacobian.
     """
-    if model.hamiltonian is None:
-        model.hamiltonian = hamiltonian_from_lagrangian(model)
     hmodel = model.hamiltonian
     x = np.atleast_1d(np.asarray(x, dtype=float))
     y = np.atleast_1d(np.asarray(y, dtype=float))

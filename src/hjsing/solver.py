@@ -240,13 +240,10 @@ class EvolutionaryField(ValueField):
 
     def limiting_gradients(self, t: float, x, velocities):
         """(momenta, q): p = L_v(t, x, vel) per end velocity, q = -H(t, x, p)."""
-        momenta = np.array([np.atleast_1d(np.asarray(self.model.L_v(t, x, vel),
-                                                     dtype=float))
-                            for vel in velocities])
-        hmodel = self.model.hamiltonian
-        q = np.array([float(-hmodel.H(t, x, p)) if hmodel is not None
-                      else float("nan") for p in momenta])
-        return momenta, q
+        vel = np.asarray(velocities, dtype=float)
+        xs = np.broadcast_to(x, vel.shape)
+        momenta = np.asarray(self.model.L_v(t, xs, vel), dtype=float)
+        return momenta, -np.asarray(self.model.hamiltonian.H(t, xs, momenta), dtype=float)
 
     def domain(self, t: float):
         """Box of u(t, .): non-periodic axes lose the localization pad."""
@@ -322,9 +319,9 @@ class DiscountedField(ValueField):
 
     def limiting_gradients(self, t: float, x, velocities):
         """(momenta, None): gradients p = L_v(0, x, vel) of v itself."""
-        lag = self.problem.lagrangian
-        return np.array([np.atleast_1d(np.asarray(lag.L_v(0.0, x, vel), dtype=float))
-                         for vel in velocities]), None
+        vel = np.asarray(velocities, dtype=float)
+        lv = self.problem.lagrangian.L_v(0.0, np.broadcast_to(x, vel.shape), vel)
+        return np.asarray(lv, dtype=float), None
 
     def domain(self, t: float):
         """Box of v, unbounded along periodic axes."""
@@ -338,19 +335,20 @@ class DiscountedField(ValueField):
 # ---------------------------------------------------------------------------
 # residual verification
 
-def _axis_gradient(values_line, h, tol):
-    """(gradient, one_sided_pair, stable) from a 5-point stencil.
+def _stencil_gradients(lines, h, tol):
+    """(gradient, g_minus, g_plus, stable) from 5-point stencils lines[0..4].
 
+    ``lines`` is (5, ...) and ``h`` broadcasts against lines[0].
     Stability needs the two centered stencils to agree and the one-sided
     slopes not to jump (a symmetric kink fools the centered test alone).
     """
-    g1 = (values_line[3] - values_line[1]) / (2 * h)
-    g2 = (values_line[4] - values_line[0]) / (4 * h)
-    g_minus = (values_line[2] - values_line[1]) / h
-    g_plus = (values_line[3] - values_line[2]) / h
-    stable = (abs(g1 - g2) <= 10 * tol
-              and abs(g_plus - g_minus) <= 10 * max(h, abs(g1 - g2)))
-    return g1, (g_minus, g_plus), stable
+    g1 = (lines[3] - lines[1]) / (2 * h)
+    g2 = (lines[4] - lines[0]) / (4 * h)
+    g_minus = (lines[2] - lines[1]) / h
+    g_plus = (lines[3] - lines[2]) / h
+    stable = ((np.abs(g1 - g2) <= 10 * tol)
+              & (np.abs(g_plus - g_minus) <= 10 * np.maximum(h, np.abs(g1 - g2))))
+    return g1, g_minus, g_plus, stable
 
 
 def residual_check(problem_or_model, fields, samples: int = 65, tol: float = 1e-3,
@@ -375,79 +373,45 @@ def residual_check(problem_or_model, fields, samples: int = 65, tol: float = 1e-
     raise InvalidProblem("residual_check expects (problem, grid) or (model, field)")
 
 
-def _axis_line(grid: GridFunction, flat_index, ax):
-    idx = list(np.unravel_index(flat_index, grid.resolution))
-    m = grid.resolution[ax]
-    line = []
-    ok = True
-    for off in (-2, -1, 0, 1, 2):
-        j = idx[ax] + off
-        if grid.periodic[ax]:
-            j %= m
-        elif j < 0 or j >= m:
-            ok = False
-            break
-        probe = idx.copy()
-        probe[ax] = j
-        line.append(grid.values[tuple(probe)])
-    return (np.array(line), ok)
-
-
 def _residual_discounted(problem: DiscountedProblem, v: GridFunction,
                          samples: int, tol: float) -> ResidualReport:
-    lam = problem.lam
-    H = problem.hamiltonian.H
+    lam, H = problem.lam, problem.hamiltonian.H
     total = int(np.prod(v.resolution))
-    stride = max(1, total // samples)
-    picks = np.arange(0, total, stride)
-    nodes = v.nodes()
+    picks = np.arange(0, total, max(1, total // samples))
+    x = v.nodes()[picks]
+    vals = v.values.reshape(-1)[picks]
 
-    sup_res = 0.0
-    sub_margin = -np.inf
-    n_stable = n_unstable = 0
-    for flat in picks:
-        x = nodes[flat]
-        grad = np.zeros(v.dimension)
-        one_sided = []
-        stable = True
-        for ax in range(v.dimension):
-            line, ok = _axis_line(v, flat, ax)
-            if not ok:
-                stable = False
-                break
-            g1, sides, ax_stable = _axis_gradient(line, v.spacing[ax], tol)
-            grad[ax] = g1
-            one_sided.append(sides)
-            stable = stable and ax_stable
-        val = float(v.values[np.unravel_index(flat, v.resolution)])
-        if stable:
-            n_stable += 1
-            res = abs(lam * val + float(H(0.0, x, grad)))
-            sup_res = max(sup_res, res)
-        else:
-            n_unstable += 1
-            if not one_sided or len(one_sided) < v.dimension:
-                continue
-            # subsolution test over the hull of the one-sided gradients
-            lo = np.array([min(a, b) for a, b in one_sided])
-            hi = np.array([max(a, b) for a, b in one_sided])
-            worst = -np.inf
-            for w in np.linspace(0.0, 1.0, 17):
-                p = lo + w * (hi - lo)
-                worst = max(worst, lam * val + float(H(0.0, x, p)))
-            sub_margin = max(sub_margin, worst)
-    if sub_margin == -np.inf:
-        sub_margin = 0.0
-    return ResidualReport(sup_residual=sup_res, stable_points=n_stable,
-                          unstable_points=n_unstable,
+    # probe[c, o, ax, i]: coordinate c of pick i moved by o - 2 along axis ax
+    res = np.asarray(v.resolution)[:, None, None, None]
+    idx = np.array(np.unravel_index(picks, v.resolution))[:, None, None]
+    eye = np.eye(v.dimension, dtype=int)[:, None, :, None]
+    probe = idx + np.arange(-2, 3)[:, None, None] * eye
+    periodic = np.asarray(v.periodic)[:, None, None, None]
+    inside = np.all((probe >= 0) & (probe < res) | periodic, axis=(0, 1, 2))
+    g1, g_minus, g_plus, ax_stable = _stencil_gradients(
+        v.values[tuple(probe % res)], np.asarray(v.spacing)[:, None], tol)
+    stable = inside & np.all(ax_stable, axis=0)
+
+    r = np.abs(lam * vals[stable] + H(0.0, x[stable], g1[:, stable].T))
+    sup_res = float(np.max(r, initial=0.0))
+    # subsolution test over the hull of the one-sided gradients
+    hull = inside & ~stable
+    sub_margin = 0.0
+    if hull.any():
+        lo = np.minimum(g_minus, g_plus)[:, hull].T
+        hi = np.maximum(g_minus, g_plus)[:, hull].T
+        w = np.linspace(0.0, 1.0, 17)[:, None]
+        p = lo[:, None] + w * (hi - lo)[:, None]              # (hull, 17, n)
+        xh = np.broadcast_to(x[hull][:, None], p.shape)
+        sub_margin = float(np.max(lam * vals[hull][:, None] + H(0.0, xh, p)))
+    return ResidualReport(sup_residual=sup_res, stable_points=int(stable.sum()),
+                          unstable_points=int(len(picks) - stable.sum()),
                           subsolution_margin=sub_margin, tol=tol)
 
 
 def _residual_evolutionary(model: LagrangianModel, field: EvolutionaryField,
                            times, samples: int, tol: float) -> ResidualReport:
-    hmodel, dt_probe = model.hamiltonian, 0.02
-    if hmodel is None:
-        raise InvalidProblem("evolutionary residual check needs a Hamiltonian")
+    dt_probe = 0.02
     grid = field.u0
     nodes = grid.nodes()
     # restrict samples to where the localization ball stays inside the grid
@@ -465,8 +429,6 @@ def _residual_evolutionary(model: LagrangianModel, field: EvolutionaryField,
     stride = max(1, len(nodes) // samples)
     nodes = nodes[::stride]
 
-    sup_res = 0.0
-    n_stable = n_unstable = 0
     n, hx = grid.dimension, float(np.max(grid.spacing))
     times = np.atleast_1d(np.asarray(times, dtype=float))
     # one batch: the 5-point stencil of every node along every axis at each
@@ -476,22 +438,15 @@ def _residual_evolutionary(model: LagrangianModel, field: EvolutionaryField,
     dts = np.r_[np.zeros(5 * n), dt_probe, -dt_probe]
     vals = field.values(np.repeat(times[:, None] + dts, len(nodes), axis=1).reshape(-1),
                         np.tile(pts.reshape(-1, n), (len(times), 1)))
-    for t, v in zip(times, vals.reshape(len(times), 5 * n + 2, len(nodes))):
-        lines = v[:5 * n].reshape(5, n, -1)       # (stencil offset, axis, node)
-        dtu = (v[-2] - v[-1]) / (2 * dt_probe)
-        for i in range(len(nodes)):
-            grad = np.zeros(n)
-            stable = True
-            for ax in range(n):
-                g1, _, ax_stable = _axis_gradient(lines[:, ax, i], hx, tol)
-                grad[ax] = g1
-                stable = stable and ax_stable
-            if not stable:
-                n_unstable += 1
-                continue
-            n_stable += 1
-            res = abs(dtu[i] + float(hmodel.H(t, nodes[i], grad)))
-            sup_res = max(sup_res, res)
-    return ResidualReport(sup_residual=sup_res, stable_points=n_stable,
-                          unstable_points=n_unstable, subsolution_margin=0.0,
-                          tol=tol)
+    vals = vals.reshape(len(times), 5 * n + 2, len(nodes))
+    lines = vals[:, :5 * n].reshape(len(times), 5, n, -1)   # (time, offset, axis, node)
+    g1, _, _, ax_stable = _stencil_gradients(lines.transpose(1, 0, 2, 3), hx, tol)
+    stable = np.all(ax_stable, axis=1)                       # (time, node)
+    dtu = (vals[:, -2] - vals[:, -1]) / (2 * dt_probe)
+    t_rows = np.broadcast_to(times[:, None], stable.shape)[stable]
+    x_rows = np.broadcast_to(nodes, stable.shape + (n,))[stable]
+    h = model.hamiltonian.H(t_rows, x_rows, g1.transpose(0, 2, 1)[stable])
+    n_stable = int(stable.sum())
+    return ResidualReport(sup_residual=float(np.max(np.abs(dtu[stable] + h), initial=0.0)),
+                          stable_points=n_stable, unstable_points=stable.size - n_stable,
+                          subsolution_margin=0.0, tol=tol)

@@ -85,13 +85,37 @@ def test_private_names_referenced():
     assert unreferenced_private_names({p.name: p.read_text() for p in SOURCES}) == []
 
 
+def call_sites(source: str, name: str) -> list:
+    """The enclosing class/function path of each call of ``name`` (by name or
+    as an attribute) in a module, one entry per call."""
+    sites = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                visit(child, scope + (child.name,))
+                continue
+            func = getattr(child, "func", None)
+            if getattr(func, "id", getattr(func, "attr", None)) == name:
+                sites.append(".".join(scope))
+            visit(child, scope)
+
+    visit(ast.parse(source), ())
+    return sites
+
+
 def solve_ivp_calls(source: str) -> int:
     """The calls of ``solve_ivp`` (by name or as an attribute) in a module."""
-    return sum(1 for node in ast.walk(ast.parse(source))
-               if isinstance(node, ast.Call)
-               and getattr(node.func, "id", getattr(node.func, "attr", None)) == "solve_ivp")
+    return len(call_sites(source, "solve_ivp"))
 
 
 def test_one_characteristic_integrator():
     # every characteristic of the package runs through singular._characteristics
     assert sum(solve_ivp_calls(p.read_text()) for p in SOURCES) == 1
+
+
+def test_one_legendre_hamiltonian_site():
+    # a model without a closed-form Hamiltonian gets one when it is built
+    sites = [(p.name, site) for p in SOURCES
+             for site in call_sites(p.read_text(), "hamiltonian_from_lagrangian")]
+    assert sites == [("model.py", "LagrangianModel.__post_init__")]

@@ -58,6 +58,56 @@ class TestLegendre:
         with pytest.raises(errors.NoConvergence):
             model.legendre(m, 0.0, [0.0], [30.0], max_iter=2)
 
+    def test_batch_equals_rows_1d(self):
+        m = catalog.lagrangian_from_expression("cosh(v) + v^2/2 + sin(x + s)*v", 1)
+        rng = np.random.default_rng(6)
+        s = rng.uniform(0.0, 1.0, 16)
+        x = rng.uniform(-3.0, 3.0, (16, 1))
+        p = rng.normal(scale=3.0, size=(16, 1))
+        v, h = model.legendre(m, s, x, p)
+        rows = [model.legendre(m, float(s[i]), x[i], p[i]) for i in range(16)]
+        assert v.shape == (16, 1) and h.shape == (16,)
+        assert np.array_equal(v, np.array([vi for vi, _ in rows]))
+        assert np.array_equal(h, np.array([hi for _, hi in rows]))
+        assert all(isinstance(hi, float) for _, hi in rows)
+
+    def test_batch_matches_rows_2d_coupled(self):
+        m = catalog.lagrangian_from_expression(
+            "cosh(v1) + v2^2/2 + 0.3*v1*v2 + cos(x1)*v2", 2)
+        rng = np.random.default_rng(7)
+        x = rng.uniform(-3.0, 3.0, (3, 4, 2))
+        p = rng.normal(scale=2.0, size=(3, 4, 2))
+        v, h = model.legendre(m, 0.0, x, p)
+        assert v.shape == (3, 4, 2) and h.shape == (3, 4)
+        for i, j in np.ndindex(3, 4):
+            vi, hi = model.legendre(m, 0.0, x[i, j], p[i, j])
+            np.testing.assert_allclose(v[i, j], vi, rtol=0, atol=1e-8)
+            np.testing.assert_allclose(h[i, j], hi, rtol=0, atol=1e-8)
+
+    def test_batch_with_one_nonconvex_row_raises(self):
+        m = catalog.lagrangian_from_expression("v^2/2 - abs(v)^3", 1)
+        model.legendre(m, 0.0, [[0.0], [0.0]], [[0.02], [0.01]])
+        with pytest.raises(errors.NotConvex):
+            model.legendre(m, 0.0, [[0.0], [0.0], [0.0]], [[0.02], [8.0], [0.01]])
+
+    def test_batch_with_one_row_past_cap_raises(self):
+        m = catalog.lagrangian_from_expression("cosh(v) - 1", 1)
+        model.legendre(m, 0.0, [0.0], [0.0], max_iter=2)
+        with pytest.raises(errors.NoConvergence):
+            model.legendre(m, 0.0, [[0.0], [0.0]], [[0.0], [30.0]], max_iter=2)
+
+    def test_hamiltonian_batch_is_one_solve(self):
+        # a batch is one Newton run: L_v once per iteration, not once per row
+        m = catalog.lagrangian_from_expression("v^2/2 + cos(x)", 1)
+        calls = []
+        L_v = m.L_v
+        m.L_v = lambda s, x, v: calls.append(len(v)) or L_v(s, x, v)
+        rng = np.random.default_rng(8)
+        p = rng.normal(size=(32, 1))
+        v = m.hamiltonian.H_p(0.0, rng.uniform(-3.0, 3.0, (32, 1)), p)
+        np.testing.assert_allclose(v, p, atol=1e-7)
+        assert len(calls) <= 4
+
 
 class TestEvolutionaryTransform:
     def test_identity_at_t0(self, counterexample_problem):

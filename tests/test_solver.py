@@ -193,6 +193,19 @@ class TestResidualCheck:
         with pytest.raises(errors.InvalidProblem):
             residual_check(object(), object())
 
+    def test_2d_mixed_periodic(self):
+        # periodic in x1 only: picks within 2 nodes of the x2 edges have no
+        # stencil; kinks along both axes take the subsolution hull test
+        problem = catalog.discounted_from_model(catalog.free_particle(2), lam=1.0)
+        v = GridFunction.from_callable(
+            lambda p: (-np.abs(np.sin(p[..., 0])) + 0.25 * np.cos(p[..., 1])
+                       - 0.5 * np.abs(p[..., 1] - 0.3)),
+            [(-np.pi, np.pi), (-2.0, 2.0)], (24, 17), periodic=(True, False))
+        rep = residual_check(problem, v, samples=120, tol=1e-2)
+        assert (rep.stable_points, rep.unstable_points) == (74, 62)
+        assert rep.sup_residual == pytest.approx(1.5366627968437339, rel=1e-12)
+        assert rep.subsolution_margin == pytest.approx(0.5578466547056906, rel=1e-12)
+
 
 class TestFields:
     def test_discounted_lift(self, sine_problem, sine_exact_grid):
