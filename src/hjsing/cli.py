@@ -382,11 +382,16 @@ def cmd_trace(cfg: RunConfig) -> int:
         logger.warning("%s; writing an empty curve", exc)
         curve = SingularCurve(times=np.empty(0), points=np.empty((0, x_start.size)),
                               step_sizes=np.empty(0), schedule=[], certificates=[])
-    curve.write_csv(out / "curve.csv", comments=cfg.header())
+    diams = curve.certificate_diameters
+    _write_rows(out / "curve.csv",
+                ["s"] + [f"x{i+1}" for i in range(x_start.size)]
+                + ["step_size", "certificate_diameter"],
+                [[s, *p, h, d] for s, p, h, d in zip(curve.times, curve.points,
+                                                      curve.step_sizes, diams)],
+                cfg.header())
     certs = [{"s": float(s), "point": [float(c) for c in p],
               "diameter": (float(d) if np.isfinite(d) else None)}
-             for s, p, d in zip(curve.times, curve.points,
-                                curve.certificate_diameters)]
+             for s, p, d in zip(curve.times, curve.points, diams)]
     payload = {"schedule": [{"annulus": i, "t_i": t, "k_i": k}
                             for i, t, k in curve.schedule],
                "localization_ok": curve.localization_ok,
@@ -418,7 +423,8 @@ def cmd_cutlocus(cfg: RunConfig) -> int:
     field = DiscountedField(problem, v)
 
     ctf = cut_time_field(problem, v, cfg.tau_horizon)
-    ctf.write(out / "tau.grid", out / "alpha.grid", comments=cfg.header())
+    ctf.tau.write(out / "tau.grid", comments=cfg.header())
+    ctf.alpha.write(out / "alpha.grid", comments=cfg.header())
 
     pts, _ = aubry_candidates(field, cfg.tau_horizon,
                               forward_tau=ctf.tau.values.reshape(-1))

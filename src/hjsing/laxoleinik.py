@@ -320,16 +320,19 @@ def _axis_candidates(grid: GridFunction, ax: int, center: float, radius: float):
     return pos
 
 
+def _ball_mesh(axes, center, radius: float):
+    """The center, then the points of the product of ``axes`` in its ball."""
+    mesh = np.meshgrid(*axes, indexing="ij")
+    pts = np.stack(mesh, axis=-1).reshape(-1, center.size)
+    keep = np.linalg.norm(pts - center, axis=1) <= radius + 1e-12
+    return np.vstack([center[None, :], pts[keep]])
+
+
 def _ball_candidates(grid: GridFunction, center, radius: float):
     """Real-line candidate positions in the ball around center, center included."""
     center = np.atleast_1d(np.asarray(center, dtype=float))
-    per_axis = [_axis_candidates(grid, ax, center[ax], radius)
-                for ax in range(grid.dimension)]
-    mesh = np.meshgrid(*per_axis, indexing="ij")
-    pts = np.stack(mesh, axis=-1).reshape(-1, grid.dimension)
-    keep = np.linalg.norm(pts - center, axis=1) <= radius + 1e-12
-    pts = pts[keep]
-    return np.vstack([center[None, :], pts])
+    return _ball_mesh([_axis_candidates(grid, ax, center[ax], radius)
+                       for ax in range(grid.dimension)], center, radius)
 
 
 # ---------------------------------------------------------------------------
@@ -483,10 +486,12 @@ def _cell_polish(f: GridFunction, solve, z, paths):
 
 @dataclass
 class SearchResult:
+    """One query's value and argument set, with one end momentum
+    p = L_v(t, x, velocity) per argpoint: the Richardson pass's ``d_end``."""
+
     value: float
     arg: ArgBall
-    minimizer_nodes: list          # path node arrays, one per tied argpoint
-    times: np.ndarray
+    momenta: np.ndarray            # (k, n)
     best_point: np.ndarray
 
 
@@ -516,9 +521,9 @@ def localized_convolution(model: LagrangianModel, f: GridFunction, t1: float,
     minimization along each axis, driven by the derivative of the action in
     the moving endpoint, each path warm-started from the seed's previous
     one.  Winners within ``TIE_TOL`` of the best are refined by Richardson
-    extrapolation from ``PATH_SEGMENTS`` to twice that.  Returns a list of
-    :class:`SearchResult`, one per row of ``xs``, whose ``times`` are the
-    time nodes of that row's horizon.
+    extrapolation from ``PATH_SEGMENTS`` to twice that; the finer pass also
+    gives each kept winner's end momentum.  Returns a list of
+    :class:`SearchResult`, one per row of ``xs``.
     """
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     P, n = xs.shape
@@ -606,7 +611,6 @@ def localized_convolution(model: LagrangianModel, f: GridFunction, t1: float,
                         init=_refine_nodes(nodes1[tied_rows]))
     a_ref = sol2["action"] + (sol2["action"] - act1[tied_rows]) / 3.0
     cost_final = np.asarray(f(pts), dtype=float).reshape(-1) + a_ref
-    times = np.broadcast_to(sol2["times"], (len(pts), 2 * PATH_SEGMENTS + 1))
 
     for i in range(P):
         rows = np.where(tied_owner == i)[0]
@@ -618,9 +622,8 @@ def localized_convolution(model: LagrangianModel, f: GridFunction, t1: float,
         arg = ArgBall(center=xs[i], radius=float(radii[i]), argpoints=arg_pts,
                       spacing=h_ref)
         results[i] = SearchResult(
-            value=float(vals[0]), arg=arg,
-            minimizer_nodes=[sol2["nodes"][r] for r in keep],
-            times=times[rows[0]], best_point=pts[rows[0]].copy())
+            value=float(vals[0]), arg=arg, momenta=sol2["d_end"][keep],
+            best_point=pts[rows[0]].copy())
     return results
 
 
@@ -651,7 +654,9 @@ def discounted_lax_oleinik(problem: DiscountedProblem, v: GridFunction, t: float
 def discounted_lax_oleinik_batch(problem: DiscountedProblem, v: GridFunction,
                                  t: float, xs, lip_bound: Optional[float] = None,
                                  polish_window: Optional[float] = None):
-    """Batched discounted operator; returns SearchResults with discounted values."""
+    """Batched discounted operator: the search on the lift ``to_evolutionary``
+    with its values and end momenta (e^{lam t} L_v) scaled by e^{-lam t}, so
+    the momenta are gradients of v itself."""
     if t <= 0:
         raise ValueError("need t > 0")
     if problem.lam * t > EXPONENT_CAP:
@@ -666,4 +671,5 @@ def discounted_lax_oleinik_batch(problem: DiscountedProblem, v: GridFunction,
     scale = math.exp(-problem.lam * t)
     for r in results:
         r.value = scale * r.value
+        r.momenta = scale * r.momenta
     return results

@@ -6,12 +6,16 @@ flows at the problem's lam (the lam = 0 flows of its lift
 ``to_evolutionary``, with p scaled by e^{lam t}) and, at lam = 0, the
 shooting refine of :func:`fundamental_solution`.
 
+A field enters this layer through four methods (``solver.ValueField``):
+``values``, ``certificate_search``, ``domain`` and ``action_lagrangian``.
 A point of the value field is singular when its reachable-gradient set has
-more than one element; the set is enumerated from the distinct minimizers
-of the backward representation.  Singularities are continued forward by
-the ball-constrained argmax of u(t, .) - A_{t1,t}(x1, .): on a short
-enough step the objective is strictly concave on the localization ball,
-so the maximizer is unique and moves the singularity.  It is located by
+more than one element.  Those gradients are the end momenta
+p = L_v(t, x, velocity) of the distinct minimizers of the backward
+representation, which ``certificate_search`` returns as the action's
+derivative in the end point (``d_end``).  Singularities are continued
+forward by the ball-constrained argmax of u(t, .) - A_{t1,t}(x1, .): on a
+short enough step the objective is strictly concave on the localization
+ball, so the maximizer is unique and moves the singularity.  It is located by
 a lattice scan of the ball, then the same scan zoomed onto the best node
 one axis at a time; the search needs no derivatives.  Chaining steps
 across growing annuli, with the step budget recomputed on each annulus,
@@ -57,6 +61,7 @@ from .laxoleinik import (
     _SWEEP_SHRINK,
     TIE_TOL,
     GridFunction,
+    _ball_mesh,
     _distinct_basins,
     periodic_radius_cap,
 )
@@ -80,14 +85,12 @@ _ESCAPE = 1e6           # a characteristic with |x| or |p| beyond this escaped
 class ReachableGradientSet:
     """Limiting gradients at a point, one per distinct minimizer.
 
-    ``momenta`` holds the gradients p, one row each; for evolutionary
-    fields ``q`` holds the matching time derivatives -H(t, x, p), never
-    NaN since every model carries a Hamiltonian; for discounted fields it
-    is None.
+    ``momenta`` holds the gradients p, one row each: the end momenta of the
+    minimizers that ``certificate_search`` found, merged within
+    ``_MERGE_TOL``.  For a discounted field they are gradients of v itself.
     """
 
     momenta: np.ndarray             # (k, n)
-    q: Optional[np.ndarray]         # (k,) or None
     diameter: float
 
 
@@ -109,22 +112,16 @@ def reachable_gradients_batch(field, t, xs) -> list:
     full scan of the localization ball plus polish of the near-tied basins
     (``field.certificate_search``).  ``t`` is one time for every row or a
     (P,) array of per-row times; the batch gives the same sets as one
-    search per point.
-    The end velocity of each minimizer becomes a limiting gradient through
-    ``field.limiting_gradients``.
+    search per point.  Each minimizer's end momentum, which the search
+    returns, is a limiting gradient; momenta within ``_MERGE_TOL`` merge.
     """
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
-    ts = np.broadcast_to(np.asarray(t, dtype=float), (len(xs),))
     sets = []
-    for x, ti, res in zip(xs, ts, field.certificate_search(t, xs)):
-        if not res.minimizer_nodes:
+    for x, res in zip(xs, field.certificate_search(t, xs)):
+        if not len(res.momenta):
             raise NoMinimizer(f"no minimizing trajectory found at {x}")
-        dt = res.times[1] - res.times[0]
-        momenta, q = field.limiting_gradients(
-            ti, x, [_node_velocities(nodes, dt)[-1] for nodes in res.minimizer_nodes])
-        keep, diam = _merge_momenta(momenta)
-        sets.append(ReachableGradientSet(
-            momenta=momenta[keep], q=None if q is None else q[keep], diameter=diam))
+        keep, diam = _merge_momenta(res.momenta)
+        sets.append(ReachableGradientSet(momenta=res.momenta[keep], diameter=diam))
     return sets
 
 
@@ -174,10 +171,7 @@ def _lattice(center, radius, lo, hi, axis=None):
         a = max(center[ax] - radius, lo[ax])
         b = min(center[ax] + radius, hi[ax])
         axes.append(np.linspace(a, b, _LATTICE_NODES))
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack(mesh, axis=-1).reshape(-1, center.size)
-    keep = np.linalg.norm(pts - center, axis=1) <= radius + 1e-12
-    return np.vstack([center[None, :], pts[keep]])
+    return _ball_mesh(axes, center, radius)
 
 
 def _argmax_objective(field, action_model, t1: float, x1, ts, ys):
@@ -392,22 +386,6 @@ class SingularCurve:
         dx = np.linalg.norm(np.diff(self.points, axis=0), axis=1)
         dt = np.diff(self.times)
         return dx / dt
-
-    def write_csv(self, path, comments=()):
-        n = self.points.shape[1]
-        cols = ["s"] + [f"x{i + 1}" for i in range(n)]
-        cols += ["step_size", "certificate_diameter"]
-        lines = [f"# {c}" for c in comments]
-        lines.append(",".join(cols))
-        diams = self.certificate_diameters
-        for k in range(len(self.times)):
-            row = [repr(float(self.times[k]))]
-            row += [repr(float(v)) for v in self.points[k]]
-            row.append(repr(float(self.step_sizes[k])))
-            row.append(repr(float(diams[k])) if np.isfinite(diams[k]) else "nan")
-            lines.append(",".join(row))
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
 
 
 def trace_singular_curve(field, t0: float, x, T_total: float, block: float = 1.0,
@@ -669,29 +647,22 @@ def fundamental_solution(model: LagrangianModel, s: float, t: float, x, y,
                          refine: bool = True):
     """Least action between (s, x) and (t, y) with its minimizing trajectory.
 
-    Direct method from 64 segments, doubled until the action settles below
-    1e-8, then (``refine=True``) a shooting pass on the Hamiltonian
-    system, whose flows are :func:`_characteristics` runs at lam = 0; if
-    shooting diverges the extrapolated direct answer stands.
+    The direct method at 64 and 128 segments gives a Richardson-extrapolated
+    action and, on the 128-segment path, the trajectory with its dual arc
+    p = L_v.  With ``refine=True`` a shooting pass on the Hamiltonian
+    system follows, whose flows are :func:`_characteristics` runs at
+    lam = 0; if shooting diverges the extrapolated direct answer stands.
     """
     if not t > s:
         raise ValueError("need t > s")
     x = np.atleast_1d(np.asarray(x, dtype=float))
     y = np.atleast_1d(np.asarray(y, dtype=float))
 
-    N, value_tol = 64, 1e-8
-    sol = minimize_paths(model, s, t, x[None, :], y[None, :], segments=N)
-    coarse = float(sol["action"][0])
-    for _ in range(5):
-        N *= 2
-        sol = minimize_paths(model, s, t, x[None, :], y[None, :], segments=N,
-                             init_nodes=_refine_nodes(sol["nodes"]))
-        cur = float(sol["action"][0])
-        if abs(cur - coarse) < value_tol:
-            break
-        coarse = cur
+    coarse = minimize_paths(model, s, t, x[None, :], y[None, :], segments=64)
+    sol = minimize_paths(model, s, t, x[None, :], y[None, :], segments=128,
+                         init_nodes=_refine_nodes(coarse["nodes"]))
     fine = float(sol["action"][0])
-    value = fine + (fine - coarse) / 3.0
+    value = fine + (fine - float(coarse["action"][0])) / 3.0
     traj = _trajectory_from_nodes(model, sol["times"], sol["nodes"][0], value,
                                   sol["grad_inf"][0])
 
@@ -846,10 +817,6 @@ class CutTimeField:
             raise ValueError("majorant must exceed tau everywhere")
         if np.any(self.tau.values < 0):
             raise ValueError("cut times must be nonnegative")
-
-    def write(self, tau_path, alpha_path, comments=()):
-        self.tau.write(tau_path, comments=comments)
-        self.alpha.write(alpha_path, comments=comments)
 
 
 def _mollified_majorant(tau_values: np.ndarray) -> np.ndarray:

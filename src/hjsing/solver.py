@@ -145,18 +145,15 @@ def solve_discounted(problem: DiscountedProblem, box, resolution, tol: float = 1
 class ValueField:
     """Value field u(t, x) whose data at t = 0 is the grid ``u0``.
 
-    The localization constants of horizon T come from ``growth_for(T)`` and
-    the Lipschitz estimate of ``u0``.  Each subclass supplies ``values``,
-    the action model of horizon T (``growth_for``, ``action_lagrangian``)
-    and what the singular layer asks of a field: ``certificate_search``
-    (the minimizer search behind a singularity certificate),
-    ``limiting_gradients`` (the gradients read off the minimizers' end
-    velocities) and ``domain`` (the box where u(t, .) can be evaluated).
-
-    ``values(t, xs)`` and ``certificate_search(t, xs)`` take one time for
-    every row of ``xs`` or a (P,) array of per-row times, and search a
-    batch at once whatever times it mixes; a row's answer does not depend
-    on the other rows of its batch.
+    Subclasses supply what the solvers and the singular layer call:
+    ``values(t, xs)``; ``certificate_search(t, xs)``, one ``SearchResult``
+    per row whose ``momenta`` are the tied minimizers' end momenta
+    (``d_end``); ``domain(t)``, the box where u(t, .) can be evaluated; and
+    ``action_lagrangian(T)``, the action model of horizon T, whose growth
+    data and the Lipschitz estimate of ``u0`` give the localization
+    constants.  ``values`` and ``certificate_search`` take one time for
+    every row of ``xs`` or a (P,) array of per-row times, and search a batch
+    at once; a row's answer does not depend on the other rows of its batch.
     """
 
     def __init__(self, u0: GridFunction):
@@ -164,18 +161,16 @@ class ValueField:
         self.dimension = u0.dimension
 
     def lambda1(self, T: float) -> float:
-        return localization_radius(self.growth_for(T), self.u0.lipschitz_estimate)
+        return localization_radius(self.action_lagrangian(T).growth,
+                                   self.u0.lipschitz_estimate)
 
     def lipschitz_bound(self, T: float) -> float:
-        return solution_lipschitz_bound(self.growth_for(T), T,
+        return solution_lipschitz_bound(self.action_lagrangian(T).growth, T,
                                         self.u0.lipschitz_estimate)
 
     def lambda2(self, T: float) -> float:
-        return localization_radius(self.growth_for(T), self.lipschitz_bound(T))
-
-    def value(self, t: float, x) -> float:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        return float(self.values(t, x[None, :])[0])
+        return localization_radius(self.action_lagrangian(T).growth,
+                                   self.lipschitz_bound(T))
 
 
 def _row_times(t, xs) -> np.ndarray:
@@ -195,9 +190,6 @@ class EvolutionaryField(ValueField):
         super().__init__(u0)
         self.model = model
         self._cache: dict = {}
-
-    def growth_for(self, T: float):
-        return self.model.growth
 
     def action_lagrangian(self, T: float) -> LagrangianModel:
         return self.model
@@ -237,13 +229,6 @@ class EvolutionaryField(ValueField):
         return localized_convolution(self.model, self.u0, 0.0, t, xs,
                                      self.search_radius(t),
                                      polish_window=_CERTIFICATE_POLISH_WINDOW)
-
-    def limiting_gradients(self, t: float, x, velocities):
-        """(momenta, q): p = L_v(t, x, vel) per end velocity, q = -H(t, x, p)."""
-        vel = np.asarray(velocities, dtype=float)
-        xs = np.broadcast_to(x, vel.shape)
-        momenta = np.asarray(self.model.L_v(t, xs, vel), dtype=float)
-        return momenta, -np.asarray(self.model.hamiltonian.H(t, xs, momenta), dtype=float)
 
     def domain(self, t: float):
         """Box of u(t, .): non-periodic axes lose the localization pad."""
@@ -286,23 +271,18 @@ class DiscountedField(ValueField):
     def __init__(self, problem: DiscountedProblem, v: GridFunction):
         super().__init__(v)
         self.problem = problem
-        self._transforms: dict = {}
+        self._lifts: dict = {}
 
     @property
     def v(self) -> GridFunction:
         return self.u0
 
-    def transform(self, T: float):
-        key = round(float(T), 9)
-        if key not in self._transforms:
-            self._transforms[key] = to_evolutionary(self.problem, horizon=T)
-        return self._transforms[key]
-
-    def growth_for(self, T: float):
-        return self.transform(T)[0].growth
-
     def action_lagrangian(self, T: float) -> LagrangianModel:
-        return self.transform(T)[0]
+        """The lift ``to_evolutionary`` of horizon T, cached per T."""
+        key = round(float(T), 9)
+        if key not in self._lifts:
+            self._lifts[key] = to_evolutionary(self.problem, horizon=T)[0]
+        return self._lifts[key]
 
     def values(self, t, xs) -> np.ndarray:
         xs = np.atleast_2d(np.asarray(xs, dtype=float))
@@ -316,12 +296,6 @@ class DiscountedField(ValueField):
         probe = min(0.5, 10.0 / self.problem.lam)
         return discounted_lax_oleinik_batch(self.problem, self.v, probe, xs,
                                             polish_window=_CERTIFICATE_POLISH_WINDOW)
-
-    def limiting_gradients(self, t: float, x, velocities):
-        """(momenta, None): gradients p = L_v(0, x, vel) of v itself."""
-        vel = np.asarray(velocities, dtype=float)
-        lv = self.problem.lagrangian.L_v(0.0, np.broadcast_to(x, vel.shape), vel)
-        return np.asarray(lv, dtype=float), None
 
     def domain(self, t: float):
         """Box of v, unbounded along periodic axes."""

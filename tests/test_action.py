@@ -74,10 +74,11 @@ class TestFundamentalSolution:
         val, _ = fundamental_solution(free_particle_1d, 0.0, 1.5, [0.7], [0.7])
         assert abs(val) <= 1e-12
 
-    def test_exponential_weight_closed_form(self, counterexample_problem):
+    @pytest.mark.parametrize("refine", [True, False])
+    def test_exponential_weight_closed_form(self, counterexample_problem, refine):
         # minimizer velocity C e^{-t}; closed-form action 1/(2(1 - e^{-1}))
         lhat, _ = model.to_evolutionary(counterexample_problem, horizon=1.0)
-        val, traj = fundamental_solution(lhat, 0.0, 1.0, [0.0], [1.0])
+        val, traj = fundamental_solution(lhat, 0.0, 1.0, [0.0], [1.0], refine=refine)
         assert val == pytest.approx(1.0 / (2.0 * (1.0 - math.exp(-1.0))), abs=1e-8)
         assert traj.states[0] == pytest.approx(0.0, abs=1e-12)
         assert traj.states[-1] == pytest.approx(1.0, abs=1e-9)

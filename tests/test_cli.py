@@ -91,6 +91,9 @@ def test_trace(tmp_path, config_text):
     code, out = run(tmp_path, "trace", config_text)
     assert code == 0
     curve = (out / "curve.csv").read_bytes()
+    columns = [line for line in curve.decode().splitlines()
+               if line and not line.startswith("#")][0]
+    assert columns == "s,x1,step_size,certificate_diameter"
     payload = json.loads((out / "certificates.json").read_text())
     assert len(payload["certificates"]) == len(data_rows(out / "curve.csv"))
     assert float(data_rows(out / "curve.csv")[-1].split(",")[0]) == 1.5

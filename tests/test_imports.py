@@ -119,3 +119,11 @@ def test_one_legendre_hamiltonian_site():
     sites = [(p.name, site) for p in SOURCES
              for site in call_sites(p.read_text(), "hamiltonian_from_lagrangian")]
     assert sites == [("model.py", "LagrangianModel.__post_init__")]
+
+
+def test_one_node_velocity_site():
+    # minimizer momenta come from the search's endpoint derivatives; only the
+    # direct-method trajectory of fundamental_solution differences its nodes
+    sites = [(p.name, site) for p in SOURCES
+             for site in call_sites(p.read_text(), "_node_velocities")]
+    assert sites == [("singular.py", "_trajectory_from_nodes")]

@@ -45,9 +45,6 @@ class TestReachableGradients:
         rg = reachable_gradients(hopf_kink_field, 1.0, [0.0])
         momenta = sorted(float(p[0]) for p in rg.momenta)
         np.testing.assert_allclose(momenta, [-1.0, 1.0], atol=1e-6)
-        # energies satisfy q = -H(t, x, p)
-        for q, p in zip(rg.q, rg.momenta):
-            assert q == pytest.approx(-0.5 * float(p[0]) ** 2, abs=1e-8)
         assert rg.diameter == pytest.approx(2.0, abs=1e-6)
 
     def test_one_sided_point(self, hopf_kink_field, free_particle_1d):
@@ -114,7 +111,6 @@ class TestBatchedCertificates:
         for x, cert in zip(xs, batch):
             one = reachable_gradients(hopf_kink_field, 1.0, x)
             np.testing.assert_array_equal(cert.momenta, one.momenta)
-            assert list(cert.q) == list(one.q)
             assert cert.diameter == one.diameter
 
     def test_cut_times_match_cut_time(self, period_field, sine_problem):
@@ -222,16 +218,6 @@ class TestTrace:
         assert curve.times[-1] == T_total
         assert 4 * sum(k for _, _, k in curve.schedule) == len(curve.times) - 1
 
-    def test_csv_export(self, tmp_path, hopf_kink_field, free_particle_1d):
-        curve = trace_singular_curve(hopf_kink_field, 0.5,
-                                     [0.0], 1.5)
-        path = tmp_path / "curve.csv"
-        curve.write_csv(path, comments=["demo"])
-        lines = [l for l in path.read_text().splitlines()
-                 if l and not l.startswith("#")]
-        assert lines[0] == "s,x1,step_size,certificate_diameter"
-        assert len(lines) == len(curve.times) + 1
-
     def test_continuity_in_start_point(self, shock_field, free_particle_1d):
         delta = 1e-3
         c1 = trace_singular_curve(shock_field, 0.5,
@@ -309,7 +295,7 @@ class TestLipschitzCertificate:
         curve = trace_singular_curve(hopf_kink_field, 0.5,
                                      [0.0], 1.5)
         constants = estimate_constants(free_particle_1d, 0.5, [0.0], 1.5, 2.0)
-        growth = hopf_kink_field.growth_for(1.5)
+        growth = hopf_kink_field.action_lagrangian(1.5).growth
         K_T = solution_lipschitz_bound(growth, 1.5,
                                        hopf_kink_field.u0.lipschitz_estimate)
         report = lipschitz_certificate(curve, constants, K_T)
@@ -320,7 +306,7 @@ class TestLipschitzCertificate:
         curve = trace_singular_curve(shock_field, 0.5,
                                      [0.25], 1.5)
         constants = estimate_constants(free_particle_1d, 0.5, [0.25], 1.5, 3.0)
-        growth = shock_field.growth_for(1.5)
+        growth = shock_field.action_lagrangian(1.5).growth
         K_T = solution_lipschitz_bound(growth, 1.5,
                                        shock_field.u0.lipschitz_estimate)
         report = lipschitz_certificate(curve, constants, K_T)
@@ -372,7 +358,7 @@ class TestCutTimeField:
             CutTimeField(tau=coarse_field.tau, alpha=coarse_field.tau)
 
     def test_export(self, tmp_path, coarse_field):
-        coarse_field.write(tmp_path / "tau.grid", tmp_path / "alpha.grid")
+        coarse_field.tau.write(tmp_path / "tau.grid")
         tau, _ = GridFunction.read(tmp_path / "tau.grid")
         np.testing.assert_array_equal(tau.values, coarse_field.tau.values)
 

@@ -212,11 +212,11 @@ class TestFields:
         field = solver.DiscountedField(sine_problem, sine_exact_grid)
         x = np.array([0.7])
         expected = math.exp(0.5) * float(sine_exact_grid(x))
-        assert field.value(0.5, x) == pytest.approx(expected)
+        assert field.values(0.5, [x])[0] == pytest.approx(expected)
 
     def test_evolutionary_cache(self, hopf_kink_field):
-        v1 = hopf_kink_field.value(0.7, [0.3])
-        v2 = hopf_kink_field.value(0.7, [0.3])
+        v1 = hopf_kink_field.values(0.7, [[0.3]])[0]
+        v2 = hopf_kink_field.values(0.7, [[0.3]])[0]
         assert v1 == v2
         assert v1 == pytest.approx(-0.3 - 0.35, abs=1e-6)
 
