@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateSample
+from .errors import DegenerateSample, NoConvergence
 from .model import LagrangianModel
 
 PATH_SEGMENTS = 16  # segments of a discretized path unless a caller refines it
@@ -132,6 +132,14 @@ def minimize_paths(model: LagrangianModel, s, t, starts, ends,
     it is moved affinely onto the given endpoints.  The quasi-Newton step
     uses the exact kinetic block of the Hessian (tridiagonal per axis),
     which is the full Hessian for mechanical models.
+
+    A path iterates until the max-norm of its interior gradient is at most
+    1e-9 (1 + |A|); ``converged`` allows 100 times that.  A backtracking
+    line search (up to 12 halvings) accepts a step that lowers the action
+    by more than rounding, 1e-14 (1 + |A|), or one that changes it by no
+    more than rounding and lowers the interior gradient's max-norm; near
+    the minimum a good step moves the action by less than rounding.  A path
+    whose every halving does neither is frozen where it stands.
     """
     grad_tol, max_iter = 1e-9, 60
     starts = np.atleast_2d(np.asarray(starts, dtype=float))
@@ -156,32 +164,36 @@ def minimize_paths(model: LagrangianModel, s, t, starts, ends,
     W[:, 0] = starts
     W[:, -1] = ends
 
+    def segments_of(nodes, rows):
+        """Midpoint times, midpoints and velocities of the segments of rows."""
+        vel = (nodes[:, 1:] - nodes[:, :-1]) / _rows(dt, rows)[:, :, None]
+        return _rows(mid, rows), 0.5 * (nodes[:, 1:] + nodes[:, :-1]), vel
+
     def action_of(nodes, rows):
         # a per-row sum: a matrix-vector product would round a row
         # differently depending on how many rows share the batch
-        m = 0.5 * (nodes[:, 1:] + nodes[:, :-1])
-        vel = (nodes[:, 1:] - nodes[:, :-1]) / _rows(dt, rows)[:, :, None]
-        return np.einsum("pn,pn->p", L(_rows(mid, rows), m, vel), _rows(w, rows))
+        return np.einsum("pn,pn->p", L(*segments_of(nodes, rows)), _rows(w, rows))
 
-    def derivatives(nodes):
-        """(g, d_start, d_end, L_vv): the action's gradient in the interior
-        nodes, its derivatives in the two end nodes, L_vv on the segments."""
-        m = 0.5 * (nodes[:, 1:] + nodes[:, :-1])
-        dtc = dt[:, :, None]
-        vel = (nodes[:, 1:] - nodes[:, :-1]) / dtc
-        lx = np.asarray(L_x(mid, m, vel), dtype=float)
-        lv = np.asarray(L_v(mid, m, vel), dtype=float)
-        lvv = np.asarray(L_vv(mid, m, vel), dtype=float)
-        wc = w[:, :, None]
+    def derivatives(nodes, rows):
+        """(g, d_start, d_end): the action's gradient in the interior nodes
+        and its derivatives in the two end nodes."""
+        seg = segments_of(nodes, rows)
+        dtc = _rows(dt, rows)[:, :, None]
+        lx = np.asarray(L_x(*seg), dtype=float)
+        lv = np.asarray(L_v(*seg), dtype=float)
+        wc = _rows(w, rows)[:, :, None]
         left = wc * (0.5 * lx - lv / dtc)     # a segment's derivative in its left node
         right = wc * (0.5 * lx + lv / dtc)    # and in its right node
-        return right[:, :-1] + left[:, 1:], left[:, 0], right[:, -1], lvv
+        return right[:, :-1] + left[:, 1:], left[:, 0], right[:, -1]
+
+    def grad_norm(g):
+        return np.max(np.abs(g), axis=(1, 2))
 
     every = slice(None)
     times_out = times[0] if np.ndim(s) == np.ndim(t) == 0 else times
     act = action_of(W, every)
     if N == 1:
-        _, d_start, d_end, _ = derivatives(W)
+        _, d_start, d_end = derivatives(W, every)
         return {"nodes": W, "action": act, "grad_inf": np.zeros(P),
                 "converged": np.ones(P, dtype=bool), "times": times_out,
                 "d_start": d_start, "d_end": d_end}
@@ -189,12 +201,13 @@ def minimize_paths(model: LagrangianModel, s, t, starts, ends,
     frozen = np.zeros(P, dtype=bool)   # stalled at a numerical stationary point
     grad_inf = np.full(P, np.inf)
     for _ in range(max_iter):
-        g, _, _, lvv = derivatives(W)
-        grad_inf = np.max(np.abs(g), axis=(1, 2))
+        g, _, _ = derivatives(W, every)
+        grad_inf = grad_norm(g)
         scale = 1.0 + np.abs(act)
         active = (grad_inf > grad_tol * scale) & ~frozen
         if not active.any():
             break
+        lvv = np.asarray(L_vv(*segments_of(W, every)), dtype=float)
         # kinetic tridiagonal blocks, one per axis
         step = np.zeros_like(g)
         for ax in range(n):
@@ -209,7 +222,13 @@ def minimize_paths(model: LagrangianModel, s, t, starts, ends,
             trial = W[pending].copy()
             trial[:, 1:-1] += alpha[pending, None, None] * step[pending]
             act_trial = action_of(trial, pending)
-            better = act_trial <= act[pending] - 1e-14 * scale[pending]
+            rounding = 1e-14 * scale[pending]
+            better = act_trial <= act[pending] - rounding
+            # a step whose action change is rounding counts if it lowers the gradient
+            flat = np.flatnonzero(~better & (np.abs(act_trial - act[pending]) <= rounding))
+            if flat.size:
+                g_flat, _, _ = derivatives(trial[flat], pending[flat])
+                better[flat] = grad_norm(g_flat) < grad_inf[pending[flat]]
             idx_ok = pending[better]
             W[idx_ok, 1:-1] += alpha[idx_ok, None, None] * step[idx_ok]
             act[idx_ok] = act_trial[better]
@@ -220,11 +239,21 @@ def minimize_paths(model: LagrangianModel, s, t, starts, ends,
         frozen[pending] = True
 
     act = action_of(W, every)
-    g, d_start, d_end, _ = derivatives(W)
-    grad_inf = np.max(np.abs(g), axis=(1, 2))
+    g, d_start, d_end = derivatives(W, every)
+    grad_inf = grad_norm(g)
     return {"nodes": W, "action": act, "grad_inf": grad_inf,
             "converged": grad_inf <= 100 * grad_tol * (1.0 + np.abs(act)),
             "times": times_out, "d_start": d_start, "d_end": d_end}
+
+
+def require_converged(sol):
+    """Raise :class:`NoConvergence` if a path of ``sol``, a
+    :func:`minimize_paths` result, did not converge."""
+    bad = np.flatnonzero(~sol["converged"])
+    if bad.size:
+        raise NoConvergence(
+            f"{bad.size} of {sol['converged'].size} paths did not converge "
+            f"(worst grad_inf {float(np.max(sol['grad_inf'][bad])):.3g})")
 
 
 def _refine_nodes(W):

@@ -9,9 +9,14 @@ sup-convolution that moves a singularity forward is the argmax of
 a three-stage pipeline: a straight-segment quadrature ranks every node in
 the ball, the optimizing direct method re-scores a window around the
 leaders, and a cell-by-cell polish produces the final value and the
-(possibly tied) argument set.  The polish uses that f is linear between
-grid nodes along each axis: it locates the minimizer in each cell from the
-endpoint derivatives of the action, which the direct method returns, and
+(possibly tied) argument set.  The re-score has two levels: every
+candidate in the window gets a cheap 4-segment path, and only those whose
+coarse cost is within the polish window plus a margin of the coarse best
+get a ``PATH_SEGMENTS`` path.  The margin is measured, not set: it grows to
+twice the spread of fine minus coarse cost over the query's fine-scored
+candidates.  The polish uses that f is linear between grid nodes along
+each axis: it locates the minimizer in each cell from the endpoint
+derivatives of the action, which the direct method returns, and
 Richardson-refined actions give the final values.
 
 Grids are axis-aligned boxes with multilinear interpolation.  An axis may
@@ -30,7 +35,13 @@ from typing import Optional
 
 import numpy as np
 
-from .action import PATH_SEGMENTS, minimize_paths, straight_line_actions, _refine_nodes
+from .action import (
+    PATH_SEGMENTS,
+    _refine_nodes,
+    minimize_paths,
+    require_converged,
+    straight_line_actions,
+)
 from .errors import BoundaryClipped, ExponentOverflow
 from .model import (
     EXPONENT_CAP,
@@ -41,6 +52,7 @@ from .model import (
 )
 
 TIE_TOL = 1e-6  # values this close to the optimum count as tied optima
+_COARSE_SEGMENTS = 4  # segments of the re-score that picks the fine one's rows
 _SWEEP_SHRINK = 0.4  # polish half-width factor from one sweep to the next
 
 # ---------------------------------------------------------------------------
@@ -514,15 +526,28 @@ def localized_convolution(model: LagrangianModel, f: GridFunction, t1: float,
     value(x) = min_z f(z) + A_{t1,t2}(z, x), searched in the ball of ``radius``.
 
     ``t2`` and ``radius`` are scalars or (P,) arrays, one per row of ``xs``;
-    a row's answer is the same either way.  The polish starts from the
-    candidates within ``polish_window`` (default max(5e-3, h^2 / (t2 - t1)),
-    per row) of the best re-scored cost, at most six per query and more
-    than two cells apart.  It is :func:`_cell_polish`: cell-wise line
+    a row's answer is the same either way.
+
+    The scan ranks every grid node in the ball by f plus the action of the
+    straight segment; those within 1 of their query's leader are re-scored
+    with ``_COARSE_SEGMENTS``-segment paths.  The fine re-score, at
+    ``PATH_SEGMENTS``, takes the candidates whose coarse cost is within
+    window + m of the query's coarse best, m a margin per query.  m starts
+    at 0; after each fine batch it becomes twice the spread (max - min) of
+    fine - coarse cost over the query's fine-scored candidates, and the
+    newly admitted candidates form the next batch, until none is admitted.
+    A fine path does not depend on its batch, so the answer is that of a
+    fine re-score of every candidate within 1 of its leader whenever the
+    fine set holds every polish seed of that re-score.  The polish starts
+    from the fine-scored candidates within ``polish_window`` (default
+    max(5e-3, h^2 / (t2 - t1)), per row) of the best fine cost, at most six
+    per query and more than two cells apart.  It is :func:`_cell_polish`: cell-wise line
     minimization along each axis, driven by the derivative of the action in
     the moving endpoint, each path warm-started from the seed's previous
     one.  Winners within ``TIE_TOL`` of the best are refined by Richardson
     extrapolation from ``PATH_SEGMENTS`` to twice that; the finer pass also
-    gives each kept winner's end momentum.  Returns a list of
+    gives each kept winner's end momentum.  A path of any pass that did not
+    converge raises :class:`NoConvergence`.  Returns a list of
     :class:`SearchResult`, one per row of ``xs``.
     """
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
@@ -545,20 +570,44 @@ def localized_convolution(model: LagrangianModel, f: GridFunction, t1: float,
     cand = np.vstack(cand_list)
 
     def action_batch(points, owner_idx, nseg, init=None):
-        return minimize_paths(model, t1, horizon(owner_idx), points, xs[owner_idx],
-                              segments=nseg, init_nodes=init)
+        sol = minimize_paths(model, t1, horizon(owner_idx), points, xs[owner_idx],
+                             segments=nseg, init_nodes=init)
+        require_converged(sol)
+        return sol
 
     f_vals = np.asarray(f(cand), dtype=float).reshape(-1)
     cost = f_vals + straight_line_actions(model, t1, horizon(owners), cand, xs[owners])
 
-    # re-score the scan costs within 1 of each owner's leader
+    # re-score the scan costs within 1 of each owner's leader, coarsely
     best_per = np.full(P, np.inf)
     np.minimum.at(best_per, owners, cost)
     keep = cost <= best_per[owners] + 1.0
-    cand_k, owners_k = cand[keep], owners[keep]
+    cand_k, owners_k, f_k = cand[keep], owners[keep], f_vals[keep]
+    coarse = action_batch(cand_k, owners_k, _COARSE_SEGMENTS)["action"]
+    best_coarse = np.full(P, np.inf)
+    np.minimum.at(best_coarse, owners_k, f_k + coarse)
 
-    sol = action_batch(cand_k, owners_k, PATH_SEGMENTS)
-    cost_acc = np.asarray(f(cand_k), dtype=float).reshape(-1) + sol["action"]
+    # then finely, those within window + margin of the coarse best; the
+    # margin grows to twice the spread of fine - coarse over the rows scored
+    K = len(cand_k)
+    fine = np.full(K, np.nan)
+    fine_nodes = np.empty((K, PATH_SEGMENTS + 1, n))
+    scored = np.zeros(K, dtype=bool)
+    margin = np.zeros(P)
+    while True:
+        limit = best_coarse + window + margin
+        rows = np.flatnonzero(~scored & (f_k + coarse <= limit[owners_k]))
+        if rows.size == 0:
+            break
+        sol = action_batch(cand_k[rows], owners_k[rows], PATH_SEGMENTS)
+        fine[rows], fine_nodes[rows] = sol["action"], sol["nodes"]
+        scored[rows] = True
+        hi, lo = np.full(P, -np.inf), np.full(P, np.inf)
+        np.maximum.at(hi, owners_k[scored], (fine - coarse)[scored])
+        np.minimum.at(lo, owners_k[scored], (fine - coarse)[scored])
+        margin = 2.0 * (hi - lo)
+    cand_k, owners_k, nodes_k = cand_k[scored], owners_k[scored], fine_nodes[scored]
+    cost_acc = f_k[scored] + fine[scored]
 
     best_acc = np.full(P, np.inf)
     np.minimum.at(best_acc, owners_k, cost_acc)
@@ -576,12 +625,12 @@ def localized_convolution(model: LagrangianModel, f: GridFunction, t1: float,
                                   2.0 * h_ref)
         for r in chosen:
             seed_pos.append(cand_k[r])
-            seed_paths.append(sol["nodes"][r])
+            seed_paths.append(nodes_k[r])
             seed_owner.append(i)
         if not chosen:
             # a constant path, moved onto the endpoints, is the straight line
             seed_pos.append(xs[i])
-            seed_paths.append(np.broadcast_to(xs[i], sol["nodes"].shape[1:]))
+            seed_paths.append(np.broadcast_to(xs[i], nodes_k.shape[1:]))
             seed_owner.append(i)
     polished_owner = np.asarray(seed_owner, dtype=int)
 

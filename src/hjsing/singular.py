@@ -47,6 +47,7 @@ from .action import (
     _refine_nodes,
     estimate_constants,
     minimize_paths,
+    require_converged,
 )
 from .errors import (
     BlowUp,
@@ -175,9 +176,11 @@ def _lattice(center, radius, lo, hi, axis=None):
 
 
 def _argmax_objective(field, action_model, t1: float, x1, ts, ys):
-    """phi(y) = u(t, y) - A_{t1,t}(x1, y) on a batch of y, t one per row."""
+    """phi(y) = u(t, y) - A_{t1,t}(x1, y) on a batch of y, t one per row;
+    a path that did not converge raises :class:`NoConvergence`."""
     ys = np.atleast_2d(np.asarray(ys, dtype=float))
     sol = minimize_paths(action_model, t1, ts, np.broadcast_to(x1, ys.shape), ys)
+    require_converged(sol)
     u_vals = field.values(ts, ys)
     return u_vals - sol["action"]
 

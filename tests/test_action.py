@@ -262,6 +262,25 @@ class TestEndpointDerivatives:
                 assert np.all(np.abs(sol[key_d][:, ax] - fd) <= 1e-6 * (1 + np.abs(fd)))
 
 
+class TestNewtonStop:
+    @pytest.mark.parametrize("segments", [4, 16])
+    @pytest.mark.parametrize("key", ["sine_kink", "sine_kink_lift"])
+    def test_reaches_gradient_tolerance(self, key, segments):
+        # the 2D paths of TestEndpointDerivatives: near their minimum a good
+        # Newton step moves the action by less than rounding, so a line
+        # search on the action alone froze them near grad_inf 6e-8, inside
+        # the 100x slack of ``converged`` but above the loop's own stop test
+        m = _sine_kink_2d()
+        if key == "sine_kink_lift":
+            problem = catalog.discounted_from_model(m, lam=1.0)
+            m, _ = model.to_evolutionary(problem, horizon=1.0)
+        rng = np.random.default_rng(20 + segments)
+        starts = rng.uniform(0.3, 1.2, size=(3, 2))
+        ends = starts + rng.uniform(0.2, 0.8, size=(3, 2))
+        sol = minimize_paths(m, 0.0, 1.0, starts, ends, segments=segments)
+        assert np.all(sol["grad_inf"] <= 1e-9 * (1 + np.abs(sol["action"])))
+
+
 class TestConstants:
     def test_free_particle_spatial_modulus(self, free_particle_1d):
         constants = estimate_constants(free_particle_1d, 0.0, [0.0], 1.0, 2.0)

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from hjsing import (
     ArgBall,
@@ -15,6 +18,7 @@ from hjsing import (
     model,
     solution_lipschitz_bound,
 )
+from hjsing.action import PATH_SEGMENTS
 from hjsing.laxoleinik import (
     _cell_polish,
     _distinct_basins,
@@ -335,11 +339,85 @@ class TestDiscountedOperator:
         discounted_lax_oleinik_batch(sine_problem, v, 1.0, v.nodes())
         assert len(calls) <= 12
 
+    def test_few_fine_paths(self, sine_problem, monkeypatch):
+        # the coarse re-score picks the rows of the fine one: 908 paths at
+        # PATH_SEGMENTS (3,124 when every scan candidate within 1 of its
+        # leader was re-scored at that count); the bound allows 25 % more
+        paths = []
+        original = laxoleinik.minimize_paths
+
+        def counting(*args, **kwargs):
+            if kwargs.get("segments", PATH_SEGMENTS) == PATH_SEGMENTS:
+                paths.append(len(args[3]))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(laxoleinik, "minimize_paths", counting)
+        v = GridFunction.from_callable(lambda p: -np.abs(np.sin(p[..., 0])),
+                                       [(-2 * np.pi, 2 * np.pi)], 128, periodic=True)
+        discounted_lax_oleinik_batch(sine_problem, v, 1.0, v.nodes())
+        assert sum(paths) <= 1135
+
+    @pytest.mark.parametrize("segments", [laxoleinik._COARSE_SEGMENTS, PATH_SEGMENTS,
+                                          2 * PATH_SEGMENTS])
+    def test_unconverged_path_raises(self, free_particle_1d, neg_abs_grid, segments,
+                                     monkeypatch):
+        # coarse, fine, polish and Richardson passes: none uses an
+        # unconverged path
+        original = laxoleinik.minimize_paths
+
+        def one_unconverged(*args, **kwargs):
+            sol = original(*args, **kwargs)
+            if kwargs.get("segments", PATH_SEGMENTS) == segments:
+                sol["converged"] = sol["converged"].copy()
+                sol["converged"][0] = False
+            return sol
+
+        monkeypatch.setattr(laxoleinik, "minimize_paths", one_unconverged)
+        with pytest.raises(errors.NoConvergence):
+            lax_oleinik_minus(free_particle_1d, neg_abs_grid, 0.0, 1.0, [0.3])
+
     def test_exponent_cap(self, counterexample_problem):
         v = GridFunction.from_callable(lambda p: 0.0 * p[..., 0],
                                        [(-2.0, 2.0)], 65, periodic=True)
         with pytest.raises(errors.ExponentOverflow):
             discounted_lax_oleinik(counterexample_problem, v, 50.0, [0.0])
+
+
+def _periodic_grids():
+    """Node values in [-1, 1] of a small 1D periodic grid on [0, 2 pi)."""
+    return st.integers(8, 24).flatmap(
+        lambda m: arrays(float, m, elements=st.floats(-1.0, 1.0)))
+
+
+_PROPERTY = settings(max_examples=20, deadline=None)
+
+
+class TestOperatorProperties:
+    """Invariants of T^- that a search pruned too hard would break."""
+
+    box = [(0.0, 2 * np.pi)]
+
+    @_PROPERTY
+    @given(f=_periodic_grids(), bump=st.floats(0.0, 1.0), t=st.floats(0.25, 1.0),
+           x=st.floats(0.0, 2 * np.pi), data=st.data())
+    def test_monotone(self, f, bump, t, x, data):
+        raise_by = data.draw(arrays(float, f.size, elements=st.floats(0.0, bump)))
+        lower = GridFunction(self.box, f, periodic=True)
+        upper = lower.with_values(f + raise_by)
+        m = catalog.sine_kink()
+        tf, _ = lax_oleinik_minus(m, lower, 0.0, t, [x])
+        tg, _ = lax_oleinik_minus(m, upper, 0.0, t, [x])
+        assert tf <= tg + 1e-12          # rounding, as in test_monotonicity
+
+    @_PROPERTY
+    @given(f=_periodic_grids(), c=st.floats(-10.0, 10.0), t=st.floats(0.25, 1.0),
+           x=st.floats(0.0, 2 * np.pi))
+    def test_constant_shift(self, f, c, t, x):
+        grid = GridFunction(self.box, f, periodic=True)
+        m = catalog.sine_kink()
+        tf, _ = lax_oleinik_minus(m, grid, 0.0, t, [x])
+        shifted, _ = lax_oleinik_minus(m, grid.with_values(f + c), 0.0, t, [x])
+        assert abs(shifted - (tf + c)) <= 1e-12 * (1 + abs(c))
 
 
 class TestOperatorInvariants:

@@ -185,6 +185,22 @@ class TestPropagationStep:
         assert len(calls) <= bound
 
 
+def test_unconverged_objective_raises(sine_field, monkeypatch):
+    original = singular.minimize_paths
+
+    def one_unconverged(*args, **kwargs):
+        sol = original(*args, **kwargs)
+        sol["converged"] = sol["converged"].copy()
+        sol["converged"][0] = False
+        return sol
+
+    monkeypatch.setattr(singular, "minimize_paths", one_unconverged)
+    ys = np.array([[0.0], [0.1], [0.2]])
+    with pytest.raises(errors.NoConvergence):
+        singular._argmax_objective(sine_field, sine_field.action_lagrangian(1.5), 1.0,
+                                   np.zeros(1), np.full(3, 1.5), ys)
+
+
 class TestTrace:
     def test_stationary_kink_curve(self, hopf_kink_field, free_particle_1d):
         curve = trace_singular_curve(hopf_kink_field, 0.5,
