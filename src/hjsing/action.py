@@ -5,11 +5,14 @@ The least-action value between endpoints is computed by a direct method
 interior nodes), refined by Richardson extrapolation in the segment
 count.  The direct method is batched: many endpoint pairs are solved
 simultaneously as independent tridiagonal systems, which is what makes
-grid-wide inf-convolutions affordable.  The pairs may share one time
-interval or each have its own: time nodes, quadrature weights and
-midpoints are kept one row per path (a single row that broadcasts when
-the interval is shared), and every sum runs along a row, so a path's
-answer does not depend on the batch it was solved in.
+grid-wide inf-convolutions affordable.  Per axis the Newton matrix is the
+kinetic block of the Hessian plus the potential's curvature (``L_xx``,
+when the model has it); a path whose matrix is not positive definite
+takes the kinetic block alone, which still gives a descent direction.
+The pairs may share one time interval or each have its own: time nodes,
+quadrature weights and midpoints are kept one row per path (a single row
+that broadcasts when the interval is shared), and every sum runs along a
+row, so a path's answer does not depend on the batch it was solved in.
 
 Time quadrature uses exact per-segment weights when the Lagrangian is an
 exponential-in-time rescaling of an autonomous one, so constant curves
@@ -50,17 +53,19 @@ def _quadrature(model: LagrangianModel, times):
     """Per-segment weights and the evaluation callables for the discrete action.
 
     ``times`` holds one row of nodes per path (R, N+1).  Returns (weights,
-    mid_times, L, L_v, L_x, L_vv_diag), weights and mid_times (R, N); for
+    mid_times, L, L_v, L_x, L_vv, L_xx), weights and mid_times (R, N); for
     exponential rescalings of autonomous models the weights integrate the
     time factor exactly and the callables are the autonomous ones.
+    ``L_xx`` is None when the model has none.
     """
     mid = 0.5 * (times[:, 1:] + times[:, :-1])
     if model.exp_rate is not None and model.base is not None:
         lam = model.exp_rate
         weights = (np.exp(lam * times[:, 1:]) - np.exp(lam * times[:, :-1])) / lam
         base = model.base
-        return weights, mid, base.L, base.L_v, base.L_x, base.L_vv
-    return np.diff(times, axis=-1), mid, model.L, model.L_v, model.L_x, model.L_vv
+        return weights, mid, base.L, base.L_v, base.L_x, base.L_vv, base.L_xx
+    return (np.diff(times, axis=-1), mid, model.L, model.L_v, model.L_x, model.L_vv,
+            model.L_xx)
 
 
 def _rows(a, idx):
@@ -72,25 +77,32 @@ def _solve_tridiagonal(lower, diag, upper, rhs):
     """Thomas algorithm vectorized over the batch axis.
 
     Shapes: lower/upper (P, M-1), diag/rhs (P, M).  Overwrites nothing.
+    Returns (solution, positive): ``positive`` (P,) is True where every
+    pivot is > 0, which for a symmetric row holds exactly when its matrix
+    is positive definite.  A row with a zero pivot has a meaningless
+    solution and is flagged, not raised.
     """
     P, M = diag.shape
     cp = np.empty((P, M - 1)) if M > 1 else np.empty((P, 0))
     dp = np.empty((P, M))
-    inv = 1.0 / diag[:, 0]
-    if M > 1:
-        cp[:, 0] = upper[:, 0] * inv
-    dp[:, 0] = rhs[:, 0] * inv
-    for k in range(1, M):
-        denom = diag[:, k] - lower[:, k - 1] * cp[:, k - 1]
-        inv = 1.0 / denom
-        if k < M - 1:
-            cp[:, k] = upper[:, k] * inv
-        dp[:, k] = (rhs[:, k] - lower[:, k - 1] * dp[:, k - 1]) * inv
-    out = np.empty((P, M))
-    out[:, -1] = dp[:, -1]
-    for k in range(M - 2, -1, -1):
-        out[:, k] = dp[:, k] - cp[:, k] * out[:, k + 1]
-    return out
+    positive = diag[:, 0] > 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inv = 1.0 / diag[:, 0]
+        if M > 1:
+            cp[:, 0] = upper[:, 0] * inv
+        dp[:, 0] = rhs[:, 0] * inv
+        for k in range(1, M):
+            denom = diag[:, k] - lower[:, k - 1] * cp[:, k - 1]
+            positive &= denom > 0
+            inv = 1.0 / denom
+            if k < M - 1:
+                cp[:, k] = upper[:, k] * inv
+            dp[:, k] = (rhs[:, k] - lower[:, k - 1] * dp[:, k - 1]) * inv
+        out = np.empty((P, M))
+        out[:, -1] = dp[:, -1]
+        for k in range(M - 2, -1, -1):
+            out[:, k] = dp[:, k] - cp[:, k] * out[:, k + 1]
+    return out, positive
 
 
 def straight_line_actions(model: LagrangianModel, s, t, starts, ends,
@@ -104,7 +116,7 @@ def straight_line_actions(model: LagrangianModel, s, t, starts, ends,
     starts = np.asarray(starts, dtype=float)
     ends = np.asarray(ends, dtype=float)
     times = _time_rows(s, t, segments)
-    w, mid, L, _, _, _ = _quadrature(model, times)
+    w, mid, L = _quadrature(model, times)[:3]
     s0, span = times[:, :1], times[:, -1:] - times[:, :1]
     frac = ((mid - s0) / span)[:, :, None]
     # (P, N, n) points along each straight segment
@@ -129,9 +141,18 @@ def minimize_paths(model: LagrangianModel, s, t, starts, ends,
     partial derivatives at the minimizing nodes:
     ``w[0]·(½L_x − L_v/dt)`` on the first segment and
     ``w[-1]·(½L_x + L_v/dt)`` on the last.  ``init_nodes`` is a warm start;
-    it is moved affinely onto the given endpoints.  The quasi-Newton step
-    uses the exact kinetic block of the Hessian (tridiagonal per axis),
-    which is the full Hessian for mechanical models.
+    it is moved affinely onto the given endpoints.
+
+    The Newton matrix is tridiagonal per axis: the kinetic block
+    ``a = w·L_vv/dt²`` of each segment plus the potential's curvature
+    ``b = ¼·w·L_xx`` at its midpoint, both read on the diagonal of the
+    model's (n, n) matrices.  For a mechanical model (L_vv constant, no
+    mixed v-x term) that is the full Hessian of the discrete action, and
+    Newton converges quadratically.  A path and axis whose matrix has a
+    pivot <= 0 (the curvature makes it indefinite, as on long horizons of
+    a concave potential) re-solves with the kinetic block alone, a descent
+    direction; so does every path of a model without ``L_xx``.  The choice
+    is made per path, so its answer does not depend on its batch.
 
     A path iterates until the max-norm of its interior gradient is at most
     1e-9 (1 + |A|); ``converged`` allows 100 times that.  A backtracking
@@ -139,7 +160,8 @@ def minimize_paths(model: LagrangianModel, s, t, starts, ends,
     by more than rounding, 1e-14 (1 + |A|), or one that changes it by no
     more than rounding and lowers the interior gradient's max-norm; near
     the minimum a good step moves the action by less than rounding.  A path
-    whose every halving does neither is frozen where it stands.
+    whose every halving does neither stops where it stands.  Each iteration
+    evaluates the model and solves only on the paths still iterating.
     """
     grad_tol, max_iter = 1e-9, 60
     starts = np.atleast_2d(np.asarray(starts, dtype=float))
@@ -152,7 +174,7 @@ def minimize_paths(model: LagrangianModel, s, t, starts, ends,
     N = int(segments)
     times = _time_rows(s, t, N)
     dt = (times[:, -1:] - times[:, :1]) / N     # (R, 1)
-    w, mid, L, L_v, L_x, L_vv = _quadrature(model, times)
+    w, mid, L, L_v, L_x, L_vv, L_xx = _quadrature(model, times)
 
     frac = np.linspace(0.0, 1.0, N + 1)[None, :, None]
     if init_nodes is not None:
@@ -198,45 +220,62 @@ def minimize_paths(model: LagrangianModel, s, t, starts, ends,
                 "converged": np.ones(P, dtype=bool), "times": times_out,
                 "d_start": d_start, "d_end": d_end}
 
-    frozen = np.zeros(P, dtype=bool)   # stalled at a numerical stationary point
-    grad_inf = np.full(P, np.inf)
+    live = np.arange(P)     # paths still iterating
     for _ in range(max_iter):
-        g, _, _ = derivatives(W, every)
-        grad_inf = grad_norm(g)
-        scale = 1.0 + np.abs(act)
-        active = (grad_inf > grad_tol * scale) & ~frozen
-        if not active.any():
+        g, _, _ = derivatives(W if live.size == P else W[live], live)
+        gi = grad_norm(g)
+        open_ = gi > grad_tol * (1.0 + np.abs(act[live]))
+        live, g, gi = live[open_], g[open_], gi[open_]
+        if not live.size:
             break
-        lvv = np.asarray(L_vv(*segments_of(W, every)), dtype=float)
-        # kinetic tridiagonal blocks, one per axis
-        step = np.zeros_like(g)
+        seg = segments_of(W[live], live)
+        lvv = np.asarray(L_vv(*seg), dtype=float)
+        lxx = None if L_xx is None else np.asarray(L_xx(*seg), dtype=float)
+        wl, dtl = _rows(w, live), _rows(dt, live)
+        # one tridiagonal per axis: kinetic block plus curvature
+        step = np.empty_like(g)
         for ax in range(n):
-            a = w * lvv[:, :, ax, ax] / dt ** 2     # (P, N)
+            a = wl * lvv[:, :, ax, ax] / dtl ** 2     # (R, N)
             diag = a[:, :-1] + a[:, 1:]
             off = -a[:, 1:-1]
-            step[:, :, ax] = -_solve_tridiagonal(off, diag, off, g[:, :, ax])
-        # backtracking line search, re-evaluating only the paths still rejected
-        pending = np.where(active)[0]
-        alpha = np.ones(P)
+            if lxx is None:
+                sol, _ = _solve_tridiagonal(off, diag, off, g[:, :, ax])
+            else:
+                b = 0.25 * wl * lxx[:, :, ax, ax]
+                full_off = off + b[:, 1:-1]
+                sol, positive = _solve_tridiagonal(
+                    full_off, diag + b[:, :-1] + b[:, 1:], full_off, g[:, :, ax])
+                bad = np.flatnonzero(~positive)
+                if bad.size:
+                    sol[bad], _ = _solve_tridiagonal(off[bad], diag[bad], off[bad],
+                                                     g[bad, :, ax])
+            step[:, :, ax] = -sol
+        # backtracking line search, re-evaluating only the paths still
+        # rejected; ``pending`` indexes ``live``
+        pending = np.arange(live.size)
+        alpha = np.ones(live.size)
         for _ in range(12):
-            trial = W[pending].copy()
+            rows = live[pending]
+            trial = W[rows]
             trial[:, 1:-1] += alpha[pending, None, None] * step[pending]
-            act_trial = action_of(trial, pending)
-            rounding = 1e-14 * scale[pending]
-            better = act_trial <= act[pending] - rounding
+            act_trial = action_of(trial, rows)
+            scale = 1.0 + np.abs(act[rows])
+            rounding = 1e-14 * scale
+            better = act_trial <= act[rows] - rounding
             # a step whose action change is rounding counts if it lowers the gradient
-            flat = np.flatnonzero(~better & (np.abs(act_trial - act[pending]) <= rounding))
+            flat = np.flatnonzero(~better & (np.abs(act_trial - act[rows]) <= rounding))
             if flat.size:
-                g_flat, _, _ = derivatives(trial[flat], pending[flat])
-                better[flat] = grad_norm(g_flat) < grad_inf[pending[flat]]
-            idx_ok = pending[better]
-            W[idx_ok, 1:-1] += alpha[idx_ok, None, None] * step[idx_ok]
-            act[idx_ok] = act_trial[better]
+                g_flat, _, _ = derivatives(trial[flat], rows[flat])
+                better[flat] = grad_norm(g_flat) < gi[pending[flat]]
+            ok = pending[better]
+            W[live[ok], 1:-1] += alpha[ok, None, None] * step[ok]
+            act[live[ok]] = act_trial[better]
             pending = pending[~better]
             if pending.size == 0:
                 break
             alpha[pending] *= 0.5
-        frozen[pending] = True
+        # a path no halving moved stands at a numerical stationary point
+        live = np.delete(live, pending)
 
     act = action_of(W, every)
     g, d_start, d_end = derivatives(W, every)

@@ -8,19 +8,21 @@ Keys
     L = v^2/2 + cos x, H = p^2/2 - cos x (1D).
 ``sine_kink``
     L = v^2/2 + f(x) with f = cos(x)^2/2 - |sin x| (1D).  The potential has
-    kinks at multiples of pi; pass ``eps > 0`` to smooth |.| into
-    sqrt(.^2+eps^2)-eps.
+    kinks at multiples of pi, where its derivative is the right-hand one;
+    pass ``eps > 0`` to smooth |.| into sqrt(.^2+eps^2)-eps.
 ``double_well``
     L = v^2/2 + (x^2-1)^2/4 (1D).  The upper growth bound is only valid on
     the bounded box |x| <= 2, which is all the grid solvers use.
 
 User models come in as expression strings: either a full Lagrangian in
 ``(s, x, v)`` or a mechanical potential ``V(x)`` meaning L = |v|^2/2 - V.
-Expression partials are central finite differences with step 1e-6.  A
-Lagrangian expression starts with the growth offsets c_T = offset = 0 and
-a potential with offsets sampled from V; the command line replaces either
-with the config's ``c1``/``c2``.  Every problem reads its growth constants
-from its Lagrangian's ``GrowthData``.
+Expression partials are central finite differences with step 1e-6, second
+derivatives with step 1e-4.  A potential's model carries ``L_xx``; a full
+Lagrangian expression does not, so its direct method uses the kinetic
+block alone.  A Lagrangian expression starts with the growth offsets
+c_T = offset = 0 and a potential with offsets sampled from V; the command
+line replaces either with the config's ``c1``/``c2``.  Every problem reads
+its growth constants from its Lagrangian's ``GrowthData``.
 """
 
 from __future__ import annotations
@@ -69,8 +71,12 @@ def free_particle(dimension: int = 1) -> LagrangianModel:
     )
 
 
-def mechanical(f, f_grad, name: str, f_min: float, f_max: float) -> LagrangianModel:
-    """1D model L = v^2/2 + f(x), H = p^2/2 - f(x); f bounded in [f_min, f_max]."""
+def mechanical(f, f_grad, name: str, f_min: float, f_max: float, *,
+               f_hess=None) -> LagrangianModel:
+    """1D model L = v^2/2 + f(x), H = p^2/2 - f(x); f bounded in [f_min, f_max].
+
+    ``f_hess``, the second derivative of f, gives the model its ``L_xx``.
+    """
 
     def L(s, x, v):
         x = np.asarray(x, dtype=float)
@@ -81,6 +87,10 @@ def mechanical(f, f_grad, name: str, f_min: float, f_max: float) -> LagrangianMo
         x = np.asarray(x, dtype=float)
         return f_grad(x[..., 0])[..., None]
 
+    def L_xx(s, x, v):
+        x = np.asarray(x, dtype=float)
+        return f_hess(x[..., 0])[..., None, None]
+
     return LagrangianModel(
         dimension=1,
         L=L,
@@ -88,6 +98,7 @@ def mechanical(f, f_grad, name: str, f_min: float, f_max: float) -> LagrangianMo
         L_x=L_x,
         L_t=lambda s, x, v: np.zeros(np.asarray(v, dtype=float).shape[:-1]),
         L_vv=lambda s, x, v: _eye_like(v, 1),
+        L_xx=None if f_hess is None else L_xx,
         growth=GrowthData(c_T=max(0.0, -f_min), offset=max(0.0, f_max)),
         name=name,
         hamiltonian=HamiltonianModel(
@@ -104,7 +115,8 @@ def mechanical(f, f_grad, name: str, f_min: float, f_max: float) -> LagrangianMo
 
 def pendulum() -> LagrangianModel:
     """L = v^2/2 + cos x (1D), so H = p^2/2 - cos x."""
-    return mechanical(np.cos, lambda x: -np.sin(x), "pendulum", f_min=-1.0, f_max=1.0)
+    return mechanical(np.cos, lambda x: -np.sin(x), "pendulum", f_min=-1.0, f_max=1.0,
+                      f_hess=lambda x: -np.cos(x))
 
 
 def sine_kink(eps: float = 0.0) -> LagrangianModel:
@@ -117,7 +129,12 @@ def sine_kink(eps: float = 0.0) -> LagrangianModel:
             return np.abs(u)
 
         def smooth_abs_d(u):
-            return np.sign(u)
+            # the right-hand slope at the kink, not sign(0) = 0: a path
+            # resting on the kink at 0, a maximum of f, is not stationary
+            return np.where(u < 0, -1.0, 1.0)
+
+        def smooth_abs_dd(u):
+            return np.zeros_like(u)   # the kinks' point masses are left out
     else:
         def smooth_abs(u):
             return np.sqrt(u * u + eps * eps) - eps
@@ -125,14 +142,22 @@ def sine_kink(eps: float = 0.0) -> LagrangianModel:
         def smooth_abs_d(u):
             return u / np.sqrt(u * u + eps * eps)
 
+        def smooth_abs_dd(u):
+            return eps * eps / (u * u + eps * eps) ** 1.5
+
     def f(x):
         return 0.5 * np.cos(x) ** 2 - smooth_abs(np.sin(x))
 
     def f_grad(x):
         return -np.cos(x) * np.sin(x) - smooth_abs_d(np.sin(x)) * np.cos(x)
 
+    def f_hess(x):
+        sin, cos = np.sin(x), np.cos(x)
+        return (-np.cos(2.0 * x) + smooth_abs_d(sin) * sin
+                - smooth_abs_dd(sin) * cos * cos)
+
     name = "sine_kink" if eps == 0.0 else f"sine_kink(eps={eps:g})"
-    return mechanical(f, f_grad, name, f_min=-1.0, f_max=0.5)
+    return mechanical(f, f_grad, name, f_min=-1.0, f_max=0.5, f_hess=f_hess)
 
 
 def double_well() -> LagrangianModel:
@@ -145,7 +170,8 @@ def double_well() -> LagrangianModel:
     def f_grad(x):
         return x * (x * x - 1.0)
 
-    return mechanical(f, f_grad, "double_well", f_min=0.0, f_max=cap)
+    return mechanical(f, f_grad, "double_well", f_min=0.0, f_max=cap,
+                      f_hess=lambda x: 3.0 * x * x - 1.0)
 
 
 def lagrangian_from_expression(expr: str, dimension: int = 1,
@@ -219,10 +245,15 @@ def lagrangian_from_potential(expr: str) -> LagrangianModel:
         x = np.asarray(x, dtype=float)
         return (f(x + h) - f(x - h)) / (2 * h)
 
+    def f_hess(x):
+        # the wider step of lagrangian_from_expression's L_vv
+        x, hh = np.asarray(x, dtype=float), 1e-4
+        return (f(x + hh) + f(x - hh) - 2 * f(x)) / hh ** 2
+
     probe = np.linspace(-10.0, 10.0, 4097)
     fvals = f(probe)
     return mechanical(f, f_grad, f"potential({expr})",
-                      f_min=float(fvals.min()), f_max=float(fvals.max()))
+                      f_min=float(fvals.min()), f_max=float(fvals.max()), f_hess=f_hess)
 
 
 _LAGRANGIANS = {

@@ -429,7 +429,11 @@ def _cell_polish(f: GridFunction, solve, z, paths):
     window [z - w, z + w] is cut at the nodes (:func:`_axis_breakpoints`)
     and one batch evaluates the cost and its slope at every breakpoint.  A
     cell whose end slopes bracket 0 holds an interior minimizer, found by
-    :func:`_illinois`.  The winner is the least cost among the current
+    :func:`_illinois`.  So does a cell where the slope at one end that a
+    quadratic through both end costs and the other end's slope implies
+    brackets 0 with that other slope: at a concave kink of the action the
+    slope read at a breakpoint is a supergradient, not the slope inside
+    the cell.  The winner is the least cost among the current
     point, the breakpoints and the cell minimizers, so a convex kink is
     returned as its node.  w is the largest grid spacing, shrunk by 0.4
     per sweep; nD runs up to three sweeps, and a seed stops after a sweep
@@ -464,6 +468,16 @@ def _cell_polish(f: GridFunction, solve, z, paths):
             right = left + 1
             slope = (fb[right] - fb[left]) / (xb[right] - xb[left])
             d_lo, d_hi = slope + db[left], slope + db[right]
+            # where the end slopes do not bracket 0, the slope at one end that
+            # a quadratic through both costs and the other end's slope implies
+            # may: the action is semiconcave, and at its kinks (a path resting
+            # on a kink of the potential, tied minimizers) an end slope is a
+            # supergradient, not the slope seen from inside the cell
+            secant = (cb[right] - cb[left]) / (xb[right] - xb[left])
+            beyond = 1e-9 * (1.0 + np.abs(secant))     # past rounding
+            lo_q, hi_q = 2 * secant - d_hi, 2 * secant - d_lo
+            d_lo = np.where((d_lo >= 0) & (d_hi > 0) & (lo_q < -beyond), lo_q, d_lo)
+            d_hi = np.where((d_lo < 0) & (d_hi <= 0) & (hi_q > beyond), hi_q, d_hi)
             cells = np.nonzero((d_lo < 0) & (d_hi > 0))[0]
             c_seed, slope = seeds[left[cells]], slope[cells]
 

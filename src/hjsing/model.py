@@ -9,6 +9,9 @@ All model callables are vectorized over leading axes:
 * ``L_v``/``L_x`` return ``(..., n)``, ``L_vv`` returns ``(..., n, n)``,
   ``L_t`` returns ``(...)``.  The Hamiltonian side mirrors this with
   ``H, H_p, H_x, H_t``.
+* ``L_xx``, the potential's curvature, is optional (``None`` when a model
+  has no closed form).  It returns ``(..., n, n)`` like ``L_vv``; the direct
+  method reads only the diagonal of either.
 * Every ``LagrangianModel`` carries a Hamiltonian: a closed form when the
   constructor gets one, else the Legendre transform, whose ``legendre``
   inverts ``L_v = p`` for a whole (..., n) batch in one damped Newton run.
@@ -81,6 +84,8 @@ class LagrangianModel:
     growth: GrowthData
     time_dependent: bool = False
     name: str = ""
+    # the curvature in x, (..., n, n); unset, Newton uses the kinetic block alone
+    L_xx: Optional[Callable] = None
     # companion Hamiltonian (same dynamics); unset, the Legendre transform
     hamiltonian: Optional[HamiltonianModel] = None
     # set when L(s,x,v) = exp(exp_rate*s) * base.L(x,v); quadrature exploits it
@@ -197,14 +202,26 @@ def legendre(model: LagrangianModel, s, x, p, max_iter: int = 100):
 def hamiltonian_from_lagrangian(model: LagrangianModel) -> HamiltonianModel:
     """Hamiltonian callables through the batched Legendre transform.
 
-    Catalog models carry closed forms instead.
+    The four callables share one ``legendre`` solve per (s, x, p): the last
+    inputs and their solution are kept, and a call with inputs
+    ``np.array_equal`` to them reuses it, so a characteristic's right-hand
+    side (H_p, H_x and H on the same rows) inverts L_v once.  Catalog
+    models carry closed forms instead.
     """
+    last = {}
+
+    def solved(s, x, p):
+        key = tuple(np.array(a, dtype=float) for a in (s, x, p))
+        if not last or not all(map(np.array_equal, last["key"], key)):
+            last["key"], last["out"] = key, legendre(model, s, x, p)
+        return last["out"]
+
     return HamiltonianModel(
         model.dimension,
-        H=lambda s, x, p: legendre(model, s, x, p)[1],
-        H_p=lambda s, x, p: legendre(model, s, x, p)[0],
-        H_x=lambda s, x, p: -np.asarray(model.L_x(s, x, legendre(model, s, x, p)[0])),
-        H_t=lambda s, x, p: -np.asarray(model.L_t(s, x, legendre(model, s, x, p)[0])),
+        H=lambda s, x, p: solved(s, x, p)[1],
+        H_p=lambda s, x, p: solved(s, x, p)[0].copy(),
+        H_x=lambda s, x, p: -np.asarray(model.L_x(s, x, solved(s, x, p)[0])),
+        H_t=lambda s, x, p: -np.asarray(model.L_t(s, x, solved(s, x, p)[0])),
         name=f"legendre({model.name})")
 
 
@@ -223,8 +240,10 @@ def to_evolutionary(problem: DiscountedProblem, horizon: float = 1.0):
     """Time-dependent models (L_hat, H_hat) equivalent to the discounted problem.
 
     ``L_hat(t,x,v) = exp(lam*t) L(x,v)`` and
-    ``H_hat(t,x,p) = exp(lam*t) H(x, exp(-lam*t) p)``; the growth offsets
-    and the upper quadratic are rescaled by exp(lam*horizon), and rate = lam.  Raises :class:`ExponentOverflow`
+    ``H_hat(t,x,p) = exp(lam*t) H(x, exp(-lam*t) p)``; the x and v
+    derivatives of L_hat, ``L_xx`` included when L has one, are exp(lam*t)
+    times L's.  The growth offsets and the upper quadratic are rescaled by
+    exp(lam*horizon), and rate = lam.  Raises :class:`ExponentOverflow`
     when ``lam*horizon`` exceeds the exponent cap.
     """
     lam = problem.lam
@@ -263,6 +282,8 @@ def to_evolutionary(problem: DiscountedProblem, horizon: float = 1.0):
         L_x=lambda s, x, v: _time_weight(lam, s, 1) * L0.L_x(s, x, v),
         L_t=lambda s, x, v: lam * _time_weight(lam, s, 0) * L0.L(s, x, v),
         L_vv=lambda s, x, v: _time_weight(lam, s, 2) * L0.L_vv(s, x, v),
+        L_xx=None if L0.L_xx is None
+        else lambda s, x, v: _time_weight(lam, s, 2) * L0.L_xx(s, x, v),
         growth=GrowthData(c_T=scale_T * problem.c1, offset=scale_T * problem.c2,
                           scale=scale_T, rate=lam),
         time_dependent=True,

@@ -180,6 +180,15 @@ class TestBatchedPaths:
         tight, _ = fundamental_solution(m, 0.0, 1.0, [0.0], [2.0])
         assert cheap[0] >= tight - 1e-6
 
+    def test_path_on_a_kink_leaves_it(self):
+        # the potential's kink at 0 is a maximum; a path resting on it read
+        # the slope sign(0) = 0 there and stopped at once
+        m = catalog.sine_kink()
+        on_zero = minimize_paths(m, 0.0, 0.5625, [[0.0]], [[0.0]])
+        on_pi = minimize_paths(m, 0.0, 0.5625, [[np.pi]], [[np.pi]])
+        assert on_zero["action"][0] < 0.5 * 0.5625 - 1e-3    # resting costs f(0) T
+        assert on_zero["action"][0] == pytest.approx(on_pi["action"][0], abs=1e-10)
+
     @pytest.mark.parametrize("rows", [1, 5])
     @pytest.mark.parametrize("key", ["sine_kink", "sine_kink_lift", "free_particle_2d"])
     def test_per_row_horizons_match_scalar_calls(self, key, rows):
@@ -210,9 +219,16 @@ class TestBatchedPaths:
                                                 ends[k:k + 1])[0])
 
 
-def _sine_kink_2d():
-    """L = |v|^2/2 + f(x1) + f(x2), f the kinked potential of ``sine_kink``."""
+def _sine_kink_2d(curvature: bool = False):
+    """L = |v|^2/2 + f(x1) + f(x2), f the kinked potential of ``sine_kink``;
+    with ``curvature`` the model carries its ``L_xx``."""
     sk = catalog.sine_kink()
+
+    def L_xx(s, x, v):
+        out = np.zeros(np.shape(x) + (2,))
+        out[..., 0, 0] = sk.L_xx(s, x[..., :1], v[..., :1])[..., 0, 0]
+        out[..., 1, 1] = sk.L_xx(s, x[..., 1:], v[..., 1:])[..., 0, 0]
+        return out
 
     def L(s, x, v):
         zero = np.zeros(np.shape(x)[:-1] + (1,))
@@ -227,6 +243,7 @@ def _sine_kink_2d():
         dimension=2, L=L, L_v=lambda s, x, v: np.asarray(v, dtype=float).copy(),
         L_x=L_x, L_t=lambda s, x, v: np.zeros(np.shape(v)[:-1]),
         L_vv=lambda s, x, v: np.broadcast_to(np.eye(2), np.shape(v) + (2,)),
+        L_xx=L_xx if curvature else None,
         growth=model.GrowthData(c_T=2.0, offset=1.0), name="sine_kink_2d")
 
 
@@ -279,6 +296,64 @@ class TestNewtonStop:
         ends = starts + rng.uniform(0.2, 0.8, size=(3, 2))
         sol = minimize_paths(m, 0.0, 1.0, starts, ends, segments=segments)
         assert np.all(sol["grad_inf"] <= 1e-9 * (1 + np.abs(sol["action"])))
+
+
+class TestCurvatureNewton:
+    @pytest.mark.parametrize("segments", [4, 16])
+    def test_few_iterations(self, segments, monkeypatch):
+        # with the potential's curvature in the Newton matrix, paths of the
+        # sine-kink lift converge quadratically: the kinetic block alone
+        # took 12 iterations at both segment counts
+        m0 = catalog.sine_kink()
+        lift, _ = model.to_evolutionary(catalog.discounted_from_model(m0, lam=1.0),
+                                        horizon=1.0)
+        rng = np.random.default_rng(0)
+        starts = rng.uniform(-2.0, 2.0, size=(200, 1))
+        ends = starts + rng.uniform(-1.5, 1.5, size=(200, 1))
+        calls = []
+        L_vv = m0.L_vv
+        monkeypatch.setattr(m0, "L_vv", lambda *a: calls.append(1) or L_vv(*a))
+        sol = minimize_paths(lift, 0.0, 1.0, starts, ends, segments=segments)
+        assert np.all(sol["converged"])
+        assert len(calls) <= 5
+
+    def test_indefinite_horizon_falls_back(self, monkeypatch):
+        # T = 8 > pi: the pendulum's curvature makes the full matrix
+        # indefinite on the straight lines, and those rows take the kinetic
+        # block; with it alone Newton stopped two rows at grad_inf 1.7e-5
+        # and 5.5e-7
+        solves = []
+        solve = action._solve_tridiagonal
+
+        def recording(*args):
+            out = solve(*args)
+            solves.append(out[1])
+            return out
+
+        monkeypatch.setattr(action, "_solve_tridiagonal", recording)
+        pend = catalog.pendulum()
+        starts, ends = [[0.1], [2.0], [-1.0]], [[0.2], [2.5], [3.0]]
+        sol = minimize_paths(pend, 0.0, 8.0, starts, ends, segments=16)
+        assert np.all(sol["grad_inf"] <= 1e-9 * (1 + np.abs(sol["action"])))
+        assert not np.all(np.concatenate(solves))
+        for k in range(3):
+            # the same midpoint discretization, minimized by L-BFGS
+            ref, _ = discrete_least_action(lambda x, v: 0.5 * v ** 2 + np.cos(x),
+                                           0.0, 8.0, starts[k], ends[k], n_nodes=17)
+            assert sol["action"][k] == pytest.approx(ref, abs=1e-8)
+
+    def test_2d_curvature_same_minimum(self):
+        # per axis the curvature joins the kinetic tridiagonal; the minimum
+        # is the kinetic-only one
+        kinetic, full = _sine_kink_2d(), _sine_kink_2d(curvature=True)
+        rng = np.random.default_rng(5)
+        starts = rng.uniform(0.3, 1.2, size=(4, 2))
+        ends = starts + rng.uniform(0.2, 0.8, size=(4, 2))
+        a = minimize_paths(kinetic, 0.0, 1.0, starts, ends)
+        b = minimize_paths(full, 0.0, 1.0, starts, ends)
+        assert np.all(b["converged"])
+        np.testing.assert_allclose(b["action"], a["action"], atol=1e-12)
+        np.testing.assert_allclose(b["nodes"], a["nodes"], atol=1e-8)
 
 
 class TestConstants:

@@ -1,8 +1,10 @@
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -419,8 +421,88 @@ class TestOperatorProperties:
         shifted, _ = lax_oleinik_minus(m, grid.with_values(f + c), 0.0, t, [x])
         assert abs(shifted - (tf + c)) <= 1e-12 * (1 + abs(c))
 
+    @_PROPERTY
+    @given(f=_periodic_grids(), c=st.floats(-1.0, 1.0), bump=st.floats(0.0, 1.0),
+           t=st.floats(0.25, 1.0), seed=st.integers(0, 2 ** 32 - 1))
+    # f has one node 1e-19 off zero and f + 1 is constant: at the query on
+    # the kink at 0, the path resting on the kink (not a minimum) was taken
+    # for the one and a cheaper path beside it found for the other
+    @example(f=np.array([0.0, -1.08260402e-19] + [0.0] * 6), c=1.0, bump=0.0, t=0.5,
+             seed=0)
+    def test_discounted_contraction(self, sine_problem, f, c, bump, t, seed):
+        # the data differ by a shift plus noise, so the bound is nearly tight
+        noise = np.random.default_rng(seed).uniform(-bump, bump, f.size)
+        grid = GridFunction(self.box, f, periodic=True)
+        other = grid.with_values(f + c + noise)
+        nodes = grid.nodes()
+        tf = np.array([r.value for r in
+                       discounted_lax_oleinik_batch(sine_problem, grid, t, nodes)])
+        tg = np.array([r.value for r in
+                       discounted_lax_oleinik_batch(sine_problem, other, t, nodes)])
+        bound = math.exp(-sine_problem.lam * t) * np.max(np.abs(other.values - f))
+        assert np.max(np.abs(tf - tg)) <= bound + 1e-12 * (1 + bound)
+
+
+def _grid_files():
+    """A grid of one or two axes, its periodic flags and an optional lambda."""
+    def grid(resolution):
+        n = len(resolution)
+        return st.tuples(
+            arrays(float, resolution, elements=st.floats(-1e6, 1e6)),
+            st.lists(st.tuples(st.floats(-100.0, 100.0), st.floats(0.1, 50.0)),
+                     min_size=n, max_size=n),
+            st.lists(st.booleans(), min_size=n, max_size=n),
+            st.none() | st.floats(1e-3, 40.0))
+    return st.lists(st.integers(2, 9), min_size=1, max_size=2).map(tuple).flatmap(grid)
+
+
+class TestGridFileProperties:
+    @_PROPERTY
+    @given(case=_grid_files())
+    def test_write_read_round_trip(self, case):
+        values, corners, periodic, lam = case
+        box = [(lo, lo + width) for lo, width in corners]
+        grid = GridFunction(box, values, periodic=tuple(periodic))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "f.grid")
+            grid.write(path, lam=lam, comments=["round trip"])
+            back, lam_back = GridFunction.read(path)
+        np.testing.assert_array_equal(back.values, grid.values)
+        np.testing.assert_array_equal(back.box, grid.box)
+        assert back.periodic == grid.periodic
+        assert lam_back == lam
+
 
 class TestOperatorInvariants:
+    def test_queries_on_kinks(self, sine_problem):
+        # 0 and pi are kinks of the potential, where the action A(., x) has
+        # a concave kink at z = x: the slope the polish reads there is one
+        # side's, or neither's
+        box = [(0.0, 2 * np.pi)]
+        zero = GridFunction(box, np.zeros(8), periodic=True)
+        tilted = zero.with_values(0.01 * np.sin(zero.nodes()[:, 0]))
+        xs = [[0.0], [np.pi]]
+        tz = np.array([r.value for r in
+                       discounted_lax_oleinik_batch(sine_problem, zero, 0.5, xs)])
+        tt = np.array([r.value for r in
+                       discounted_lax_oleinik_batch(sine_problem, tilted, 0.5, xs)])
+        # the potential and the data are pi-periodic
+        assert tz[0] == pytest.approx(tz[1], abs=1e-12)
+        assert np.max(np.abs(tz - tt)) <= math.exp(-0.5) * 0.01
+
+    def test_minimizer_beside_a_kink_query(self):
+        # the minimizer lies in the cell left of the query on the kink at 0,
+        # where the slope read at the query's own node is the right side's
+        box = [(0.0, 2 * np.pi)]
+        f = np.array([0.0625, 1.0] + [0.0] * 9)
+        lower = GridFunction(box, f, periodic=True)
+        upper = lower.with_values(f + np.r_[0.0625, np.zeros(10)])
+        m = catalog.sine_kink()
+        tf, arg = lax_oleinik_minus(m, lower, 0.0, 0.5625, [0.0])
+        tg, _ = lax_oleinik_minus(m, upper, 0.0, 0.5625, [0.0])
+        assert tf <= tg + 1e-12
+        assert all(z[0] < 0 for z in arg.argpoints)
+
     def test_localization_records(self, free_particle_1d, neg_abs_grid):
         _, arg = lax_oleinik_minus(free_particle_1d, neg_abs_grid, 0.0, 1.0, [0.0])
         assert arg.argpoints

@@ -109,6 +109,81 @@ class TestLegendre:
         assert len(calls) <= 4
 
 
+    def test_hamiltonian_callables_share_one_solve(self):
+        # a characteristic's right-hand side asks H_p, H_x and H at the same
+        # rows: one Legendre solve between them, answers unchanged
+        m = catalog.lagrangian_from_expression("v^2/2 + cos(x)", 1)
+        rng = np.random.default_rng(9)
+        x, p = rng.uniform(-3.0, 3.0, (16, 1)), rng.normal(size=(16, 1))
+        v_ref, h_ref = model.legendre(m, 0.5, x, p)
+        calls = []
+        L_vv = m.L_vv
+        m.L_vv = lambda s, x, v: calls.append(len(v)) or L_vv(s, x, v)
+        H = m.hamiltonian
+        hp = H.H_p(0.5, x, p)
+        per_solve = len(calls)
+        hx, h = H.H_x(0.5, x, p), H.H(0.5, x, p)
+        assert len(calls) == per_solve
+        np.testing.assert_array_equal(hp, v_ref)
+        np.testing.assert_array_equal(h, h_ref)
+        np.testing.assert_array_equal(hx, -m.L_x(0.5, x, v_ref))
+        hp[:] = 0.0                     # the caller owns what it gets
+        np.testing.assert_array_equal(H.H_p(0.5, x, p), v_ref)
+        H.H(0.5, x, p + 1.0)            # new inputs solve again
+        assert len(calls) > per_solve
+
+
+def _fd_curvature(m, x, h):
+    """Central differences of L_x in x: the diagonal of L_xx."""
+    v = np.zeros_like(x)
+    return (m.L_x(0.0, x + h, v) - m.L_x(0.0, x - h, v)) / (2 * h)
+
+
+class TestCurvature:
+    rng = np.random.default_rng(12)
+    clear_of_kinks = (rng.uniform(0.2, np.pi - 0.2, (40, 1))
+                      * rng.choice([-1.0, 1.0], (40, 1)))
+    everywhere = np.linspace(-4.0, 4.0, 81)[:, None]
+
+    @pytest.mark.parametrize("key, points, h, tol", [
+        ("pendulum", "everywhere", 1e-5, 1e-8),
+        ("double_well", "everywhere", 1e-5, 1e-8),
+        ("sine_kink", "clear_of_kinks", 1e-5, 1e-8),
+        ("sine_kink_eps", "everywhere", 1e-5, 1e-6),
+        # a finite-difference L_x, differenced again with a wider step
+        ("potential", "everywhere", 1e-3, 1e-5),
+    ])
+    def test_matches_central_differences(self, key, points, h, tol):
+        m = {"pendulum": catalog.pendulum,
+             "double_well": catalog.double_well,
+             "sine_kink": catalog.sine_kink,
+             "sine_kink_eps": lambda: catalog.sine_kink(eps=0.1),
+             "potential": lambda: catalog.lagrangian_from_potential(
+                 "0.3*x^2 - cos(2*x)")}[key]()
+        x = getattr(self, points)
+        lxx = m.L_xx(0.0, x, np.zeros_like(x))
+        assert lxx.shape == (len(x), 1, 1)
+        fd = _fd_curvature(m, x, h)
+        np.testing.assert_array_less(np.abs(lxx[:, :, 0] - fd), tol * (1 + np.abs(fd)))
+
+    def test_lift_carries_exponential_factor(self, sine_problem):
+        lhat, _ = model.to_evolutionary(sine_problem, horizon=2.0)
+        s = np.array([0.0, 0.7, 1.9])
+        x, v = np.array([[0.4], [1.3], [-2.2]]), np.array([[0.1], [-0.5], [2.0]])
+        base = sine_problem.lagrangian.L_xx(s, x, v)
+        np.testing.assert_allclose(lhat.L_xx(s, x, v),
+                                   np.exp(s)[:, None, None] * base, rtol=1e-15)
+        h = 1e-5
+        fd = (lhat.L_x(s, x + h, v) - lhat.L_x(s, x - h, v)) / (2 * h)
+        np.testing.assert_allclose(lhat.L_xx(s, x, v)[:, :, 0], fd, rtol=1e-7)
+
+    def test_absent_without_closed_form(self, counterexample_problem):
+        assert catalog.free_particle(2).L_xx is None
+        assert catalog.lagrangian_from_expression("v^2/2 + cos(x)", 1).L_xx is None
+        lhat, _ = model.to_evolutionary(counterexample_problem, horizon=1.0)
+        assert lhat.L_xx is None
+
+
 class TestEvolutionaryTransform:
     def test_identity_at_t0(self, counterexample_problem):
         lhat, _ = model.to_evolutionary(counterexample_problem, horizon=1.0)
