@@ -1,10 +1,11 @@
 """Characteristics and singularity machinery: fundamental solutions,
 reachable gradients, propagation, cut times, retraction.
 
-One stacked routine integrates every characteristic: the discounted
-flows at the problem's lam (the lam = 0 flows of its lift
-``to_evolutionary``, with p scaled by e^{lam t}) and, at lam = 0, the
-shooting refine of :func:`fundamental_solution`.
+The discounted characteristics at the problem's lam (the lam = 0 flows of
+its lift ``to_evolutionary``, with p scaled by e^{lam t}) run in one batched
+Dormand-Prince loop per call, each row with its own steps; the shooting
+refine of :func:`fundamental_solution` runs its lam = 0 flows through
+``solve_ivp``.
 
 A field enters this layer through four methods (``solver.ValueField``):
 ``values``, ``certificate_search``, ``domain`` and ``action_lagrangian``.
@@ -26,9 +27,9 @@ u(t, x) = e^{lam t} v(x); forward calibrated flow plus the singular
 continuation give the homotopy that retracts the complement of the
 numerical Aubry set onto the singular set.  Cut times and the Aubry test
 integrate the calibrated characteristics of all their points in one
-stacked run per call, restarted at each break time with the broken rows
-frozen; the rows share step sizes, so each span agrees with a one-point
-run (:func:`cut_time`, as the homotopy uses) to 1e-8.
+batched loop per call, each row stopping at its own break time; a row's
+span equals a one-point run (:func:`cut_time`, as the homotopy uses) bit
+for bit.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import OdeSolution, solve_ivp
+from scipy.integrate import RK45, solve_ivp
 from scipy.optimize import brentq
 
 from .action import (
@@ -77,6 +78,9 @@ CALIB_TOL = 1e-3        # calibration defect (per unit of 1 + t) that cuts a flo
 _LATTICE_NODES = 49     # argmax scan nodes per axis of the ball
 _ROOT_TOL = 4 * np.finfo(float).eps   # break-time roots, as solve_ivp's events
 _ESCAPE = 1e6           # a characteristic with |x| or |p| beyond this escaped
+_RTOL, _ATOL = 1e-9, 1e-11   # characteristic integration tolerances
+# scipy's RK45 step-size rule (scipy.integrate._ivp.rk), applied per row
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 
 
 # ---------------------------------------------------------------------------
@@ -499,46 +503,42 @@ def lipschitz_certificate(curve: SingularCurve, constants: ConvexityConstants,
 # ---------------------------------------------------------------------------
 # characteristics, fundamental solution
 
-def _characteristics(H: HamiltonianModel, lam: float, y0, span, rows=None,
-                     start=None, events=()):
-    """One stacked run of x' = H_p, p' = -H_x - lam p, a' = e^{lam t} (<p, H_p> - H).
+def _characteristics(H: HamiltonianModel, lam: float, y0, span):
+    """One stacked ``solve_ivp`` run of x' = H_p, p' = -H_x - lam p,
+    a' = e^{lam t} (<p, H_p> - H), for the shooting refine.
 
-    ``y0`` holds one state (x, p, a) per row, (R, 2n+1), at time ``start``
-    (default span[0]); the run goes to span[1], with steps of at most
-    min(|span| / 20, 0.25) on every restart.  Only the live ``rows``
-    (default all) move.  ``events`` go ahead of the escape event: a live
-    row with |x| or |p| above _ESCAPE raises :class:`BlowUp`, a failed run
-    :class:`NoConvergence`.  Returns the ``solve_ivp`` result with dense
-    output of the flattened state.
+    ``y0`` holds one state (x, p, a) per row, (R, 2n+1), at span[0]; the run
+    goes to span[1] with steps of at most min(|span| / 20, 0.25), shared by
+    all rows.  A row with |x| or |p| above _ESCAPE raises :class:`BlowUp`, a
+    failed run :class:`NoConvergence`.  Returns the ``solve_ivp`` result with
+    dense output of the flattened state.
     """
     R, m = y0.shape
     n = (m - 1) // 2
-    rows = np.arange(R) if rows is None else rows
 
     def rhs(t, y):
-        Y = y.reshape(R, m)[rows]
+        Y = y.reshape(R, m)
         X, P = Y[:, :n], Y[:, n:2 * n]
         hp = np.asarray(H.H_p(t, X, P), dtype=float).reshape(X.shape)
         hx = np.asarray(H.H_x(t, X, P), dtype=float).reshape(X.shape)
         h = np.asarray(H.H(t, X, P), dtype=float).reshape(-1)
-        dy = np.zeros((R, m))
-        dy[rows, :n] = hp
-        dy[rows, n:2 * n] = -hx - lam * P
-        dy[rows, 2 * n] = math.exp(lam * t) * (np.sum(P * hp, axis=1) - h)
+        dy = np.empty((R, m))
+        dy[:, :n] = hp
+        dy[:, n:2 * n] = -hx - lam * P
+        dy[:, 2 * n] = math.exp(lam * t) * (np.sum(P * hp, axis=1) - h)
         return dy.reshape(-1)
 
     def escape(t, y):
-        return _ESCAPE - float(np.max(np.abs(y.reshape(R, m)[rows, :2 * n])))
+        return _ESCAPE - float(np.max(np.abs(y.reshape(R, m)[:, :2 * n])))
 
     escape.terminal = True
     escape.direction = -1
 
-    t0 = span[0] if start is None else start
-    sol = solve_ivp(rhs, (t0, span[1]), y0.reshape(-1), method="RK45", rtol=1e-9,
-                    atol=1e-11, events=[*events, escape], dense_output=True,
+    sol = solve_ivp(rhs, span, y0.reshape(-1), method="RK45", rtol=_RTOL, atol=_ATOL,
+                    events=[escape], dense_output=True,
                     max_step=min(abs(span[1] - span[0]) / 20, 0.25))
-    if sol.t_events[-1].size:
-        raise BlowUp(f"characteristic escaped at t = {sol.t_events[-1][0]:.4g}")
+    if sol.t_events[0].size:
+        raise BlowUp(f"characteristic escaped at t = {sol.t_events[0][0]:.4g}")
     if sol.status == -1:
         raise NoConvergence(f"characteristic integration failed: {sol.message}")
     return sol
@@ -699,10 +699,60 @@ def _interp_gradient(v: GridFunction, x):
     return g
 
 
+def _row_sums(a):
+    """Sums over the last axis, one column at a time: a row's sum never
+    depends on the rows batched with it."""
+    out = a[..., 0]
+    for j in range(1, a.shape[-1]):
+        out = out + a[..., j]
+    return out
+
+
+def _rms(a):
+    """Root mean square of each row, as scipy's step-size norm."""
+    return np.sqrt(_row_sums(a * a) / a.shape[-1])
+
+
+def _nonzero(coefs):
+    """(j, c_j) for the nonzero coefs, c_j a Python float."""
+    return [(j, float(c)) for j, c in enumerate(coefs) if c]
+
+
+# scipy's RK45 tableau (Dormand-Prince 5(4)) without its zeros
+_DP_A = [(float(c), _nonzero(a[:s])) for s, (c, a) in enumerate(zip(RK45.C, RK45.A)) if s]
+_DP_B, _DP_E = _nonzero(RK45.B), _nonzero(RK45.E)
+_DP_P = [_nonzero(col) for col in RK45.P.T]
+_ERROR_EXPONENT = -1.0 / (RK45.error_estimator_order + 1)
+
+
+def _combine(pairs, stages):
+    """sum_j c_j stages[j] over the (j, c_j) pairs, as elementwise
+    multiply-adds: a BLAS contraction may sum in an order that depends on
+    the batch."""
+    (j, c), *rest = pairs
+    out = c * stages[j]
+    for j, c in rest:
+        out += c * stages[j]
+    return out
+
+
+def _initial_steps(rhs, t, y, f, direction, interval, max_step):
+    """scipy's initial step size (Hairer, Norsett and Wanner, Sec. II.4), per row."""
+    scale = _ATOL + np.abs(y) * _RTOL
+    d0, d1 = _rms(y / scale), _rms(f / scale)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        h0 = np.minimum(np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1), interval)
+        f1 = rhs(t + direction * h0, y + (direction * h0)[:, None] * f)
+        d2 = _rms((f1 - f) / scale) / h0
+        h1 = np.where((d1 <= 1e-15) & (d2 <= 1e-15), np.maximum(1e-6, h0 * 1e-3),
+                      (0.01 / np.maximum(d1, d2)) ** -_ERROR_EXPONENT)
+    return np.minimum(np.minimum(100 * h0, h1), min(interval, max_step))
+
+
 def _calibrated_flow(problem: DiscountedProblem, v: GridFunction, xs, p0,
                      horizon: float, direction: int = +1):
     """Integrate the discounted characteristics of the rows of xs, watching
-    each row's calibration defect; one stacked run per call.
+    each row's calibration defect, until each row breaks or reaches the horizon.
 
     The defect of the calibration identity on [0, t] is monitored in its
     discounted normalization,
@@ -714,98 +764,142 @@ def _calibrated_flow(problem: DiscountedProblem, v: GridFunction, xs, p0,
     never hold to horizon on sampled data.  direction=-1 runs the backward
     test, where the raw form is already stable and is used as is.
 
-    The R rows share one (R, 2n+1) state (x, p, running integral) and one
-    :func:`_characteristics` run at the problem's lam.  The terminal break
-    event is the smallest margin CALIB_TOL (1 + |t|) - |defect| over the
-    live rows.  When it fires at t, the smallest-margin row and every live
-    row whose margin is <= 0 get tau = |t|.  So does, at its own root on
-    the step's dense output, every live row whose margin turns <= 0 before
-    the end of the step that holds t: mirror-image nodes break a rounding
-    error apart, and a restart per row would cost a call each.  These rows
-    are frozen and the run restarts from the state at t.  Rows share step
-    sizes, so a row's tau depends on its batch within the integrator's
-    tolerance: it agrees with a one-row run to 1e-8.  Only live rows can
-    escape (:class:`BlowUp`); a failed run raises :class:`NoConvergence`.
+    Each row carries the state (x, p, running integral) of
+    x' = H_p, p' = -H_x - lam p, a' = e^{lam t} (<p, H_p> - H), and its own
+    time, step size and error norm in one batched Dormand-Prince 5(4) loop:
+    scipy's RK45 tableau, tolerances, initial step and step-size rule, with
+    steps of at most min(horizon / 20, 0.25).  Stage sums are elementwise,
+    so a row's tau and end state do not depend on its batch.  After each
+    accepted step a row whose margin CALIB_TOL (1 + |t|) - |defect| is <= 0
+    gets tau at the root of its own step's dense interpolant and stops
+    there; a row at the horizon stops.  A live row with |x| or |p| above
+    _ESCAPE raises :class:`BlowUp`; a row whose step underflows, NaN
+    right-hand sides included, raises :class:`NoConvergence`.
 
-    Returns (tau, flow): tau (R,) the first violation times, clamped at
-    horizon; flow the dense solution over all restarts, an ``OdeSolution``
-    of the flattened state (row r holds entries r (2n+1) .. r (2n+1) + 2n;
-    a frozen row keeps its state at the restart that froze it).
+    Returns (tau, ends): tau (R,) the first violation times, clamped at
+    horizon; ends (R, 2n+1) each row's state at min(tau, horizon).
     """
-    lam = problem.lam
+    lam, ham = problem.lam, problem.hamiltonian
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     R, n = xs.shape
-    m = 2 * n + 1
-    v_at_x = v(xs)
-    rows = np.arange(R)             # the live rows; the break event reads it too
+    bound = float(direction * horizon)
+    clip = np.minimum if direction > 0 else np.maximum
+    max_step = min(abs(horizon) / 20, 0.25)
 
-    def margins(t, y, idx):
-        Y = y.reshape(R, m)[idx]
-        raw = math.exp(lam * t) * v(Y[:, :n]) - v_at_x[idx] - Y[:, 2 * n]
-        return CALIB_TOL * (1.0 + abs(t)) - np.abs(raw * math.exp(-lam * max(t, 0.0)))
+    def rhs(t, Y):
+        X, P = Y[:, :n], Y[:, n:2 * n]
+        hp = np.asarray(ham.H_p(t, X, P)).reshape(X.shape)
+        hx = np.asarray(ham.H_x(t, X, P)).reshape(X.shape)
+        h = np.asarray(ham.H(t, X, P)).reshape(-1)
+        da = np.exp(lam * t) * (_row_sums(P * hp) - h)
+        return np.concatenate([hp, -hx - lam * P, da[:, None]], axis=1)
 
-    def break_event(t, y):
-        return float(np.min(margins(t, y, rows)))
+    def margins(t, Y, v0):
+        raw = np.exp(lam * t) * v(Y[:, :n]) - v0 - Y[:, 2 * n]
+        return CALIB_TOL * (1.0 + np.abs(t)) - np.abs(raw * np.exp(-lam * np.maximum(t, 0.0)))
 
-    break_event.terminal = True
-    break_event.direction = -1
+    def break_time(v0, t_old, y_old, step, stages):
+        """Root of a row's margin on its step's dense interpolant, with the state
+        there; v0 is v at the row's start."""
+        Q = [_combine(col, stages) for col in _DP_P]
 
-    span = (0.0, direction * horizon)
-    t, y = 0.0, np.column_stack([xs, np.reshape(p0, (R, n)), np.zeros(R)])
-    tau = np.full(R, abs(horizon))
-    ts, pieces = [t], []
-    while True:
-        sol = _characteristics(problem.hamiltonian, lam, y, span, rows, t, [break_event])
-        if sol.t[-1] != t:
-            ts.extend(sol.sol.ts[1:])
-            pieces.extend(sol.sol.interpolants)
-        if not sol.t_events[0].size:
-            break
-        t, y = float(sol.t_events[0][0]), sol.y_events[0][0].reshape(R, m)
-        step = sol.sol.interpolants[-1]
-        margin = margins(t, y, rows)
-        broke = margin <= 0.0
-        broke[np.argmin(margin)] = True
-        tau[rows[broke]] = abs(t)
-        later = ~broke & (margins(step.t, step(step.t), rows) <= 0.0)
-        for r in rows[later]:
-            tau[r] = abs(brentq(lambda s: margins(s, step(s), [r])[0], t, step.t,
-                                xtol=_ROOT_TOL, rtol=_ROOT_TOL))
-        rows = rows[~(broke | later)]
-        if rows.size == 0 or t == span[1]:
-            break
-    return tau, OdeSolution(ts, pieces)
+        def state(s):
+            x = (s - t_old) / step
+            acc, power = 0.0, 1.0
+            for q in Q:
+                power = power * x
+                acc = acc + q * power
+            return y_old + step * acc
+
+        def margin(s):
+            return margins(np.array([s]), state(s)[None, :], v0)[0]
+
+        root = brentq(margin, t_old, t_old + step, xtol=_ROOT_TOL, rtol=_ROOT_TOL)
+        return root, state(root)
+
+    # the live rows: their indices, v at their starts, times, states, slopes and
+    # step sizes, and whether their last attempt was rejected
+    rows, v0 = np.arange(R), v(xs)
+    t = np.zeros(R)
+    y = np.column_stack([xs, np.reshape(p0, (R, n)), np.zeros(R)])
+    f = rhs(t, y)
+    h_abs = _initial_steps(rhs, t, y, f, direction, abs(horizon), max_step)
+    rejected = np.zeros(R, dtype=bool)
+    tau, ends = np.full(R, abs(horizon)), np.empty_like(y)
+    while rows.size:
+        min_step = 10 * np.abs(np.spacing(t))
+        h = np.where(rejected, h_abs, np.minimum(np.maximum(h_abs, min_step), max_step))
+        if (h < min_step).any():
+            raise NoConvergence("characteristic integration failed: step size underflow "
+                                f"at t = {t[h < min_step][0]:.4g}")
+        t_new = clip(t + direction * h, bound)
+        step = t_new - t
+        col = step[:, None]
+        stages = [f]
+        for c, a in _DP_A:
+            stages.append(rhs(t + c * step, y + col * _combine(a, stages)))
+        y_new = y + col * _combine(_DP_B, stages)
+        stages.append(rhs(t_new, y_new))
+        scale = _ATOL + np.maximum(np.abs(y), np.abs(y_new)) * _RTOL
+        error = _rms(col * _combine(_DP_E, stages) / scale)
+        ok = error < 1.0
+        # error 0 grows by _MAX_FACTOR, a NaN error shrinks by _MIN_FACTOR
+        factor = _SAFETY * np.maximum(error, 1e-300) ** _ERROR_EXPONENT
+        factor = np.where(ok, np.minimum(np.where(rejected, 1.0, _MAX_FACTOR), factor),
+                          np.fmax(_MIN_FACTOR, factor))
+        h_abs, rejected = np.abs(step) * factor, ~ok
+        t_old, y_old = t, y
+        t = np.where(ok, t_new, t)
+        y = np.where(ok[:, None], y_new, y)
+        f = np.where(ok[:, None], stages[-1], f)
+
+        broke = margins(t, y, v0) <= 0.0
+        for j in broke.nonzero()[0]:
+            root, ends[rows[j]] = break_time(v0[j], t_old[j], y_old[j], step[j],
+                                             [k[j] for k in stages])
+            tau[rows[j]] = abs(root)
+        escaped = ~broke & (np.abs(y[:, :2 * n]).max(axis=1) > _ESCAPE)
+        if escaped.any():
+            raise BlowUp(f"characteristic escaped at t = {t[escaped][0]:.4g}")
+        done = broke | (t == bound)
+        if done.any():
+            arrived = done & ~broke
+            ends[rows[arrived]] = y[arrived]
+            rows, v0, t, y, f, h_abs, rejected = (
+                a[~done] for a in (rows, v0, t, y, f, h_abs, rejected))
+    return tau, ends
 
 
 def _forward_spans(problem: DiscountedProblem, v: GridFunction, pts, horizon: float):
-    """(tau, flow) for the rows of pts.
+    """(tau, ends) for the rows of pts.
 
     One batched operator call gives the certificates of all rows; a row
-    whose reachable set is wider than ``SINGULAR_TOL`` is cut (tau = 0).
-    The others run the forward calibrated flow, one stacked run; flow is
-    its dense solution over those rows, None when every row is cut.
+    whose reachable set is wider than ``SINGULAR_TOL`` is cut (tau = 0, its
+    end state NaN).  The others run the forward calibrated flow in one
+    batched loop; ends holds their states (x, p, running integral) at
+    min(tau, horizon).
     """
     field = DiscountedField(problem, v)
     certs = reachable_gradients_batch(field, 0.0, pts)
     cut = np.array([cert.diameter > SINGULAR_TOL for cert in certs])
-    tau, flow = np.zeros(len(pts)), None
+    tau, ends = np.zeros(len(pts)), np.full((len(pts), 2 * pts.shape[1] + 1), np.nan)
     if not cut.all():
         uncut = pts[~cut]
-        tau[~cut], flow = _calibrated_flow(problem, v, uncut, _interp_gradient(v, uncut),
-                                           horizon, +1)
-    return tau, flow
+        tau[~cut], ends[~cut] = _calibrated_flow(problem, v, uncut,
+                                                 _interp_gradient(v, uncut), horizon, +1)
+    return tau, ends
 
 
 def cut_time(problem: DiscountedProblem, v: GridFunction, x, horizon: float):
     """Forward calibration span tau(x); horizon stands in for +infinity.
 
-    Returns (tau, flow): tau is clamped at horizon, and flow is the dense
-    solution of the calibrated flow (t -> (x, p, running integral)), or
-    None at a cut point (tau = 0).
+    Returns (tau, end): tau is clamped at horizon, and end is the state
+    (x, p, running integral) of the calibrated flow at tau, or None at a
+    cut point (tau = 0).
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    tau, flow = _forward_spans(problem, v, x[None, :], horizon)
-    return float(tau[0]), flow
+    tau, ends = _forward_spans(problem, v, x[None, :], horizon)
+    return float(tau[0]), None if tau[0] == 0.0 else ends[0]
 
 
 @dataclass
@@ -845,9 +939,9 @@ def cut_times(problem: DiscountedProblem, v: GridFunction, nodes,
 
     The singularity certificates of all points come from one batched
     operator call; the forward calibrated flows of the points that are not
-    cut run as one stacked integration, restarted at each break time (see
-    :func:`_calibrated_flow`).  The rows share step sizes, so each tau
-    agrees with the single-point :func:`cut_time` to 1e-8, not bit for bit.
+    cut run in one batched loop (see :func:`_calibrated_flow`), where each
+    row keeps its own steps.  So each tau equals the single-point
+    :func:`cut_time` bit for bit.
     """
     pts = np.atleast_2d(np.asarray(nodes, dtype=float))
     return _forward_spans(problem, v, pts, horizon)[0]
@@ -871,9 +965,9 @@ def aubry_candidates(field, horizon: float, nodes=None, forward_tau=None):
     :class:`InvalidProblem`.  ``forward_tau`` (per queried node) is the
     forward span, from :func:`cut_times` when not given; a cut node has
     tau = 0 and is never a candidate.  The backward flows of the nodes
-    whose forward span reaches the horizon run as one stacked integration,
-    restarted at each break time; each backward span agrees with a one-node
-    run to 1e-8.  Returns (points, mask-over-queried-nodes).
+    whose forward span reaches the horizon run in one batched loop; each
+    backward span equals a one-node run bit for bit.  Returns (points,
+    mask-over-queried-nodes).
     """
     if not isinstance(field, DiscountedField):
         raise InvalidProblem("the Aubry set is defined for discounted problems only")
@@ -908,14 +1002,10 @@ def homotopy(field, x, s: float):
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if s <= 0.0:
         return x.copy()
-    tau_hit, flow = cut_time(field.problem, field.v, x, s)
-    if flow is None:
-        y_hit = x
-    else:
-        n = x.size
-        if tau_hit >= s:
-            return flow(s)[:n].copy()
-        y_hit = flow(tau_hit)[:n].copy()
+    tau_hit, end = cut_time(field.problem, field.v, x, s)
+    y_hit = x if end is None else end[:x.size].copy()
+    if tau_hit >= s:
+        return y_hit
     t_start = 1.0 + tau_hit
     span = s - tau_hit
     if span <= 1e-6:

@@ -110,7 +110,8 @@ def solve_ivp_calls(source: str) -> int:
 
 
 def test_one_characteristic_integrator():
-    # every characteristic of the package runs through singular._characteristics
+    # the shooting refine (singular._characteristics) is the one solve_ivp
+    # caller; the calibrated flows run in singular's own batched loop
     assert sum(solve_ivp_calls(p.read_text()) for p in SOURCES) == 1
 
 

@@ -1,9 +1,12 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hjsing import catalog, errors, model
+from hjsing import catalog, errors, expressions, model
 
 
 class TestLegendre:
@@ -272,3 +275,76 @@ class TestDiscountedProblem:
         with pytest.raises(ValueError):
             model.DiscountedProblem(lam=0.0, lagrangian=free_particle_1d,
                                     hamiltonian=free_particle_1d.hamiltonian)
+
+
+_VARIABLES = ("s", "x", "v", "x1", "v1")
+_UNARY = sorted(set(expressions._FUNCTIONS) - {"min", "max"})
+
+
+def _allowed_expressions():
+    """Expressions inside the parser's whitelist: numbers, bound names, the
+    arithmetic operators and the whitelisted functions."""
+    leaves = st.one_of(st.sampled_from(_VARIABLES + ("pi", "e")),
+                       st.floats(0.0, 100.0).map(repr))
+
+    def extend(inner):
+        return st.one_of(
+            st.tuples(inner, st.sampled_from(["+", "-", "*", "/", "^", "**"]), inner)
+            .map(lambda t: f"({t[0]} {t[1]} {t[2]})"),
+            st.tuples(st.sampled_from(["-", "+"]), inner).map(lambda t: f"{t[0]}({t[1]})"),
+            st.tuples(st.sampled_from(_UNARY), inner).map(lambda t: f"{t[0]}({t[1]})"),
+            st.tuples(st.sampled_from(["min", "max"]), inner, inner)
+            .map(lambda t: f"{t[0]}({t[1]}, {t[2]})"),
+        )
+
+    return st.recursive(leaves, extend, max_leaves=6)
+
+
+# one construct outside the whitelist, around an allowed expression {a}
+_FORBIDDEN = {
+    "attribute": "({a}).real",
+    "subscript": "({a})[0]",
+    "lambda": "(lambda q: {a})",
+    "comparison": "({a} < {a})",
+    "boolean-op": "({a} and {a})",
+    "conditional": "({a} if {a} else {a})",
+    "comprehension": "[{a} for q in x]",
+    "starred-arg": "sin(*[{a}])",
+    "keyword-arg": "max({a}, out={a})",
+    "call-eval": "eval({a})",
+    "call-getattr": "getattr({a})",
+    "call-open": "open({a})",
+    "call-dunder": "__import__({a})",
+    "unbound-name": "({a} + y)",
+    "unbound-axis": "({a} + x4)",
+    "dunder-name": "({a} * __builtins__)",
+    "dunder-alone": "__class__",
+}
+
+# allowed contexts the construct is spliced into, around another expression {c}
+_CONTEXTS = ["({b} + {c})", "({c} * {b})", "cos({b})", "max({c}, {b})", "-({b})",
+             "({b}) ^ {c}"]
+
+
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("compile_expression evaluated its input")
+
+
+class TestExpressionWhitelist:
+    @pytest.mark.parametrize("bad", list(_FORBIDDEN.values()), ids=list(_FORBIDDEN))
+    @settings(max_examples=10, deadline=None)
+    @given(a=_allowed_expressions(),
+           contexts=st.lists(st.tuples(st.sampled_from(_CONTEXTS), _allowed_expressions()),
+                             max_size=3))
+    def test_rejects_constructs_outside_the_whitelist(self, a, bad, contexts):
+        allowed, spliced = a, bad.format(a=a)
+        for context, c in contexts:
+            allowed = context.format(b=allowed, c=c)
+            spliced = context.format(b=spliced, c=c)
+        spies = {name: _must_not_run for name in expressions._FUNCTIONS}
+        binops = {op: _must_not_run for op in expressions._BINOPS}
+        with mock.patch.dict(expressions._FUNCTIONS, spies), \
+                mock.patch.dict(expressions._BINOPS, binops):
+            expressions.compile_expression(allowed, _VARIABLES)
+            with pytest.raises(errors.ConfigError):
+                expressions.compile_expression(spliced, _VARIABLES)

@@ -114,15 +114,33 @@ class TestBatchedCertificates:
             assert cert.diameter == one.diameter
 
     def test_cut_times_match_cut_time(self, period_field, sine_problem):
-        # the batched rows share step sizes, so a row's tau depends on its
-        # batch within the integrator's tolerance, not bit for bit
         nodes = period_field.v.nodes()
-        taus = cut_times(sine_problem, period_field.v, nodes, horizon=6.0)
-        singles = np.array([cut_time(sine_problem, period_field.v, x, horizon=6.0)[0]
-                            for x in nodes])
-        np.testing.assert_array_equal(taus == 0.0, singles == 0.0)
-        np.testing.assert_array_equal(taus == 6.0, singles == 6.0)
-        assert np.max(np.abs(taus - singles)) <= 1e-8
+        taus, ends = singular._forward_spans(sine_problem, period_field.v, nodes, horizon=6.0)
+        np.testing.assert_array_equal(
+            cut_times(sine_problem, period_field.v, nodes, horizon=6.0), taus)
+        for x, tau, end in zip(nodes, taus, ends):
+            tau_one, end_one = cut_time(sine_problem, period_field.v, x, horizon=6.0)
+            assert tau_one == tau
+            if end_one is None:
+                assert tau == 0.0 and np.isnan(end).all()
+            else:
+                np.testing.assert_array_equal(end_one, end)
+
+    def test_backward_spans_match_one_node_runs(self, period_field, sine_problem):
+        # nine nodes reach the horizon 1.5 forward; their backward flows
+        # reach it too, and at horizon 6 all but the Aubry node break
+        v = period_field.v
+        nodes = v.nodes()
+        reach = nodes[cut_times(sine_problem, v, nodes, horizon=1.5) >= 1.5]
+        p0 = singular._interp_gradient(v, reach)
+        for horizon in (1.5, 6.0):
+            taus, ends = singular._calibrated_flow(sine_problem, v, reach, p0, horizon, -1)
+            assert len(reach) == 9 and np.sum(taus < horizon) == (0 if horizon == 1.5 else 8)
+            for r in range(len(reach)):
+                tau_one, end_one = singular._calibrated_flow(
+                    sine_problem, v, reach[r:r + 1], p0[r:r + 1], horizon, -1)
+                assert tau_one[0] == taus[r]
+                np.testing.assert_array_equal(end_one[0], ends[r])
 
     def test_aubry_candidates_default_forward_span(self, period_field,
                                                    period_cut_field):
@@ -506,35 +524,46 @@ def _escape_problem():
 
 
 class TestStackedFlow:
-    """All rows of a cut-time or Aubry query share one stacked flow."""
+    """All rows of a cut-time or Aubry query run in one batched loop."""
 
     @staticmethod
-    def count_solve_ivp(monkeypatch):
-        spans = []
-        original = singular.solve_ivp
+    def count_flows(monkeypatch):
+        """(rows, horizon, direction) of every calibrated-flow loop."""
+        calls = []
+        original = singular._calibrated_flow
 
-        def counting(fun, t_span, *args, **kwargs):
-            spans.append(t_span)
-            return original(fun, t_span, *args, **kwargs)
+        def counting(problem, v, xs, p0, horizon, direction=+1):
+            calls.append((len(xs), horizon, direction))
+            return original(problem, v, xs, p0, horizon, direction)
 
-        monkeypatch.setattr(singular, "solve_ivp", counting)
-        return spans
+        monkeypatch.setattr(singular, "_calibrated_flow", counting)
+        return calls
 
     def test_cut_time_field_calls(self, period_field, sine_problem, monkeypatch):
-        # 31 uncut nodes break in 15 mirror-image pairs and one clamps: one
-        # run per break time, not one per node
-        spans = self.count_solve_ivp(monkeypatch)
-        cut_time_field(sine_problem, period_field.v, horizon=6.0)
-        assert 1 <= len(spans) <= 20
+        # the 31 uncut nodes run in one forward loop, and a kink crossing
+        # shortens only its own row's steps: few batched right-hand sides
+        rhs_calls = []
+        ham = sine_problem.hamiltonian
+
+        def counting_hp(s, x, p):
+            rhs_calls.append(len(x))
+            return ham.H_p(s, x, p)
+
+        problem = DiscountedProblem(sine_problem.lam, sine_problem.lagrangian,
+                                    dataclasses.replace(ham, H_p=counting_hp))
+        calls = self.count_flows(monkeypatch)
+        cut_time_field(problem, period_field.v, horizon=6.0)
+        assert calls == [(31, 6.0, +1)]
+        assert len(rhs_calls) <= 1000
 
     def test_aubry_one_backward_call(self, counterexample_problem, monkeypatch):
         v = GridFunction.from_callable(lambda p: 0.0 * p[..., 0],
                                        [(-2.0, 2.0)], 17, periodic=True)
         field = solver.DiscountedField(counterexample_problem, v)
-        spans = self.count_solve_ivp(monkeypatch)
+        calls = self.count_flows(monkeypatch)
         _, mask = aubry_candidates(field, horizon=5.0)
         assert mask.all()
-        assert [span for span in spans if span[1] < span[0]] == [(0.0, -5.0)]
+        assert [call for call in calls if call[2] == -1] == [(17, 5.0, -1)]
 
     def test_escaping_row_blows_up(self):
         problem = _escape_problem()
@@ -547,18 +576,17 @@ class TestStackedFlow:
 
     def test_frozen_row_cannot_escape(self):
         # a dip of v at 3.5 breaks the row from 2 on its way out (t = 0.085),
-        # before it would escape; frozen, it holds its state to the horizon
+        # before it would escape; it stops there, with its state at the break
         problem = _escape_problem()
         v = GridFunction.from_callable(lambda p: -0.1 * (np.abs(p[..., 0] - 3.5) < 0.1),
                                        [(-4.0, 4.0)], 16, periodic=True)
         pts = np.array([[0.0], [0.5], [-0.5], [2.0]])
-        tau, flow = singular._forward_spans(problem, v, pts, horizon=1.0)
+        tau, ends = singular._forward_spans(problem, v, pts, horizon=1.0)
         alone, _ = cut_time(problem, v, pts[3], horizon=1.0)
         assert 0.0 < alone < 0.14
-        assert abs(tau[3] - alone) <= 1e-8
+        assert tau[3] == alone
         np.testing.assert_array_equal(tau[:3], 1.0)
-        assert flow.t_max == 1.0
-        x_end = flow(1.0).reshape(4, 3)[:, 0]
+        x_end = ends[:, 0]
         assert 3.0 <= x_end[3] <= 3.5
         assert np.max(np.abs(x_end[:3])) <= 0.5
 
@@ -581,7 +609,7 @@ class TestStackedFlow:
 
 
 class TestCharacteristics:
-    """The one integrator of x' = H_p, p' = -H_x - lam p and the running action."""
+    """The shooting refine's integrator of x' = H_p, p' = -H_x - lam p and the running action."""
 
     TIMES = np.linspace(0.0, 2.0, 41)
 
