@@ -3,9 +3,12 @@ reachable gradients, propagation, cut times, retraction.
 
 The discounted characteristics at the problem's lam (the lam = 0 flows of
 its lift ``to_evolutionary``, with p scaled by e^{lam t}) run in one batched
-Dormand-Prince loop per call, each row with its own steps; the shooting
-refine of :func:`fundamental_solution` runs its lam = 0 flows through
-``solve_ivp``.
+Dormand-Prince loop per call, each row with its own steps, and a row's break
+time is the root of its margin by Brent's method.  Both are written here,
+with scipy's tableau and step rules, so importing this module loads no
+scipy.  Only the shooting refine of :func:`fundamental_solution` integrates
+through scipy: its lam = 0 flows go through :func:`solve_ivp`, which imports
+``scipy.integrate`` on first use.
 
 A field enters this layer through four methods (``solver.ValueField``):
 ``values``, ``certificate_search``, ``domain`` and ``action_lagrangian``.
@@ -40,8 +43,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import RK45, solve_ivp
-from scipy.optimize import brentq
 
 from .action import (
     ConvexityConstants,
@@ -76,11 +77,15 @@ _MERGE_TOL = 1e-4       # momenta this close are one limiting gradient
 SINGULAR_TOL = 1e-2     # a reachable-gradient set wider than this is singular
 CALIB_TOL = 1e-3        # calibration defect (per unit of 1 + t) that cuts a flow
 _LATTICE_NODES = 49     # argmax scan nodes per axis of the ball
-_ROOT_TOL = 4 * np.finfo(float).eps   # break-time roots, as solve_ivp's events
+_ROOT_TOL = 4 * np.finfo(float).eps   # break-time roots: Brent's xtol and rtol
 _ESCAPE = 1e6           # a characteristic with |x| or |p| beyond this escaped
 _RTOL, _ATOL = 1e-9, 1e-11   # characteristic integration tolerances
 # scipy's RK45 step-size rule (scipy.integrate._ivp.rk), applied per row
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
+# step attempts of one calibrated-flow loop per unit of max(1, horizon); the
+# most measured is 58 (61 attempts to horizon 1.06), so a loop past this
+# budget is stuck, like a row chattering across a kink of the potential
+_FLOW_STEPS_PER_UNIT = 500
 
 
 # ---------------------------------------------------------------------------
@@ -503,6 +508,14 @@ def lipschitz_certificate(curve: SingularCurve, constants: ConvexityConstants,
 # ---------------------------------------------------------------------------
 # characteristics, fundamental solution
 
+def solve_ivp(fun, t_span, y0, *, method, rtol, atol, events, dense_output, max_step):
+    """``scipy.integrate.solve_ivp``, imported on the first call: the shooting
+    refine is the library's only use of scipy, so no other path loads it."""
+    from scipy.integrate import solve_ivp as scipy_solve_ivp
+    return scipy_solve_ivp(fun, t_span, y0, method=method, rtol=rtol, atol=atol,
+                           events=events, dense_output=dense_output, max_step=max_step)
+
+
 def _characteristics(H: HamiltonianModel, lam: float, y0, span):
     """One stacked ``solve_ivp`` run of x' = H_p, p' = -H_x - lam p,
     a' = e^{lam t} (<p, H_p> - H), for the shooting refine.
@@ -718,11 +731,38 @@ def _nonzero(coefs):
     return [(j, float(c)) for j, c in enumerate(coefs) if c]
 
 
-# scipy's RK45 tableau (Dormand-Prince 5(4)) without its zeros
-_DP_A = [(float(c), _nonzero(a[:s])) for s, (c, a) in enumerate(zip(RK45.C, RK45.A)) if s]
-_DP_B, _DP_E = _nonzero(RK45.B), _nonzero(RK45.E)
-_DP_P = [_nonzero(col) for col in RK45.P.T]
-_ERROR_EXPONENT = -1.0 / (RK45.error_estimator_order + 1)
+# Dormand-Prince 5(4) as scipy's RK45 tabulates it (scipy.integrate._ivp.rk):
+# nodes C, stage matrix A, weights B, error weights E of the order-4 estimate
+# and the quartic dense output P (Shampine's optimal c_6), one row per stage.
+# True division gives the doubles of scipy's arrays.
+_DP_TABLEAU_C = [0, 1/5, 3/10, 4/5, 8/9, 1]
+_DP_TABLEAU_A = [
+    [0, 0, 0, 0, 0],
+    [1/5, 0, 0, 0, 0],
+    [3/40, 9/40, 0, 0, 0],
+    [44/45, -56/15, 32/9, 0, 0],
+    [19372/6561, -25360/2187, 64448/6561, -212/729, 0],
+    [9017/3168, -355/33, 46732/5247, 49/176, -5103/18656],
+]
+_DP_TABLEAU_B = [35/384, 0, 500/1113, 125/192, -2187/6784, 11/84]
+_DP_TABLEAU_E = [-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525, 1/40]
+_DP_TABLEAU_P = [
+    [1, -8048581381/2820520608, 8663915743/2820520608, -12715105075/11282082432],
+    [0, 0, 0, 0],
+    [0, 131558114200/32700410799, -68118460800/10900136933, 87487479700/32700410799],
+    [0, -1754552775/470086768, 14199869525/1410260304, -10690763975/1880347072],
+    [0, 127303824393/49829197408, -318862633887/49829197408,
+     701980252875/199316789632],
+    [0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844],
+    [0, 40617522/29380423, -110615467/29380423, 69997945/29380423],
+]
+_DP_ERROR_ORDER = 4
+# the same tableau without its zeros
+_DP_A = [(float(c), _nonzero(a[:s]))
+         for s, (c, a) in enumerate(zip(_DP_TABLEAU_C, _DP_TABLEAU_A)) if s]
+_DP_B, _DP_E = _nonzero(_DP_TABLEAU_B), _nonzero(_DP_TABLEAU_E)
+_DP_P = [_nonzero(col) for col in zip(*_DP_TABLEAU_P)]
+_ERROR_EXPONENT = -1.0 / (_DP_ERROR_ORDER + 1)
 
 
 def _combine(pairs, stages):
@@ -747,6 +787,55 @@ def _initial_steps(rhs, t, y, f, direction, interval, max_step):
         h1 = np.where((d1 <= 1e-15) & (d2 <= 1e-15), np.maximum(1e-6, h0 * 1e-3),
                       (0.01 / np.maximum(d1, d2)) ** -_ERROR_EXPONENT)
     return np.minimum(np.minimum(100 * h0, h1), min(interval, max_step))
+
+
+def _brent_root(f, a: float, b: float) -> float:
+    """A root of f in [a, b] by Brent's method (Brent 1973, ch. 4).
+
+    A port of scipy's ``brentq`` (scipy/optimize/Zeros/brentq.c) with
+    xtol = rtol = _ROOT_TOL and its 100 iterations: it evaluates f at the
+    same points and returns the same root.  A bracket without a sign change,
+    or no convergence in 100 iterations, raises :class:`NoConvergence`.
+    """
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = float(f(xpre)), float(f(xcur))
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if (fpre < 0) == (fcur < 0):
+        raise NoConvergence(f"no sign change on [{xpre:.17g}, {xcur:.17g}]: "
+                            f"f = {fpre:.3g}, {fcur:.3g}")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(100):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):       # keep the point of least |f| in xcur
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (_ROOT_TOL + _ROOT_TOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:            # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:                       # inverse quadratic interpolation
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:                       # the interpolation step is too long: bisect
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = float(f(xcur))
+    raise NoConvergence(f"no root to {_ROOT_TOL:.3g} on [{a:.17g}, {b:.17g}] "
+                        "in 100 iterations")
 
 
 def _calibrated_flow(problem: DiscountedProblem, v: GridFunction, xs, p0,
@@ -774,7 +863,9 @@ def _calibrated_flow(problem: DiscountedProblem, v: GridFunction, xs, p0,
     gets tau at the root of its own step's dense interpolant and stops
     there; a row at the horizon stops.  A live row with |x| or |p| above
     _ESCAPE raises :class:`BlowUp`; a row whose step underflows, NaN
-    right-hand sides included, raises :class:`NoConvergence`.
+    right-hand sides included, raises :class:`NoConvergence`, and so does a
+    loop that takes more than _FLOW_STEPS_PER_UNIT step attempts per unit of
+    max(1, horizon).
 
     Returns (tau, ends): tau (R,) the first violation times, clamped at
     horizon; ends (R, 2n+1) each row's state at min(tau, horizon).
@@ -814,7 +905,7 @@ def _calibrated_flow(problem: DiscountedProblem, v: GridFunction, xs, p0,
         def margin(s):
             return margins(np.array([s]), state(s)[None, :], v0)[0]
 
-        root = brentq(margin, t_old, t_old + step, xtol=_ROOT_TOL, rtol=_ROOT_TOL)
+        root = _brent_root(margin, t_old, t_old + step)
         return root, state(root)
 
     # the live rows: their indices, v at their starts, times, states, slopes and
@@ -826,7 +917,14 @@ def _calibrated_flow(problem: DiscountedProblem, v: GridFunction, xs, p0,
     h_abs = _initial_steps(rhs, t, y, f, direction, abs(horizon), max_step)
     rejected = np.zeros(R, dtype=bool)
     tau, ends = np.full(R, abs(horizon)), np.empty_like(y)
+    budget, attempts = _FLOW_STEPS_PER_UNIT * max(1.0, abs(horizon)), 0
     while rows.size:
+        attempts += 1
+        if attempts > budget:
+            slowest = int(np.argmin(np.abs(t)))
+            raise NoConvergence(f"characteristic integration took {attempts - 1} steps; "
+                                f"the row from x = {xs[rows[slowest]]} is at "
+                                f"t = {t[slowest]:.4g}")
         min_step = 10 * np.abs(np.spacing(t))
         h = np.where(rejected, h_abs, np.minimum(np.maximum(h_abs, min_step), max_step))
         if (h < min_step).any():

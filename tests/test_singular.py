@@ -3,6 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.integrate import RK45
+from scipy.optimize import brentq
 
 from hjsing import (
     GridFunction,
@@ -606,6 +610,100 @@ class TestStackedFlow:
                                        [(-4.0, 4.0)], 16, periodic=True)
         with pytest.raises(errors.NoConvergence):
             cut_times(problem, v, [[0.0], [0.5], [2.0]], horizon=1.0)
+
+    def test_chattering_row_exhausts_the_step_budget(self, sine_problem):
+        # x = 0 is a kink of sine_kink's potential, where v's gradient is 0:
+        # the backward flow from it chatters across the kink with steps of
+        # about 1e-10, and only the step budget (500 attempts at horizon 1)
+        # ends the loop; H_p stops a loop that runs far past it
+        ham = sine_problem.hamiltonian
+        rhs_rows = []
+
+        def bounded_hp(s, x, p):
+            rhs_rows.append(len(x))
+            if len(rhs_rows) > 20_000:
+                raise RuntimeError("the calibrated flow ran past its step budget")
+            return ham.H_p(s, x, p)
+
+        problem = DiscountedProblem(sine_problem.lam, sine_problem.lagrangian,
+                                    dataclasses.replace(ham, H_p=bounded_hp))
+        v = GridFunction.from_callable(lambda p: -np.abs(np.sin(p[..., 0])),
+                                       [(0.0, np.pi)], 16, periodic=True)
+        field = solver.DiscountedField(problem, v)
+        with pytest.raises(errors.NoConvergence, match="took 500 steps"):
+            aubry_candidates(field, 1.0, nodes=[[0.0]], forward_tau=[1.0])
+
+
+def _bracketed(draw, f, a):
+    """A bracket [a, b] with b in [-12, 12] on which f changes sign, in either
+    order (backward flows search a reversed step)."""
+    b = draw(st.floats(-12.0, 12.0).filter(lambda b: f(b) * f(a) < 0))
+    return (a, b) if draw(st.booleans()) else (b, a)
+
+
+@st.composite
+def _root_problems(draw):
+    """(f, a, b): a smooth cubic, a kinked |x - c| - d or a piecewise-linear
+    interpolant like the flow's margin, with a sign change on [a, b]."""
+    kind = draw(st.sampled_from(["cubic", "kink", "interpolant"]))
+    coef = st.floats(-10.0, 10.0)
+    if kind == "cubic":
+        roots = sorted(draw(st.lists(coef, min_size=3, max_size=3)))
+        scale = draw(st.floats(0.1, 10.0))
+
+        def f(x):
+            return scale * (x - roots[0]) * (x - roots[1]) * (x - roots[2])
+    elif kind == "kink":
+        c, d = draw(coef), draw(st.floats(1e-3, 5.0))
+
+        def f(x):
+            return abs(x - c) - d
+        return (f, *_bracketed(draw, f, c + d * draw(st.floats(-0.99, 0.99))))
+    else:
+        knots = np.sort(draw(st.lists(coef, min_size=3, max_size=12, unique=True)))
+        values = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=len(knots),
+                                        max_size=len(knots))))
+        values[0], values[-1] = abs(values[0]) + 1e-3, -abs(values[-1]) - 1e-3
+
+        def f(x):
+            return np.interp(x, knots, values)
+    return (f, *_bracketed(draw, f, draw(st.floats(-12.0, 12.0).filter(lambda a: f(a) != 0))))
+
+
+class TestScipyPorts:
+    """The calibrated flow's Dormand-Prince tableau and break-time root are
+    scipy's RK45 and brentq, written out so the library never imports scipy."""
+
+    def test_tableau_is_rk45(self):
+        for ours, theirs in [(singular._DP_TABLEAU_C, RK45.C), (singular._DP_TABLEAU_A, RK45.A),
+                             (singular._DP_TABLEAU_B, RK45.B), (singular._DP_TABLEAU_E, RK45.E),
+                             (singular._DP_TABLEAU_P, RK45.P)]:
+            assert np.array_equal(ours, theirs)
+        assert singular._DP_ERROR_ORDER == RK45.error_estimator_order
+
+    @settings(max_examples=300, deadline=None)
+    @given(problem=_root_problems())
+    def test_brent_root_steps_as_brentq(self, problem):
+        # a triple root can keep both from converging in 100 iterations
+        f, a, b = problem
+        expected, report = brentq(f, a, b, xtol=singular._ROOT_TOL, rtol=singular._ROOT_TOL,
+                                  full_output=True, disp=False)
+        evaluations = []
+
+        def counted(x):
+            evaluations.append(x)
+            return f(x)
+
+        if report.converged:
+            assert singular._brent_root(counted, a, b) == expected
+        else:
+            with pytest.raises(errors.NoConvergence, match="100 iterations"):
+                singular._brent_root(counted, a, b)
+        assert len(evaluations) == report.function_calls
+
+    def test_brent_root_needs_a_sign_change(self):
+        with pytest.raises(errors.NoConvergence, match="no sign change"):
+            singular._brent_root(lambda x: x * x + 1.0, -1.0, 1.0)
 
 
 class TestCharacteristics:
