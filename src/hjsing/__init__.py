@@ -48,8 +48,6 @@ from .singular import (
     CutTimeField,
     ReachableGradientSet,
     SingularCurve,
-    Trajectory,
-    action_gradients,
     aubry_candidates,
     cut_time,
     cut_time_field,

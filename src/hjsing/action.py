@@ -16,9 +16,8 @@ row, so a path's answer does not depend on the batch it was solved in.
 
 Time quadrature uses exact per-segment weights when the Lagrangian is an
 exponential-in-time rescaling of an autonomous one, so constant curves
-integrate exactly under discounting.  Fundamental solutions with their
-shooting refine live next to the characteristic integrator, in
-``singular``.
+integrate exactly under discounting.  Fundamental solutions, the direct
+method with its endpoint derivatives extrapolated, live in ``singular``.
 """
 
 from __future__ import annotations

@@ -1,14 +1,15 @@
 """Characteristics and singularity machinery: fundamental solutions,
 reachable gradients, propagation, cut times, retraction.
 
-The discounted characteristics at the problem's lam (the lam = 0 flows of
-its lift ``to_evolutionary``, with p scaled by e^{lam t}) run in one batched
-Dormand-Prince loop per call, each row with its own steps, and a row's break
-time is the root of its margin by Brent's method.  Both are written here,
-with scipy's tableau and step rules, so importing this module loads no
-scipy.  Only the shooting refine of :func:`fundamental_solution` integrates
-through scipy: its lam = 0 flows go through :func:`solve_ivp`, which imports
-``scipy.integrate`` on first use.
+Characteristics have one integrator, :func:`_characteristic_flow`: the
+flows at the problem's lam (the lam = 0 flows of its lift
+``to_evolutionary``, with p scaled by e^{lam t}) run in one batched
+Dormand-Prince loop per call, each row with its own steps, and a row with
+a stop margin stops at its root by Brent's method.  Both are written here,
+with scipy's tableau and step rules, so no path of this module loads scipy.
+:func:`fundamental_solution` is the direct method alone: the least action
+and its derivatives in both end points and the end time, Richardson-
+extrapolated from a 64- and a 128-segment path.
 
 A field enters this layer through four methods (``solver.ValueField``):
 ``values``, ``certificate_search``, ``domain`` and ``action_lagrangian``.
@@ -82,7 +83,7 @@ _ESCAPE = 1e6           # a characteristic with |x| or |p| beyond this escaped
 _RTOL, _ATOL = 1e-9, 1e-11   # characteristic integration tolerances
 # scipy's RK45 step-size rule (scipy.integrate._ivp.rk), applied per row
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
-# step attempts of one calibrated-flow loop per unit of max(1, horizon); the
+# step attempts of one characteristic-flow loop per unit of max(1, horizon); the
 # most measured is 58 (61 attempts to horizon 1.06), so a loop past this
 # budget is stuck, like a row chattering across a kink of the potential
 _FLOW_STEPS_PER_UNIT = 500
@@ -506,168 +507,18 @@ def lipschitz_certificate(curve: SingularCurve, constants: ConvexityConstants,
 
 
 # ---------------------------------------------------------------------------
-# characteristics, fundamental solution
+# fundamental solution
 
-def solve_ivp(fun, t_span, y0, *, method, rtol, atol, events, dense_output, max_step):
-    """``scipy.integrate.solve_ivp``, imported on the first call: the shooting
-    refine is the library's only use of scipy, so no other path loads it."""
-    from scipy.integrate import solve_ivp as scipy_solve_ivp
-    return scipy_solve_ivp(fun, t_span, y0, method=method, rtol=rtol, atol=atol,
-                           events=events, dense_output=dense_output, max_step=max_step)
+def fundamental_solution(model: LagrangianModel, s: float, t: float, x, y):
+    """Least action A between (s, x) and (t, y) with its derivatives.
 
-
-def _characteristics(H: HamiltonianModel, lam: float, y0, span):
-    """One stacked ``solve_ivp`` run of x' = H_p, p' = -H_x - lam p,
-    a' = e^{lam t} (<p, H_p> - H), for the shooting refine.
-
-    ``y0`` holds one state (x, p, a) per row, (R, 2n+1), at span[0]; the run
-    goes to span[1] with steps of at most min(|span| / 20, 0.25), shared by
-    all rows.  A row with |x| or |p| above _ESCAPE raises :class:`BlowUp`, a
-    failed run :class:`NoConvergence`.  Returns the ``solve_ivp`` result with
-    dense output of the flattened state.
-    """
-    R, m = y0.shape
-    n = (m - 1) // 2
-
-    def rhs(t, y):
-        Y = y.reshape(R, m)
-        X, P = Y[:, :n], Y[:, n:2 * n]
-        hp = np.asarray(H.H_p(t, X, P), dtype=float).reshape(X.shape)
-        hx = np.asarray(H.H_x(t, X, P), dtype=float).reshape(X.shape)
-        h = np.asarray(H.H(t, X, P), dtype=float).reshape(-1)
-        dy = np.empty((R, m))
-        dy[:, :n] = hp
-        dy[:, n:2 * n] = -hx - lam * P
-        dy[:, 2 * n] = math.exp(lam * t) * (np.sum(P * hp, axis=1) - h)
-        return dy.reshape(-1)
-
-    def escape(t, y):
-        return _ESCAPE - float(np.max(np.abs(y.reshape(R, m)[:, :2 * n])))
-
-    escape.terminal = True
-    escape.direction = -1
-
-    sol = solve_ivp(rhs, span, y0.reshape(-1), method="RK45", rtol=_RTOL, atol=_ATOL,
-                    events=[escape], dense_output=True,
-                    max_step=min(abs(span[1] - span[0]) / 20, 0.25))
-    if sol.t_events[0].size:
-        raise BlowUp(f"characteristic escaped at t = {sol.t_events[0][0]:.4g}")
-    if sol.status == -1:
-        raise NoConvergence(f"characteristic integration failed: {sol.message}")
-    return sol
-
-
-@dataclass
-class Trajectory:
-    """A discretized extremal curve with dual arc and energy."""
-
-    times: np.ndarray              # (N+1,)
-    states: np.ndarray             # (N+1, n)
-    velocities: np.ndarray         # (N+1, n)
-    duals: np.ndarray              # (N+1, n), p = L_v(t, state, velocity)
-    action: float
-    energies: np.ndarray           # (N+1,), E = <p, v> - L
-    grad_residual: float = 0.0     # sup-norm of the discrete stationarity residual
-
-    @property
-    def start(self):
-        return self.states[0]
-
-    @property
-    def end(self):
-        return self.states[-1]
-
-
-def _sampled_trajectory(H: HamiltonianModel, sol, row: int, times) -> Trajectory:
-    """Row ``row`` of a :func:`_characteristics` run sampled at ``times``."""
-    n = H.dimension
-    Y = sol.sol(times)[row * (2 * n + 1):(row + 1) * (2 * n + 1)].T
-    states, duals = Y[:, :n].copy(), Y[:, n:2 * n].copy()
-    vel = np.asarray(H.H_p(times, states, duals), dtype=float).reshape(states.shape)
-    energies = np.asarray(H.H(times, states, duals), dtype=float).reshape(-1)
-    return Trajectory(times=times, states=states, velocities=vel, duals=duals,
-                      action=float(Y[-1, 2 * n]), energies=energies)
-
-
-def _node_velocities(states, dt):
-    """Second-order velocity estimates at the nodes of a uniform-step path."""
-    v = np.empty_like(states)
-    v[1:-1] = (states[2:] - states[:-2]) / (2.0 * dt)
-    v[0] = (-3.0 * states[0] + 4.0 * states[1] - states[2]) / (2.0 * dt)
-    v[-1] = (3.0 * states[-1] - 4.0 * states[-2] + states[-3]) / (2.0 * dt)
-    return v
-
-
-def _trajectory_from_nodes(model: LagrangianModel, times, states, action,
-                           grad_residual) -> Trajectory:
-    vel = _node_velocities(states, times[1] - times[0])
-    duals = np.asarray(model.L_v(times, states, vel), dtype=float)
-    lvals = np.asarray(model.L(times, states, vel), dtype=float)
-    energies = np.sum(duals * vel, axis=-1) - lvals
-    return Trajectory(times=np.asarray(times, dtype=float), states=states,
-                      velocities=vel, duals=duals, action=float(action),
-                      energies=energies, grad_residual=float(grad_residual))
-
-
-def _shoot(model: LagrangianModel, s, t, x, y, p0):
-    """Newton on p0 -> flow endpoint; returns a flow Trajectory or None.
-
-    A Newton iteration is one stacked run of the rows p and p +- h_j e_j,
-    which give the residual and its central-difference Jacobian.
-    """
-    hmodel = model.hamiltonian
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    n = x.size
-    target_tol = 1e-9 * (1.0 + float(np.linalg.norm(y)))
-
-    def flow(ps):
-        """(run, end states) of the characteristics from x with momenta ps."""
-        y0 = np.column_stack([np.broadcast_to(x, ps.shape), ps, np.zeros(len(ps))])
-        sol = _characteristics(hmodel, 0.0, y0, (s, t))
-        return sol, sol.y[:, -1].reshape(len(ps), 2 * n + 1)[:, :n]
-
-    p = np.atleast_1d(np.asarray(p0, dtype=float)).copy()
-    for _ in range(12):
-        h = 1e-7 * (1.0 + np.abs(p))
-        try:
-            sol, ends = flow(np.vstack([p, p + np.diag(h), p - np.diag(h)]))
-        except (BlowUp, NoConvergence):
-            return None
-        res = ends[0] - y
-        nrm = float(np.linalg.norm(res))
-        if nrm <= target_tol:
-            return _sampled_trajectory(hmodel, sol, 0, np.linspace(s, t, max(65, 2 * n + 1)))
-        jac = ((ends[1:n + 1] - ends[n + 1:]) / (2 * h)[:, None]).T
-        try:
-            step = np.linalg.solve(jac, -res)
-        except np.linalg.LinAlgError:
-            return None
-        alpha = 1.0
-        for _ in range(10):
-            try:
-                trial_res = flow((p + alpha * step)[None, :])[1][0] - y
-            except (BlowUp, NoConvergence):
-                alpha *= 0.5
-                continue
-            if np.linalg.norm(trial_res) < nrm:
-                p = p + alpha * step
-                break
-            alpha *= 0.5
-        else:
-            return None
-    return None
-
-
-def fundamental_solution(model: LagrangianModel, s: float, t: float, x, y,
-                         refine: bool = True):
-    """Least action between (s, x) and (t, y) with its minimizing trajectory.
-
-    The direct method at 64 and 128 segments gives a Richardson-extrapolated
-    action and, on the 128-segment path, the trajectory with its dual arc
-    p = L_v.  With ``refine=True`` a shooting pass on the Hamiltonian
-    system follows, whose flows are :func:`_characteristics` runs at
-    lam = 0; if shooting diverges the extrapolated direct answer stands.
+    The direct method solves the minimizing path at 64 segments, then at
+    128 from the coarse nodes with midpoints inserted; a path of either
+    pass that did not converge raises :class:`NoConvergence`.  The value
+    and both endpoint derivatives are Richardson-extrapolated from the
+    pair.  Returns (A, (D_x A, D_y A, D_t A)): D_x A and D_y A extrapolate
+    ``d_start`` and ``d_end`` of :func:`minimize_paths`, and
+    D_t A = -H(t, y, D_y A).
     """
     if not t > s:
         raise ValueError("need t > s")
@@ -675,31 +526,18 @@ def fundamental_solution(model: LagrangianModel, s: float, t: float, x, y,
     y = np.atleast_1d(np.asarray(y, dtype=float))
 
     coarse = minimize_paths(model, s, t, x[None, :], y[None, :], segments=64)
-    sol = minimize_paths(model, s, t, x[None, :], y[None, :], segments=128,
-                         init_nodes=_refine_nodes(coarse["nodes"]))
-    fine = float(sol["action"][0])
-    value = fine + (fine - float(coarse["action"][0])) / 3.0
-    traj = _trajectory_from_nodes(model, sol["times"], sol["nodes"][0], value,
-                                  sol["grad_inf"][0])
-
-    if refine:
-        p0 = np.atleast_1d(np.asarray(model.L_v(s, x, traj.velocities[0]), dtype=float))
-        flow = _shoot(model, s, t, x, y, p0)
-        if flow is not None and flow.action <= value + 1e-6 * (1 + abs(value)):
-            return flow.action, flow
-    return value, traj
-
-
-def action_gradients(minimizer: Trajectory):
-    """(D_x A, D_y A, D_t A) read off the minimizer's dual arc and energy."""
-    dxa = -minimizer.duals[0]
-    dya = minimizer.duals[-1]
-    dta = -float(minimizer.energies[-1])
-    return dxa, dya, dta
+    require_converged(coarse)
+    fine = minimize_paths(model, s, t, x[None, :], y[None, :], segments=128,
+                          init_nodes=_refine_nodes(coarse["nodes"]))
+    require_converged(fine)
+    value, dxa, dya = (fine[key][0] + (fine[key][0] - coarse[key][0]) / 3.0
+                       for key in ("action", "d_start", "d_end"))
+    dta = -float(model.hamiltonian.H(t, y, dya))
+    return float(value), (dxa, dya, dta)
 
 
 # ---------------------------------------------------------------------------
-# calibrated flow, cut time, Aubry candidates
+# characteristics, calibrated flow, cut time, Aubry candidates
 
 def _interp_gradient(v: GridFunction, x):
     """Centred-difference gradient of the interpolant at x, (n,) or (P, n)."""
@@ -838,41 +676,37 @@ def _brent_root(f, a: float, b: float) -> float:
                         "in 100 iterations")
 
 
-def _calibrated_flow(problem: DiscountedProblem, v: GridFunction, xs, p0,
-                     horizon: float, direction: int = +1):
-    """Integrate the discounted characteristics of the rows of xs, watching
-    each row's calibration defect, until each row breaks or reaches the horizon.
+# The benchmark tracer (hjbench/tracer.py) wraps this name to count ODE
+# solver calls, so it stays; nothing calls it, and every ``singular.ode``
+# count reads 0.  It goes when the tracer drops that wrap.
+solve_ivp = None
 
-    The defect of the calibration identity on [0, t] is monitored in its
-    discounted normalization,
 
-        v(gamma(t)) - e^{-lam t} v(x) - int_0^t e^{lam (s-t)} L ds,
+def _characteristic_flow(ham: HamiltonianModel, lam: float, states, horizon: float,
+                         direction: int = +1, margin=None):
+    """Integrate the characteristics x' = H_p, p' = -H_x - lam p,
+    a' = e^{lam t} (<p, H_p> - H) of the rows of ``states``, (R, 2n+1)
+    states (x, p, a) at t = 0, until each row stops or reaches
+    t = direction * horizon.
 
-    which keeps grid interpolation error from being amplified by
-    e^{lam t}; the raw identity detects the same break points but can
-    never hold to horizon on sampled data.  direction=-1 runs the backward
-    test, where the raw form is already stable and is used as is.
+    Every row carries its own time, step size and error norm in one batched
+    Dormand-Prince 5(4) loop: scipy's RK45 tableau, tolerances, initial
+    step and step-size rule, with steps of at most min(horizon / 20, 0.25).
+    Stage sums are elementwise, so a row's tau and end state do not depend
+    on its batch.  ``margin(t, Y, rows)``, if given, is the stop margin of
+    the batch rows ``rows`` at times t and states Y; after each accepted
+    step a row whose margin is <= 0 gets tau at the root of its own step's
+    dense interpolant and stops there.  A row at the horizon stops.  A live
+    row with |x| or |p| above _ESCAPE raises :class:`BlowUp`; a row whose
+    step underflows, NaN right-hand sides included, raises
+    :class:`NoConvergence`, and so does a loop that takes more than
+    _FLOW_STEPS_PER_UNIT step attempts per unit of max(1, horizon).
 
-    Each row carries the state (x, p, running integral) of
-    x' = H_p, p' = -H_x - lam p, a' = e^{lam t} (<p, H_p> - H), and its own
-    time, step size and error norm in one batched Dormand-Prince 5(4) loop:
-    scipy's RK45 tableau, tolerances, initial step and step-size rule, with
-    steps of at most min(horizon / 20, 0.25).  Stage sums are elementwise,
-    so a row's tau and end state do not depend on its batch.  After each
-    accepted step a row whose margin CALIB_TOL (1 + |t|) - |defect| is <= 0
-    gets tau at the root of its own step's dense interpolant and stops
-    there; a row at the horizon stops.  A live row with |x| or |p| above
-    _ESCAPE raises :class:`BlowUp`; a row whose step underflows, NaN
-    right-hand sides included, raises :class:`NoConvergence`, and so does a
-    loop that takes more than _FLOW_STEPS_PER_UNIT step attempts per unit of
-    max(1, horizon).
-
-    Returns (tau, ends): tau (R,) the first violation times, clamped at
-    horizon; ends (R, 2n+1) each row's state at min(tau, horizon).
+    Returns (tau, ends): tau (R,) the stop times, clamped at horizon; ends
+    (R, 2n+1) each row's state at direction * min(tau, horizon).
     """
-    lam, ham = problem.lam, problem.hamiltonian
-    xs = np.atleast_2d(np.asarray(xs, dtype=float))
-    R, n = xs.shape
+    y0 = y = np.array(states, dtype=float, ndmin=2)
+    R, n = y.shape[0], (y.shape[1] - 1) // 2
     bound = float(direction * horizon)
     clip = np.minimum if direction > 0 else np.maximum
     max_step = min(abs(horizon) / 20, 0.25)
@@ -885,13 +719,9 @@ def _calibrated_flow(problem: DiscountedProblem, v: GridFunction, xs, p0,
         da = np.exp(lam * t) * (_row_sums(P * hp) - h)
         return np.concatenate([hp, -hx - lam * P, da[:, None]], axis=1)
 
-    def margins(t, Y, v0):
-        raw = np.exp(lam * t) * v(Y[:, :n]) - v0 - Y[:, 2 * n]
-        return CALIB_TOL * (1.0 + np.abs(t)) - np.abs(raw * np.exp(-lam * np.maximum(t, 0.0)))
-
-    def break_time(v0, t_old, y_old, step, stages):
-        """Root of a row's margin on its step's dense interpolant, with the state
-        there; v0 is v at the row's start."""
+    def stop_time(row, t_old, y_old, step, stages):
+        """Root of a row's margin on its step's dense interpolant, with the
+        state there."""
         Q = [_combine(col, stages) for col in _DP_P]
 
         def state(s):
@@ -902,17 +732,14 @@ def _calibrated_flow(problem: DiscountedProblem, v: GridFunction, xs, p0,
                 acc = acc + q * power
             return y_old + step * acc
 
-        def margin(s):
-            return margins(np.array([s]), state(s)[None, :], v0)[0]
-
-        root = _brent_root(margin, t_old, t_old + step)
+        root = _brent_root(lambda s: margin(np.array([s]), state(s)[None, :], row)[0],
+                           t_old, t_old + step)
         return root, state(root)
 
-    # the live rows: their indices, v at their starts, times, states, slopes and
-    # step sizes, and whether their last attempt was rejected
-    rows, v0 = np.arange(R), v(xs)
+    # the live rows: their indices, times, states, slopes and step sizes, and
+    # whether their last attempt was rejected
+    rows = np.arange(R)
     t = np.zeros(R)
-    y = np.column_stack([xs, np.reshape(p0, (R, n)), np.zeros(R)])
     f = rhs(t, y)
     h_abs = _initial_steps(rhs, t, y, f, direction, abs(horizon), max_step)
     rejected = np.zeros(R, dtype=bool)
@@ -923,7 +750,7 @@ def _calibrated_flow(problem: DiscountedProblem, v: GridFunction, xs, p0,
         if attempts > budget:
             slowest = int(np.argmin(np.abs(t)))
             raise NoConvergence(f"characteristic integration took {attempts - 1} steps; "
-                                f"the row from x = {xs[rows[slowest]]} is at "
+                                f"the row from x = {y0[rows[slowest], :n]} is at "
                                 f"t = {t[slowest]:.4g}")
         min_step = 10 * np.abs(np.spacing(t))
         h = np.where(rejected, h_abs, np.minimum(np.maximum(h_abs, min_step), max_step))
@@ -951,10 +778,10 @@ def _calibrated_flow(problem: DiscountedProblem, v: GridFunction, xs, p0,
         y = np.where(ok[:, None], y_new, y)
         f = np.where(ok[:, None], stages[-1], f)
 
-        broke = margins(t, y, v0) <= 0.0
+        broke = np.zeros(rows.size, dtype=bool) if margin is None else margin(t, y, rows) <= 0.0
         for j in broke.nonzero()[0]:
-            root, ends[rows[j]] = break_time(v0[j], t_old[j], y_old[j], step[j],
-                                             [k[j] for k in stages])
+            root, ends[rows[j]] = stop_time(rows[j:j + 1], t_old[j], y_old[j], step[j],
+                                            [k[j] for k in stages])
             tau[rows[j]] = abs(root)
         escaped = ~broke & (np.abs(y[:, :2 * n]).max(axis=1) > _ESCAPE)
         if escaped.any():
@@ -963,9 +790,45 @@ def _calibrated_flow(problem: DiscountedProblem, v: GridFunction, xs, p0,
         if done.any():
             arrived = done & ~broke
             ends[rows[arrived]] = y[arrived]
-            rows, v0, t, y, f, h_abs, rejected = (
-                a[~done] for a in (rows, v0, t, y, f, h_abs, rejected))
+            rows, t, y, f, h_abs, rejected = (
+                a[~done] for a in (rows, t, y, f, h_abs, rejected))
     return tau, ends
+
+
+def _calibrated_flow(problem: DiscountedProblem, v: GridFunction, xs, p0,
+                     horizon: float, direction: int = +1):
+    """Integrate the discounted characteristics of the rows of xs from the
+    momenta p0, each until its calibration defect breaks or it reaches the
+    horizon.
+
+    The defect of the calibration identity on [0, t] is monitored in its
+    discounted normalization,
+
+        v(gamma(t)) - e^{-lam t} v(x) - int_0^t e^{lam (s-t)} L ds,
+
+    which keeps grid interpolation error from being amplified by
+    e^{lam t}; the raw identity detects the same break points but can
+    never hold to horizon on sampled data.  direction=-1 runs the backward
+    test, where the raw form is already stable and is used as is.  A row
+    whose margin CALIB_TOL (1 + |t|) - |defect| is <= 0 stops there, in
+    :func:`_characteristic_flow`, which integrates all rows in one batched
+    loop.
+
+    Returns (tau, ends): tau (R,) the first violation times, clamped at
+    horizon; ends (R, 2n+1) each row's state (x, p, running integral) at
+    min(tau, horizon).
+    """
+    lam = problem.lam
+    xs = np.atleast_2d(np.asarray(xs, dtype=float))
+    R, n = xs.shape
+    v0 = v(xs)
+
+    def margin(t, Y, rows):
+        raw = np.exp(lam * t) * v(Y[:, :n]) - v0[rows] - Y[:, 2 * n]
+        return CALIB_TOL * (1.0 + np.abs(t)) - np.abs(raw * np.exp(-lam * np.maximum(t, 0.0)))
+
+    states = np.column_stack([xs, np.reshape(p0, (R, n)), np.zeros(R)])
+    return _characteristic_flow(problem.hamiltonian, lam, states, horizon, direction, margin)
 
 
 def _forward_spans(problem: DiscountedProblem, v: GridFunction, pts, horizon: float):

@@ -6,7 +6,6 @@ import pytest
 from hjsing import (
     HamiltonianModel,
     action,
-    action_gradients,
     catalog,
     errors,
     estimate_constants,
@@ -19,36 +18,42 @@ from hjsing.action import minimize_paths, straight_line_actions
 from .oracles import discrete_least_action, free_action
 
 
-def characteristic(hmodel, x, p, t, nodes=129):
-    """The lam = 0 characteristic from (x, p) on [0, t], sampled at ``nodes`` times."""
+def characteristic(hmodel, x, p, times):
+    """The lam = 0 characteristic from (x, p) at t = 0: its states (x, p, a)
+    at each of ``times``, one integrator run per time, (len(times), 2n+1)."""
     y0 = np.concatenate([x, p, [0.0]])[None, :]
-    sol = singular._characteristics(hmodel, 0.0, y0, (0.0, t))
-    return singular._sampled_trajectory(hmodel, sol, 0, np.linspace(0.0, t, nodes))
+    return np.array([singular._characteristic_flow(hmodel, 0.0, y0, t)[1][0] for t in times])
 
 
 class TestHamiltonianFlow:
     def test_free_particle_line(self, free_particle_1d):
-        traj = characteristic(free_particle_1d.hamiltonian, [0.0], [1.0], 2.0)
-        assert traj.end[0] == pytest.approx(2.0, abs=1e-10)
-        np.testing.assert_allclose(traj.duals, 1.0, atol=1e-12)
-        assert traj.action == pytest.approx(1.0, abs=1e-9)  # integral of v^2/2
+        ends = characteristic(free_particle_1d.hamiltonian, [0.0], [1.0], [0.5, 1.0, 1.5, 2.0])
+        assert ends[-1, 0] == pytest.approx(2.0, abs=1e-10)
+        np.testing.assert_allclose(ends[:, 1], 1.0, atol=1e-12)
+        assert ends[-1, 2] == pytest.approx(1.0, abs=1e-9)  # integral of v^2/2
 
     def test_pendulum_energy_drift(self):
-        pend = catalog.pendulum()
-        traj = characteristic(pend.hamiltonian, [0.1], [0.0], 10.0)
-        drift = np.max(np.abs(traj.energies - traj.energies[0]))
-        assert drift <= 1e-8
-        assert traj.energies[0] == pytest.approx(-math.cos(0.1))
+        ham = catalog.pendulum().hamiltonian
+        times = np.linspace(0.5, 10.0, 20)
+        ends = characteristic(ham, [0.1], [0.0], times)
+        e0 = float(ham.H(0.0, np.array([0.1]), np.array([0.0])))
+        energies = ham.H(times, ends[:, :1], ends[:, 1:2])
+        assert np.max(np.abs(energies - e0)) <= 1e-8
+        assert e0 == pytest.approx(-math.cos(0.1))
 
     def test_rescaled_energy_law(self, counterexample_problem):
         # dE/ds = -L_t along the flow of the exponentially rescaled model,
-        # verified in integrated form against plain quadrature
+        # verified in integrated form against Gauss-Legendre quadrature
         lhat, hhat = model.to_evolutionary(counterexample_problem, horizon=2.0)
-        traj = characteristic(hhat, [0.2], [0.7], 2.0, nodes=801)
-        lt = np.array([float(lhat.L_t(t, x, v)) for t, x, v in
-                       zip(traj.times, traj.states, traj.velocities)])
-        integral = np.trapezoid(lt, traj.times)
-        assert abs(traj.energies[-1] - traj.energies[0] + integral) <= 1e-6
+        nodes, weights = np.polynomial.legendre.leggauss(12)
+        times = np.append(1.0 + nodes, 2.0)
+        ends = characteristic(hhat, [0.2], [0.7], times)
+        xs, ps = ends[:, :1], ends[:, 1:2]
+        vs = hhat.H_p(times, xs, ps)
+        integral = np.dot(weights, lhat.L_t(times, xs, vs)[:-1])
+        energies = hhat.H(times, xs, ps)
+        e0 = float(hhat.H(0.0, np.array([0.2]), np.array([0.7])))
+        assert abs(energies[-1] - e0 + integral) <= 1e-6
 
     def test_blow_up(self):
         # inverted quadratic potential: exponential escape
@@ -60,28 +65,30 @@ class TestHamiltonianFlow:
             H_t=lambda s, x, p: np.zeros(np.asarray(p).shape[:-1]),
         )
         with pytest.raises(errors.BlowUp):
-            characteristic(unstable, [1.0], [1.0], 30.0)
+            characteristic(unstable, [1.0], [1.0], [30.0])
 
 
 class TestFundamentalSolution:
     def test_free_particle_closed_form(self, free_particle_1d):
-        val, traj = fundamental_solution(free_particle_1d, 0.0, 1.0, [0.0], [1.0])
+        val, _ = fundamental_solution(free_particle_1d, 0.0, 1.0, [0.0], [1.0])
         assert val == pytest.approx(0.5, abs=1e-9)
         # straight-line minimizer
-        np.testing.assert_allclose(traj.velocities, 1.0, atol=1e-7)
+        sol = minimize_paths(free_particle_1d, 0.0, 1.0, [[0.0]], [[1.0]])
+        velocities = np.diff(sol["nodes"][0, :, 0]) / np.diff(sol["times"])
+        np.testing.assert_allclose(velocities, 1.0, atol=1e-7)
 
     def test_stationary_point_zero_action(self, free_particle_1d):
         val, _ = fundamental_solution(free_particle_1d, 0.0, 1.5, [0.7], [0.7])
         assert abs(val) <= 1e-12
 
-    @pytest.mark.parametrize("refine", [True, False])
-    def test_exponential_weight_closed_form(self, counterexample_problem, refine):
+    def test_exponential_weight_closed_form(self, counterexample_problem):
         # minimizer velocity C e^{-t}; closed-form action 1/(2(1 - e^{-1}))
         lhat, _ = model.to_evolutionary(counterexample_problem, horizon=1.0)
-        val, traj = fundamental_solution(lhat, 0.0, 1.0, [0.0], [1.0], refine=refine)
+        val, _ = fundamental_solution(lhat, 0.0, 1.0, [0.0], [1.0])
         assert val == pytest.approx(1.0 / (2.0 * (1.0 - math.exp(-1.0))), abs=1e-8)
-        assert traj.states[0] == pytest.approx(0.0, abs=1e-12)
-        assert traj.states[-1] == pytest.approx(1.0, abs=1e-9)
+        nodes = minimize_paths(lhat, 0.0, 1.0, [[0.0]], [[1.0]])["nodes"][0]
+        assert nodes[0] == pytest.approx(0.0, abs=1e-12)
+        assert nodes[-1] == pytest.approx(1.0, abs=1e-9)
 
     def test_against_descent_oracle(self, sine_problem):
         # independent gradient-descent least action for the kinked potential
@@ -95,34 +102,47 @@ class TestFundamentalSolution:
 
     def test_2d_free_particle(self):
         fp2 = catalog.free_particle(2)
-        val, traj = fundamental_solution(fp2, 0.2, 1.7, [0.0, 1.0], [2.0, 0.0])
+        val, _ = fundamental_solution(fp2, 0.2, 1.7, [0.0, 1.0], [2.0, 0.0])
         assert val == pytest.approx(free_action(0.2, 1.7, [0.0, 1.0], [2.0, 0.0]),
                                     abs=1e-9)
-        np.testing.assert_allclose(traj.states[0], [0.0, 1.0], atol=1e-12)
+        nodes = minimize_paths(fp2, 0.2, 1.7, [[0.0, 1.0]], [[2.0, 0.0]])["nodes"][0]
+        np.testing.assert_allclose(nodes[0], [0.0, 1.0], atol=1e-12)
 
     def test_endpoint_pinning_and_residual(self, sine_problem):
-        _, traj = fundamental_solution(sine_problem.lagrangian, 0.0, 1.0,
-                                       [0.5], [1.0], refine=False)
-        assert abs(traj.states[0][0] - 0.5) <= 1e-12
-        assert abs(traj.states[-1][0] - 1.0) <= 1e-12
-        assert traj.grad_residual <= 1e-7
+        sol = minimize_paths(sine_problem.lagrangian, 0.0, 1.0, [[0.5]], [[1.0]])
+        nodes = sol["nodes"][0]
+        assert abs(nodes[0][0] - 0.5) <= 1e-12
+        assert abs(nodes[-1][0] - 1.0) <= 1e-12
+        assert sol["grad_inf"][0] <= 1e-7
 
     def test_requires_increasing_times(self, free_particle_1d):
         with pytest.raises(ValueError):
             fundamental_solution(free_particle_1d, 1.0, 1.0, [0.0], [1.0])
 
+    @pytest.mark.parametrize("segments", [64, 128])
+    def test_unconverged_path_raises(self, free_particle_1d, monkeypatch, segments):
+        # either pass of the direct method reporting an unconverged path
+        # fails the call instead of extrapolating from it
+        def one_unconverged(*args, **kwargs):
+            sol = minimize_paths(*args, **kwargs)
+            if kwargs["segments"] == segments:
+                sol["converged"] = np.zeros_like(sol["converged"])
+            return sol
+
+        monkeypatch.setattr(singular, "minimize_paths", one_unconverged)
+        with pytest.raises(errors.NoConvergence):
+            fundamental_solution(free_particle_1d, 0.0, 1.0, [0.0], [1.0])
+
 
 class TestActionGradients:
     def test_free_particle_values(self, free_particle_1d):
-        _, traj = fundamental_solution(free_particle_1d, 0.0, 1.0, [0.0], [1.0])
-        dxa, dya, dta = action_gradients(traj)
+        _, (dxa, dya, dta) = fundamental_solution(free_particle_1d, 0.0, 1.0, [0.0], [1.0])
         assert dxa[0] == pytest.approx(-1.0, abs=1e-8)
         assert dya[0] == pytest.approx(1.0, abs=1e-8)
         assert dta == pytest.approx(-0.5, abs=1e-8)
 
     def test_coincident_endpoints(self, free_particle_1d):
-        _, traj = fundamental_solution(free_particle_1d, 0.0, 1.0, [0.4], [0.4])
-        dxa, dya, dta = action_gradients(traj)
+        _, (dxa, dya, dta) = fundamental_solution(free_particle_1d, 0.0, 1.0, [0.4], [0.4])
         np.testing.assert_allclose(dxa, 0.0, atol=1e-10)
         np.testing.assert_allclose(dya, 0.0, atol=1e-10)
         assert dta == pytest.approx(0.0, abs=1e-10)
@@ -134,8 +154,7 @@ class TestActionGradients:
         for _ in range(4):
             x = rng.uniform(0.3, 1.2, size=1)
             y = x + rng.uniform(0.2, 0.8, size=1)
-            _, traj = fundamental_solution(m, 0.0, 1.0, x, y)
-            dxa, dya, dta = action_gradients(traj)
+            _, (dxa, dya, dta) = fundamental_solution(m, 0.0, 1.0, x, y)
             h = 1e-5
             fd_y = (fundamental_solution(m, 0.0, 1.0, x, y + h)[0]
                     - fundamental_solution(m, 0.0, 1.0, x, y - h)[0]) / (2 * h)
@@ -150,10 +169,12 @@ class TestActionGradients:
 
 class TestEnergyIdentity:
     def test_autonomous_conservation(self, sine_problem):
-        _, traj = fundamental_solution(sine_problem.lagrangian, 0.0, 1.0,
-                                       [0.4], [1.1])
-        drift = np.max(np.abs(traj.energies - traj.energies[0]))
-        assert drift <= 1e-8
+        # an autonomous minimizer keeps its energy: H at the start momentum
+        # -D_x A equals H at the end momentum D_y A
+        x, y = np.array([0.4]), np.array([1.1])
+        _, (dxa, dya, _) = fundamental_solution(sine_problem.lagrangian, 0.0, 1.0, x, y)
+        ham = sine_problem.lagrangian.hamiltonian
+        assert abs(float(ham.H(0.0, x, -dxa)) - float(ham.H(1.0, y, dya))) <= 1e-8
 
     def test_value_symmetry_reversible(self):
         pend = catalog.pendulum()

@@ -110,9 +110,8 @@ def solve_ivp_calls(source: str) -> int:
 
 
 def test_one_characteristic_integrator():
-    # the shooting refine (singular._characteristics) is the one solve_ivp
-    # caller; the calibrated flows run in singular's own batched loop
-    assert sum(solve_ivp_calls(p.read_text()) for p in SOURCES) == 1
+    # every characteristic runs in singular's own batched Dormand-Prince loop
+    assert sum(solve_ivp_calls(p.read_text()) for p in SOURCES) == 0
 
 
 def test_one_legendre_hamiltonian_site():
@@ -120,11 +119,3 @@ def test_one_legendre_hamiltonian_site():
     sites = [(p.name, site) for p in SOURCES
              for site in call_sites(p.read_text(), "hamiltonian_from_lagrangian")]
     assert sites == [("model.py", "LagrangianModel.__post_init__")]
-
-
-def test_one_node_velocity_site():
-    # minimizer momenta come from the search's endpoint derivatives; only the
-    # direct-method trajectory of fundamental_solution differences its nodes
-    sites = [(p.name, site) for p in SOURCES
-             for site in call_sites(p.read_text(), "_node_velocities")]
-    assert sites == [("singular.py", "_trajectory_from_nodes")]

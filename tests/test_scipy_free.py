@@ -1,6 +1,6 @@
-"""The library loads scipy only for the shooting refine of
-``fundamental_solution``: importing it and running the solve, cut-locus,
-Aubry and retraction paths leave every scipy module unimported."""
+"""The library never loads scipy: importing it and running the solve,
+cut-locus, Aubry, retraction and fundamental-solution paths leave every
+scipy module unimported."""
 
 import json
 import os
@@ -34,16 +34,16 @@ cut_field = singular.cut_time_field(problem, v, 6.0)
 singular.aubry_candidates(field, 6.0, forward_tau=cut_field.tau.values.reshape(-1))
 singular.retraction(field, None, cut_field, [0.3], 1.0)
 before = scipy_modules()
-singular.fundamental_solution(catalog.free_particle(1), 0.0, 1.0, [0.0], [1.0], refine=True)
+singular.fundamental_solution(catalog.free_particle(1), 0.0, 1.0, [0.0], [1.0])
 print(json.dumps({"before": before, "after": scipy_modules()}))
 """
 
 
-def test_only_the_shooting_refine_loads_scipy():
+def test_no_path_loads_scipy():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(SRC)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
     run = subprocess.run([sys.executable, "-c", SCRIPT], env=env, check=True, timeout=300,
                          text=True, stdout=subprocess.PIPE)
     modules = json.loads(run.stdout.splitlines()[-1])
     assert modules["before"] == []
-    assert "scipy.integrate" in modules["after"]
+    assert modules["after"] == []

@@ -707,17 +707,19 @@ class TestScipyPorts:
 
 
 class TestCharacteristics:
-    """The shooting refine's integrator of x' = H_p, p' = -H_x - lam p and the running action."""
+    """The one integrator of x' = H_p, p' = -H_x - lam p and the running action."""
 
-    TIMES = np.linspace(0.0, 2.0, 41)
+    TIMES = np.linspace(0.25, 2.0, 8)
 
     @staticmethod
     def states(x0, p0):
         return np.column_stack([x0, p0, np.zeros(len(x0))])
 
-    def sampled(self, sol, rows):
-        """(x, p, running integral) per row and sample time, (rows, times)."""
-        Y = sol.sol(self.TIMES).reshape(rows, 3, -1)
+    def sampled(self, ham, lam, y0):
+        """(x, p, running integral) per row and ladder time, (rows, times),
+        from one integrator run per time."""
+        Y = np.stack([singular._characteristic_flow(ham, lam, y0, t)[1] for t in self.TIMES],
+                     axis=-1)
         return Y[:, 0], Y[:, 1], Y[:, 2]
 
     def test_discounted_flow_is_the_lifted_flow(self):
@@ -726,10 +728,8 @@ class TestCharacteristics:
         problem = catalog.discounted_problem("pendulum", lam=1.0)
         _, hhat = model.to_evolutionary(problem, horizon=2.0)
         y0 = self.states([0.3, -1.0, 2.0], [0.5, 1.0, -0.2])
-        x, p, a = self.sampled(
-            singular._characteristics(problem.hamiltonian, 1.0, y0, (0.0, 2.0)), 3)
-        x_l, p_hat, a_l = self.sampled(
-            singular._characteristics(hhat, 0.0, y0, (0.0, 2.0)), 3)
+        x, p, a = self.sampled(problem.hamiltonian, 1.0, y0)
+        x_l, p_hat, a_l = self.sampled(hhat, 0.0, y0)
         np.testing.assert_allclose(x, x_l, rtol=0, atol=1e-8)
         assert np.all(np.abs(np.exp(self.TIMES) * p - p_hat) <= 1e-8 * (1 + np.abs(p_hat)))
         np.testing.assert_allclose(a, a_l, rtol=0, atol=1e-8)
@@ -737,9 +737,7 @@ class TestCharacteristics:
     def test_stacked_rows_match_single_rows(self):
         problem = catalog.discounted_problem("pendulum", lam=1.0)
         y0 = self.states([0.3, -1.0, 2.0], [0.5, 1.0, -0.2])
-        stacked = np.stack(self.sampled(
-            singular._characteristics(problem.hamiltonian, 1.0, y0, (0.0, 2.0)), 3))
+        stacked = np.stack(self.sampled(problem.hamiltonian, 1.0, y0))
         for r in range(3):
-            alone = np.stack(self.sampled(singular._characteristics(
-                problem.hamiltonian, 1.0, y0[r:r + 1], (0.0, 2.0)), 1))
+            alone = np.stack(self.sampled(problem.hamiltonian, 1.0, y0[r:r + 1]))
             np.testing.assert_allclose(stacked[:, r], alone[:, 0], rtol=0, atol=1e-8)

@@ -59,16 +59,3 @@ def test_traced_cut_locus_calls():
     assert metrics["singular.retraction.calls"] == 1
     assert metrics["singular.ode.calls"] == 0
     assert metrics["model.H.calls"] > 0
-
-
-def test_traced_shooting_refine():
-    # singular.solve_ivp imports scipy's on its first call; the tracer wraps
-    # that module attribute, so the refine's runs still reach the wrap
-    tracer = load_tracer()
-    tr = tracer.Tracer()
-    with tracer.traced(tr, []):
-        singular.fundamental_solution(catalog.free_particle(1), 0.0, 1.0, [0.0], [1.0],
-                                      refine=True)
-    metrics = tracer.layer_metrics(tr)
-    assert metrics["singular.ode.calls"] >= 1
-    assert metrics["singular.ode.nfev"] > 0
