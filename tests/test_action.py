@@ -81,14 +81,20 @@ class TestFundamentalSolution:
         val, _ = fundamental_solution(free_particle_1d, 0.0, 1.5, [0.7], [0.7])
         assert abs(val) <= 1e-12
 
-    def test_exponential_weight_closed_form(self, counterexample_problem):
-        # minimizer velocity C e^{-t}; closed-form action 1/(2(1 - e^{-1}))
+    @pytest.mark.parametrize("stacked", [True, False])
+    def test_exponential_weight_closed_form(self, counterexample_problem, stacked):
+        # minimizer x = C (1 - e^{-t}), C = 1 / (1 - e^{-1}); closed-form
+        # action C / 2; the path is the same alone or batched with another
         lhat, _ = model.to_evolutionary(counterexample_problem, horizon=1.0)
+        c = 1.0 / (1.0 - math.exp(-1.0))
         val, _ = fundamental_solution(lhat, 0.0, 1.0, [0.0], [1.0])
-        assert val == pytest.approx(1.0 / (2.0 * (1.0 - math.exp(-1.0))), abs=1e-8)
-        nodes = minimize_paths(lhat, 0.0, 1.0, [[0.0]], [[1.0]])["nodes"][0]
+        assert val == pytest.approx(c / 2.0, abs=1e-8)
+        starts, ends = ([[0.0], [0.5]], [[1.0], [-0.3]]) if stacked else ([[0.0]], [[1.0]])
+        sol = minimize_paths(lhat, 0.0, 1.0, starts, ends)
+        nodes = sol["nodes"][0, :, 0]
         assert nodes[0] == pytest.approx(0.0, abs=1e-12)
         assert nodes[-1] == pytest.approx(1.0, abs=1e-9)
+        np.testing.assert_allclose(nodes, c * (1.0 - np.exp(-sol["times"])), rtol=0, atol=1e-9)
 
     def test_against_descent_oracle(self, sine_problem):
         # independent gradient-descent least action for the kinked potential
