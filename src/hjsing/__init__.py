@@ -28,6 +28,7 @@ from .errors import (
 from .laxoleinik import (
     ArgBall,
     GridFunction,
+    SearchResult,
     discounted_lax_oleinik,
     lax_oleinik_minus,
     localization_radius,

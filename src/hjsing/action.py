@@ -160,7 +160,10 @@ def minimize_paths(model: LagrangianModel, s, t, starts, ends,
     more than rounding and lowers the interior gradient's max-norm; near
     the minimum a good step moves the action by less than rounding.  A path
     whose every halving does neither stops where it stands.  Each iteration
-    evaluates the model and solves only on the paths still iterating.
+    evaluates the model and solves only on the paths still iterating.  A
+    path that meets the tolerance where it starts takes no Newton step, so
+    its pivots are tested at the end: with ``L_xx``, a matrix that is not
+    positive definite marks a saddle, which is reported as not converged.
     """
     grad_tol, max_iter = 1e-9, 60
     starts = np.atleast_2d(np.asarray(starts, dtype=float))
@@ -210,6 +213,23 @@ def minimize_paths(model: LagrangianModel, s, t, starts, ends,
     def grad_norm(g):
         return np.max(np.abs(g), axis=(1, 2))
 
+    def newton_systems(nodes, rows):
+        """Per axis, the kinetic tridiagonal (off, diag) and, when the model
+        has ``L_xx``, the one with the curvature added (else None)."""
+        seg = segments_of(nodes, rows)
+        lvv = np.asarray(L_vv(*seg), dtype=float)
+        lxx = None if L_xx is None else np.asarray(L_xx(*seg), dtype=float)
+        wl, dtl = _rows(w, rows), _rows(dt, rows)
+        for ax in range(n):
+            a = wl * lvv[:, :, ax, ax] / dtl ** 2     # (R, N)
+            diag = a[:, :-1] + a[:, 1:]
+            off = -a[:, 1:-1]
+            if lxx is None:
+                yield off, diag, None
+            else:
+                b = 0.25 * wl * lxx[:, :, ax, ax]
+                yield off, diag, (off + b[:, 1:-1], diag + b[:, :-1] + b[:, 1:])
+
     every = slice(None)
     times_out = times[0] if np.ndim(s) == np.ndim(t) == 0 else times
     act = action_of(W, every)
@@ -220,6 +240,7 @@ def minimize_paths(model: LagrangianModel, s, t, starts, ends,
                 "d_start": d_start, "d_end": d_end}
 
     live = np.arange(P)     # paths still iterating
+    stepped = np.zeros(P, dtype=bool)
     for _ in range(max_iter):
         g, _, _ = derivatives(W if live.size == P else W[live], live)
         gi = grad_norm(g)
@@ -227,23 +248,14 @@ def minimize_paths(model: LagrangianModel, s, t, starts, ends,
         live, g, gi = live[open_], g[open_], gi[open_]
         if not live.size:
             break
-        seg = segments_of(W[live], live)
-        lvv = np.asarray(L_vv(*seg), dtype=float)
-        lxx = None if L_xx is None else np.asarray(L_xx(*seg), dtype=float)
-        wl, dtl = _rows(w, live), _rows(dt, live)
+        stepped[live] = True
         # one tridiagonal per axis: kinetic block plus curvature
         step = np.empty_like(g)
-        for ax in range(n):
-            a = wl * lvv[:, :, ax, ax] / dtl ** 2     # (R, N)
-            diag = a[:, :-1] + a[:, 1:]
-            off = -a[:, 1:-1]
-            if lxx is None:
+        for ax, (off, diag, full) in enumerate(newton_systems(W[live], live)):
+            if full is None:
                 sol, _ = _solve_tridiagonal(off, diag, off, g[:, :, ax])
             else:
-                b = 0.25 * wl * lxx[:, :, ax, ax]
-                full_off = off + b[:, 1:-1]
-                sol, positive = _solve_tridiagonal(
-                    full_off, diag + b[:, :-1] + b[:, 1:], full_off, g[:, :, ax])
+                sol, positive = _solve_tridiagonal(full[0], full[1], full[0], g[:, :, ax])
                 bad = np.flatnonzero(~positive)
                 if bad.size:
                     sol[bad], _ = _solve_tridiagonal(off[bad], diag[bad], off[bad],
@@ -279,8 +291,15 @@ def minimize_paths(model: LagrangianModel, s, t, starts, ends,
     act = action_of(W, every)
     g, d_start, d_end = derivatives(W, every)
     grad_inf = grad_norm(g)
-    return {"nodes": W, "action": act, "grad_inf": grad_inf,
-            "converged": grad_inf <= 100 * grad_tol * (1.0 + np.abs(act)),
+    converged = grad_inf <= 100 * grad_tol * (1.0 + np.abs(act))
+    # a path that stopped before any Newton step never had its pivots
+    # tested; an indefinite matrix there marks a saddle, not a minimum
+    rest = np.flatnonzero(~stepped)
+    if L_xx is not None and rest.size:
+        for _, _, (off, diag) in newton_systems(W[rest], rest):
+            positive = _solve_tridiagonal(off, diag, off, np.zeros_like(diag))[1]
+            converged[rest[~positive]] = False
+    return {"nodes": W, "action": act, "grad_inf": grad_inf, "converged": converged,
             "times": times_out, "d_start": d_start, "d_end": d_end}
 
 
@@ -303,18 +322,23 @@ def _refine_nodes(W):
     return out
 
 
-def refined_action(model: LagrangianModel, s, t, starts, ends):
+def refined_action(model: LagrangianModel, s, t, starts, ends,
+                   segments: int = PATH_SEGMENTS):
     """Richardson-extrapolated least action for endpoint batches.
 
-    Solves at ``PATH_SEGMENTS`` and twice that and removes the leading
-    quadratic discretization error.  ``s`` and ``t`` are scalars or (P,)
-    arrays, as in :func:`minimize_paths`.
+    Solves at ``segments`` and twice that, from the coarse nodes with
+    midpoints inserted, and removes the leading quadratic discretization
+    error from the action and its derivatives in both end points.  ``s``
+    and ``t`` are as in :func:`minimize_paths`.  A path of either pass that
+    did not converge raises :class:`NoConvergence`.  Returns (A, d_start, d_end).
     """
-    first = minimize_paths(model, s, t, starts, ends)
-    second = minimize_paths(model, s, t, starts, ends, segments=2 * PATH_SEGMENTS,
+    first = minimize_paths(model, s, t, starts, ends, segments=segments)
+    require_converged(first)
+    second = minimize_paths(model, s, t, starts, ends, segments=2 * segments,
                             init_nodes=_refine_nodes(first["nodes"]))
-    value = second["action"] + (second["action"] - first["action"]) / 3.0
-    return value, second
+    require_converged(second)
+    return tuple(second[key] + (second[key] - first[key]) / 3.0
+                 for key in ("action", "d_start", "d_end"))
 
 
 # ---------------------------------------------------------------------------
@@ -375,10 +399,10 @@ def estimate_constants(model: LagrangianModel, s: float, x, T: float,
             ends.append(block)
             end_times.append(np.full(m, t_at))
     ends = np.concatenate(ends)
-    actions, sol = refined_action(model, s, np.concatenate(end_times),
-                                  np.broadcast_to(x, ends.shape), ends)
+    actions, _, d_end = refined_action(model, s, np.concatenate(end_times),
+                                       np.broadcast_to(x, ends.shape), ends)
     blocks = actions.reshape(len(levels), 7, m)
-    end_duals = sol["d_end"].reshape(len(levels), 7, m, n)
+    end_duals = d_end.reshape(len(levels), 7, m, n)
 
     ratios_c0, ratios_c1, ratios_c2, ratios_c3 = [], [], [], []
     seen_signal = False

@@ -56,7 +56,7 @@ from .errors import ConfigError, InvalidProblem, NumericsError
 from .expressions import compile_expression
 from .laxoleinik import (
     GridFunction,
-    discounted_lax_oleinik_batch,
+    discounted_lax_oleinik,
     localization_radius,
     solution_lipschitz_bound,
 )
@@ -354,17 +354,20 @@ def cmd_evolve(cfg: RunConfig) -> int:
     return 0
 
 
+def _read_or_solve_v(cfg: RunConfig, problem) -> GridFunction:
+    """``out/v.grid`` if it exists, else the solution of the discounted problem."""
+    v_path = Path(cfg.out) / "v.grid"
+    if v_path.exists():
+        return GridFunction.read(v_path)[0]
+    return solve_discounted(problem, cfg.box, cfg.resolution, tol=cfg.tol,
+                            periodic=cfg.periodic)[0]
+
+
 def _trace_field(cfg: RunConfig, problem):
     if cfg.trace_field == "evolutionary":
         u0 = _load_u0(cfg)
         return EvolutionaryField(problem.lagrangian, u0)
-    v_path = Path(cfg.out) / "v.grid"
-    if v_path.exists():
-        v, _ = GridFunction.read(v_path)
-    else:
-        v, _ = solve_discounted(problem, cfg.box, cfg.resolution, tol=cfg.tol,
-                                periodic=cfg.periodic)
-    return DiscountedField(problem, v)
+    return DiscountedField(problem, _read_or_solve_v(cfg, problem))
 
 
 def cmd_trace(cfg: RunConfig) -> int:
@@ -413,11 +416,8 @@ def cmd_cutlocus(cfg: RunConfig) -> int:
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     v_path = out / "v.grid"
-    if v_path.exists():
-        v, _ = GridFunction.read(v_path)
-    else:
-        v, _ = solve_discounted(problem, cfg.box, cfg.resolution, tol=cfg.tol,
-                                periodic=cfg.periodic)
+    v = _read_or_solve_v(cfg, problem)
+    if not v_path.exists():
         v.write(v_path, lam=cfg.lam, comments=cfg.header())
     field = DiscountedField(problem, v)
 
@@ -507,9 +507,9 @@ def cmd_verify(cfg: RunConfig) -> int:
         f = nodes.with_values(np.cumsum(f_vals, axis=0) * nodes.spacing[0])
         g = nodes.with_values(np.cumsum(g_vals, axis=0) * nodes.spacing[0])
         tf = np.array([r.value for r in
-                       discounted_lax_oleinik_batch(problem, f, 1.0, pts)])
+                       discounted_lax_oleinik(problem, f, 1.0, pts)])
         tg = np.array([r.value for r in
-                       discounted_lax_oleinik_batch(problem, g, 1.0, pts)])
+                       discounted_lax_oleinik(problem, g, 1.0, pts)])
         lhs = float(np.max(np.abs(tf - tg)))
         rhs = math.exp(-lam) * float(np.max(np.abs(f.values - g.values)))
         eps = f.interpolation_error_bound() + g.interpolation_error_bound()
@@ -592,19 +592,9 @@ def main(argv=None) -> int:
                  if getattr(args, flag, None) is not None}
     try:
         cfg = load_config(args.config, overrides)
-        if args.command == "solve":
-            return cmd_solve(cfg)
-        if args.command == "evolve":
-            return cmd_evolve(cfg)
-        if args.command == "trace":
-            return cmd_trace(cfg)
-        if args.command == "cutlocus":
-            return cmd_cutlocus(cfg)
-        if args.command == "verify":
-            return cmd_verify(cfg)
-        if args.command == "constants":
-            return cmd_constants(cfg)
-        raise ConfigError(f"unknown command {args.command}")
+        return {"solve": cmd_solve, "evolve": cmd_evolve, "trace": cmd_trace,
+                "cutlocus": cmd_cutlocus, "verify": cmd_verify,
+                "constants": cmd_constants}[args.command](cfg)
     except (ConfigError, OSError) as exc:
         print(f"hjsing: config error: {exc}", file=sys.stderr)
         return 3

@@ -2,29 +2,27 @@
 
 The operator searches the infimum of ``f(z) + A(z, x)`` only inside the
 a-priori ball whose radius is the localization constant times the time
-gap; that bound is what keeps the scan finite, and every :class:`ArgBall`
-a search returns asserts that its argument points lie inside it.  (The
+gap; that bound keeps the scan finite, and every :class:`ArgBall` a search
+returns asserts that its argument points lie inside it.  (The
 sup-convolution that moves a singularity forward is the argmax of
-``singular._argmax_points``.)  The search is
-a three-stage pipeline: a straight-segment quadrature ranks every node in
-the ball, the optimizing direct method re-scores a window around the
-leaders, and a cell-by-cell polish produces the final value and the
-(possibly tied) argument set.  The re-score has two levels: every
-candidate in the window gets a cheap 4-segment path, and only those whose
-coarse cost is within the polish window plus a margin of the coarse best
-get a ``PATH_SEGMENTS`` path.  The margin is measured, not set: it grows to
-twice the spread of fine minus coarse cost over the query's fine-scored
-candidates.  The polish uses that f is linear between grid nodes along
-each axis: it locates the minimizer in each cell from the endpoint
-derivatives of the action, which the direct method returns, and
-Richardson-refined actions give the final values.
+``singular._argmax_points``.)
 
-Grids are axis-aligned boxes with multilinear interpolation.  An axis may
-be periodic, in which case node values wrap and the candidate enumeration
-works with real-line representatives near the query point.  Periodic
-wrapping is what makes discounted fixed-point iteration possible on a
-single period; the localization radii of the a-priori bounds routinely
-exceed any affordable non-periodic padding.
+:func:`localized_convolution` is the one search, and each operator calls
+it once on all its query points.  Every stage is one pass over the rows
+of all queries, each row tagged with its owner, the query it belongs to,
+and per-owner bests are grouped reductions: the grid nodes in each ball
+(one index range per axis), a straight-segment scan, a two-level re-score
+by the optimizing direct method, polish seeds thinned to distinct basins,
+a cell-by-cell polish that uses that f is linear between grid nodes along
+each axis, and Richardson-refined values of the near-tied winners, which
+are the (possibly tied) argument set.  The only loop over queries builds
+the returned :class:`SearchResult` list.
+
+Grids are axis-aligned boxes with multilinear interpolation.  A periodic
+axis wraps node values, and the candidates are real-line representatives
+near the query point; that is what makes discounted fixed-point iteration
+possible on a single period, since the localization radii routinely exceed
+any affordable non-periodic padding.
 """
 
 from __future__ import annotations
@@ -99,20 +97,12 @@ class GridFunction:
 
     @classmethod
     def from_callable(cls, fn, box, resolution, periodic=False):
-        box = np.asarray(box, dtype=float)
-        if box.ndim == 1:
-            box = box[None, :]
+        box = np.asarray(box, dtype=float).reshape(-1, 2)
         if np.isscalar(resolution):
-            resolution = (int(resolution),) * box.shape[0]
-        if isinstance(periodic, bool):
-            periodic = (periodic,) * box.shape[0]
-        axes = [
-            np.linspace(a, b, m, endpoint=not per)
-            for (a, b), m, per in zip(box, resolution, periodic)
-        ]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack(mesh, axis=-1)
-        return cls(box, np.asarray(fn(pts), dtype=float), periodic)
+            resolution = (int(resolution),) * len(box)
+        grid = cls(box, np.zeros(resolution), periodic)
+        pts = grid.nodes().reshape(grid.resolution + (grid.dimension,))
+        return grid.with_values(np.asarray(fn(pts), dtype=float))
 
     def with_values(self, values) -> "GridFunction":
         return GridFunction(self.box, values, self.periodic)
@@ -304,47 +294,65 @@ def periodic_radius_cap(grid: GridFunction, ax: int) -> float:
     return 0.5 * (b - a) + 2 * grid.spacing[ax]
 
 
-def _axis_candidates(grid: GridFunction, ax: int, center: float, radius: float):
-    a, b = grid.box[ax]
-    nodes = np.linspace(a, b, grid.resolution[ax], endpoint=not grid.periodic[ax])
-    if grid.periodic[ax]:
-        span = b - a
-        r_eff = min(radius, periodic_radius_cap(grid, ax))
-        k_lo = math.floor((center - r_eff - a) / span)
-        k_hi = math.ceil((center + r_eff - a) / span)
-        out = []
-        for k in range(k_lo - 1, k_hi + 1):
-            shifted = nodes + k * span
-            mask = (shifted >= center - r_eff) & (shifted <= center + r_eff)
-            out.append(shifted[mask])
-        pos = np.unique(np.concatenate(out)) if out else np.array([center])
-        if pos.size == 0:
-            pos = np.array([center])
-        return pos
-    lo, hi = center - radius, center + radius
-    if lo < a - 1e-9 * (b - a) or hi > b + 1e-9 * (b - a):
-        raise BoundaryClipped(
-            f"localization ball [{lo:.4g}, {hi:.4g}] exits box [{a:.4g}, {b:.4g}] on axis {ax}")
-    mask = (nodes >= max(lo, a)) & (nodes <= min(hi, b))
-    pos = nodes[mask]
-    if pos.size == 0:
-        pos = np.array([min(max(center, a), b)])
-    return pos
+def _ball_mesh(axes, centers, radii):
+    """Each center, then the points of the product of its ``axes`` rows in its ball.
+
+    ``axes`` holds one (P, W) array per axis: row i lists center i's
+    coordinates on that axis in increasing order, NaN where it has none.
+    Returns (owners, points): the points (K, n), each center followed by its
+    product points (last axis fastest), and the center each belongs to.
+    """
+    P, n = centers.shape
+    cols = [coords.reshape((P,) + (1,) * ax + (-1,) + (1,) * (n - ax - 1))
+            for ax, coords in enumerate(axes)]
+    # the squared offsets summed in axis order, as ``np.linalg.norm`` does
+    sq = sum((col - centers[:, ax].reshape((P,) + (1,) * n)) ** 2
+             for ax, col in enumerate(cols))
+    inside = np.sqrt(sq) <= np.reshape(radii, (P,) + (1,) * n) + 1e-12
+    keep = np.hstack([np.ones((P, 1), dtype=bool), inside.reshape(P, -1)])
+    points = np.empty(keep.shape + (n,))        # per center: itself, then the product
+    points[:, 0] = centers
+    for ax, col in enumerate(cols):
+        points[:, 1:, ax] = np.broadcast_to(col, inside.shape).reshape(P, -1)
+    return np.nonzero(keep)[0], points[keep]
 
 
-def _ball_mesh(axes, center, radius: float):
-    """The center, then the points of the product of ``axes`` in its ball."""
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack(mesh, axis=-1).reshape(-1, center.size)
-    keep = np.linalg.norm(pts - center, axis=1) <= radius + 1e-12
-    return np.vstack([center[None, :], pts[keep]])
+def _ball_candidates(grid: GridFunction, centers, radii):
+    """Real-line candidates in the ball around each center, one pass for all.
 
-
-def _ball_candidates(grid: GridFunction, center, radius: float):
-    """Real-line candidate positions in the ball around center, center included."""
-    center = np.atleast_1d(np.asarray(center, dtype=float))
-    return _ball_mesh([_axis_candidates(grid, ax, center[ax], radius)
-                       for ax in range(grid.dimension)], center, radius)
+    On each axis a center's candidates are the nodes in [c - r, c + r]: one
+    range of node indices m.  On a periodic axis r is capped by
+    :func:`periodic_radius_cap` and m is unbounded, node m sitting at
+    ``nodes[m % M] + (m // M) * period``.  An axis whose window holds no
+    node contributes the center coordinate, clipped to the box on a
+    non-periodic axis.  Returns (owners, points) as :func:`_ball_mesh`.
+    """
+    axes = []
+    for ax, nodes in enumerate(grid.axes()):
+        (a, b), M, per = grid.box[ax], grid.resolution[ax], grid.periodic[ax]
+        c = centers[:, ax]
+        r = np.minimum(radii, periodic_radius_cap(grid, ax))
+        lo, hi = c - r, c + r
+        if not per:
+            out = np.flatnonzero((lo < a - 1e-9 * (b - a)) | (hi > b + 1e-9 * (b - a)))
+            if out.size:
+                raise BoundaryClipped(f"localization ball [{lo[out[0]]:.4g}, {hi[out[0]]:.4g}]"
+                                      f" exits box [{a:.4g}, {b:.4g}] on axis {ax}")
+            lo, hi = np.maximum(lo, a), np.minimum(hi, b)
+        # a range of m that brackets every window, then the exact window test
+        first = np.floor((lo - a) / grid.spacing[ax]).astype(int) - 1
+        last = np.ceil((hi - a) / grid.spacing[ax]).astype(int) + 1
+        m = first[:, None] + np.arange(np.max(last - first, initial=0) + 1)
+        if per:
+            pos, ok = nodes[m % M] + (m // M) * (b - a), True
+        else:
+            pos, ok = nodes[np.clip(m, 0, M - 1)], (m >= 0) & (m < M)
+        ok = ok & (pos >= lo[:, None]) & (pos <= hi[:, None])
+        empty = ~ok.any(axis=1)
+        pos = np.where(ok, pos, np.nan)
+        pos[empty, 0] = c[empty] if per else np.clip(c[empty], a, b)
+        axes.append(pos)
+    return _ball_mesh(axes, centers, radii)
 
 
 # ---------------------------------------------------------------------------
@@ -518,20 +526,40 @@ class SearchResult:
     value: float
     arg: ArgBall
     momenta: np.ndarray            # (k, n)
-    best_point: np.ndarray
 
 
-def _distinct_basins(rows, points, gap: float) -> list:
-    """Up to 6 of rows, in order, each farther than gap from those before.
+def _owner_min(owners, values, P: int):
+    """The least of ``values`` per owner 0..P-1 (inf for an owner without rows)."""
+    best = np.full(P, np.inf)
+    np.minimum.at(best, owners, values)
+    return best
 
-    Greedy: the first remaining row is taken and drops every row within
-    gap of its point, so each pass is one vectorised distance.
+
+def _near_best(owners, costs, tol, P: int):
+    """The rows whose cost is within ``tol`` (a scalar or one per owner) of
+    their owner's least, ordered by owner, then cost, then row."""
+    limit = _owner_min(owners, costs, P) + np.broadcast_to(tol, (P,))
+    rows = np.flatnonzero(costs <= limit[owners])
+    return rows[np.lexsort((costs[rows], owners[rows]))]
+
+
+def _distinct_basins(rows, owners, points, gap: float):
+    """Up to 6 of each owner's rows, in order, each farther than gap from
+    the rows of that owner taken before it; ``rows`` come grouped by owner.
+
+    Each round takes every owner's first remaining row and drops that
+    owner's rows within gap of its point, so a round is one vectorised
+    distance.  Returns the rows taken, ordered by owner, then by round.
     """
-    chosen = []
-    while rows.size and len(chosen) < 6:
-        chosen.append(rows[0])
-        rows = rows[np.linalg.norm(points[rows] - points[rows[0]], axis=1) > gap]
-    return chosen
+    taken = []
+    while rows.size and len(taken) < 6:
+        o = owners[rows]
+        first = np.concatenate(([True], o[1:] != o[:-1]))
+        taken.append(rows[first])
+        lead = taken[-1][np.cumsum(first) - 1]
+        rows = rows[np.linalg.norm(points[rows] - points[lead], axis=1) > gap]
+    taken = np.concatenate(taken) if taken else rows
+    return taken[np.argsort(owners[taken], kind="stable")]
 
 
 def localized_convolution(model: LagrangianModel, f: GridFunction, t1: float,
@@ -540,29 +568,26 @@ def localized_convolution(model: LagrangianModel, f: GridFunction, t1: float,
     value(x) = min_z f(z) + A_{t1,t2}(z, x), searched in the ball of ``radius``.
 
     ``t2`` and ``radius`` are scalars or (P,) arrays, one per row of ``xs``;
-    a row's answer is the same either way.
-
-    The scan ranks every grid node in the ball by f plus the action of the
-    straight segment; those within 1 of their query's leader are re-scored
-    with ``_COARSE_SEGMENTS``-segment paths.  The fine re-score, at
+    a row's answer is the same either way.  Each stage runs once on the
+    rows of all queries.  The scan ranks every grid node in the ball
+    (:func:`_ball_candidates`) by f plus the action of the straight
+    segment; those within 1 of their query's leader are re-scored with
+    ``_COARSE_SEGMENTS``-segment paths.  The fine re-score, at
     ``PATH_SEGMENTS``, takes the candidates whose coarse cost is within
-    window + m of the query's coarse best, m a margin per query.  m starts
-    at 0; after each fine batch it becomes twice the spread (max - min) of
-    fine - coarse cost over the query's fine-scored candidates, and the
-    newly admitted candidates form the next batch, until none is admitted.
-    A fine path does not depend on its batch, so the answer is that of a
-    fine re-score of every candidate within 1 of its leader whenever the
-    fine set holds every polish seed of that re-score.  The polish starts
-    from the fine-scored candidates within ``polish_window`` (default
-    max(5e-3, h^2 / (t2 - t1)), per row) of the best fine cost, at most six
-    per query and more than two cells apart.  It is :func:`_cell_polish`: cell-wise line
-    minimization along each axis, driven by the derivative of the action in
-    the moving endpoint, each path warm-started from the seed's previous
-    one.  Winners within ``TIE_TOL`` of the best are refined by Richardson
-    extrapolation from ``PATH_SEGMENTS`` to twice that; the finer pass also
-    gives each kept winner's end momentum.  A path of any pass that did not
-    converge raises :class:`NoConvergence`.  Returns a list of
-    :class:`SearchResult`, one per row of ``xs``.
+    window + m of the query's coarse best.  The margin m starts at 0; after
+    each fine batch it becomes twice the spread (max - min) of fine - coarse
+    cost over the query's fine-scored rows, and the newly admitted rows form
+    the next batch, until none is admitted.  A fine path does not depend on
+    its batch, so the answer is that of a fine re-score of every candidate
+    within 1 of its leader whenever the fine set holds every polish seed of
+    that re-score.  The polish (:func:`_cell_polish`) starts from the
+    fine-scored rows within ``polish_window`` (default max(5e-3, h^2 /
+    (t2 - t1)), per row) of the best fine cost, at most six per query and
+    more than two cells apart.  Winners within ``TIE_TOL`` of the best are
+    refined by Richardson extrapolation from ``PATH_SEGMENTS`` to twice
+    that, whose finer pass also gives each kept winner's end momentum.  A
+    path of any pass that did not converge raises :class:`NoConvergence`.
+    Returns one :class:`SearchResult` per row.
     """
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     P, n = xs.shape
@@ -579,27 +604,21 @@ def localized_convolution(model: LagrangianModel, f: GridFunction, t1: float,
         # a shared horizon stays a scalar: the paths then share one time row
         return t2 if np.ndim(t2) == 0 else t2_rows[owner_idx]
 
-    cand_list = [_ball_candidates(f, xs[i], radii[i]) for i in range(P)]
-    owners = np.concatenate([np.full(len(c), i) for i, c in enumerate(cand_list)])
-    cand = np.vstack(cand_list)
-
     def action_batch(points, owner_idx, nseg, init=None):
         sol = minimize_paths(model, t1, horizon(owner_idx), points, xs[owner_idx],
                              segments=nseg, init_nodes=init)
         require_converged(sol)
         return sol
 
+    owners, cand = _ball_candidates(f, xs, radii)
     f_vals = np.asarray(f(cand), dtype=float).reshape(-1)
     cost = f_vals + straight_line_actions(model, t1, horizon(owners), cand, xs[owners])
 
     # re-score the scan costs within 1 of each owner's leader, coarsely
-    best_per = np.full(P, np.inf)
-    np.minimum.at(best_per, owners, cost)
-    keep = cost <= best_per[owners] + 1.0
+    keep = cost <= _owner_min(owners, cost, P)[owners] + 1.0
     cand_k, owners_k, f_k = cand[keep], owners[keep], f_vals[keep]
     coarse = action_batch(cand_k, owners_k, _COARSE_SEGMENTS)["action"]
-    best_coarse = np.full(P, np.inf)
-    np.minimum.at(best_coarse, owners_k, f_k + coarse)
+    best_coarse = _owner_min(owners_k, f_k + coarse, P)
 
     # then finely, those within window + margin of the coarse best; the
     # margin grows to twice the spread of fine - coarse over the rows scored
@@ -616,110 +635,58 @@ def localized_convolution(model: LagrangianModel, f: GridFunction, t1: float,
         sol = action_batch(cand_k[rows], owners_k[rows], PATH_SEGMENTS)
         fine[rows], fine_nodes[rows] = sol["action"], sol["nodes"]
         scored[rows] = True
-        hi, lo = np.full(P, -np.inf), np.full(P, np.inf)
-        np.maximum.at(hi, owners_k[scored], (fine - coarse)[scored])
-        np.minimum.at(lo, owners_k[scored], (fine - coarse)[scored])
-        margin = 2.0 * (hi - lo)
+        spread = (fine - coarse)[scored]
+        hi = -_owner_min(owners_k[scored], -spread, P)
+        margin = 2.0 * (hi - _owner_min(owners_k[scored], spread, P))
     cand_k, owners_k, nodes_k = cand_k[scored], owners_k[scored], fine_nodes[scored]
     cost_acc = f_k[scored] + fine[scored]
 
-    best_acc = np.full(P, np.inf)
-    np.minimum.at(best_acc, owners_k, cost_acc)
-
-    results: list[Optional[SearchResult]] = [None] * P
     # polish seeds: near-optimal candidates, cheapest first per owner,
     # thinned to distinct basins
-    seed_rows = np.flatnonzero(cost_acc <= best_acc[owners_k] + window[owners_k])
-    seed_rows = seed_rows[np.lexsort((cost_acc[seed_rows], owners_k[seed_rows]))]
-    owner_ends = np.searchsorted(owners_k[seed_rows], np.arange(P + 1))
+    seeds = _distinct_basins(_near_best(owners_k, cost_acc, window, P), owners_k,
+                             cand_k, 2.0 * h_ref)
+    seed_owner = owners_k[seeds]
 
-    seed_pos, seed_owner, seed_paths = [], [], []
-    for i in range(P):
-        chosen = _distinct_basins(seed_rows[owner_ends[i]:owner_ends[i + 1]], cand_k,
-                                  2.0 * h_ref)
-        for r in chosen:
-            seed_pos.append(cand_k[r])
-            seed_paths.append(nodes_k[r])
-            seed_owner.append(i)
-        if not chosen:
-            # a constant path, moved onto the endpoints, is the straight line
-            seed_pos.append(xs[i])
-            seed_paths.append(np.broadcast_to(xs[i], nodes_k.shape[1:]))
-            seed_owner.append(i)
-    polished_owner = np.asarray(seed_owner, dtype=int)
-
-    def solve(points, seeds, warm):
-        sol_p = action_batch(points, polished_owner[seeds], PATH_SEGMENTS, init=warm)
+    def solve(points, rows, warm):
+        sol_p = action_batch(points, seed_owner[rows], PATH_SEGMENTS, init=warm)
         return sol_p["action"], sol_p["d_start"], sol_p["nodes"]
 
-    pos, val, act1, nodes1 = _cell_polish(f, solve, np.asarray(seed_pos),
-                                          np.asarray(seed_paths))
+    pos, val, act1, nodes1 = _cell_polish(f, solve, cand_k[seeds], nodes_k[seeds])
 
-    # final assembly: Richardson-refined values for every near-tied winner,
-    # batched across owners
-    tied_rows, tied_owner = [], []
-    for i in range(P):
-        rows = np.where(polished_owner == i)[0]
-        vals = val[rows]
-        order = np.argsort(vals)
-        rows, vals = rows[order], vals[order]
-        for r, vv in zip(rows, vals):
-            if vv <= vals[0] + TIE_TOL:
-                tied_rows.append(int(r))
-                tied_owner.append(i)
-    tied_rows = np.asarray(tied_rows, dtype=int)
-    tied_owner = np.asarray(tied_owner, dtype=int)
-    pts = pos[tied_rows]
+    # Richardson-refined values for every near-tied winner, batched across
+    # owners; the refined near-ties are the argument set
+    tied = _near_best(seed_owner, val, TIE_TOL, P)
+    tied_owner, pts = seed_owner[tied], pos[tied]
     sol2 = action_batch(pts, tied_owner, 2 * PATH_SEGMENTS,
-                        init=_refine_nodes(nodes1[tied_rows]))
-    a_ref = sol2["action"] + (sol2["action"] - act1[tied_rows]) / 3.0
+                        init=_refine_nodes(nodes1[tied]))
+    a_ref = sol2["action"] + (sol2["action"] - act1[tied]) / 3.0
     cost_final = np.asarray(f(pts), dtype=float).reshape(-1) + a_ref
-
-    for i in range(P):
-        rows = np.where(tied_owner == i)[0]
-        vals = cost_final[rows]
-        order = np.argsort(vals)
-        rows, vals = rows[order], vals[order]
-        keep = [r for r, v in zip(rows, vals) if v <= vals[0] + TIE_TOL]
-        arg_pts = [pts[r].copy() for r in keep]
-        arg = ArgBall(center=xs[i], radius=float(radii[i]), argpoints=arg_pts,
-                      spacing=h_ref)
-        results[i] = SearchResult(
-            value=float(vals[0]), arg=arg, momenta=sol2["d_end"][keep],
-            best_point=pts[rows[0]].copy())
-    return results
+    kept = _near_best(tied_owner, cost_final, TIE_TOL, P)
+    per_query = np.split(kept, np.searchsorted(tied_owner[kept], np.arange(1, P)))
+    return [SearchResult(value=float(cost_final[rows[0]]), momenta=sol2["d_end"][rows],
+                         arg=ArgBall(center=x, radius=float(r), argpoints=list(pts[rows]),
+                                     spacing=h_ref))
+            for x, r, rows in zip(xs, radii, per_query)]
 
 
 # ---------------------------------------------------------------------------
 # public operators
 
 def lax_oleinik_minus(model: LagrangianModel, f: GridFunction, t1: float,
-                      t2: float, x):
-    """(T^- f)(x) = inf_z f(z) + A_{t1,t2}(z, x), searched in the a-priori ball."""
-    xs = np.asarray(x, dtype=float).reshape(1, -1)
+                      t2: float, xs):
+    """(T^- f)(x) = inf_z f(z) + A_{t1,t2}(z, x) at the rows x of xs (P, n),
+    searched in the a-priori ball: one :class:`SearchResult` per row."""
     radius = localization_radius(model.growth, f.lipschitz_estimate) * (t2 - t1)
-    res = localized_convolution(model, f, t1, t2, xs, radius)[0]
-    return res.value, res.arg
+    return localized_convolution(model, f, t1, t2, xs, radius)
 
 
 def discounted_lax_oleinik(problem: DiscountedProblem, v: GridFunction, t: float,
-                           x):
-    """Value of the discounted backward operator at one point.
-
-    Computed through the evolutionary transform: exp(-lam t) times the
-    inf-convolution of v with the rescaled-action kernel.
-    """
-    results = discounted_lax_oleinik_batch(problem, v, t,
-                                           np.atleast_2d(np.asarray(x, dtype=float)))
-    return results[0].value
-
-
-def discounted_lax_oleinik_batch(problem: DiscountedProblem, v: GridFunction,
-                                 t: float, xs, lip_bound: Optional[float] = None,
-                                 polish_window: Optional[float] = None):
-    """Batched discounted operator: the search on the lift ``to_evolutionary``
-    with its values and end momenta (e^{lam t} L_v) scaled by e^{-lam t}, so
-    the momenta are gradients of v itself."""
+                           xs, lip_bound: Optional[float] = None,
+                           polish_window: Optional[float] = None):
+    """The discounted backward operator at the rows of xs (P, n): the search
+    on the lift ``to_evolutionary`` with its values and end momenta
+    (e^{lam t} L_v) scaled by e^{-lam t}, so the momenta are gradients of v
+    itself.  One :class:`SearchResult` per row."""
     if t <= 0:
         raise ValueError("need t > 0")
     if problem.lam * t > EXPONENT_CAP:

@@ -47,9 +47,9 @@ import numpy as np
 
 from .action import (
     ConvexityConstants,
-    _refine_nodes,
     estimate_constants,
     minimize_paths,
+    refined_action,
     require_converged,
 )
 from .errors import (
@@ -111,7 +111,8 @@ def _merge_momenta(momenta):
     Returns (indices of the kept rows, the largest pairwise distance among
     them).
     """
-    keep = _distinct_basins(np.arange(len(momenta)), momenta, _MERGE_TOL)
+    rows = np.arange(len(momenta))
+    keep = _distinct_basins(rows, np.zeros_like(rows), momenta, _MERGE_TOL)
     kept = momenta[keep]
     return keep, float(np.max(np.linalg.norm(kept[:, None] - kept[None], axis=-1)))
 
@@ -182,7 +183,7 @@ def _lattice(center, radius, lo, hi, axis=None):
         a = max(center[ax] - radius, lo[ax])
         b = min(center[ax] + radius, hi[ax])
         axes.append(np.linspace(a, b, _LATTICE_NODES))
-    return _ball_mesh(axes, center, radius)
+    return _ball_mesh([a[None, :] for a in axes], center[None, :], [radius])[1]
 
 
 def _argmax_objective(field, action_model, t1: float, x1, ts, ys):
@@ -512,28 +513,19 @@ def lipschitz_certificate(curve: SingularCurve, constants: ConvexityConstants,
 def fundamental_solution(model: LagrangianModel, s: float, t: float, x, y):
     """Least action A between (s, x) and (t, y) with its derivatives.
 
-    The direct method solves the minimizing path at 64 segments, then at
-    128 from the coarse nodes with midpoints inserted; a path of either
-    pass that did not converge raises :class:`NoConvergence`.  The value
-    and both endpoint derivatives are Richardson-extrapolated from the
-    pair.  Returns (A, (D_x A, D_y A, D_t A)): D_x A and D_y A extrapolate
-    ``d_start`` and ``d_end`` of :func:`minimize_paths`, and
-    D_t A = -H(t, y, D_y A).
+    The 64-segment case of :func:`refined_action`: the value and both
+    endpoint derivatives are Richardson-extrapolated from a 64- and a
+    128-segment path, and a path of either pass that did not converge
+    raises :class:`NoConvergence`.  Returns (A, (D_x A, D_y A, D_t A)),
+    with D_t A = -H(t, y, D_y A).
     """
     if not t > s:
         raise ValueError("need t > s")
     x = np.atleast_1d(np.asarray(x, dtype=float))
     y = np.atleast_1d(np.asarray(y, dtype=float))
-
-    coarse = minimize_paths(model, s, t, x[None, :], y[None, :], segments=64)
-    require_converged(coarse)
-    fine = minimize_paths(model, s, t, x[None, :], y[None, :], segments=128,
-                          init_nodes=_refine_nodes(coarse["nodes"]))
-    require_converged(fine)
-    value, dxa, dya = (fine[key][0] + (fine[key][0] - coarse[key][0]) / 3.0
-                       for key in ("action", "d_start", "d_end"))
-    dta = -float(model.hamiltonian.H(t, y, dya))
-    return float(value), (dxa, dya, dta)
+    value, dxa, dya = refined_action(model, s, t, x[None, :], y[None, :], segments=64)
+    dta = -float(model.hamiltonian.H(t, y, dya[0]))
+    return float(value[0]), (dxa[0], dya[0], dta)
 
 
 # ---------------------------------------------------------------------------

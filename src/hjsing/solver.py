@@ -19,7 +19,7 @@ import numpy as np
 from .errors import InvalidProblem, NoConvergence
 from .laxoleinik import (
     GridFunction,
-    discounted_lax_oleinik_batch,
+    discounted_lax_oleinik,
     localization_radius,
     localized_convolution,
     solution_lipschitz_bound,
@@ -115,8 +115,7 @@ def solve_discounted(problem: DiscountedProblem, box, resolution, tol: float = 1
     sup_changes = []
     converged = False
     for _ in range(cap):
-        results = discounted_lax_oleinik_batch(problem, v, 1.0, nodes,
-                                               lip_bound=lip_cap)
+        results = discounted_lax_oleinik(problem, v, 1.0, nodes, lip_bound=lip_cap)
         new_vals = np.array([r.value for r in results]).reshape(v.resolution)
         change = float(np.max(np.abs(new_vals - v.values)))
         sup_changes.append(change)
@@ -294,8 +293,8 @@ class DiscountedField(ValueField):
         """Tied minimizers of the backward representation of v at the rows of
         xs, searched at the probe horizon min(0.5, 10/lam) whatever t is."""
         probe = min(0.5, 10.0 / self.problem.lam)
-        return discounted_lax_oleinik_batch(self.problem, self.v, probe, xs,
-                                            polish_window=_CERTIFICATE_POLISH_WINDOW)
+        return discounted_lax_oleinik(self.problem, self.v, probe, xs,
+                                      polish_window=_CERTIFICATE_POLISH_WINDOW)
 
     def domain(self, t: float):
         """Box of v, unbounded along periodic axes."""

@@ -135,9 +135,15 @@ class TestFundamentalSolution:
                 sol["converged"] = np.zeros_like(sol["converged"])
             return sol
 
-        monkeypatch.setattr(singular, "minimize_paths", one_unconverged)
+        monkeypatch.setattr(action, "minimize_paths", one_unconverged)
         with pytest.raises(errors.NoConvergence):
             fundamental_solution(free_particle_1d, 0.0, 1.0, [0.0], [1.0])
+
+    def test_saddle_raises(self):
+        # the path resting on the pendulum's potential maximum is stationary
+        # but, for T > pi, not a minimum
+        with pytest.raises(errors.NoConvergence):
+            fundamental_solution(catalog.pendulum(), 0.0, 8.0, [0.0], [0.0])
 
 
 class TestActionGradients:
@@ -206,6 +212,15 @@ class TestBatchedPaths:
         cheap = straight_line_actions(m, 0.0, 1.0, starts, ends, segments=32)
         tight, _ = fundamental_solution(m, 0.0, 1.0, [0.0], [2.0])
         assert cheap[0] >= tight - 1e-6
+
+    def test_saddle_not_converged(self):
+        # a path stationary where it starts takes no Newton step; on the
+        # potential's maximum for T > pi its matrix is indefinite: a saddle
+        sol = minimize_paths(catalog.pendulum(), 0, 8, [[0.0]], [[0.0]])
+        assert sol["grad_inf"][0] == 0.0
+        assert not sol["converged"][0]
+        short = minimize_paths(catalog.pendulum(), 0, 1, [[0.0]], [[0.0]])
+        assert short["converged"][0]
 
     def test_path_on_a_kink_leaves_it(self):
         # the potential's kink at 0 is a maximum; a path resting on it read
@@ -406,3 +421,16 @@ class TestConstants:
         estimate_constants(free_particle_1d, 0.0, [0.0], 1.0, 2.0)
         # one refined_action over every level and end time: two solves
         assert len(calls) == 2
+
+    @pytest.mark.parametrize("segments", [16, 32])
+    def test_unconverged_probe_raises(self, free_particle_1d, monkeypatch, segments):
+        # neither Richardson pass of the probes may use an unconverged path
+        def one_unconverged(*args, **kwargs):
+            sol = minimize_paths(*args, **kwargs)
+            if kwargs["segments"] == segments:
+                sol["converged"] = np.zeros_like(sol["converged"])
+            return sol
+
+        monkeypatch.setattr(action, "minimize_paths", one_unconverged)
+        with pytest.raises(errors.NoConvergence):
+            estimate_constants(free_particle_1d, 0.0, [0.0], 1.0, 2.0)

@@ -23,8 +23,8 @@ from hjsing import (
 from hjsing.action import PATH_SEGMENTS
 from hjsing.laxoleinik import (
     _cell_polish,
+    _ball_candidates,
     _distinct_basins,
-    discounted_lax_oleinik_batch,
     localized_convolution,
 )
 
@@ -218,59 +218,157 @@ class TestDistinctBasins:
         return chosen
 
     def test_matches_loop(self):
-        # coarse coordinates make exact distance ties with the gap
+        # coarse coordinates make exact distance ties with the gap; random
+        # owners, each owner's rows thinned alone
         rng = np.random.default_rng(0)
         for _ in range(300):
             k, n = int(rng.integers(0, 40)), int(rng.integers(1, 3))
             points = np.round(rng.normal(size=(k + 5, n)) * 2.0, 1)
+            owners = rng.integers(0, 4, size=k + 5)
             rows = rng.permutation(k + 5)[:k]
-            got = _distinct_basins(rows, points, 0.5)
-            assert [int(r) for r in got] == self.loop_reference(rows, points, 0.5)
+            rows = rows[np.argsort(owners[rows], kind="stable")]   # grouped
+            got = _distinct_basins(rows, owners, points, 0.5)
+            want = [r for i in range(4)
+                    for r in self.loop_reference(rows[owners[rows] == i], points, 0.5)]
+            assert [int(r) for r in got] == want
+
+
+class TestBallCandidates:
+    @staticmethod
+    def loop_reference(grid, center, radius):
+        """One query: per axis the shifted node copies in the window, then
+        the product's points in the ball, the center first."""
+        axes = []
+        for ax, nodes in enumerate(grid.axes()):
+            a, b = grid.box[ax]
+            r = min(radius, laxoleinik.periodic_radius_cap(grid, ax))
+            lo, hi = center[ax] - r, center[ax] + r
+            if grid.periodic[ax]:
+                span = b - a
+                shifted = np.concatenate([nodes + k * span for k in range(
+                    math.floor((lo - a) / span) - 1, math.ceil((hi - a) / span) + 1)])
+                pos = np.unique(shifted[(shifted >= lo) & (shifted <= hi)])
+                fallback = center[ax]
+            else:
+                pos = nodes[(nodes >= max(lo, a)) & (nodes <= min(hi, b))]
+                fallback = min(max(center[ax], a), b)
+            axes.append(pos if pos.size else np.array([fallback]))
+        pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(center))
+        keep = np.linalg.norm(pts - center, axis=1) <= radius + 1e-12
+        return np.vstack([center[None, :], pts[keep]])
+
+    def test_matches_loop(self):
+        # random 1D and 2D grids, periodic or not, radii from below half a
+        # cell to several periods
+        rng = np.random.default_rng(1)
+        for _ in range(60):
+            n = int(rng.integers(1, 3))
+            res = tuple(int(m) for m in rng.integers(3, 12, size=n))
+            periodic = tuple(bool(q) for q in rng.integers(0, 2, size=n))
+            grid = GridFunction(np.column_stack([np.zeros(n), rng.uniform(0.5, 3.0, n)]),
+                                np.zeros(res), periodic=periodic)
+            P = int(rng.integers(1, 6))
+            frac = np.where(periodic, rng.uniform(-2, 3, (P, n)), rng.uniform(0, 1, (P, n)))
+            centers = frac * grid.box[:, 1]
+            radii = rng.uniform(0.0, 0.5, P) ** 2 * np.where(all(periodic), 40.0, 1.0)
+            # window ends on nodes: centers on nodes, radii whole cells
+            on_node = rng.integers(0, 2, P).astype(bool)
+            centers[on_node] = np.round(centers[on_node] / grid.spacing) * grid.spacing
+            radii[on_node] = rng.integers(0, 4, on_node.sum()) * grid.spacing[0]
+            inside = np.all(periodic | ((centers - radii[:, None] >= 0)
+                                        & (centers + radii[:, None] <= grid.box[:, 1])), axis=1)
+            centers, radii = centers[inside], radii[inside]
+            if not len(centers):
+                continue
+            owners, points = _ball_candidates(grid, centers, radii)
+            want = [self.loop_reference(grid, c, r) for c, r in zip(centers, radii)]
+            np.testing.assert_array_equal(owners, np.repeat(np.arange(len(want)),
+                                                            [len(w) for w in want]))
+            np.testing.assert_array_equal(points, np.vstack(want))
+
+    def test_empty_windows_below_half_a_cell(self):
+        # axis 0 periodic on [0, 1) (nodes 0, 1/4, 1/2, 3/4), axis 1 on [0, 1]
+        # (5 nodes); radius 0.1 < h/2: an axis whose window holds no node
+        # contributes the center coordinate, and each center comes first
+        grid = GridFunction([(0.0, 1.0), (0.0, 1.0)], np.zeros((4, 5)),
+                            periodic=(True, False))
+        centers = np.array([[0.5, 0.5], [0.6, 0.5], [0.6, 0.6], [0.625, 0.375],
+                            [0.625, 0.3], [0.95, 0.5]])
+        owners, points = _ball_candidates(grid, centers, np.full(6, 0.1))
+        expected = [
+            [[0.5, 0.5]],          # both windows hold the node
+            [[0.5, 0.5]],          # at distance 0.1: on the sphere
+            [],                    # (0.5, 0.5) is sqrt(2)/10 away
+            [[0.625, 0.375]],      # both windows empty: the center itself
+            [[0.625, 0.25]],       # axis 0 empty
+            [[1.0, 0.5]],          # periodic representative of node 0
+        ]
+        np.testing.assert_array_equal(owners, np.repeat(np.arange(6),
+                                                        [1 + len(e) for e in expected]))
+        want = np.concatenate([np.vstack([c] + e) for c, e in zip(centers, expected)])
+        np.testing.assert_array_equal(points, want)
+
+    def test_one_pass_per_search(self, sine_problem, monkeypatch):
+        # every query's candidates come from one grouped call
+        calls = []
+        original = laxoleinik._ball_candidates
+
+        def counting(grid, centers, radii):
+            calls.append(len(centers))
+            return original(grid, centers, radii)
+
+        monkeypatch.setattr(laxoleinik, "_ball_candidates", counting)
+        v = GridFunction.from_callable(lambda p: -np.abs(np.sin(p[..., 0])),
+                                       [(-2 * np.pi, 2 * np.pi)], 32, periodic=True)
+        discounted_lax_oleinik(sine_problem, v, 1.0, v.nodes())
+        fp2 = catalog.free_particle(2)
+        grid = GridFunction.from_callable(lambda p: -np.abs(p[..., 0]) - np.abs(p[..., 1]),
+                                          [(-4.0, 4.0), (-4.0, 4.0)], 33)
+        lax_oleinik_minus(fp2, grid, 0.0, 0.5, [[0.0, 0.3], [1.0, -0.5], [0.2, 0.2]])
+        assert calls == [32, 3]
 
 
 class TestMinusOperator:
     def test_zero_data_stationary(self, free_particle_1d):
         grid = GridFunction.from_callable(lambda p: 0.0 * p[..., 0],
                                           [(-8.0, 8.0)], 513)
-        val, arg = lax_oleinik_minus(free_particle_1d, grid, 0.0, 1.0, [0.3])
-        assert abs(val) <= 1e-12
-        assert len(arg.argpoints) == 1
-        assert arg.argpoints[0][0] == pytest.approx(0.3, abs=1e-9)
+        (res,) = lax_oleinik_minus(free_particle_1d, grid, 0.0, 1.0, [[0.3]])
+        assert abs(res.value) <= 1e-12
+        assert len(res.arg.argpoints) == 1
+        assert res.arg.argpoints[0][0] == pytest.approx(0.3, abs=1e-9)
 
     def test_neg_abs_tied_minimizers(self, free_particle_1d, neg_abs_grid):
-        val, arg = lax_oleinik_minus(free_particle_1d, neg_abs_grid, 0.0, 1.0,
-                                     [0.0])
-        assert val == pytest.approx(-0.5, abs=1e-9)
-        pts = sorted(float(p[0]) for p in arg.argpoints)
+        (res,) = lax_oleinik_minus(free_particle_1d, neg_abs_grid, 0.0, 1.0, [[0.0]])
+        assert res.value == pytest.approx(-0.5, abs=1e-9)
+        pts = sorted(float(p[0]) for p in res.arg.argpoints)
         np.testing.assert_allclose(pts, [-1.0, 1.0], atol=1e-6)
 
     def test_linear_data(self, free_particle_1d):
         grid = GridFunction.from_callable(lambda p: p[..., 0], [(-8.0, 8.0)], 1025)
-        val, arg = lax_oleinik_minus(free_particle_1d, grid, 0.0, 1.0, [0.5])
-        assert val == pytest.approx(0.0, abs=1e-9)       # x - 1/2
-        assert arg.argpoints[0][0] == pytest.approx(-0.5, abs=1e-6)
+        (res,) = lax_oleinik_minus(free_particle_1d, grid, 0.0, 1.0, [[0.5]])
+        assert res.value == pytest.approx(0.0, abs=1e-9)       # x - 1/2
+        assert res.arg.argpoints[0][0] == pytest.approx(-0.5, abs=1e-6)
 
     def test_matches_brute_force(self, free_particle_1d, neg_abs_grid):
         for x in (0.3, 1.2, -2.0):
             ref, _ = hopf_lax_brute(lambda z: -np.abs(z), 1.0, x, -8, 8)
-            val, _ = lax_oleinik_minus(free_particle_1d, neg_abs_grid, 0.0, 1.0,
-                                       [x])
-            assert val == pytest.approx(ref, abs=1e-6)
+            (res,) = lax_oleinik_minus(free_particle_1d, neg_abs_grid, 0.0, 1.0, [[x]])
+            assert res.value == pytest.approx(ref, abs=1e-6)
 
     def test_boundary_clipped(self, free_particle_1d, neg_abs_grid):
         with pytest.raises(errors.BoundaryClipped):
-            lax_oleinik_minus(free_particle_1d, neg_abs_grid, 0.0, 1.0, [7.5])
+            lax_oleinik_minus(free_particle_1d, neg_abs_grid, 0.0, 1.0, [[7.5]])
 
     def test_2d_operator(self):
         fp2 = catalog.free_particle(2)
         grid = GridFunction.from_callable(
             lambda p: -np.abs(p[..., 0]) - 0.5 * np.abs(p[..., 1]),
             [(-6.0, 6.0), (-6.0, 6.0)], (97, 97))
-        val, arg = lax_oleinik_minus(fp2, grid, 0.0, 0.5, [0.0, 2.0])
+        (res,) = lax_oleinik_minus(fp2, grid, 0.0, 0.5, [[0.0, 2.0]])
         # separable Hopf-Lax: min over each axis independently
         vx, _ = hopf_lax_brute(lambda z: -np.abs(z), 0.5, 0.0, -6, 6)
         vy, _ = hopf_lax_brute(lambda z: 0.5 * -np.abs(z), 0.5, 2.0, -6, 6)
-        assert val == pytest.approx(vx + vy, abs=1e-4)
+        assert res.value == pytest.approx(vx + vy, abs=1e-4)
         # each query's search is independent of the others in its batch, and
         # the actions are summed row by row, so batching changes no bit,
         # with one horizon for the batch or one per row
@@ -278,6 +376,21 @@ class TestMinusOperator:
         lam1 = localization_radius(fp2.growth, grid.lipschitz_estimate)
         for t2 in (0.5, np.array([0.5, 0.3, 0.7])):
             assert_rows_match_single_calls(fp2, grid, t2, xs, lam1 * t2)
+
+    def test_batch_matches_single_rows(self, sine_problem, sine_exact_grid):
+        # the operator searches all its rows in one kernel call
+        lhat, _ = model.to_evolutionary(sine_problem, horizon=1.0)
+        xs = np.array([[0.3], [1.0], [-2.0], [0.0], [np.pi]])
+        batch = lax_oleinik_minus(lhat, sine_exact_grid, 0.0, 0.75, xs)
+        for x, res in zip(xs, batch):
+            (one,) = lax_oleinik_minus(lhat, sine_exact_grid, 0.0, 0.75, x[None, :])
+            assert res.value == one.value
+            np.testing.assert_array_equal(res.arg.argpoints, one.arg.argpoints)
+            np.testing.assert_array_equal(res.momenta, one.momenta)
+        radius = batch[0].arg.radius
+        assert radius == localization_radius(
+            lhat.growth, sine_exact_grid.lipschitz_estimate) * 0.75
+        assert_rows_match_single_calls(lhat, sine_exact_grid, 0.75, xs, radius)
 
     def test_per_row_horizons_exponential_quadrature(self, sine_problem,
                                                      sine_exact_grid):
@@ -307,8 +420,8 @@ class TestDiscountedOperator:
         v = GridFunction.from_callable(lambda p: 0.0 * p[..., 0],
                                        [(-2.0, 2.0)], 65, periodic=True)
         for t in (0.5, 1.0):
-            assert abs(discounted_lax_oleinik(counterexample_problem, v, t,
-                                              [0.3])) <= 1e-12
+            (res,) = discounted_lax_oleinik(counterexample_problem, v, t, [[0.3]])
+            assert abs(res.value) <= 1e-12
 
     def test_offset_kinetic_closed_form(self):
         m = catalog.mechanical(lambda x: np.ones_like(x),
@@ -318,11 +431,12 @@ class TestDiscountedOperator:
         v0 = GridFunction.from_callable(lambda p: 0.0 * p[..., 0],
                                         [(-4.0, 4.0)], 129, periodic=True)
         for t in (0.5, 1.0, 2.0):
-            val = discounted_lax_oleinik(prob, v0, t, [0.5])
-            assert val == pytest.approx(1.0 - math.exp(-t), abs=1e-10)
+            (res,) = discounted_lax_oleinik(prob, v0, t, [[0.5]])
+            assert res.value == pytest.approx(1.0 - math.exp(-t), abs=1e-10)
         v1 = GridFunction.from_callable(lambda p: 1.0 + 0.0 * p[..., 0],
                                         [(-4.0, 4.0)], 129, periodic=True)
-        assert discounted_lax_oleinik(prob, v1, 1.0, [0.5]) == pytest.approx(1.0)
+        (res,) = discounted_lax_oleinik(prob, v1, 1.0, [[0.5]])
+        assert res.value == pytest.approx(1.0)
 
     def test_few_direct_method_batches(self, sine_problem, monkeypatch):
         # one batch re-scores the scan, the polish makes one batch per axis
@@ -338,7 +452,7 @@ class TestDiscountedOperator:
         monkeypatch.setattr(laxoleinik, "minimize_paths", counting)
         v = GridFunction.from_callable(lambda p: -np.abs(np.sin(p[..., 0])),
                                        [(-2 * np.pi, 2 * np.pi)], 128, periodic=True)
-        discounted_lax_oleinik_batch(sine_problem, v, 1.0, v.nodes())
+        discounted_lax_oleinik(sine_problem, v, 1.0, v.nodes())
         assert len(calls) <= 12
 
     def test_few_fine_paths(self, sine_problem, monkeypatch):
@@ -356,7 +470,7 @@ class TestDiscountedOperator:
         monkeypatch.setattr(laxoleinik, "minimize_paths", counting)
         v = GridFunction.from_callable(lambda p: -np.abs(np.sin(p[..., 0])),
                                        [(-2 * np.pi, 2 * np.pi)], 128, periodic=True)
-        discounted_lax_oleinik_batch(sine_problem, v, 1.0, v.nodes())
+        discounted_lax_oleinik(sine_problem, v, 1.0, v.nodes())
         assert sum(paths) <= 1135
 
     @pytest.mark.parametrize("segments", [laxoleinik._COARSE_SEGMENTS, PATH_SEGMENTS,
@@ -376,13 +490,13 @@ class TestDiscountedOperator:
 
         monkeypatch.setattr(laxoleinik, "minimize_paths", one_unconverged)
         with pytest.raises(errors.NoConvergence):
-            lax_oleinik_minus(free_particle_1d, neg_abs_grid, 0.0, 1.0, [0.3])
+            lax_oleinik_minus(free_particle_1d, neg_abs_grid, 0.0, 1.0, [[0.3]])
 
     def test_exponent_cap(self, counterexample_problem):
         v = GridFunction.from_callable(lambda p: 0.0 * p[..., 0],
                                        [(-2.0, 2.0)], 65, periodic=True)
         with pytest.raises(errors.ExponentOverflow):
-            discounted_lax_oleinik(counterexample_problem, v, 50.0, [0.0])
+            discounted_lax_oleinik(counterexample_problem, v, 50.0, [[0.0]])
 
 
 def _periodic_grids():
@@ -407,9 +521,9 @@ class TestOperatorProperties:
         lower = GridFunction(self.box, f, periodic=True)
         upper = lower.with_values(f + raise_by)
         m = catalog.sine_kink()
-        tf, _ = lax_oleinik_minus(m, lower, 0.0, t, [x])
-        tg, _ = lax_oleinik_minus(m, upper, 0.0, t, [x])
-        assert tf <= tg + 1e-12          # rounding, as in test_monotonicity
+        (tf,) = lax_oleinik_minus(m, lower, 0.0, t, [[x]])
+        (tg,) = lax_oleinik_minus(m, upper, 0.0, t, [[x]])
+        assert tf.value <= tg.value + 1e-12          # rounding, as in test_monotonicity
 
     @_PROPERTY
     @given(f=_periodic_grids(), c=st.floats(-10.0, 10.0), t=st.floats(0.25, 1.0),
@@ -417,9 +531,9 @@ class TestOperatorProperties:
     def test_constant_shift(self, f, c, t, x):
         grid = GridFunction(self.box, f, periodic=True)
         m = catalog.sine_kink()
-        tf, _ = lax_oleinik_minus(m, grid, 0.0, t, [x])
-        shifted, _ = lax_oleinik_minus(m, grid.with_values(f + c), 0.0, t, [x])
-        assert abs(shifted - (tf + c)) <= 1e-12 * (1 + abs(c))
+        (tf,) = lax_oleinik_minus(m, grid, 0.0, t, [[x]])
+        (shifted,) = lax_oleinik_minus(m, grid.with_values(f + c), 0.0, t, [[x]])
+        assert abs(shifted.value - (tf.value + c)) <= 1e-12 * (1 + abs(c))
 
     @_PROPERTY
     @given(f=_periodic_grids(), c=st.floats(-1.0, 1.0), bump=st.floats(0.0, 1.0),
@@ -436,9 +550,9 @@ class TestOperatorProperties:
         other = grid.with_values(f + c + noise)
         nodes = grid.nodes()
         tf = np.array([r.value for r in
-                       discounted_lax_oleinik_batch(sine_problem, grid, t, nodes)])
+                       discounted_lax_oleinik(sine_problem, grid, t, nodes)])
         tg = np.array([r.value for r in
-                       discounted_lax_oleinik_batch(sine_problem, other, t, nodes)])
+                       discounted_lax_oleinik(sine_problem, other, t, nodes)])
         bound = math.exp(-sine_problem.lam * t) * np.max(np.abs(other.values - f))
         assert np.max(np.abs(tf - tg)) <= bound + 1e-12 * (1 + bound)
 
@@ -483,9 +597,9 @@ class TestOperatorInvariants:
         tilted = zero.with_values(0.01 * np.sin(zero.nodes()[:, 0]))
         xs = [[0.0], [np.pi]]
         tz = np.array([r.value for r in
-                       discounted_lax_oleinik_batch(sine_problem, zero, 0.5, xs)])
+                       discounted_lax_oleinik(sine_problem, zero, 0.5, xs)])
         tt = np.array([r.value for r in
-                       discounted_lax_oleinik_batch(sine_problem, tilted, 0.5, xs)])
+                       discounted_lax_oleinik(sine_problem, tilted, 0.5, xs)])
         # the potential and the data are pi-periodic
         assert tz[0] == pytest.approx(tz[1], abs=1e-12)
         assert np.max(np.abs(tz - tt)) <= math.exp(-0.5) * 0.01
@@ -498,13 +612,14 @@ class TestOperatorInvariants:
         lower = GridFunction(box, f, periodic=True)
         upper = lower.with_values(f + np.r_[0.0625, np.zeros(10)])
         m = catalog.sine_kink()
-        tf, arg = lax_oleinik_minus(m, lower, 0.0, 0.5625, [0.0])
-        tg, _ = lax_oleinik_minus(m, upper, 0.0, 0.5625, [0.0])
-        assert tf <= tg + 1e-12
-        assert all(z[0] < 0 for z in arg.argpoints)
+        (tf,) = lax_oleinik_minus(m, lower, 0.0, 0.5625, [[0.0]])
+        (tg,) = lax_oleinik_minus(m, upper, 0.0, 0.5625, [[0.0]])
+        assert tf.value <= tg.value + 1e-12
+        assert all(z[0] < 0 for z in tf.arg.argpoints)
 
     def test_localization_records(self, free_particle_1d, neg_abs_grid):
-        _, arg = lax_oleinik_minus(free_particle_1d, neg_abs_grid, 0.0, 1.0, [0.0])
+        (res,) = lax_oleinik_minus(free_particle_1d, neg_abs_grid, 0.0, 1.0, [[0.0]])
+        arg = res.arg
         assert arg.argpoints
         for z in arg.argpoints:
             dist = float(np.linalg.norm(z - arg.center))
@@ -517,9 +632,9 @@ class TestOperatorInvariants:
         g = f.with_values(f.values + 0.25)
         nodes = f.nodes()
         tf = np.array([r.value for r in
-                       discounted_lax_oleinik_batch(sine_problem, f, 1.0, nodes)])
+                       discounted_lax_oleinik(sine_problem, f, 1.0, nodes)])
         tg = np.array([r.value for r in
-                       discounted_lax_oleinik_batch(sine_problem, g, 1.0, nodes)])
+                       discounted_lax_oleinik(sine_problem, g, 1.0, nodes)])
         assert np.all(tg >= tf - 1e-12)
 
     def test_contraction(self, sine_problem):
@@ -535,9 +650,9 @@ class TestOperatorInvariants:
             g = base.with_values(np.cos(nodes[:, 0] * rng.integers(1, 4))
                                  * rng.uniform(0.2, 1.0))
             tf = np.array([r.value for r in
-                           discounted_lax_oleinik_batch(sine_problem, f, 1.0, nodes)])
+                           discounted_lax_oleinik(sine_problem, f, 1.0, nodes)])
             tg = np.array([r.value for r in
-                           discounted_lax_oleinik_batch(sine_problem, g, 1.0, nodes)])
+                           discounted_lax_oleinik(sine_problem, g, 1.0, nodes)])
             lhs = float(np.max(np.abs(tf - tg)))
             rhs = math.exp(-lam) * float(np.max(np.abs(f.values - g.values)))
             eps = f.interpolation_error_bound() + g.interpolation_error_bound()
@@ -547,13 +662,12 @@ class TestOperatorInvariants:
         v = sine_exact_grid
         nodes = v.nodes()
         one = np.array([r.value for r in
-                        discounted_lax_oleinik_batch(sine_problem, v, 1.0, nodes)])
+                        discounted_lax_oleinik(sine_problem, v, 1.0, nodes)])
         half = np.array([r.value for r in
-                         discounted_lax_oleinik_batch(sine_problem, v, 0.5, nodes)])
+                         discounted_lax_oleinik(sine_problem, v, 0.5, nodes)])
         v_half = v.with_values(half.reshape(v.resolution))
         two_halves = np.array([r.value for r in
-                               discounted_lax_oleinik_batch(sine_problem, v_half,
-                                                            0.5, nodes)])
+                               discounted_lax_oleinik(sine_problem, v_half, 0.5, nodes)])
         eps = 2 * v.interpolation_error_bound() + 1e-4
         assert float(np.max(np.abs(two_halves - one))) <= 2 * eps
 
@@ -561,12 +675,11 @@ class TestOperatorInvariants:
         # smooth data: the minimizer's starting momentum is the data gradient
         grid = GridFunction.from_callable(lambda p: 0.3 * np.sin(p[..., 0]),
                                           [(-9.0, 9.0)], 2049)
-        from hjsing.laxoleinik import localized_convolution
         res = localized_convolution(free_particle_1d, grid, 0.0, 1.0,
                                     np.array([[0.7]]), radius=2.0)[0]
         # the free particle's momentum is constant along the path, so the
         # end momentum is the starting one
-        z = res.best_point[0]
+        z = res.arg.argpoints[0][0]
         assert abs(res.momenta[0, 0] - 0.3 * math.cos(z)) <= 1e-3
 
     def test_dominated_inequality_for_fixed_point(self, sine_problem,

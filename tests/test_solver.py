@@ -16,7 +16,7 @@ from hjsing import (
     solve_evolutionary,
     solver,
 )
-from hjsing.laxoleinik import discounted_lax_oleinik_batch
+from hjsing.laxoleinik import discounted_lax_oleinik
 
 
 class TestBoundsK:
@@ -77,7 +77,7 @@ class TestSolveDiscounted:
         prev = v.values.reshape(-1)
         changes = []
         for _ in range(5):
-            new = np.array([r.value for r in discounted_lax_oleinik_batch(
+            new = np.array([r.value for r in discounted_lax_oleinik(
                 sine_problem, v, 1.0, nodes, lip_bound=lip_cap)])
             assert np.min(new - prev) >= -1e-9        # nodewise nondecreasing
             assert np.min(new) >= -k1 - 1e-6
@@ -100,7 +100,7 @@ class TestSolveDiscounted:
                                        periodic=True)
         nodes = v.nodes()
         for _ in range(12):
-            new = np.array([r.value for r in discounted_lax_oleinik_batch(
+            new = np.array([r.value for r in discounted_lax_oleinik(
                 sine_problem, v, 1.0, nodes)])
             change = float(np.max(np.abs(new - v.values.reshape(-1))))
             v = v.with_values(new.reshape(v.resolution))

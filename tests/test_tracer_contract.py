@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 
 from hjsing import GridFunction, catalog, singular, solver
-from hjsing.laxoleinik import discounted_lax_oleinik_batch
+from hjsing.laxoleinik import discounted_lax_oleinik
 
 TRACER = Path(__file__).resolve().parents[1] / "hjbench" / "tracer.py"
 
@@ -31,7 +31,7 @@ def test_traced_kernel_calls():
     tr = tracer.Tracer()
     with tracer.traced(tr, []), tracer.traced_models(
             tr, [problem.lagrangian, free], [problem.hamiltonian, free.hamiltonian]):
-        discounted_lax_oleinik_batch(problem, v, 1.0, v.nodes())
+        discounted_lax_oleinik(problem, v, 1.0, v.nodes())
         field.values(1.0, np.array([[0.0], [0.5]]))
     metrics = tracer.layer_metrics(tr)
     assert metrics["laxoleinik.localized_convolution.calls"] == 2
