@@ -149,11 +149,19 @@ class GridFunction:
 
     # -- evaluation ---------------------------------------------------------
 
-    def __call__(self, points):
-        pts = np.asarray(points, dtype=float)
-        squeeze = pts.ndim == 1
-        pts = np.atleast_2d(pts)
-        flat = pts.reshape(-1, self.dimension)
+    def interpolation_weights(self, points):
+        """The multilinear stencil of each point: (index, weight), both
+        (K, 2^n) for the K = prod(shape[:-1]) points of ``points`` (..., n).
+
+        Column c is the corner that takes the upper node on axis ax where
+        bit ax of c is set; ``index`` is that node's flat index into
+        ``values`` and ``weight`` its weight.  The weights are nonnegative
+        and sum to 1.  A coordinate within 1e-9 cells of a node snaps to it,
+        so a node's stencil puts its whole weight on that node.  Periodic
+        axes wrap; on the others a point more than 1e-9 of the box width
+        outside raises :class:`BoundaryClipped`, and one within is clipped.
+        """
+        flat = np.asarray(points, dtype=float).reshape(-1, self.dimension)
         idx0, frac = [], []
         for ax in range(self.dimension):
             a, b = self.box[ax]
@@ -175,10 +183,11 @@ class GridFunction:
                 i0 = np.minimum(np.floor(u).astype(int), m - 2 if m > 1 else 0)
             idx0.append(i0)
             frac.append(u - i0)
-        out = np.zeros(flat.shape[0])
-        for corner in range(1 << self.dimension):
-            weight = np.ones(flat.shape[0])
-            index = []
+        K, corners = flat.shape[0], 1 << self.dimension
+        index = np.empty((K, corners), dtype=np.intp)
+        weight = np.empty((K, corners))
+        for corner in range(corners):
+            w, flat_index = np.ones(K), 0
             for ax in range(self.dimension):
                 if corner >> ax & 1:
                     i = idx0[ax] + 1
@@ -186,12 +195,23 @@ class GridFunction:
                         i = i % self.resolution[ax]
                     else:
                         i = np.minimum(i, self.resolution[ax] - 1)
-                    weight = weight * frac[ax]
+                    w = w * frac[ax]
                 else:
                     i = idx0[ax]
-                    weight = weight * (1.0 - frac[ax])
-                index.append(i)
-            out += weight * self.values[tuple(index)]
+                    w = w * (1.0 - frac[ax])
+                flat_index = flat_index * self.resolution[ax] + i
+            index[:, corner], weight[:, corner] = flat_index, w
+        return index, weight
+
+    def __call__(self, points):
+        pts = np.asarray(points, dtype=float)
+        squeeze = pts.ndim == 1
+        pts = np.atleast_2d(pts)
+        index, weight = self.interpolation_weights(pts)
+        values = self.values.reshape(-1)
+        out = np.zeros(len(index))
+        for corner in range(index.shape[1]):
+            out += weight[:, corner] * values[index[:, corner]]
         out = out.reshape(pts.shape[:-1])
         return float(out[0]) if squeeze else out
 
@@ -425,13 +445,16 @@ def _illinois(evaluate, x_lo, x_hi, d_lo, d_hi, n_lo, n_hi):
     return xc, cc, ac, nc
 
 
-def _cell_polish(f: GridFunction, solve, z, paths):
+def _cell_polish(f: GridFunction, solve, z, paths, actions, gradients):
     """Cyclic per-axis minimization of ``f(z) + A(z)`` around each row of z.
 
     ``solve(points, rows, warm)`` returns ``(A, dA, nodes)`` at ``points``
     (P, n) for the seeds ``rows``: the actions (P,), their derivatives in
     the point (P, n) and the paths, warm-started at ``warm``, paths of
-    earlier points of the same seeds; ``paths`` holds one per row of z.
+    earlier points of the same seeds.  ``paths``, ``actions`` and
+    ``gradients`` hold that triple at each row of z; a breakpoint at a
+    seed's starting point takes it instead of solving again (with the
+    path as its own warm start, the solve would stop where it starts).
 
     Along an axis f is linear between grid nodes.  So on each axis the
     window [z - w, z + w] is cut at the nodes (:func:`_axis_breakpoints`)
@@ -452,6 +475,7 @@ def _cell_polish(f: GridFunction, solve, z, paths):
     """
     z = np.array(z, dtype=float)
     paths = np.array(paths, dtype=float)
+    z0, start = z.copy(), (np.asarray(actions), np.asarray(gradients), paths.copy())
     S, n = z.shape
     cost, act = np.full(S, np.inf), np.full(S, np.nan)
     h_ref = float(np.max(f.spacing))
@@ -461,16 +485,23 @@ def _cell_polish(f: GridFunction, solve, z, paths):
         before = z[live].copy()
         for ax in range(n):
 
-            def evaluate(seeds, x, warm):
+            def evaluate(seeds, x, warm, own=None):
                 pts = z[seeds].copy()
                 pts[:, ax] = x
-                a, da, nodes = solve(pts, seeds, warm)
+                if own is None:
+                    a, da, nodes = solve(pts, seeds, warm)
+                else:
+                    a, da, nodes = (known[seeds] for known in start)
+                    new = ~own
+                    if new.any():
+                        a[new], da[new], nodes[new] = solve(pts[new], seeds[new], warm[new])
                 fv = np.asarray(f(pts), dtype=float).reshape(-1)
                 return fv + a, a, da[:, ax], nodes, fv
 
             owner, xb = _axis_breakpoints(f, ax, z[live, ax], width)
             seeds = live[owner]
-            cb, ab, db, nb, fb = evaluate(seeds, xb, paths[seeds])
+            own = (xb == z0[seeds, ax]) & np.all(z[seeds] == z0[seeds], axis=1)
+            cb, ab, db, nb, fb = evaluate(seeds, xb, paths[seeds], own)
             # cells between consecutive breakpoints of one seed
             left = np.nonzero(owner[:-1] == owner[1:])[0]
             right = left + 1
@@ -625,6 +656,7 @@ def localized_convolution(model: LagrangianModel, f: GridFunction, t1: float,
     K = len(cand_k)
     fine = np.full(K, np.nan)
     fine_nodes = np.empty((K, PATH_SEGMENTS + 1, n))
+    fine_grad = np.empty((K, n))
     scored = np.zeros(K, dtype=bool)
     margin = np.zeros(P)
     while True:
@@ -634,12 +666,14 @@ def localized_convolution(model: LagrangianModel, f: GridFunction, t1: float,
             break
         sol = action_batch(cand_k[rows], owners_k[rows], PATH_SEGMENTS)
         fine[rows], fine_nodes[rows] = sol["action"], sol["nodes"]
+        fine_grad[rows] = sol["d_start"]
         scored[rows] = True
         spread = (fine - coarse)[scored]
         hi = -_owner_min(owners_k[scored], -spread, P)
         margin = 2.0 * (hi - _owner_min(owners_k[scored], spread, P))
-    cand_k, owners_k, nodes_k = cand_k[scored], owners_k[scored], fine_nodes[scored]
-    cost_acc = f_k[scored] + fine[scored]
+    cand_k, owners_k = cand_k[scored], owners_k[scored]
+    nodes_k, fine_k, grad_k = fine_nodes[scored], fine[scored], fine_grad[scored]
+    cost_acc = f_k[scored] + fine_k
 
     # polish seeds: near-optimal candidates, cheapest first per owner,
     # thinned to distinct basins
@@ -651,7 +685,8 @@ def localized_convolution(model: LagrangianModel, f: GridFunction, t1: float,
         sol_p = action_batch(points, seed_owner[rows], PATH_SEGMENTS, init=warm)
         return sol_p["action"], sol_p["d_start"], sol_p["nodes"]
 
-    pos, val, act1, nodes1 = _cell_polish(f, solve, cand_k[seeds], nodes_k[seeds])
+    pos, val, act1, nodes1 = _cell_polish(f, solve, cand_k[seeds], nodes_k[seeds],
+                                          fine_k[seeds], grad_k[seeds])
 
     # Richardson-refined values for every near-tied winner, batched across
     # owners; the refined near-ties are the argument set

@@ -1,8 +1,12 @@
 """Viscosity solutions: the discounted fixed point and evolutionary value fields.
 
-The discounted solver iterates the unit-time backward operator from the
-constant lower bracket; the contraction rate exp(-lam) turns the observed
-sup-change into a certified total-error bound, which is the stopping rule.
+The discounted solver is modified policy iteration on the unit-time
+backward operator T, started from the constant lower bracket.  Each
+convolution sweep applies T at every node; the contraction rate exp(-lam)
+turns its observed sup-change into a certified total-error bound, which is
+the stopping rule.  Between two sweeps, policy evaluation holds each
+node's argpoint fixed and iterates the affine map that this policy makes
+of T, which costs a few interpolations per node and no path solve.
 Evolutionary fields are computed in one shot per requested time (no time
 stepping): every node is an independent localized inf-convolution of the
 initial data.
@@ -34,12 +38,15 @@ _CERTIFICATE_POLISH_WINDOW = 2e-2  # polish seeds of a singularity certificate
 
 @dataclass
 class SolveReport:
-    """``converged`` is the tail-bound stopping rule of the iteration;
-    ``residual_ok`` says whether the equation residual of the result met
-    ``residual_gate``."""
+    """``iterations`` counts convolution sweeps and ``sup_changes`` holds
+    each one's sup-change; ``policy_passes`` holds the policy-evaluation
+    passes run after each sweep (0 after the last).  ``converged`` is the
+    tail-bound stopping rule of the iteration; ``residual_ok`` says whether
+    the equation residual of the result met ``residual_gate``."""
 
     iterations: int
     sup_changes: list
+    policy_passes: list
     K1: float
     K2: float
     final_residual: float
@@ -55,6 +62,7 @@ class SolveReport:
         return json.dumps({
             "iterations": self.iterations,
             "sup_changes": [float(c) for c in self.sup_changes],
+            "policy_passes": [int(k) for k in self.policy_passes],
             "K1": self.K1,
             "K2": self.K2,
             "final_residual": self.final_residual,
@@ -91,7 +99,23 @@ def bounds_K(problem: DiscountedProblem):
 
 def solve_discounted(problem: DiscountedProblem, box, resolution, tol: float = 1e-3,
                      periodic: bool = True):
-    """Iterate the unit-time backward operator from -K1 until the tail bound.
+    """Modified policy iteration on the unit-time backward operator T from
+    -K1, until the tail bound.
+
+    Each convolution sweep computes T v at every node.  It stops the
+    iteration once its sup-change |T v - v| is at most tol (1 - e^{-lam}),
+    and then returns T v: T contracts by e^{-lam}, so |T v - v*| <= tol.
+    Otherwise policy evaluation follows.  With z*(x) the first argpoint of
+    node x, a(x) = (T v)(x) - e^{-lam} v(z*(x)) is its path cost (a tied
+    argpoint gives the same), and the passes iterate
+    w -> e^{-lam} P w + a from w = T v, P the interpolation weights at the
+    argpoints, until a pass changes w by at most tol (1 - e^{-lam}) or
+    after as many passes as the sweep cap.  P is stochastic, so the passes
+    converge at the rate e^{-lam}; the next sweep starts from w.  The
+    evaluated policy's value lies above the fixed point, so the sweeps
+    after the first approach it from above.  The stopping rule and the
+    certificate are those of plain value iteration, as only sweeps are
+    tested and a sweep's output is returned.
 
     The grid is treated as one period per axis by default; discounted
     localization radii exceed any affordable non-periodic padding, so
@@ -111,18 +135,35 @@ def solve_discounted(problem: DiscountedProblem, box, resolution, tol: float = 1
 
     spread = k1 + k2
     cap = 10 if spread <= tol else math.ceil(math.log(spread / tol) / lam) + 10
-    stop = tol * (1.0 - math.exp(-lam))
-    sup_changes = []
+    decay = math.exp(-lam)
+    stop = tol * (1.0 - decay)
+    sup_changes, policy_passes = [], []
     converged = False
     for _ in range(cap):
         results = discounted_lax_oleinik(problem, v, 1.0, nodes, lip_bound=lip_cap)
-        new_vals = np.array([r.value for r in results]).reshape(v.resolution)
-        change = float(np.max(np.abs(new_vals - v.values)))
+        swept = np.array([r.value for r in results])
+        change = float(np.max(np.abs(swept - v.values.reshape(-1))))
         sup_changes.append(change)
-        v = v.with_values(new_vals)
         if change <= stop:
+            v = v.with_values(swept.reshape(v.resolution))
             converged = True
+            policy_passes.append(0)
             break
+        # policy evaluation, each node's first argpoint held: the path costs
+        # make the held map reproduce the sweep at v
+        index, weight = v.interpolation_weights([r.arg.argpoints[0] for r in results])
+
+        def held(w):
+            return np.sum(weight * w[index], axis=1)
+
+        cost = swept - decay * held(v.values.reshape(-1))
+        w = swept
+        for passes in range(1, cap + 1):
+            w, before = decay * held(w) + cost, w
+            if float(np.max(np.abs(w - before))) <= stop:
+                break
+        policy_passes.append(passes)
+        v = v.with_values(w.reshape(v.resolution))
     if not converged:
         raise NoConvergence(
             f"discounted iteration: sup-change {sup_changes[-1]:.3g} > {stop:.3g} "
@@ -133,7 +174,8 @@ def solve_discounted(problem: DiscountedProblem, box, resolution, tol: float = 1
     gate = 10 * tol
     residual = residual_check(problem, v, samples=33, tol=gate).sup_residual
     report = SolveReport(iterations=len(sup_changes), sup_changes=sup_changes,
-                         K1=k1, K2=k2, final_residual=residual,
+                         policy_passes=policy_passes, K1=k1, K2=k2,
+                         final_residual=residual,
                          converged=converged, tol=tol, residual_gate=gate)
     return v, report
 

@@ -141,7 +141,9 @@ def test_writes_the_same_grid_twice(tmp_path, command, output):
     (SINE_KINK, ()),
     # finite-difference partials; c1, c2 set the model's growth offsets
     (COS_EXPRESSION, ("--seed", "2")),
-], ids=["catalog", "expression"])
+    # a non-periodic box: the boundary nodes' search balls leave it
+    (FREE_PARTICLE_KINK, ()),
+], ids=["catalog", "expression", "box"])
 def test_verify(tmp_path, capsys, config_text, flags):
     code, _ = run(tmp_path, "verify", config_text, *flags)
     out = capsys.readouterr().out

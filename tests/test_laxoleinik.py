@@ -66,6 +66,71 @@ class TestGridFunction:
         kink = 2 * math.sin(np.pi / 32) / 8
         assert g.interpolation_error_bound() == pytest.approx(kink, rel=1e-12)
 
+    @staticmethod
+    def corner_loop_reference(g, pts):
+        """Multilinear interpolation corner by corner, as ``__call__`` did
+        before it read ``interpolation_weights``."""
+        idx0, frac = [], []
+        for ax in range(g.dimension):
+            u = (pts[:, ax] - g.box[ax, 0]) / g.spacing[ax]
+            u = np.where(np.abs(u - np.round(u)) < 1e-9, np.round(u), u)
+            m = g.resolution[ax]
+            if g.periodic[ax]:
+                u = np.mod(u, m)
+                i0 = np.floor(u).astype(int) % m
+            else:
+                u = np.clip(u, 0.0, m - 1)
+                i0 = np.minimum(np.floor(u).astype(int), m - 2)
+            idx0.append(i0)
+            frac.append(u - i0)
+        out = np.zeros(len(pts))
+        for corner in range(1 << g.dimension):
+            weight, index = np.ones(len(pts)), []
+            for ax in range(g.dimension):
+                if corner >> ax & 1:
+                    i = idx0[ax] + 1
+                    i = i % g.resolution[ax] if g.periodic[ax] else np.minimum(
+                        i, g.resolution[ax] - 1)
+                    weight = weight * frac[ax]
+                else:
+                    i = idx0[ax]
+                    weight = weight * (1.0 - frac[ax])
+                index.append(i)
+            out += weight * g.values[tuple(index)]
+        return out
+
+    @pytest.mark.parametrize("dimension", [1, 2])
+    @pytest.mark.parametrize("periodic", [True, False], ids=["periodic", "box"])
+    def test_interpolation_weights(self, dimension, periodic):
+        # queries on nodes, off nodes and at the right edge of the box (on a
+        # periodic axis that edge wraps to node 0), and beyond the period
+        rng = np.random.default_rng(10 * dimension + periodic)
+        for _ in range(20):
+            lo = rng.uniform(-3.0, 1.0, size=dimension)
+            box = np.stack([lo, lo + rng.uniform(0.5, 4.0, size=dimension)], axis=1)
+            res = tuple(int(m) for m in rng.integers(2, 12, size=dimension))
+            g = GridFunction(box, rng.normal(size=res), periodic=periodic)
+            span = box[:, 1] - box[:, 0]
+            off = box[:, 0] + rng.uniform(0.0, 1.0, size=(30, dimension)) * span
+            edge = off[:5].copy()
+            edge[:, -1] = box[-1, 1]
+            queries = [g.nodes(), off, edge, box[:, 1][None]]
+            if periodic:
+                queries.append(off + rng.integers(-2, 3, size=(30, dimension)) * span)
+            pts = np.concatenate(queries)
+            index, weight = g.interpolation_weights(pts)
+            assert index.shape == weight.shape == (len(pts), 2 ** dimension)
+            assert np.all(weight >= 0.0)
+            np.testing.assert_allclose(weight.sum(axis=1), 1.0, rtol=0, atol=1e-15)
+            assert np.all((index >= 0) & (index < g.values.size))
+            combined = np.zeros(len(pts))
+            for corner in range(2 ** dimension):
+                combined += weight[:, corner] * g.values.reshape(-1)[index[:, corner]]
+            got = g(pts)
+            assert np.array_equal(got, combined)
+            assert np.array_equal(got, self.corner_loop_reference(g, pts))
+            np.testing.assert_array_equal(got[:g.values.size], g.values.reshape(-1))
+
     def test_values_read_only(self, neg_abs_grid):
         with pytest.raises(ValueError):
             neg_abs_grid.values[0] = 3.0
@@ -162,11 +227,34 @@ def _quadratic_action(xs, metric):
 
 
 class TestCellPolish:
-    def polish(self, f, xs, seeds, metric=((1.0, 0.0), (0.0, 1.0))):
+    def polish(self, f, xs, seeds, metric=((1.0, 0.0), (0.0, 1.0)), solve=None):
         xs = np.asarray(xs, dtype=float)
         seeds = np.asarray(seeds, dtype=float)
-        return _cell_polish(f, _quadratic_action(xs, metric), seeds,
-                            seeds[:, None, :])
+        solve = solve or _quadratic_action(xs, metric)
+        a, da, paths = solve(seeds, np.arange(len(seeds)), None)
+        return _cell_polish(f, solve, seeds, paths, a, da)
+
+    @pytest.mark.parametrize("dimension", [1, 2])
+    def test_seed_node_not_solved_again(self, dimension):
+        # seeds on grid nodes: the first batch holds every breakpoint of the
+        # first axis but each seed's own node, whose path the seed brings
+        rng = np.random.default_rng(dimension)
+        f = GridFunction([(-2.0, 2.0)] * dimension,
+                         rng.uniform(-0.5, 0.5, (33,) * dimension))
+        nodes = f.nodes()
+        seeds = nodes[rng.choice(len(nodes), size=5, replace=False)]
+        xs = seeds + rng.uniform(-0.3, 0.3, size=seeds.shape)
+        quadratic = _quadratic_action(xs, ((1.0, 0.4), (0.4, 1.0)))
+        batches = []
+
+        def solve(points, rows, warm):
+            batches.append(len(points))
+            return quadratic(points, rows, warm)
+
+        self.polish(f, xs, seeds, solve=solve)
+        owner, xb = laxoleinik._axis_breakpoints(f, 0, seeds[:, 0], 0.125)
+        assert all(z in xb[owner == i] for i, z in enumerate(seeds[:, 0]))
+        assert batches[1] == len(xb) - len(seeds)      # batches[0]: the seeds
 
     def test_interior_minimizer(self):
         # f(z) = 0.3 z: min of 0.3 z + (z - x)^2 / 2 at z = x - 0.3, inside a cell

@@ -18,6 +18,8 @@ from hjsing import (
 )
 from hjsing.laxoleinik import discounted_lax_oleinik
 
+from .test_action import _sine_kink_2d
+
 
 class TestBoundsK:
     def test_zero_constants(self, counterexample_problem):
@@ -65,6 +67,32 @@ class TestSolveDiscounted:
         x = v.nodes()[:, 0]
         assert float(np.max(np.abs(v.values - (-np.abs(np.sin(x)))))) <= 5e-3
         assert report.K1 == 1.0 and report.K2 == 0.5
+        assert report.iterations <= 3
+
+    def test_three_sweeps_on_shifted_grids(self, sine_problem):
+        # the grids of the discounted-1d benchmark: 128 nodes on two periods,
+        # shifted by a phase in [0, h) drawn from seeds 1-10; plain value
+        # iteration took 4 convolution sweeps on each
+        h = 4 * np.pi / 128
+        for seed in range(1, 11):
+            phase = float(np.random.default_rng(seed).uniform(0.0, h))
+            v, report = solve_discounted(
+                sine_problem, [(phase - 2 * np.pi, phase + 2 * np.pi)], 128, tol=1e-3)
+            x = v.nodes()[:, 0]
+            assert report.iterations <= 3
+            assert len(report.policy_passes) == report.iterations
+            assert float(np.max(np.abs(v.values + np.abs(np.sin(x))))) <= 5e-3
+
+    def test_torus_2d(self):
+        # L = |v|^2/2 + f(x1) + f(x2), lam = 1: v = -|sin x1| - |sin x2|;
+        # plain value iteration took 5 convolution sweeps
+        problem = catalog.discounted_from_model(_sine_kink_2d(curvature=True), lam=1.0)
+        v, report = solve_discounted(problem, [(0.0, np.pi), (0.0, np.pi)], 16,
+                                     tol=1e-3)
+        x = v.nodes()
+        exact = -np.abs(np.sin(x[:, 0])) - np.abs(np.sin(x[:, 1]))
+        assert report.iterations <= 3
+        assert float(np.max(np.abs(v.values.reshape(-1) - exact))) <= 5e-3
 
     def test_bracket_and_monotone_iterates(self, sine_problem):
         k1, k2 = bounds_K(sine_problem)
@@ -133,6 +161,10 @@ class TestSolveDiscounted:
                                      tol=1e-3)
         text = report.as_json()
         assert '"iterations"' in text and '"K1"' in text
+        payload = json.loads(text)
+        passes = payload["policy_passes"]
+        assert len(passes) == len(payload["sup_changes"]) == payload["iterations"]
+        assert passes[-1] == 0 and all(isinstance(k, int) and k >= 0 for k in passes)
 
 
 class TestSolveEvolutionary:
