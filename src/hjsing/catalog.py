@@ -149,7 +149,8 @@ def sine_kink(eps: float = 0.0) -> LagrangianModel:
         return 0.5 * np.cos(x) ** 2 - smooth_abs(np.sin(x))
 
     def f_grad(x):
-        return -np.cos(x) * np.sin(x) - smooth_abs_d(np.sin(x)) * np.cos(x)
+        sin, cos = np.sin(x), np.cos(x)
+        return -cos * sin - smooth_abs_d(sin) * cos
 
     def f_hess(x):
         sin, cos = np.sin(x), np.cos(x)

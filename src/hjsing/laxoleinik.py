@@ -18,6 +18,14 @@ each axis, and Richardson-refined values of the near-tied winners, which
 are the (possibly tied) argument set.  The only loop over queries builds
 the returned :class:`SearchResult` list.
 
+The search runs through a :class:`ConvolutionPlan`, which holds the work
+that does not depend on f: the candidates, their straight-segment actions
+and the coarse and fine paths it has solved.  A one-shot call builds a
+plan and searches once; :class:`DiscountedOperator`, which the discounted
+fixed-point iteration applies once per sweep, keeps its plan, so a later
+sweep recomputes only the scan costs, the paths of candidates new to the
+re-scores, the polish and the Richardson pass.
+
 Grids are axis-aligned boxes with multilinear interpolation.  A periodic
 axis wraps node values, and the candidates are real-line representatives
 near the query point; that is what makes discounted fixed-point iteration
@@ -337,6 +345,18 @@ def _ball_mesh(axes, centers, radii):
     return np.nonzero(keep)[0], points[keep]
 
 
+def _node_positions(grid: GridFunction, ax: int, m):
+    """The coordinates on axis ``ax`` of the node indices m: on a periodic
+    axis node m sits at ``axes()[ax][m % M] + (m // M) * period``; on the
+    others m is clipped to the box's nodes.  Every node coordinate the
+    search compares is built here, so equal nodes compare equal."""
+    nodes = grid.axes()[ax]
+    (a, b), M = grid.box[ax], grid.resolution[ax]
+    if grid.periodic[ax]:
+        return nodes[m % M] + (m // M) * (b - a)
+    return nodes[np.clip(m, 0, M - 1)]
+
+
 def _ball_candidates(grid: GridFunction, centers, radii):
     """Real-line candidates in the ball around each center, one pass for all.
 
@@ -348,7 +368,7 @@ def _ball_candidates(grid: GridFunction, centers, radii):
     non-periodic axis.  Returns (owners, points) as :func:`_ball_mesh`.
     """
     axes = []
-    for ax, nodes in enumerate(grid.axes()):
+    for ax in range(grid.dimension):
         (a, b), M, per = grid.box[ax], grid.resolution[ax], grid.periodic[ax]
         c = centers[:, ax]
         r = np.minimum(radii, periodic_radius_cap(grid, ax))
@@ -363,10 +383,8 @@ def _ball_candidates(grid: GridFunction, centers, radii):
         first = np.floor((lo - a) / grid.spacing[ax]).astype(int) - 1
         last = np.ceil((hi - a) / grid.spacing[ax]).astype(int) + 1
         m = first[:, None] + np.arange(np.max(last - first, initial=0) + 1)
-        if per:
-            pos, ok = nodes[m % M] + (m // M) * (b - a), True
-        else:
-            pos, ok = nodes[np.clip(m, 0, M - 1)], (m >= 0) & (m < M)
+        pos = _node_positions(grid, ax, m)
+        ok = True if per else (m >= 0) & (m < M)
         ok = ok & (pos >= lo[:, None]) & (pos <= hi[:, None])
         empty = ~ok.any(axis=1)
         pos = np.where(ok, pos, np.nan)
@@ -396,8 +414,8 @@ def _axis_breakpoints(f: GridFunction, ax: int, center, width: float):
     if not f.periodic[ax]:
         lo = np.maximum(lo, a)
         hi = np.minimum(hi, f.box[ax, 1])
-    nodes = a + (np.floor((lo - a) / h)[:, None]
-                 + np.arange(1, int(2 * width / h) + 3)) * h
+    first = np.floor((lo - a) / h).astype(int)
+    nodes = _node_positions(f, ax, first[:, None] + np.arange(1, int(2 * width / h) + 3))
     gap = 1e-9 * h
     inside = (nodes > lo[:, None] + gap) & (nodes < hi[:, None] - gap)
     ends = np.ones((len(center), 1), dtype=bool)
@@ -593,14 +611,159 @@ def _distinct_basins(rows, owners, points, gap: float):
     return taken[np.argsort(owners[taken], kind="stable")]
 
 
+def _geometry(grid: GridFunction):
+    """What a :class:`ConvolutionPlan` reads of a grid: everything but its values."""
+    return grid.box.tobytes(), grid.resolution, grid.periodic
+
+
+class ConvolutionPlan:
+    """The part of the localized inf-convolution that does not depend on the
+    data: :func:`localized_convolution`'s candidates and their path actions.
+
+    Built once from the model, the grid geometry of ``grid`` (its values
+    are not read), t1, t2, the query rows ``xs`` and ``radius``, it keeps
+    the candidates of :func:`_ball_candidates` and the action of each
+    one's straight segment.  It also keeps, as :meth:`search` computes
+    them, the ``_COARSE_SEGMENTS`` action of every candidate re-scored
+    coarsely and the ``PATH_SEGMENTS`` action, ``d_start`` and nodes of
+    every candidate re-scored finely.  A path does not depend on its batch
+    and none of these depends on f, so a search over any data on the same
+    grid returns what a fresh plan would, bit for bit.
+    """
+
+    def __init__(self, model: LagrangianModel, grid: GridFunction, t1: float, t2,
+                 xs, radius, polish_window: Optional[float] = None):
+        xs = np.atleast_2d(np.asarray(xs, dtype=float))
+        P, n = xs.shape
+        t2_rows = np.broadcast_to(np.asarray(t2, dtype=float), (P,))
+        if not np.all(t2_rows > t1):
+            raise ValueError("need t2 > t1")
+        self.model, self.t1, self.t2, self.t2_rows, self.xs = model, t1, t2, t2_rows, xs
+        self.radii = np.broadcast_to(np.asarray(radius, dtype=float), (P,))
+        self.geometry = _geometry(grid)
+        self.h_ref = float(np.max(grid.spacing))
+        if polish_window is None:
+            polish_window = np.maximum(5e-3, self.h_ref ** 2 / (t2_rows - t1))
+        self.window = np.broadcast_to(polish_window, (P,))
+        self.owners, self.cand = _ball_candidates(grid, xs, self.radii)
+        self.scan = straight_line_actions(model, t1, self._horizon(self.owners),
+                                          self.cand, xs[self.owners])
+        # per candidate: its coarse action (NaN until scored) and the row of
+        # its fine path in the fine store (-1 until scored)
+        self.coarse = np.full(len(self.cand), np.nan)
+        self.fine_slot = np.full(len(self.cand), -1)
+        self.fine_action = np.empty(0)
+        self.fine_grad = np.empty((0, n))
+        self.fine_nodes = np.empty((0, PATH_SEGMENTS + 1, n))
+
+    def _horizon(self, owner_idx):
+        # a shared horizon stays a scalar: the paths then share one time row
+        return self.t2 if np.ndim(self.t2) == 0 else self.t2_rows[owner_idx]
+
+    def _paths(self, points, owner_idx, nseg, init=None):
+        sol = minimize_paths(self.model, self.t1, self._horizon(owner_idx), points,
+                             self.xs[owner_idx], segments=nseg, init_nodes=init)
+        require_converged(sol)
+        return sol
+
+    def _coarse(self, rows):
+        """The coarse actions of the candidates ``rows``, solving the unscored."""
+        new = rows[np.isnan(self.coarse[rows])]
+        if new.size:
+            self.coarse[new] = self._paths(self.cand[new], self.owners[new],
+                                           _COARSE_SEGMENTS)["action"]
+        return self.coarse[rows]
+
+    def _fine(self, rows):
+        """(action, d_start, nodes) of the fine paths of the candidates
+        ``rows``, solving the unscored."""
+        new = rows[self.fine_slot[rows] < 0]
+        if new.size:
+            sol = self._paths(self.cand[new], self.owners[new], PATH_SEGMENTS)
+            self.fine_slot[new] = len(self.fine_action) + np.arange(new.size)
+            self.fine_action = np.concatenate([self.fine_action, sol["action"]])
+            self.fine_grad = np.concatenate([self.fine_grad, sol["d_start"]])
+            self.fine_nodes = np.concatenate([self.fine_nodes, sol["nodes"]])
+        slot = self.fine_slot[rows]
+        return self.fine_action[slot], self.fine_grad[slot], self.fine_nodes[slot]
+
+    def search(self, f: GridFunction):
+        """The search of :func:`localized_convolution` over the data f, which
+        must lie on the plan's grid.  The scan adds f at the candidates to
+        the kept straight-segment actions; the coarse and fine re-scores
+        solve only the candidates the plan has not scored yet; the polish
+        and the Richardson pass, which depend on f, run in full."""
+        if _geometry(f) != self.geometry:
+            raise ValueError("the data's grid is not the grid of the plan")
+        xs, owners, cand, window = self.xs, self.owners, self.cand, self.window
+        P = len(xs)
+        f_vals = np.asarray(f(cand), dtype=float).reshape(-1)
+        cost = f_vals + self.scan
+
+        # re-score the scan costs within 1 of each owner's leader, coarsely
+        keep = np.flatnonzero(cost <= _owner_min(owners, cost, P)[owners] + 1.0)
+        owners_k, f_k = owners[keep], f_vals[keep]
+        coarse = self._coarse(keep)
+        best_coarse = _owner_min(owners_k, f_k + coarse, P)
+
+        # then finely, those within window + margin of the coarse best; the
+        # margin grows to twice the spread of fine - coarse over the rows scored
+        fine = np.full(len(keep), np.nan)
+        scored = np.zeros(len(keep), dtype=bool)
+        margin = np.zeros(P)
+        while True:
+            limit = best_coarse + window + margin
+            rows = np.flatnonzero(~scored & (f_k + coarse <= limit[owners_k]))
+            if rows.size == 0:
+                break
+            fine[rows] = self._fine(keep[rows])[0]
+            scored[rows] = True
+            spread = (fine - coarse)[scored]
+            hi = -_owner_min(owners_k[scored], -spread, P)
+            margin = 2.0 * (hi - _owner_min(owners_k[scored], spread, P))
+        fine_k, grad_k, nodes_k = self._fine(keep[scored])
+        cand_k, owners_k = cand[keep[scored]], owners_k[scored]
+        cost_acc = f_k[scored] + fine_k
+
+        # polish seeds: near-optimal candidates, cheapest first per owner,
+        # thinned to distinct basins
+        seeds = _distinct_basins(_near_best(owners_k, cost_acc, window, P), owners_k,
+                                 cand_k, 2.0 * self.h_ref)
+        seed_owner = owners_k[seeds]
+
+        def solve(points, rows, warm):
+            sol_p = self._paths(points, seed_owner[rows], PATH_SEGMENTS, init=warm)
+            return sol_p["action"], sol_p["d_start"], sol_p["nodes"]
+
+        pos, val, act1, nodes1 = _cell_polish(f, solve, cand_k[seeds], nodes_k[seeds],
+                                              fine_k[seeds], grad_k[seeds])
+
+        # Richardson-refined values for every near-tied winner, batched across
+        # owners; the refined near-ties are the argument set
+        tied = _near_best(seed_owner, val, TIE_TOL, P)
+        tied_owner, pts = seed_owner[tied], pos[tied]
+        sol2 = self._paths(pts, tied_owner, 2 * PATH_SEGMENTS,
+                           init=_refine_nodes(nodes1[tied]))
+        a_ref = sol2["action"] + (sol2["action"] - act1[tied]) / 3.0
+        cost_final = np.asarray(f(pts), dtype=float).reshape(-1) + a_ref
+        kept = _near_best(tied_owner, cost_final, TIE_TOL, P)
+        per_query = np.split(kept, np.searchsorted(tied_owner[kept], np.arange(1, P)))
+        return [SearchResult(value=float(cost_final[rows[0]]), momenta=sol2["d_end"][rows],
+                             arg=ArgBall(center=x, radius=float(r),
+                                         argpoints=list(pts[rows]), spacing=self.h_ref))
+                for x, r, rows in zip(xs, self.radii, per_query)]
+
+
 def localized_convolution(model: LagrangianModel, f: GridFunction, t1: float,
                           t2, xs, radius, polish_window: Optional[float] = None):
     """Batched localized inf-convolution of f with the action kernel:
     value(x) = min_z f(z) + A_{t1,t2}(z, x), searched in the ball of ``radius``.
 
-    ``t2`` and ``radius`` are scalars or (P,) arrays, one per row of ``xs``;
-    a row's answer is the same either way.  Each stage runs once on the
-    rows of all queries.  The scan ranks every grid node in the ball
+    One :class:`ConvolutionPlan` search: a caller that applies the same
+    kernel to several data on one grid keeps the plan instead.  ``t2`` and
+    ``radius`` are scalars or (P,) arrays, one per row of ``xs``; a row's
+    answer is the same either way.  Each stage runs once on the rows of all
+    queries.  The scan ranks every grid node in the ball
     (:func:`_ball_candidates`) by f plus the action of the straight
     segment; those within 1 of their query's leader are re-scored with
     ``_COARSE_SEGMENTS``-segment paths.  The fine re-score, at
@@ -619,89 +782,13 @@ def localized_convolution(model: LagrangianModel, f: GridFunction, t1: float,
     that, whose finer pass also gives each kept winner's end momentum.  A
     path of any pass that did not converge raises :class:`NoConvergence`.
     Returns one :class:`SearchResult` per row.
+
+    Of this work the plan keeps the candidates, their straight-segment
+    actions and every coarse and fine path it solved; a search on new data
+    recomputes the scan costs, solves the candidates newly within reach of
+    the re-scores, and runs the polish and the Richardson pass.
     """
-    xs = np.atleast_2d(np.asarray(xs, dtype=float))
-    P, n = xs.shape
-    t2_rows = np.broadcast_to(np.asarray(t2, dtype=float), (P,))
-    if not np.all(t2_rows > t1):
-        raise ValueError("need t2 > t1")
-    radii = np.broadcast_to(np.asarray(radius, dtype=float), (P,))
-    h_ref = float(np.max(f.spacing))
-    if polish_window is None:
-        polish_window = np.maximum(5e-3, h_ref ** 2 / (t2_rows - t1))
-    window = np.broadcast_to(polish_window, (P,))
-
-    def horizon(owner_idx):
-        # a shared horizon stays a scalar: the paths then share one time row
-        return t2 if np.ndim(t2) == 0 else t2_rows[owner_idx]
-
-    def action_batch(points, owner_idx, nseg, init=None):
-        sol = minimize_paths(model, t1, horizon(owner_idx), points, xs[owner_idx],
-                             segments=nseg, init_nodes=init)
-        require_converged(sol)
-        return sol
-
-    owners, cand = _ball_candidates(f, xs, radii)
-    f_vals = np.asarray(f(cand), dtype=float).reshape(-1)
-    cost = f_vals + straight_line_actions(model, t1, horizon(owners), cand, xs[owners])
-
-    # re-score the scan costs within 1 of each owner's leader, coarsely
-    keep = cost <= _owner_min(owners, cost, P)[owners] + 1.0
-    cand_k, owners_k, f_k = cand[keep], owners[keep], f_vals[keep]
-    coarse = action_batch(cand_k, owners_k, _COARSE_SEGMENTS)["action"]
-    best_coarse = _owner_min(owners_k, f_k + coarse, P)
-
-    # then finely, those within window + margin of the coarse best; the
-    # margin grows to twice the spread of fine - coarse over the rows scored
-    K = len(cand_k)
-    fine = np.full(K, np.nan)
-    fine_nodes = np.empty((K, PATH_SEGMENTS + 1, n))
-    fine_grad = np.empty((K, n))
-    scored = np.zeros(K, dtype=bool)
-    margin = np.zeros(P)
-    while True:
-        limit = best_coarse + window + margin
-        rows = np.flatnonzero(~scored & (f_k + coarse <= limit[owners_k]))
-        if rows.size == 0:
-            break
-        sol = action_batch(cand_k[rows], owners_k[rows], PATH_SEGMENTS)
-        fine[rows], fine_nodes[rows] = sol["action"], sol["nodes"]
-        fine_grad[rows] = sol["d_start"]
-        scored[rows] = True
-        spread = (fine - coarse)[scored]
-        hi = -_owner_min(owners_k[scored], -spread, P)
-        margin = 2.0 * (hi - _owner_min(owners_k[scored], spread, P))
-    cand_k, owners_k = cand_k[scored], owners_k[scored]
-    nodes_k, fine_k, grad_k = fine_nodes[scored], fine[scored], fine_grad[scored]
-    cost_acc = f_k[scored] + fine_k
-
-    # polish seeds: near-optimal candidates, cheapest first per owner,
-    # thinned to distinct basins
-    seeds = _distinct_basins(_near_best(owners_k, cost_acc, window, P), owners_k,
-                             cand_k, 2.0 * h_ref)
-    seed_owner = owners_k[seeds]
-
-    def solve(points, rows, warm):
-        sol_p = action_batch(points, seed_owner[rows], PATH_SEGMENTS, init=warm)
-        return sol_p["action"], sol_p["d_start"], sol_p["nodes"]
-
-    pos, val, act1, nodes1 = _cell_polish(f, solve, cand_k[seeds], nodes_k[seeds],
-                                          fine_k[seeds], grad_k[seeds])
-
-    # Richardson-refined values for every near-tied winner, batched across
-    # owners; the refined near-ties are the argument set
-    tied = _near_best(seed_owner, val, TIE_TOL, P)
-    tied_owner, pts = seed_owner[tied], pos[tied]
-    sol2 = action_batch(pts, tied_owner, 2 * PATH_SEGMENTS,
-                        init=_refine_nodes(nodes1[tied]))
-    a_ref = sol2["action"] + (sol2["action"] - act1[tied]) / 3.0
-    cost_final = np.asarray(f(pts), dtype=float).reshape(-1) + a_ref
-    kept = _near_best(tied_owner, cost_final, TIE_TOL, P)
-    per_query = np.split(kept, np.searchsorted(tied_owner[kept], np.arange(1, P)))
-    return [SearchResult(value=float(cost_final[rows[0]]), momenta=sol2["d_end"][rows],
-                         arg=ArgBall(center=x, radius=float(r), argpoints=list(pts[rows]),
-                                     spacing=h_ref))
-            for x, r, rows in zip(xs, radii, per_query)]
+    return ConvolutionPlan(model, f, t1, t2, xs, radius, polish_window).search(f)
 
 
 # ---------------------------------------------------------------------------
@@ -715,26 +802,60 @@ def lax_oleinik_minus(model: LagrangianModel, f: GridFunction, t1: float,
     return localized_convolution(model, f, t1, t2, xs, radius)
 
 
+class DiscountedOperator:
+    """The discounted backward operator of horizon t at the fixed rows of
+    xs (P, n), to apply to one grid function after another.
+
+    Applied to v, it is the search on the lift ``to_evolutionary`` (its
+    ``lift``) in the ball of :meth:`radius`, with the values and end
+    momenta (e^{lam t} L_v) scaled by e^{-lam t}, so the momenta are
+    gradients of v itself.  The operator keeps its :class:`ConvolutionPlan`
+    from one v to the next, all on the grid of the first, and builds a new
+    one only when the radius changes.
+    """
+
+    def __init__(self, problem: DiscountedProblem, t: float, xs,
+                 lip_bound: Optional[float] = None):
+        if t <= 0:
+            raise ValueError("need t > 0")
+        if problem.lam * t > EXPONENT_CAP:
+            raise ExponentOverflow(
+                f"lam*t = {problem.lam * t:.3g} exceeds cap {EXPONENT_CAP:g}; "
+                "compose shorter steps instead")
+        self.lift, _ = to_evolutionary(problem, horizon=t)
+        self.t, self.xs, self.lip_bound = t, xs, lip_bound
+        self.decay = math.exp(-problem.lam * t)
+        self.plan, self._radius = None, None
+
+    def radius(self, v: GridFunction) -> float:
+        """The localization radius of K = max(``lip_bound``, Lip v), times t."""
+        K = v.lipschitz_estimate
+        if self.lip_bound is not None:
+            K = max(self.lip_bound, K)
+        return localization_radius(self.lift.growth, K) * self.t
+
+    def scaled(self, results) -> list:
+        """The lift's search results as the operator's: scaled by e^{-lam t}."""
+        for r in results:
+            r.value = self.decay * r.value
+            r.momenta = self.decay * r.momenta
+        return results
+
+    def __call__(self, v: GridFunction) -> list:
+        """One :class:`SearchResult` per row of xs."""
+        radius = self.radius(v)
+        if self.plan is None or radius != self._radius:
+            self.plan = ConvolutionPlan(self.lift, v, 0.0, self.t, self.xs, radius)
+            self._radius = radius
+        return self.scaled(self.plan.search(v))
+
+
 def discounted_lax_oleinik(problem: DiscountedProblem, v: GridFunction, t: float,
                            xs, lip_bound: Optional[float] = None,
                            polish_window: Optional[float] = None):
-    """The discounted backward operator at the rows of xs (P, n): the search
-    on the lift ``to_evolutionary`` with its values and end momenta
-    (e^{lam t} L_v) scaled by e^{-lam t}, so the momenta are gradients of v
-    itself.  One :class:`SearchResult` per row."""
-    if t <= 0:
-        raise ValueError("need t > 0")
-    if problem.lam * t > EXPONENT_CAP:
-        raise ExponentOverflow(
-            f"lam*t = {problem.lam * t:.3g} exceeds cap {EXPONENT_CAP:g}; "
-            "compose shorter steps instead")
-    lhat, _ = to_evolutionary(problem, horizon=t)
-    K = v.lipschitz_estimate if lip_bound is None else max(lip_bound, v.lipschitz_estimate)
-    radius = localization_radius(lhat.growth, K) * t
-    results = localized_convolution(lhat, v, 0.0, t, xs, radius,
-                                    polish_window=polish_window)
-    scale = math.exp(-problem.lam * t)
-    for r in results:
-        r.value = scale * r.value
-        r.momenta = scale * r.momenta
-    return results
+    """The discounted backward operator at the rows of xs (P, n), applied
+    once: one :func:`localized_convolution` on the lift, scaled as
+    :class:`DiscountedOperator` scales it.  One :class:`SearchResult` per row."""
+    op = DiscountedOperator(problem, t, xs, lip_bound)
+    return op.scaled(localized_convolution(op.lift, v, 0.0, t, xs, op.radius(v),
+                                           polish_window=polish_window))

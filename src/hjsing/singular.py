@@ -773,7 +773,10 @@ def _characteristic_flow(ham: HamiltonianModel, lam: float, states, horizon: flo
         y = np.where(ok[:, None], y_new, y)
         f = np.where(ok[:, None], stages[-1], f)
 
-        broke = np.zeros(rows.size, dtype=bool) if margin is None else margin(t, y, rows) <= 0.0
+        # only a step taken can break: a rejected row has not moved
+        broke = np.zeros(rows.size, dtype=bool)
+        if margin is not None and ok.any():
+            broke[ok] = margin(t[ok], y[ok], rows[ok]) <= 0.0
         for j in broke.nonzero()[0]:
             root, ends[rows[j]] = stop_time(rows[j:j + 1], t_old[j], y_old[j], step[j],
                                             [k[j] for k in stages])

@@ -22,6 +22,7 @@ import numpy as np
 
 from .errors import InvalidProblem, NoConvergence
 from .laxoleinik import (
+    DiscountedOperator,
     GridFunction,
     discounted_lax_oleinik,
     localization_radius,
@@ -117,6 +118,15 @@ def solve_discounted(problem: DiscountedProblem, box, resolution, tol: float = 1
     certificate are those of plain value iteration, as only sweeps are
     tested and a sweep's output is returned.
 
+    Every sweep applies one :class:`DiscountedOperator`, whose plan keeps
+    what does not depend on v: the candidates of each node's ball, their
+    straight-segment actions and every coarse and fine path solved so far.
+    A sweep recomputes the scan costs with the new v, solves the paths of
+    candidates new to the re-scores, and runs the polish and the Richardson
+    pass; its answer is that of a fresh operator bit for bit.  The plan is
+    built again only if the search radius, set by max(lip_cap, Lip v),
+    changes.
+
     The grid is treated as one period per axis by default; discounted
     localization radii exceed any affordable non-periodic padding, so
     non-periodic boxes are only accepted when their interior margin covers
@@ -139,8 +149,9 @@ def solve_discounted(problem: DiscountedProblem, box, resolution, tol: float = 1
     stop = tol * (1.0 - decay)
     sup_changes, policy_passes = [], []
     converged = False
+    operator = DiscountedOperator(problem, 1.0, nodes, lip_bound=lip_cap)
     for _ in range(cap):
-        results = discounted_lax_oleinik(problem, v, 1.0, nodes, lip_bound=lip_cap)
+        results = operator(v)
         swept = np.array([r.value for r in results])
         change = float(np.max(np.abs(swept - v.values.reshape(-1))))
         sup_changes.append(change)

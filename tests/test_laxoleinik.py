@@ -29,6 +29,7 @@ from hjsing.laxoleinik import (
 )
 
 from .oracles import hopf_lax_brute
+from .test_action import _sine_kink_2d
 
 
 @pytest.fixture(scope="module")
@@ -255,6 +256,18 @@ class TestCellPolish:
         owner, xb = laxoleinik._axis_breakpoints(f, 0, seeds[:, 0], 0.125)
         assert all(z in xb[owner == i] for i, z in enumerate(seeds[:, 0]))
         assert batches[1] == len(xb) - len(seeds)      # batches[0]: the seeds
+
+    def test_seeds_on_shifted_nodes_are_breakpoints(self):
+        # the cutlocus-1d grid: a search's candidates include nodes shifted
+        # by whole periods, and a seed on one is recognised by exact
+        # equality with its breakpoint, so both build node coordinates alike
+        f = GridFunction.from_callable(lambda p: -np.abs(np.sin(p[..., 0])),
+                                       [(0.0, np.pi)], 32, periodic=True)
+        nodes = f.nodes()
+        _, cand = _ball_candidates(f, nodes, np.full(len(nodes), 4.0))
+        assert cand.min() < 0.0 and cand.max() >= np.pi
+        owner, xb = laxoleinik._axis_breakpoints(f, 0, cand[:, 0], float(f.spacing[0]))
+        assert all(z in xb[owner == i] for i, z in enumerate(cand[:, 0]))
 
     def test_interior_minimizer(self):
         # f(z) = 0.3 z: min of 0.3 z + (z - x)^2 / 2 at z = x - 0.3, inside a cell
@@ -504,6 +517,38 @@ def assert_rows_match_single_calls(lagrangian, grid, t2, xs, radius):
 
 
 class TestDiscountedOperator:
+    @pytest.mark.parametrize("case", ["sine_kink_128", "torus_8x8"])
+    def test_kept_operator_matches_one_shot_calls(self, sine_problem, case):
+        # one operator applied to three data in turn reuses its plan's
+        # paths, and builds a new plan for a fourth whose Lipschitz constant
+        # raises the radius; each answer equals a fresh call's bit for bit
+        if case == "sine_kink_128":
+            problem = sine_problem
+            v = GridFunction.from_callable(lambda p: -np.abs(np.sin(p[..., 0])),
+                                           [(-2 * np.pi, 2 * np.pi)], 128, periodic=True)
+        else:
+            problem = catalog.discounted_from_model(_sine_kink_2d(curvature=True), lam=1.0)
+            v = GridFunction.from_callable(
+                lambda p: -np.abs(np.sin(p[..., 0])) - np.abs(np.sin(p[..., 1])),
+                [(0.0, np.pi)] * 2, 8, periodic=True)
+        x = v.nodes()
+        data = [v, v.with_values(v.values + 0.05 * np.sin(3 * x[:, 0]).reshape(v.resolution)),
+                v.with_values(v.values + 0.3), v.with_values(3 * v.values)]
+        operator = laxoleinik.DiscountedOperator(problem, 1.0, x, lip_bound=2.0)
+        plans = []
+        for w in data:
+            kept = operator(w)
+            plans.append(operator.plan)
+            fresh = discounted_lax_oleinik(problem, w, 1.0, x, lip_bound=2.0)
+            for a, b in zip(kept, fresh):
+                assert a.value == b.value
+                np.testing.assert_array_equal(a.arg.argpoints, b.arg.argpoints)
+                np.testing.assert_array_equal(a.momenta, b.momenta)
+        assert plans[0] is plans[1] is plans[2] is not plans[3]
+        other = GridFunction(v.box, np.zeros(tuple(m + 1 for m in v.resolution)), True)
+        with pytest.raises(ValueError):
+            operator.plan.search(other)
+
     def test_zero_fixed_point(self, counterexample_problem):
         v = GridFunction.from_callable(lambda p: 0.0 * p[..., 0],
                                        [(-2.0, 2.0)], 65, periodic=True)
@@ -622,6 +667,31 @@ class TestOperatorProperties:
         (tf,) = lax_oleinik_minus(m, grid, 0.0, t, [[x]])
         (shifted,) = lax_oleinik_minus(m, grid.with_values(f + c), 0.0, t, [[x]])
         assert abs(shifted.value - (tf.value + c)) <= 1e-12 * (1 + abs(c))
+
+    @_PROPERTY
+    @given(f=_periodic_grids(), t=st.floats(0.25, 1.0))
+    def test_discounted_semigroup(self, sine_problem, f, t):
+        # T_t v against T_s I(T_s v), s = t / 2 and I the grid interpolant.
+        # Dynamic programming gives T_t v(x) = e^{-lam s} (T_s v(y) + A(y, x))
+        # with y the point at time s of a minimizer, A the lifted action over
+        # [0, s]; the composition is e^{-lam s} (I(T_s v)(z) + A(z, x)) at its
+        # argpoint z.  So T_t v - T_s I(T_s v) <= e^{-lam s} (T_s v - I(T_s v))(z),
+        # which is measured, and T_s I(T_s v) - T_t v <= e^{-lam s} C h^2 / 8:
+        # T_s v is semiconcave with C = 1/s + s sup f'' / 3 (bending a path's
+        # end by h costs at most e^{lam s} (h^2 / s + sup f'' h^2 s / 3)), and
+        # sup f'' = 2 for sine_kink
+        s, lam = t / 2, sine_problem.lam
+        v = GridFunction(self.box, f, periodic=True)
+        nodes = v.nodes()
+        one = discounted_lax_oleinik(sine_problem, v, t, nodes)
+        mid = v.with_values([r.value for r in discounted_lax_oleinik(sine_problem, v, s, nodes)])
+        two = discounted_lax_oleinik(sine_problem, mid, s, nodes)
+        z = np.array([r.arg.argpoints[0] for r in two])
+        at_z = np.array([r.value for r in discounted_lax_oleinik(sine_problem, v, s, z)])
+        one, two = (np.array([r.value for r in res]) for res in (one, two))
+        decay, h = math.exp(-lam * s), float(v.spacing[0])
+        assert np.all(one - two <= decay * (at_z - mid(z)) + 1e-6)
+        assert np.all(two - one <= decay * (1 / s + 2 * s / 3) * h * h / 8 + 1e-6)
 
     @_PROPERTY
     @given(f=_periodic_grids(), c=st.floats(-1.0, 1.0), bump=st.floats(0.0, 1.0),

@@ -169,6 +169,35 @@ class TestCurvature:
         fd = _fd_curvature(m, x, h)
         np.testing.assert_array_less(np.abs(lxx[:, :, 0] - fd), tol * (1 + np.abs(fd)))
 
+    @pytest.mark.parametrize("eps", [0.0, 0.1])
+    def test_sine_kink_derivatives_pinned(self, eps):
+        # L_x and L_xx of sine_kink, bit for bit the expressions that took
+        # sin and cos once per use: at the kinks (multiples of pi, +-0
+        # included) and away from them
+        if eps == 0.0:
+            def d(u):
+                return np.where(u < 0, -1.0, 1.0)
+
+            def dd(u):
+                return np.zeros_like(u)
+        else:
+            def d(u):
+                return u / np.sqrt(u * u + eps * eps)
+
+            def dd(u):
+                return eps * eps / (u * u + eps * eps) ** 1.5
+        kinks = np.pi * np.arange(-3, 4)
+        x = np.concatenate([[0.0, -0.0], kinks, np.nextafter(kinks, np.inf),
+                            np.nextafter(kinks, -np.inf),
+                            np.random.default_rng(5).uniform(-10.0, 10.0, 2001)])
+        grad = -np.cos(x) * np.sin(x) - d(np.sin(x)) * np.cos(x)
+        hess = (-np.cos(2.0 * x) + d(np.sin(x)) * np.sin(x)
+                - dd(np.sin(x)) * np.cos(x) * np.cos(x))
+        m = catalog.sine_kink(eps=eps)
+        pts = x[:, None]
+        assert np.array_equal(m.L_x(0.0, pts, pts)[:, 0], grad)
+        assert np.array_equal(m.L_xx(0.0, pts, pts)[:, 0, 0], hess)
+
     def test_lift_carries_exponential_factor(self, sine_problem):
         lhat, _ = model.to_evolutionary(sine_problem, horizon=2.0)
         s = np.array([0.0, 0.7, 1.9])

@@ -369,6 +369,37 @@ class TestCutTime:
         tau, flow = cut_time(sine_problem, sine_exact_grid, [0.0], horizon=6.0)
         assert tau == 0.0 and flow is None
 
+    def test_margin_read_after_accepted_steps_only(self, sine_problem, monkeypatch):
+        # the flow from 0.406 on the cutlocus-1d grid rejects steps near the
+        # kink at 0; a rejected row has not moved, so its margin is not read
+        v = GridFunction.from_callable(lambda p: -np.abs(np.sin(p[..., 0])),
+                                       [(0.0, np.pi)], 32, periodic=True)
+        stages, reads = [], []
+        flow = singular._characteristic_flow
+
+        def recording(ham, lam, states, horizon, direction, margin):
+            def h_p(*args):
+                stages.append(1)
+                return ham.H_p(*args)
+
+            def read(t, Y, rows):
+                out = margin(t, Y, rows)
+                reads.append((float(t[0]), float(out[0])))
+                return out
+
+            return flow(dataclasses.replace(ham, H_p=h_p), lam, states, horizon,
+                        direction, read)
+
+        monkeypatch.setattr(singular, "_characteristic_flow", recording)
+        cut_time(sine_problem, v, [0.406], horizon=6.0)
+        # the loop's reads run to the first non-positive margin; the break
+        # time's root search reads after it.  Every attempt costs six
+        # right-hand sides, after two for the initial step
+        loop = reads[:next(i for i, (_, m) in enumerate(reads) if m <= 0) + 1]
+        attempts = (len(stages) - 2) // 6
+        assert all(t1 < t2 for (t1, _), (t2, _) in zip(loop, loop[1:]))
+        assert len(loop) < attempts
+
     def test_zero_solution_clamps_everywhere(self, counterexample_problem):
         v = GridFunction.from_callable(lambda p: 0.0 * p[..., 0],
                                        [(-2.0, 2.0)], 33, periodic=True)

@@ -10,6 +10,7 @@ from hjsing import (
     bounds_K,
     catalog,
     errors,
+    laxoleinik,
     model,
     residual_check,
     solve_discounted,
@@ -82,6 +83,36 @@ class TestSolveDiscounted:
             assert report.iterations <= 3
             assert len(report.policy_passes) == report.iterations
             assert float(np.max(np.abs(v.values + np.abs(np.sin(x))))) <= 5e-3
+
+    def test_sweeps_reuse_the_path_work(self, sine_problem, monkeypatch):
+        # the straight-segment scan is made once, and a sweep after the first
+        # solves coarse paths only for the candidates new to the re-score
+        # (2,800 coarse rows in sweep 1, then 56 and 0 on this grid)
+        scans, coarse = [], []
+        scan, paths = laxoleinik.straight_line_actions, laxoleinik.minimize_paths
+        search = laxoleinik.ConvolutionPlan.search
+
+        def counting_scan(*args, **kwargs):
+            scans.append(len(args[3]))
+            return scan(*args, **kwargs)
+
+        def counting_paths(*args, **kwargs):
+            if kwargs.get("segments") == laxoleinik._COARSE_SEGMENTS:
+                coarse[-1] += len(args[3])
+            return paths(*args, **kwargs)
+
+        def sweep(plan, f):
+            coarse.append(0)
+            return search(plan, f)
+
+        monkeypatch.setattr(laxoleinik, "straight_line_actions", counting_scan)
+        monkeypatch.setattr(laxoleinik, "minimize_paths", counting_paths)
+        monkeypatch.setattr(laxoleinik.ConvolutionPlan, "search", sweep)
+        _, report = solve_discounted(sine_problem, [(-2 * np.pi, 2 * np.pi)], 128,
+                                     tol=1e-3)
+        assert report.iterations == len(coarse) == 3
+        assert len(scans) == 1
+        assert all(rows <= 0.25 * coarse[0] for rows in coarse[1:])
 
     def test_torus_2d(self):
         # L = |v|^2/2 + f(x1) + f(x2), lam = 1: v = -|sin x1| - |sin x2|;
