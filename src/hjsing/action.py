@@ -58,13 +58,21 @@ def _quadrature(model: LagrangianModel, times):
     ``L_xx`` is None when the model has none.
     """
     mid = 0.5 * (times[:, 1:] + times[:, :-1])
-    if model.exp_rate is not None and model.base is not None:
+    base = _integrand(model)
+    if base is model:
+        weights = np.diff(times, axis=-1)
+    else:
         lam = model.exp_rate
         weights = (np.exp(lam * times[:, 1:]) - np.exp(lam * times[:, :-1])) / lam
-        base = model.base
-        return weights, mid, base.L, base.L_v, base.L_x, base.L_vv, base.L_xx
-    return (np.diff(times, axis=-1), mid, model.L, model.L_v, model.L_x, model.L_vv,
-            model.L_xx)
+    return weights, mid, base.L, base.L_v, base.L_x, base.L_vv, base.L_xx
+
+
+def _integrand(model: LagrangianModel) -> LagrangianModel:
+    """The model whose callables the quadrature evaluates: the autonomous
+    base of an exponential rescaling, else the model itself."""
+    if model.exp_rate is not None and model.base is not None:
+        return model.base
+    return model
 
 
 def _rows(a, idx):
@@ -124,6 +132,26 @@ def straight_line_actions(model: LagrangianModel, s, t, starts, ends,
     vel = np.broadcast_to(vel, pts.shape)
     lvals = L(mid, pts, vel)
     return np.einsum("pn,pn->p", lvals, w)
+
+
+def action_floor(model: LagrangianModel, s, t, starts, ends, segments: int):
+    """A lower bound on the discrete action of every ``segments``-segment
+    path between the endpoint pairs, whatever its interior nodes.
+
+    The action is sum_k w_k L(u_k) over the segments, w the quadrature
+    weights and u_k the velocities, with sum_k u_k dt = D, the step dt and
+    D = end - start.  The growth bound L >= |u|^2/2 - c_T of the model the
+    quadrature evaluates makes it at least sum_k w_k (|u_k|^2/2 - c_T),
+    whose least over those u is |D|^2 / (2 sum_k dt^2 / w_k) - c_T sum_k
+    w_k.  No model callable is read.  ``s`` and ``t`` are as in
+    :func:`minimize_paths`.
+    """
+    times = _time_rows(s, t, segments)
+    w = _quadrature(model, times)[0]
+    dt = (times[:, -1:] - times[:, :1]) / segments
+    gap = np.asarray(ends, dtype=float) - np.asarray(starts, dtype=float)
+    return (np.sum(gap * gap, axis=-1) / (2.0 * np.sum(dt * dt / w, axis=-1))
+            - _integrand(model).growth.c_T * np.sum(w, axis=-1))
 
 
 def minimize_paths(model: LagrangianModel, s, t, starts, ends,

@@ -19,10 +19,11 @@ User models come in as expression strings: either a full Lagrangian in
 Expression partials are central finite differences with step 1e-6, second
 derivatives with step 1e-4.  A potential's model carries ``L_xx``; a full
 Lagrangian expression does not, so its direct method uses the kinetic
-block alone.  A Lagrangian expression starts with the growth offsets
-c_T = offset = 0 and a potential with offsets sampled from V; the command
-line replaces either with the config's ``c1``/``c2``.  Every problem reads
-its growth constants from its Lagrangian's ``GrowthData``.
+block alone.  A Lagrangian expression starts with the placeholder growth
+offsets c_T = offset = 0 and a potential with offsets sampled from V; the
+command line replaces either with the config's ``c1``/``c2`` and requires
+``c1`` for an expression.  Every problem reads its growth constants from
+its Lagrangian's ``GrowthData``.
 """
 
 from __future__ import annotations
@@ -48,12 +49,25 @@ def _eye_like(x, dimension):
     return out
 
 
+def _kinetic(v):
+    """|v|^2/2 over the last axis.  The squares are summed one column at a
+    time, in place, so a row's value does not depend on its batch and no
+    (..., n) array of squares is made: a scan's velocities are its largest
+    batch."""
+    v = np.asarray(v, dtype=float)
+    out = v[..., 0] * v[..., 0]
+    for j in range(1, v.shape[-1]):
+        out += v[..., j] * v[..., j]
+    out *= 0.5
+    return out
+
+
 def free_particle(dimension: int = 1) -> LagrangianModel:
     """L = |v|^2/2 with H = |p|^2/2."""
     n, name = dimension, f"free_particle_{dimension}d"
     return LagrangianModel(
         dimension=n,
-        L=lambda s, x, v: 0.5 * np.sum(np.asarray(v, dtype=float) ** 2, axis=-1),
+        L=lambda s, x, v: _kinetic(v),
         L_v=lambda s, x, v: np.asarray(v, dtype=float).copy(),
         L_x=lambda s, x, v: np.zeros_like(np.asarray(x, dtype=float)),
         L_t=lambda s, x, v: np.zeros(np.asarray(v, dtype=float).shape[:-1]),
@@ -62,7 +76,7 @@ def free_particle(dimension: int = 1) -> LagrangianModel:
         name=name,
         hamiltonian=HamiltonianModel(
             dimension=n,
-            H=lambda s, x, p: 0.5 * np.sum(np.asarray(p, dtype=float) ** 2, axis=-1),
+            H=lambda s, x, p: _kinetic(p),
             H_p=lambda s, x, p: np.asarray(p, dtype=float).copy(),
             H_x=lambda s, x, p: np.zeros_like(np.asarray(x, dtype=float)),
             H_t=lambda s, x, p: np.zeros(np.asarray(p, dtype=float).shape[:-1]),
@@ -177,8 +191,13 @@ def double_well() -> LagrangianModel:
 
 def lagrangian_from_expression(expr: str, dimension: int = 1,
                                name: str = "") -> LagrangianModel:
-    """Model whose L is an expression of (s, x, v), with growth offsets 0;
-    partials by central differences."""
+    """Model whose L is an expression of (s, x, v); partials by central
+    differences.
+
+    Its growth offsets c_T = offset = 0 are placeholders, not bounds
+    derived from L: set ``growth`` before the model meets the localized
+    search, whose ball radius and action floor trust c_T.
+    """
     L = scalar_field(expr, dimension)
     h = FD_STEP
 

@@ -8,8 +8,9 @@ headers with ``#`` comments.  The keys and their defaults:
             L = v^2/2 - V); lambda = 1.0 (> 0); dimension = 1; eps = 0
             (sine_kink smoothing, >= 0); c1 (>= 0), c2: the growth
             offsets v^2/2 - c1 <= L <= v^2/2 + c2 of the model, which
-            every subcommand uses (unset: the catalog model's own, from
-            the potential's samples, or 0)
+            every subcommand uses (unset: the catalog model's own, or
+            from the potential's samples; a lagrangian needs c1, and its
+            c2 is 0 unless set)
 [grid]      box = -pi pi (2 numbers, or 2 per axis); resolution = 128
             (1 count, or 1 per axis; >= 16); periodic = true
 [solve]     tol = 1e-3 (> 0)
@@ -39,7 +40,7 @@ import json
 import logging
 import math
 import sys
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass, field as dataclass_field, replace
 from pathlib import Path
 
 import numpy as np
@@ -60,7 +61,7 @@ from .laxoleinik import (
     localization_radius,
     solution_lipschitz_bound,
 )
-from .model import GrowthData, check_tonelli, legendre, to_evolutionary
+from .model import check_tonelli, legendre, to_evolutionary
 from .singular import (
     SingularCurve,
     aubry_candidates,
@@ -256,7 +257,9 @@ def load_config(path: str, overrides: dict | None = None) -> RunConfig:
 
 def build_problem(cfg: RunConfig):
     """Discounted problem from the config's model section; ``c1``/``c2``, when
-    set, replace the model's growth offsets whatever the model's source."""
+    set, replace the model's growth offsets whatever the model's source.  A
+    ``lagrangian`` expression, whose own offsets are placeholders, needs
+    ``c1``; without it the config is an error."""
     if cfg.problem_key:
         try:
             model = lagrangian_by_key(cfg.problem_key, cfg.dimension, **cfg.model_kwargs)
@@ -265,13 +268,18 @@ def build_problem(cfg: RunConfig):
     elif cfg.potential_expr:
         model = lagrangian_from_potential(cfg.potential_expr)
     elif cfg.lagrangian_expr:
+        if cfg.c1 is None:
+            # the expression model's c_T = 0 is a placeholder, and the search
+            # ball and the coarse re-score's action floor both rely on c_T
+            raise ConfigError("problem.lagrangian needs problem.c1, the growth offset "
+                              "in v^2/2 - c1 <= L")
         model = lagrangian_from_expression(cfg.lagrangian_expr, cfg.dimension)
     else:
         raise ConfigError("config needs one of problem.key / problem.lagrangian / "
                           "problem.potential")
     g = model.growth
-    model.growth = GrowthData(c_T=g.c_T if cfg.c1 is None else cfg.c1,
-                              offset=g.offset if cfg.c2 is None else cfg.c2)
+    model.growth = replace(g, c_T=g.c_T if cfg.c1 is None else cfg.c1,
+                           offset=g.offset if cfg.c2 is None else cfg.c2)
     return discounted_from_model(model, cfg.lam)
 
 

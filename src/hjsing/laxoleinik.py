@@ -18,13 +18,19 @@ each axis, and Richardson-refined values of the near-tied winners, which
 are the (possibly tied) argument set.  The only loop over queries builds
 the returned :class:`SearchResult` list.
 
+The coarse level of the re-score is pruned by branch and bound: the
+model's growth bound L >= |v|^2/2 - c_T gives each candidate a floor under
+its coarse action (:func:`action_floor`), and a candidate whose f
+plus floor cannot come within reach of the fine level is never solved.
+The answer is the one of a coarse re-score of every candidate.
+
 The search runs through a :class:`ConvolutionPlan`, which holds the work
 that does not depend on f: the candidates, their straight-segment actions
-and the coarse and fine paths it has solved.  A one-shot call builds a
-plan and searches once; :class:`DiscountedOperator`, which the discounted
-fixed-point iteration applies once per sweep, keeps its plan, so a later
-sweep recomputes only the scan costs, the paths of candidates new to the
-re-scores, the polish and the Richardson pass.
+and floors, and the coarse and fine paths it has solved.  A one-shot call
+builds a plan and searches once; :class:`DiscountedOperator`, which the
+discounted fixed-point iteration applies once per sweep, keeps its plan,
+so a later sweep recomputes only the scan costs, the paths of candidates
+new to the re-scores, the polish and the Richardson pass.
 
 Grids are axis-aligned boxes with multilinear interpolation.  A periodic
 axis wraps node values, and the candidates are real-line representatives
@@ -44,6 +50,7 @@ import numpy as np
 from .action import (
     PATH_SEGMENTS,
     _refine_nodes,
+    action_floor,
     minimize_paths,
     require_converged,
     straight_line_actions,
@@ -622,13 +629,14 @@ class ConvolutionPlan:
 
     Built once from the model, the grid geometry of ``grid`` (its values
     are not read), t1, t2, the query rows ``xs`` and ``radius``, it keeps
-    the candidates of :func:`_ball_candidates` and the action of each
-    one's straight segment.  It also keeps, as :meth:`search` computes
-    them, the ``_COARSE_SEGMENTS`` action of every candidate re-scored
-    coarsely and the ``PATH_SEGMENTS`` action, ``d_start`` and nodes of
-    every candidate re-scored finely.  A path does not depend on its batch
-    and none of these depends on f, so a search over any data on the same
-    grid returns what a fresh plan would, bit for bit.
+    the candidates of :func:`_ball_candidates`, the action of each one's
+    straight segment and the floor under each one's ``_COARSE_SEGMENTS``
+    action (:func:`action_floor`).  It also keeps, as :meth:`search`
+    computes them, the ``_COARSE_SEGMENTS`` action of every candidate
+    re-scored coarsely and the ``PATH_SEGMENTS`` action, ``d_start`` and
+    nodes of every candidate re-scored finely.  A path does not depend on
+    its batch and none of these depends on f, so a search over any data on
+    the same grid returns what a fresh plan would, bit for bit.
     """
 
     def __init__(self, model: LagrangianModel, grid: GridFunction, t1: float, t2,
@@ -648,6 +656,8 @@ class ConvolutionPlan:
         self.owners, self.cand = _ball_candidates(grid, xs, self.radii)
         self.scan = straight_line_actions(model, t1, self._horizon(self.owners),
                                           self.cand, xs[self.owners])
+        self.floor = action_floor(model, t1, self._horizon(self.owners), self.cand,
+                                  xs[self.owners], _COARSE_SEGMENTS)
         # per candidate: its coarse action (NaN until scored) and the row of
         # its fine path in the fine store (-1 until scored)
         self.coarse = np.full(len(self.cand), np.nan)
@@ -700,19 +710,33 @@ class ConvolutionPlan:
         f_vals = np.asarray(f(cand), dtype=float).reshape(-1)
         cost = f_vals + self.scan
 
-        # re-score the scan costs within 1 of each owner's leader, coarsely
-        keep = np.flatnonzero(cost <= _owner_min(owners, cost, P)[owners] + 1.0)
+        # the rows: the scan costs within 1 of each owner's leader.  A row is
+        # re-scored coarsely once f + its floor is within window + margin of
+        # its owner's coarse best (first guessed as the leader's scan cost),
+        # and so is each owner's leader; its coarse action is inf until then
+        leader = _owner_min(owners, cost, P)
+        keep = np.flatnonzero(cost <= leader[owners] + 1.0)
         owners_k, f_k = owners[keep], f_vals[keep]
-        coarse = self._coarse(keep)
-        best_coarse = _owner_min(owners_k, f_k + coarse, P)
+        low = f_k + self.floor[keep]
+        coarse = np.full(len(keep), np.inf)
+        lead = cost[keep] == leader[owners_k]
+        best_coarse = leader
 
-        # then finely, those within window + margin of the coarse best; the
-        # margin grows to twice the spread of fine - coarse over the rows scored
+        # then finely, the rows whose coarse cost is within window + margin of
+        # the coarse best; the margin grows to twice the spread of fine -
+        # coarse over the rows scored.  A fine batch waits for a round that
+        # admits no coarse row, so the coarse best it is measured from is final
         fine = np.full(len(keep), np.nan)
         scored = np.zeros(len(keep), dtype=bool)
         margin = np.zeros(P)
         while True:
             limit = best_coarse + window + margin
+            reach = (limit + 1e-12 * (1.0 + np.abs(limit)))[owners_k]
+            new = np.flatnonzero(np.isinf(coarse) & (lead | (low <= reach)))
+            if new.size:
+                coarse[new] = self._coarse(keep[new])
+                best_coarse = _owner_min(owners_k, f_k + coarse, P)
+                continue
             rows = np.flatnonzero(~scored & (f_k + coarse <= limit[owners_k]))
             if rows.size == 0:
                 break
@@ -765,7 +789,7 @@ def localized_convolution(model: LagrangianModel, f: GridFunction, t1: float,
     answer is the same either way.  Each stage runs once on the rows of all
     queries.  The scan ranks every grid node in the ball
     (:func:`_ball_candidates`) by f plus the action of the straight
-    segment; those within 1 of their query's leader are re-scored with
+    segment; those within 1 of their query's leader may be re-scored with
     ``_COARSE_SEGMENTS``-segment paths.  The fine re-score, at
     ``PATH_SEGMENTS``, takes the candidates whose coarse cost is within
     window + m of the query's coarse best.  The margin m starts at 0; after
@@ -774,7 +798,20 @@ def localized_convolution(model: LagrangianModel, f: GridFunction, t1: float,
     the next batch, until none is admitted.  A fine path does not depend on
     its batch, so the answer is that of a fine re-score of every candidate
     within 1 of its leader whenever the fine set holds every polish seed of
-    that re-score.  The polish (:func:`_cell_polish`) starts from the
+    that re-score.
+
+    The coarse re-score solves only the candidates that could matter.
+    Each candidate has a floor under its coarse action, f plus which bounds
+    its coarse cost below.  A candidate is solved once its f + floor is
+    within window + m of the coarse best so far (first guessed as the scan
+    leader's cost), 1e-12 (1 + |that sum|) allowed for rounding; each
+    query's scan leader is solved too, so the coarse best is always a
+    solved cost.  A fine batch runs only after a round that solved no new coarse
+    path, so its coarse best is final: every unsolved candidate costs more.
+    A row the fine re-score admits has f + floor <= f + coarse <= best +
+    window + m, so it was solved, and the fine batches, the margins and
+    the answer are those of a coarse re-score of every candidate within 1
+    of its leader.  The polish (:func:`_cell_polish`) starts from the
     fine-scored rows within ``polish_window`` (default max(5e-3, h^2 /
     (t2 - t1)), per row) of the best fine cost, at most six per query and
     more than two cells apart.  Winners within ``TIE_TOL`` of the best are
@@ -784,9 +821,10 @@ def localized_convolution(model: LagrangianModel, f: GridFunction, t1: float,
     Returns one :class:`SearchResult` per row.
 
     Of this work the plan keeps the candidates, their straight-segment
-    actions and every coarse and fine path it solved; a search on new data
-    recomputes the scan costs, solves the candidates newly within reach of
-    the re-scores, and runs the polish and the Richardson pass.
+    actions and floors and every coarse and fine path it solved; a search
+    on new data recomputes the scan costs, solves the candidates newly
+    within reach of the re-scores, and runs the polish and the Richardson
+    pass.
     """
     return ConvolutionPlan(model, f, t1, t2, xs, radius, polish_window).search(f)
 

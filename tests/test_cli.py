@@ -194,3 +194,14 @@ def test_malformed_config_is_a_config_error(tmp_path, capsys, line, replacement,
     err = capsys.readouterr().err
     assert code == 3
     assert err.startswith("hjsing: config error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["constants", "solve"])
+def test_expression_without_c1_is_a_config_error(tmp_path, capsys, command):
+    # an expression model's c_T = 0 is a placeholder, which the search
+    # ball and the coarse re-score's action floor would trust
+    code, out = run(tmp_path, command, COS_EXPRESSION.replace("c1 = 1\n", ""))
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("hjsing: config error:") and "problem.c1" in err
+    assert not out.exists()

@@ -690,6 +690,63 @@ class TestOperatorProperties:
         assert np.max(np.abs(tf - tg)) <= bound + 1e-12 * (1 + bound)
 
 
+def assert_floor_prunes_safely(plan, f):
+    """Search f, then coarse-score every candidate within 1 of its scan
+    leader: the floor lies below each coarse action, and every row whose
+    coarse cost is within its query's window of the best was fine-scored."""
+    plan.search(f)
+    P, owners = len(plan.xs), plan.owners
+    f_vals = f(plan.cand).reshape(-1)
+    cost = f_vals + plan.scan
+    keep = np.flatnonzero(cost <= laxoleinik._owner_min(owners, cost, P)[owners] + 1.0)
+    coarse = plan._coarse(keep)
+    assert np.all(plan.floor[keep] <= coarse + 1e-12 * (1.0 + np.abs(coarse)))
+    total = f_vals[keep] + coarse
+    best = laxoleinik._owner_min(owners[keep], total, P)
+    near = total <= (best + plan.window)[owners[keep]]
+    assert np.all(plan.fine_slot[keep[near]] >= 0)
+
+
+class TestCoarseFloor:
+    """The growth floor of the coarse action, which prunes the coarse
+    re-score, never cuts a row that the fine re-score needs."""
+
+    box = [(0.0, 2 * np.pi)]
+
+    @_PROPERTY
+    @given(f=_periodic_grids(), t=st.sampled_from([0.2, 0.33, 0.5, 1.0]),
+           xs=st.lists(st.floats(0.0, 2 * np.pi), min_size=1, max_size=4))
+    def test_discounted(self, sine_problem, f, t, xs):
+        v = GridFunction(self.box, f, periodic=True)
+        op = laxoleinik.DiscountedOperator(sine_problem, t, np.array(xs)[:, None])
+        plan = laxoleinik.ConvolutionPlan(op.lift, v, 0.0, t, op.xs, op.radius(v))
+        assert_floor_prunes_safely(plan, v)
+
+    @_PROPERTY
+    @given(f=_periodic_grids(), key=st.sampled_from(["sine_kink", "pendulum"]),
+           t=st.floats(0.05, 0.6),
+           xs=st.lists(st.floats(0.0, 2 * np.pi), min_size=1, max_size=4))
+    def test_evolutionary(self, f, key, t, xs):
+        m = catalog.lagrangian_by_key(key)
+        grid = GridFunction(self.box, f, periodic=True)
+        radius = localization_radius(m.growth, grid.lipschitz_estimate) * t
+        plan = laxoleinik.ConvolutionPlan(m, grid, 0.0, t, np.array(xs)[:, None], radius)
+        assert_floor_prunes_safely(plan, grid)
+
+    @_PROPERTY
+    @given(f=st.integers(6, 12).flatmap(
+               lambda m: arrays(float, (m, m), elements=st.floats(-1.0, 1.0))),
+           t=st.floats(0.1, 1.0),
+           xs=st.lists(st.tuples(st.floats(0.0, 4.0), st.floats(0.0, 4.0)),
+                       min_size=1, max_size=4))
+    def test_free_particle_2d(self, f, t, xs):
+        m = catalog.free_particle(2)
+        grid = GridFunction([(0.0, 4.0), (0.0, 4.0)], f, periodic=True)
+        radius = localization_radius(m.growth, grid.lipschitz_estimate) * t
+        plan = laxoleinik.ConvolutionPlan(m, grid, 0.0, t, np.array(xs), radius)
+        assert_floor_prunes_safely(plan, grid)
+
+
 def _grid_files():
     """A grid of one or two axes, its periodic flags and an optional lambda."""
     def grid(resolution):

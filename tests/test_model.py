@@ -198,6 +198,20 @@ class TestCurvature:
         assert np.array_equal(m.L_x(0.0, pts, pts)[:, 0], grad)
         assert np.array_equal(m.L_xx(0.0, pts, pts)[:, 0, 0], hess)
 
+    @pytest.mark.parametrize("dimension", [1, 2, 3])
+    def test_free_particle_sums_pinned(self, dimension):
+        # L and H of free_particle sum |v|^2 column by column, bit for bit
+        # the sums of np.sum: +-0, subnormals and large entries included
+        rng = np.random.default_rng(dimension)
+        special = np.array([0.0, -0.0, 5e-324, 1e-300, 1e150, -1e153, 3.0, -7.5])
+        v = np.concatenate([rng.choice(special, (64, 8, dimension)),
+                            rng.standard_normal((64, 8, dimension)) * 1e3])
+        m = catalog.free_particle(dimension)
+        expected = 0.5 * np.sum(v ** 2, axis=-1)
+        x = np.zeros_like(v)
+        assert np.array_equal(m.L(0.0, x, v), expected)
+        assert np.array_equal(m.hamiltonian.H(0.0, x, v), expected)
+
     def test_lift_carries_exponential_factor(self, sine_problem):
         lhat, _ = model.to_evolutionary(sine_problem, horizon=2.0)
         s = np.array([0.0, 0.7, 1.9])
