@@ -5,7 +5,8 @@ a-priori ball whose radius is the localization constant times the time
 gap; that bound keeps the scan finite, and every :class:`ArgBall` a search
 returns asserts that its argument points lie inside it.  (The
 sup-convolution that moves a singularity forward is the argmax of
-``singular._argmax_points``.)
+``singular._argmax_points``, which on a discounted field runs this
+module's cell polish, :func:`_cell_polish`, on -phi.)
 
 :func:`localized_convolution` is the one search, and each operator calls
 it once on all its query points.  Every stage is one pass over the rows
@@ -409,9 +410,10 @@ _EXCESS_TOL = 1e-13  # a secant iterate stands once |slope| times its bracket,
                      # this times (1 + |A|)
 
 
-def _axis_breakpoints(f: GridFunction, ax: int, center, width: float):
-    """Window [c - w, c + w] around each center on axis ``ax``, clipped to
-    the box if the axis is not periodic, cut at the grid nodes inside it.
+def _axis_breakpoints(f: GridFunction, ax: int, center, width):
+    """Window [c - w, c + w] around each center on axis ``ax`` (one w per
+    center), clipped to the box if the axis is not periodic, cut at the
+    grid nodes inside it.
 
     Returns (owner, x): the breakpoints in increasing order per center,
     window ends included, and the index of the center each belongs to.
@@ -422,7 +424,8 @@ def _axis_breakpoints(f: GridFunction, ax: int, center, width: float):
         lo = np.maximum(lo, a)
         hi = np.minimum(hi, f.box[ax, 1])
     first = np.floor((lo - a) / h).astype(int)
-    nodes = _node_positions(f, ax, first[:, None] + np.arange(1, int(2 * width / h) + 3))
+    nodes = _node_positions(f, ax, first[:, None]
+                            + np.arange(1, int(2 * np.max(width) / h) + 3))
     gap = 1e-9 * h
     inside = (nodes > lo[:, None] + gap) & (nodes < hi[:, None] - gap)
     ends = np.ones((len(center), 1), dtype=bool)
@@ -470,8 +473,14 @@ def _illinois(evaluate, x_lo, x_hi, d_lo, d_hi, n_lo, n_hi):
     return xc, cc, ac, nc
 
 
-def _cell_polish(f: GridFunction, solve, z, paths, actions, gradients):
-    """Cyclic per-axis minimization of ``f(z) + A(z)`` around each row of z.
+def _cell_polish(f: GridFunction, solve, z, paths, actions, gradients,
+                 scale=1.0, width=0.0):
+    """Cyclic per-axis minimization of ``s f(z) + A(z)`` around each row of z.
+
+    Two searches call it: the convolution's polish (s = 1) and the argmax of
+    ``singular._argmax_points`` on a field whose u(t, .) is a scaled grid
+    interpolant, which minimizes -phi = -e^{lam t} v + A (s = -e^{lam t}).
+    ``scale`` is s, a scalar or one per row of z.
 
     ``solve(points, rows, warm)`` returns ``(A, dA, nodes)`` at ``points``
     (P, n) for the seeds ``rows``: the actions (P,), their derivatives in
@@ -491,8 +500,9 @@ def _cell_polish(f: GridFunction, solve, z, paths, actions, gradients):
     slope read at a breakpoint is a supergradient, not the slope inside
     the cell.  The winner is the least cost among the current
     point, the breakpoints and the cell minimizers, so a convex kink is
-    returned as its node.  w is the largest grid spacing, shrunk by 0.4
-    per sweep; nD runs up to three sweeps, and a seed stops after a sweep
+    returned as its node.  w starts at the largest grid spacing, or at
+    ``width`` (a scalar or one per row) where that is wider, and shrinks by
+    0.4 per sweep; nD runs up to three sweeps, and a seed stops after a sweep
     that moved it less than 1e-6 of that spacing.  Every seed's steps and
     stops depend on that seed alone, so a batch gives the answers of
     one-seed calls bit for bit.  Returns (points, costs, actions, path
@@ -504,7 +514,8 @@ def _cell_polish(f: GridFunction, solve, z, paths, actions, gradients):
     S, n = z.shape
     cost, act = np.full(S, np.inf), np.full(S, np.nan)
     h_ref = float(np.max(f.spacing))
-    width = h_ref
+    scale = np.broadcast_to(np.asarray(scale, dtype=float), (S,))
+    width = np.maximum(h_ref, np.broadcast_to(np.asarray(width, dtype=float), (S,)))
     live = np.arange(S)
     for _ in range(1 if n == 1 else 3):
         before = z[live].copy()
@@ -520,10 +531,10 @@ def _cell_polish(f: GridFunction, solve, z, paths, actions, gradients):
                     new = ~own
                     if new.any():
                         a[new], da[new], nodes[new] = solve(pts[new], seeds[new], warm[new])
-                fv = np.asarray(f(pts), dtype=float).reshape(-1)
+                fv = scale[seeds] * np.asarray(f(pts), dtype=float).reshape(-1)
                 return fv + a, a, da[:, ax], nodes, fv
 
-            owner, xb = _axis_breakpoints(f, ax, z[live, ax], width)
+            owner, xb = _axis_breakpoints(f, ax, z[live, ax], width[live])
             seeds = live[owner]
             own = (xb == z0[seeds, ax]) & np.all(z[seeds] == z0[seeds], axis=1)
             cb, ab, db, nb, fb = evaluate(seeds, xb, paths[seeds], own)

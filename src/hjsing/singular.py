@@ -21,10 +21,14 @@ derivative in the end point (``d_end``).  Singularities are continued
 forward by the ball-constrained argmax of u(t, .) - A_{t1,t}(x1, .): on a
 short enough step the objective is strictly concave on the localization
 ball, so the maximizer is unique and moves the singularity.  It is located by
-a lattice scan of the ball, then the same scan zoomed onto the best node
-one axis at a time; the search needs no derivatives.  Chaining steps
-across growing annuli, with the step budget recomputed on each annulus,
-yields a curve of any requested length.
+a lattice scan of the ball, then refined around the best node.  On a
+discounted field u(t, .) = e^{lam t} v is linear between grid nodes and the
+action's end slope is its paths' ``d_end``, so the refinement is the cell
+polish of the convolution (``laxoleinik._cell_polish``); on an
+evolutionary field, whose u(t, .) is a search per point, the scan is
+zoomed onto the best node one axis at a time.  Chaining steps across
+growing annuli, with the step budget recomputed on each annulus, yields a
+curve of any requested length.
 
 For discounted problems the same machinery runs on the exponential lift
 u(t, x) = e^{lam t} v(x); forward calibrated flow plus the singular
@@ -66,6 +70,7 @@ from .laxoleinik import (
     TIE_TOL,
     GridFunction,
     _ball_mesh,
+    _cell_polish,
     _distinct_basins,
     periodic_radius_cap,
 )
@@ -187,21 +192,50 @@ def _lattice(center, radius, lo, hi, axis=None):
 
 
 def _argmax_objective(field, action_model, t1: float, x1, ts, ys):
-    """phi(y) = u(t, y) - A_{t1,t}(x1, y) on a batch of y, t one per row;
-    a path that did not converge raises :class:`NoConvergence`."""
+    """phi(y) = u(t, y) - A_{t1,t}(x1, y) on a batch of y, t one per row,
+    with the batch's ``minimize_paths`` solution; a path that did not
+    converge raises :class:`NoConvergence`."""
     ys = np.atleast_2d(np.asarray(ys, dtype=float))
     sol = minimize_paths(action_model, t1, ts, np.broadcast_to(x1, ys.shape), ys)
     require_converged(sol)
     u_vals = field.values(ts, ys)
-    return u_vals - sol["action"]
+    return u_vals - sol["action"], sol
 
 
 def _scan(field, action_model, t1, x1, ts, lattices):
-    """phi on every lattice, lattice j at time ts[j]: one objective batch."""
+    """phi on every lattice, lattice j at time ts[j], in one objective batch:
+    (phi per lattice, the batch's solution)."""
     sizes = [len(c) for c in lattices]
-    vals = _argmax_objective(field, action_model, t1, x1,
-                             np.repeat(ts, sizes), np.concatenate(lattices))
-    return np.split(vals, np.cumsum(sizes)[:-1])
+    vals, sol = _argmax_objective(field, action_model, t1, x1,
+                                  np.repeat(ts, sizes), np.concatenate(lattices))
+    return np.split(vals, np.cumsum(sizes)[:-1]), sol
+
+
+def _zoom(field, action_model, t1, x1, seed_t, z, width):
+    """Rescan each axis around every seed: (points, phis).
+
+    5 rounds per axis, one batch each, on a segment whose half-width starts
+    at ``width`` and shrinks to one lattice spacing per round; the current
+    point stays a candidate and the first maximum wins ties.  That is one
+    sweep of 5 batches in 1D and two sweeps of 5n in nD, the width times
+    ``_SWEEP_SHRINK`` from one sweep to the next.
+    """
+    n = x1.size
+    domains = [field.domain(t) for t in seed_t]
+    phi = np.empty(len(z))
+    for _ in range(2 if n > 1 else 1):
+        for ax in range(n):
+            w = width
+            for _ in range(5):      # the last spacing is 24^-5 of the scan's
+                cands = [_lattice(y, wi, *dom, axis=ax)
+                         for y, wi, dom in zip(z, w, domains)]
+                for i, (cand, vals) in enumerate(zip(
+                        cands, _scan(field, action_model, t1, x1, seed_t, cands)[0])):
+                    best = int(np.argmax(vals))
+                    z[i], phi[i] = cand[best], vals[best]
+                w = w * (2.0 / (_LATTICE_NODES - 1))
+        width = width * _SWEEP_SHRINK
+    return z, phi
 
 
 def _argmax_points(field, action_model, t1, x1, times, radii):
@@ -210,52 +244,64 @@ def _argmax_points(field, action_model, t1, x1, times, radii):
     ``times`` and ``radii`` are (k,); ``ys`` is (k, n), ``phis`` (k,), and
     ``scans``/``scan_vals`` hold each time's lattice and its objective.  One
     objective batch scans the lattices of every time, which pick the seeds
-    (the leading basin, and a runner-up if clearly separated).  The zoom
-    then rescans each axis in turn around every seed: 5 rounds, one batch
-    each, on a segment whose half-width starts at one scan spacing and
-    shrinks to one zoom spacing per round; the current point stays a
-    candidate and the first maximum wins ties.  That is one sweep of 5
-    batches in 1D and two sweeps of 5n in nD, the width times
-    ``_SWEEP_SHRINK`` from one sweep to the next.  Within a time the first
-    seed wins ties.
+    (the leading basin, and a runner-up if clearly separated).  Each seed
+    is then refined over a half-width of one lattice spacing, or more.
+
+    Where u(t, .) is a grid interpolant times a scale (``field.grid_data``:
+    a discounted field's e^{lam t} v), -phi = -e^{lam t} v + A is linear in
+    v between grid nodes, and the path's ``d_end`` is the slope of A.  The
+    seeds then go to ``laxoleinik._cell_polish`` with their data scaled by
+    -e^{lam t} and their scan paths, actions and ``d_end``; its first
+    half-width is the larger of one lattice spacing and one grid cell.  A
+    maximizer at a concave kink of v comes back as that node exactly.
+    That is one breakpoint batch per axis and sweep, plus up to 8 secant
+    batches where a cell holds the maximizer.  Other fields (an
+    evolutionary u(t, .) is a search per point) zoom onto each seed
+    (:func:`_zoom`).  Within a time the first seed wins ties.
     """
-    n = x1.size
     scans = [_lattice(x1, r, *field.domain(t)) for t, r in zip(times, radii)]
-    scan_vals = _scan(field, action_model, t1, x1, times, scans)
+    scan_vals, sol = _scan(field, action_model, t1, x1, times, scans)
+    offsets = np.cumsum([0] + [len(c) for c in scans])
 
     h_polish = np.maximum(radii / (_LATTICE_NODES - 1), 1e-4)
     seeds, seed_time = [], []
     for j, (cand, vals) in enumerate(zip(scans, scan_vals)):
         order = np.argsort(-vals)
-        chosen = [cand[order[0]]]
+        chosen = [order[0]]
         for idx in order[1:]:
             if vals[idx] < vals[order[0]] - 10 * TIE_TOL:
                 break
-            if np.linalg.norm(cand[idx] - chosen[0]) > 3 * h_polish[j]:
-                chosen.append(cand[idx])
+            if np.linalg.norm(cand[idx] - cand[order[0]]) > 3 * h_polish[j]:
+                chosen.append(idx)
                 break
-        seeds += chosen
+        seeds += [offsets[j] + i for i in chosen]
         seed_time += [j] * len(chosen)
-    seed_time = np.asarray(seed_time)
+    seeds, seed_time = np.asarray(seeds), np.asarray(seed_time)
     seed_t = times[seed_time]
-    domains = [field.domain(t) for t in seed_t]
-
-    z = np.array(seeds, dtype=float)
-    phi = np.empty(len(z))
+    z = np.concatenate(scans)[seeds]
     width = 2 * h_polish[seed_time]
-    for _ in range(2 if n > 1 else 1):
-        for ax in range(n):
-            w = width
-            for _ in range(5):      # the last spacing is 24^-5 of the scan's
-                cands = [_lattice(y, wi, *dom, axis=ax)
-                         for y, wi, dom in zip(z, w, domains)]
-                for i, (cand, vals) in enumerate(zip(
-                        cands, _scan(field, action_model, t1, x1, seed_t, cands))):
-                    best = int(np.argmax(vals))
-                    z[i], phi[i] = cand[best], vals[best]
-                w = w * (2.0 / (_LATTICE_NODES - 1))
-        width = width * _SWEEP_SHRINK
 
+    data = field.grid_data(seed_t)
+    if data is None:
+        z, phi = _zoom(field, action_model, t1, x1, seed_t, z, width)
+    else:
+        grid, scale = data
+
+        def solve(points, rows, warm):
+            # from straight lines, as the scan's paths: a warm start can land
+            # in another local minimum of the discrete action (beside a kink
+            # of the potential), and phi is then not the scan's objective
+            paths = minimize_paths(action_model, t1, seed_t[rows],
+                                   np.broadcast_to(x1, points.shape), points)
+            require_converged(paths)
+            return paths["action"], paths["d_end"], paths["nodes"]
+
+        z, cost, _, _ = _cell_polish(grid, solve, z, sol["nodes"][seeds],
+                                     sol["action"][seeds], sol["d_end"][seeds],
+                                     scale=-scale, width=width)
+        phi = -cost
+
+    n = x1.size
     ys = np.empty((len(times), n))
     phis = np.empty(len(times))
     for j in range(len(times)):
@@ -291,15 +337,21 @@ def propagation_step(field, t1: float, x1, T: float,
 
     The step budget is the ratio of the action's spatial convexity modulus
     to twice the local semiconcavity of u (with a 1.5 safety divisor),
-    clamped to ``step_cap``.  For each of 4 ladder times the maximizer of
-    u(t, .) - A_{t1,t}(x1, .) over the ball of radius lambda_2(T)(t - t1)
-    is located, its strict-concavity margin checked, and (optionally) its
-    singularity certificate computed.  An attempt shares its objective
-    batches among the ladder times: one lattice scan, the zoom's 5 per axis
-    and sweep (5 in 1D, 20 in 2D), one batch of concavity probes and, once
-    every check has passed, one certificate batch.  The checks run in
-    ladder order; a concavity or uniqueness failure halves the step, up to
-    6 times.
+    clamped to ``step_cap``.  Without given ``constants`` the modulus c2 is
+    probed on the cone of span min(T - t1, step_cap); a cone that straddles
+    a kink of the potential can probe c2 <= 0, so the span halves until c2
+    > 0, up to 6 times, and the step is clamped to the span probed as well.
+    For each of 4 ladder times the maximizer of u(t, .) - A_{t1,t}(x1, .)
+    over the ball of radius lambda_2(T)(t - t1) is located, its
+    strict-concavity margin checked, and (optionally) its singularity
+    certificate computed.  An attempt shares its objective batches among
+    the ladder times: one lattice scan, the refinement of
+    :func:`_argmax_points` (on a discounted field the polish's breakpoint
+    batch, plus up to 8 secant batches when a cell holds a maximizer; on
+    an evolutionary one the zoom's 5 per axis and sweep, 5 in 1D and 20 in
+    2D), one batch of concavity probes and, once every check has passed,
+    one certificate batch.  The checks run in ladder order; a concavity or
+    uniqueness failure halves the step, up to 6 times.
     """
     ladder, max_halvings = 4, 6
     x1 = np.atleast_1d(np.asarray(x1, dtype=float))
@@ -309,10 +361,17 @@ def propagation_step(field, t1: float, x1, T: float,
     radius_cap = min(periodic_radius_cap(field.u0, ax)
                      for ax in range(field.u0.dimension))
 
+    span = math.inf         # the span of the cone the constants were probed on
     if constants is None:
+        # a cone that straddles a kink of the potential can probe c2 <= 0
+        # where a shorter one probes a convex action: halve the span first
         span = min(T - t1, step_cap or (T - t1))
-        slope = min(lam2, radius_cap / span)
-        constants = estimate_constants(action_model, t1, x1, t1 + span, slope)
+        for halvings in range(max_halvings + 1):
+            constants = estimate_constants(action_model, t1, x1, t1 + span,
+                                           min(lam2, radius_cap / span))
+            if constants.c2 > 0 or halvings == max_halvings:
+                break
+            span *= 0.5
     if constants.c2 <= 0:
         raise ConcavityFailure(
             f"action not uniformly convex on the cone: c2 = {constants.c2:.3g} "
@@ -321,7 +380,7 @@ def propagation_step(field, t1: float, x1, T: float,
     c_loc = max(estimate_semiconcavity(field, t1, x1, scales), 1e-8)
     t_step = constants.c2 / (2.0 * c_loc) / 1.5
     cap = step_cap if step_cap is not None else (T - t1)
-    t_step = min(t_step, cap)
+    t_step = min(t_step, cap, span)
     if t_step < 1e-6:
         raise ScheduleStall(f"step budget {t_step:.3g} underflowed at t = {t1:.4g}")
 
@@ -337,7 +396,7 @@ def propagation_step(field, t1: float, x1, T: float,
         probes = points[:, None, None, :] + np.stack([z, -z], axis=1)
         probe_vals = _argmax_objective(
             field, action_model, t1, x1, np.repeat(times, 2 * len(probe_scales)),
-            probes.reshape(-1, x1.size)).reshape(ladder, len(probe_scales), 2)
+            probes.reshape(-1, x1.size))[0].reshape(ladder, len(probe_scales), 2)
         try:
             for j, t in enumerate(times):
                 y, phi, cand, vals = points[j], phis[j], scans[j], scan_vals[j]

@@ -206,6 +206,9 @@ class ValueField:
     constants.  ``values`` and ``certificate_search`` take one time for
     every row of ``xs`` or a (P,) array of per-row times, and search a batch
     at once; a row's answer does not depend on the other rows of its batch.
+    A field whose u(t, .) is a grid interpolant times a scale says so
+    through ``grid_data``, and the argmax of the singular layer then
+    polishes cell by cell instead of zooming.
     """
 
     def __init__(self, u0: GridFunction):
@@ -223,6 +226,11 @@ class ValueField:
     def lambda2(self, T: float) -> float:
         return localization_radius(self.action_lagrangian(T).growth,
                                    self.lipschitz_bound(T))
+
+    def grid_data(self, ts):
+        """(grid, scales) with u(t_j, .) = scales[j] * grid at the times ts,
+        or None when u(t, .) is no scaled grid interpolant."""
+        return None
 
 
 def _row_times(t, xs) -> np.ndarray:
@@ -336,11 +344,15 @@ class DiscountedField(ValueField):
             self._lifts[key] = to_evolutionary(self.problem, horizon=T)[0]
         return self._lifts[key]
 
+    def grid_data(self, ts):
+        """(v, e^{lam t}) per time: u(t, .) = e^{lam t} v."""
+        # math.exp, time by time: numpy's vectorized exp may round differently
+        return self.v, np.array([math.exp(self.problem.lam * t) for t in np.ravel(ts)])
+
     def values(self, t, xs) -> np.ndarray:
         xs = np.atleast_2d(np.asarray(xs, dtype=float))
-        # math.exp, row by row: numpy's vectorized exp may round differently
-        scale = [math.exp(self.problem.lam * ti) for ti in _row_times(t, xs)]
-        return np.asarray(scale) * np.asarray(self.v(xs), dtype=float).reshape(-1)
+        grid, scale = self.grid_data(_row_times(t, xs))
+        return scale * np.asarray(grid(xs), dtype=float).reshape(-1)
 
     def certificate_search(self, t, xs) -> list:
         """Tied minimizers of the backward representation of v at the rows of

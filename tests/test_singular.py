@@ -182,13 +182,13 @@ class TestPropagationStep:
                              1.5, step_cap=1e-8)
 
     @pytest.mark.parametrize("kind, start, bound", [
-        ("discounted", (1.0, [0.0], 2.0), 18),
+        ("discounted", (1.0, [0.0], 2.0), 12),
         ("evolutionary", (0.5, [0.25], 1.5), 55),
     ], ids=["discounted", "evolutionary"])
     def test_few_direct_method_batches(self, sine_field, shock_field, monkeypatch,
                                        kind, start, bound):
-        # the ladder times share the lattice scan, the zoom, the probes
-        # and the certificates, and an evolutionary field searches all the
+        # the ladder times share the lattice scan, the polish or the zoom,
+        # the probes and the certificates, and an evolutionary field searches all the
         # times of a batch at once; one batch per ladder time would need more
         # a fresh shock field, whose value cache earlier tests have not filled
         field = (sine_field if kind == "discounted"
@@ -326,6 +326,30 @@ class TestArgmax:
                                      np.array([0.25]), ts,
                                      shock_field.lambda2(1.5) * (ts - 0.5))
         assert np.max(np.abs(ys[:, 0] - ts / 2)) <= 1e-6
+
+    @pytest.mark.parametrize("x1, node", [(0.05, 0.0), (1.0, None)],
+                             ids=["kink", "interior"])
+    def test_discounted_polish_beats_a_dense_lattice(self, period_field, x1, node):
+        # on a discounted field the argmax polishes cell by cell: its phi is at
+        # least the best of 4,001 points across the seed's window; from 0.05
+        # the maximizer is the concave kink of v at the node 0, exactly, and
+        # from 1.0 it lies inside a cell
+        h = float(period_field.v.spacing[0])
+        t1, t, radius = 1.0, 1.25, 0.3
+        action_model = period_field.action_lagrangian(2.0)
+        (y,), (phi,), (cand,), (vals,) = _argmax_points(
+            period_field, action_model, t1, np.array([x1]), np.array([t]),
+            np.array([radius]))
+        seed = cand[np.argmax(vals), 0]
+        width = max(h, 2 * radius / (singular._LATTICE_NODES - 1))
+        ys = np.linspace(seed - width, seed + width, 4001)[:, None]
+        dense, _ = singular._argmax_objective(period_field, action_model, t1,
+                                              np.array([x1]), np.full(len(ys), t), ys)
+        assert phi >= dense.max() - 1e-12
+        if node is None:
+            assert abs(y[0] / h - round(y[0] / h)) > 1e-3
+        else:
+            assert y[0] == node
 
 
 class TestLipschitzCertificate:
@@ -493,13 +517,17 @@ class TestHomotopyRetraction:
         with pytest.raises(errors.InvalidProblem):
             homotopy(hopf_kink_field, [0.0], 0.5)
 
-    def test_nonconvex_cone_is_a_concavity_failure(self, period_field,
-                                                  period_cut_field, sine_problem):
-        # near the Aubry point pi/2 the probed action is not convex on the
-        # cone of the singular continuation (c2 < 0), so no step budget exists
-        with pytest.raises(errors.ConcavityFailure, match="c2"):
-            retraction(period_field, sine_problem.lagrangian, period_cut_field,
-                       [1.44], 1.0)
+    def test_band_point_retracts_to_a_kink(self, period_field, period_cut_field,
+                                           sine_problem):
+        # near the Aubry point pi/2 the cone of the first continuation step
+        # straddles a kink of the potential and probes c2 < 0; on half its
+        # span the action is convex, so the step halves the span and goes on
+        g1 = retraction(period_field, sine_problem.lagrangian, period_cut_field,
+                        [1.44], 1.0)
+        cell = float(period_field.v.spacing[0])
+        assert abs(g1[0] - np.pi * round(g1[0] / np.pi)) <= cell
+        flag, _ = is_singular(period_field, None, 0.0, g1)
+        assert flag
 
 
 class TestAubryCandidates:
