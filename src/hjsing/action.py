@@ -189,9 +189,11 @@ def minimize_paths(model: LagrangianModel, s, t, starts, ends,
     the minimum a good step moves the action by less than rounding.  A path
     whose every halving does neither stops where it stands.  Each iteration
     evaluates the model and solves only on the paths still iterating.  A
-    path that meets the tolerance where it starts takes no Newton step, so
-    its pivots are tested at the end: with ``L_xx``, a matrix that is not
-    positive definite marks a saddle, which is reported as not converged.
+    path that meets the tolerance where it starts takes no Newton step, and
+    one that took a kinetic-only step may have ended where its curvature
+    is still indefinite, so the pivots of both are tested at the end: with
+    ``L_xx``, a matrix that is not positive definite marks a saddle, which
+    is reported as not converged.
     """
     grad_tol, max_iter = 1e-9, 60
     starts = np.atleast_2d(np.asarray(starts, dtype=float))
@@ -269,6 +271,7 @@ def minimize_paths(model: LagrangianModel, s, t, starts, ends,
 
     live = np.arange(P)     # paths still iterating
     stepped = np.zeros(P, dtype=bool)
+    fallback = np.zeros(P, dtype=bool)      # took a kinetic-only step
     for _ in range(max_iter):
         g, _, _ = derivatives(W if live.size == P else W[live], live)
         gi = grad_norm(g)
@@ -286,6 +289,7 @@ def minimize_paths(model: LagrangianModel, s, t, starts, ends,
                 sol, positive = _solve_tridiagonal(full[0], full[1], full[0], g[:, :, ax])
                 bad = np.flatnonzero(~positive)
                 if bad.size:
+                    fallback[live[bad]] = True
                     sol[bad], _ = _solve_tridiagonal(off[bad], diag[bad], off[bad],
                                                      g[bad, :, ax])
             step[:, :, ax] = -sol
@@ -321,8 +325,9 @@ def minimize_paths(model: LagrangianModel, s, t, starts, ends,
     grad_inf = grad_norm(g)
     converged = grad_inf <= 100 * grad_tol * (1.0 + np.abs(act))
     # a path that stopped before any Newton step never had its pivots
-    # tested; an indefinite matrix there marks a saddle, not a minimum
-    rest = np.flatnonzero(~stepped)
+    # tested, and one that took a kinetic-only step stepped past a failed
+    # test; an indefinite matrix there marks a saddle, not a minimum
+    rest = np.flatnonzero(~stepped | fallback)
     if L_xx is not None and rest.size:
         for _, _, (off, diag) in newton_systems(W[rest], rest):
             positive = _solve_tridiagonal(off, diag, off, np.zeros_like(diag))[1]

@@ -9,7 +9,9 @@ Keys
 ``sine_kink``
     L = v^2/2 + f(x) with f = cos(x)^2/2 - |sin x| (1D).  The potential has
     kinks at multiples of pi, where its derivative is the right-hand one;
-    pass ``eps > 0`` to smooth |.| into sqrt(.^2+eps^2)-eps.
+    its Hamiltonian declares the switching function sin x, and on branch
+    sigma = +-1 reads |sin x| as sigma sin x.  Pass ``eps > 0`` to smooth
+    |.| into sqrt(.^2+eps^2)-eps, with no switching function.
 ``double_well``
     L = v^2/2 + (x^2-1)^2/4 (1D).  The upper growth bound is only valid on
     the bounded box |x| <= 2, which is all the grid solvers use.
@@ -86,11 +88,19 @@ def free_particle(dimension: int = 1) -> LagrangianModel:
 
 
 def mechanical(f, f_grad, name: str, f_min: float, f_max: float, *,
-               f_hess=None) -> LagrangianModel:
+               f_hess=None, switching=None) -> LagrangianModel:
     """1D model L = v^2/2 + f(x), H = p^2/2 - f(x); f bounded in [f_min, f_max].
 
     ``f_hess``, the second derivative of f, gives the model its ``L_xx``.
+    ``switching``, a function of x whose zeros hold every kink of f, gives
+    the Hamiltonian its ``switching``; f and f_grad then take a second
+    argument, the branch (+-1 per point), and evaluate the smooth piece of
+    f on the side where ``switching`` has that sign.
     """
+
+    def on_branch(fn, x, branch):
+        x = np.asarray(x, dtype=float)[..., 0]
+        return fn(x) if branch is None else fn(x, np.asarray(branch, dtype=float)[..., 0])
 
     def L(s, x, v):
         x = np.asarray(x, dtype=float)
@@ -117,12 +127,14 @@ def mechanical(f, f_grad, name: str, f_min: float, f_max: float, *,
         name=name,
         hamiltonian=HamiltonianModel(
             dimension=1,
-            H=lambda s, x, p: 0.5 * np.asarray(p, dtype=float)[..., 0] ** 2
-            - f(np.asarray(x, dtype=float)[..., 0]),
-            H_p=lambda s, x, p: np.asarray(p, dtype=float).copy(),
-            H_x=lambda s, x, p: -f_grad(np.asarray(x, dtype=float)[..., 0])[..., None],
+            H=lambda s, x, p, branch=None: 0.5 * np.asarray(p, dtype=float)[..., 0] ** 2
+            - on_branch(f, x, branch),
+            H_p=lambda s, x, p, branch=None: np.asarray(p, dtype=float).copy(),
+            H_x=lambda s, x, p, branch=None: -on_branch(f_grad, x, branch)[..., None],
             H_t=lambda s, x, p: np.zeros(np.asarray(p, dtype=float).shape[:-1]),
             name=name,
+            switching=None if switching is None
+            else lambda x: switching(np.asarray(x, dtype=float)[..., 0])[..., None],
         ),
     )
 
@@ -134,18 +146,23 @@ def pendulum() -> LagrangianModel:
 
 
 def sine_kink(eps: float = 0.0) -> LagrangianModel:
-    """L = v^2/2 + cos(x)^2/2 - |sin x| (1D), optionally smoothed near the kinks."""
+    """L = v^2/2 + cos(x)^2/2 - |sin x| (1D), optionally smoothed near the kinks.
+
+    With eps = 0 the Hamiltonian's switching function is sin x, whose zeros
+    are the kinks; on branch sigma, |sin x| is sigma sin x.  With eps > 0
+    the potential is smooth and there is none.
+    """
     if eps < 0:
         raise ValueError("eps must be >= 0")
 
     if eps == 0.0:
-        def smooth_abs(u):
-            return np.abs(u)
+        def smooth_abs(u, branch=None):
+            return np.abs(u) if branch is None else branch * u
 
-        def smooth_abs_d(u):
+        def smooth_abs_d(u, branch=None):
             # the right-hand slope at the kink, not sign(0) = 0: a path
             # resting on the kink at 0, a maximum of f, is not stationary
-            return np.where(u < 0, -1.0, 1.0)
+            return np.where(u < 0, -1.0, 1.0) if branch is None else branch
 
         def smooth_abs_dd(u):
             return np.zeros_like(u)   # the kinks' point masses are left out
@@ -159,12 +176,12 @@ def sine_kink(eps: float = 0.0) -> LagrangianModel:
         def smooth_abs_dd(u):
             return eps * eps / (u * u + eps * eps) ** 1.5
 
-    def f(x):
-        return 0.5 * np.cos(x) ** 2 - smooth_abs(np.sin(x))
+    def f(x, *branch):
+        return 0.5 * np.cos(x) ** 2 - smooth_abs(np.sin(x), *branch)
 
-    def f_grad(x):
+    def f_grad(x, *branch):
         sin, cos = np.sin(x), np.cos(x)
-        return -cos * sin - smooth_abs_d(sin) * cos
+        return -cos * sin - smooth_abs_d(sin, *branch) * cos
 
     def f_hess(x):
         sin, cos = np.sin(x), np.cos(x)
@@ -172,7 +189,8 @@ def sine_kink(eps: float = 0.0) -> LagrangianModel:
                 - smooth_abs_dd(sin) * cos * cos)
 
     name = "sine_kink" if eps == 0.0 else f"sine_kink(eps={eps:g})"
-    return mechanical(f, f_grad, name, f_min=-1.0, f_max=0.5, f_hess=f_hess)
+    return mechanical(f, f_grad, name, f_min=-1.0, f_max=0.5, f_hess=f_hess,
+                      switching=np.sin if eps == 0.0 else None)
 
 
 def double_well() -> LagrangianModel:

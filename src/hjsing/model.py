@@ -12,6 +12,15 @@ All model callables are vectorized over leading axes:
 * ``L_xx``, the potential's curvature, is optional (``None`` when a model
   has no closed form).  It returns ``(..., n, n)`` like ``L_vv``; the direct
   method reads only the diagonal of either.
+* ``HamiltonianModel.switching``, also optional, returns ``(..., m)`` from
+  ``x``: switching functions whose zero sets hold every point where H or
+  H_x is not smooth.  A model that sets it takes ``branch=`` in ``H``,
+  ``H_p`` and ``H_x``, a ``(..., m)`` array of +-1 that picks the smooth
+  piece on the side where each switching function has that sign, extended
+  across its zero set.  Without ``branch`` they evaluate each point on its
+  own piece, with a one-sided convention on the zero sets.  The
+  characteristic flow freezes the branch over each step and switches it
+  at the located crossing (``singular._characteristic_flow``).
 * Every ``LagrangianModel`` carries a Hamiltonian: a closed form when the
   constructor gets one, else the Legendre transform, whose ``legendre``
   inverts ``L_v = p`` for a whole (..., n) batch in one damped Newton run.
@@ -71,6 +80,8 @@ class HamiltonianModel:
     H_x: Callable
     H_t: Callable
     name: str = ""
+    # x -> (..., m) switching functions; set, H, H_p and H_x take ``branch``
+    switching: Optional[Callable] = None
 
 
 @dataclass

@@ -7,6 +7,10 @@ flows at the problem's lam (the lam = 0 flows of its lift
 Dormand-Prince loop per call, each row with its own steps, and a row with
 a stop margin stops at its root by Brent's method.  Both are written here,
 with scipy's tableau and step rules, so no path of this module loads scipy.
+A Hamiltonian with switching functions (``HamiltonianModel.switching``,
+the kinks of ``sine_kink``'s potential) is integrated one smooth piece at
+a time: each row steps on its own branch, and where a step leaves it the
+crossing is located on the step's dense output and the row switches there.
 :func:`fundamental_solution` is the direct method alone: the least action
 and its derivatives in both end points and the end time, Richardson-
 extrapolated from a 64- and a 128-segment path.
@@ -84,13 +88,15 @@ SINGULAR_TOL = 1e-2     # a reachable-gradient set wider than this is singular
 CALIB_TOL = 1e-3        # calibration defect (per unit of 1 + t) that cuts a flow
 _LATTICE_NODES = 49     # argmax scan nodes per axis of the ball
 _ROOT_TOL = 4 * np.finfo(float).eps   # break-time roots: Brent's xtol and rtol
+_SWITCH_TOL = 1e-10     # kink crossings: bracket width per unit of 1 + |t|
 _ESCAPE = 1e6           # a characteristic with |x| or |p| beyond this escaped
 _RTOL, _ATOL = 1e-9, 1e-11   # characteristic integration tolerances
 # scipy's RK45 step-size rule (scipy.integrate._ivp.rk), applied per row
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 # step attempts of one characteristic-flow loop per unit of max(1, horizon); the
-# most measured is 58 (61 attempts to horizon 1.06), so a loop past this
-# budget is stuck, like a row chattering across a kink of the potential
+# most measured, over the tests and the cutlocus-1d flows, is 39 (77 attempts
+# to horizon 2), so a loop past this budget is stuck, like a row sliding along
+# a kink of the potential and crossing it at every step
 _FLOW_STEPS_PER_UNIT = 500
 
 
@@ -678,6 +684,53 @@ def _initial_steps(rhs, t, y, f, direction, interval, max_step):
     return np.minimum(np.minimum(100 * h0, h1), min(interval, max_step))
 
 
+def _dense(t_old, y_old, step, stages):
+    """The quartic dense output of a batch of steps from (t_old, y_old):
+    ``state(s, i)``, the states of the steps ``i`` (default all) at times s."""
+    Q = [_combine(col, stages) for col in _DP_P]
+
+    def state(s, i=slice(None)):
+        x = ((s - t_old[i]) / step[i])[:, None]
+        acc, power = 0.0, 1.0
+        for q in Q:
+            power = power * x
+            acc = acc + q[i] * power
+        return y_old[i] + step[i][:, None] * acc
+
+    return state
+
+
+def _switch_time(g, a, b, g_a, g_b):
+    """The far end of a bracket of the first sign change of g, per row.
+
+    ``g(i, s)`` evaluates the rows ``i`` at times s; g_a >= 0 > g_b at the
+    bracket ends a and b, in either order.  Each step is the regula falsi
+    point, kept half a tolerance inside the bracket; an end kept twice in a
+    row has its value halved (the Illinois rule), and a step that did not
+    halve the bracket makes the next one bisect.  A row stops once
+    |b - a| <= _SWITCH_TOL (1 + |b|).  Returns b, where g < 0.
+    """
+    a, b, g_a, g_b = (np.array(z, dtype=float) for z in (a, b, g_a, g_b))
+    last = np.zeros(len(a), dtype=int)          # end replaced last: -1 a, +1 b
+    bisect = np.zeros(len(a), dtype=bool)
+    while True:
+        i = np.flatnonzero(np.abs(b - a) > _SWITCH_TOL * (1.0 + np.abs(b)))
+        if not i.size:
+            return b
+        w = b[i] - a[i]
+        frac = np.where(bisect[i], 0.5, g_a[i] / (g_a[i] - g_b[i]))
+        inset = 0.5 * _SWITCH_TOL * (1.0 + np.abs(b[i])) / np.abs(w)
+        c = a[i] + np.clip(frac, inset, 1.0 - inset) * w
+        g_c = g(i, c)
+        keep_b = g_c >= 0.0                     # c replaces a
+        ia, ib = i[keep_b], i[~keep_b]
+        g_b[ia[last[ia] == -1]] *= 0.5
+        g_a[ib[last[ib] == 1]] *= 0.5
+        a[ia], g_a[ia], b[ib], g_b[ib] = c[keep_b], g_c[keep_b], c[~keep_b], g_c[~keep_b]
+        last[ia], last[ib] = -1, 1
+        bisect[i] = np.abs(b[i] - a[i]) > 0.5 * np.abs(w)
+
+
 def _brent_root(f, a: float, b: float) -> float:
     """A root of f in [a, b] by Brent's method (Brent 1973, ch. 4).
 
@@ -747,14 +800,31 @@ def _characteristic_flow(ham: HamiltonianModel, lam: float, states, horizon: flo
     Dormand-Prince 5(4) loop: scipy's RK45 tableau, tolerances, initial
     step and step-size rule, with steps of at most min(horizon / 20, 0.25).
     Stage sums are elementwise, so a row's tau and end state do not depend
-    on its batch.  ``margin(t, Y, rows)``, if given, is the stop margin of
-    the batch rows ``rows`` at times t and states Y; after each accepted
-    step a row whose margin is <= 0 gets tau at the root of its own step's
-    dense interpolant and stops there.  A row at the horizon stops.  A live
-    row with |x| or |p| above _ESCAPE raises :class:`BlowUp`; a row whose
-    step underflows, NaN right-hand sides included, raises
-    :class:`NoConvergence`, and so does a loop that takes more than
-    _FLOW_STEPS_PER_UNIT step attempts per unit of max(1, horizon).
+    on its batch.
+
+    When ``ham.switching`` is set, each row also carries its branch, the
+    sign of each switching function where it stands (+1 on a zero), and
+    every stage of a step is evaluated on that branch: a step that spans a
+    kink of H is smooth, and passes error control.  After an accepted step,
+    a row whose switching functions left its branch gets the first crossing
+    on the step's dense interpolant, bracketed to _SWITCH_TOL (1 + |t|) by
+    :func:`_switch_time`, and moves to the bracket's far end.  Entering the
+    far piece that late moves p by about the bracket times the jump of
+    H_x, and x by the bracket squared times it.  Unless its margin breaks
+    there, the row then flips the branch of each function that changed
+    sign, re-evaluates its slope on the new branch, and keeps its step
+    size.
+
+    ``margin(t, Y, rows)``, if given, is the stop margin of the batch rows
+    ``rows`` at times t and states Y.  It is read after each accepted step,
+    at the crossing for a row that crossed; a row whose margin is <= 0 gets
+    tau at the root of that margin on its own step's dense interpolant, by
+    Brent's method (up to the crossing, if it crossed), and stops there.
+    A row at the horizon stops.  A live row with |x| or |p| above _ESCAPE
+    raises :class:`BlowUp`; a row whose step underflows, NaN right-hand
+    sides included, raises :class:`NoConvergence`, and so does a loop that
+    takes more than _FLOW_STEPS_PER_UNIT step attempts per unit of
+    max(1, horizon).
 
     Returns (tau, ends): tau (R,) the stop times, clamped at horizon; ends
     (R, 2n+1) each row's state at direction * min(tau, horizon).
@@ -764,38 +834,29 @@ def _characteristic_flow(ham: HamiltonianModel, lam: float, states, horizon: flo
     bound = float(direction * horizon)
     clip = np.minimum if direction > 0 else np.maximum
     max_step = min(abs(horizon) / 20, 0.25)
+    switching = ham.switching
 
-    def rhs(t, Y):
+    def rhs(t, Y, branch):
         X, P = Y[:, :n], Y[:, n:2 * n]
-        hp = np.asarray(ham.H_p(t, X, P)).reshape(X.shape)
-        hx = np.asarray(ham.H_x(t, X, P)).reshape(X.shape)
-        h = np.asarray(ham.H(t, X, P)).reshape(-1)
+        on = {} if branch is None else {"branch": branch}
+        hp = np.asarray(ham.H_p(t, X, P, **on)).reshape(X.shape)
+        hx = np.asarray(ham.H_x(t, X, P, **on)).reshape(X.shape)
+        h = np.asarray(ham.H(t, X, P, **on)).reshape(-1)
         da = np.exp(lam * t) * (_row_sums(P * hp) - h)
         return np.concatenate([hp, -hx - lam * P, da[:, None]], axis=1)
 
-    def stop_time(row, t_old, y_old, step, stages):
-        """Root of a row's margin on its step's dense interpolant, with the
-        state there."""
-        Q = [_combine(col, stages) for col in _DP_P]
+    def side(branch, Y):
+        """min_j branch_j s_j(x): >= 0 while a row is on its branch."""
+        return np.min(branch * switching(Y[:, :n]), axis=1)
 
-        def state(s):
-            x = (s - t_old) / step
-            acc, power = 0.0, 1.0
-            for q in Q:
-                power = power * x
-                acc = acc + q * power
-            return y_old + step * acc
-
-        root = _brent_root(lambda s: margin(np.array([s]), state(s)[None, :], row)[0],
-                           t_old, t_old + step)
-        return root, state(root)
-
-    # the live rows: their indices, times, states, slopes and step sizes, and
-    # whether their last attempt was rejected
+    # the live rows: their indices, times, states, slopes, step sizes and
+    # branches, and whether their last attempt was rejected
     rows = np.arange(R)
     t = np.zeros(R)
-    f = rhs(t, y)
-    h_abs = _initial_steps(rhs, t, y, f, direction, abs(horizon), max_step)
+    branch = None if switching is None else np.where(switching(y[:, :n]) < 0, -1.0, 1.0)
+    f = rhs(t, y, branch)
+    h_abs = _initial_steps(lambda t, Y: rhs(t, Y, branch), t, y, f, direction,
+                           abs(horizon), max_step)
     rejected = np.zeros(R, dtype=bool)
     tau, ends = np.full(R, abs(horizon)), np.empty_like(y)
     budget, attempts = _FLOW_STEPS_PER_UNIT * max(1.0, abs(horizon)), 0
@@ -816,9 +877,9 @@ def _characteristic_flow(ham: HamiltonianModel, lam: float, states, horizon: flo
         col = step[:, None]
         stages = [f]
         for c, a in _DP_A:
-            stages.append(rhs(t + c * step, y + col * _combine(a, stages)))
+            stages.append(rhs(t + c * step, y + col * _combine(a, stages), branch))
         y_new = y + col * _combine(_DP_B, stages)
-        stages.append(rhs(t_new, y_new))
+        stages.append(rhs(t_new, y_new, branch))
         scale = _ATOL + np.maximum(np.abs(y), np.abs(y_new)) * _RTOL
         error = _rms(col * _combine(_DP_E, stages) / scale)
         ok = error < 1.0
@@ -831,15 +892,35 @@ def _characteristic_flow(ham: HamiltonianModel, lam: float, states, horizon: flo
         t = np.where(ok, t_new, t)
         y = np.where(ok[:, None], y_new, y)
         f = np.where(ok[:, None], stages[-1], f)
+        # where a break's root is searched: to the step's end, or to a crossing
+        t_end = t_old + step
+
+        crossed = np.zeros(rows.size, dtype=bool)
+        if branch is not None and ok.any():
+            crossed[ok] = side(branch[ok], y[ok]) < 0.0
+        if crossed.any():
+            j = crossed.nonzero()[0]
+            state = _dense(t_old[j], y_old[j], step[j], [k[j] for k in stages])
+            t[j] = t_end[j] = _switch_time(
+                lambda i, s: side(branch[j[i]], state(s, i)),
+                t_old[j], t_new[j], side(branch[j], y_old[j]), side(branch[j], y[j]))
+            y[j] = state(t[j])
 
         # only a step taken can break: a rejected row has not moved
         broke = np.zeros(rows.size, dtype=bool)
         if margin is not None and ok.any():
             broke[ok] = margin(t[ok], y[ok], rows[ok]) <= 0.0
         for j in broke.nonzero()[0]:
-            root, ends[rows[j]] = stop_time(rows[j:j + 1], t_old[j], y_old[j], step[j],
-                                            [k[j] for k in stages])
-            tau[rows[j]] = abs(root)
+            state = _dense(t_old[j:j + 1], y_old[j:j + 1], step[j:j + 1],
+                           [k[j:j + 1] for k in stages])
+            root = _brent_root(lambda s: margin(np.array([s]), state(np.array([s])),
+                                                rows[j:j + 1])[0], t_old[j], t_end[j])
+            tau[rows[j]], ends[rows[j]] = abs(root), state(np.array([root]))[0]
+        switch = crossed & ~broke & (t != bound)
+        if switch.any():
+            j = switch.nonzero()[0]
+            branch[j] = np.where(branch[j] * switching(y[j, :n]) < 0.0, -branch[j], branch[j])
+            f[j] = rhs(t[j], y[j], branch[j])
         escaped = ~broke & (np.abs(y[:, :2 * n]).max(axis=1) > _ESCAPE)
         if escaped.any():
             raise BlowUp(f"characteristic escaped at t = {t[escaped][0]:.4g}")
@@ -849,6 +930,8 @@ def _characteristic_flow(ham: HamiltonianModel, lam: float, states, horizon: flo
             ends[rows[arrived]] = y[arrived]
             rows, t, y, f, h_abs, rejected = (
                 a[~done] for a in (rows, t, y, f, h_abs, rejected))
+            if branch is not None:
+                branch = branch[~done]
     return tau, ends
 
 

@@ -222,6 +222,14 @@ class TestBatchedPaths:
         short = minimize_paths(catalog.pendulum(), 0, 1, [[0.0]], [[0.0]])
         assert short["converged"][0]
 
+    def test_saddle_after_kinetic_steps_not_converged(self):
+        # T = 4 > pi: the straight line across the potential's maximum has an
+        # indefinite matrix, so the path steps with the kinetic block alone
+        # and stops at a stationary point where it is still indefinite
+        sol = minimize_paths(catalog.pendulum(), 0, 4, [[0.05]], [[-0.05]])
+        assert sol["grad_inf"][0] <= 1e-8
+        assert not sol["converged"][0]
+
     def test_path_on_a_kink_leaves_it(self):
         # the potential's kink at 0 is a maximum; a path resting on it read
         # the slope sign(0) = 0 there and stopped at once

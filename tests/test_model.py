@@ -230,6 +230,43 @@ class TestCurvature:
         assert lhat.L_xx is None
 
 
+class TestSwitching:
+    """Switching functions and the branch keyword of the Hamiltonian callables."""
+
+    def test_own_branch_is_the_default(self):
+        # off the kinks, the branch of a point's own sign picks the piece the
+        # default evaluation reads, bit for bit
+        ham = catalog.sine_kink().hamiltonian
+        rng = np.random.default_rng(13)
+        x = rng.uniform(-10.0, 10.0, (4, 64, 1))
+        p = rng.normal(size=(4, 64, 1))
+        s = ham.switching(x)
+        assert s.shape == (4, 64, 1) and np.all(s != 0.0)
+        branch = np.sign(s)
+        for fn in (ham.H, ham.H_p, ham.H_x):
+            assert np.array_equal(fn(0.0, x, p, branch=branch), fn(0.0, x, p))
+
+    def test_branch_extends_its_piece_across_the_kink(self):
+        # on branch +1, |sin x| reads sin x also left of the kink at 0
+        ham = catalog.sine_kink().hamiltonian
+        x, p = np.array([[-0.1], [0.1]]), np.array([[0.3], [-0.2]])
+        up = np.ones((2, 1))
+        h = 0.5 * p[:, 0] ** 2 - 0.5 * np.cos(x[:, 0]) ** 2 + np.sin(x[:, 0])
+        hx = np.cos(x) * np.sin(x) + np.cos(x)
+        np.testing.assert_allclose(ham.H(0.0, x, p, branch=up), h, rtol=1e-15)
+        np.testing.assert_allclose(ham.H_x(0.0, x, p, branch=up), hx, rtol=1e-15)
+        assert ham.H(0.0, x[:1], p[:1]) != ham.H(0.0, x[:1], p[:1], branch=up[:1])
+
+    @pytest.mark.parametrize("make", [
+        catalog.pendulum, catalog.double_well, catalog.free_particle,
+        lambda: catalog.free_particle(2), lambda: catalog.sine_kink(eps=0.1),
+        lambda: catalog.lagrangian_from_expression("v^2/2 + cos(x)", 1),
+    ], ids=["pendulum", "double_well", "free_particle", "free_particle_2d",
+            "sine_kink_eps", "expression"])
+    def test_smooth_models_have_none(self, make):
+        assert make().hamiltonian.switching is None
+
+
 class TestEvolutionaryTransform:
     def test_identity_at_t0(self, counterexample_problem):
         lhat, _ = model.to_evolutionary(counterexample_problem, horizon=1.0)

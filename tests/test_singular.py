@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.integrate import RK45
+from scipy.integrate import RK45, solve_ivp
 from scipy.optimize import brentq
 
 from hjsing import (
@@ -394,17 +394,18 @@ class TestCutTime:
         assert tau == 0.0 and flow is None
 
     def test_margin_read_after_accepted_steps_only(self, sine_problem, monkeypatch):
-        # the flow from 0.406 on the cutlocus-1d grid rejects steps near the
-        # kink at 0; a rejected row has not moved, so its margin is not read
+        # the flow from 0.406 on the cutlocus-1d grid rejects a step on its
+        # way to the kink at 0 (14 attempts, 13 taken); a rejected row has
+        # not moved, so its margin is not read
         v = GridFunction.from_callable(lambda p: -np.abs(np.sin(p[..., 0])),
                                        [(0.0, np.pi)], 32, periodic=True)
         stages, reads = [], []
         flow = singular._characteristic_flow
 
         def recording(ham, lam, states, horizon, direction, margin):
-            def h_p(*args):
+            def h_p(*args, **kwargs):
                 stages.append(1)
-                return ham.H_p(*args)
+                return ham.H_p(*args, **kwargs)
 
             def read(t, Y, rows):
                 out = margin(t, Y, rows)
@@ -603,21 +604,24 @@ class TestStackedFlow:
         return calls
 
     def test_cut_time_field_calls(self, period_field, sine_problem, monkeypatch):
-        # the 31 uncut nodes run in one forward loop, and a kink crossing
-        # shortens only its own row's steps: few batched right-hand sides
+        # the 31 uncut nodes run in one forward loop.  Each step is evaluated
+        # on its row's branch of the potential, so a step across a kink
+        # passes error control and the crossing is located, not stepped
+        # around: 365 batched right-hand sides (584 with the steps
+        # collapsing at the kinks; bounds only go down)
         rhs_calls = []
         ham = sine_problem.hamiltonian
 
-        def counting_hp(s, x, p):
+        def counting_hp(s, x, p, **kwargs):
             rhs_calls.append(len(x))
-            return ham.H_p(s, x, p)
+            return ham.H_p(s, x, p, **kwargs)
 
         problem = DiscountedProblem(sine_problem.lam, sine_problem.lagrangian,
                                     dataclasses.replace(ham, H_p=counting_hp))
         calls = self.count_flows(monkeypatch)
         cut_time_field(problem, period_field.v, horizon=6.0)
         assert calls == [(31, 6.0, +1)]
-        assert len(rhs_calls) <= 1000
+        assert len(rhs_calls) <= 450
 
     def test_aubry_one_backward_call(self, counterexample_problem, monkeypatch):
         v = GridFunction.from_callable(lambda p: 0.0 * p[..., 0],
@@ -672,17 +676,18 @@ class TestStackedFlow:
 
     def test_chattering_row_exhausts_the_step_budget(self, sine_problem):
         # x = 0 is a kink of sine_kink's potential, where v's gradient is 0:
-        # the backward flow from it chatters across the kink with steps of
-        # about 1e-10, and only the step budget (500 attempts at horizon 1)
-        # ends the loop; H_p stops a loop that runs far past it
+        # the backward flow from it chatters across the kink, each step
+        # ending at a crossing about 4e-8 after it starts, and only the step
+        # budget (500 attempts at horizon 1) ends the loop; H_p stops a loop
+        # that runs far past it
         ham = sine_problem.hamiltonian
         rhs_rows = []
 
-        def bounded_hp(s, x, p):
+        def bounded_hp(s, x, p, **kwargs):
             rhs_rows.append(len(x))
             if len(rhs_rows) > 20_000:
                 raise RuntimeError("the calibrated flow ran past its step budget")
-            return ham.H_p(s, x, p)
+            return ham.H_p(s, x, p, **kwargs)
 
         problem = DiscountedProblem(sine_problem.lam, sine_problem.lagrangian,
                                     dataclasses.replace(ham, H_p=bounded_hp))
@@ -691,6 +696,70 @@ class TestStackedFlow:
         field = solver.DiscountedField(problem, v)
         with pytest.raises(errors.NoConvergence, match="took 500 steps"):
             aubry_candidates(field, 1.0, nodes=[[0.0]], forward_tau=[1.0])
+
+
+class TestKinkCrossings:
+    """Steps on the row's branch of the potential, switched at located crossings."""
+
+    @staticmethod
+    def piecewise(y, T):
+        """sine_kink's characteristic (lam = 1) from y at t = 0 to T by
+        DOP853 at rtol 1e-12, restarted on the far piece at each kink."""
+        def rhs(t, y, branch):
+            x, p, _ = y
+            h = 0.5 * p * p - 0.5 * math.cos(x) ** 2 + branch * math.sin(x)
+            h_x = math.cos(x) * (math.sin(x) + branch)
+            return [p, -h_x - p, math.exp(t) * (p * p - h)]
+
+        def leaves(t, y, branch):
+            return branch * math.sin(y[0])
+        leaves.terminal, leaves.direction = True, -1
+        t, branch = 0.0, -1.0 if math.sin(y[0]) < 0 else 1.0
+        while True:
+            sol = solve_ivp(rhs, (t, T), y, args=(branch,), rtol=1e-12, atol=1e-14,
+                            events=leaves, method="DOP853")
+            t, y, branch = sol.t[-1], sol.y[:, -1], -branch
+            if sol.status == 0:
+                return y
+
+    def test_same_flow_as_without_switching(self, period_field, sine_problem):
+        # the cutlocus-1d grid: the flows that step across the kinks break
+        # when the flows that step around them do, at the same points.  In
+        # p, whose slope jumps at a kink, the flows around them end up to
+        # 2.2e-7 off a piecewise reference, which those across them meet
+        plain = DiscountedProblem(sine_problem.lam, sine_problem.lagrangian,
+                                  dataclasses.replace(sine_problem.hamiltonian,
+                                                      switching=None))
+        v, nodes = period_field.v, period_field.v.nodes()
+        tau, ends = singular._forward_spans(sine_problem, v, nodes, horizon=6.0)
+        tau_0, ends_0 = singular._forward_spans(plain, v, nodes, horizon=6.0)
+        np.testing.assert_allclose(tau, tau_0, rtol=0, atol=1e-8)
+        np.testing.assert_allclose(ends[:, [0, 2]], ends_0[:, [0, 2]], rtol=0, atol=1e-8)
+        p0 = singular._interp_gradient(v, nodes)[:, 0]
+        for i in np.flatnonzero(tau > 0):
+            ref = self.piecewise([nodes[i, 0], p0[i], 0.0], tau[i])
+            assert np.all(np.abs(ends[i] - ref) <= 1e-8 * (1 + np.abs(ref)))
+
+    @pytest.mark.parametrize("direction", [+1, -1])
+    def test_stacked_rows_match_single_rows(self, direction):
+        # rows that cross the kinks at different times, no margin
+        ham = catalog.sine_kink().hamiltonian
+        y0 = np.column_stack([[0.3, 2.9, -0.4, 1.2], [-1.0, 1.0, 0.8, -2.0], np.zeros(4)])
+        tau, ends = singular._characteristic_flow(ham, 1.0, y0, 2.0, direction)
+        switch_times = set()
+        for r in range(4):
+            calls = []
+
+            def h_x(s, x, p, branch):
+                calls.append((float(np.ravel(s)[0]), float(branch[0, 0])))
+                return ham.H_x(s, x, p, branch=branch)
+
+            tau_one, end_one = singular._characteristic_flow(
+                dataclasses.replace(ham, H_x=h_x), 1.0, y0[r:r + 1], 2.0, direction)
+            assert tau_one[0] == tau[r]
+            np.testing.assert_array_equal(end_one[0], ends[r])
+            switch_times |= {t for (t, b), (_, b_prev) in zip(calls[1:], calls) if b != b_prev}
+        assert len(switch_times) >= 4
 
 
 def _bracketed(draw, f, a):
