@@ -145,6 +145,14 @@ def action_floor(model: LagrangianModel, s, t, starts, ends, segments: int):
     whose least over those u is |D|^2 / (2 sum_k dt^2 / w_k) - c_T sum_k
     w_k.  No model callable is read.  ``s`` and ``t`` are as in
     :func:`minimize_paths`.
+
+    The floor also lies below the action of the straight segment, as
+    :func:`straight_line_actions` computes it at any segment count.  Its
+    velocities all equal D / (t - s), so the growth bound puts it at or
+    above (|D|^2 / (2 (t - s)^2) - c_T) W, W the sum of its weights.  The
+    weights integrate the time factor exactly, so W is sum_k w_k at every
+    segment count (up to rounding), and Cauchy-Schwarz, (t - s)^2 =
+    (sum_k dt)^2 <= W sum_k dt^2 / w_k, puts that bound at or above the floor.
     """
     times = _time_rows(s, t, segments)
     w = _quadrature(model, times)[0]

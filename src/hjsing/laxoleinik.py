@@ -19,19 +19,28 @@ each axis, and Richardson-refined values of the near-tied winners, which
 are the (possibly tied) argument set.  The only loop over queries builds
 the returned :class:`SearchResult` list.
 
-The coarse level of the re-score is pruned by branch and bound: the
-model's growth bound L >= |v|^2/2 - c_T gives each candidate a floor under
-its coarse action (:func:`action_floor`), and a candidate whose f
-plus floor cannot come within reach of the fine level is never solved.
-The answer is the one of a coarse re-score of every candidate.
+The scan and the coarse level of the re-score are pruned by branch and
+bound: the model's growth bound L >= |v|^2/2 - c_T gives each candidate a
+floor under its coarse action and under the action of its straight
+segment (:func:`action_floor`).  The least scan cost among the rows whose
+f plus floor is within 1 of their query's least bounds the query's scan
+leader above, so a row whose f plus floor exceeds that bound plus 1 can
+neither lead nor come within 1 of the leader, and its straight segment is
+never scored.  A candidate whose f plus floor cannot come within reach of
+the fine level is never solved coarsely.  The answer is the one of a scan
+and a coarse re-score of every candidate.
 
 The search runs through a :class:`ConvolutionPlan`, which holds the work
-that does not depend on f: the candidates, their straight-segment actions
-and floors, and the coarse and fine paths it has solved.  A one-shot call
-builds a plan and searches once; :class:`DiscountedOperator`, which the
-discounted fixed-point iteration applies once per sweep, keeps its plan,
-so a later sweep recomputes only the scan costs, the paths of candidates
-new to the re-scores, the polish and the Richardson pass.
+that does not depend on f: the candidates, their floors, the flat node
+index of each candidate on a grid node, and the straight segments and
+coarse and fine paths it has scored.  A search reads f at the candidates
+on nodes from the node values and interpolates it only at the others
+(ball centres off the nodes, and the rows of an axis whose window held no
+node).  A one-shot call builds a plan and searches once;
+:class:`DiscountedOperator`, which the discounted fixed-point iteration
+applies once per sweep, keeps its plan, so a later sweep scores only the
+straight segments and paths of candidates new to the scan and the
+re-scores, and runs the polish and the Richardson pass.
 
 Grids are axis-aligned boxes with multilinear interpolation.  A periodic
 axis wraps node values, and the candidates are real-line representatives
@@ -182,11 +191,7 @@ class GridFunction:
         for ax in range(self.dimension):
             a, b = self.box[ax]
             m = self.resolution[ax]
-            h = self.spacing[ax]
-            u = (flat[:, ax] - a) / h
-            # snap to exact node indices so nodes reproduce stored values
-            near = np.abs(u - np.round(u)) < 1e-9
-            u = np.where(near, np.round(u), u)
+            u, _ = self._cell_coordinate(flat[:, ax], ax)
             if self.periodic[ax]:
                 u = np.mod(u, m)
                 i0 = np.floor(u).astype(int) % m
@@ -218,6 +223,29 @@ class GridFunction:
                 flat_index = flat_index * self.resolution[ax] + i
             index[:, corner], weight[:, corner] = flat_index, w
         return index, weight
+
+    def _cell_coordinate(self, x, ax: int):
+        """(u, near): the coordinates x on axis ``ax`` in cells from the box's
+        lower end, snapped to the node index where within 1e-9 cells of one
+        (so nodes reproduce stored values), and where that was."""
+        u = (x - self.box[ax, 0]) / self.spacing[ax]
+        near = np.abs(u - np.round(u)) < 1e-9
+        return np.where(near, np.round(u), u), near
+
+    def node_index(self, points):
+        """The flat index into ``values`` of the node each of ``points``
+        (K, n) snaps to on every axis, -1 where one axis does not snap.  At
+        those points the interpolant returns the node's value bit for bit,
+        save -0.0, which it returns as 0.0.  Points are taken to lie in the
+        box, or anywhere along a periodic axis."""
+        index = np.zeros(len(points), dtype=np.intp)
+        on = np.ones(len(points), dtype=bool)
+        for ax, (m, per) in enumerate(zip(self.resolution, self.periodic)):
+            u, near = self._cell_coordinate(points[:, ax], ax)
+            i = np.where(near, u, 0).astype(np.intp)
+            index = index * m + (i % m if per else np.clip(i, 0, m - 1))
+            on &= near
+        return np.where(on, index, -1)
 
     def __call__(self, points):
         pts = np.asarray(points, dtype=float)
@@ -640,14 +668,17 @@ class ConvolutionPlan:
 
     Built once from the model, the grid geometry of ``grid`` (its values
     are not read), t1, t2, the query rows ``xs`` and ``radius``, it keeps
-    the candidates of :func:`_ball_candidates`, the action of each one's
-    straight segment and the floor under each one's ``_COARSE_SEGMENTS``
-    action (:func:`action_floor`).  It also keeps, as :meth:`search`
-    computes them, the ``_COARSE_SEGMENTS`` action of every candidate
+    the candidates of :func:`_ball_candidates`, the flat node index of each
+    (:meth:`GridFunction.node_index`, -1 off the nodes) and the floor under
+    each one's ``_COARSE_SEGMENTS`` action, which also lies under its
+    straight-segment action (:func:`action_floor`).  It also keeps, as
+    :meth:`search` computes them, the straight-segment action of every
+    candidate scanned, the ``_COARSE_SEGMENTS`` action of every candidate
     re-scored coarsely and the ``PATH_SEGMENTS`` action, ``d_start`` and
-    nodes of every candidate re-scored finely.  A path does not depend on
-    its batch and none of these depends on f, so a search over any data on
-    the same grid returns what a fresh plan would, bit for bit.
+    nodes of every candidate re-scored finely (NaN or unset until scored).
+    A path does not depend on its batch and none of these depends on f, so
+    a search over any data on the same grid returns what a fresh plan
+    would, and what a plan with every candidate scored would, bit for bit.
     """
 
     def __init__(self, model: LagrangianModel, grid: GridFunction, t1: float, t2,
@@ -665,12 +696,15 @@ class ConvolutionPlan:
             polish_window = np.maximum(5e-3, self.h_ref ** 2 / (t2_rows - t1))
         self.window = np.broadcast_to(polish_window, (P,))
         self.owners, self.cand = _ball_candidates(grid, xs, self.radii)
-        self.scan = straight_line_actions(model, t1, self._horizon(self.owners),
-                                          self.cand, xs[self.owners])
+        # each owner's rows are contiguous, and each owner has one (its center)
+        self.starts = np.flatnonzero(np.diff(self.owners, prepend=-1))
+        self.node = grid.node_index(self.cand)
+        self.off_node = np.flatnonzero(self.node < 0)
         self.floor = action_floor(model, t1, self._horizon(self.owners), self.cand,
                                   xs[self.owners], _COARSE_SEGMENTS)
-        # per candidate: its coarse action (NaN until scored) and the row of
-        # its fine path in the fine store (-1 until scored)
+        # per candidate: its straight-segment and coarse actions (NaN until
+        # scored) and the row of its fine path in the fine store (-1 until scored)
+        self.scan = np.full(len(self.cand), np.nan)
         self.coarse = np.full(len(self.cand), np.nan)
         self.fine_slot = np.full(len(self.cand), -1)
         self.fine_action = np.empty(0)
@@ -686,6 +720,16 @@ class ConvolutionPlan:
                              self.xs[owner_idx], segments=nseg, init_nodes=init)
         require_converged(sol)
         return sol
+
+    def _scan(self, rows):
+        """The straight-segment actions of the candidates ``rows``, scoring the
+        unscored."""
+        new = rows[np.isnan(self.scan[rows])]
+        if new.size:
+            self.scan[new] = straight_line_actions(
+                self.model, self.t1, self._horizon(self.owners[new]), self.cand[new],
+                self.xs[self.owners[new]])
+        return self.scan[rows]
 
     def _coarse(self, rows):
         """The coarse actions of the candidates ``rows``, solving the unscored."""
@@ -708,29 +752,51 @@ class ConvolutionPlan:
         slot = self.fine_slot[rows]
         return self.fine_action[slot], self.fine_grad[slot], self.fine_nodes[slot]
 
+    def _data(self, f: GridFunction):
+        """f at the candidates: read at the nodes, interpolated elsewhere.  At
+        a node the interpolant returns the node's value bit for bit, save
+        -0.0, which it returns as 0.0; adding 0.0 does the same."""
+        f_vals = f.values.reshape(-1)[self.node] + 0.0
+        if self.off_node.size:
+            f_vals[self.off_node] = f(self.cand[self.off_node])
+        return f_vals
+
     def search(self, f: GridFunction):
         """The search of :func:`localized_convolution` over the data f, which
         must lie on the plan's grid.  The scan adds f at the candidates to
-        the kept straight-segment actions; the coarse and fine re-scores
-        solve only the candidates the plan has not scored yet; the polish
-        and the Richardson pass, which depend on f, run in full."""
+        their straight-segment actions, and it, the coarse and the fine
+        re-scores score only the candidates they reach that the plan has not
+        scored yet; the polish and the Richardson pass, which depend on f,
+        run in full."""
         if _geometry(f) != self.geometry:
             raise ValueError("the data's grid is not the grid of the plan")
         xs, owners, cand, window = self.xs, self.owners, self.cand, self.window
         P = len(xs)
-        f_vals = np.asarray(f(cand), dtype=float).reshape(-1)
-        cost = f_vals + self.scan
+        f_vals = self._data(f)
+
+        # the scan scores only the rows that can lead or come within 1 of the
+        # leader.  Every straight-segment action is at least its floor, so the
+        # floor cannot rule out a row whose f + floor is within 1 of its
+        # owner's least, and the least scan cost U of those rows bounds the
+        # leader above: a row with f + floor > U + 1 (past rounding) can do
+        # neither, and its scan cost counts as inf
+        low = f_vals + self.floor
+        first = np.flatnonzero(low <= np.minimum.reduceat(low, self.starts)[owners] + 1.0)
+        bound = _owner_min(owners[first], f_vals[first] + self._scan(first), P) + 1.0
+        bound += 1e-12 * (1.0 + np.abs(bound))
+        scanned = np.flatnonzero(low <= bound[owners])
+        cost = f_vals[scanned] + self._scan(scanned)
 
         # the rows: the scan costs within 1 of each owner's leader.  A row is
         # re-scored coarsely once f + its floor is within window + margin of
         # its owner's coarse best (first guessed as the leader's scan cost),
         # and so is each owner's leader; its coarse action is inf until then
-        leader = _owner_min(owners, cost, P)
-        keep = np.flatnonzero(cost <= leader[owners] + 1.0)
-        owners_k, f_k = owners[keep], f_vals[keep]
-        low = f_k + self.floor[keep]
+        leader = _owner_min(owners[scanned], cost, P)
+        near = cost <= leader[owners[scanned]] + 1.0
+        keep, cost = scanned[near], cost[near]
+        owners_k, f_k, low = owners[keep], f_vals[keep], low[keep]
         coarse = np.full(len(keep), np.inf)
-        lead = cost[keep] == leader[owners_k]
+        lead = cost == leader[owners_k]
         best_coarse = leader
 
         # then finely, the rows whose coarse cost is within window + margin of
@@ -798,7 +864,7 @@ def localized_convolution(model: LagrangianModel, f: GridFunction, t1: float,
     kernel to several data on one grid keeps the plan instead.  ``t2`` and
     ``radius`` are scalars or (P,) arrays, one per row of ``xs``; a row's
     answer is the same either way.  Each stage runs once on the rows of all
-    queries.  The scan ranks every grid node in the ball
+    queries.  The scan ranks the grid nodes in the ball
     (:func:`_ball_candidates`) by f plus the action of the straight
     segment; those within 1 of their query's leader may be re-scored with
     ``_COARSE_SEGMENTS``-segment paths.  The fine re-score, at
@@ -811,14 +877,25 @@ def localized_convolution(model: LagrangianModel, f: GridFunction, t1: float,
     within 1 of its leader whenever the fine set holds every polish seed of
     that re-score.
 
-    The coarse re-score solves only the candidates that could matter.
-    Each candidate has a floor under its coarse action, f plus which bounds
-    its coarse cost below.  A candidate is solved once its f + floor is
-    within window + m of the coarse best so far (first guessed as the scan
-    leader's cost), 1e-12 (1 + |that sum|) allowed for rounding; each
-    query's scan leader is solved too, so the coarse best is always a
-    solved cost.  A fine batch runs only after a round that solved no new coarse
-    path, so its coarse best is final: every unsolved candidate costs more.
+    The scan scores only the candidates that could lead or come within 1
+    of the leader.  Each candidate has a floor under its coarse action and
+    under its straight-segment action (:func:`action_floor`), f plus which
+    bounds both costs below.  The scan first scores the rows whose f +
+    floor is within 1 of their query's least, which the floor cannot rule
+    out; their least cost U bounds the leader's above.  Then it scores the rows with f + floor <= U + 1, 1e-12 (1 +
+    |U + 1|) allowed for rounding, and the other rows cost inf.  None of
+    them could lead or lie within 1 of the leader, so the leader, the rows
+    within 1 of it and all that follows are those of a scan of every
+    candidate.
+
+    The coarse re-score solves only the candidates that could matter: f
+    plus the floor bounds a candidate's coarse cost below.  A candidate is
+    solved once its f + floor is within window + m of the coarse best so
+    far (first guessed as the scan leader's cost), 1e-12 (1 + |that sum|)
+    allowed for rounding; each query's scan leader is solved too, so the
+    coarse best is always a solved cost.  A fine batch runs only after a
+    round that solved no new coarse path, so its coarse best is final:
+    every unsolved candidate costs more.
     A row the fine re-score admits has f + floor <= f + coarse <= best +
     window + m, so it was solved, and the fine batches, the margins and
     the answer are those of a coarse re-score of every candidate within 1
@@ -831,11 +908,11 @@ def localized_convolution(model: LagrangianModel, f: GridFunction, t1: float,
     path of any pass that did not converge raises :class:`NoConvergence`.
     Returns one :class:`SearchResult` per row.
 
-    Of this work the plan keeps the candidates, their straight-segment
-    actions and floors and every coarse and fine path it solved; a search
-    on new data recomputes the scan costs, solves the candidates newly
-    within reach of the re-scores, and runs the polish and the Richardson
-    pass.
+    Of this work the plan keeps the candidates, their node indices and
+    floors, and every straight segment and coarse and fine path it scored;
+    a search on new data reads f at the candidates, scores the candidates
+    newly within reach of the scan and the re-scores, and runs the polish
+    and the Richardson pass.
     """
     return ConvolutionPlan(model, f, t1, t2, xs, radius, polish_window).search(f)
 
@@ -860,7 +937,8 @@ class DiscountedOperator:
     momenta (e^{lam t} L_v) scaled by e^{-lam t}, so the momenta are
     gradients of v itself.  The operator keeps its :class:`ConvolutionPlan`
     from one v to the next, all on the grid of the first, and builds a new
-    one only when the radius changes.
+    one only when the radius changes.  So each v scores only the straight
+    segments and paths of the candidates that no earlier v reached.
     """
 
     def __init__(self, problem: DiscountedProblem, t: float, xs,

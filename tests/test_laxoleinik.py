@@ -690,6 +690,12 @@ class TestOperatorProperties:
         assert np.max(np.abs(tf - tg)) <= bound + 1e-12 * (1 + bound)
 
 
+def eager_scan(plan):
+    """The straight-segment action of every candidate of ``plan``, in one batch."""
+    return laxoleinik.straight_line_actions(
+        plan.model, plan.t1, plan._horizon(plan.owners), plan.cand, plan.xs[plan.owners])
+
+
 def assert_floor_prunes_safely(plan, f):
     """Search f, then coarse-score every candidate within 1 of its scan
     leader: the floor lies below each coarse action, and every row whose
@@ -697,7 +703,7 @@ def assert_floor_prunes_safely(plan, f):
     plan.search(f)
     P, owners = len(plan.xs), plan.owners
     f_vals = f(plan.cand).reshape(-1)
-    cost = f_vals + plan.scan
+    cost = f_vals + eager_scan(plan)
     keep = np.flatnonzero(cost <= laxoleinik._owner_min(owners, cost, P)[owners] + 1.0)
     coarse = plan._coarse(keep)
     assert np.all(plan.floor[keep] <= coarse + 1e-12 * (1.0 + np.abs(coarse)))
@@ -745,6 +751,152 @@ class TestCoarseFloor:
         radius = localization_radius(m.growth, grid.lipschitz_estimate) * t
         plan = laxoleinik.ConvolutionPlan(m, grid, 0.0, t, np.array(xs), radius)
         assert_floor_prunes_safely(plan, grid)
+
+
+def assert_scan_prunes_safely(plan, f):
+    """Search f: the floor lies below every straight-segment action, every
+    candidate within 1 of its eager scan leader was scanned, as it was
+    scored eagerly, and the lazy leader is the eager one."""
+    plan.search(f)
+    P, owners = len(plan.xs), plan.owners
+    f_vals, scan = f(plan.cand).reshape(-1), eager_scan(plan)
+    assert np.all(plan.floor <= scan + 1e-12 * (1.0 + np.abs(scan)))
+    eager = f_vals + scan
+    leader = laxoleinik._owner_min(owners, eager, P)
+    near = np.flatnonzero(eager <= leader[owners] + 1.0)
+    assert not np.any(np.isnan(plan.scan[near]))
+    scanned = np.flatnonzero(~np.isnan(plan.scan))
+    np.testing.assert_array_equal(plan.scan[scanned], scan[scanned])
+    lazy = laxoleinik._owner_min(owners[scanned], f_vals[scanned] + plan.scan[scanned], P)
+    np.testing.assert_array_equal(lazy, leader)
+
+
+@st.composite
+def _floor_cases(draw):
+    """A plan and its data from each of TestCoarseFloor's families: discounted
+    1D, evolutionary sine_kink or pendulum, free particle 2D."""
+    family = draw(st.sampled_from(["discounted", "sine_kink", "pendulum", "free_particle"]))
+    if family == "free_particle":
+        f = draw(st.integers(6, 12).flatmap(
+            lambda m: arrays(float, (m, m), elements=st.floats(-1.0, 1.0))))
+        xs = np.array(draw(st.lists(st.tuples(st.floats(0.0, 4.0), st.floats(0.0, 4.0)),
+                                    min_size=1, max_size=4)))
+        grid = GridFunction([(0.0, 4.0), (0.0, 4.0)], f, periodic=True)
+        m, t = catalog.free_particle(2), draw(st.floats(0.1, 1.0))
+    else:
+        grid = GridFunction([(0.0, 2 * np.pi)], draw(_periodic_grids()), periodic=True)
+        xs = np.array(draw(st.lists(st.floats(0.0, 2 * np.pi), min_size=1, max_size=4)))
+        xs = xs[:, None]
+    if family == "discounted":
+        t = draw(st.sampled_from([0.2, 0.33, 0.5, 1.0]))
+        op = laxoleinik.DiscountedOperator(catalog.discounted_problem("sine_kink", lam=1.0),
+                                           t, xs)
+        return laxoleinik.ConvolutionPlan(op.lift, grid, 0.0, t, xs, op.radius(grid)), grid
+    if family != "free_particle":
+        m, t = catalog.lagrangian_by_key(family), draw(st.floats(0.05, 0.6))
+    radius = localization_radius(m.growth, grid.lipschitz_estimate) * t
+    return laxoleinik.ConvolutionPlan(m, grid, 0.0, t, xs, radius), grid
+
+
+def _all_scanned(plan):
+    plan._scan(np.arange(len(plan.cand)))
+    return plan
+
+
+def assert_same_results(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.value == b.value
+        np.testing.assert_array_equal(np.array(a.arg.argpoints), np.array(b.arg.argpoints))
+        np.testing.assert_array_equal(a.momenta, b.momenta)
+
+
+class TestLazyScan:
+    """The scan scores only the rows its floor lets through, and the search
+    reads f at the candidates on nodes from the node values."""
+
+    @settings(max_examples=60, deadline=None)       # four families share them
+    @given(case=_floor_cases())
+    def test_scan_keeps_every_row_near_the_leader(self, case):
+        assert_scan_prunes_safely(*case)
+
+    def test_rows_at_exactly_1_above_the_leader(self):
+        # the free particle's floor is its straight-segment action, and it
+        # rounds above it on some rows: data that put such a row's scan cost
+        # at exactly 1 above the leader's need the rounding allowance
+        m = catalog.free_particle(1)
+        grid = GridFunction([(0.0, 2 * np.pi)], np.full(64, 5.0), periodic=True)
+        for t in (0.3, 1.0 / 3.0, 0.7):
+            plan = laxoleinik.ConvolutionPlan(m, grid, 0.0, t, [[0.0]], 1.0)
+            scan = eager_scan(plan)
+            f_k = 1.0 - scan
+            tight = np.flatnonzero((plan.node > 0) & (f_k + scan == 1.0)
+                                   & (f_k + plan.floor > 1.0))
+            if tight.size:
+                break
+        assert tight.size
+        values = grid.values.copy()
+        values[0], values[plan.node[tight[0]]] = 0.0, f_k[tight[0]]
+        assert_scan_prunes_safely(plan, grid.with_values(values))
+
+    def test_search_as_with_every_row_scanned(self):
+        c = (0.01, -0.1)
+        u0 = GridFunction.from_callable(
+            lambda p: -np.abs(p[..., 0] - c[0]) - np.abs(p[..., 1] - c[1]),
+            [(-6.0, 6.0), (-6.0, 6.0)], 49)
+        m = catalog.free_particle(2)
+        xs = GridFunction([(-1.5, 1.5)] * 2, np.zeros((5, 5))).nodes()
+        radius = localization_radius(m.growth, u0.lipschitz_estimate)
+        lazy, eager = (laxoleinik.ConvolutionPlan(m, u0, 0.0, 1.0, xs, radius)
+                       for _ in range(2))
+        assert_same_results(lazy.search(u0), _all_scanned(eager).search(u0))
+        assert np.any(np.isnan(lazy.scan))
+
+    def test_discounted_reuse_as_with_every_row_scanned(self, sine_problem):
+        # two data on one plan: the second search scans the rows the first
+        # left out and it now needs
+        v1 = GridFunction.from_callable(lambda p: -np.abs(np.sin(p[..., 0])),
+                                        [(-2 * np.pi, 2 * np.pi)], 64, periodic=True)
+        v2 = v1.with_values(np.roll(v1.values, 5) + 0.1 * np.cos(v1.nodes()[:, 0]))
+        lazy, eager = (laxoleinik.DiscountedOperator(sine_problem, 0.5, v1.nodes(),
+                                                     lip_bound=2.0) for _ in range(2))
+        eager.plan = _all_scanned(laxoleinik.ConvolutionPlan(
+            eager.lift, v1, 0.0, 0.5, eager.xs, eager.radius(v1)))
+        eager._radius = eager.radius(v1)
+        unscanned = []
+        for v in (v1, v2):
+            assert_same_results(lazy(v), eager(v))
+            unscanned.append(np.count_nonzero(np.isnan(lazy.plan.scan)))
+        assert not np.any(np.isnan(eager.plan.scan))          # the pre-scanned plan, kept
+        assert unscanned[0] > unscanned[1] > 0
+
+    @pytest.mark.parametrize("periodic", [True, False])
+    def test_node_read_is_the_interpolant(self, periodic):
+        # -0.0 and 0.0 among the data, which the interpolant returns as 0.0;
+        # the balls reach the edges of the non-periodic axes and wrap the
+        # periodic one (node indices outside [0, M))
+        values = np.arange(30.0).reshape(6, 5) - 12.0
+        values[[0, 1, 4], [0, 2, 3]] = -0.0
+        values[5, 1] = 0.0
+        if periodic:
+            box, xs = [(0.0, 3.0), (-1.0, 1.0)], [[0.0, 0.0], [2.5, 0.5], [1.3, -0.7]]
+        else:
+            box, xs = [(0.0, 2.5), (-1.0, 1.0)], [[1.0, 0.0], [2.0, 0.5], [1.3, -0.7]]
+        grid = GridFunction(box, values, periodic=(periodic, False))
+        plan = laxoleinik.ConvolutionPlan(catalog.free_particle(2), grid, 0.0, 1.0, xs,
+                                          [1.0, 0.5, 0.3])
+        got, want = plan._data(grid), grid(plan.cand)
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+        on = plan.node >= 0
+        assert np.count_nonzero(on) >= len(plan.cand) - len(xs)
+        raw = grid.values.reshape(-1)[plan.node[on]]
+        assert np.any((raw == 0.0) & np.signbit(raw))
+        assert np.any(on & (np.abs(plan.cand[:, 1]) == 1.0))
+        if periodic:
+            x = plan.cand[on, 0]
+            assert np.any(x < 0.0) and np.any(x >= 3.0)
+        else:
+            assert np.any(on & (plan.cand[:, 0] == 2.5))
 
 
 def _grid_files():
