@@ -65,7 +65,7 @@ from .action import (
     require_converged,
     straight_line_actions,
 )
-from .errors import BoundaryClipped, ExponentOverflow
+from .errors import BoundaryClipped, ConfigError, ExponentOverflow
 from .model import (
     EXPONENT_CAP,
     DiscountedProblem,
@@ -276,25 +276,31 @@ class GridFunction:
 
     @classmethod
     def read(cls, path):
-        """Returns (grid, lam-or-None)."""
+        """Returns (grid, lam-or-None); a malformed file raises
+        :class:`ConfigError` naming it."""
         header = {}
         values = []
-        with open(path) as fh:
-            for line in fh:
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                parts = line.split()
-                if parts[0] in ("dim", "box", "resolution", "lambda", "periodic"):
-                    header[parts[0]] = parts[1:]
-                else:
-                    values.append(float(parts[0]))
-        n = int(header["dim"][0])
-        box = np.array([float(v) for v in header["box"]], dtype=float).reshape(n, 2)
-        resolution = tuple(int(m) for m in header["resolution"])
-        periodic = tuple(bool(int(p)) for p in header.get("periodic", ["0"] * n))
-        lam = float(header["lambda"][0]) if "lambda" in header else None
-        return cls(box, np.array(values).reshape(resolution), periodic), lam
+        try:
+            with open(path) as fh:
+                for line in fh:
+                    line = line.strip()
+                    if not line or line.startswith("#"):
+                        continue
+                    parts = line.split()
+                    if parts[0] in ("dim", "box", "resolution", "lambda", "periodic"):
+                        header[parts[0]] = parts[1:]
+                    else:
+                        values.append(float(parts[0]))
+            n = int(header["dim"][0])
+            box = np.array([float(v) for v in header["box"]], dtype=float).reshape(n, 2)
+            resolution = tuple(int(m) for m in header["resolution"])
+            periodic = tuple(bool(int(p)) for p in header.get("periodic", ["0"] * n))
+            lam = float(header["lambda"][0]) if "lambda" in header else None
+            return cls(box, np.array(values).reshape(resolution), periodic), lam
+        except KeyError as exc:
+            raise ConfigError(f"grid file {path} has no {exc.args[0]} line") from exc
+        except (ValueError, IndexError) as exc:
+            raise ConfigError(f"malformed grid file {path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -4,13 +4,13 @@ reachable gradients, propagation, cut times, retraction.
 Characteristics have one integrator, :func:`_characteristic_flow`: the
 flows at the problem's lam (the lam = 0 flows of its lift
 ``to_evolutionary``, with p scaled by e^{lam t}) run in one batched
-Dormand-Prince loop per call, each row with its own steps, and a row with
-a stop margin stops at its root by Brent's method.  Both are written here,
-with scipy's tableau and step rules, so no path of this module loads scipy.
-A Hamiltonian with switching functions (``HamiltonianModel.switching``,
-the kinks of ``sine_kink``'s potential) is integrated one smooth piece at
-a time: each row steps on its own branch, and where a step leaves it the
-crossing is located on the step's dense output and the row switches there.
+Dormand-Prince loop per call, each row with its own steps.  The rows whose
+stop margin breaks in one step stop at the margin's roots, found together by
+Brent's method, which also locates where a step leaves its row's branch
+of a Hamiltonian with switching functions (``HamiltonianModel.switching``,
+the kinks of ``sine_kink``'s potential): each row steps on its own branch
+and switches at that crossing.  All of it is written here, with scipy's
+tableau, step rules and brentq steps, so no path of this module loads scipy.
 :func:`fundamental_solution` is the direct method alone: the least action
 and its derivatives in both end points and the end time, Richardson-
 extrapolated from a 64- and a 128-segment path.
@@ -87,8 +87,7 @@ _MERGE_TOL = 1e-4       # momenta this close are one limiting gradient
 SINGULAR_TOL = 1e-2     # a reachable-gradient set wider than this is singular
 CALIB_TOL = 1e-3        # calibration defect (per unit of 1 + t) that cuts a flow
 _LATTICE_NODES = 49     # argmax scan nodes per axis of the ball
-_ROOT_TOL = 4 * np.finfo(float).eps   # break-time roots: Brent's xtol and rtol
-_SWITCH_TOL = 1e-10     # kink crossings: bracket width per unit of 1 + |t|
+_ROOT_TOL = 4 * np.finfo(float).eps   # break and crossing times: Brent's xtol and rtol
 _ESCAPE = 1e6           # a characteristic with |x| or |p| beyond this escaped
 _RTOL, _ATOL = 1e-9, 1e-11   # characteristic integration tolerances
 # scipy's RK45 step-size rule (scipy.integrate._ivp.rk), applied per row
@@ -700,66 +699,35 @@ def _dense(t_old, y_old, step, stages):
     return state
 
 
-def _switch_time(g, a, b, g_a, g_b):
-    """The far end of a bracket of the first sign change of g, per row.
-
-    ``g(i, s)`` evaluates the rows ``i`` at times s; g_a >= 0 > g_b at the
-    bracket ends a and b, in either order.  Each step is the regula falsi
-    point, kept half a tolerance inside the bracket; an end kept twice in a
-    row has its value halved (the Illinois rule), and a step that did not
-    halve the bracket makes the next one bisect.  A row stops once
-    |b - a| <= _SWITCH_TOL (1 + |b|).  Returns b, where g < 0.
+def _brent(a: float, b: float, g_a: float, g_b: float):
+    """A root of g in [a, b] by Brent's method (Brent 1973, ch. 4): a port of
+    scipy's ``brentq`` (scipy/optimize/Zeros/brentq.c) with xtol = rtol =
+    _ROOT_TOL and 100 iterations, from the end values g_a and g_b, as a
+    generator that yields each point brentq evaluates and is sent g there.
+    Returns (root, far end of the last bracket, g at the root).  A bracket
+    without a sign change, or no root in 100 iterations, raises
+    :class:`NoConvergence`.
     """
-    a, b, g_a, g_b = (np.array(z, dtype=float) for z in (a, b, g_a, g_b))
-    last = np.zeros(len(a), dtype=int)          # end replaced last: -1 a, +1 b
-    bisect = np.zeros(len(a), dtype=bool)
-    while True:
-        i = np.flatnonzero(np.abs(b - a) > _SWITCH_TOL * (1.0 + np.abs(b)))
-        if not i.size:
-            return b
-        w = b[i] - a[i]
-        frac = np.where(bisect[i], 0.5, g_a[i] / (g_a[i] - g_b[i]))
-        inset = 0.5 * _SWITCH_TOL * (1.0 + np.abs(b[i])) / np.abs(w)
-        c = a[i] + np.clip(frac, inset, 1.0 - inset) * w
-        g_c = g(i, c)
-        keep_b = g_c >= 0.0                     # c replaces a
-        ia, ib = i[keep_b], i[~keep_b]
-        g_b[ia[last[ia] == -1]] *= 0.5
-        g_a[ib[last[ib] == 1]] *= 0.5
-        a[ia], g_a[ia], b[ib], g_b[ib] = c[keep_b], g_c[keep_b], c[~keep_b], g_c[~keep_b]
-        last[ia], last[ib] = -1, 1
-        bisect[i] = np.abs(b[i] - a[i]) > 0.5 * np.abs(w)
-
-
-def _brent_root(f, a: float, b: float) -> float:
-    """A root of f in [a, b] by Brent's method (Brent 1973, ch. 4).
-
-    A port of scipy's ``brentq`` (scipy/optimize/Zeros/brentq.c) with
-    xtol = rtol = _ROOT_TOL and its 100 iterations: it evaluates f at the
-    same points and returns the same root.  A bracket without a sign change,
-    or no convergence in 100 iterations, raises :class:`NoConvergence`.
-    """
-    xpre, xcur = float(a), float(b)
-    fpre, fcur = float(f(xpre)), float(f(xcur))
+    xpre, xcur, fpre, fcur = float(a), float(b), float(g_a), float(g_b)
     if fpre == 0:
-        return xpre
+        return xpre, xcur, fpre
     if fcur == 0:
-        return xcur
+        return xcur, xpre, fcur
     if (fpre < 0) == (fcur < 0):
         raise NoConvergence(f"no sign change on [{xpre:.17g}, {xcur:.17g}]: "
-                            f"f = {fpre:.3g}, {fcur:.3g}")
+                            f"g = {fpre:.3g}, {fcur:.3g}")
     xblk = fblk = spre = scur = 0.0
     for _ in range(100):
         if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
             xblk, fblk = xpre, fpre
             spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):       # keep the point of least |f| in xcur
+        if abs(fblk) < abs(fcur):       # keep the point of least |g| in xcur
             xpre, xcur, xblk = xcur, xblk, xcur
             fpre, fcur, fblk = fcur, fblk, fcur
         delta = (_ROOT_TOL + _ROOT_TOL * abs(xcur)) / 2
         sbis = (xblk - xcur) / 2
         if fcur == 0 or abs(sbis) < delta:
-            return xcur
+            return xcur, xblk, fcur
         if abs(spre) > delta and abs(fcur) < abs(fpre):
             if xpre == xblk:            # secant
                 stry = -fcur * (xcur - xpre) / (fcur - fpre)
@@ -778,9 +746,32 @@ def _brent_root(f, a: float, b: float) -> float:
             spre = scur = sbis
         xpre, fpre = xcur, fcur
         xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = float(f(xcur))
+        fcur = float((yield xcur))
     raise NoConvergence(f"no root to {_ROOT_TOL:.3g} on [{a:.17g}, {b:.17g}] "
                         "in 100 iterations")
+
+
+def _brent_roots(g, a, b, g_a, g_b):
+    """:func:`_brent` on the bracket [a_i, b_i] of every row i at once.
+
+    Each round moves every unfinished row one step and makes all of that
+    round's evaluations in one call ``g(i, s)``, the rows i at the points s,
+    so a row's root does not depend on its batch.  Returns (root, far end,
+    g at the root), each (R,).
+    """
+    runs = [_brent(*bracket) for bracket in zip(a, b, g_a, g_b)]
+    out = np.empty((3, len(runs)))
+    sent = dict.fromkeys(range(len(runs)))      # None starts a generator
+    while True:
+        points = {}
+        for i, value in sent.items():
+            try:
+                points[i] = runs[i].send(value)
+            except StopIteration as stop:
+                out[:, i] = stop.value
+        if not points:
+            return out
+        sent = dict(zip(points, g(np.array(list(points)), np.array(list(points.values())))))
 
 
 # The benchmark tracer (hjbench/tracer.py) wraps this name to count ODE
@@ -806,20 +797,19 @@ def _characteristic_flow(ham: HamiltonianModel, lam: float, states, horizon: flo
     sign of each switching function where it stands (+1 on a zero), and
     every stage of a step is evaluated on that branch: a step that spans a
     kink of H is smooth, and passes error control.  After an accepted step,
-    a row whose switching functions left its branch gets the first crossing
-    on the step's dense interpolant, bracketed to _SWITCH_TOL (1 + |t|) by
-    :func:`_switch_time`, and moves to the bracket's far end.  Entering the
-    far piece that late moves p by about the bracket times the jump of
-    H_x, and x by the bracket squared times it.  Unless its margin breaks
-    there, the row then flips the branch of each function that changed
-    sign, re-evaluates its slope on the new branch, and keeps its step
-    size.
+    the rows whose switching functions left their branch get the first
+    crossing on their step's dense interpolant, all in one
+    :func:`_brent_roots` call at _ROOT_TOL, and each moves to the end of
+    its last bracket that is off its branch.  Unless its margin breaks
+    there, a row then flips the branch of each function that changed sign,
+    re-evaluates its slope on the new branch, and keeps its step size.
 
     ``margin(t, Y, rows)``, if given, is the stop margin of the batch rows
     ``rows`` at times t and states Y.  It is read after each accepted step,
-    at the crossing for a row that crossed; a row whose margin is <= 0 gets
-    tau at the root of that margin on its own step's dense interpolant, by
-    Brent's method (up to the crossing, if it crossed), and stops there.
+    at the crossing for a row that crossed.  The rows whose margin is <= 0
+    get tau at the root of that margin on their own step's dense
+    interpolant (up to the crossing, if they crossed), all in one
+    :func:`_brent_roots` call, and stop there.
     A row at the horizon stops.  A live row with |x| or |p| above _ESCAPE
     raises :class:`BlowUp`; a row whose step underflows, NaN right-hand
     sides included, raises :class:`NoConvergence`, and so does a loop that
@@ -846,8 +836,11 @@ def _characteristic_flow(ham: HamiltonianModel, lam: float, states, horizon: flo
         return np.concatenate([hp, -hx - lam * P, da[:, None]], axis=1)
 
     def side(branch, Y):
-        """min_j branch_j s_j(x): >= 0 while a row is on its branch."""
-        return np.min(branch * switching(Y[:, :n]), axis=1)
+        """min_j branch_j s_j(x), > 0 on the row's branch.  A zero, on it, reads
+        as tiny: Brent stops at a zero, and a row that starts on a kink would
+        cross at its first step's end."""
+        s = np.min(branch * switching(Y[:, :n]), axis=1)
+        return np.where(s == 0.0, np.finfo(float).tiny, s)
 
     # the live rows: their indices, times, states, slopes, step sizes and
     # branches, and whether their last attempt was rejected
@@ -901,21 +894,25 @@ def _characteristic_flow(ham: HamiltonianModel, lam: float, states, horizon: flo
         if crossed.any():
             j = crossed.nonzero()[0]
             state = _dense(t_old[j], y_old[j], step[j], [k[j] for k in stages])
-            t[j] = t_end[j] = _switch_time(
+            root, far, g_root = _brent_roots(
                 lambda i, s: side(branch[j[i]], state(s, i)),
                 t_old[j], t_new[j], side(branch[j], y_old[j]), side(branch[j], y[j]))
+            t[j] = t_end[j] = np.where(g_root < 0.0, root, far)
             y[j] = state(t[j])
 
         # only a step taken can break: a rejected row has not moved
         broke = np.zeros(rows.size, dtype=bool)
         if margin is not None and ok.any():
             broke[ok] = margin(t[ok], y[ok], rows[ok]) <= 0.0
-        for j in broke.nonzero()[0]:
-            state = _dense(t_old[j:j + 1], y_old[j:j + 1], step[j:j + 1],
-                           [k[j:j + 1] for k in stages])
-            root = _brent_root(lambda s: margin(np.array([s]), state(np.array([s])),
-                                                rows[j:j + 1])[0], t_old[j], t_end[j])
-            tau[rows[j]], ends[rows[j]] = abs(root), state(np.array([root]))[0]
+        if broke.any():
+            j = broke.nonzero()[0]
+            state = _dense(t_old[j], y_old[j], step[j], [k[j] for k in stages])
+
+            def g(i, s):
+                return margin(s, state(s, i), rows[j[i]])
+            root = _brent_roots(g, t_old[j], t_end[j], g(slice(None), t_old[j]),
+                                g(slice(None), t_end[j]))[0]
+            tau[rows[j]], ends[rows[j]] = np.abs(root), state(root)
         switch = crossed & ~broke & (t != bound)
         if switch.any():
             j = switch.nonzero()[0]

@@ -196,6 +196,29 @@ def test_malformed_config_is_a_config_error(tmp_path, capsys, line, replacement,
     assert err.startswith("hjsing: config error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("target", ["v.grid", "u0_file"])
+@pytest.mark.parametrize("line, replacement", [
+    ("0.5", "half"),                            # a value that is not a number
+    ("resolution 4", "resolution 5"),           # fewer values than nodes
+    ("dim 1", ""),                              # no dim line
+], ids=["non-numeric", "short", "no-dim"])
+def test_malformed_grid_file_is_a_config_error(tmp_path, capsys, target, line, replacement):
+    # cutlocus reads out/v.grid if it is there, evolve reads evolve.u0_file
+    text = "dim 1\nbox 0.0 3.0\nresolution 4\nlambda 1.0\n0.0\n0.5\n0.5\n0.0\n"
+    grid = tmp_path / ("out" if target == "v.grid" else "data") / "v.grid"
+    grid.parent.mkdir()
+    grid.write_text(text.replace(line, replacement))
+    if target == "v.grid":
+        code, _ = run(tmp_path, "cutlocus", SINE_KINK)
+    else:
+        config = SINE_KINK.replace("u0 = -abs(sin(x))", f"u0_file = {grid}")
+        code, _ = run(tmp_path, "evolve", config)
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("hjsing: config error:") and err.count("\n") == 1
+    assert str(grid) in err
+
+
 @pytest.mark.parametrize("command", ["constants", "solve"])
 def test_expression_without_c1_is_a_config_error(tmp_path, capsys, command):
     # an expression model's c_T = 0 is a placeholder, which the search

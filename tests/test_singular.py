@@ -587,6 +587,19 @@ def _escape_problem():
     return DiscountedProblem(1.0, lag, ham)
 
 
+def _count_root_batches(monkeypatch):
+    """The rows of every call of the flow's batched root driver."""
+    batches = []
+    original = singular._brent_roots
+
+    def counting(g, a, b, g_a, g_b):
+        batches.append(len(a))
+        return original(g, a, b, g_a, g_b)
+
+    monkeypatch.setattr(singular, "_brent_roots", counting)
+    return batches
+
+
 class TestStackedFlow:
     """All rows of a cut-time or Aubry query run in one batched loop."""
 
@@ -622,6 +635,26 @@ class TestStackedFlow:
         cut_time_field(problem, period_field.v, horizon=6.0)
         assert calls == [(31, 6.0, +1)]
         assert len(rhs_calls) <= 450
+
+    def test_breaks_in_one_step_match_one_row_runs(self, period_field, sine_problem,
+                                                   monkeypatch):
+        # without switching functions the driver roots only breaks; on the
+        # cutlocus grid up to three rows break in one step, and each is
+        # rooted as if it ran alone
+        plain = DiscountedProblem(sine_problem.lam, sine_problem.lagrangian,
+                                  dataclasses.replace(sine_problem.hamiltonian,
+                                                      switching=None))
+        v = period_field.v
+        nodes = v.nodes()[1:]                   # the node at 0 is a cut point
+        p0 = singular._interp_gradient(v, nodes)
+        batches = _count_root_batches(monkeypatch)
+        taus, ends = singular._calibrated_flow(plain, v, nodes, p0, 6.0)
+        assert max(batches) >= 2
+        for r in range(len(nodes)):
+            tau_one, end_one = singular._calibrated_flow(plain, v, nodes[r:r + 1],
+                                                         p0[r:r + 1], 6.0)
+            assert tau_one[0] == taus[r]
+            np.testing.assert_array_equal(end_one[0], ends[r])
 
     def test_aubry_one_backward_call(self, counterexample_problem, monkeypatch):
         v = GridFunction.from_callable(lambda p: 0.0 * p[..., 0],
@@ -677,7 +710,7 @@ class TestStackedFlow:
     def test_chattering_row_exhausts_the_step_budget(self, sine_problem):
         # x = 0 is a kink of sine_kink's potential, where v's gradient is 0:
         # the backward flow from it chatters across the kink, each step
-        # ending at a crossing about 4e-8 after it starts, and only the step
+        # ending at a crossing about 1e-13 after it starts, and only the step
         # budget (500 attempts at horizon 1) ends the loop; H_p stops a loop
         # that runs far past it
         ham = sine_problem.hamiltonian
@@ -762,6 +795,32 @@ class TestKinkCrossings:
         assert len(switch_times) >= 4
 
 
+    def test_row_starting_on_a_kink(self):
+        # from x = 0, on branch +1 (a zero is on it), the row leaves its
+        # branch at once: it switches at the start of its first step, not at
+        # that step's end
+        ham = catalog.sine_kink().hamiltonian
+        y0 = [0.0, -0.5, 0.0]
+        _, ends = singular._characteristic_flow(ham, 1.0, [y0], 1.0)
+        ref = self.piecewise(y0, 1.0)
+        assert np.all(np.abs(ends[0] - ref) <= 1e-8 * (1 + np.abs(ref)))
+
+    def test_crossings_in_one_step_match_one_row_runs(self, monkeypatch):
+        # x -> -x, p -> -p is a symmetry of sine_kink: mirrored rows take the
+        # same steps and cross the kinks in the same ones; without a margin
+        # the driver roots only crossings
+        ham = catalog.sine_kink().hamiltonian
+        y0 = np.array([[0.3, -1.0, 0.0], [-0.3, 1.0, 0.0]])
+        batches = _count_root_batches(monkeypatch)
+        tau, ends = singular._characteristic_flow(ham, 1.0, y0, 2.0)
+        assert max(batches) == 2
+        for r in range(2):
+            tau_one, end_one = singular._characteristic_flow(ham, 1.0, y0[r:r + 1], 2.0)
+            assert tau_one[0] == tau[r]
+            np.testing.assert_array_equal(end_one[0], ends[r])
+        np.testing.assert_array_equal(ends[1, :2], -ends[0, :2])
+
+
 def _bracketed(draw, f, a):
     """A bracket [a, b] with b in [-12, 12] on which f changes sign, in either
     order (backward flows search a reversed step)."""
@@ -799,8 +858,9 @@ def _root_problems(draw):
 
 
 class TestScipyPorts:
-    """The calibrated flow's Dormand-Prince tableau and break-time root are
-    scipy's RK45 and brentq, written out so the library never imports scipy."""
+    """The calibrated flow's Dormand-Prince tableau is scipy's RK45, and its
+    batched root driver runs scipy's brentq on every row, written out so the
+    library never imports scipy."""
 
     def test_tableau_is_rk45(self):
         for ours, theirs in [(singular._DP_TABLEAU_C, RK45.C), (singular._DP_TABLEAU_A, RK45.A),
@@ -810,28 +870,60 @@ class TestScipyPorts:
         assert singular._DP_ERROR_ORDER == RK45.error_estimator_order
 
     @settings(max_examples=300, deadline=None)
-    @given(problem=_root_problems())
-    def test_brent_root_steps_as_brentq(self, problem):
-        # a triple root can keep both from converging in 100 iterations
-        f, a, b = problem
-        expected, report = brentq(f, a, b, xtol=singular._ROOT_TOL, rtol=singular._ROOT_TOL,
-                                  full_output=True, disp=False)
-        evaluations = []
+    @given(problems=st.lists(_root_problems(), min_size=1, max_size=6))
+    def test_brent_roots_step_as_brentq(self, problems):
+        # each row of a batch evaluates g where brentq evaluates f, after the
+        # two ends, and returns its root; a triple root can keep both from
+        # converging in 100 iterations
+        fs, a, b = zip(*problems)
+        expected = []
+        for f, lo, hi in problems:
+            points = []
 
-        def counted(x):
-            evaluations.append(x)
-            return f(x)
+            def counted(x, f=f, points=points):
+                points.append(x)
+                return f(x)
+            root, report = brentq(counted, lo, hi, xtol=singular._ROOT_TOL,
+                                  rtol=singular._ROOT_TOL, full_output=True, disp=False)
+            expected.append((root, report.converged, points))
+        evaluations = [[] for _ in problems]
 
-        if report.converged:
-            assert singular._brent_root(counted, a, b) == expected
+        def g(rows, s):
+            for r, x in zip(rows, s):
+                evaluations[r].append(x)
+            return np.array([fs[r](x) for r, x in zip(rows, s)])
+
+        g_a, g_b = [f(x) for f, x in zip(fs, a)], [f(x) for f, x in zip(fs, b)]
+        if all(converged for _, converged, _ in expected):
+            root, far, g_root = singular._brent_roots(g, a, b, g_a, g_b)
+            for f, (want, _, _), x, y, g_x in zip(fs, expected, root, far, g_root):
+                assert x == want and g_x == f(x)
+                # unless g is 0 there, the far end brackets the root within
+                # the tolerance
+                assert g_x == 0 or ((f(y) < 0) != (g_x < 0)
+                                    and abs(y - x) <= singular._ROOT_TOL * (1 + abs(x)))
         else:
             with pytest.raises(errors.NoConvergence, match="100 iterations"):
-                singular._brent_root(counted, a, b)
-        assert len(evaluations) == report.function_calls
+                singular._brent_roots(g, a, b, g_a, g_b)
+        for r, (_, _, points) in enumerate(expected):
+            assert evaluations[r] == points[2:]
 
-    def test_brent_root_needs_a_sign_change(self):
+    def test_brent_roots_need_a_sign_change(self):
         with pytest.raises(errors.NoConvergence, match="no sign change"):
-            singular._brent_root(lambda x: x * x + 1.0, -1.0, 1.0)
+            singular._brent_roots(lambda rows, s: s - 1.0, [0.0, 2.0], [3.0, 3.0],
+                                  [-1.0, 1.0], [2.0, 2.0])
+
+    def test_a_zero_end_is_the_root(self):
+        # as in brentq, without evaluating g; the other end is the far end
+        root, far, g_root = singular._brent_roots(lambda rows, s: s - 1.0, [1.0, -2.0, 0.0],
+                                                  [3.0, 1.0, 3.0], [0.0, -3.0, -1.0],
+                                                  [2.0, 0.0, 2.0])
+        for a, b in [(1.0, 3.0), (-2.0, 1.0), (0.0, 3.0)]:
+            assert brentq(lambda x: x - 1.0, a, b, xtol=singular._ROOT_TOL,
+                          rtol=singular._ROOT_TOL) == 1.0
+        np.testing.assert_array_equal(root, 1.0)
+        np.testing.assert_array_equal(far[:2], [3.0, -2.0])
+        np.testing.assert_array_equal(g_root, 0.0)
 
 
 class TestCharacteristics:
