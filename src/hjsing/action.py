@@ -30,6 +30,7 @@ from .errors import DegenerateSample, NoConvergence
 from .model import LagrangianModel
 
 PATH_SEGMENTS = 16  # segments of a discretized path unless a caller refines it
+SCAN_SEGMENTS = 8   # segments of the straight-segment estimate that ranks candidates
 
 
 # ---------------------------------------------------------------------------
@@ -112,17 +113,17 @@ def _solve_tridiagonal(lower, diag, upper, rhs):
     return out, positive
 
 
-def straight_line_actions(model: LagrangianModel, s, t, starts, ends,
-                          segments: int = 8):
+def straight_line_actions(model: LagrangianModel, s, t, starts, ends):
     """Discrete action of the straight segment between endpoint batches.
 
     Upper-bound flavored estimate used to rank candidates before the
-    optimizing pass (8 segments); exact for kinetic-only models.  ``s``
-    and ``t`` are scalars or (P,) arrays, as in :func:`minimize_paths`.
+    optimizing pass (``SCAN_SEGMENTS`` segments); exact for kinetic-only
+    models.  ``s`` and ``t`` are scalars or (P,) arrays, as in
+    :func:`minimize_paths`.
     """
     starts = np.asarray(starts, dtype=float)
     ends = np.asarray(ends, dtype=float)
-    times = _time_rows(s, t, segments)
+    times = _time_rows(s, t, SCAN_SEGMENTS)
     w, mid, L = _quadrature(model, times)[:3]
     s0, span = times[:, :1], times[:, -1:] - times[:, :1]
     frac = ((mid - s0) / span)[:, :, None]
@@ -176,7 +177,8 @@ def minimize_paths(model: LagrangianModel, s, t, starts, ends,
     partial derivatives at the minimizing nodes:
     ``w[0]·(½L_x − L_v/dt)`` on the first segment and
     ``w[-1]·(½L_x + L_v/dt)`` on the last.  ``init_nodes`` is a warm start;
-    it is moved affinely onto the given endpoints.
+    it is moved affinely onto the given endpoints.  A path needs at least
+    2 segments, so that it has an interior node.
 
     The Newton matrix is tridiagonal per axis: the kinetic block
     ``a = w·L_vv/dt²`` of each segment plus the potential's curvature
@@ -212,6 +214,8 @@ def minimize_paths(model: LagrangianModel, s, t, starts, ends,
         starts = np.broadcast_to(starts, ends.shape).copy()
     P, n = starts.shape
     N = int(segments)
+    if N < 2:
+        raise ValueError("a path needs at least 2 segments")
     times = _time_rows(s, t, N)
     dt = (times[:, -1:] - times[:, :1]) / N     # (R, 1)
     w, mid, L, L_v, L_x, L_vv, L_xx = _quadrature(model, times)
@@ -271,12 +275,6 @@ def minimize_paths(model: LagrangianModel, s, t, starts, ends,
     every = slice(None)
     times_out = times[0] if np.ndim(s) == np.ndim(t) == 0 else times
     act = action_of(W, every)
-    if N == 1:
-        _, d_start, d_end = derivatives(W, every)
-        return {"nodes": W, "action": act, "grad_inf": np.zeros(P),
-                "converged": np.ones(P, dtype=bool), "times": times_out,
-                "d_start": d_start, "d_end": d_end}
-
     live = np.arange(P)     # paths still iterating
     stepped = np.zeros(P, dtype=bool)
     fallback = np.zeros(P, dtype=bool)      # took a kinetic-only step

@@ -207,8 +207,7 @@ def double_well() -> LagrangianModel:
                       f_hess=lambda x: 3.0 * x * x - 1.0)
 
 
-def lagrangian_from_expression(expr: str, dimension: int = 1,
-                               name: str = "") -> LagrangianModel:
+def lagrangian_from_expression(expr: str, dimension: int = 1) -> LagrangianModel:
     """Model whose L is an expression of (s, x, v); partials by central
     differences.
 
@@ -264,7 +263,7 @@ def lagrangian_from_expression(expr: str, dimension: int = 1,
         dimension=dimension,
         L=L, L_v=L_v, L_x=L_x, L_t=L_t, L_vv=L_vv,
         growth=GrowthData(),
-        name=name or f"expr({expr})",
+        name=f"expr({expr})",
     )
 
 

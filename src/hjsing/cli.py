@@ -67,7 +67,7 @@ from .singular import (
     aubry_candidates,
     cut_time_field,
     fundamental_solution,
-    is_singular,
+    reachable_gradients_batch,
     retraction,
     trace_singular_curve,
 )
@@ -150,7 +150,7 @@ def _parse_box(text: str, dimension: int) -> np.ndarray:
     return box
 
 
-def load_config(path: str, overrides: dict | None = None) -> RunConfig:
+def load_config(path: str, overrides: dict) -> RunConfig:
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
     text = Path(path).read_text()
     try:
@@ -166,7 +166,7 @@ def load_config(path: str, overrides: dict | None = None) -> RunConfig:
             return parser.get(section, key)
         return default
 
-    cfg = RunConfig(raw_text=text + repr(sorted((overrides or {}).items())))
+    cfg = RunConfig(raw_text=text + repr(sorted(overrides.items())))
     try:
         cfg.problem_key = get("problem", "key", "")
         cfg.lagrangian_expr = get("problem", "lagrangian", "")
@@ -222,7 +222,7 @@ def load_config(path: str, overrides: dict | None = None) -> RunConfig:
     if unknown:
         raise ConfigError("unknown config section or key: " + ", ".join(unknown))
 
-    for key, val in (overrides or {}).items():
+    for key, val in overrides.items():
         if val is not None:
             setattr(cfg, key, val)
 
@@ -412,7 +412,7 @@ def cmd_trace(cfg: RunConfig) -> int:
     return 0
 
 
-def _write_rows(path, columns, rows, comments=()):
+def _write_rows(path, columns, rows, comments):
     lines = [f"# {c}" for c in comments]
     lines.append(",".join(columns))
     for row in rows:
@@ -439,24 +439,22 @@ def cmd_cutlocus(cfg: RunConfig) -> int:
     _write_rows(out / "aubry.csv", [f"x{i+1}" for i in range(v.dimension)],
                 [list(p) for p in pts], cfg.header())
 
-    # retraction demo: G(x, 0) and G(x, 1) on sampled non-candidate points
+    # retraction demo: G(x, 0) = x and G(x, 1) at the first demo_points of
+    # 10 demo_points sampled points whose cut time is below the horizon
     rng = np.random.default_rng(cfg.seed)
     if cfg.demo_range:
         lo, hi = cfg.demo_range
     else:
         lo, hi = float(v.box[0, 0]), float(v.box[0, 1])
-    rows = []
-    tried = 0
-    while len(rows) < cfg.demo_points and tried < 10 * cfg.demo_points:
-        tried += 1
-        x = rng.uniform(lo, hi, size=v.dimension)
-        tau_x = float(ctf.tau(x))
-        if tau_x >= cfg.tau_horizon:
-            continue
-        g0 = retraction(field, None, ctf, x, 0.0)
-        g1 = retraction(field, None, ctf, x, 1.0)
-        _, cert = is_singular(field, None, 0.0, g1)
-        rows.append([*x, tau_x, float(ctf.alpha(x)), *g0, *g1, cert.diameter])
+    xs = rng.uniform(lo, hi, size=(10 * max(cfg.demo_points, 0), v.dimension))
+    tau = ctf.tau(xs)
+    keep = np.flatnonzero(tau < cfg.tau_horizon)[:cfg.demo_points]
+    xs, tau = xs[keep], tau[keep]
+    alpha = ctf.alpha(xs)
+    g1 = np.array([retraction(field, None, ctf, x, 1.0) for x in xs]).reshape(xs.shape)
+    certs = reachable_gradients_batch(field, 0.0, g1) if len(g1) else []
+    rows = [[*x, t, a, *x, *g, c.diameter]
+            for x, t, a, g, c in zip(xs, tau, alpha, g1, certs)]
     n = v.dimension
     cols = ([f"x{i+1}" for i in range(n)] + ["tau", "alpha"]
             + [f"g0_x{i+1}" for i in range(n)]
@@ -472,8 +470,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     rng = np.random.default_rng(cfg.seed)
     checks = []
 
-    report = check_tonelli(model, cfg.box, horizon=1.0, samples=200,
-                           seed=cfg.seed)
+    report = check_tonelli(model, cfg.box, horizon=1.0, seed=cfg.seed)
     checks.append(("tonelli", report.passed, report.as_dict()))
 
     # Legendre round trip through the dual pairing

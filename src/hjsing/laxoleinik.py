@@ -808,7 +808,11 @@ class ConvolutionPlan:
         # then finely, the rows whose coarse cost is within window + margin of
         # the coarse best; the margin grows to twice the spread of fine -
         # coarse over the rows scored.  A fine batch waits for a round that
-        # admits no coarse row, so the coarse best it is measured from is final
+        # admits no coarse row, so the coarse best it is measured from is
+        # final, and a row it admits has f + floor <= f + coarse, so it was
+        # solved coarsely.  A fine path does not depend on its batch, so the
+        # answer is that of a fine re-score of every row whenever the fine
+        # set holds every polish seed of that re-score
         fine = np.full(len(keep), np.nan)
         scored = np.zeros(len(keep), dtype=bool)
         margin = np.zeros(P)
@@ -866,59 +870,18 @@ def localized_convolution(model: LagrangianModel, f: GridFunction, t1: float,
     """Batched localized inf-convolution of f with the action kernel:
     value(x) = min_z f(z) + A_{t1,t2}(z, x), searched in the ball of ``radius``.
 
-    One :class:`ConvolutionPlan` search: a caller that applies the same
-    kernel to several data on one grid keeps the plan instead.  ``t2`` and
-    ``radius`` are scalars or (P,) arrays, one per row of ``xs``; a row's
-    answer is the same either way.  Each stage runs once on the rows of all
-    queries.  The scan ranks the grid nodes in the ball
-    (:func:`_ball_candidates`) by f plus the action of the straight
-    segment; those within 1 of their query's leader may be re-scored with
-    ``_COARSE_SEGMENTS``-segment paths.  The fine re-score, at
-    ``PATH_SEGMENTS``, takes the candidates whose coarse cost is within
-    window + m of the query's coarse best.  The margin m starts at 0; after
-    each fine batch it becomes twice the spread (max - min) of fine - coarse
-    cost over the query's fine-scored rows, and the newly admitted rows form
-    the next batch, until none is admitted.  A fine path does not depend on
-    its batch, so the answer is that of a fine re-score of every candidate
-    within 1 of its leader whenever the fine set holds every polish seed of
-    that re-score.
-
-    The scan scores only the candidates that could lead or come within 1
-    of the leader.  Each candidate has a floor under its coarse action and
-    under its straight-segment action (:func:`action_floor`), f plus which
-    bounds both costs below.  The scan first scores the rows whose f +
-    floor is within 1 of their query's least, which the floor cannot rule
-    out; their least cost U bounds the leader's above.  Then it scores the rows with f + floor <= U + 1, 1e-12 (1 +
-    |U + 1|) allowed for rounding, and the other rows cost inf.  None of
-    them could lead or lie within 1 of the leader, so the leader, the rows
-    within 1 of it and all that follows are those of a scan of every
-    candidate.
-
-    The coarse re-score solves only the candidates that could matter: f
-    plus the floor bounds a candidate's coarse cost below.  A candidate is
-    solved once its f + floor is within window + m of the coarse best so
-    far (first guessed as the scan leader's cost), 1e-12 (1 + |that sum|)
-    allowed for rounding; each query's scan leader is solved too, so the
-    coarse best is always a solved cost.  A fine batch runs only after a
-    round that solved no new coarse path, so its coarse best is final:
-    every unsolved candidate costs more.
-    A row the fine re-score admits has f + floor <= f + coarse <= best +
-    window + m, so it was solved, and the fine batches, the margins and
-    the answer are those of a coarse re-score of every candidate within 1
-    of its leader.  The polish (:func:`_cell_polish`) starts from the
-    fine-scored rows within ``polish_window`` (default max(5e-3, h^2 /
-    (t2 - t1)), per row) of the best fine cost, at most six per query and
-    more than two cells apart.  Winners within ``TIE_TOL`` of the best are
-    refined by Richardson extrapolation from ``PATH_SEGMENTS`` to twice
-    that, whose finer pass also gives each kept winner's end momentum.  A
-    path of any pass that did not converge raises :class:`NoConvergence`.
-    Returns one :class:`SearchResult` per row.
-
-    Of this work the plan keeps the candidates, their node indices and
-    floors, and every straight segment and coarse and fine path it scored;
-    a search on new data reads f at the candidates, scores the candidates
-    newly within reach of the scan and the re-scores, and runs the polish
-    and the Richardson pass.
+    ``t2`` and ``radius`` are scalars or (P,) arrays, one per row of ``xs``;
+    a row's answer is the same either way.  The stages are those of the
+    module docstring, each commented in :meth:`ConvolutionPlan.search`.  The
+    polish starts from the fine-scored rows within ``polish_window``
+    (default max(5e-3, h^2 / (t2 - t1)), per row) of the best fine cost,
+    and the polished winners within ``TIE_TOL`` of the best, refined by
+    Richardson extrapolation from ``PATH_SEGMENTS`` to twice that, are the
+    argument set; the finer pass gives each one's end momentum.  A path of
+    any pass that did not converge raises :class:`NoConvergence`.  Returns
+    one :class:`SearchResult` per row.  This is one plan's one search; a
+    caller that applies the same kernel to several data on one grid keeps
+    the plan instead.
     """
     return ConvolutionPlan(model, f, t1, t2, xs, radius, polish_window).search(f)
 
@@ -984,11 +947,10 @@ class DiscountedOperator:
 
 
 def discounted_lax_oleinik(problem: DiscountedProblem, v: GridFunction, t: float,
-                           xs, lip_bound: Optional[float] = None,
-                           polish_window: Optional[float] = None):
+                           xs, polish_window: Optional[float] = None):
     """The discounted backward operator at the rows of xs (P, n), applied
     once: one :func:`localized_convolution` on the lift, scaled as
     :class:`DiscountedOperator` scales it.  One :class:`SearchResult` per row."""
-    op = DiscountedOperator(problem, t, xs, lip_bound)
+    op = DiscountedOperator(problem, t, xs)
     return op.scaled(localized_convolution(op.lift, v, 0.0, t, xs, op.radius(v),
                                            polish_window=polish_window))

@@ -46,6 +46,9 @@ import numpy as np
 from .errors import ExponentOverflow, NoConvergence, NotConvex
 
 EXPONENT_CAP = 40.0
+LEGENDRE_ITERATIONS = 100   # Newton iterations of the Legendre root-find
+TONELLI_SAMPLES = 200       # (x, v) samples of check_tonelli
+TONELLI_SPEED_CAP = 8.0     # check_tonelli samples velocities in [-cap, cap]^n
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +147,7 @@ def _assert_convex(mat):
         raise NotConvex("velocity Hessian is not positive definite") from None
 
 
-def legendre(model: LagrangianModel, s, x, p, max_iter: int = 100):
+def legendre(model: LagrangianModel, s, x, p):
     """Invert L_v(s,x,.) = p for every row of a batch; returns (v_star, h_value).
 
     ``x`` and ``p`` broadcast to a batch (..., n) and ``s`` to (...).
@@ -157,7 +160,7 @@ def legendre(model: LagrangianModel, s, x, p, max_iter: int = 100):
     tolerance): it counts as converged if its Newton step is below
     1e-8 (1 + |v|), else it raises.  A row whose velocity Hessian is not
     positive definite raises :class:`NotConvex`; a row still open after
-    ``max_iter`` iterations raises :class:`NoConvergence`.
+    ``LEGENDRE_ITERATIONS`` iterations raises :class:`NoConvergence`.
     """
     tol = 1e-10
     x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -174,7 +177,7 @@ def legendre(model: LagrangianModel, s, x, p, max_iter: int = 100):
 
     live = np.arange(len(P))
     f_cur = objective(live, V)
-    for _ in range(max_iter):
+    for _ in range(LEGENDRE_ITERATIONS):
         grad = np.asarray(model.L_v(S[live], X[live], V[live]), dtype=float) - P[live]
         open_ = (np.linalg.norm(grad, axis=-1)
                  > tol * (1.0 + np.linalg.norm(P[live], axis=-1)))
@@ -203,7 +206,8 @@ def legendre(model: LagrangianModel, s, x, p, max_iter: int = 100):
         live = np.delete(live, search)
     if live.size:
         raise NoConvergence(
-            f"Legendre root-find did not reach {tol:g} in {max_iter} iterations")
+            f"Legendre root-find did not reach {tol:g} in {LEGENDRE_ITERATIONS} "
+            "iterations")
     h = np.sum(P * V, axis=-1) - model.L(S, X, V)
     if len(shape) == 1:
         return V[0], float(h[0])
@@ -338,19 +342,19 @@ class TonelliReport:
         }
 
 
-def check_tonelli(model: LagrangianModel, box, horizon: float, samples: int = 200,
-                  speed_cap: float = 8.0, seed: int = 0) -> TonelliReport:
-    """Sample the box and a velocity ball; report worst-case condition margins."""
+def check_tonelli(model: LagrangianModel, box, horizon: float,
+                  seed: int = 0) -> TonelliReport:
+    """Sample the box and a velocity cube; report worst-case condition margins."""
     box = np.asarray(box, dtype=float)
     if box.ndim == 1:
         box = box[None, :]
     n = model.dimension
     if box.shape != (n, 2) or np.any(box[:, 1] < box[:, 0]):
         raise ValueError("box must be (n, 2) with min <= max per axis")
-    samples = max(1, int(samples))
+    samples = TONELLI_SAMPLES
     rng = np.random.default_rng(seed)
     x = box[:, 0] + rng.random((samples, n)) * (box[:, 1] - box[:, 0])
-    v = rng.uniform(-speed_cap, speed_cap, size=(samples, n))
+    v = rng.uniform(-TONELLI_SPEED_CAP, TONELLI_SPEED_CAP, size=(samples, n))
     v[0] = 0.0
     times = rng.random(samples) * horizon if model.time_dependent else np.zeros(samples)
 

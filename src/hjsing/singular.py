@@ -15,8 +15,9 @@ tableau, step rules and brentq steps, so no path of this module loads scipy.
 and its derivatives in both end points and the end time, Richardson-
 extrapolated from a 64- and a 128-segment path.
 
-A field enters this layer through four methods (``solver.ValueField``):
-``values``, ``certificate_search``, ``domain`` and ``action_lagrangian``.
+A field enters this layer through ``solver.ValueField``: its methods
+``values``, ``certificate_search``, ``domain``, ``action_lagrangian``,
+``lambda2`` and ``grid_data``, and its initial data ``u0``.
 A point of the value field is singular when its reachable-gradient set has
 more than one element.  Those gradients are the end momenta
 p = L_v(t, x, velocity) of the distinct minimizers of the backward
@@ -216,28 +217,37 @@ def _scan(field, action_model, t1, x1, ts, lattices):
     return np.split(vals, np.cumsum(sizes)[:-1]), sol
 
 
-def _zoom(field, action_model, t1, x1, seed_t, z, width):
-    """Rescan each axis around every seed: (points, phis).
+def _zoom(field, action_model, t1, x1, seed_t, z, phi, seen, width):
+    """Rescan each axis around every seed z: (points, phis).
 
     5 rounds per axis, one batch each, on a segment whose half-width starts
-    at ``width`` and shrinks to one lattice spacing per round; the current
-    point stays a candidate and the first maximum wins ties.  That is one
-    sweep of 5 batches in 1D and two sweeps of 5n in nD, the width times
-    ``_SWEEP_SHRINK`` from one sweep to the next.
+    at ``width`` and shrinks to one lattice spacing per round.  The current
+    point stays a candidate with the phi it carries and wins ties.  A seed's
+    ``seen`` points, the lattice it won (at first its scan's, cut to phi at
+    most its own), have phi at most the winner's, so a node equal to one of
+    them to 12 digits cannot win and is not searched: the next lattice's
+    centre and midpoint are the winner, its ends usually the winner's two
+    neighbours.  That is one sweep of 5 batches in 1D and two sweeps of 5n
+    in nD, the width times ``_SWEEP_SHRINK`` from one sweep to the next.
     """
     n = x1.size
     domains = [field.domain(t) for t in seed_t]
-    phi = np.empty(len(z))
     for _ in range(2 if n > 1 else 1):
         for ax in range(n):
             w = width
             for _ in range(5):      # the last spacing is 24^-5 of the scan's
-                cands = [_lattice(y, wi, *dom, axis=ax)
-                         for y, wi, dom in zip(z, w, domains)]
+                cands = []
+                for i, (y, wi, dom) in enumerate(zip(z, w, domains)):
+                    lattice = _lattice(y, wi, *dom, axis=ax)
+                    old = set(map(tuple, np.round(seen[i], 12)))
+                    cands.append(lattice[[p not in old
+                                          for p in map(tuple, np.round(lattice, 12))]])
+                    seen[i] = lattice
                 for i, (cand, vals) in enumerate(zip(
                         cands, _scan(field, action_model, t1, x1, seed_t, cands)[0])):
                     best = int(np.argmax(vals))
-                    z[i], phi[i] = cand[best], vals[best]
+                    if vals[best] > phi[i]:
+                        z[i], phi[i] = cand[best], vals[best]
                 w = w * (2.0 / (_LATTICE_NODES - 1))
         width = width * _SWEEP_SHRINK
     return z, phi
@@ -288,7 +298,9 @@ def _argmax_points(field, action_model, t1, x1, times, radii):
 
     data = field.grid_data(seed_t)
     if data is None:
-        z, phi = _zoom(field, action_model, t1, x1, seed_t, z, width)
+        phi = np.concatenate(scan_vals)[seeds]
+        seen = [scans[j][scan_vals[j] <= f] for j, f in zip(seed_time, phi)]
+        z, phi = _zoom(field, action_model, t1, x1, seed_t, z, phi, seen, width)
     else:
         grid, scale = data
 
@@ -467,8 +479,7 @@ class SingularCurve:
 
 
 def trace_singular_curve(field, t0: float, x, T_total: float, block: float = 1.0,
-                         certify: bool = True,
-                         require_singular: bool = True) -> SingularCurve:
+                         certify: bool = True) -> SingularCurve:
     """Concatenate propagation steps until the curve covers [t0, T_total].
 
     On the i-th annulus the step size is recomputed from constants probed
@@ -477,17 +488,18 @@ def trace_singular_curve(field, t0: float, x, T_total: float, block: float = 1.0
     past T_total.  The schedule records (i, t_i, k_i), k_i the steps that
     ran on the annulus.  The ball-radius localization
     |x(s) - x| <= lambda_2 * (s - t0) is checked for every recorded point.
-    The start point's certificate is computed only when ``certify`` or
-    ``require_singular`` reads it; otherwise it is None like the others.
+    With ``certify`` every point gets its certificate and a start point that
+    is not singular raises :class:`InvalidProblem`; without it the
+    certificates are None and any start point is traced.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     cert0 = None
-    if certify or require_singular:
+    if certify:
         flag, cert0 = is_singular(field, None, t0, x)
-        if require_singular and not flag:
+        if not flag:
             raise InvalidProblem(
                 f"start point {x} has reachable diameter {cert0.diameter:.3g} "
-                f"<= {SINGULAR_TOL:g}; pass require_singular=False to override")
+                f"<= {SINGULAR_TOL:g}")
 
     times = [t0]
     points = [x.copy()]
@@ -1056,26 +1068,24 @@ def cut_time_field(problem: DiscountedProblem, v: GridFunction,
     return CutTimeField(tau=tau_grid, alpha=alpha_grid)
 
 
-def aubry_candidates(field, horizon: float, nodes=None, forward_tau=None):
+def aubry_candidates(field, horizon: float, forward_tau):
     """Grid nodes that stay calibrated to the horizon in both time directions.
 
     Only defined for discounted fields; evolutionary fields raise
-    :class:`InvalidProblem`.  ``forward_tau`` (per queried node) is the
-    forward span, from :func:`cut_times` when not given; a cut node has
-    tau = 0 and is never a candidate.  The backward flows of the nodes
-    whose forward span reaches the horizon run in one batched loop; each
-    backward span equals a one-node run bit for bit.  Returns (points,
-    mask-over-queried-nodes).
+    :class:`InvalidProblem`.  ``forward_tau`` holds the forward span of
+    every node of ``field.v`` in ``nodes()`` order, as :func:`cut_times`
+    gives it; a cut node has tau = 0 and is never a candidate.  The
+    backward flows of the nodes whose forward span reaches the horizon run
+    in one batched loop; each backward span equals a one-node run bit for
+    bit.  Returns (points, mask over the nodes).
     """
     if not isinstance(field, DiscountedField):
         raise InvalidProblem("the Aubry set is defined for discounted problems only")
     problem, v = field.problem, field.v
-    pts = v.nodes() if nodes is None else np.atleast_2d(nodes)
-    if forward_tau is None:
-        forward_tau = cut_times(problem, v, pts, horizon)
+    pts = v.nodes()
     forward_tau = np.asarray(forward_tau, dtype=float).reshape(-1)
     if forward_tau.shape[0] != len(pts):
-        raise ValueError("forward_tau must align with the queried nodes")
+        raise ValueError("forward_tau must align with the grid's nodes")
     mask = np.zeros(len(pts), dtype=bool)
     reach = np.flatnonzero(forward_tau >= horizon)
     if reach.size:
@@ -1110,8 +1120,7 @@ def homotopy(field, x, s: float):
         return y_hit
     # unit annulus blocks, capped by the span so the ladder reaches exactly s
     curve = trace_singular_curve(field, t_start, y_hit, t_start + span,
-                                 block=min(1.0, span),
-                                 certify=False, require_singular=False)
+                                 block=min(1.0, span), certify=False)
     idx = int(np.searchsorted(curve.times, t_start + span + 1e-12, side="right") - 1)
     return curve.points[max(idx, 1 if len(curve.times) > 1 else 0)].copy()
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import asdict, dataclass, field as dataclass_field
 
 import numpy as np
 
@@ -60,18 +60,7 @@ class SolveReport:
         self.residual_ok = bool(self.final_residual <= self.residual_gate)
 
     def as_json(self) -> str:
-        return json.dumps({
-            "iterations": self.iterations,
-            "sup_changes": [float(c) for c in self.sup_changes],
-            "policy_passes": [int(k) for k in self.policy_passes],
-            "K1": self.K1,
-            "K2": self.K2,
-            "final_residual": self.final_residual,
-            "converged": self.converged,
-            "tol": self.tol,
-            "residual_gate": self.residual_gate,
-            "residual_ok": self.residual_ok,
-        }, indent=2)
+        return json.dumps(asdict(self), indent=2)
 
 
 @dataclass
@@ -242,14 +231,13 @@ class EvolutionaryField(ValueField):
     """Value field u(t, x) of an initial-value problem, evaluated on demand.
 
     Every evaluation with t > 0 is a localized inf-convolution of the
-    initial data; a batch is one search over its rows and their times.
-    Values are cached per (t, point).
+    initial data; a batch is one search over its rows and their times, in
+    which rows equal to 12 digits are searched once.
     """
 
     def __init__(self, model: LagrangianModel, u0: GridFunction):
         super().__init__(u0)
         self.model = model
-        self._cache: dict = {}
 
     def action_lagrangian(self, T: float) -> LagrangianModel:
         return self.model
@@ -268,17 +256,18 @@ class EvolutionaryField(ValueField):
             out[now] = np.asarray(self.u0(xs[now]), dtype=float).reshape(-1)
         keys = {i: (round(float(ts[i]), 12), tuple(np.round(xs[i], 12)))
                 for i in np.flatnonzero(~now)}
-        # one search per missing key, over every time of the batch
-        missing = sorted({k: i for i, k in reversed(keys.items())
-                          if k not in self._cache}.values())
-        if missing:
-            t_miss = float(t) if np.ndim(t) == 0 else ts[missing]
-            found = localized_convolution(self.model, self.u0, 0.0, t_miss, xs[missing],
-                                          self.search_radius(t_miss))
-            for i, r in zip(missing, found):
-                self._cache[keys[i]] = r.value
+        # one search over the first row of each key, every time of the batch
+        first = {}
         for i, k in keys.items():
-            out[i] = self._cache[k]
+            first.setdefault(k, i)
+        if first:
+            rows = list(first.values())
+            t_rows = float(t) if np.ndim(t) == 0 else ts[rows]
+            found = localized_convolution(self.model, self.u0, 0.0, t_rows, xs[rows],
+                                          self.search_radius(t_rows))
+            value = {k: r.value for k, r in zip(first, found)}
+            for i, k in keys.items():
+                out[i] = value[k]
         return out
 
     def certificate_search(self, t, xs) -> list:
@@ -331,18 +320,14 @@ class DiscountedField(ValueField):
     def __init__(self, problem: DiscountedProblem, v: GridFunction):
         super().__init__(v)
         self.problem = problem
-        self._lifts: dict = {}
 
     @property
     def v(self) -> GridFunction:
         return self.u0
 
     def action_lagrangian(self, T: float) -> LagrangianModel:
-        """The lift ``to_evolutionary`` of horizon T, cached per T."""
-        key = round(float(T), 9)
-        if key not in self._lifts:
-            self._lifts[key] = to_evolutionary(self.problem, horizon=T)[0]
-        return self._lifts[key]
+        """The lift ``to_evolutionary`` of horizon T."""
+        return to_evolutionary(self.problem, horizon=T)[0]
 
     def grid_data(self, ts):
         """(v, e^{lam t}) per time: u(t, .) = e^{lam t} v."""

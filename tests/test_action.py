@@ -209,9 +209,13 @@ class TestBatchedPaths:
         m = sine_problem.lagrangian
         starts = np.array([[0.0]])
         ends = np.array([[2.0]])
-        cheap = straight_line_actions(m, 0.0, 1.0, starts, ends, segments=32)
+        cheap = straight_line_actions(m, 0.0, 1.0, starts, ends)
         tight, _ = fundamental_solution(m, 0.0, 1.0, [0.0], [2.0])
         assert cheap[0] >= tight - 1e-6
+
+    def test_one_segment_rejected(self, sine_problem):
+        with pytest.raises(ValueError, match="at least 2 segments"):
+            minimize_paths(sine_problem.lagrangian, 0.0, 1.0, [[0.0]], [[1.0]], segments=1)
 
     def test_saddle_not_converged(self):
         # a path stationary where it starts takes no Newton step; on the

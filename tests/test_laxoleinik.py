@@ -539,7 +539,7 @@ class TestDiscountedOperator:
         for w in data:
             kept = operator(w)
             plans.append(operator.plan)
-            fresh = discounted_lax_oleinik(problem, w, 1.0, x, lip_bound=2.0)
+            fresh = laxoleinik.DiscountedOperator(problem, 1.0, x, lip_bound=2.0)(w)
             for a, b in zip(kept, fresh):
                 assert a.value == b.value
                 np.testing.assert_array_equal(a.arg.argpoints, b.arg.argpoints)

@@ -21,7 +21,7 @@ class TestLegendre:
         np.testing.assert_allclose(h, 2.0, atol=1e-12)
 
     def test_cosh_model(self):
-        m = catalog.lagrangian_from_expression("cosh(v) - 1", 1, name="cosh")
+        m = catalog.lagrangian_from_expression("cosh(v) - 1", 1)
         v, h = model.legendre(m, 0.0, [0.0], [1.0])
         # root of sinh(v) = 1 plus direct evaluation
         v_star = math.asinh(1.0)
@@ -56,10 +56,11 @@ class TestLegendre:
         with pytest.raises(errors.NotConvex):
             model.legendre(m, 0.0, [0.0], [8.0])
 
-    def test_iteration_cap_raises(self):
+    def test_iteration_cap_raises(self, monkeypatch):
         m = catalog.lagrangian_from_expression("cosh(v) - 1", 1)
+        monkeypatch.setattr(model, "LEGENDRE_ITERATIONS", 2)
         with pytest.raises(errors.NoConvergence):
-            model.legendre(m, 0.0, [0.0], [30.0], max_iter=2)
+            model.legendre(m, 0.0, [0.0], [30.0])
 
     def test_batch_equals_rows_1d(self):
         m = catalog.lagrangian_from_expression("cosh(v) + v^2/2 + sin(x + s)*v", 1)
@@ -93,11 +94,12 @@ class TestLegendre:
         with pytest.raises(errors.NotConvex):
             model.legendre(m, 0.0, [[0.0], [0.0], [0.0]], [[0.02], [8.0], [0.01]])
 
-    def test_batch_with_one_row_past_cap_raises(self):
+    def test_batch_with_one_row_past_cap_raises(self, monkeypatch):
         m = catalog.lagrangian_from_expression("cosh(v) - 1", 1)
-        model.legendre(m, 0.0, [0.0], [0.0], max_iter=2)
+        monkeypatch.setattr(model, "LEGENDRE_ITERATIONS", 2)
+        model.legendre(m, 0.0, [0.0], [0.0])
         with pytest.raises(errors.NoConvergence):
-            model.legendre(m, 0.0, [[0.0], [0.0]], [[0.0], [30.0]], max_iter=2)
+            model.legendre(m, 0.0, [[0.0], [0.0]], [[0.0], [30.0]])
 
     def test_hamiltonian_batch_is_one_solve(self):
         # a batch is one Newton run: L_v once per iteration, not once per row
@@ -323,8 +325,7 @@ class TestCheckTonelli:
 
     def test_cubic_velocity_fails_convexity(self):
         m = catalog.lagrangian_from_expression("v^2/2 - abs(v)^3", 1)
-        report = model.check_tonelli(m, [(-1.0, 1.0)], horizon=1.0,
-                                     samples=400, speed_cap=10.0)
+        report = model.check_tonelli(m, [(-1.0, 1.0)], horizon=1.0)
         assert not report.passed
         assert report.min_eigenvalue < 0  # 1 - 6|v| changes sign at |v| = 1/6
 

@@ -1,8 +1,9 @@
-"""Every defaulted parameter of a library function is passed by some call.
+"""Every defaulted parameter of a library function is passed by some call
+in the program: the library itself or the benchmark.
 
-A default that no call in the library, the tests or the benchmark ever
-overrides is a constant in disguise; it belongs in the function body or
-in a named module constant.
+A default that no program call overrides is a constant in disguise; it
+belongs in the function body or in a named module constant.  Tests are not
+counted: a setting that only a test makes is no reason for an option.
 """
 
 import ast
@@ -11,12 +12,18 @@ from pathlib import Path
 import hjsing
 
 PACKAGE = Path(hjsing.__file__).parent
-CALLERS = [PACKAGE.parent, PACKAGE.parents[1] / "tests", PACKAGE.parents[1] / "hjbench"]
+CALLERS = [PACKAGE.parent, PACKAGE.parents[1] / "hjbench"]
 
-# defaulted parameters that no call passes; none since the tests pass
-# ``sine_kink``'s ``eps`` directly (before, only the config did, through the
-# catalog's model table)
-ALLOWED: set = set()
+# defaulted parameters that no program call passes, each with its reason
+ALLOWED = {
+    # the entry point: the console script calls main() and reads sys.argv
+    ("cli.py", "main", "argv"),
+    # the config sets it through lagrangian_by_key(key, dimension, **kwargs),
+    # which the scan counts for lagrangian_by_key, not for sine_kink
+    ("catalog.py", "sine_kink", "eps"),
+    # the evolutionary residual is the tests' PDE oracle of solve_evolutionary
+    ("solver.py", "residual_check", "times"),
+}
 
 
 def defaulted_parameters(source: str) -> list:

@@ -140,9 +140,9 @@ class TestSolveDiscounted:
                    + sine_problem.lam * max(k1, k2))
         prev = v.values.reshape(-1)
         changes = []
+        operator = laxoleinik.DiscountedOperator(sine_problem, 1.0, nodes, lip_bound=lip_cap)
         for _ in range(5):
-            new = np.array([r.value for r in discounted_lax_oleinik(
-                sine_problem, v, 1.0, nodes, lip_bound=lip_cap)])
+            new = np.array([r.value for r in operator(v)])
             assert np.min(new - prev) >= -1e-9        # nodewise nondecreasing
             assert np.min(new) >= -k1 - 1e-6
             assert np.max(new) <= k2 + 1e-6
@@ -347,11 +347,27 @@ class TestFields:
         expected = math.exp(0.5) * float(sine_exact_grid(x))
         assert field.values(0.5, [x])[0] == pytest.approx(expected)
 
-    def test_evolutionary_cache(self, hopf_kink_field):
-        v1 = hopf_kink_field.values(0.7, [[0.3]])[0]
-        v2 = hopf_kink_field.values(0.7, [[0.3]])[0]
-        assert v1 == v2
-        assert v1 == pytest.approx(-0.3 - 0.35, abs=1e-6)
+    def test_evolutionary_repeated_rows_searched_once(self, hopf_kink_field, monkeypatch):
+        rows = []
+        search = solver.localized_convolution
+
+        def counting(model, f, t1, t2, xs, *args, **kwargs):
+            rows.append(np.array(xs))
+            return search(model, f, t1, t2, xs, *args, **kwargs)
+
+        monkeypatch.setattr(solver, "localized_convolution", counting)
+        # rows equal to 12 digits are one row; a time of 0 reads u0
+        xs = [[0.3], [0.5], [0.3], [0.3 + 1e-14], [0.5], [0.3]]
+        vals = hopf_kink_field.values(0.7, xs)
+        assert len(rows) == 1
+        np.testing.assert_array_equal(rows[0], [[0.3], [0.5]])
+        assert vals[0] == vals[2] == vals[3] == vals[5] and vals[1] == vals[4]
+        assert vals[0] == pytest.approx(-0.3 - 0.35, abs=1e-6)
+        assert hopf_kink_field.values(0.7, [[0.3]])[0] == vals[0]
+        vals = hopf_kink_field.values(np.array([0.7, 0.0, 0.7, 0.5]), [[0.3]] * 4)
+        assert len(rows) == 3
+        np.testing.assert_array_equal(rows[2], [[0.3], [0.3]])
+        assert vals[0] == vals[2] and vals[1] == float(hopf_kink_field.u0(np.array([0.3])))
 
     def test_transform_consistency(self, sine_problem, sine_exact_grid):
         # the exponential lift of v solves the transformed initial-value
