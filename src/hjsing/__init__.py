@@ -56,7 +56,6 @@ from .singular import (
     fundamental_solution,
     homotopy,
     is_singular,
-    lipschitz_certificate,
     propagation_step,
     reachable_gradients,
     reachable_gradients_batch,

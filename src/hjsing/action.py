@@ -167,8 +167,9 @@ def minimize_paths(model: LagrangianModel, s, t, starts, ends,
                    segments: int = PATH_SEGMENTS, init_nodes=None):
     """Batched direct method for least action between endpoint pairs.
 
-    ``s`` and ``t`` are scalars, the interval [s, t] of every pair, or (P,)
-    arrays, one interval per pair; a pair's answer is the same either way.
+    ``starts`` and ``ends`` are (P, n), one row per pair.  ``s`` and ``t``
+    are scalars, the interval [s, t] of every pair, or (P,) arrays, one
+    interval per pair; a pair's answer is the same either way.
     Returns a dict with stacked node arrays, actions, stationarity
     residuals, a convergence mask, the time nodes (``"times"``: (N+1,) for
     a shared interval, else (P, N+1)) and the derivatives ``d_start``,
@@ -208,10 +209,6 @@ def minimize_paths(model: LagrangianModel, s, t, starts, ends,
     grad_tol, max_iter = 1e-9, 60
     starts = np.atleast_2d(np.asarray(starts, dtype=float))
     ends = np.atleast_2d(np.asarray(ends, dtype=float))
-    if ends.shape[0] == 1 and starts.shape[0] > 1:
-        ends = np.broadcast_to(ends, starts.shape).copy()
-    if starts.shape[0] == 1 and ends.shape[0] > 1:
-        starts = np.broadcast_to(starts, ends.shape).copy()
     P, n = starts.shape
     N = int(segments)
     if N < 2:

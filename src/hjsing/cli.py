@@ -5,20 +5,23 @@ headers with ``#`` comments.  The keys and their defaults:
 
 [problem]   key (free_particle, pendulum, sine_kink, double_well), or
             lagrangian (an expression of s, x, v), or potential (V(x), for
-            L = v^2/2 - V); lambda = 1.0 (> 0); dimension = 1; eps = 0
+            L = v^2/2 - V; 1D only); lambda = 1.0 (> 0); dimension = 1; eps = 0
             (sine_kink smoothing, >= 0); c1 (>= 0), c2: the growth
             offsets v^2/2 - c1 <= L <= v^2/2 + c2 of the model, which
             every subcommand uses (unset: the catalog model's own, or
             from the potential's samples; a lagrangian needs c1, and its
             c2 is 0 unless set)
 [grid]      box = -pi pi (2 numbers, or 2 per axis); resolution = 128
-            (1 count, or 1 per axis; >= 16); periodic = true
+            (1 count, or 1 per axis; >= 16); periodic = true (true, false,
+            yes, no, 1 or 0)
 [solve]     tol = 1e-3 (> 0)
 [singular]  tau_horizon = 20/lambda
 [evolve]    u0 (an expression of x or x1, x2, ...) or u0_file (a .grid);
-            times (> 0, increasing); box, resolution (unset: from [grid])
-[trace]     t0 = 0.5; x0 = 0 on every axis (1 number per axis);
-            horizon = 2.0; block = 1.0; field = discounted (or evolutionary)
+            times (> 0, increasing); box, resolution (1 count, or 1 per
+            axis; unset: from [grid])
+[trace]     t0 = 0.5 (> 0 for the evolutionary field); x0 = 0 on every axis
+            (1 number per axis); horizon = 2.0 (>= t0); block = 1.0;
+            field = discounted (or evolutionary)
 [cutlocus]  demo_points = 20; demo_range = lo hi (unset: the first axis)
 [run]       out = out; seed = 0
 
@@ -185,7 +188,10 @@ def load_config(path: str, overrides: dict) -> RunConfig:
         res = get("grid", "resolution", "128")
         vals = [int(v) for v in res.replace(",", " ").split()]
         cfg.resolution = tuple(vals) if len(vals) > 1 else (vals[0],) * cfg.dimension
-        cfg.periodic = get("grid", "periodic", "true").strip().lower() in ("1", "true", "yes")
+        periodic = get("grid", "periodic", "true").strip().lower()
+        if periodic not in ("1", "true", "yes", "0", "false", "no"):
+            raise ValueError(f"grid.periodic must be true or false, not {periodic!r}")
+        cfg.periodic = periodic in ("1", "true", "yes")
 
         cfg.tol = float(get("solve", "tol", "1e-3"))
         th = get("singular", "tau_horizon")
@@ -239,10 +245,15 @@ def load_config(path: str, overrides: dict) -> RunConfig:
          "singular.tau_horizon must be > 0"),
         (np.all(times > 0) and np.all(np.diff(times) > 0),
          "evolve.times must be positive and increasing"),
+        (len(cfg.evolve_resolution) in (0, cfg.dimension),
+         f"evolve.resolution needs 1 or {cfg.dimension} counts"),
         (len(cfg.trace_x0) == cfg.dimension,
          f"trace.x0 needs {cfg.dimension} number(s), got {len(cfg.trace_x0)}"),
         (cfg.trace_field in ("discounted", "evolutionary"),
          f"trace.field must be discounted or evolutionary, not {cfg.trace_field!r}"),
+        (cfg.trace_field == "discounted" or cfg.trace_t0 > 0,
+         "trace.t0 must be > 0 for the evolutionary field"),
+        (cfg.trace_horizon >= cfg.trace_t0, "trace.horizon must be >= trace.t0"),
         (cfg.trace_block > 0, "trace.block must be > 0"),
         (not cfg.demo_range
          or (len(cfg.demo_range) == 2 and cfg.demo_range[0] < cfg.demo_range[1]),
@@ -266,6 +277,8 @@ def build_problem(cfg: RunConfig):
         except TypeError as exc:
             raise ConfigError(f"problem.key = {cfg.problem_key}: {exc}") from exc
     elif cfg.potential_expr:
+        if cfg.dimension != 1:
+            raise ConfigError("problem.potential is one-dimensional")
         model = lagrangian_from_potential(cfg.potential_expr)
     elif cfg.lagrangian_expr:
         if cfg.c1 is None:

@@ -47,7 +47,6 @@ for bit.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -81,8 +80,6 @@ from .laxoleinik import (
 )
 from .model import DiscountedProblem, HamiltonianModel, LagrangianModel
 from .solver import DiscountedField
-
-logger = logging.getLogger(__name__)
 
 _MERGE_TOL = 1e-4       # momenta this close are one limiting gradient
 SINGULAR_TOL = 1e-2     # a reachable-gradient set wider than this is singular
@@ -368,7 +365,9 @@ def propagation_step(field, t1: float, x1, T: float,
     an evolutionary one the zoom's 5 per axis and sweep, 5 in 1D and 20 in
     2D), one batch of concavity probes and, once every check has passed,
     one certificate batch.  The checks run in ladder order; a concavity or
-    uniqueness failure halves the step, up to 6 times.
+    uniqueness failure halves the step, up to 6 times, and a failure after
+    the sixth halving is raised (:class:`ConcavityFailure` or
+    :class:`NonUniqueArgmax`).
     """
     ladder, max_halvings = 4, 6
     x1 = np.atleast_1d(np.asarray(x1, dtype=float))
@@ -421,9 +420,8 @@ def propagation_step(field, t1: float, x1, T: float,
                 far = np.linalg.norm(cand - y, axis=1) > max(4 * h_grid, 0.05 * radii[j])
                 if np.any(vals[far] >= phi - 1e-9):
                     raise NonUniqueArgmax(f"tied maximizers at t = {t:.4g}")
+                # t - t1 <= c2 / (3 c_loc), so the margin is at least 2 c_loc > 0
                 margin_req = constants.c2 / (t - t1) - c_loc
-                if margin_req <= 0:
-                    raise ConcavityFailure("no concavity margin at this step size")
                 for scale, pair in zip(probe_scales, probe_vals[j]):
                     second = float(pair.sum() - 2 * phi)
                     allowed = -0.25 * margin_req * scale * scale
@@ -431,26 +429,17 @@ def propagation_step(field, t1: float, x1, T: float,
                         raise ConcavityFailure(
                             f"objective second difference {second:.3g} above "
                             f"{allowed:.3g} at t = {t:.4g}")
+            break
         except (ConcavityFailure, NonUniqueArgmax) as exc:
-            if attempt < max_halvings:
-                t_step *= 0.5
-                if t_step < 1e-6:
-                    raise ScheduleStall("step halved below 1e-6") from exc
-                continue
-            if not isinstance(exc, NonUniqueArgmax):
+            if attempt == max_halvings:
                 raise
-            logger.warning("argmax stayed tied after %d halvings; taking the "
-                           "maximizer closest to the previous point", max_halvings)
-            prev = points[j - 1] if j > 0 else x1
-            order = np.argsort(np.linalg.norm(cand - prev, axis=1))
-            tied = [k for k in order if vals[k] >= phi - 1e-9]
-            points[j] = cand[tied[0]]
-            times, points = times[: j + 1], points[: j + 1]
-        certs = (reachable_gradients_batch(field, times, points) if certify
-                 else [None] * len(times))
-        return StepResult(t_step=t_step, times=times, points=points,
-                          certificates=certs, constants=constants)
-    raise ScheduleStall("unreachable")
+            t_step *= 0.5
+            if t_step < 1e-6:
+                raise ScheduleStall("step halved below 1e-6") from exc
+    certs = (reachable_gradients_batch(field, times, points) if certify
+             else [None] * len(times))
+    return StepResult(t_step=t_step, times=times, points=points,
+                      certificates=certs, constants=constants)
 
 
 # ---------------------------------------------------------------------------
@@ -472,25 +461,23 @@ class SingularCurve:
         return np.array([c.diameter if c is not None else np.nan
                          for c in self.certificates])
 
-    def speeds(self):
-        dx = np.linalg.norm(np.diff(self.points, axis=0), axis=1)
-        dt = np.diff(self.times)
-        return dx / dt
-
 
 def trace_singular_curve(field, t0: float, x, T_total: float, block: float = 1.0,
                          certify: bool = True) -> SingularCurve:
     """Concatenate propagation steps until the curve covers [t0, T_total].
 
-    On the i-th annulus the step size is recomputed from constants probed
-    on the cone of horizon t0 + i*block (never larger than the previous
-    annulus's) and repeated up to floor(budget / t_i) times; no step runs
-    past T_total.  The schedule records (i, t_i, k_i), k_i the steps that
-    ran on the annulus.  The ball-radius localization
-    |x(s) - x| <= lambda_2 * (s - t0) is checked for every recorded point.
-    With ``certify`` every point gets its certificate and a start point that
-    is not singular raises :class:`InvalidProblem`; without it the
-    certificates are None and any start point is traced.
+    Annuli run until the horizon: on the i-th the step size is recomputed
+    from constants probed on the cone of horizon t0 + i*block (never larger
+    than the previous annulus's) and repeated up to floor(budget / t_i)
+    times; no step runs past T_total, and the last point is at T_total up
+    to rounding.  Each annulus advances by a step of at least 1e-6, or its
+    :func:`propagation_step` raises, so the loop ends.  The schedule
+    records (i, t_i, k_i), k_i the steps that ran on the annulus.  The
+    ball-radius localization |x(s) - x| <= lambda_2 * (s - t0) is checked
+    for every recorded point.  With ``certify`` every point gets its
+    certificate and a start point that is not singular raises
+    :class:`InvalidProblem`; without it the certificates are None and any
+    start point is traced.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     cert0 = None
@@ -514,7 +501,7 @@ def trace_singular_curve(field, t0: float, x, T_total: float, block: float = 1.0
     t_prev_annulus = np.inf
     i = 0
     spent = 0.0
-    while t_cur < T_total - 1e-12 and i < 64:
+    while t_cur < T_total - 1e-12:
         i += 1
         T_i = t0 + i * block
         budget = (T_i - t0) - spent
@@ -552,35 +539,9 @@ def trace_singular_curve(field, t0: float, x, T_total: float, block: float = 1.0
             record(step)
             k_i += 1
         schedule.append((i, t_i, k_i))
-        if t_cur >= T_total - 1e-12:
-            break
-    if t_cur < T_total - 1e-6:
-        raise ScheduleStall(
-            f"trace stalled at t = {t_cur:.4g} before T_total = {T_total:.4g}")
     return SingularCurve(times=np.array(times), points=np.array(points),
                          step_sizes=np.array(steps), schedule=schedule,
                          certificates=certs, localization_ok=loc_ok)
-
-
-def lipschitz_certificate(curve: SingularCurve, constants: ConvexityConstants,
-                          K_T: float) -> dict:
-    """Check every difference quotient of the curve against the C-bound.
-
-    The bound combines the constants of the action kernel with the uniform
-    time-derivative modulus K_T of the field.
-    """
-    margin = 0.1  # relative slack of the bound
-    c1, c2, c3 = constants.c1, constants.c2, constants.c3
-    c4 = c3 / c2 + (K_T + math.sqrt(c1 + K_T)) / (2.0 * c1)
-    quotients = curve.speeds()
-    max_q = float(np.max(quotients)) if quotients.size else 0.0
-    return {
-        "c4": float(c4),
-        "max_quotient": max_q,
-        "passed": bool(max_q <= c4 * (1.0 + margin)),
-        "margin": margin,
-        "K_T": K_T,
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -1121,8 +1082,7 @@ def homotopy(field, x, s: float):
     # unit annulus blocks, capped by the span so the ladder reaches exactly s
     curve = trace_singular_curve(field, t_start, y_hit, t_start + span,
                                  block=min(1.0, span), certify=False)
-    idx = int(np.searchsorted(curve.times, t_start + span + 1e-12, side="right") - 1)
-    return curve.points[max(idx, 1 if len(curve.times) > 1 else 0)].copy()
+    return curve.points[-1].copy()
 
 
 def retraction(field, model, cut_field: CutTimeField, x, s: float):

@@ -61,6 +61,8 @@ box = -3.141592653589793 3.141592653589793
 resolution = 32
 """
 
+POTENTIAL = SINE_KINK.replace("key = sine_kink", "potential = -cos(x)")
+
 FREE_PARTICLE_2D = """
 [problem]
 key = free_particle
@@ -100,6 +102,17 @@ def test_trace(tmp_path, config_text):
     code, out = run(tmp_path, "trace", config_text)
     assert code == 0
     assert (out / "curve.csv").read_bytes() == curve
+
+
+def test_trace_of_many_blocks_reaches_its_horizon(tmp_path):
+    # 75 annuli of 0.02 from t0 = 0.5; the trace used to stop after 64
+    config = SINE_KINK.replace("horizon = 1.5", "horizon = 2.0\nblock = 0.02")
+    code, out = run(tmp_path, "trace", config)
+    assert code == 0
+    # the last annulus ends at t0 + 75 * 0.02, 2.0 up to rounding
+    assert float(data_rows(out / "curve.csv")[-1].split(",")[0]) == pytest.approx(
+        2.0, abs=1e-12)
+    assert len(json.loads((out / "certificates.json").read_text())["schedule"]) > 64
 
 
 @pytest.mark.parametrize("line, replacement, rows", [
@@ -152,6 +165,56 @@ def test_verify(tmp_path, capsys, config_text, flags):
     assert "np.float64" not in out
 
 
+def test_evolve_resamples_u0_on_a_padded_box(tmp_path):
+    # on a box that is not periodic u0 is resampled over the search pad; the
+    # slices keep the configured box and nodes
+    config = FREE_PARTICLE_KINK.replace("u0 = -abs(x)", "u0 = -abs(x)\ntimes = 0.5 1.0")
+    code, out = run(tmp_path, "evolve", config)
+    assert code == 0
+    for t in (0.5, 1.0):
+        u, _ = GridFunction.read(out / f"u_t{t:.6f}.grid")
+        assert u.box.tolist() == [[-6.0, 6.0]] and u.values.shape == (97,)
+        x = u.nodes()[:, 0]
+        assert np.max(np.abs(u.values + np.abs(x) + t / 2)) <= 1e-12
+
+
+def test_evolve_u0_file_without_the_pad_is_a_config_error(tmp_path, capsys):
+    u0 = GridFunction.from_callable(lambda p: -np.abs(p[..., 0]), [(-6.0, 6.0)], 97,
+                                    periodic=False)
+    u0.write(tmp_path / "u0.grid")
+    config = FREE_PARTICLE_KINK.replace(
+        "u0 = -abs(x)", f"u0_file = {tmp_path / 'u0.grid'}\ntimes = 0.5 1.0")
+    code, out = run(tmp_path, "evolve", config)
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("hjsing: config error:") and "localization pad" in err
+    assert not list(out.glob("u_t*.grid"))
+
+
+@pytest.mark.parametrize("command, output", [("solve", "v.grid"), ("constants", None)])
+def test_potential_model(tmp_path, capsys, command, output):
+    code, out = run(tmp_path, command, POTENTIAL)
+    assert code == 0
+    if output:
+        assert (out / output).is_file()
+    else:
+        assert "c3" in json.loads(capsys.readouterr().out)
+
+
+def test_no_subcommand_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main([])
+    assert exit_.value.code == 3
+    assert "hjsing: error:" in capsys.readouterr().err
+
+
+def test_non_numeric_value_is_a_bad_config_value(tmp_path, capsys):
+    code, _ = run(tmp_path, "constants", SINE_KINK.replace("lambda = 1.0", "lambda = one"))
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("hjsing: config error: bad config value:")
+
+
 def test_constants(tmp_path, capsys):
     code, _ = run(tmp_path, "constants", SINE_KINK)
     assert code == 0
@@ -174,23 +237,32 @@ def test_constants_2d_without_trace_section(tmp_path, capsys):
     assert "c3" in json.loads(capsys.readouterr().out)
 
 
-@pytest.mark.parametrize("line, replacement, flags", [
-    ("lambda = 1.0", "lambda = -1", ()),
-    ("lambda = 1.0", "lambda = 1.0", ("--tol", "0")),
-    ("lambda = 1.0", "lambda = 1.0\neps = -1", ()),
-    ("lambda = 1.0", "lambda = 1.0\nc1 = -1", ()),
-    ("key = sine_kink", "key = pendulum\neps = 0.1", ()),
-    ("times = 0.5", "times = -0.5", ()),
-    ("demo_range = 0.3 1.0", "demo_range = 0.3", ()),
-    ("x0 = 0.0", "x0 = 0.0 1.0", ()),
-    ("[trace]", "[trace]\nfield = evolutinary", ()),
-    ("[trace]", "[singular]\ncalib_tol = 1e-3\n\n[trace]", ()),
-    ("horizon = 1.5", "horizion = 1.5", ()),
-    ("[trace]", "[tarce]", ()),
+@pytest.mark.parametrize("base, line, replacement, flags", [
+    (SINE_KINK, "lambda = 1.0", "lambda = -1", ()),
+    (SINE_KINK, "lambda = 1.0", "lambda = 1.0", ("--tol", "0")),
+    (SINE_KINK, "lambda = 1.0", "lambda = 1.0\neps = -1", ()),
+    (SINE_KINK, "lambda = 1.0", "lambda = 1.0\nc1 = -1", ()),
+    (SINE_KINK, "key = sine_kink", "key = pendulum\neps = 0.1", ()),
+    (SINE_KINK, "times = 0.5", "times = -0.5", ()),
+    (SINE_KINK, "demo_range = 0.3 1.0", "demo_range = 0.3", ()),
+    (SINE_KINK, "x0 = 0.0", "x0 = 0.0 1.0", ()),
+    (SINE_KINK, "[trace]", "[trace]\nfield = evolutinary", ()),
+    (SINE_KINK, "[trace]", "[singular]\ncalib_tol = 1e-3\n\n[trace]", ()),
+    (SINE_KINK, "horizon = 1.5", "horizion = 1.5", ()),
+    (SINE_KINK, "[trace]", "[tarce]", ()),
+    (SINE_KINK, "resolution = 32", "resolution = 32\nperiodic = maybe", ()),
+    (SINE_KINK, "t0 = 0.5", "t0 = 0\nfield = evolutionary", ()),
+    (SINE_KINK, "horizon = 1.5", "horizon = 0.4", ()),
+    (FREE_PARTICLE_2D, "resolution = 16", "resolution = 16\n\n[evolve]\nresolution = 16 16 16",
+     ()),
+    (FREE_PARTICLE_2D, "key = free_particle", "potential = -cos(x1)", ()),
 ], ids=["lambda", "tol", "eps", "c1", "eps_key", "times", "demo_range", "x0", "field",
-        "calib_tol", "misspelled_key", "misspelled_section"])
-def test_malformed_config_is_a_config_error(tmp_path, capsys, line, replacement, flags):
-    code, _ = run(tmp_path, "constants", SINE_KINK.replace(line, replacement), *flags)
+        "calib_tol", "misspelled_key", "misspelled_section", "periodic", "evolutionary_t0",
+        "horizon_before_t0", "evolve_resolution", "potential_2d"])
+def test_malformed_config_is_a_config_error(tmp_path, capsys, base, line, replacement,
+                                            flags):
+    assert line in base
+    code, _ = run(tmp_path, "constants", base.replace(line, replacement), *flags)
     err = capsys.readouterr().err
     assert code == 3
     assert err.startswith("hjsing: config error:") and err.count("\n") == 1

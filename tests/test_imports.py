@@ -1,6 +1,7 @@
 """Every name a library module imports is used in that module, every
-private module-level name is referenced somewhere in the library, and one
-routine holds the library's only ODE integration."""
+private module-level name is referenced somewhere in the library, every
+exported function or class has a caller in the program, and one routine
+holds the library's only ODE integration."""
 
 import ast
 from pathlib import Path
@@ -9,8 +10,17 @@ import pytest
 
 import hjsing
 
-SOURCES = sorted(Path(hjsing.__file__).parent.glob("*.py"))
+PACKAGE = Path(hjsing.__file__).parent
+SOURCES = sorted(PACKAGE.glob("*.py"))
 MODULES = [p for p in SOURCES if p.name != "__init__.py"]   # __init__ imports to re-export
+BENCHMARK = sorted((PACKAGE.parents[1] / "hjbench").rglob("*.py"))
+
+# exported functions and classes that no program code calls, each with its reason
+ALLOWED_EXPORTS = {
+    # the paper's backward operator T^- in the a-priori ball, which the
+    # operator tests call; the program runs localized_convolution directly
+    "lax_oleinik_minus",
+}
 
 
 def unused_imports(source: str) -> list:
@@ -59,6 +69,54 @@ def unreferenced_private_names(sources: dict) -> list:
     return sorted((module, name) for module, name, stmt in defined
                   if not any(name in names for other, names in referenced
                              if other is not stmt))
+
+
+def _loaded_names(stmt) -> set:
+    """Names a statement reads, as a plain name or as an attribute."""
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(stmt)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+            or isinstance(node, ast.Attribute)}
+
+
+def exports_without_callers(init_source: str, modules: dict, callers: list) -> list:
+    """The public functions and classes that the package ``__init__``
+    re-exports (``from .module import name``) and that no top-level
+    statement of ``modules`` or ``callers`` reads, apart from the one that
+    defines it.  ``modules`` maps a module name to its source; ``callers``
+    holds the sources of the program code outside the package."""
+    trees = {module: ast.parse(source).body for module, source in modules.items()}
+    defined = {(module, stmt.name): stmt for module, body in trees.items() for stmt in body
+               if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))}
+    statements = [stmt for body in trees.values() for stmt in body]
+    statements += [stmt for source in callers for stmt in ast.parse(source).body]
+    reads = [(stmt, _loaded_names(stmt)) for stmt in statements]
+    exported = [(node.module, alias.name) for node in ast.parse(init_source).body
+                if isinstance(node, ast.ImportFrom) and node.level == 1
+                for alias in node.names if not alias.name.startswith("_")]
+    return sorted(name for module, name in exported if (module, name) in defined
+                  and not any(name in names for stmt, names in reads
+                              if stmt is not defined[(module, name)]))
+
+
+def test_scan_finds_exports_without_callers():
+    init = "from .a import K, f, g, _h\nfrom .b import CONST, use\n"
+    modules = {
+        "a": "class K:\n    pass\n\ndef f():\n    pass\n\n"
+             "def g(n):\n    return g(n - 1)\n\ndef _h():\n    pass\n",
+        "b": "from .a import f\n\nCONST = 1\n\ndef use():\n    return f()\n",
+    }
+    callers = ["import lib\n\nlib.K()\n"]
+    assert exports_without_callers(init, modules, callers) == ["g", "use"]
+    callers.append("from lib import use\n\nuse()\n")
+    assert exports_without_callers(init, modules, callers) == ["g"]
+
+
+def test_every_export_has_a_caller():
+    modules = {p.stem: p.read_text() for p in MODULES}
+    callers = [p.read_text() for p in BENCHMARK]
+    init = (PACKAGE / "__init__.py").read_text()
+    assert set(exports_without_callers(init, modules, callers)) == ALLOWED_EXPORTS
 
 
 def test_scan_finds_unused_names():

@@ -21,7 +21,6 @@ from hjsing import (
     homotopy,
     is_singular,
     laxoleinik,
-    lipschitz_certificate,
     model,
     propagation_step,
     reachable_gradients,
@@ -32,7 +31,6 @@ from hjsing import (
     trace_singular_curve,
 )
 from hjsing.action import minimize_paths
-from hjsing.laxoleinik import solution_lipschitz_bound
 from hjsing.model import DiscountedProblem, GrowthData, HamiltonianModel, LagrangianModel
 from hjsing.singular import CutTimeField, _argmax_points
 
@@ -171,6 +169,48 @@ class TestPropagationStep:
             propagation_step(hopf_kink_field, 0.5, [0.0],
                              1.5, step_cap=1e-8)
 
+    @staticmethod
+    def _spoil_argmax(monkeypatch, spoil, attempts):
+        """Route ``_argmax_points`` through ``spoil(phis, scan_vals)`` on the
+        first ``attempts`` calls; returns the ladder span of every call."""
+        original = singular._argmax_points
+        spans = []
+
+        def spoiled(field, action_model, t1, x1, times, radii):
+            ys, phis, scans, scan_vals = original(field, action_model, t1, x1, times, radii)
+            spans.append(times[-1] - t1)
+            if len(spans) <= attempts:
+                phis, scan_vals = spoil(phis, scan_vals)
+            return ys, phis, scans, scan_vals
+
+        monkeypatch.setattr(singular, "_argmax_points", spoiled)
+        return spans
+
+    @staticmethod
+    def _tie(phis, scan_vals):
+        # every lattice node as high as the maximizer, the distant ones too
+        return phis, [np.maximum(vals, phi) for vals, phi in zip(scan_vals, phis)]
+
+    @staticmethod
+    def _flatten(phis, scan_vals):
+        # a maximizer 1 below its probes: no tie, but a convex second difference
+        return phis - 1.0, [np.full_like(vals, -np.inf) for vals in scan_vals]
+
+    @pytest.mark.parametrize("spoil", ["_tie", "_flatten"],
+                             ids=["non-unique", "concavity"])
+    def test_failed_attempt_halves_the_step(self, sine_field, monkeypatch, spoil):
+        spans = self._spoil_argmax(monkeypatch, getattr(self, spoil), attempts=1)
+        step = propagation_step(sine_field, 1.0, [0.0], 2.0, certify=False)
+        assert len(spans) == 2
+        assert step.t_step == pytest.approx(spans[0] / 2, rel=1e-12)
+        assert step.times[-1] - 1.0 == pytest.approx(spans[0] / 2, rel=1e-12)
+
+    def test_tie_after_the_last_halving_raises(self, sine_field, monkeypatch):
+        spans = self._spoil_argmax(monkeypatch, self._tie, attempts=math.inf)
+        with pytest.raises(errors.NonUniqueArgmax):
+            propagation_step(sine_field, 1.0, [0.0], 2.0, certify=False)
+        assert len(spans) == 7      # the first attempt and 6 halvings
+
     @pytest.mark.parametrize("kind, start, bound", [
         ("discounted", (1.0, [0.0], 2.0), 12),
         ("evolutionary", (0.5, [0.25], 1.5), 55),
@@ -213,6 +253,12 @@ def test_unconverged_objective_raises(sine_field, monkeypatch):
                                    np.zeros(1), np.full(3, 1.5), ys)
 
 
+def max_difference_quotient(curve):
+    """The largest |x(s') - x(s)| / (s' - s) over consecutive curve points."""
+    dx = np.linalg.norm(np.diff(curve.points, axis=0), axis=1)
+    return float(np.max(dx / np.diff(curve.times)))
+
+
 class TestTrace:
     def test_stationary_kink_curve(self, hopf_kink_field, free_particle_1d):
         curve = trace_singular_curve(hopf_kink_field, 0.5,
@@ -221,6 +267,7 @@ class TestTrace:
         assert np.all(curve.certificate_diameters[1:] >= 1.9)
         assert curve.localization_ok
         assert curve.times[-1] >= 3.0 - 1e-9
+        assert max_difference_quotient(curve) <= 1e-6
 
     def test_shock_curve(self, shock_field, free_particle_1d, monkeypatch):
         rows = []
@@ -236,6 +283,7 @@ class TestTrace:
                                      [0.25], 2.0)
         err = np.max(np.abs(curve.points[:, 0] - curve.times / 2))
         assert err <= 5e-2
+        assert max_difference_quotient(curve) == pytest.approx(0.5, abs=5e-2)
         # the zoom searches no node of the lattice its seed won again; the
         # start of each of the 7 later steps is searched for its semiconcavity
         # probe.  2,288 rows were searched when a per-field memo served both
@@ -330,6 +378,27 @@ class TestArgmax:
                                      shock_field.lambda2(1.5) * (ts - 0.5))
         assert np.max(np.abs(ys[:, 0] - ts / 2)) <= 1e-6
 
+    def test_runner_up_seed_is_polished(self, counterexample_problem, monkeypatch):
+        # v = cos 4x is symmetric about x1 = pi/4, so the scan's best node and
+        # its mirror tie; both go to the cell polish
+        v = GridFunction.from_callable(lambda p: np.cos(4 * p[..., 0]),
+                                       [(0.0, 2 * np.pi)], 256, periodic=True)
+        field = solver.DiscountedField(counterexample_problem, v)
+        seeds = []
+        polish = singular._cell_polish
+
+        def recording(grid, solve, z, *args, **kwargs):
+            seeds.append(z[:, 0].copy())
+            return polish(grid, solve, z, *args, **kwargs)
+
+        monkeypatch.setattr(singular, "_cell_polish", recording)
+        (y,), _, _, _ = _argmax_points(field, field.action_lagrangian(2.0), 1.0,
+                                       np.array([np.pi / 4]), np.array([2.0]),
+                                       np.array([0.9]))
+        assert len(seeds) == 1
+        np.testing.assert_allclose(seeds[0], [0.035, 1.535], atol=1e-3)
+        assert abs(y[0] - 0.035) <= float(v.spacing[0])
+
     @pytest.mark.parametrize("x1, node", [(0.05, 0.0), (1.0, None)],
                              ids=["kink", "interior"])
     def test_discounted_polish_beats_a_dense_lattice(self, period_field, x1, node):
@@ -353,30 +422,6 @@ class TestArgmax:
             assert abs(y[0] / h - round(y[0] / h)) > 1e-3
         else:
             assert y[0] == node
-
-
-class TestLipschitzCertificate:
-    def test_stationary_curve(self, hopf_kink_field, free_particle_1d):
-        curve = trace_singular_curve(hopf_kink_field, 0.5,
-                                     [0.0], 1.5)
-        constants = estimate_constants(free_particle_1d, 0.5, [0.0], 1.5, 2.0)
-        growth = hopf_kink_field.action_lagrangian(1.5).growth
-        K_T = solution_lipschitz_bound(growth, 1.5,
-                                       hopf_kink_field.u0.lipschitz_estimate)
-        report = lipschitz_certificate(curve, constants, K_T)
-        assert report["passed"]
-        assert report["max_quotient"] <= 1e-6
-
-    def test_shock_curve_quotients(self, shock_field, free_particle_1d):
-        curve = trace_singular_curve(shock_field, 0.5,
-                                     [0.25], 1.5)
-        constants = estimate_constants(free_particle_1d, 0.5, [0.25], 1.5, 3.0)
-        growth = shock_field.action_lagrangian(1.5).growth
-        K_T = solution_lipschitz_bound(growth, 1.5,
-                                       shock_field.u0.lipschitz_estimate)
-        report = lipschitz_certificate(curve, constants, K_T)
-        assert report["max_quotient"] == pytest.approx(0.5, abs=5e-2)
-        assert report["passed"]
 
 
 class TestCutTime:
