@@ -1,37 +1,15 @@
 """Command-line drivers: solve | evolve | trace | cutlocus | verify | constants.
 
 Configuration is INI text, ``key = value`` lines under ``[section]``
-headers with ``#`` comments.  The keys and their defaults:
-
-[problem]   key (free_particle, pendulum, sine_kink, double_well), or
-            lagrangian (an expression of s, x, v), or potential (V(x), for
-            L = v^2/2 - V; 1D only); lambda = 1.0 (> 0); dimension = 1; eps = 0
-            (sine_kink smoothing, >= 0); c1 (>= 0), c2: the growth
-            offsets v^2/2 - c1 <= L <= v^2/2 + c2 of the model, which
-            every subcommand uses (unset: the catalog model's own, or
-            from the potential's samples; a lagrangian needs c1, and its
-            c2 is 0 unless set)
-[grid]      box = -pi pi (2 numbers, or 2 per axis); resolution = 128
-            (1 count, or 1 per axis; >= 16); periodic = true (true, false,
-            yes, no, 1 or 0)
-[solve]     tol = 1e-3 (> 0)
-[singular]  tau_horizon = 20/lambda
-[evolve]    u0 (an expression of x or x1, x2, ...) or u0_file (a .grid);
-            times (> 0, increasing); box, resolution (1 count, or 1 per
-            axis; unset: from [grid])
-[trace]     t0 = 0.5 (> 0 for the evolutionary field); x0 = 0 on every axis
-            (1 number per axis); horizon = 2.0 (>= t0); block = 1.0;
-            field = discounted (or evolutionary)
-[cutlocus]  demo_points = 20; demo_range = lo hi (unset: the first axis)
-[run]       out = out; seed = 0
-
-An unknown section or key is a config error.  ``--out``, ``--seed``,
-``--tol`` and, for trace, ``--t0`` and ``--x0`` override the config.
-Outputs land in the configured directory and carry a metadata comment
-header (version, config hash, seed, solver tolerance); with a fixed
-seed, repeated runs produce byte-identical files.
+headers with ``#`` comments; its keys, defaults, rules and override flags
+follow.  Numbers are finite, separated by spaces or commas, and k numbers
+per axis may be given once for every axis.  An empty value leaves its key
+unset; an unknown section or key is an error.  Outputs carry a comment
+header (version, config hash, seed, tol); with a fixed seed, repeated runs
+write byte-identical files.
 
 Exit codes: 0 success, 2 numerical failure, 3 usage or config error.
+
 """
 
 from __future__ import annotations
@@ -43,8 +21,11 @@ import json
 import logging
 import math
 import sys
-from dataclasses import dataclass, field as dataclass_field, replace
+from collections import namedtuple
+from dataclasses import replace
+from itertools import groupby
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -88,211 +69,197 @@ logger = logging.getLogger("hjsing")
 # ---------------------------------------------------------------------------
 # configuration
 
-@dataclass
-class RunConfig:
-    """Validated run settings; the module docstring lists the config keys."""
-
-    problem_key: str = ""
-    lagrangian_expr: str = ""
-    potential_expr: str = ""
-    lam: float = 1.0
-    dimension: int = 1
-    model_kwargs: dict = dataclass_field(default_factory=dict)
-    c1: float | None = None
-    c2: float | None = None
-
-    box: np.ndarray = None
-    resolution: tuple = (128,)
-    periodic: bool = True
-
-    tol: float = 1e-3
-    tau_horizon: float | None = None
-
-    u0_expr: str = ""
-    u0_file: str = ""
-    evolve_times: tuple = ()
-    evolve_box: np.ndarray = None
-    evolve_resolution: tuple = ()
-
-    trace_t0: float = 0.5
-    trace_x0: tuple = (0.0,)
-    trace_horizon: float = 2.0
-    trace_block: float = 1.0
-    trace_field: str = "discounted"
-
-    demo_points: int = 20
-    demo_range: tuple = ()
-
-    out: str = "out"
-    seed: int = 0
-    raw_text: str = ""
-
-    def config_hash(self) -> str:
-        digest = hashlib.sha256(self.raw_text.encode()).hexdigest()
-        return digest[:16]
+class RunConfig(SimpleNamespace):
+    """Run settings: an attribute per row of :data:`KEYS`, and ``raw_text``."""
 
     def header(self, extra=()):
-        base = [f"hjsing {__version__}", f"config {self.config_hash()}",
-                f"seed {self.seed}", f"tol {repr(self.tol)}"]
-        return base + list(extra)
+        digest = hashlib.sha256(self.raw_text.encode()).hexdigest()[:16]
+        return [f"hjsing {__version__}", f"config {digest}", f"seed {self.seed}",
+                f"tol {repr(self.tol)}", *extra]
 
 
-def _parse_floats(text: str):
-    return [float(tok) for tok in text.replace(",", " ").split()]
+# A config key, [section] name, sets RunConfig.<attr> (by default the name).
+# kind is str, float, int or a dict from the accepted words to their values.
+# A numeric key takes count numbers (0: one or more), or with per_axis also
+# count per axis; one number is a scalar, 2 per axis a (dimension, 2) array.
+# rule holds for each number ("> b", ">= b") or pair ("lo < hi").  default is
+# config text, None (unset) or a function of the settings read before it.
+# flag --<name> overrides the key in every subcommand ("all") or in one.
+Key = namedtuple("Key", "section name kind default help rule count per_axis attr flag",
+                 defaults=("", 1, False, "", ""))
 
 
-def _parse_box(text: str, dimension: int) -> np.ndarray:
-    vals = _parse_floats(text)
-    if len(vals) == 2 and dimension >= 1:
-        vals = vals * dimension
-    if len(vals) != 2 * dimension:
-        raise ConfigError(f"box needs 2 or {2 * dimension} numbers, got {len(vals)}")
-    box = np.array(vals, dtype=float).reshape(dimension, 2)
-    if np.any(box[:, 1] <= box[:, 0]):
-        raise ConfigError("box needs min < max on every axis")
-    return box
+def _describe(key: Key) -> str:
+    """The key's entry in the module docstring and in its config errors."""
+    what = " or ".join(key.kind) if isinstance(key.kind, dict) else ""
+    if key.kind in (float, int):
+        noun = "number" if key.kind is float else "integer"
+        what = f"{key.count} {noun}" + "s" * (key.count > 1) if key.count else noun + "s"
+        what += (f", or {key.count} per axis" if key.per_axis else "") + (
+            f" ({key.rule})" if key.rule else "")
+    head = f"{key.name} = {key.default}" if isinstance(key.default, str) else key.name
+    flag = f"; --{key.name} ({'every subcommand' if key.flag == 'all' else key.flag})"
+    return f"{head}: {what + '; ' if what else ''}{key.help}{flag if key.flag else ''}"
+
+
+def _value(key: Key, text: str, cfg: RunConfig):
+    """The value of the key's config text, which is empty when unset."""
+    if not text and not isinstance(key.default, str):
+        return key.default(cfg) if callable(key.default) else key.default
+    text = text or key.default
+    if key.kind is str:
+        return text
+    error = ConfigError(f"bad config value: {key.section}.{key.name} = {text}; "
+                        f"its entry: {_describe(key)}")
+    if isinstance(key.kind, dict):
+        if text.lower() not in key.kind:
+            raise error
+        return key.kind[text.lower()]
+    try:
+        numbers = [key.kind(tok) for tok in text.replace(",", " ").split()]
+    except ValueError:
+        raise error from None
+    if key.per_axis and len(numbers) == key.count:
+        numbers *= cfg.dimension
+    count = key.count * (cfg.dimension if key.per_axis else 1)
+    fits = len(numbers) == count if count else len(numbers) > 0
+    if not (fits and all(map(math.isfinite, numbers))):
+        raise error
+    value = (numbers[0] if key.count == 1 and not key.per_axis
+             else np.reshape(numbers, (-1, 2)) if key.count == 2 and key.per_axis
+             else tuple(numbers))
+    if key.rule and not _obeys(key.rule, np.asarray(value)):
+        raise error
+    return value
+
+
+def _obeys(rule: str, a: np.ndarray) -> bool:
+    if rule == "lo < hi":
+        return bool(np.all(a[..., 0] < a[..., 1]))
+    op, bound = rule.split()
+    return bool(np.all(a > float(bound) if op == ">" else a >= float(bound)))
+
+
+_BOOL = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
+
+KEYS = (
+    Key("problem", "key", str, None, "a catalog model: free_particle, pendulum, sine_kink "
+        "or double_well", attr="problem_key"),
+    Key("problem", "lagrangian", str, None, "or L(s, x, v), an expression; needs c1"),
+    Key("problem", "potential", str, None, "or V(x) of L = v^2/2 - V, in 1D"),
+    Key("problem", "lambda", float, "1.0", "the discount rate", "> 0", attr="lam"),
+    Key("problem", "dimension", int, "1", "the number of axes", ">= 1"),
+    Key("problem", "eps", float, None, "the smoothing of sine_kink", ">= 0"),
+    Key("problem", "c1", float, None, "v^2/2 - c1 <= L (unset: the model's own)", ">= 0"),
+    Key("problem", "c2", float, None, "L <= v^2/2 + c2 (unset: the model's own, 0 for a "
+        "lagrangian); c1 and c2 must hold at 200 samples of the box"),
+    Key("grid", "box", float, "-3.141592653589793 3.141592653589793", "the domain",
+        "lo < hi", 2, per_axis=True),
+    Key("grid", "resolution", int, "128", "nodes per axis", ">= 16", per_axis=True),
+    Key("grid", "periodic", _BOOL, "true", "one period per axis"),
+    Key("solve", "tol", float, "1e-3", "the solver tolerance", "> 0", flag="all"),
+    Key("singular", "tau_horizon", float, lambda cfg: 20.0 / cfg.lam,
+        "the cut-time horizon (unset: 20/lambda)", "> 0"),
+    Key("evolve", "u0", str, None, "u(0, x), an expression of x or x1, x2, ..."),
+    Key("evolve", "u0_file", str, None, "or u(0, x) as a .grid file"),
+    Key("evolve", "times", float, None, "the slice times", "> 0", 0),
+    Key("evolve", "box", float, lambda cfg: cfg.box, "their box (unset: the grid's)",
+        "lo < hi", 2, per_axis=True, attr="evolve_box"),
+    Key("evolve", "resolution", int, lambda cfg: cfg.resolution, "their nodes (unset: "
+        "the grid's)", ">= 2", per_axis=True, attr="evolve_resolution"),
+    Key("trace", "t0", float, "0.5", "the start time", attr="trace_t0", flag="trace"),
+    Key("trace", "x0", float, "0", "the start point", per_axis=True, attr="trace_x0",
+        flag="trace"),
+    Key("trace", "horizon", float, "2.0", "the end time", attr="trace_horizon"),
+    Key("trace", "block", float, "1.0", "the annulus length", "> 0", attr="trace_block"),
+    Key("trace", "field", {"discounted": "discounted", "evolutionary": "evolutionary"},
+        "discounted", "the traced field", attr="trace_field"),
+    Key("cutlocus", "demo_points", int, "20", "points of the retraction demo", ">= 0"),
+    Key("cutlocus", "demo_range", float, None, "their range (unset: the box's first axis)",
+        "lo < hi", 2),
+    Key("run", "out", str, "out", "the output directory", flag="all"),
+    Key("run", "seed", int, "0", "the seed of the demo and verify draws", ">= 0",
+        flag="all"),
+)
+KEYS = tuple(key._replace(attr=key.attr or key.name) for key in KEYS)
+
+# the rules that span keys, checked once every key is read
+ACROSS_KEYS = (
+    ("trace.horizon >= trace.t0", lambda cfg: cfg.trace_horizon >= cfg.trace_t0),
+    ("trace.t0 > 0 for the evolutionary field",
+     lambda cfg: cfg.trace_field == "discounted" or cfg.trace_t0 > 0),
+    ("increasing evolve.times",
+     lambda cfg: cfg.times is None or bool(np.all(np.diff(cfg.times) > 0))),
+)
+
+__doc__ = (__doc__ or "") + "\n\n".join(
+    f"[{section}]\n" + "\n".join("  " + _describe(key) for key in keys)
+    for section, keys in groupby(KEYS, lambda key: key.section))
+__doc__ += "\n\nAcross keys: " + "; ".join(message for message, _ in ACROSS_KEYS) + ".\n"
 
 
 def load_config(path: str, overrides: dict) -> RunConfig:
+    """Every key of :data:`KEYS`, from ``overrides`` (by attribute) or the
+    config at ``path``, checked by its rule and by :data:`ACROSS_KEYS`."""
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
     text = Path(path).read_text()
-    try:
-        parser.read_string(text)
-    except configparser.Error as exc:
-        raise ConfigError(f"cannot parse config {path}: {exc}") from exc
-
-    read = set()     # (section, key) pairs the parsing below asks for
-
-    def get(section, key, default=None):
-        read.add((section, key))
-        if parser.has_option(section, key):
-            return parser.get(section, key)
-        return default
-
-    cfg = RunConfig(raw_text=text + repr(sorted(overrides.items())))
-    try:
-        cfg.problem_key = get("problem", "key", "")
-        cfg.lagrangian_expr = get("problem", "lagrangian", "")
-        cfg.potential_expr = get("problem", "potential", "")
-        cfg.lam = float(get("problem", "lambda", "1.0"))
-        cfg.dimension = int(get("problem", "dimension", "1"))
-        if get("problem", "eps") is not None:
-            cfg.model_kwargs["eps"] = float(get("problem", "eps"))
-        if get("problem", "c1") is not None:
-            cfg.c1 = float(get("problem", "c1"))
-        if get("problem", "c2") is not None:
-            cfg.c2 = float(get("problem", "c2"))
-
-        cfg.box = _parse_box(get("grid", "box", "-3.141592653589793 3.141592653589793"),
-                             cfg.dimension)
-        res = get("grid", "resolution", "128")
-        vals = [int(v) for v in res.replace(",", " ").split()]
-        cfg.resolution = tuple(vals) if len(vals) > 1 else (vals[0],) * cfg.dimension
-        periodic = get("grid", "periodic", "true").strip().lower()
-        if periodic not in ("1", "true", "yes", "0", "false", "no"):
-            raise ValueError(f"grid.periodic must be true or false, not {periodic!r}")
-        cfg.periodic = periodic in ("1", "true", "yes")
-
-        cfg.tol = float(get("solve", "tol", "1e-3"))
-        th = get("singular", "tau_horizon")
-        cfg.tau_horizon = float(th) if th is not None else None
-
-        cfg.u0_expr = get("evolve", "u0", "")
-        cfg.u0_file = get("evolve", "u0_file", "")
-        times = get("evolve", "times", "")
-        cfg.evolve_times = tuple(_parse_floats(times)) if times else ()
-        if get("evolve", "box"):
-            cfg.evolve_box = _parse_box(get("evolve", "box"), cfg.dimension)
-        if get("evolve", "resolution"):
-            vals = [int(v) for v in get("evolve", "resolution").replace(",", " ").split()]
-            cfg.evolve_resolution = tuple(vals) if len(vals) > 1 else (vals[0],) * cfg.dimension
-
-        cfg.trace_t0 = float(get("trace", "t0", "0.5"))
-        cfg.trace_x0 = tuple(_parse_floats(get("trace", "x0", "0 " * cfg.dimension)))
-        cfg.trace_horizon = float(get("trace", "horizon", "2.0"))
-        cfg.trace_block = float(get("trace", "block", "1.0"))
-        cfg.trace_field = get("trace", "field", "discounted")
-
-        cfg.demo_points = int(get("cutlocus", "demo_points", "20"))
-        rng_text = get("cutlocus", "demo_range", "")
-        cfg.demo_range = tuple(_parse_floats(rng_text)) if rng_text else ()
-
-        cfg.out = get("run", "out", "out")
-        cfg.seed = int(get("run", "seed", "0"))
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"bad config value: {exc}") from exc
-    sections = {section for section, _ in read}
+    parser.read_string(text, source=path)
+    known = {(key.section, key.name) for key in KEYS}
+    sections = {section for section, _ in known}
     unknown = [f"[{s}]" for s in parser.sections() if s not in sections]
-    unknown += [f"{s}.{key}" for s in parser.sections() if s in sections
-                for key in parser.options(s) if (s, key) not in read]
+    unknown += [f"{s}.{name}" for s in parser.sections() if s in sections
+                for name in parser.options(s) if (s, name) not in known]
     if unknown:
         raise ConfigError("unknown config section or key: " + ", ".join(unknown))
 
-    for key, val in overrides.items():
-        if val is not None:
-            setattr(cfg, key, val)
-
-    times = np.asarray(cfg.evolve_times)
-    for ok, message in [
-        (cfg.lam > 0, "problem.lambda must be > 0"),
-        (cfg.model_kwargs.get("eps", 0.0) >= 0, "problem.eps must be >= 0"),
-        (cfg.c1 is None or cfg.c1 >= 0, "problem.c1 must be >= 0"),
-        (len(cfg.resolution) == cfg.dimension,
-         f"grid.resolution needs 1 or {cfg.dimension} counts"),
-        (min(cfg.resolution) >= 16, "resolution must be at least 16 nodes per axis"),
-        (cfg.tol > 0, "solve.tol must be > 0"),
-        (cfg.tau_horizon is None or cfg.tau_horizon > 0,
-         "singular.tau_horizon must be > 0"),
-        (np.all(times > 0) and np.all(np.diff(times) > 0),
-         "evolve.times must be positive and increasing"),
-        (len(cfg.evolve_resolution) in (0, cfg.dimension),
-         f"evolve.resolution needs 1 or {cfg.dimension} counts"),
-        (len(cfg.trace_x0) == cfg.dimension,
-         f"trace.x0 needs {cfg.dimension} number(s), got {len(cfg.trace_x0)}"),
-        (cfg.trace_field in ("discounted", "evolutionary"),
-         f"trace.field must be discounted or evolutionary, not {cfg.trace_field!r}"),
-        (cfg.trace_field == "discounted" or cfg.trace_t0 > 0,
-         "trace.t0 must be > 0 for the evolutionary field"),
-        (cfg.trace_horizon >= cfg.trace_t0, "trace.horizon must be >= trace.t0"),
-        (cfg.trace_block > 0, "trace.block must be > 0"),
-        (not cfg.demo_range
-         or (len(cfg.demo_range) == 2 and cfg.demo_range[0] < cfg.demo_range[1]),
-         "cutlocus.demo_range needs two numbers lo < hi"),
-    ]:
-        if not ok:
-            raise ConfigError(message)
-    if cfg.tau_horizon is None:
-        cfg.tau_horizon = 20.0 / cfg.lam
+    cfg = RunConfig(raw_text=text + repr(sorted(overrides.items())))
+    for key in KEYS:
+        given = overrides.get(key.attr)
+        raw = (parser.get(key.section, key.name, fallback="") if given is None
+               else " ".join(map(str, given)) if isinstance(given, list) else str(given))
+        setattr(cfg, key.attr, _value(key, raw, cfg))
+    for message, holds in ACROSS_KEYS:
+        if not holds(cfg):
+            raise ConfigError(f"config needs {message}")
     return cfg
 
 
 def build_problem(cfg: RunConfig):
     """Discounted problem from the config's model section; ``c1``/``c2``, when
-    set, replace the model's growth offsets whatever the model's source.  A
+    set, replace the model's growth offsets whatever the model's source, and
+    must bound L at :func:`check_tonelli`'s samples of the box.  A
     ``lagrangian`` expression, whose own offsets are placeholders, needs
     ``c1``; without it the config is an error."""
     if cfg.problem_key:
         try:
-            model = lagrangian_by_key(cfg.problem_key, cfg.dimension, **cfg.model_kwargs)
+            model = lagrangian_by_key(cfg.problem_key, cfg.dimension,
+                                      **({} if cfg.eps is None else dict(eps=cfg.eps)))
         except TypeError as exc:
             raise ConfigError(f"problem.key = {cfg.problem_key}: {exc}") from exc
-    elif cfg.potential_expr:
+    elif cfg.potential:
         if cfg.dimension != 1:
             raise ConfigError("problem.potential is one-dimensional")
-        model = lagrangian_from_potential(cfg.potential_expr)
-    elif cfg.lagrangian_expr:
+        model = lagrangian_from_potential(cfg.potential)
+    elif cfg.lagrangian:
         if cfg.c1 is None:
             # the expression model's c_T = 0 is a placeholder, and the search
             # ball and the coarse re-score's action floor both rely on c_T
             raise ConfigError("problem.lagrangian needs problem.c1, the growth offset "
                               "in v^2/2 - c1 <= L")
-        model = lagrangian_from_expression(cfg.lagrangian_expr, cfg.dimension)
+        model = lagrangian_from_expression(cfg.lagrangian, cfg.dimension)
     else:
         raise ConfigError("config needs one of problem.key / problem.lagrangian / "
                           "problem.potential")
     g = model.growth
     model.growth = replace(g, c_T=g.c_T if cfg.c1 is None else cfg.c1,
                            offset=g.offset if cfg.c2 is None else cfg.c2)
+    if cfg.c1 is not None or cfg.c2 is not None:
+        # a too small offset shrinks the search ball, a silent miss later
+        report = check_tonelli(model, cfg.box, horizon=1.0)
+        lower, upper = report.lower_growth_margin, report.upper_growth_margin
+        if not (lower >= 0 and upper >= 0):
+            raise ConfigError(f"c1, c2 do not bound L at {report.samples} samples: the least "
+                              f"L - v^2/2 + c1 is {lower:.3g}, v^2/2 + c2 - L {upper:.3g}")
     return discounted_from_model(model, cfg.lam)
 
 
@@ -315,9 +282,9 @@ def _load_u0(cfg: RunConfig) -> GridFunction:
     if cfg.u0_file:
         grid, _ = GridFunction.read(cfg.u0_file)
         return grid
-    if not cfg.u0_expr:
+    if not cfg.u0:
         raise ConfigError("evolve needs evolve.u0 (expression) or evolve.u0_file")
-    fn = _field_from_expression(cfg.u0_expr, cfg.dimension)
+    fn = _field_from_expression(cfg.u0, cfg.dimension)
     return GridFunction.from_callable(fn, cfg.box, cfg.resolution,
                                       periodic=cfg.periodic)
 
@@ -342,15 +309,13 @@ def cmd_solve(cfg: RunConfig) -> int:
 def cmd_evolve(cfg: RunConfig) -> int:
     problem = build_problem(cfg)
     model = problem.lagrangian
-    if not cfg.evolve_times:
+    if not cfg.times:
         raise ConfigError("evolve needs evolve.times")
     u0 = _load_u0(cfg)
-    target_box = cfg.evolve_box if cfg.evolve_box is not None else cfg.box
-    target_res = cfg.evolve_resolution or cfg.resolution
     # the u0 grid must cover the target box plus the localization pad
-    pad = EvolutionaryField(model, u0).search_radius(max(cfg.evolve_times))
-    needed_lo = np.asarray(target_box)[:, 0] - pad
-    needed_hi = np.asarray(target_box)[:, 1] + pad
+    pad = EvolutionaryField(model, u0).search_radius(max(cfg.times))
+    needed_lo = cfg.evolve_box[:, 0] - pad
+    needed_hi = cfg.evolve_box[:, 1] + pad
     if (not all(u0.periodic)
             and (np.any(needed_lo < u0.box[:, 0] - 1e-9)
                  or np.any(needed_hi > u0.box[:, 1] + 1e-9))):
@@ -360,16 +325,16 @@ def cmd_evolve(cfg: RunConfig) -> int:
                           for a, b in fresh_box)
         logger.info("u0 grid too small for the localization pad %.3g; "
                     "resampling on box %s", pad, fresh_box.tolist())
-        if not cfg.u0_expr:
+        if not cfg.u0:
             raise ConfigError("u0 file does not cover the localization pad "
                               f"({pad:.3g}); supply a larger grid")
-        fn = _field_from_expression(cfg.u0_expr, cfg.dimension)
+        fn = _field_from_expression(cfg.u0, cfg.dimension)
         u0 = GridFunction.from_callable(fn, fresh_box, fresh_res)
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
-    slices = solve_evolutionary(model, u0, cfg.evolve_times, target_box,
-                                target_res)
-    for t, grid in zip(cfg.evolve_times, slices):
+    slices = solve_evolutionary(model, u0, cfg.times, cfg.evolve_box,
+                                cfg.evolve_resolution)
+    for t, grid in zip(cfg.times, slices):
         name = f"u_t{t:.6f}.grid"
         grid.write(out / name, comments=cfg.header([f"time {repr(float(t))}"]))
         logger.info("wrote %s", out / name)
@@ -455,11 +420,8 @@ def cmd_cutlocus(cfg: RunConfig) -> int:
     # retraction demo: G(x, 0) = x and G(x, 1) at the first demo_points of
     # 10 demo_points sampled points whose cut time is below the horizon
     rng = np.random.default_rng(cfg.seed)
-    if cfg.demo_range:
-        lo, hi = cfg.demo_range
-    else:
-        lo, hi = float(v.box[0, 0]), float(v.box[0, 1])
-    xs = rng.uniform(lo, hi, size=(10 * max(cfg.demo_points, 0), v.dimension))
+    lo, hi = cfg.demo_range or (float(v.box[0, 0]), float(v.box[0, 1]))
+    xs = rng.uniform(lo, hi, size=(10 * cfg.demo_points, v.dimension))
     tau = ctf.tau(xs)
     keep = np.flatnonzero(tau < cfg.tau_horizon)[:cfg.demo_points]
     xs, tau = xs[keep], tau[keep]
@@ -605,26 +567,23 @@ def main(argv=None) -> int:
     ]:
         p = sub.add_parser(name, help=help_text, parents=[])
         p.add_argument("--config", required=True, help="path to the run config")
-        p.add_argument("--out", help="output directory (overrides config)")
-        p.add_argument("--seed", type=int, help="seed override")
-        p.add_argument("--tol", type=float, help="solver tolerance override")
-        if name == "trace":
-            p.add_argument("--t0", type=float, help="trace start time")
-            p.add_argument("--x0", type=float, nargs="+", help="trace start point")
+        for key in KEYS:
+            if key.flag in ("all", name):
+                p.add_argument(f"--{key.name}", dest=key.attr, help=key.help,
+                               type=None if key.kind is str else key.kind,
+                               nargs="+" if key.per_axis else None)
     args = parser.parse_args(argv)
     logging.basicConfig(level=logging.INFO if args.verbose else logging.WARNING,
                         format="%(levelname)s %(name)s: %(message)s")
 
-    flags = {"out": "out", "seed": "seed", "tol": "tol", "t0": "trace_t0",
-             "x0": "trace_x0"}
-    overrides = {key: getattr(args, flag) for flag, key in flags.items()
-                 if getattr(args, flag, None) is not None}
+    overrides = {key.attr: getattr(args, key.attr) for key in KEYS
+                 if getattr(args, key.attr, None) is not None}
     try:
         cfg = load_config(args.config, overrides)
         return {"solve": cmd_solve, "evolve": cmd_evolve, "trace": cmd_trace,
                 "cutlocus": cmd_cutlocus, "verify": cmd_verify,
                 "constants": cmd_constants}[args.command](cfg)
-    except (ConfigError, OSError) as exc:
+    except (ConfigError, OSError, configparser.Error) as exc:
         print(f"hjsing: config error: {exc}", file=sys.stderr)
         return 3
     except NumericsError as exc:

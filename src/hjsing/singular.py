@@ -469,15 +469,15 @@ def trace_singular_curve(field, t0: float, x, T_total: float, block: float = 1.0
     Annuli run until the horizon: on the i-th the step size is recomputed
     from constants probed on the cone of horizon t0 + i*block (never larger
     than the previous annulus's) and repeated up to floor(budget / t_i)
-    times; no step runs past T_total, and the last point is at T_total up
-    to rounding.  Each annulus advances by a step of at least 1e-6, or its
-    :func:`propagation_step` raises, so the loop ends.  The schedule
-    records (i, t_i, k_i), k_i the steps that ran on the annulus.  The
-    ball-radius localization |x(s) - x| <= lambda_2 * (s - t0) is checked
-    for every recorded point.  With ``certify`` every point gets its
-    certificate and a start point that is not singular raises
-    :class:`InvalidProblem`; without it the certificates are None and any
-    start point is traced.
+    times; no step runs past T_total, and the last time of a step that ends
+    within 1e-12 of T_total is clamped onto it.  Each annulus advances by a
+    step of at least 1e-6, or its :func:`propagation_step` raises, so the
+    loop ends.  The schedule records (i, t_i, k_i), k_i the steps that ran
+    on the annulus.  The ball-radius localization |x(s) - x| <= lambda_2 *
+    (s - t0) is checked for every recorded point.  With ``certify`` every
+    point gets its certificate and a start point that is not singular
+    raises :class:`InvalidProblem`; without it the certificates are None
+    and any start point is traced.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     cert0 = None
@@ -501,7 +501,7 @@ def trace_singular_curve(field, t0: float, x, T_total: float, block: float = 1.0
     t_prev_annulus = np.inf
     i = 0
     spent = 0.0
-    while t_cur < T_total - 1e-12:
+    while t_cur < T_total:
         i += 1
         T_i = t0 + i * block
         budget = (T_i - t0) - spent
@@ -518,6 +518,8 @@ def trace_singular_curve(field, t0: float, x, T_total: float, block: float = 1.0
                 if drift > lam2_i * (step.times[j] - t0) + h_grid + 1e-9:
                     loc_ok = False
             t_cur = float(step.times[-1])
+            if T_total - t_cur <= 1e-12:
+                t_cur = times[-1] = T_total
             x_cur = step.points[-1].copy()
             spent = t_cur - t0
 
@@ -530,7 +532,7 @@ def trace_singular_curve(field, t0: float, x, T_total: float, block: float = 1.0
         record(step)
         k_i = 1
         for _ in range(int(math.floor(budget / t_i)) - 1):
-            if t_cur >= T_total - 1e-12:
+            if t_cur >= T_total:
                 break
             step = propagation_step(field, t_cur, x_cur, T_i,
                                     constants=step.constants,

@@ -32,6 +32,10 @@ from .laxoleinik import (
 from .model import DiscountedProblem, LagrangianModel, to_evolutionary
 
 _CERTIFICATE_POLISH_WINDOW = 2e-2  # polish seeds of a singularity certificate
+# a sweep or pass rounds each |v| <= max(K1, K2) by a few ulps (up to 3 on
+# sine_kink in 1D; a 2D pass sums 4 weighted terms), so the stopping rule
+# must lie above this many ulps to be met at all
+_ROUNDING_ULPS = 8
 
 
 # ---------------------------------------------------------------------------
@@ -41,9 +45,9 @@ _CERTIFICATE_POLISH_WINDOW = 2e-2  # polish seeds of a singularity certificate
 class SolveReport:
     """``iterations`` counts convolution sweeps and ``sup_changes`` holds
     each one's sup-change; ``policy_passes`` holds the policy-evaluation
-    passes run after each sweep (0 after the last).  ``converged`` is the
-    tail-bound stopping rule of the iteration; ``residual_ok`` says whether
-    the equation residual of the result met ``residual_gate``."""
+    passes run after each sweep (0 after the last).  ``final_residual`` is
+    :func:`residual_check`'s sampled equation residual of the result, run
+    at 10 tol."""
 
     iterations: int
     sup_changes: list
@@ -51,13 +55,7 @@ class SolveReport:
     K1: float
     K2: float
     final_residual: float
-    converged: bool
     tol: float
-    residual_gate: float
-    residual_ok: bool = dataclass_field(init=False)
-
-    def __post_init__(self):
-        self.residual_ok = bool(self.final_residual <= self.residual_gate)
 
     def as_json(self) -> str:
         return json.dumps(asdict(self), indent=2)
@@ -105,7 +103,10 @@ def solve_discounted(problem: DiscountedProblem, box, resolution, tol: float = 1
     evaluated policy's value lies above the fixed point, so the sweeps
     after the first approach it from above.  The stopping rule and the
     certificate are those of plain value iteration, as only sweeps are
-    tested and a sweep's output is returned.
+    tested and a sweep's output is returned.  A stop tol (1 - e^{-lam}) at
+    or below 8 ulps of max(K1, K2), the bound of |v|, could never be met
+    through rounding, and raises :class:`NoConvergence` before the first
+    sweep.
 
     Every sweep applies one :class:`DiscountedOperator`, whose plan keeps
     what does not depend on v: the candidates of each node's ball, their
@@ -136,8 +137,11 @@ def solve_discounted(problem: DiscountedProblem, box, resolution, tol: float = 1
     cap = 10 if spread <= tol else math.ceil(math.log(spread / tol) / lam) + 10
     decay = math.exp(-lam)
     stop = tol * (1.0 - decay)
+    if not stop > _ROUNDING_ULPS * np.spacing(max(k1, k2)):
+        raise NoConvergence(
+            f"stopping rule tol (1 - e^-lam) = {stop:.3g} is below the rounding of "
+            f"|v| <= {max(k1, k2):.3g}, {_ROUNDING_ULPS} ulps; raise lam or tol")
     sup_changes, policy_passes = [], []
-    converged = False
     operator = DiscountedOperator(problem, 1.0, nodes, lip_bound=lip_cap)
     for _ in range(cap):
         results = operator(v)
@@ -146,7 +150,6 @@ def solve_discounted(problem: DiscountedProblem, box, resolution, tol: float = 1
         sup_changes.append(change)
         if change <= stop:
             v = v.with_values(swept.reshape(v.resolution))
-            converged = True
             policy_passes.append(0)
             break
         # policy evaluation, each node's first argpoint held: the path costs
@@ -164,19 +167,17 @@ def solve_discounted(problem: DiscountedProblem, box, resolution, tol: float = 1
                 break
         policy_passes.append(passes)
         v = v.with_values(w.reshape(v.resolution))
-    if not converged:
+    else:
         raise NoConvergence(
             f"discounted iteration: sup-change {sup_changes[-1]:.3g} > {stop:.3g} "
             f"after {cap} sweeps")
 
-    # the residual of a sampled field carries interpolation error, so its
-    # gate is looser than the iteration tolerance
-    gate = 10 * tol
-    residual = residual_check(problem, v, samples=33, tol=gate).sup_residual
+    # a sampled field carries interpolation error, so the residual check
+    # runs at a tolerance looser than the iteration's
+    residual = residual_check(problem, v, samples=33, tol=10 * tol).sup_residual
     report = SolveReport(iterations=len(sup_changes), sup_changes=sup_changes,
                          policy_passes=policy_passes, K1=k1, K2=k2,
-                         final_residual=residual,
-                         converged=converged, tol=tol, residual_gate=gate)
+                         final_residual=residual, tol=tol)
     return v, report
 
 
