@@ -270,7 +270,8 @@ def lagrangian_from_expression(expr: str, dimension: int = 1) -> LagrangianModel
 def lagrangian_from_potential(expr: str) -> LagrangianModel:
     """Mechanical model L = v^2/2 - V(x) from a 1D potential expression.
 
-    The growth offsets come from sampling V on 4097 points of [-10, 10].
+    The growth offsets come from sampling V on 4097 points of [-10, 10];
+    a V that is not finite at one of them raises :class:`ConfigError`.
     """
     V = scalar_field(expr, 1)
     h = FD_STEP
@@ -289,6 +290,9 @@ def lagrangian_from_potential(expr: str) -> LagrangianModel:
 
     probe = np.linspace(-10.0, 10.0, 4097)
     fvals = f(probe)
+    bad = ~np.isfinite(fvals)
+    if bad.any():
+        raise ConfigError(f"potential V = {expr} is not finite at x = {probe[bad][0]:.6g}")
     return mechanical(f, f_grad, f"potential({expr})",
                       f_min=float(fvals.min()), f_max=float(fvals.max()), f_hess=f_hess)
 

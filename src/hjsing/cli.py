@@ -8,7 +8,9 @@ unset; an unknown section or key is an error.  Outputs carry a comment
 header (version, config hash, seed, tol); with a fixed seed, repeated runs
 write byte-identical files.
 
-Exit codes: 0 success, 2 numerical failure, 3 usage or config error.
+Exit codes: 0 success, 2 numerical failure (a trace whose start point is
+not singular included), 3 usage or config error (a potential or u0
+expression that is not finite where it is sampled included).
 
 """
 
@@ -37,7 +39,7 @@ from .catalog import (
     lagrangian_from_expression,
     lagrangian_from_potential,
 )
-from .errors import ConfigError, InvalidProblem, NumericsError
+from .errors import ConfigError, NumericsError
 from .expressions import compile_expression
 from .laxoleinik import (
     GridFunction,
@@ -47,7 +49,6 @@ from .laxoleinik import (
 )
 from .model import check_tonelli, legendre, to_evolutionary
 from .singular import (
-    SingularCurve,
     aubry_candidates,
     cut_time_field,
     fundamental_solution,
@@ -190,6 +191,9 @@ ACROSS_KEYS = (
      lambda cfg: cfg.trace_field == "discounted" or cfg.trace_t0 > 0),
     ("increasing evolve.times",
      lambda cfg: cfg.times is None or bool(np.all(np.diff(cfg.times) > 0))),
+    # 1000 annuli of sine_kink on 32 nodes take about 18 s on 2 cores
+    ("(trace.horizon - trace.t0) / trace.block <= 1000",
+     lambda cfg: (cfg.trace_horizon - cfg.trace_t0) / cfg.trace_block <= 1000),
 )
 
 __doc__ = (__doc__ or "") + "\n\n".join(
@@ -264,6 +268,7 @@ def build_problem(cfg: RunConfig):
 
 
 def _field_from_expression(expr: str, dimension: int):
+    """u0 of the expression, which must be finite at every point it is read."""
     names = ["x"] + [f"x{i + 1}" for i in range(dimension)]
     fn = compile_expression(expr, tuple(names))
 
@@ -272,8 +277,12 @@ def _field_from_expression(expr: str, dimension: int):
         env = {"x": points[..., 0]}
         for i in range(dimension):
             env[f"x{i + 1}"] = points[..., i]
-        return np.broadcast_to(np.asarray(fn(env), dtype=float),
-                               points.shape[:-1]).copy()
+        values = np.broadcast_to(np.asarray(fn(env), dtype=float),
+                                 points.shape[:-1]).copy()
+        bad = ~np.isfinite(values)
+        if bad.any():
+            raise ConfigError(f"evolve.u0 = {expr} is not finite at x = {points[bad][0]}")
+        return values
 
     return evaluate
 
@@ -364,13 +373,8 @@ def cmd_trace(cfg: RunConfig) -> int:
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    try:
-        curve = trace_singular_curve(field, cfg.trace_t0, x_start,
-                                     cfg.trace_horizon, block=cfg.trace_block)
-    except InvalidProblem as exc:
-        logger.warning("%s; writing an empty curve", exc)
-        curve = SingularCurve(times=np.empty(0), points=np.empty((0, x_start.size)),
-                              step_sizes=np.empty(0), schedule=[], certificates=[])
+    curve = trace_singular_curve(field, cfg.trace_t0, x_start,
+                                 cfg.trace_horizon, block=cfg.trace_block)
     diams = curve.certificate_diameters
     _write_rows(out / "curve.csv",
                 ["s"] + [f"x{i+1}" for i in range(x_start.size)]
@@ -383,7 +387,6 @@ def cmd_trace(cfg: RunConfig) -> int:
              for s, p, d in zip(curve.times, curve.points, diams)]
     payload = {"schedule": [{"annulus": i, "t_i": t, "k_i": k}
                             for i, t, k in curve.schedule],
-               "localization_ok": curve.localization_ok,
                "certificates": certs}
     (out / "certificates.json").write_text(json.dumps(payload, indent=2) + "\n")
     logger.info("wrote %s (%d points)", out / "curve.csv", len(curve.times))

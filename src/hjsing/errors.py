@@ -42,7 +42,7 @@ class ScheduleStall(NumericsError):
 
 
 class NoMinimizer(NumericsError):
-    """Every multi-start seed failed to produce a minimizing trajectory."""
+    """A search ball holds no candidate of finite cost for its query."""
 
 
 class InvalidProblem(NumericsError):

@@ -62,10 +62,9 @@ from .action import (
     _refine_nodes,
     action_floor,
     minimize_paths,
-    require_converged,
     straight_line_actions,
 )
-from .errors import BoundaryClipped, ConfigError, ExponentOverflow
+from .errors import BoundaryClipped, ConfigError, ExponentOverflow, NoMinimizer
 from .model import (
     EXPONENT_CAP,
     DiscountedProblem,
@@ -722,10 +721,8 @@ class ConvolutionPlan:
         return self.t2 if np.ndim(self.t2) == 0 else self.t2_rows[owner_idx]
 
     def _paths(self, points, owner_idx, nseg, init=None):
-        sol = minimize_paths(self.model, self.t1, self._horizon(owner_idx), points,
-                             self.xs[owner_idx], segments=nseg, init_nodes=init)
-        require_converged(sol)
-        return sol
+        return minimize_paths(self.model, self.t1, self._horizon(owner_idx), points,
+                              self.xs[owner_idx], segments=nseg, init_nodes=init)
 
     def _scan(self, rows):
         """The straight-segment actions of the candidates ``rows``, scoring the
@@ -792,12 +789,19 @@ class ConvolutionPlan:
         bound += 1e-12 * (1.0 + np.abs(bound))
         scanned = np.flatnonzero(low <= bound[owners])
         cost = f_vals[scanned] + self._scan(scanned)
+        leader = _owner_min(owners[scanned], cost, P)
+        # a NaN scan cost makes its query's bound NaN, which empties its
+        # scanned set, or its leader NaN; a query without a finite cost has
+        # no candidate to re-score
+        lost = np.flatnonzero(~np.isfinite(leader))
+        if lost.size:
+            raise NoMinimizer(f"no finite cost in the search ball of x = {xs[lost[0]]}: "
+                              "a scanned action is NaN, or every one is infinite")
 
         # the rows: the scan costs within 1 of each owner's leader.  A row is
         # re-scored coarsely once f + its floor is within window + margin of
         # its owner's coarse best (first guessed as the leader's scan cost),
         # and so is each owner's leader; its coarse action is inf until then
-        leader = _owner_min(owners[scanned], cost, P)
         near = cost <= leader[owners[scanned]] + 1.0
         keep, cost = scanned[near], cost[near]
         owners_k, f_k, low = owners[keep], f_vals[keep], low[keep]
@@ -877,9 +881,11 @@ def localized_convolution(model: LagrangianModel, f: GridFunction, t1: float,
     (default max(5e-3, h^2 / (t2 - t1)), per row) of the best fine cost,
     and the polished winners within ``TIE_TOL`` of the best, refined by
     Richardson extrapolation from ``PATH_SEGMENTS`` to twice that, are the
-    argument set; the finer pass gives each one's end momentum.  A path of
-    any pass that did not converge raises :class:`NoConvergence`.  Returns
-    one :class:`SearchResult` per row.  This is one plan's one search; a
+    argument set; the finer pass gives each one's end momentum.  A query
+    whose scanned costs hold a NaN, or no finite value, raises
+    :class:`NoMinimizer`, and a path of any pass that did not converge
+    raises :class:`NoConvergence` in :func:`minimize_paths`.  Returns one
+    :class:`SearchResult` per row.  This is one plan's one search; a
     caller that applies the same kernel to several data on one grid keeps
     the plan instead.
     """
@@ -890,11 +896,13 @@ def localized_convolution(model: LagrangianModel, f: GridFunction, t1: float,
 # public operators
 
 def lax_oleinik_minus(model: LagrangianModel, f: GridFunction, t1: float,
-                      t2: float, xs):
+                      t2, xs, polish_window: Optional[float] = None):
     """(T^- f)(x) = inf_z f(z) + A_{t1,t2}(z, x) at the rows x of xs (P, n),
-    searched in the a-priori ball: one :class:`SearchResult` per row."""
+    searched in the a-priori ball, of radius the localization radius of
+    Lip f times t2 - t1: one :class:`SearchResult` per row.  ``t2`` and
+    ``polish_window`` are as in :func:`localized_convolution`."""
     radius = localization_radius(model.growth, f.lipschitz_estimate) * (t2 - t1)
-    return localized_convolution(model, f, t1, t2, xs, radius)
+    return localized_convolution(model, f, t1, t2, xs, radius, polish_window)
 
 
 class DiscountedOperator:
@@ -949,8 +957,7 @@ class DiscountedOperator:
 def discounted_lax_oleinik(problem: DiscountedProblem, v: GridFunction, t: float,
                            xs, polish_window: Optional[float] = None):
     """The discounted backward operator at the rows of xs (P, n), applied
-    once: one :func:`localized_convolution` on the lift, scaled as
+    once: :func:`lax_oleinik_minus` on the lift, scaled as
     :class:`DiscountedOperator` scales it.  One :class:`SearchResult` per row."""
     op = DiscountedOperator(problem, t, xs)
-    return op.scaled(localized_convolution(op.lift, v, 0.0, t, xs, op.radius(v),
-                                           polish_window=polish_window))
+    return op.scaled(lax_oleinik_minus(op.lift, v, 0.0, t, xs, polish_window))

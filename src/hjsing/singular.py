@@ -13,7 +13,11 @@ and switches at that crossing.  All of it is written here, with scipy's
 tableau, step rules and brentq steps, so no path of this module loads scipy.
 :func:`fundamental_solution` is the direct method alone: the least action
 and its derivatives in both end points and the end time, Richardson-
-extrapolated from a 64- and a 128-segment path.
+extrapolated from a 64- and a 128-segment path.  The kernels decide their
+own failures: ``minimize_paths`` raises :class:`NoConvergence` on a path
+that did not converge, and the localized search raises
+:class:`NoMinimizer` on a query without a finite cost, so this layer takes
+their answers as they come.
 
 A field enters this layer through ``solver.ValueField``: its methods
 ``values``, ``certificate_search``, ``domain``, ``action_lagrangian``,
@@ -58,15 +62,14 @@ from .action import (
     estimate_constants,
     minimize_paths,
     refined_action,
-    require_converged,
 )
 from .errors import (
     BlowUp,
     ConcavityFailure,
     InvalidProblem,
     NoConvergence,
-    NoMinimizer,
     NonUniqueArgmax,
+    NumericsError,
     ScheduleStall,
 )
 from .laxoleinik import (
@@ -137,9 +140,7 @@ def reachable_gradients_batch(field, t, xs) -> list:
     """
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     sets = []
-    for x, res in zip(xs, field.certificate_search(t, xs)):
-        if not len(res.momenta):
-            raise NoMinimizer(f"no minimizing trajectory found at {x}")
+    for res in field.certificate_search(t, xs):
         keep, diam = _merge_momenta(res.momenta)
         sets.append(ReachableGradientSet(momenta=res.momenta[keep], diameter=diam))
     return sets
@@ -196,11 +197,9 @@ def _lattice(center, radius, lo, hi, axis=None):
 
 def _argmax_objective(field, action_model, t1: float, x1, ts, ys):
     """phi(y) = u(t, y) - A_{t1,t}(x1, y) on a batch of y, t one per row,
-    with the batch's ``minimize_paths`` solution; a path that did not
-    converge raises :class:`NoConvergence`."""
+    with the batch's ``minimize_paths`` solution."""
     ys = np.atleast_2d(np.asarray(ys, dtype=float))
     sol = minimize_paths(action_model, t1, ts, np.broadcast_to(x1, ys.shape), ys)
-    require_converged(sol)
     u_vals = field.values(ts, ys)
     return u_vals - sol["action"], sol
 
@@ -307,7 +306,6 @@ def _argmax_points(field, action_model, t1, x1, times, radii):
             # of the potential), and phi is then not the scan's objective
             paths = minimize_paths(action_model, t1, seed_t[rows],
                                    np.broadcast_to(x1, points.shape), points)
-            require_converged(paths)
             return paths["action"], paths["d_end"], paths["nodes"]
 
         z, cost, _, _ = _cell_polish(grid, solve, z, sol["nodes"][seeds],
@@ -447,14 +445,17 @@ def propagation_step(field, t1: float, x1, T: float,
 
 @dataclass
 class SingularCurve:
-    """Time-stamped singular curve with its step sizes and schedule."""
+    """Time-stamped singular curve with its step sizes and schedule.
+
+    Every point lies in the localization ball of the start point, as
+    :func:`trace_singular_curve` checks; a trace that leaves it raises.
+    """
 
     times: np.ndarray
     points: np.ndarray
     step_sizes: np.ndarray
     schedule: list                  # (annulus_index, t_i, k_i)
     certificates: list              # ReachableGradientSet or None, per point
-    localization_ok: bool = True
 
     @property
     def certificate_diameters(self):
@@ -466,18 +467,19 @@ def trace_singular_curve(field, t0: float, x, T_total: float, block: float = 1.0
                          certify: bool = True) -> SingularCurve:
     """Concatenate propagation steps until the curve covers [t0, T_total].
 
-    Annuli run until the horizon: on the i-th the step size is recomputed
-    from constants probed on the cone of horizon t0 + i*block (never larger
-    than the previous annulus's) and repeated up to floor(budget / t_i)
-    times; no step runs past T_total, and the last time of a step that ends
-    within 1e-12 of T_total is clamped onto it.  Each annulus advances by a
-    step of at least 1e-6, or its :func:`propagation_step` raises, so the
-    loop ends.  The schedule records (i, t_i, k_i), k_i the steps that ran
-    on the annulus.  The ball-radius localization |x(s) - x| <= lambda_2 *
-    (s - t0) is checked for every recorded point.  With ``certify`` every
-    point gets its certificate and a start point that is not singular
-    raises :class:`InvalidProblem`; without it the certificates are None
-    and any start point is traced.
+    Annuli run until the horizon: the first step of the i-th probes
+    constants on the cone of horizon t0 + i*block and fixes the annulus's
+    step size t_i (never larger than the previous annulus's); its steps
+    repeat t_i up to floor(budget / t_i) times, at least once.  No step
+    runs past T_total, and the last time of a step that ends within 1e-12
+    of T_total is clamped onto it.  Each annulus advances by a step of at
+    least 1e-6, or its :func:`propagation_step` raises, so the loop ends.
+    The schedule records (i, t_i, k_i), k_i the steps that ran on the
+    annulus.  A point that leaves the localization ball |x(s) - x| <=
+    lambda_2 (s - t0), plus one grid cell, raises :class:`NumericsError`.
+    With ``certify`` every point gets its certificate and a start point
+    that is not singular raises :class:`InvalidProblem`; without it the
+    certificates are None and any start point is traced.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     cert0 = None
@@ -488,62 +490,40 @@ def trace_singular_curve(field, t0: float, x, T_total: float, block: float = 1.0
                 f"start point {x} has reachable diameter {cert0.diameter:.3g} "
                 f"<= {SINGULAR_TOL:g}")
 
-    times = [t0]
-    points = [x.copy()]
-    steps = [0.0]
-    certs = [cert0]
-    schedule = []
-    loc_ok = True
-
+    times, points, steps, certs, schedule = [t0], [x], [0.0], [cert0], []
     h_grid = float(np.max(field.u0.spacing))
-    t_cur = t0
-    x_cur = x.copy()
-    t_prev_annulus = np.inf
-    i = 0
-    spent = 0.0
+    t_cur, x_cur, t_i = t0, x, math.inf
     while t_cur < T_total:
-        i += 1
+        i = len(schedule) + 1
         T_i = t0 + i * block
-        budget = (T_i - t0) - spent
+        # not T_i - t_cur, which rounds otherwise and can move floor(budget / t_i)
+        budget = (T_i - t0) - (t_cur - t0)
         lam2_i = field.lambda2(T_i)
-
-        def record(step):
-            nonlocal t_cur, x_cur, spent, loc_ok
-            for j in range(len(step.times)):
-                times.append(float(step.times[j]))
-                points.append(step.points[j].copy())
-                steps.append(step.t_step)
-                certs.append(step.certificates[j])
-                drift = float(np.linalg.norm(step.points[j] - x))
-                if drift > lam2_i * (step.times[j] - t0) + h_grid + 1e-9:
-                    loc_ok = False
-            t_cur = float(step.times[-1])
+        constants, k_i = None, 0
+        while t_cur < T_total and k_i < max(1, math.floor(budget / t_i)):
+            step = propagation_step(field, t_cur, x_cur, T_i, constants=constants,
+                                    step_cap=min(block, t_i, T_total - t_cur),
+                                    certify=certify)
+            if constants is None:       # the annulus's first step
+                constants, t_i = step.constants, min(step.t_step, t_i)
+            drift = np.linalg.norm(step.points - x, axis=1)
+            out = np.flatnonzero(drift > lam2_i * (step.times - t0) + h_grid + 1e-9)
+            if out.size:
+                raise NumericsError(
+                    f"the curve left its localization ball at s = {step.times[out[0]]:.4g}: "
+                    f"|x(s) - x| = {drift[out[0]]:.3g}, lambda_2 = {lam2_i:.3g}")
+            times += step.times.tolist()
+            points += list(step.points)
+            steps += [step.t_step] * len(step.times)
+            certs += step.certificates
+            t_cur, x_cur = times[-1], step.points[-1]
             if T_total - t_cur <= 1e-12:
                 t_cur = times[-1] = T_total
-            x_cur = step.points[-1].copy()
-            spent = t_cur - t0
-
-        # first step of the annulus also fixes its step size t_i
-        step = propagation_step(field, t_cur, x_cur, T_i,
-                                step_cap=min(block, t_prev_annulus, T_total - t_cur),
-                                certify=certify)
-        t_i = min(step.t_step, t_prev_annulus)
-        t_prev_annulus = t_i
-        record(step)
-        k_i = 1
-        for _ in range(int(math.floor(budget / t_i)) - 1):
-            if t_cur >= T_total:
-                break
-            step = propagation_step(field, t_cur, x_cur, T_i,
-                                    constants=step.constants,
-                                    step_cap=min(t_i, T_total - t_cur),
-                                    certify=certify)
-            record(step)
             k_i += 1
         schedule.append((i, t_i, k_i))
     return SingularCurve(times=np.array(times), points=np.array(points),
                          step_sizes=np.array(steps), schedule=schedule,
-                         certificates=certs, localization_ok=loc_ok)
+                         certificates=certs)
 
 
 # ---------------------------------------------------------------------------

@@ -25,8 +25,8 @@ from .laxoleinik import (
     DiscountedOperator,
     GridFunction,
     discounted_lax_oleinik,
+    lax_oleinik_minus,
     localization_radius,
-    localized_convolution,
     solution_lipschitz_bound,
 )
 from .model import DiscountedProblem, LagrangianModel, to_evolutionary
@@ -264,8 +264,7 @@ class EvolutionaryField(ValueField):
         if first:
             rows = list(first.values())
             t_rows = float(t) if np.ndim(t) == 0 else ts[rows]
-            found = localized_convolution(self.model, self.u0, 0.0, t_rows, xs[rows],
-                                          self.search_radius(t_rows))
+            found = lax_oleinik_minus(self.model, self.u0, 0.0, t_rows, xs[rows])
             value = {k: r.value for k, r in zip(first, found)}
             for i, k in keys.items():
                 out[i] = value[k]
@@ -276,9 +275,8 @@ class EvolutionaryField(ValueField):
         xs = np.atleast_2d(np.asarray(xs, dtype=float))
         if np.any(_row_times(t, xs) <= 0):
             raise ValueError("evolutionary reachable gradients need t > 0")
-        return localized_convolution(self.model, self.u0, 0.0, t, xs,
-                                     self.search_radius(t),
-                                     polish_window=_CERTIFICATE_POLISH_WINDOW)
+        return lax_oleinik_minus(self.model, self.u0, 0.0, t, xs,
+                                 _CERTIFICATE_POLISH_WINDOW)
 
     def domain(self, t: float):
         """Box of u(t, .): non-periodic axes lose the localization pad."""

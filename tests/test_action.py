@@ -25,6 +25,19 @@ def characteristic(hmodel, x, p, times):
     return np.array([singular._characteristic_flow(hmodel, 0.0, y0, t)[1][0] for t in times])
 
 
+def nan_where(lagrangian, monkeypatch, where):
+    """Make L NaN at the points x, (..., n), where ``where(x)`` holds: a
+    path through them has no finite action, so it cannot converge."""
+    L = lagrangian.L
+    monkeypatch.setattr(lagrangian, "L",
+                        lambda s, x, v: np.where(where(np.asarray(x)), np.nan, L(s, x, v)))
+
+
+def on_paths_of(segments):
+    """A ``nan_where`` test that holds on every path of ``segments`` segments."""
+    return lambda x: x.ndim == 3 and x.shape[1] == segments
+
+
 class TestHamiltonianFlow:
     def test_free_particle_line(self, free_particle_1d):
         ends = characteristic(free_particle_1d.hamiltonian, [0.0], [1.0], [0.5, 1.0, 1.5, 2.0])
@@ -127,15 +140,9 @@ class TestFundamentalSolution:
 
     @pytest.mark.parametrize("segments", [64, 128])
     def test_unconverged_path_raises(self, free_particle_1d, monkeypatch, segments):
-        # either pass of the direct method reporting an unconverged path
-        # fails the call instead of extrapolating from it
-        def one_unconverged(*args, **kwargs):
-            sol = minimize_paths(*args, **kwargs)
-            if kwargs["segments"] == segments:
-                sol["converged"] = np.zeros_like(sol["converged"])
-            return sol
-
-        monkeypatch.setattr(action, "minimize_paths", one_unconverged)
+        # a path of either pass of the direct method that does not converge
+        # fails the call instead of being extrapolated from
+        nan_where(free_particle_1d, monkeypatch, on_paths_of(segments))
         with pytest.raises(errors.NoConvergence):
             fundamental_solution(free_particle_1d, 0.0, 1.0, [0.0], [1.0])
 
@@ -219,20 +226,20 @@ class TestBatchedPaths:
 
     def test_saddle_not_converged(self):
         # a path stationary where it starts takes no Newton step; on the
-        # potential's maximum for T > pi its matrix is indefinite: a saddle
-        sol = minimize_paths(catalog.pendulum(), 0, 8, [[0.0]], [[0.0]])
-        assert sol["grad_inf"][0] == 0.0
-        assert not sol["converged"][0]
+        # potential's maximum for T > pi its matrix is indefinite: a saddle,
+        # whose gradient is 0
+        with pytest.raises(errors.NoConvergence, match=r"worst grad_inf 0\)"):
+            minimize_paths(catalog.pendulum(), 0, 8, [[0.0]], [[0.0]])
         short = minimize_paths(catalog.pendulum(), 0, 1, [[0.0]], [[0.0]])
-        assert short["converged"][0]
+        assert short["grad_inf"][0] == 0.0
 
     def test_saddle_after_kinetic_steps_not_converged(self):
         # T = 4 > pi: the straight line across the potential's maximum has an
         # indefinite matrix, so the path steps with the kinetic block alone
         # and stops at a stationary point where it is still indefinite
-        sol = minimize_paths(catalog.pendulum(), 0, 4, [[0.05]], [[-0.05]])
-        assert sol["grad_inf"][0] <= 1e-8
-        assert not sol["converged"][0]
+        with pytest.raises(errors.NoConvergence) as failure:
+            minimize_paths(catalog.pendulum(), 0, 4, [[0.05]], [[-0.05]])
+        assert float(str(failure.value).split("grad_inf ")[1].rstrip(")")) <= 1e-8
 
     def test_path_on_a_kink_leaves_it(self):
         # the potential's kink at 0 is a maximum; a path resting on it read
@@ -437,12 +444,6 @@ class TestConstants:
     @pytest.mark.parametrize("segments", [16, 32])
     def test_unconverged_probe_raises(self, free_particle_1d, monkeypatch, segments):
         # neither Richardson pass of the probes may use an unconverged path
-        def one_unconverged(*args, **kwargs):
-            sol = minimize_paths(*args, **kwargs)
-            if kwargs["segments"] == segments:
-                sol["converged"] = np.zeros_like(sol["converged"])
-            return sol
-
-        monkeypatch.setattr(action, "minimize_paths", one_unconverged)
+        nan_where(free_particle_1d, monkeypatch, on_paths_of(segments))
         with pytest.raises(errors.NoConvergence):
             estimate_constants(free_particle_1d, 0.0, [0.0], 1.0, 2.0)

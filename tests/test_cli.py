@@ -120,16 +120,21 @@ def test_trace_of_many_blocks_reaches_its_horizon(tmp_path):
     assert len(json.loads((out / "certificates.json").read_text())["schedule"]) > 64
 
 
-@pytest.mark.parametrize("line, replacement, rows", [
-    ("horizon = 1.5", "horizon = 0.5", 1),      # ends where it starts
-    ("x0 = 0.0", "x0 = 1.0", 0),                # not a singular start
+@pytest.mark.parametrize("line, replacement, exit_code", [
+    ("horizon = 1.5", "horizon = 0.5", 0),      # ends where it starts
+    ("x0 = 0.0", "x0 = 1.0", 2),                # not a singular start
 ], ids=["horizon-at-t0", "smooth-start"])
-def test_trace_certificates_shape(tmp_path, line, replacement, rows):
+def test_trace_certificates_shape(tmp_path, capsys, line, replacement, exit_code):
     code, out = run(tmp_path, "trace", SINE_KINK.replace(line, replacement))
-    assert code == 0
+    assert code == exit_code
+    if code:
+        assert "numerical failure: start point [1.] has reachable diameter" in (
+            capsys.readouterr().err)
+        assert not (out / "certificates.json").exists()
+        return
     payload = json.loads((out / "certificates.json").read_text())
-    assert set(payload) == {"schedule", "localization_ok", "certificates"}
-    assert len(payload["certificates"]) == len(data_rows(out / "curve.csv")) == rows
+    assert set(payload) == {"schedule", "certificates"}
+    assert len(payload["certificates"]) == len(data_rows(out / "curve.csv")) == 1
 
 
 def test_cutlocus(tmp_path):
@@ -269,10 +274,12 @@ def test_constants_2d_without_trace_section(tmp_path, capsys):
     ("constants", SINE_KINK, "[trace]", "[solve]\ntol = inf\n\n[trace]", ()),
     ("constants", SINE_KINK, "lambda = 1.0", "lambda = 1.0\nc2 = -5", ()),
     ("constants", SINE_KINK, "lambda = 1.0", "lambda = 1.0", ("--seed", "-1")),
+    # 10,000 annuli, over a minute of tracing
+    ("trace", SINE_KINK, "horizon = 1.5", "horizon = 1.5\nblock = 1e-4", ()),
 ], ids=["lambda", "tol", "eps", "c1", "eps_key", "times", "demo_range", "x0", "field",
         "calib_tol", "misspelled_key", "misspelled_section", "periodic", "evolutionary_t0",
         "horizon_before_t0", "evolve_resolution", "potential_2d", "x0_nan", "box_nan", "seed",
-        "demo_points", "tol_inf", "c2", "seed_flag"])
+        "demo_points", "tol_inf", "c2", "seed_flag", "block"])
 def test_malformed_config_is_a_config_error(tmp_path, capsys, command, base, line,
                                             replacement, flags):
     assert line in base
@@ -333,8 +340,9 @@ FUZZ_BASE = {"problem": {"key": "sine_kink"}, "grid": {"resolution": "32"},
              "trace": {"t0": "0.5", "x0": "0.0", "horizon": "1.0"},
              "cutlocus": {"demo_points": "2", "demo_range": "0.3 1.0"}}
 FUZZ_TEXTS = {"key": ["sine_kink", "free_particle", "pendulum", "nope"],
-              "lagrangian": ["v^2/2 + cos(x)", "v^2/2 +"], "potential": ["-cos(x)", "x^"],
-              "u0": ["-abs(sin(x))", "x1^2", "sin("], "u0_file": ["missing.grid"],
+              "lagrangian": ["v^2/2 + cos(x)", "v^2/2 +", "v^2/2 + log(x + 4)"],
+              "potential": ["-cos(x)", "x^", "log(x)", "sqrt(x)", "1/x"],
+              "u0": ["-abs(sin(x))", "x1^2", "sin(", "log(x)"], "u0_file": ["missing.grid"],
               "out": ["elsewhere"]}
 ODD_NUMBERS = ["0", "-1", "1e300", "-1e300", "1e-300"]
 
@@ -343,7 +351,8 @@ def accepted(key):
     """Config text that the key's own rule accepts; a rule across keys may
     still reject it.  Numbers lie within 3 of the rule's bound (of -1 without
     one) and, above an exclusive bound, at least 0.1 above it: a trace block
-    of 1e-4 runs for minutes.  Integers lie within 2 of the bound."""
+    of 1e-3 makes 500 annuli here, about 9 s.  Integers lie within 2 of the
+    bound."""
     if key.kind is str:
         return st.sampled_from(FUZZ_TEXTS[key.name])
     if isinstance(key.kind, dict):
@@ -446,3 +455,42 @@ def test_fuzzed_config_exits_0_2_or_3_in_every_subcommand(command):
         check_exit(command, run)
 
     fuzz()
+
+
+# Expression models and data that are not finite where they are read: the
+# potentials at 0 or below, u0 on the negative half of the box, and a
+# Lagrangian finite on the box whose periodic candidates reach x < -4
+NON_FINITE_BASE = """
+[grid]
+resolution = 32
+
+[evolve]
+u0 = -abs(x)
+times = 0.5
+
+[trace]
+horizon = 1.0
+
+[cutlocus]
+demo_points = 2
+demo_range = 0.3 1.0
+"""
+COMMANDS = ("solve", "constants", "verify", "trace", "cutlocus", "evolve")
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize("problem, base, exits", [
+    ("potential = log(x)", NON_FINITE_BASE, (3, 3, 3, 3, 3, 3)),
+    ("potential = sqrt(x)", NON_FINITE_BASE, (3, 3, 3, 3, 3, 3)),
+    ("potential = 1/x", NON_FINITE_BASE, (3, 3, 3, 3, 3, 3)),
+    ("key = sine_kink", NON_FINITE_BASE.replace("u0 = -abs(x)", "u0 = log(x)").replace(
+        "[trace]", "[trace]\nfield = evolutionary"), (0, 0, 0, 3, 0, 3)),
+    ("lagrangian = v^2/2 + log(x + 4)\nc1 = 0.2\nc2 = 2.1", NON_FINITE_BASE,
+     (2, 0, 2, 2, 2, 0)),
+], ids=["log_potential", "sqrt_potential", "inverse_potential", "log_u0", "log_lagrangian"])
+def test_non_finite_model_or_data_exits_0_2_or_3(problem, base, exits, command):
+    code, err = run_quietly(command, f"[problem]\n{problem}\n{base}", [])
+    assert code == exits[COMMANDS.index(command)], err
+    assert "Traceback" not in err
+    if code == 2:
+        assert "no finite cost in the search ball" in err

@@ -1,7 +1,8 @@
 """Every name a library module imports is used in that module, every
 private module-level name is referenced somewhere in the library, every
-exported function or class has a caller in the program, and one routine
-holds the library's only ODE integration."""
+exported function or class has a caller in the program, one routine
+holds the library's only ODE integration, and the direct method alone
+reads its convergence verdict."""
 
 import ast
 from pathlib import Path
@@ -16,11 +17,7 @@ MODULES = [p for p in SOURCES if p.name != "__init__.py"]   # __init__ imports t
 BENCHMARK = sorted((PACKAGE.parents[1] / "hjbench").rglob("*.py"))
 
 # exported functions and classes that no program code calls, each with its reason
-ALLOWED_EXPORTS = {
-    # the paper's backward operator T^- in the a-priori ball, which the
-    # operator tests call; the program runs localized_convolution directly
-    "lax_oleinik_minus",
-}
+ALLOWED_EXPORTS = set()
 
 
 def unused_imports(source: str) -> list:
@@ -177,3 +174,19 @@ def test_one_legendre_hamiltonian_site():
     sites = [(p.name, site) for p in SOURCES
              for site in call_sites(p.read_text(), "hamiltonian_from_lagrangian")]
     assert sites == [("model.py", "LagrangianModel.__post_init__")]
+
+
+def converged_reads(source: str) -> int:
+    """The subscripts ``[...]["converged"]`` in a module."""
+    return sum(isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Constant)
+               and node.slice.value == "converged" for node in ast.walk(ast.parse(source)))
+
+
+def test_only_the_direct_method_reads_converged():
+    # minimize_paths raises on a path that did not converge, so no caller
+    # checks its mask and no helper does it for them
+    assert {p.name: converged_reads(p.read_text()) for p in MODULES
+            if p.name != "action.py" and converged_reads(p.read_text())} == {}
+    defined = {node.name for p in SOURCES for node in ast.walk(ast.parse(p.read_text()))
+               if isinstance(node, ast.FunctionDef)}
+    assert "require_converged" not in defined

@@ -29,7 +29,7 @@ from hjsing.laxoleinik import (
 )
 
 from .oracles import hopf_lax_brute
-from .test_action import _sine_kink_2d
+from .test_action import _sine_kink_2d, nan_where, on_paths_of
 
 
 @pytest.fixture(scope="module")
@@ -612,18 +612,18 @@ class TestDiscountedOperator:
                                      monkeypatch):
         # coarse, fine, polish and Richardson passes: none uses an
         # unconverged path
-        original = laxoleinik.minimize_paths
-
-        def one_unconverged(*args, **kwargs):
-            sol = original(*args, **kwargs)
-            if kwargs.get("segments", PATH_SEGMENTS) == segments:
-                sol["converged"] = sol["converged"].copy()
-                sol["converged"][0] = False
-            return sol
-
-        monkeypatch.setattr(laxoleinik, "minimize_paths", one_unconverged)
+        nan_where(free_particle_1d, monkeypatch, on_paths_of(segments))
         with pytest.raises(errors.NoConvergence):
             lax_oleinik_minus(free_particle_1d, neg_abs_grid, 0.0, 1.0, [[0.3]])
+
+    def test_nan_action_in_the_ball_raises(self, free_particle_1d, neg_abs_grid,
+                                           monkeypatch):
+        # straight segments from the candidates left of -0.5 cross where L
+        # is NaN; the search names the query instead of crashing on an
+        # empty argument set
+        nan_where(free_particle_1d, monkeypatch, lambda x: x[..., 0] < -0.5)
+        with pytest.raises(errors.NoMinimizer, match=r"x = \[0.\]"):
+            localized_convolution(free_particle_1d, neg_abs_grid, 0.0, 1.0, [[0.0]], 2.0)
 
     def test_exponent_cap(self, counterexample_problem):
         v = GridFunction.from_callable(lambda p: 0.0 * p[..., 0],

@@ -35,6 +35,7 @@ from hjsing.model import DiscountedProblem, GrowthData, HamiltonianModel, Lagran
 from hjsing.singular import CutTimeField, _argmax_points
 
 from .oracles import sine_kink_cut_time, shock_speed
+from .test_action import nan_where
 
 
 @pytest.fixture(scope="module")
@@ -238,15 +239,8 @@ class TestPropagationStep:
 
 
 def test_unconverged_objective_raises(sine_field, monkeypatch):
-    original = singular.minimize_paths
-
-    def one_unconverged(*args, **kwargs):
-        sol = original(*args, **kwargs)
-        sol["converged"] = sol["converged"].copy()
-        sol["converged"][0] = False
-        return sol
-
-    monkeypatch.setattr(singular, "minimize_paths", one_unconverged)
+    # L is NaN on the path to y = 0.2 alone
+    nan_where(sine_field.problem.lagrangian, monkeypatch, lambda x: x[..., 0] > 0.15)
     ys = np.array([[0.0], [0.1], [0.2]])
     with pytest.raises(errors.NoConvergence):
         singular._argmax_objective(sine_field, sine_field.action_lagrangian(1.5), 1.0,
@@ -265,20 +259,19 @@ class TestTrace:
                                      [0.0], 3.0)
         assert float(np.max(np.abs(curve.points))) <= 1e-2
         assert np.all(curve.certificate_diameters[1:] >= 1.9)
-        assert curve.localization_ok
         assert curve.times[-1] >= 3.0 - 1e-9
         assert max_difference_quotient(curve) <= 1e-6
 
     def test_shock_curve(self, shock_field, free_particle_1d, monkeypatch):
         rows = []
-        search = solver.localized_convolution
+        search = solver.lax_oleinik_minus
 
-        def counting(model, f, t1, t2, xs, radius, polish_window=None):
+        def counting(model, f, t1, t2, xs, polish_window=None):
             if polish_window is None:           # a value search, not a certificate
                 rows.append(len(xs))
-            return search(model, f, t1, t2, xs, radius, polish_window=polish_window)
+            return search(model, f, t1, t2, xs, polish_window)
 
-        monkeypatch.setattr(solver, "localized_convolution", counting)
+        monkeypatch.setattr(solver, "lax_oleinik_minus", counting)
         curve = trace_singular_curve(shock_field, 0.5,
                                      [0.25], 2.0)
         err = np.max(np.abs(curve.points[:, 0] - curve.times / 2))

@@ -343,13 +343,13 @@ class TestFields:
 
     def test_evolutionary_repeated_rows_searched_once(self, hopf_kink_field, monkeypatch):
         rows = []
-        search = solver.localized_convolution
+        search = solver.lax_oleinik_minus
 
         def counting(model, f, t1, t2, xs, *args, **kwargs):
             rows.append(np.array(xs))
             return search(model, f, t1, t2, xs, *args, **kwargs)
 
-        monkeypatch.setattr(solver, "localized_convolution", counting)
+        monkeypatch.setattr(solver, "lax_oleinik_minus", counting)
         # rows equal to 12 digits are one row; a time of 0 reads u0
         xs = [[0.3], [0.5], [0.3], [0.3 + 1e-14], [0.5], [0.3]]
         vals = hopf_kink_field.values(0.7, xs)
