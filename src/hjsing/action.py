@@ -26,6 +26,7 @@ method with its endpoint derivatives extrapolated, live in ``singular``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -79,41 +80,44 @@ def _integrand(model: LagrangianModel) -> LagrangianModel:
     return model
 
 
+@lru_cache(maxsize=None)
+def _fractions(segments: int):
+    """The nodes' fractions 0, 1/N, ..., 1 of a path, (1, N+1, 1), read-only."""
+    frac = np.linspace(0.0, 1.0, segments + 1)[None, :, None]
+    frac.flags.writeable = False
+    return frac
+
+
 def _rows(a, idx):
     """The rows idx of a per-path array; a one-row array broadcasts as is."""
     return a if len(a) == 1 else a[idx]
 
 
-def _solve_tridiagonal(lower, diag, upper, rhs):
-    """Thomas algorithm vectorized over the batch axis.
+def _solve_tridiagonal(off, diag, rhs):
+    """Thomas algorithm for symmetric tridiagonal rows, vectorized over the batch.
 
-    Shapes: lower/upper (P, M-1), diag/rhs (P, M).  Overwrites nothing.
-    Returns (solution, positive): ``positive`` (P,) is True where every
-    pivot is > 0, which for a symmetric row holds exactly when its matrix
-    is positive definite.  A row with a zero pivot has a meaningless
-    solution and is flagged, not raised.
+    Shapes: off (P, M-1) below and above the diagonal, diag/rhs (P, M).
+    Overwrites nothing.  Returns (solution, positive): ``positive`` (P,) is
+    True where every pivot is > 0, which for a symmetric row holds exactly
+    when its matrix is positive definite.  A row with a zero pivot has a
+    meaningless solution and is flagged, not raised.  The sweep runs down
+    the columns of transposed copies, so each step reads contiguous rows.
     """
-    P, M = diag.shape
-    cp = np.empty((P, M - 1)) if M > 1 else np.empty((P, 0))
-    dp = np.empty((P, M))
-    positive = diag[:, 0] > 0
+    off, piv, dp = off.T.copy(), diag.T.copy(), rhs.T.copy()
+    cp = np.empty_like(off)
     with np.errstate(divide="ignore", invalid="ignore"):
-        inv = 1.0 / diag[:, 0]
-        if M > 1:
-            cp[:, 0] = upper[:, 0] * inv
-        dp[:, 0] = rhs[:, 0] * inv
-        for k in range(1, M):
-            denom = diag[:, k] - lower[:, k - 1] * cp[:, k - 1]
-            positive &= denom > 0
-            inv = 1.0 / denom
-            if k < M - 1:
-                cp[:, k] = upper[:, k] * inv
-            dp[:, k] = (rhs[:, k] - lower[:, k - 1] * dp[:, k - 1]) * inv
-        out = np.empty((P, M))
-        out[:, -1] = dp[:, -1]
-        for k in range(M - 2, -1, -1):
-            out[:, k] = dp[:, k] - cp[:, k] * out[:, k + 1]
-    return out, positive
+        inv = 1.0 / piv[0]
+        dp[0] *= inv
+        # row k of each copy is column k of the system, updated in place
+        for o, c, p, d, d_prev in zip(off, cp, piv[1:], dp[1:], dp):
+            np.multiply(o, inv, out=c)
+            p -= o * c
+            np.divide(1.0, p, out=inv)
+            d -= o * d_prev
+            d *= inv
+        for c, d, d_next in zip(cp[::-1], dp[-2::-1], dp[:0:-1]):
+            d -= c * d_next
+    return dp.T, np.all(piv > 0, axis=0)
 
 
 def straight_line_actions(model: LagrangianModel, s, t, starts, ends):
@@ -175,10 +179,11 @@ def minimize_paths(model: LagrangianModel, s, t, starts, ends,
     interval per pair; a pair's answer is the same either way.
     Returns a dict with stacked node arrays, actions, stationarity
     residuals, ``converged`` (all true; the benchmark tracer counts it), the
-    time nodes (``"times"``: (N+1,) for
-    a shared interval, else (P, N+1)) and the derivatives ``d_start``,
-    ``d_end`` (P, n) of the discrete action with respect to the two
-    endpoints.  By the envelope theorem these are the
+    time nodes (``"times"``: (N+1,) for a shared interval, else (P, N+1))
+    and the derivatives ``d_start``, ``d_end`` (P, n) of the discrete action
+    with respect to the two endpoints.  Each is the value at the iterate
+    the path stopped at, as its last gradient test computed it; nothing is
+    evaluated again.  By the envelope theorem these are the
     partial derivatives at the minimizing nodes:
     ``w[0]·(½L_x − L_v/dt)`` on the first segment and
     ``w[-1]·(½L_x + L_v/dt)`` on the last.  ``init_nodes`` is a warm start;
@@ -194,7 +199,9 @@ def minimize_paths(model: LagrangianModel, s, t, starts, ends,
     pivot <= 0 (the curvature makes it indefinite, as on long horizons of
     a concave potential) re-solves with the kinetic block alone, a descent
     direction; so does every path of a model without ``L_xx``.  The choice
-    is made per path, so its answer does not depend on its batch.
+    is made per path, so its answer does not depend on its batch.  The
+    systems of every live path and axis are stacked as rows of one batch,
+    so a Newton step is one Thomas sweep whatever the dimension.
 
     A path iterates until the max-norm of its interior gradient is at most
     1e-9 (1 + |A|); ``converged`` allows 100 times that.  A backtracking
@@ -222,7 +229,7 @@ def minimize_paths(model: LagrangianModel, s, t, starts, ends,
     dt = (times[:, -1:] - times[:, :1]) / N     # (R, 1)
     w, mid, L, L_v, L_x, L_vv, L_xx = _quadrature(model, times)
 
-    frac = np.linspace(0.0, 1.0, N + 1)[None, :, None]
+    frac = _fractions(N)
     if init_nodes is not None:
         W = np.array(init_nodes, dtype=float)
         W += ((1 - frac) * (starts - W[:, 0])[:, None, :]
@@ -242,65 +249,62 @@ def minimize_paths(model: LagrangianModel, s, t, starts, ends,
         # differently depending on how many rows share the batch
         return np.einsum("pn,pn->p", L(*segments_of(nodes, rows)), _rows(w, rows))
 
-    def derivatives(nodes, rows):
+    def derivatives(seg, rows):
         """(g, d_start, d_end): the action's gradient in the interior nodes
-        and its derivatives in the two end nodes."""
-        seg = segments_of(nodes, rows)
-        dtc = _rows(dt, rows)[:, :, None]
-        lx = np.asarray(L_x(*seg), dtype=float)
-        lv = np.asarray(L_v(*seg), dtype=float)
+        and its derivatives in the two end nodes, from the segments of rows."""
+        half_lx = 0.5 * np.asarray(L_x(*seg), dtype=float)
+        lv_dt = np.asarray(L_v(*seg), dtype=float) / _rows(dt, rows)[:, :, None]
         wc = _rows(w, rows)[:, :, None]
-        left = wc * (0.5 * lx - lv / dtc)     # a segment's derivative in its left node
-        right = wc * (0.5 * lx + lv / dtc)    # and in its right node
+        left = wc * (half_lx - lv_dt)     # a segment's derivative in its left node
+        right = wc * (half_lx + lv_dt)    # and in its right node
         return right[:, :-1] + left[:, 1:], left[:, 0], right[:, -1]
 
     def grad_norm(g):
         return np.max(np.abs(g), axis=(1, 2))
 
-    def newton_systems(nodes, rows):
-        """Per axis, the kinetic tridiagonal (off, diag) and, when the model
-        has ``L_xx``, the one with the curvature added (else None)."""
-        seg = segments_of(nodes, rows)
-        lvv = np.asarray(L_vv(*seg), dtype=float)
-        lxx = None if L_xx is None else np.asarray(L_xx(*seg), dtype=float)
-        wl, dtl = _rows(w, rows), _rows(dt, rows)
-        for ax in range(n):
-            a = wl * lvv[:, :, ax, ax] / dtl ** 2     # (R, N)
-            diag = a[:, :-1] + a[:, 1:]
-            off = -a[:, 1:-1]
-            if lxx is None:
-                yield off, diag, None
-            else:
-                b = 0.25 * wl * lxx[:, :, ax, ax]
-                yield off, diag, (off + b[:, 1:-1], diag + b[:, :-1] + b[:, 1:])
+    def by_axis(a):
+        """(R, K, n) per-node values as (R·n, K) rows, one per path and axis."""
+        return a.swapaxes(1, 2).reshape(-1, a.shape[1])
 
-    every = slice(None)
+    def newton_matrices(seg, rows):
+        """The Newton tridiagonals (off, diag) of rows from their segments,
+        one row per path and axis: the kinetic block and, when the model
+        has ``L_xx``, the one with the curvature added (else None)."""
+        wl, dtl = _rows(w, rows)[:, :, None], _rows(dt, rows)[:, :, None]
+        a = by_axis(wl * np.diagonal(np.asarray(L_vv(*seg), dtype=float), 0, 2, 3)
+                    / dtl ** 2)
+        kinetic = (-a[:, 1:-1], a[:, :-1] + a[:, 1:])
+        if L_xx is None:
+            return kinetic, None
+        b = by_axis(0.25 * wl * np.diagonal(np.asarray(L_xx(*seg), dtype=float), 0, 2, 3))
+        return kinetic, (kinetic[0] + b[:, 1:-1], kinetic[1] + b[:, :-1] + b[:, 1:])
+
     times_out = times[0] if np.ndim(s) == np.ndim(t) == 0 else times
-    act = action_of(W, every)
+    act = action_of(W, slice(None))
+    grad_inf, d_start, d_end = np.empty(P), np.empty((P, n)), np.empty((P, n))
     live = np.arange(P)     # paths still iterating
     stepped = np.zeros(P, dtype=bool)
     fallback = np.zeros(P, dtype=bool)      # took a kinetic-only step
-    for _ in range(max_iter):
-        g, _, _ = derivatives(W if live.size == P else W[live], live)
-        gi = grad_norm(g)
+    # each pass tests the gradient of the live paths and keeps it with the
+    # end derivatives: a path's values are those of the iterate it stops at
+    for it in range(max_iter + 1):
+        seg = segments_of(W if live.size == P else W[live], live)
+        g, d_start[live], d_end[live] = derivatives(seg, live)
+        gi = grad_inf[live] = grad_norm(g)
         open_ = gi > grad_tol * (1.0 + np.abs(act[live]))
         live, g, gi = live[open_], g[open_], gi[open_]
-        if not live.size:
+        if not live.size or it == max_iter:
             break
         stepped[live] = True
-        # one tridiagonal per axis: kinetic block plus curvature
-        step = np.empty_like(g)
-        for ax, (off, diag, full) in enumerate(newton_systems(W[live], live)):
-            if full is None:
-                sol, _ = _solve_tridiagonal(off, diag, off, g[:, :, ax])
-            else:
-                sol, positive = _solve_tridiagonal(full[0], full[1], full[0], g[:, :, ax])
-                bad = np.flatnonzero(~positive)
-                if bad.size:
-                    fallback[live[bad]] = True
-                    sol[bad], _ = _solve_tridiagonal(off[bad], diag[bad], off[bad],
-                                                     g[bad, :, ax])
-            step[:, :, ax] = -sol
+        # one tridiagonal per path and axis: kinetic block plus curvature
+        kinetic, full = newton_matrices([_rows(a, open_) for a in seg], live)
+        rhs = by_axis(g)
+        sol, positive = _solve_tridiagonal(*(kinetic if full is None else full), rhs)
+        bad = np.flatnonzero(~positive)
+        if full is not None and bad.size:
+            fallback[live[bad // n]] = True
+            sol[bad] = _solve_tridiagonal(kinetic[0][bad], kinetic[1][bad], rhs[bad])[0]
+        step = -sol.reshape(-1, n, N - 1).swapaxes(1, 2)
         # backtracking line search, re-evaluating only the paths still
         # rejected; ``pending`` indexes ``live``
         pending = np.arange(live.size)
@@ -310,17 +314,15 @@ def minimize_paths(model: LagrangianModel, s, t, starts, ends,
             trial = W[rows]
             trial[:, 1:-1] += alpha[pending, None, None] * step[pending]
             act_trial = action_of(trial, rows)
-            scale = 1.0 + np.abs(act[rows])
-            rounding = 1e-14 * scale
+            rounding = 1e-14 * (1.0 + np.abs(act[rows]))
             better = act_trial <= act[rows] - rounding
             # a step whose action change is rounding counts if it lowers the gradient
             flat = np.flatnonzero(~better & (np.abs(act_trial - act[rows]) <= rounding))
             if flat.size:
-                g_flat, _, _ = derivatives(trial[flat], rows[flat])
+                g_flat = derivatives(segments_of(trial[flat], rows[flat]), rows[flat])[0]
                 better[flat] = grad_norm(g_flat) < gi[pending[flat]]
-            ok = pending[better]
-            W[live[ok], 1:-1] += alpha[ok, None, None] * step[ok]
-            act[live[ok]] = act_trial[better]
+            W[rows[better]] = trial[better]
+            act[rows[better]] = act_trial[better]
             pending = pending[~better]
             if pending.size == 0:
                 break
@@ -328,18 +330,15 @@ def minimize_paths(model: LagrangianModel, s, t, starts, ends,
         # a path no halving moved stands at a numerical stationary point
         live = np.delete(live, pending)
 
-    act = action_of(W, every)
-    g, d_start, d_end = derivatives(W, every)
-    grad_inf = grad_norm(g)
     converged = grad_inf <= 100 * grad_tol * (1.0 + np.abs(act))
     # a path that stopped before any Newton step never had its pivots
     # tested, and one that took a kinetic-only step stepped past a failed
     # test; an indefinite matrix there marks a saddle, not a minimum
     rest = np.flatnonzero(~stepped | fallback)
     if L_xx is not None and rest.size:
-        for _, _, (off, diag) in newton_systems(W[rest], rest):
-            positive = _solve_tridiagonal(off, diag, off, np.zeros_like(diag))[1]
-            converged[rest[~positive]] = False
+        off, diag = newton_matrices(segments_of(W[rest], rest), rest)[1]
+        positive = _solve_tridiagonal(off, diag, np.zeros_like(diag))[1]
+        converged[rest[~np.all(positive.reshape(-1, n), axis=1)]] = False
     bad = np.flatnonzero(~converged)
     if bad.size:
         raise NoConvergence(f"{bad.size} of {P} paths did not converge "

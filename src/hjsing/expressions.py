@@ -98,7 +98,15 @@ def compile_expression(text: str, variables: tuple[str, ...]):
         tree = ast.parse(source, mode="eval")
     except SyntaxError as exc:
         raise ConfigError(f"cannot parse expression {text!r}: {exc}") from exc
-    return _compile_node(tree, frozenset(variables))
+    fn = _compile_node(tree, frozenset(variables))
+
+    def evaluate(env):
+        # a value that is not finite is raised as a typed error where the
+        # caller reads it, so numpy's warnings would only repeat it on stderr
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return fn(env)
+
+    return evaluate
 
 
 def scalar_field(text: str, dimension: int):

@@ -785,14 +785,15 @@ class ConvolutionPlan:
         # neither, and its scan cost counts as inf
         low = f_vals + self.floor
         first = np.flatnonzero(low <= np.minimum.reduceat(low, self.starts)[owners] + 1.0)
-        bound = _owner_min(owners[first], f_vals[first] + self._scan(first), P) + 1.0
-        bound += 1e-12 * (1.0 + np.abs(bound))
-        scanned = np.flatnonzero(low <= bound[owners])
-        cost = f_vals[scanned] + self._scan(scanned)
-        leader = _owner_min(owners[scanned], cost, P)
         # a NaN scan cost makes its query's bound NaN, which empties its
         # scanned set, or its leader NaN; a query without a finite cost has
-        # no candidate to re-score
+        # no candidate to re-score, and raises below
+        with np.errstate(invalid="ignore"):
+            bound = _owner_min(owners[first], f_vals[first] + self._scan(first), P) + 1.0
+            bound += 1e-12 * (1.0 + np.abs(bound))
+            scanned = np.flatnonzero(low <= bound[owners])
+            cost = f_vals[scanned] + self._scan(scanned)
+            leader = _owner_min(owners[scanned], cost, P)
         lost = np.flatnonzero(~np.isfinite(leader))
         if lost.size:
             raise NoMinimizer(f"no finite cost in the search ball of x = {xs[lost[0]]}: "

@@ -33,6 +33,20 @@ def nan_where(lagrangian, monkeypatch, where):
                         lambda s, x, v: np.where(where(np.asarray(x)), np.nan, L(s, x, v)))
 
 
+def pivot_tests(monkeypatch):
+    """The ``positive`` flags of every tridiagonal solve from now on."""
+    solves = []
+    solve = action._solve_tridiagonal
+
+    def recording(*args):
+        out = solve(*args)
+        solves.append(out[1])
+        return out
+
+    monkeypatch.setattr(action, "_solve_tridiagonal", recording)
+    return solves
+
+
 def on_paths_of(segments):
     """A ``nan_where`` test that holds on every path of ``segments`` segments."""
     return lambda x: x.ndim == 3 and x.shape[1] == segments
@@ -383,15 +397,7 @@ class TestCurvatureNewton:
         # indefinite on the straight lines, and those rows take the kinetic
         # block; with it alone Newton stopped two rows at grad_inf 1.7e-5
         # and 5.5e-7
-        solves = []
-        solve = action._solve_tridiagonal
-
-        def recording(*args):
-            out = solve(*args)
-            solves.append(out[1])
-            return out
-
-        monkeypatch.setattr(action, "_solve_tridiagonal", recording)
+        solves = pivot_tests(monkeypatch)
         pend = catalog.pendulum()
         starts, ends = [[0.1], [2.0], [-1.0]], [[0.2], [2.5], [3.0]]
         sol = minimize_paths(pend, 0.0, 8.0, starts, ends, segments=16)
@@ -415,6 +421,101 @@ class TestCurvatureNewton:
         assert np.all(b["converged"])
         np.testing.assert_allclose(b["action"], a["action"], atol=1e-12)
         np.testing.assert_allclose(b["nodes"], a["nodes"], atol=1e-8)
+
+
+    def test_2d_stacked_sweep_matches_one_row_runs(self, monkeypatch):
+        # the rows of every path and axis share one sweep; on the 6-long
+        # horizon from x1 = 0.1, where f is concave, the first axis takes
+        # the kinetic block and the second keeps its curvature
+        solves = pivot_tests(monkeypatch)
+        m = _sine_kink_2d(curvature=True)
+        starts = np.array([[0.3, 1.2], [0.5, 0.9], [0.1, 1.4], [1.0, 1.0]])
+        ends = np.array([[0.8, 1.6], [1.1, 1.5], [0.3, 1.7], [1.3, 0.4]])
+        t = np.array([1.0, 1.5, 6.0, 0.7])
+        batch = minimize_paths(m, 0.0, t, starts, ends)
+        np.testing.assert_array_equal(solves[0], [True] * 4 + [False, True] + [True] * 2)
+        for k in range(4):
+            one = minimize_paths(m, 0.0, t[k], starts[k:k + 1], ends[k:k + 1])
+            for name in ("action", "nodes", "grad_inf", "d_start", "d_end"):
+                np.testing.assert_array_equal(batch[name][k], one[name][0])
+
+
+class TestStoppingIterate:
+    @pytest.mark.parametrize("case", ["sine_kink", "sine_kink_warm", "pendulum",
+                                      "free_particle_2d"])
+    def test_values_are_those_of_the_returned_nodes(self, case, monkeypatch):
+        # a run from the returned nodes stops where it starts, after one
+        # action and one gradient evaluation: its values are those of the
+        # nodes, and the first run returned the same without evaluating
+        # the model after its loop
+        rng = np.random.default_rng(3)
+        T, init = 1.0, None
+        if case == "free_particle_2d":
+            m = catalog.free_particle(2)
+            starts = rng.uniform(-1.0, 1.0, size=(6, 2))
+            ends = starts + rng.uniform(-1.5, 1.5, size=(6, 2))
+        elif case == "pendulum":
+            # T = 8 > pi: the straight lines take kinetic-only steps
+            m, T = catalog.pendulum(), 8.0
+            starts, ends = np.array([[0.1], [2.0], [-1.0]]), np.array([[0.2], [2.5], [3.0]])
+        else:
+            m = catalog.sine_kink()
+            starts = rng.uniform(-2.0, 2.0, size=(8, 1))
+            ends = starts + rng.uniform(-1.5, 1.5, size=(8, 1))
+            if case == "sine_kink_warm":
+                coarse = minimize_paths(m, 0.0, T, starts, ends, segments=8)
+                init = action._refine_nodes(coarse["nodes"])
+        assert m.L_xx is not None or case == "free_particle_2d"
+        first = minimize_paths(m, 0.0, T, starts, ends, init_nodes=init)
+        calls = {"L": 0, "L_x": 0}
+
+        def counting(name, f):
+            def counted(*args):
+                calls[name] += 1
+                return f(*args)
+            return counted
+
+        for name in calls:
+            monkeypatch.setattr(m, name, counting(name, getattr(m, name)))
+        again = minimize_paths(m, 0.0, T, starts, ends, init_nodes=first["nodes"])
+        for name in ("action", "grad_inf", "d_start", "d_end", "nodes"):
+            np.testing.assert_array_equal(again[name], first[name])
+        assert calls == {"L": 1, "L_x": 1}
+
+
+class TestTridiagonal:
+    @pytest.mark.parametrize("M", [1, 2, 3, 15, 31])
+    def test_matches_dense_solve_and_eigenvalues(self, M):
+        # diagonally dominant rows, each diagonal entry of random sign: a
+        # row is positive definite exactly when every sign is +; then rows
+        # whose first or a middle pivot is 0, which are indefinite
+        rng = np.random.default_rng(M)
+        P = 40
+        off = rng.uniform(-1.0, 1.0, size=(P, M - 1))
+        reach = np.zeros((P, M))
+        reach[:, 1:] += np.abs(off)
+        reach[:, :-1] += np.abs(off)
+        sign = np.where(rng.uniform(size=(P, M)) < 0.8 ** (1.0 / M), 1.0, -1.0)
+        diag = sign * (reach + rng.uniform(0.5, 2.0, size=(P, M)))
+        rhs = rng.normal(size=(P, M))
+        # a first pivot of 0, and for M >= 3 a second one, 1 - 1 * 1
+        special = [(np.full(M - 1, 1.0), np.r_[0.0, np.ones(M - 1)])]
+        if M >= 3:
+            special.append((np.r_[1.0, np.full(M - 2, 2.0)], np.r_[1.0, 1.0, np.full(M - 2, 5.0)]))
+        off = np.vstack([off] + [o for o, _ in special])
+        diag = np.vstack([diag] + [d for _, d in special])
+        rhs = np.vstack([rhs, rhs[:len(special)]])
+        copies = [a.copy() for a in (off, diag, rhs)]
+        sol, positive = action._solve_tridiagonal(off, diag, rhs)
+        for a, kept in zip((off, diag, rhs), copies):
+            np.testing.assert_array_equal(a, kept)
+        dense = np.array([np.diag(d) + np.diag(o, 1) + np.diag(o, -1)
+                          for o, d in zip(off, diag)])
+        np.testing.assert_array_equal(positive, np.linalg.eigvalsh(dense).min(axis=1) > 0)
+        assert 0 < np.count_nonzero(positive[:P]) < P
+        assert not np.any(positive[P:])
+        np.testing.assert_allclose(sol[:P], np.linalg.solve(dense[:P], rhs[:P, :, None])[..., 0],
+                                   rtol=1e-10, atol=1e-12)
 
 
 class TestConstants:

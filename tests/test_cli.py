@@ -488,6 +488,7 @@ COMMANDS = ("solve", "constants", "verify", "trace", "cutlocus", "evolve")
     ("lagrangian = v^2/2 + log(x + 4)\nc1 = 0.2\nc2 = 2.1", NON_FINITE_BASE,
      (2, 0, 2, 2, 2, 0)),
 ], ids=["log_potential", "sqrt_potential", "inverse_potential", "log_u0", "log_lagrangian"])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_non_finite_model_or_data_exits_0_2_or_3(problem, base, exits, command):
     code, err = run_quietly(command, f"[problem]\n{problem}\n{base}", [])
     assert code == exits[COMMANDS.index(command)], err
